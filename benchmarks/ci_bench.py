@@ -45,7 +45,7 @@ from repro.cluster import Cluster
 from repro.locks import make_lock
 from repro.memory import MemoryRegion
 from repro.obs import ObsConfig
-from repro.sim import Environment, Resource, core_info
+from repro.sim import Environment, Resource
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
 
@@ -150,12 +150,8 @@ def obs_overhead_run() -> int:
 
 
 def engine_dense_ticks() -> int:
-    """Calendar-queue best case: wide same-tick fan-in.
-
-    200 processes all sleep to the *same* future tick, 20 rounds — each
-    tick pops as one 200-entry batch, so the per-event queue cost is a
-    slice of a sorted bucket rather than 200 heap sift-downs.
-    """
+    """Wide same-tick fan-in: 200 processes all sleep to the *same*
+    future tick, 20 rounds — 200 heap entries share each timestamp."""
     env = Environment()
 
     def proc():
@@ -169,9 +165,8 @@ def engine_dense_ticks() -> int:
 
 
 def engine_sparse_timers() -> int:
-    """Calendar-queue adversarial case: one outstanding timer per
-    process, staggered so no two events ever share a tick.  Exercises
-    the singleton-bucket run loop and the bucket-shell re-arm path."""
+    """One outstanding timer per process, staggered so no two events
+    ever share a tick: every dispatch is a clock advance."""
     env = Environment()
 
     def proc(offset: int):
@@ -302,9 +297,6 @@ def run_suite(repeats: int, only=None) -> dict:
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        # which event core served this run (pure vs compiled legs must
-        # never be compared against each other's baselines)
-        "core": core_info(),
         "benchmarks": results,
     }
     if only is None or "flight_overhead" in only:

@@ -1,22 +1,6 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
 # Kept alongside pyproject.toml so `pip install -e .` works on
 # environments without the `wheel` package (legacy setup.py develop
 # path); all metadata lives in pyproject.toml.
-#
-# The compiled event core is an optimization, never a requirement:
-# `optional=True` turns any compiler failure into a warning and the
-# install proceeds pure-Python (the selector in repro.sim.core falls
-# back at import time).  `scripts/build_compiled_core.py` builds the
-# same extension in place without setuptools, for checkouts that are
-# never pip-installed (CI uses it for its digest-keyed build cache).
-setup(
-    ext_modules=[
-        Extension(
-            "repro.sim._ccore",
-            sources=["src/repro/sim/_ccore.c"],
-            extra_compile_args=["-O2", "-fno-strict-aliasing"],
-            optional=True,
-        ),
-    ],
-)
+setup()

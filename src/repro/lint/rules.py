@@ -29,11 +29,8 @@ Each rule encodes one invariant the reproduction's validity rests on
     inside ``__post_init__``/``__setstate__``.
 
 ``engine-chokepoint``
-    ``heapq``/``bisect`` (the calendar queue's building blocks) and the
-    event-core implementation modules (``repro.sim._engine``,
-    ``repro.sim._compiled``, ``repro.sim._ccore``) may only be imported
-    inside the engine chokepoint — everything else selects its core
-    through ``repro.sim.core`` / ``ALOCK_SIM_CORE``.
+    ``heapq``/``bisect`` (a scheduler's building blocks) may only be
+    imported by the event core, ``repro.sim.core``.
 
 ``guarded-trace-site``
     Flight-recorder ``.note()`` calls must sit inside an ``is not
@@ -72,13 +69,6 @@ DEFAULT_SENSITIVE_PACKAGES: tuple[str, ...] = (
     # byte determinism), so it must never fall out of this set if the
     # obs package is ever split.
     "repro.obs.flight",
-    # the event cores, listed explicitly although repro.sim covers them:
-    # the compiled twin (_ccore/_compiled) and the pure reference
-    # (_engine) define the event order itself, so they must never fall
-    # out of this set if the sim package is ever split.
-    "repro.sim._engine",
-    "repro.sim._compiled",
-    "repro.sim._ccore",
     "repro.verification",
     "repro.schedcheck",
     "repro.parallel",
@@ -704,97 +694,51 @@ class ProcessBoundaryRule(Rule):
 # rule 7: scheduler internals stay inside the engine chokepoint
 # --------------------------------------------------------------------------
 
-#: the modules that ARE the event core: the pure engine, the compiled
-#: twin's Python shell, and the selector that picks between them.
-_ENGINE_CHOKEPOINTS = frozenset({
-    "repro.sim.core",
-    "repro.sim._engine",
-    "repro.sim._compiled",
-})
+#: the module that IS the event core.
+_ENGINE_CHOKEPOINTS = frozenset({"repro.sim.core"})
 
-#: stdlib priority-queue machinery — the calendar queue's building
-#: blocks.  Any use outside the engine is a second scheduler.
+#: stdlib priority-queue machinery.  Any use outside the engine is a
+#: second scheduler.
 _SCHEDULER_IMPORTS = frozenset({"heapq", "bisect"})
-
-#: the core implementation modules; importing one directly pins a core
-#: and bypasses the ``ALOCK_SIM_CORE`` selection in ``repro.sim.core``.
-_ENGINE_INTERNAL_MODULES = frozenset({
-    "repro.sim._engine",
-    "repro.sim._compiled",
-    "repro.sim._ccore",
-})
 
 
 class EngineChokepointRule(Rule):
-    """Scheduler internals are confined to the event-core modules.
+    """Scheduler internals are confined to the event core.
 
-    Two module-local checks inside the sensitive packages:
-
-    * ``heapq``/``bisect`` may only be imported by the engine modules —
-      the calendar queue owns event ordering, and a second priority
-      queue over ``(time, seq)`` tuples elsewhere is a fork of the
-      scheduler that equivalence suites cannot see;
-    * the core implementation modules (``repro.sim._engine``,
-      ``repro.sim._compiled``, ``repro.sim._ccore``) may only be
-      imported by each other and the selector ``repro.sim.core`` —
-      importing one directly pins a core, silently bypassing
-      ``ALOCK_SIM_CORE`` and desynchronizing from what every other
-      module in the process is running.
+    Inside the sensitive packages ``heapq``/``bisect`` may only be
+    imported by ``repro.sim.core`` — it owns event ordering, and a
+    second priority queue over ``(time, seq)`` tuples elsewhere is a
+    fork of the scheduler that the engine's order tests cannot see.
     """
 
     rule_id = "engine-chokepoint"
-    description = ("heapq/bisect and the event-core implementation modules "
-                   "may only be imported inside the repro.sim engine "
-                   "chokepoint — everything else goes through "
-                   "repro.sim.core's ALOCK_SIM_CORE selection")
+    description = ("heapq/bisect may only be imported by the event core, "
+                   "repro.sim.core — a priority queue anywhere else in the "
+                   "sensitive packages is a second scheduler")
 
     def __init__(self,
                  sensitive_packages: Iterable[str] = DEFAULT_SENSITIVE_PACKAGES):
         self.sensitive_packages = tuple(sensitive_packages)
 
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sensitive_packages):
+        if not sf.in_package(*self.sensitive_packages) \
+                or sf.module in _ENGINE_CHOKEPOINTS:
             return
-        at_engine = sf.module in _ENGINE_CHOKEPOINTS
         for node in ast.walk(sf.tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _SCHEDULER_IMPORTS and not at_engine:
-                        yield self.finding(
-                            sf, node,
-                            f"'{alias.name}' import outside the engine "
-                            f"chokepoint; the calendar queue in "
-                            f"repro.sim owns event ordering — a second "
-                            f"priority queue is a scheduler fork the "
-                            f"equivalence suites cannot see")
-                    elif alias.name in _ENGINE_INTERNAL_MODULES \
-                            and not at_engine:
-                        yield self.finding(
-                            sf, node,
-                            f"direct import of '{alias.name}' pins an event "
-                            f"core; import from repro.sim.core so "
-                            f"ALOCK_SIM_CORE keeps selecting one core for "
-                            f"the whole process")
+                names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if mod.split(".")[0] in _SCHEDULER_IMPORTS and not at_engine:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in _SCHEDULER_IMPORTS:
                     yield self.finding(
                         sf, node,
-                        f"'{mod}' import outside the engine chokepoint; "
-                        f"the calendar queue in repro.sim owns event "
-                        f"ordering — a second priority queue is a "
-                        f"scheduler fork the equivalence suites cannot see")
-                elif (mod in _ENGINE_INTERNAL_MODULES
-                      or {f"repro.sim.{a.name}" if mod == "repro.sim"
-                          else "" for a in node.names}
-                      & _ENGINE_INTERNAL_MODULES) and not at_engine:
-                    yield self.finding(
-                        sf, node,
-                        f"direct import of an event-core implementation "
-                        f"module pins a core; import from repro.sim.core "
-                        f"so ALOCK_SIM_CORE keeps selecting one core for "
-                        f"the whole process")
+                        f"'{name}' import outside the engine chokepoint; "
+                        f"repro.sim.core owns event ordering — a second "
+                        f"priority queue is a scheduler fork its order "
+                        f"tests cannot see")
 
 
 # --------------------------------------------------------------------------

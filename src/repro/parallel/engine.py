@@ -36,13 +36,11 @@ aborted sweep leaves no orphan processes behind.
 
 from __future__ import annotations
 
-import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.sim import core_info
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellResult, SweepCell, worker_entry
 from repro.workload.metrics import RunResult
@@ -165,18 +163,6 @@ class ProcessPoolShell(SweepShell):
         self.executor_factory = executor_factory
 
     def run_chunks(self, chunks, submit_fn, on_chunk_done) -> None:
-        # Pin the *resolved* event core for the workers' lifetime: a
-        # forked worker inherits the parent's imported engine anyway,
-        # but a spawn-mode (or crashed-and-respawned) worker re-imports
-        # repro.sim.core and re-reads ALOCK_SIM_CORE — under "auto" it
-        # could resolve differently from the parent (e.g. a compiled
-        # .so appearing mid-sweep), silently mixing cores within one
-        # sweep.  Exporting the resolved kind makes every worker's
-        # selection identical to the parent's, and a worker that cannot
-        # honor a pinned "compiled" warns instead of silently serving
-        # different bytes.
-        pinned_prev = os.environ.get("ALOCK_SIM_CORE")
-        os.environ["ALOCK_SIM_CORE"] = core_info()["kind"]
         if self.executor_factory is not None:
             executor = self.executor_factory(self.workers)
         else:
@@ -196,11 +182,6 @@ class ProcessPoolShell(SweepShell):
             # wait for in-flight workers so no orphan processes survive.
             executor.shutdown(wait=True, cancel_futures=True)
             raise
-        finally:
-            if pinned_prev is None:
-                os.environ.pop("ALOCK_SIM_CORE", None)
-            else:
-                os.environ["ALOCK_SIM_CORE"] = pinned_prev
         executor.shutdown(wait=True)
 
 

@@ -21,7 +21,6 @@ Public surface:
 from repro.sim.core import (
     AllOf,
     AnyOf,
-    CORE_KIND,
     Environment,
     Event,
     Interrupt,
@@ -43,6 +42,5 @@ __all__ = [
     "PENDING",
     "Resource",
     "Store",
-    "CORE_KIND",
     "core_info",
 ]

@@ -1,119 +1,718 @@
-"""Core of the discrete-event engine — implementation selector.
+"""Event core: events, processes and the scheduler behind them.
 
-Two interchangeable event cores implement the engine contract:
+Time is a float in **nanoseconds** throughout the library; the RDMA cost
+model (microseconds-scale verbs, ~100 ns local ops) fits naturally and
+the paper's latency plots are in nanoseconds.
 
-* :mod:`repro.sim._engine` — the pure-Python reference (calendar-queue
-  scheduler; see its module docstring for the design).
-* :mod:`repro.sim._ccore` — an optional compiled C twin (built by
-  ``scripts/build_compiled_core.py`` / ``pip install -e .``), wrapped
-  by :mod:`repro.sim._compiled`.
+Scheduler design
+----------------
 
-Selection happens once, at first import, via ``ALOCK_SIM_CORE``:
+Events run in ``(time, seq)`` order, ``seq`` being a global insertion
+counter.  The schedule is kept in two places:
 
-* ``auto`` (default, also the empty string) — compiled if the extension
-  imports, else pure.  Silent fallback by design.
-* ``pure`` — always the pure-Python engine.
-* ``compiled`` — the compiled engine; if it cannot be imported this
-  *warns* (``RuntimeWarning``) and falls back to pure, so a missing
-  build never bricks a dev checkout.  CI's compiled leg turns that
-  fallback into a hard failure by asserting ``core_info()["kind"] ==
-  "compiled"`` (see ``.github/workflows/ci.yml``).
+* ``_heap`` — a ``heapq`` of ``(time, seq, event)`` holding
+  strictly-future entries (``now + delay > now``, i.e. timeouts).
+* ``_nowq`` — an append-only list for everything scheduled at the
+  *current* time: resource grants, watcher wakeups, process
+  boot/completion/interrupt, echoes.  No priority structure is needed;
+  append order **is** ``(time, seq)`` order.
 
-:func:`core_info` reports what was requested, what actually loaded, and
-why a fallback happened, so harnesses (CI, ``repro.parallel`` workers,
-benchmarks) can verify or propagate the selection.  Everything observable
-— event order, decision strings, flight notes, error messages — is
-identical across cores; ``tests/sim/test_core_equivalence.py`` and
-``tests/ci/test_core_identity.py`` enforce that.
+Why draining "heap entries at *t*, then the now-queue" is ``seq`` order:
+an entry only enters the heap with ``time > now``, so every heap entry
+at time *t* was inserted before the clock reached *t* and has a smaller
+``seq`` than anything appended to the now-queue while ``now == t``.
+The clock only advances once both are exhausted, so the now-queue never
+holds entries from a stale time.
 
-Downstream code keeps importing names from here (``repro.sim.core``);
-which engine serves them is an environment concern, never a code-level
-one — simlint confines scheduler internals to the engine modules.
+Negative delays would put an entry behind the clock, so
+:meth:`Environment.schedule` rejects them with
+:class:`~repro.common.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Optional, TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional, Protocol
 
-from repro.common.errors import ConfigError
-from repro.sim._base import PENDING, FlightLike, Interrupt, _describe_wait
+from repro.common.errors import ConfigError, SimulationError
 
 __all__ = [
-    "PENDING", "Interrupt", "FlightLike", "_describe_wait",
+    "PENDING", "Interrupt", "FlightLike",
     "Event", "Timeout", "Process", "AnyOf", "AllOf",
-    "Environment", "CalendarQueue",
-    "CORE_KIND", "core_info",
+    "Environment", "core_info",
 ]
 
-_VALID = ("auto", "pure", "compiled")
-_requested = os.environ.get("ALOCK_SIM_CORE", "auto").strip().lower() or "auto"
-if _requested not in _VALID:
-    raise ConfigError(
-        f"ALOCK_SIM_CORE={_requested!r} is not one of {'/'.join(_VALID)}")
-
-_fallback_reason: Optional[str] = None
-
-if TYPE_CHECKING:
-    # The pure engine is the typed reference contract; the compiled
-    # twin is checked against it dynamically (equivalence suite).
-    from repro.sim._engine import (
-        AllOf,
-        AnyOf,
-        CalendarQueue,
-        Environment,
-        Event,
-        Process,
-        SchedulePolicyLike,
-        Timeout,
-        _Condition,
-        _Echo,
-    )
-
-    CORE_KIND = "pure"
-else:
-    _impl = None
-    if _requested in ("auto", "compiled"):
-        try:
-            from repro.sim import _compiled as _impl
-        except ImportError as _exc:
-            _fallback_reason = str(_exc)
-            if _requested == "compiled":
-                warnings.warn(
-                    "ALOCK_SIM_CORE=compiled but the compiled event core is "
-                    f"unavailable ({_fallback_reason}); falling back to the "
-                    "pure-Python engine",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    if _impl is None:
-        from repro.sim import _engine as _impl
-
-    CORE_KIND = _impl.CORE_KIND if hasattr(_impl, "CORE_KIND") else (
-        "compiled" if _impl.__name__.endswith("_compiled") else "pure")
-    Environment = _impl.Environment
-    Event = _impl.Event
-    Timeout = _impl.Timeout
-    Process = _impl.Process
-    AnyOf = _impl.AnyOf
-    AllOf = _impl.AllOf
-    _Condition = _impl._Condition
-    _Echo = _impl._Echo
-    CalendarQueue = _impl.CalendarQueue
-    SchedulePolicyLike = _impl.SchedulePolicyLike
+_INF = float("inf")
 
 
-def core_info() -> dict[str, Optional[str]]:
-    """How the event core was selected for this process.
+class FlightLike(Protocol):
+    """Sink for flight-recorder notes (see :mod:`repro.obs.flight`).
 
-    Returns ``{"requested": ..., "kind": ..., "fallback_reason": ...}``
-    where ``kind`` is the engine actually serving this process ("pure"
-    or "compiled") and ``fallback_reason`` is the import error message
-    when a requested/auto compiled core could not be loaded (else None).
+    The engine stays ignorant of the recorder's implementation; it only
+    needs somewhere to note schedule tie-breaks, which exist solely on
+    the policy path, so the default dispatch loop never pays for it.
     """
-    return {
-        "requested": _requested,
-        "kind": CORE_KIND,
-        "fallback_reason": _fallback_reason,
-    }
+
+    def note(self, actor: str, kind: str, *detail: object) -> None: ...
+
+
+class _Pending:
+    """Sentinel for an event value that has not been produced yet."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<PENDING>"
+
+
+PENDING = _Pending()
+
+
+class Interrupt(Exception):
+    """Thrown into a process that another process interrupted.
+
+    The ``cause`` is whatever the interrupter passed — by convention a
+    short string or the interrupting object.
+    """
+
+    def __init__(self, cause: Any = None):
+        super().__init__(cause)
+        self.cause = cause
+
+
+def core_info() -> dict[str, str]:
+    """Which event core serves this process.  There is one; harnesses
+    that record the kind next to their numbers (the perf ledger) read
+    the constant ``"pure"``."""
+    return {"kind": "pure"}
+
+
+class Event:
+    """A one-shot occurrence that processes can wait on.
+
+    Lifecycle: *pending* → *triggered* (succeed/fail) → *processed*
+    (callbacks ran).  Waiting on an already-processed event resumes the
+    waiter immediately (scheduled at the current time, preserving the
+    global event order).
+
+    ``info`` is an optional ``(kind, detail)`` label set by whoever hands
+    the event out (resources, stores, memory watchers).  It feeds the
+    deadlock diagnostics only — never simulation state.
+    """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "info")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        self.callbacks: Optional[list[Callable[[Event], None]]] = []
+        self._value: Any = PENDING
+        self._ok: bool = True
+        self._scheduled = False
+        self.info: Optional[tuple[Any, ...]] = None
+
+    # -- state ----------------------------------------------------------
+    @property
+    def triggered(self) -> bool:
+        """True once the event has a value (succeeded or failed)."""
+        return self._value is not PENDING
+
+    @property
+    def processed(self) -> bool:
+        """True once callbacks have run."""
+        return self.callbacks is None
+
+    @property
+    def ok(self) -> bool:
+        if not self.triggered:
+            raise SimulationError("event value not yet available")
+        return self._ok
+
+    @property
+    def value(self) -> Any:
+        if self._value is PENDING:
+            raise SimulationError("event value not yet available")
+        return self._value
+
+    # -- triggering -----------------------------------------------------
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with ``value``."""
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        if self._scheduled:
+            raise SimulationError(f"{self!r} scheduled twice")
+        self._value = value
+        self._ok = True
+        # Inlined ``env._schedule(self)`` — succeed() fires once per
+        # resource grant / watcher wakeup, squarely on the hot path.
+        # Delay-0 ⇒ the now-queue; append order is (time, seq) order.
+        env = self.env
+        self._scheduled = True
+        env._seq = seq = env._seq + 1
+        env._nowq.append((env._now, seq, self))
+        return self
+
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event with an exception; waiters will have it
+        raised at their ``yield``."""
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        if not isinstance(exception, BaseException):
+            raise SimulationError(f"fail() needs an exception, got {exception!r}")
+        self._value = exception
+        self._ok = False
+        self.env._schedule(self)
+        return self
+
+    def _add_callback(self, fn: Callable[["Event"], None]) -> None:
+        if self.callbacks is None:
+            # Already processed: deliver asynchronously at current time to
+            # keep the "resume happens via the loop" invariant.
+            self.env._schedule(_Echo(self.env, self, fn))
+        else:
+            self.callbacks.append(fn)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
+        # The address is debug output only — never feeds sim state or seeds.
+        return f"<{type(self).__name__} {state} at {id(self):#x}>"  # simlint: ignore[nondet-source]
+
+
+class _Echo(Event):
+    """Internal: re-delivers an already-processed event to a late waiter."""
+
+    __slots__ = ("_target", "_fn")
+
+    def __init__(self, env: "Environment", target: Event, fn: Callable[[Event], None]):
+        super().__init__(env)
+        self._target = target
+        self._fn = fn
+        self._value = None  # pre-triggered
+
+    def _process(self) -> None:
+        self.callbacks = None
+        self._fn(self._target)
+
+
+class Timeout(Event):
+    """An event that triggers ``delay`` nanoseconds after creation.
+
+    The value is held aside until the scheduler pops the timeout, so
+    :attr:`triggered` stays False until the delay actually elapses.
+    """
+
+    __slots__ = ("delay", "_pending_value")
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        # Flattened Event.__init__ + env._schedule: timeouts are the most
+        # frequently created event by an order of magnitude, and the two
+        # extra frames per construction are measurable in every benchmark.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._scheduled = True
+        self.info = None
+        self.delay = delay
+        self._pending_value = value
+        env._seq = seq = env._seq + 1
+        # Route on the *computed* time, not the delay: a positive delay
+        # small enough to underflow (now + delay == now) must join the
+        # now-queue, where seq order — the tie-break for equal times —
+        # is the append order.
+        now = env._now
+        t = now + delay
+        if t > now:
+            heappush(env._heap, (t, seq, self))
+        else:
+            env._nowq.append((now, seq, self))
+
+
+class Process(Event):
+    """Wraps a generator; the process *is* an event that triggers when the
+    generator returns (value = its ``return`` value) or raises."""
+
+    __slots__ = ("_generator", "_waiting_on", "name", "pid", "last_resumed_at",
+                 "_resume_cb")
+
+    def __init__(self, env: "Environment", generator: Generator[Any, Any, Any],
+                 name: str = ""):
+        if not hasattr(generator, "send"):
+            raise SimulationError(f"process target must be a generator, got {generator!r}")
+        super().__init__(env)
+        self._generator = generator
+        self._waiting_on: Optional[Event] = None
+        self.name = name or getattr(generator, "__name__", "process")
+        #: creation-order id — stable identity for schedule policies and
+        #: deadlock reports (never an address).
+        self.pid = env._register_process(self)
+        self.last_resumed_at = env._now
+        # One bound method for the process's whole life: every park and
+        # un-park uses the same object, so ``callbacks.remove`` compares
+        # identically and schedule policies keying on ``cb.__self__``
+        # see a stable owner.  Also saves a method-object allocation per
+        # resume on the hot path.
+        self._resume_cb: Callable[[Event], None] = self._resume
+        # Kick off at the current time.
+        boot = Event(env)
+        boot._value = None
+        boot._ok = True
+        env._schedule(boot)
+        assert boot.callbacks is not None
+        boot.callbacks.append(self._resume_cb)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._value is PENDING
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at its current yield.
+
+        No-op if the process already finished.
+        """
+        if not self.is_alive:
+            return
+        target = self._waiting_on
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume_cb)
+            except ValueError:
+                pass
+        self._waiting_on = None
+        kick = Event(self.env)
+        kick._value = Interrupt(cause)
+        kick._ok = False
+        self.env._schedule(kick)
+        assert kick.callbacks is not None
+        kick.callbacks.append(self._resume_cb)
+
+    def _resume(self, event: Event) -> None:
+        self._waiting_on = None
+        env = self.env
+        self.last_resumed_at = env._now
+        gen = self._generator
+        env._active_process = self
+        try:
+            while True:
+                if event._ok:
+                    target = gen.send(event._value)
+                else:
+                    target = gen.throw(event._value)
+                if not isinstance(target, Event):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded non-event {target!r}")
+                callbacks = target.callbacks
+                if callbacks is not None:
+                    # Pending, or triggered but not yet processed — park and
+                    # let the loop process it so ordering matches schedule
+                    # order.
+                    self._waiting_on = target
+                    callbacks.append(self._resume_cb)
+                    return
+                # Already processed: consume its value synchronously.
+                event = target
+        except StopIteration as stop:
+            self._value = stop.value
+            self._ok = True
+            self.env._schedule(self)
+        except Interrupt as intr:
+            # An un-handled interrupt terminates the process with a failure.
+            self._value = intr
+            self._ok = False
+            self.env._schedule(self)
+        except BaseException as exc:
+            self._value = exc
+            self._ok = False
+            self.env._schedule(self)
+            if not isinstance(exc, Exception):  # pragma: no cover - KeyboardInterrupt etc.
+                raise
+        finally:
+            env._active_process = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
+
+
+class _Condition(Event):
+    """Base for AnyOf/AllOf combinators."""
+
+    __slots__ = ("events", "_n_done")
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env)
+        self.events = list(events)
+        self._n_done = 0
+        if not self.events:
+            self.succeed({})
+            return
+        for ev in self.events:
+            if ev.env is not env:
+                raise SimulationError("all events in a condition must share an environment")
+            ev._add_callback(self._check)
+
+    def _check(self, event: Event) -> None:
+        raise NotImplementedError
+
+    def _collect(self) -> dict[Event, Any]:
+        return {ev: ev._value for ev in self.events if ev.triggered and ev._ok}
+
+
+class AnyOf(_Condition):
+    """Triggers when the first constituent event triggers.
+
+    Value: dict of the triggered events and their values at that moment.
+    A failed constituent fails the condition.
+    """
+
+    __slots__ = ()
+
+    def _check(self, event: Event) -> None:
+        if self.triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+        else:
+            self.succeed(self._collect())
+
+
+class AllOf(_Condition):
+    """Triggers when every constituent event has triggered."""
+
+    __slots__ = ()
+
+    def _check(self, event: Event) -> None:
+        if self.triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+            return
+        self._n_done += 1
+        if self._n_done == len(self.events):
+            self.succeed(self._collect())
+
+
+def _describe_wait(event: Optional[Event]) -> str:
+    """Human-readable description of what a parked process waits on,
+    using :attr:`Event.info` labels when the issuer set one."""
+    if event is None:
+        return "nothing (never parked or mid-interrupt)"
+    if event.info is not None:
+        kind, *detail = event.info
+        return f"{kind}({', '.join(str(d) for d in detail)})"
+    return type(event).__name__
+
+
+class SchedulePolicyLike(Protocol):
+    """Structural type of the same-time tie-break hook (see
+    :mod:`repro.schedcheck`)."""
+
+    def choose(self, ready: list[tuple[float, int, Event]]) -> int: ...
+
+
+class Environment:
+    """The event loop and virtual clock.
+
+    ``run(until=...)`` processes events in ``(time, seq)`` order.  ``seq``
+    is a global insertion counter, so simultaneous events run in the order
+    they were scheduled — fully deterministic.
+
+    A *schedule policy* (see :mod:`repro.schedcheck`) may be installed to
+    override the same-time tie-break: at each step where several events
+    are ready at the minimum time, the policy picks which one runs.  With
+    no policy installed (the default) the dispatch loop is untouched, and
+    the trivial first-ready policy reproduces it decision for decision.
+    """
+
+    def __init__(self, initial_time: float = 0.0):
+        self._now = float(initial_time)
+        # the schedule: see the module docstring.  _nowq is consumed via
+        # a head index (amortized O(1), no list.pop(0)).
+        self._heap: list[tuple[float, int, Event]] = []
+        self._nowq: list[tuple[float, int, Event]] = []
+        self._now_head = 0
+        self._seq = 0
+        self._active_process: Optional[Process] = None
+        self._event_count = 0
+        # schedule-exploration hook (None = historical fast path)
+        self._policy: Optional[SchedulePolicyLike] = None
+        self._sched_log: list[int] = []
+        self._sched_fanout: list[int] = []
+        # flight-recorder hook: only the policy step consults it, so the
+        # no-policy hot loop is untouched (see FlightLike)
+        self.flight: Optional[FlightLike] = None
+        # process registry for deadlock diagnostics / schedule policies
+        self._procs: list[Process] = []
+        self._next_pid = 0
+        self._procs_prune_at = 64
+
+    # -- clock ------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Current simulated time in nanoseconds."""
+        return self._now
+
+    @property
+    def event_count(self) -> int:
+        """Total events processed so far (for engine benchmarks)."""
+        return self._event_count
+
+    @property
+    def active_process(self) -> Optional[Process]:
+        return self._active_process
+
+    # -- factories ----------------------------------------------------
+    def event(self) -> Event:
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
+        return Process(self, generator, name=name)
+
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    # -- process registry ---------------------------------------------
+    def _register_process(self, proc: Process) -> int:
+        """Track ``proc`` for diagnostics; returns its creation-order pid.
+        Finished processes are pruned amortized-O(1) so long simulations
+        do not accumulate dead generators."""
+        self._next_pid += 1
+        self._procs.append(proc)
+        if len(self._procs) >= self._procs_prune_at:
+            self._procs = [p for p in self._procs if p.is_alive]
+            self._procs_prune_at = max(64, 2 * len(self._procs) + 1)
+        return self._next_pid
+
+    def alive_processes(self) -> list[Process]:
+        """Processes that have not finished, in creation order."""
+        return [p for p in self._procs if p.is_alive]
+
+    def describe_alive(self, limit: int = 8) -> str:
+        """One-line diagnostic of the still-alive processes — what each is
+        named, when it last ran, and what event it is parked on."""
+        alive = self.alive_processes()
+        if not alive:
+            return "no processes alive"
+        parts = []
+        for p in alive[:limit]:
+            parts.append(f"{p.name} (pid {p.pid}, last resumed at "
+                         f"{p.last_resumed_at:.1f} ns, waiting on "
+                         f"{_describe_wait(p._waiting_on)})")
+        if len(alive) > limit:
+            parts.append(f"... and {len(alive) - limit} more")
+        return "; ".join(parts)
+
+    # -- schedule-exploration hook -------------------------------------
+    def set_schedule_policy(self, policy: Optional[SchedulePolicyLike]) -> None:
+        """Install (or with ``None`` remove) a same-time tie-break policy.
+
+        The policy object needs one method,
+        ``choose(ready: list[tuple[float, int, Event]]) -> int``, called
+        whenever two or more events are ready at the minimum time.
+        ``ready`` is ordered by insertion (ascending ``seq``), so
+        returning 0 reproduces the default schedule exactly.  Every
+        choice is appended to :attr:`schedule_decisions` /
+        :attr:`schedule_fanouts` for replay and shrinking.
+        """
+        self._policy = policy
+
+    @property
+    def schedule_decisions(self) -> list[int]:
+        """Chosen ready-list index per choice point (policy runs only)."""
+        return self._sched_log
+
+    @property
+    def schedule_fanouts(self) -> list[int]:
+        """Number of ready events per choice point (policy runs only)."""
+        return self._sched_fanout
+
+    # -- scheduling ----------------------------------------------------
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
+        """Schedule ``event`` to be processed ``delay`` ns from now.
+
+        Negative delays are a :class:`ConfigError`: the clock never runs
+        backwards, and an entry behind it would break the ordering
+        argument in the module docstring.
+        """
+        self._schedule(event, delay)
+
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        if event._scheduled:
+            raise SimulationError(f"{event!r} scheduled twice")
+        if delay < 0:
+            raise ConfigError(
+                f"schedule() got negative delay {delay!r}; events cannot "
+                f"be scheduled in the past (now={self._now})")
+        event._scheduled = True
+        self._seq = seq = self._seq + 1
+        now = self._now
+        t = now + delay
+        if t > now:
+            heappush(self._heap, (t, seq, event))
+        else:
+            self._nowq.append((now, seq, event))
+
+    def _has_work(self) -> bool:
+        return self._now_head < len(self._nowq) or bool(self._heap)
+
+    # -- execution ----------------------------------------------------
+    def step(self) -> None:
+        """Process exactly one event: the first in ``(time, seq)``
+        order, or the schedule policy's pick among those ready at the
+        minimum time."""
+        heap = self._heap
+        nowq = self._nowq
+        nh = self._now_head
+        if nh == len(nowq):
+            if not heap:
+                raise SimulationError("step() on an empty schedule")
+            del nowq[:]
+            self._now_head = nh = 0
+            self._now = heap[0][0]
+        now = self._now
+        if heap and heap[0][0] == now:
+            # The same-tick batch: heap entries at the current time
+            # predate (smaller seq) everything in the now-queue, so
+            # moving them to its front leaves ``nowq[nh:]`` the whole
+            # ready set in ascending ``seq`` order.  Unchosen entries
+            # stay in place, so re-assembly next step is stable.
+            batch = [heappop(heap)]
+            while heap and heap[0][0] == now:
+                batch.append(heappop(heap))
+            nowq[nh:nh] = batch
+        idx = 0
+        n_ready = len(nowq) - nh
+        policy = self._policy
+        if policy is not None and n_ready > 1:
+            idx = policy.choose(nowq[nh:])
+            if not 0 <= idx < n_ready:
+                raise SimulationError(
+                    f"schedule policy chose index {idx} out of "
+                    f"{n_ready} ready events")
+            self._sched_log.append(idx)
+            self._sched_fanout.append(n_ready)
+            fl = self.flight
+            if fl is not None:
+                fl.note("sched", "sched.tiebreak", idx, n_ready)
+        if idx:
+            event = nowq.pop(nh + idx)[2]
+        else:
+            event = nowq[nh][2]
+            self._now_head = nh + 1
+        self._event_count += 1
+        if isinstance(event, _Echo):
+            event._process()
+            return
+        if isinstance(event, Timeout):
+            event._value = event._pending_value
+            event._ok = True
+        callbacks = event.callbacks
+        event.callbacks = None
+        if callbacks:
+            for fn in callbacks:
+                fn(event)
+
+    def peek(self) -> float:
+        """Time of the next event, or +inf if none is scheduled."""
+        if self._now_head < len(self._nowq):
+            return self._now
+        return self._heap[0][0] if self._heap else _INF
+
+    def run(self, until: "float | Event | None" = None) -> Any:
+        """Run until the schedule drains, a deadline passes, or an event fires.
+
+        Args:
+            until: ``None`` → run to exhaustion; a number → run while the
+                next event is at or before that time, then set ``now`` to
+                it; an :class:`Event` → run until it is processed and
+                return its value (raising if it failed).
+        """
+        if until is None:
+            if self._policy is not None:
+                while self._has_work():
+                    self.step()
+            else:
+                self._run_drain(_INF)
+            return None
+        if isinstance(until, Event):
+            stop = until
+            while not stop.processed:
+                if not self._has_work():
+                    raise SimulationError(
+                        "schedule drained before the awaited event "
+                        "triggered (deadlock?); " + self.describe_alive())
+                self.step()
+            if stop._ok:
+                return stop._value
+            raise stop._value
+        deadline = float(until)
+        if deadline < self._now:
+            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
+        if self._policy is not None:
+            while self.peek() <= deadline:
+                self.step()
+        else:
+            self._run_drain(deadline)
+        self._now = deadline
+        return None
+
+    def _run_drain(self, deadline: float) -> None:
+        """The no-policy dispatch loop, inlined from :meth:`step`.
+
+        This is the innermost loop of every benchmark and experiment:
+        dispatching through here instead of per-event ``step()`` calls
+        removes a Python frame plus several attribute loads per event.
+        Semantically identical to ``while peek() <= deadline: step()`` —
+        same order, same Timeout/_Echo handling, same callback sequence.
+        """
+        heap = self._heap
+        nowq = self._nowq
+        nh = self._now_head
+        now = self._now
+        count = self._event_count
+        try:
+            while True:
+                if heap and heap[0][0] == now:
+                    # heap entries at the current time go first: their
+                    # seqs predate the now-queue's (module docstring)
+                    event = heappop(heap)[2]
+                elif nh < len(nowq):
+                    event = nowq[nh][2]
+                    nh += 1
+                else:
+                    # tick exhausted: advance the clock
+                    if nh:
+                        del nowq[:]
+                        nh = 0
+                    if not heap:
+                        break
+                    now = heap[0][0]
+                    if now > deadline:
+                        break
+                    self._now = now
+                    event = heappop(heap)[2]
+                count += 1
+                cls = event.__class__
+                if cls is Timeout:
+                    # exact-class test: mypy only narrows on isinstance
+                    event._value = event._pending_value  # type: ignore[attr-defined]
+                elif cls is not Event:
+                    if isinstance(event, _Echo):
+                        event._process()
+                        continue
+                    if isinstance(event, Timeout):
+                        event._value = event._pending_value
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
+        finally:
+            self._event_count = count
+            self._now_head = nh

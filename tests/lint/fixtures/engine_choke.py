@@ -1,22 +1,17 @@
 """Fixture for the engine-chokepoint rule.
 
 Linted as if it were ``repro.sim.fixture`` — inside the sensitive tree
-but NOT one of the engine modules, so scheduler-structure imports and
-direct event-core imports here must fire.
+but NOT the event core, so scheduler-structure imports here must fire.
 """
 
 import heapq  # finding: scheduler structure outside the engine
 from bisect import insort  # finding: scheduler structure outside the engine
-from repro.sim import _engine  # finding: pins the pure core
-from repro.sim import _compiled  # finding: pins the compiled core
-import repro.sim._ccore  # finding: pins the compiled extension
-from repro.sim._engine import CalendarQueue  # finding: pins the pure core
 
 
 # -- fine -----------------------------------------------------------------
-from repro.sim.core import Environment  # selector import: the sanctioned path
-from repro.sim import Event  # package re-export: also selector-mediated
+from repro.sim.core import Environment  # using the engine is the point
+from repro.sim import Event  # package re-export of the same
 
 
-def uses_selector() -> Environment:
+def uses_engine() -> Environment:
     return Environment()

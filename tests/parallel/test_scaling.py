@@ -2,10 +2,8 @@
 
 These assertions need real cores: on the 1-core containers this repo is
 often developed in, 4 workers time-slice a single CPU and no speedup is
-physically possible, so the tests skip themselves below 4 cores.  The
-recorded numbers for such hosts live in
-``benchmarks/baselines/BENCH_parallel.json`` (see its ``sweep_scaling``
-section); CI's multi-core runners execute the real assertion.
+physically possible, so the tests skip themselves below 4 cores;
+CI's multi-core runners execute the real assertion.
 """
 
 from __future__ import annotations

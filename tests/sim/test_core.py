@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event engine core."""
 
+import hashlib
+import random
+
 import pytest
 
-from repro.common.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, Timeout
+from repro.common.errors import ConfigError, SimulationError
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout, core_info
 
 
 @pytest.fixture()
@@ -473,3 +476,133 @@ class TestSchedulePolicyHook:
 
         with pytest.raises(SimulationError):
             self.build(Bad())
+
+
+def test_core_info_is_the_constant_pure():
+    # the perf ledger records this next to its numbers and refuses to
+    # compare ledgers whose kind differs
+    assert core_info() == {"kind": "pure"}
+
+
+class TestNegativeDelayGuard:
+    """``schedule()`` must reject negative delays instead of putting an
+    entry behind the clock."""
+
+    def test_schedule_rejects_negative_delay(self):
+        env = Environment()
+        with pytest.raises(ConfigError, match="negative delay"):
+            env.schedule(env.event(), delay=-1.0)
+
+    def test_message_names_delay_and_now(self):
+        env = Environment()
+        ev = env.event()
+        with pytest.raises(ConfigError, match=r"-0\.5.*in the past"):
+            env.schedule(ev, delay=-0.5)
+
+    def test_zero_and_positive_still_fine(self):
+        env = Environment()
+        env.schedule(env.event(), delay=0.0)
+        env.schedule(env.event(), delay=2.5)
+        assert env._has_work()
+
+    def test_timeout_rejects_negative_delay(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="negative timeout delay"):
+            env.timeout(-3)
+
+
+# -- frozen dispatch order -------------------------------------------------
+def _digest(trace: list) -> str:
+    return hashlib.blake2b(repr(trace).encode(), digest_size=8).hexdigest()
+
+
+def _run_random_workload(seed: int) -> list:
+    """A randomized mix of sleeps, same-tick bursts, wakeup events,
+    failures, and interrupts (cancellations); returns the full trace."""
+    rng = random.Random(0xA10C ^ seed)
+    env = Environment()
+    trace = []
+    gates = [Event(env) for _ in range(4)]
+
+    def sleeper(pid, rounds):
+        for i in range(rounds):
+            delay = rng.choice([0.0, 1.0, 1.0, 7.5, 1000.0, 1e308])
+            try:
+                yield env.timeout(delay, value=(pid, i))
+                trace.append(("tick", pid, i, env.now))
+            except Interrupt as intr:
+                trace.append(("intr", pid, i, env.now, str(intr.cause)))
+                return
+
+    def waiter(pid, gate):
+        try:
+            value = yield gate
+            trace.append(("woke", pid, value, env.now))
+        except RuntimeError as exc:
+            trace.append(("failed", pid, str(exc), env.now))
+
+    def driver():
+        procs = [env.process(sleeper(pid, rng.randrange(2, 6)), name=f"s{pid}")
+                 for pid in range(6)]
+        for pid, gate in enumerate(gates):
+            env.process(waiter(pid, gate), name=f"w{pid}")
+        yield env.timeout(3.0)
+        gates[0].succeed("early")
+        gates[1].fail(RuntimeError("boom"))
+        yield env.timeout(2.0)
+        procs[0].interrupt("cancelled")
+        procs[1].interrupt("cancelled")
+        gates[2].succeed("mid")
+        yield env.timeout(10.0)
+        gates[3].succeed("late")
+        trace.append(("driver-done", env.now))
+
+    env.process(driver(), name="driver")
+    env.run()
+    trace.append(("final", env.now, env.event_count))
+    return trace
+
+
+def _run_conditions() -> list:
+    env = Environment()
+    out = []
+
+    def worker(i):
+        yield env.timeout(i * 2.0)
+        return i * 10
+
+    def main():
+        procs = [env.process(worker(i)) for i in range(4)]
+        got = yield env.all_of(procs)
+        out.append(("all", sorted(got.values()), env.now))
+        fast = env.timeout(1.0, value="t")
+        slow = env.timeout(9.0, value="s")
+        first = yield env.any_of([fast, slow])
+        out.append(("any", sorted(map(str, first.values())), env.now))
+
+    env.process(main())
+    env.run()
+    out.append(("final", env.now, env.event_count))
+    return out
+
+
+class TestGoldenOrder:
+    """Traces recorded on the calendar-queue engine of PR 10 (commit
+    d20b424) just before it was replaced: the scheduler may change, the
+    order it produces may not."""
+
+    GOLDEN = {
+        0: "43e59d0438d0c4c3", 1: "4183f3787d5b3311",
+        2: "103e0f17c45deebe", 3: "a61e4167f214a179",
+        4: "8c4ee760e11f9ad3", 5: "d9ec187359ea54d2",
+        6: "e70a4d5e97535f71", 7: "752113dced59753d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_random_workload_trace(self, seed):
+        assert _digest(_run_random_workload(seed)) == self.GOLDEN[seed]
+
+    def test_condition_combinators_trace(self):
+        assert _run_conditions() == [
+            ("all", [0, 10, 20, 30], 6.0), ("any", ["t"], 7.0),
+            ("final", 15.0, 18)]

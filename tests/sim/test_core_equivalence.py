@@ -1,23 +1,15 @@
-"""Randomized equivalence: calendar queue vs reference heapq, pure vs
-compiled core.
+"""Randomized equivalence: the engine's dispatch stream vs a reference
+``heapq`` model.
 
-Two layers:
-
-* **Queue stream** — a ``CalendarQueue`` driven through adversarial
-  push/pop interleavings must emit the exact ``(time, seq)`` batch
-  stream of a reference ``heapq`` model (the pre-calendar scheduler's
-  semantics: ascending ``(time, seq)``, same-time entries batched).
-  Mixes cover dense same-tick bursts, tight clusters, uniform spreads,
-  and far-future (ladder-spill) timestamps.
-
-* **Environment trace** — the same randomized process workload (sleeps,
-  bursts, succeed/fail wakeups, interrupts/cancellations) run on the
-  pure and compiled ``Environment`` must produce byte-identical event
-  traces.  Skipped when the compiled extension is not built.
-
-The direct `_engine`/`_compiled` imports below are the *point* of this
-suite — it pins one core against the other, bypassing the selector on
-purpose (tests are outside simlint's engine-chokepoint scope).
+A random tree of events — every dispatch may schedule up to three more,
+through both ``Environment.schedule`` and ``Timeout`` — must run in
+exactly sorted ``(time, seq)`` order, whichever way the environment is
+driven: ``run()``, ``step()``/``run(until)`` hand-offs in the middle of
+a tick, or ``run()`` under a first-ready schedule policy, which must
+also be shown the ready sets (and log the fan-outs) of a plain heap fed
+the same events.  Delay mixes cover delay-0 and same-tick bursts, tight
+clusters, uniform spreads, ``1e308`` (and from there ``inf``) and
+delays that underflow (``now + 1e-30 == now``).
 """
 
 import heapq
@@ -25,179 +17,122 @@ import random
 
 import pytest
 
-from repro.sim import _engine
+from repro.sim import Environment, Event, Timeout
 
-try:
-    from repro.sim import _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    _compiled is None, reason="compiled core not built")
-
-CORES = [pytest.param(_engine, id="pure")]
-if _compiled is not None:
-    CORES.append(pytest.param(_compiled, id="compiled"))
-
-
-# -- reference model -------------------------------------------------------
-class HeapqReference:
-    """The old scheduler's exact contract: a heap of (time, seq) with
-    pop_batch returning every entry at the minimum time in seq order."""
-
-    def __init__(self):
-        self._heap = []
-
-    def push(self, time, seq, payload):
-        heapq.heappush(self._heap, (time, seq, payload))
-
-    def __len__(self):
-        return len(self._heap)
-
-    def pop_batch(self):
-        t = self._heap[0][0]
-        batch = []
-        while self._heap and self._heap[0][0] == t:
-            batch.append(heapq.heappop(self._heap))
-        return (t, batch)
+DELAY_MIXES = {
+    "dense_ticks": lambda rng: rng.choice([0.0, 0.0, 0.0, 1000.0]),
+    "same_tick": lambda rng: rng.choice([5.0, 5.0, 10.0, 15.0]),
+    "clustered": lambda rng: abs(rng.gauss(50.0, 10.0)),
+    "uniform": lambda rng: rng.uniform(0.001, 1e6),
+    "bimodal": lambda rng: (rng.uniform(0.5, 2.0) if rng.random() < 0.9
+                            else rng.uniform(1e7, 1e9)),
+    "far_future": lambda rng: (rng.uniform(1.0, 100.0)
+                               if rng.random() < 0.7 else 1e308),
+    "underflow": lambda rng: rng.choice([1e-30, 1e-30, 0.0, 3.0]),
+}
 
 
-def _time_mixes(rng):
-    """Generators of inter-push times, one per adversarial shape."""
-    return {
-        "dense_ticks": lambda now: now + rng.choice([0.0, 0.0, 0.0, 1000.0]),
-        "clustered": lambda now: now + abs(rng.gauss(50.0, 10.0)),
-        "uniform": lambda now: now + rng.uniform(0.001, 1e6),
-        "bimodal": lambda now: now + (rng.uniform(0.5, 2.0) if rng.random() < 0.9
-                                      else rng.uniform(1e7, 1e9)),
-        "far_future": lambda now: (now + rng.uniform(1.0, 100.0)
-                                   if rng.random() < 0.7 else 1e308),
-    }
+class FirstReady:
+    """The trivial policy; also checks each ready list it is shown."""
+
+    def __init__(self, seq_of):
+        self.seq_of = seq_of
+
+    def choose(self, ready):
+        keys = [(t, self.seq_of[ev]) for t, _seq, ev in ready]
+        assert keys == sorted(keys) and len({t for t, _ in keys}) == 1
+        return 0
+
+
+def _dispatch_stream(mix: str, seed: int, mode: str):
+    """Drive one random event tree in ``mode``; return the environment,
+    what ran as ``(env.now, seq)`` per dispatch, and what was scheduled
+    as ``(time, seq, born)`` — ``born`` being the dispatch step that
+    scheduled the event (-1: before the run)."""
+    rng = random.Random(f"{mix}-{seed}")
+    delay_of = DELAY_MIXES[mix]
+    env = Environment()
+    records = []
+    seq_of = {}
+    ran = []
+    budget = 400
+
+    def spawn(born):
+        nonlocal budget
+        budget -= 1
+        delay = delay_of(rng)
+        t = env.now + delay
+        if not t > env.now:
+            t = env.now        # delay 0, or a delay that underflows
+        if rng.random() < 0.5:
+            ev = Timeout(env, delay)
+        else:
+            ev = Event(env)
+            ev._value = None   # pre-triggered, like a process boot
+            env.schedule(ev, delay)
+        # nothing else schedules here, so this mirrors the engine's seq
+        seq = len(records) + 1
+        records.append((t, seq, born))
+        seq_of[ev] = seq
+        ev.callbacks.append(on_dispatch)
+
+    def on_dispatch(ev):
+        ran.append((env.now, seq_of[ev]))
+        for _ in range(rng.randrange(0, 4)):
+            if budget > 0:
+                spawn(len(ran) - 1)
+
+    for _ in range(rng.randrange(1, 25)):
+        spawn(-1)
+    if mode == "policy":
+        env.set_schedule_policy(FirstReady(seq_of))
+        env.run()
+    elif mode == "run":
+        env.run()
+    else:
+        # (_has_work, not peek() < inf: far_future reaches t == inf)
+        driver = random.Random(seed)
+        while env._has_work():
+            for _ in range(driver.randrange(1, 4)):
+                if env._has_work():
+                    env.step()
+            if driver.random() < 0.5:
+                env.run(until=env.now)
+    return env, ran, records
+
+
+def _reference_fanouts(records, n_steps):
+    """Ready-set sizes (where > 1) of a plain heapq model fed the same
+    events at the same dispatch steps."""
+    born_at = {}
+    for t, seq, born in records:
+        born_at.setdefault(born, []).append((t, seq))
+    heap = list(born_at.get(-1, []))
+    heapq.heapify(heap)
+    fanouts = []
+    for step in range(n_steps):
+        n_ready = sum(1 for t, _seq in heap if t == heap[0][0])
+        if n_ready > 1:
+            fanouts.append(n_ready)
+        heapq.heappop(heap)
+        for entry in born_at.get(step, []):
+            heapq.heappush(heap, entry)
+    return fanouts
 
 
 class TestQueueStreamEquivalence:
-    @pytest.mark.parametrize("core", CORES)
-    @pytest.mark.parametrize("mix", list(_time_mixes(random.Random(0))))
+    @pytest.mark.parametrize("mode", ["run", "step", "policy"])
+    @pytest.mark.parametrize("mix", list(DELAY_MIXES))
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_pop_stream_matches_heapq(self, core, mix, seed):
-        rng = random.Random(seed * 1000 + hash(mix) % 997)
-        make_time = _time_mixes(rng)[mix]
-        cal = core.CalendarQueue()
-        ref = HeapqReference()
-        env = core.Environment()  # events are just payloads here
-        seq = 0
-        now = 0.0
-        for _round in range(60):
-            for _ in range(rng.randrange(1, 25)):
-                seq += 1
-                t = make_time(now)
-                if t <= now:
-                    t = now  # same-tick burst
-                ev = core.Event(env)
-                cal.push(t, seq, ev)
-                ref.push(t, seq, ev)
-            pops = rng.randrange(1, 4)
-            for _ in range(pops):
-                if not len(ref):
-                    break
-                t_ref, batch_ref = ref.pop_batch()
-                t_cal, batch_cal = cal.pop_batch()
-                assert t_cal == t_ref
-                assert [(e[0], e[1]) for e in batch_cal] \
-                    == [(e[0], e[1]) for e in batch_ref]
-                assert [e[2] for e in batch_cal] == [e[2] for e in batch_ref]
-                now = t_ref
-        # drain both to empty
-        while len(ref):
-            t_ref, batch_ref = ref.pop_batch()
-            t_cal, batch_cal = cal.pop_batch()
-            assert t_cal == t_ref
-            assert [(e[0], e[1]) for e in batch_cal] \
-                == [(e[0], e[1]) for e in batch_ref]
-        assert len(cal) == 0
-
-    @pytest.mark.parametrize("core", CORES)
-    def test_empty_pop_raises(self, core):
-        from repro.common.errors import SimulationError
-        with pytest.raises(SimulationError, match="empty calendar"):
-            core.CalendarQueue().pop_batch()
-
-
-# -- environment-level trace equivalence -----------------------------------
-def _run_random_workload(core, seed: int) -> list:
-    """A randomized mix of sleeps, same-tick bursts, wakeup events,
-    failures, and interrupts (cancellations); returns the full trace."""
-    rng = random.Random(0xA10C ^ seed)
-    env = core.Environment()
-    trace = []
-    gates = [core.Event(env) for _ in range(4)]
-
-    def sleeper(pid, rounds):
-        for i in range(rounds):
-            delay = rng.choice([0.0, 1.0, 1.0, 7.5, 1000.0, 1e308])
-            try:
-                yield env.timeout(delay, value=(pid, i))
-                trace.append(("tick", pid, i, env.now))
-            except core.Interrupt as intr:
-                trace.append(("intr", pid, i, env.now, str(intr.cause)))
-                return
-
-    def waiter(pid, gate):
-        try:
-            value = yield gate
-            trace.append(("woke", pid, value, env.now))
-        except RuntimeError as exc:
-            trace.append(("failed", pid, str(exc), env.now))
-
-    def driver():
-        procs = [env.process(sleeper(pid, rng.randrange(2, 6)), name=f"s{pid}")
-                 for pid in range(6)]
-        for pid, gate in enumerate(gates):
-            env.process(waiter(pid, gate), name=f"w{pid}")
-        yield env.timeout(3.0)
-        gates[0].succeed("early")
-        gates[1].fail(RuntimeError("boom"))
-        yield env.timeout(2.0)
-        procs[0].interrupt("cancelled")
-        procs[1].interrupt("cancelled")
-        gates[2].succeed("mid")
-        yield env.timeout(10.0)
-        gates[3].succeed("late")
-        trace.append(("driver-done", env.now))
-
-    env.process(driver(), name="driver")
-    env.run()
-    trace.append(("final", env.now, env.event_count))
-    return trace
-
-
-@needs_compiled
-class TestEnvironmentTraceEquivalence:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_traces_identical(self, seed):
-        assert _run_random_workload(_engine, seed) \
-            == _run_random_workload(_compiled, seed)
-
-    def test_condition_combinators_identical(self):
-        def scenario(core):
-            env = core.Environment()
-            out = []
-
-            def worker(i):
-                yield env.timeout(i * 2.0)
-                return i * 10
-
-            def main():
-                procs = [env.process(worker(i)) for i in range(4)]
-                got = yield env.all_of(procs)
-                out.append(("all", sorted(got.values()), env.now))
-                fast = env.timeout(1.0, value="t")
-                slow = env.timeout(9.0, value="s")
-                first = yield env.any_of([fast, slow])
-                out.append(("any", sorted(map(str, first.values())), env.now))
-
-            env.process(main())
-            env.run()
-            return out
-
-        assert scenario(_engine) == scenario(_compiled)
+    def test_pop_stream_matches_heapq(self, mode, mix, seed):
+        env, ran, records = _dispatch_stream(mix, seed, mode)
+        assert len(ran) > 25
+        assert ran == sorted((t, seq) for t, seq, _born in records)
+        # the workload draws from its rng in dispatch order, so any
+        # reordering would also change what got scheduled
+        assert (ran, records) == _dispatch_stream(mix, seed, "run")[1:]
+        if mode == "policy":
+            assert env.schedule_fanouts == _reference_fanouts(records, len(ran))
+            assert env.schedule_decisions == [0] * len(env.schedule_fanouts)
+        else:
+            assert env.schedule_fanouts == []
