@@ -80,7 +80,12 @@ class Cluster:
         self.env = Environment()
         self.config = config or RdmaConfig()
         self.rng = RngStreams(seed)
-        self.auditor = RaceAuditor(mode=audit) if audit != "off" else RaceAuditor(mode="off")
+        self.auditor = RaceAuditor(mode=audit)
+        # With auditing off the word and RMW paths are handed no auditor
+        # at all, so they skip the call instead of making it to have it
+        # return at once; the cluster keeps the (idle) object for
+        # reporting — violation_count stays 0.
+        live_auditor = self.auditor if audit != "off" else None
         self.tracer = TraceBuffer(enabled=trace)
         self.obs = Observability(self.env, obs or ObsConfig())
         # Always-on flight recorder (the backward-looking half of obs):
@@ -95,11 +100,11 @@ class Cluster:
         if self.fault_injector is not None:
             self.fault_injector.flight = self.flight
         self.regions = [
-            MemoryRegion(self.env, i, region_bytes, auditor=self.auditor)
+            MemoryRegion(self.env, i, region_bytes, auditor=live_auditor)
             for i in range(n_nodes)
         ]
         self.network = RdmaNetwork(
-            self.env, self.config, self.regions, auditor=self.auditor,
+            self.env, self.config, self.regions, auditor=live_auditor,
             jitter_rng=self.rng.get("fabric-jitter"),
             injector=self.fault_injector, obs=self.obs,
             flight=self.flight)

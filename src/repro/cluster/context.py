@@ -17,7 +17,6 @@ from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.ids import make_global_thread_id
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK, ptr_addr, ptr_node
 from repro.memory.region import to_signed
-from repro.sim.core import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -32,7 +31,8 @@ class ThreadContext:
     # The trailing slots are lazily-attached per-lock descriptor caches
     # (see repro.locks.alock.descriptors / repro.locks.baselines.mcs).
     __slots__ = ("cluster", "env", "node_id", "thread_id", "gid", "actor",
-                 "_region", "_net", "_cpu", "tracer", "spans", "_flight",
+                 "_region", "_net", "_read_ns", "_write_ns", "_cas_ns",
+                 "_fence_ns", "_recheck_ns", "tracer", "spans", "_flight",
                  "local_op_count", "remote_op_count", "verb_timeouts",
                  "_alock_descriptors", "_alock_descriptor_pools",
                  "_mcs_descriptor")
@@ -46,7 +46,15 @@ class ThreadContext:
         self.actor = f"t{thread_id}@n{node_id}"
         self._region = cluster.regions[node_id]
         self._net = cluster.network
-        self._cpu = cluster.config.cpu
+        # The CPU cost model as floats, once: a local op lets its cost
+        # pass by yielding it, and a process sleeps on a float
+        # (repro.sim.core).  The config is immutable for the run.
+        cpu = cluster.config.cpu
+        self._read_ns = float(cpu.local_read_ns)
+        self._write_ns = float(cpu.local_write_ns)
+        self._cas_ns = float(cpu.local_cas_ns)
+        self._fence_ns = float(cpu.fence_ns)
+        self._recheck_ns = float(cpu.spin_recheck_ns)
         self.tracer = cluster.tracer
         self.spans = cluster.obs.spans  # typed span recorder (obs layer)
         self._flight = cluster.flight  # always-on flight ring (or None)
@@ -78,7 +86,7 @@ class ThreadContext:
         """Local atomic 8-byte load."""
         addr = self._local_addr(ptr)
         self.local_op_count += 1
-        yield Timeout(self.env, self._cpu.local_read_ns)
+        yield self._read_ns
         value = self._region.read(addr, self.actor)
         return to_signed(value) if signed else value
 
@@ -86,14 +94,14 @@ class ThreadContext:
         """Local atomic 8-byte store."""
         addr = self._local_addr(ptr)
         self.local_op_count += 1
-        yield Timeout(self.env, self._cpu.local_write_ns)
+        yield self._write_ns
         self._region.write(addr, value, self.actor)
 
     def cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
         """Local compare-and-swap; returns the previous value."""
         addr = self._local_addr(ptr)
         self.local_op_count += 1
-        yield Timeout(self.env, self._cpu.local_cas_ns)
+        yield self._cas_ns
         old = self._region.cas(addr, expected, desired, self.actor)
         return to_signed(old) if signed else old
 
@@ -101,14 +109,14 @@ class ThreadContext:
         """Local fetch-and-add; returns the previous value."""
         addr = self._local_addr(ptr)
         self.local_op_count += 1
-        yield Timeout(self.env, self._cpu.local_cas_ns)
+        yield self._cas_ns
         old = self._region.faa(addr, delta, self.actor)
         return to_signed(old) if signed else old
 
     def fence(self):
         """atomic_thread_fence — required by §5.2 after locking and before
         unlocking (RDMA memory semantics are not sequentially consistent)."""
-        yield Timeout(self.env, self._cpu.fence_ns)
+        yield self._fence_ns
 
     def wait_local(self, ptr: int, predicate: Callable[[int], bool],
                    *, signed: bool = False):
@@ -124,13 +132,13 @@ class ThreadContext:
         while True:
             ev = self._region.watch(addr)  # register first (synchronous)
             self.local_op_count += 1
-            yield Timeout(self.env, self._cpu.local_read_ns)
+            yield self._read_ns
             raw = self._region.read(addr, self.actor)
             value = to_signed(raw) if signed else raw
             if predicate(value):
                 return value
             yield ev
-            yield Timeout(self.env, self._cpu.spin_recheck_ns)
+            yield self._recheck_ns
 
     def wait_local_cond(self, ptrs: list[int], check):
         """Park until a compound condition over several *local* words holds.
@@ -149,7 +157,7 @@ class ThreadContext:
             if result:
                 return result
             yield ev
-            yield Timeout(self.env, self._cpu.spin_recheck_ns)
+            yield self._recheck_ns
 
     def wait_local_any(self, ptrs: list[int]):
         """Park until any of several *local* words is written; returns
@@ -159,7 +167,7 @@ class ThreadContext:
         addrs = [self._local_addr(p) for p in ptrs]
         ev = self._region.watch_any(addrs)
         addr, raw = yield ev
-        yield Timeout(self.env, self._cpu.spin_recheck_ns)
+        yield self._recheck_ns
         # map the byte address back to the caller's pointer
         for p, a in zip(ptrs, addrs):
             if a == addr:

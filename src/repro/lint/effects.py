@@ -30,7 +30,11 @@ call (by name tail)     blocking   raises  writes
 ``write/cas/faa``       none       no      yes
 ``read`` / ``fence``    none       no      no
 ``timeout``             bounded    no      no
+``yield <delay>``       bounded    no      no
 ======================  ========== ======= ======
+
+The last row is not a call: a process sleeps by yielding a float delay
+(:mod:`repro.sim.core`), recognized syntactically by :func:`is_sleep`.
 
 Remote verbs "raise" because fault injection (PR 1) can fail them;
 local region ops are audited infallible accessors.  The ``writes``
@@ -131,6 +135,29 @@ def is_raw_park(node: ast.AST) -> bool:
             and attr_tail(node.value.func) in _PARK_TAILS)
 
 
+def is_sleep(node: ast.AST) -> bool:
+    """True for ``yield <delay>``, the engine's sleep form — a timed
+    (bounded) wait, like ``timeout``.  The yielded float is recognized
+    by shape: a numeric literal, arithmetic, ``float(...)``, or a name
+    that by the repo's convention holds a duration (``*_ns``,
+    ``delay``).  Any other yielded name is an event and stays inert."""
+    if not isinstance(node, ast.Yield) or node.value is None:
+        return False
+    value = node.value
+    if isinstance(value, ast.Constant):
+        return isinstance(value.value, (int, float)) \
+            and not isinstance(value.value, bool)
+    if isinstance(value, ast.BinOp):
+        return True
+    if isinstance(value, ast.Call):
+        return isinstance(value.func, ast.Name) and value.func.id == "float"
+    tail = attr_tail(value)
+    return tail is not None and (tail.endswith("_ns") or tail == "delay")
+
+
+_SLEEP_EFFECTS = Effects(blocking=BLOCK_BOUNDED)
+
+
 def iter_raw_parks(fn_node: ast.AST) -> Iterator[ast.Yield]:
     for node in ast.walk(fn_node):
         if is_raw_park(node):
@@ -190,6 +217,8 @@ class EffectEngine:
             elif is_raw_park(node):
                 out = out.join(Effects(blocking=BLOCK_UNBOUNDED,
                                        parks_raw=True))
+            elif is_sleep(node):
+                out = out.join(_SLEEP_EFFECTS)
         return out
 
     # -- solving -----------------------------------------------------------
@@ -215,6 +244,8 @@ class EffectEngine:
             elif is_raw_park(node):
                 local = local.join(Effects(blocking=BLOCK_UNBOUNDED,
                                            parks_raw=True))
+            elif is_sleep(node):
+                local = local.join(_SLEEP_EFFECTS)
         return local, deps
 
     def _solve(self, root: FunctionInfo) -> None:

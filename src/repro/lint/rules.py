@@ -38,6 +38,12 @@ Each rule encodes one invariant the reproduction's validity rests on
     cluster, and its <3% budget rests on flight-off paths paying a
     single attribute test.
 
+``bare-timeout``
+    A process that merely lets time pass yields the float delay
+    (``yield delay_ns``); a statement that yields a fresh
+    ``Timeout(env, d)`` / ``env.timeout(d)`` builds an event nobody
+    composes with.
+
 Rules are pure functions of a :class:`~repro.lint.source.SourceFile`;
 they never import or execute the code under analysis.
 """
@@ -848,6 +854,50 @@ class GuardedTraceSiteRule(Rule):
 
 
 # --------------------------------------------------------------------------
+# rule 9: one idiom for letting time pass
+# --------------------------------------------------------------------------
+
+class BareTimeoutRule(Rule):
+    """A statement that just yields ``Timeout(...)`` / ``x.timeout(...)``.
+
+    Inside the simulation packages a process that merely lets time pass
+    yields the delay itself — ``yield delay_ns``, a float — and the
+    engine arms the process's own sleep entry: same ``(time, seq)``
+    slot, no event object, no callbacks list.  ``Timeout`` is for
+    composition (``any_of``/``all_of``, callbacks, a value handed to
+    the waiter), where the event is bound to a name or passed on; a
+    bare ``yield`` of one is the old idiom and only costs allocations.
+    """
+
+    rule_id = "bare-timeout"
+    description = ("a process that merely lets time pass yields the float "
+                   "delay ('yield delay_ns'), not a statement-level yield "
+                   "of Timeout(...) / env.timeout(...)")
+
+    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
+        self.sim_packages = tuple(sim_packages)
+
+    def check(self, sf: SourceFile) -> Iterator[Finding]:
+        if not sf.in_package(*self.sim_packages):
+            return
+        for node in ast.walk(sf.tree):
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Yield)
+                    and isinstance(node.value.value, ast.Call)):
+                continue
+            call = node.value.value
+            name = dotted_name(call.func)
+            if name is None or name.split(".")[-1] not in ("Timeout", "timeout"):
+                continue
+            yield self.finding(
+                sf, node,
+                f"bare 'yield {name}(...)': yield the float delay itself "
+                f"('yield delay_ns') — the engine sleeps the process in "
+                f"the same schedule slot without building an event; keep "
+                f"Timeout for any_of/all_of, callbacks and values")
+
+
+# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -865,6 +915,7 @@ def default_rules(
         ProcessBoundaryRule(sensitive_packages),
         EngineChokepointRule(sensitive_packages),
         GuardedTraceSiteRule(sim_packages),
+        BareTimeoutRule(sim_packages),
     )
 
 

@@ -98,7 +98,7 @@ class RdmaMcsLock(DistributedLock):
         if bug and bug not in self.BUGS:
             raise ConfigError(
                 f"unknown seeded bug {bug!r}; known: {', '.join(self.BUGS)}")
-        self.poll_interval_ns = poll_interval_ns
+        self.poll_interval_ns = float(poll_interval_ns)
         self.bug = bug
         self.base_ptr = cluster.alloc_on(home_node, MCS_LAYOUT.size)
         self.tail_ptr = MCS_LAYOUT.addr_of(self.base_ptr, "tail")
@@ -119,7 +119,7 @@ class RdmaMcsLock(DistributedLock):
             if stop(value):
                 return value
             if self.poll_interval_ns > 0:
-                yield ctx.env.timeout(self.poll_interval_ns)
+                yield self.poll_interval_ns
 
     def _buggy_wait(self, ctx: "ThreadContext", desc: _McsDescriptor):
         """Seeded ``lost_wakeup`` defect: poll the flag, then *park* on a
@@ -140,7 +140,7 @@ class RdmaMcsLock(DistributedLock):
                 # The throttle the correct path applies *between* polls
                 # here sits between the check and the park, stretching
                 # the unprotected window by a full backoff period.
-                yield ctx.env.timeout(self.poll_interval_ns)
+                yield self.poll_interval_ns
             # simlint: ignore[deep-blocking] -- the raw park IS the seeded bug
             yield region.watch(ptr_addr(desc.locked_ptr))  # armed too late
 

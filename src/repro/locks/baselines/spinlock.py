@@ -41,8 +41,8 @@ class RdmaSpinlock(DistributedLock):
         super().__init__(cluster, home_node, name)
         if backoff_ns < 0 or max_backoff_ns < 0:
             raise ConfigError("backoff parameters must be >= 0")
-        self.backoff_ns = backoff_ns
-        self.max_backoff_ns = max_backoff_ns
+        self.backoff_ns = float(backoff_ns)
+        self.max_backoff_ns = float(max_backoff_ns)
         self.base_ptr = cluster.alloc_on(home_node, SPINLOCK_LAYOUT.size)
         self.word_ptr = SPINLOCK_LAYOUT.addr_of(self.base_ptr, "word")
         from repro.memory.pointer import ptr_addr
@@ -66,7 +66,7 @@ class RdmaSpinlock(DistributedLock):
             if self.backoff_ns > 0:
                 delay = min(self.backoff_ns * (1 << min(attempts, 16)),
                             self.max_backoff_ns)
-                yield ctx.env.timeout(delay)
+                yield delay
         yield from ctx.fence()
         self._note_acquired(ctx)
         if ctx.tracer.enabled:

@@ -33,6 +33,11 @@ from repro.sim.core import PENDING, Environment, Event
 
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
+_WORD_LOW_BITS = WORD_SIZE - 1
+_WORD_SHIFT = WORD_SIZE.bit_length() - 1
+#: a word's watcher list is swept for already-fired entries whenever an
+#: append brings it to a power-of-two length from here up
+_WATCHER_SWEEP_MIN = 8
 
 
 def to_signed(value: int) -> int:
@@ -55,7 +60,7 @@ class MemoryRegion:
         auditor: shared :class:`RaceAuditor`; ``None`` disables auditing.
     """
 
-    __slots__ = ("env", "node_id", "size", "auditor", "_words",
+    __slots__ = ("env", "node_id", "size", "_last_addr", "auditor", "_words",
                  "_alloc_cursor", "_watchers", "_node_label", "_labels",
                  "local_reads", "local_writes", "local_rmws",
                  "remote_ops_landed")
@@ -68,6 +73,7 @@ class MemoryRegion:
         self.env = env
         self.node_id = node_id
         self.size = size_bytes
+        self._last_addr = size_bytes - WORD_SIZE
         self.auditor = auditor
         # Raw 64-bit patterns as plain ints: the word store is touched on
         # every lock/memory op, and per-access numpy-scalar conversion
@@ -128,7 +134,10 @@ class MemoryRegion:
 
     # -- raw access (no auditing; internal + tests) -----------------------
     def peek(self, addr: int) -> int:
-        idx = self._word_index(addr)
+        # _word_index's test, inline: these two run on every word op
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
         words = self._words
         return words[idx] if idx < len(words) else 0
 
@@ -136,7 +145,9 @@ class MemoryRegion:
         return to_signed(self.peek(addr))
 
     def _store(self, addr: int, value: int) -> None:
-        idx = self._word_index(addr)
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
         raw = value & _MASK64
         words = self._words
         if idx >= len(words):
@@ -226,7 +237,7 @@ class MemoryRegion:
         ev = Event(self.env)
         # one dict probe: labeled words describe themselves in diagnostics
         ev.info = ("watch", self._node_label, self._labels.get(addr, addr))
-        self._watchers.setdefault(idx, []).append(ev)
+        self._register_watcher(idx, ev)
         return ev
 
     def watch_any(self, addrs: Iterable[int]) -> Event:
@@ -236,18 +247,37 @@ class MemoryRegion:
         labels = self._labels
         ev.info = ("watch", self._node_label) + tuple(labels.get(a, a) for a in addrs)
         for addr in addrs:
-            idx = self._word_index(addr)
-            self._watchers.setdefault(idx, []).append(ev)
+            self._register_watcher(self._word_index(addr), ev)
         return ev
 
+    def _register_watcher(self, idx: int, ev: Event) -> None:
+        """Append ``ev`` to word ``idx``'s watcher list, sweeping the
+        list when the append brings it to a power-of-two length.
+
+        A :meth:`watch_any` event fired through one word stays listed
+        under its other words until *they* are written — forever, for a
+        word nobody writes (``tail_r`` in an all-local run).  A store
+        skips fired entries anyway, so dropping them changes no event;
+        the sweep only bounds the list by twice its pending entries.
+        """
+        watchers = self._watchers.get(idx)
+        if watchers is None:
+            self._watchers[idx] = [ev]
+            return
+        watchers.append(ev)
+        n = len(watchers)
+        if n >= _WATCHER_SWEEP_MIN and not n & (n - 1):
+            watchers[:] = [w for w in watchers if w._value is PENDING]
+
     def watcher_count(self) -> int:
-        """Live watcher registrations (test/debug aid)."""
+        """Watcher registrations currently held (test/debug aid)."""
         return sum(len(v) for v in self._watchers.values())
 
     def gc_watchers(self) -> None:
-        """Drop already-triggered events left by :meth:`watch_any`."""
+        """Drop every already-triggered event left by :meth:`watch_any`
+        (the sweep in :meth:`_register_watcher`, for all words at once)."""
         for idx in list(self._watchers):
-            alive = [ev for ev in self._watchers[idx] if not ev.triggered]
+            alive = [ev for ev in self._watchers[idx] if ev._value is PENDING]
             if alive:
                 self._watchers[idx] = alive
             else:

@@ -50,7 +50,7 @@ from repro.obs import FAULT_RETRY, VERB_RTT, Observability
 from repro.rdma.config import RdmaConfig
 from repro.rdma.nic import Rnic
 from repro.rdma.qp import qp_id
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment
 
 _VERBS = ("rRead", "rWrite", "rCAS", "rFAA")
 
@@ -95,7 +95,7 @@ class RdmaNetwork:
         # Per-verb latency parameters cached off the (immutable) config:
         # every verb consults the fabric latency twice per round trip, and
         # the config-object attribute chain is hot enough to matter.
-        self._one_way_latency_ns = config.fabric.one_way_latency_ns
+        self._one_way_latency_ns = float(config.fabric.one_way_latency_ns)
         self._jitter_ns = config.fabric.jitter_ns
         self._n_nodes = len(regions)
         # statistics
@@ -121,12 +121,12 @@ class RdmaNetwork:
         if loopback:
             yield from src_nic.loopback_turnaround()
         else:
-            yield Timeout(self.env, self._fabric_delay())
+            yield self._fabric_delay()
 
     def _return_path(self, src_nic: Rnic, loopback: bool):
         """ACK/response back to the requester + completion DMA."""
         if not loopback:
-            yield Timeout(self.env, self._fabric_delay())
+            yield self._fabric_delay()
         yield from src_nic.pcie_crossing()
 
     # -- fault/retry harness ----------------------------------------------
@@ -158,7 +158,7 @@ class RdmaNetwork:
         for transmission in range(plan.retry_limit):
             fault = inj.decide_verb(verb, src_node, dst, self.env.now)
             if fault.delay_ns > 0.0:
-                yield self.env.timeout(fault.delay_ns)  # latency spike
+                yield float(fault.delay_ns)  # latency spike
             if not fault.dropped:
                 return (yield from attempt())
             # Dropped: the doomed transmission still occupies real NIC
@@ -169,7 +169,7 @@ class RdmaNetwork:
             ghost = self.env.process(
                 self._lost_transmission(qp, src_nic, loopback),
                 name=f"{verb}-lost-tx")
-            yield self.env.timeout(timeout_ns)
+            yield float(timeout_ns)
             ghost.interrupt("verb-timeout")
             inj.note_retry(verb)
             if retry_sp is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.rdma.config import NicConfig
 from repro.rdma.qp import QpcCache
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment
 from repro.sim.resources import Resource
 
 
@@ -48,16 +48,17 @@ class Rnic:
         # Per-op latency parameters, cached off the config object: the
         # config is immutable for the lifetime of the NIC and these are
         # read on every verb, where the chained attribute lookups show up
-        # in engine profiles.
-        self._pcie_crossing_ns = config.pcie_crossing_ns
-        self._tx_service_ns = config.tx_service_ns
-        self._rx_service_ns = config.rx_service_ns
+        # in engine profiles.  Durations are coerced to float here, once:
+        # a process sleeps by yielding a float (repro.sim.core).
+        self._pcie_crossing_ns = float(config.pcie_crossing_ns)
+        self._tx_service_ns = float(config.tx_service_ns)
+        self._rx_service_ns = float(config.rx_service_ns)
         self._rx_congestion_threshold = config.rx_congestion_threshold
         self._rx_congestion_factor = config.rx_congestion_factor
         self._rx_congestion_max_factor = config.rx_congestion_max_factor
-        self._qpc_miss_penalty_ns = config.qpc_miss_penalty_ns
-        self._loopback_turnaround_ns = config.loopback_turnaround_ns
-        self._atomic_window_ns = config.atomic_window_ns
+        self._qpc_miss_penalty_ns = float(config.qpc_miss_penalty_ns)
+        self._loopback_turnaround_ns = float(config.loopback_turnaround_ns)
+        self._atomic_window_ns = float(config.atomic_window_ns)
         # statistics
         self.tx_ops = 0
         self.rx_ops = 0
@@ -114,11 +115,11 @@ class Rnic:
         # op while it is still queued behind the RX pipeline.
         yield from self.rx.acquire()
         try:
-            yield Timeout(self.env, self._rx_service_time() + penalty)
+            yield self._rx_service_time() + penalty
             if atomic:
                 # read phase happens now; write-back lands after the window
                 result = execute("read") if execute is not None else None
-                yield Timeout(self.env, self._atomic_window_ns)
+                yield self._atomic_window_ns
                 if execute is not None:
                     execute("commit")
             else:
@@ -131,7 +132,7 @@ class Rnic:
     def loopback_turnaround(self):
         """Process fragment: internal TX→RX handoff on the same NIC."""
         self.loopback_ops += 1
-        yield Timeout(self.env, self._loopback_turnaround_ns)
+        yield self._loopback_turnaround_ns
 
     # -- reporting -----------------------------------------------------
     def stats(self) -> dict:

@@ -79,13 +79,13 @@ class RpcTransport:
         self.messages_sent += 1
         if src_node == dst_node:
             self.local_ipc_messages += 1
-            yield self.env.timeout(LOCAL_IPC_NS)
+            yield LOCAL_IPC_NS
             return
         qp = qp_id(src_node, src_thread, dst_node)
         src_nic = self.network.nics[src_node]
         dst_nic = self.network.nics[dst_node]
         yield from src_nic.send_side(qp)
-        yield self.env.timeout(self.network._fabric_delay())
+        yield self.network._fabric_delay()
         yield from dst_nic.receive_side(qp)
 
     # -- server side ---------------------------------------------------

@@ -9,10 +9,11 @@ in the same nanosecond, which is why exploring these choices exposes
 interleaving bugs (lost wakeups, handoff races, victim livelock) that a
 fixed insertion order executes past forever.
 
-Policies see the ready list as the raw heap entries ``(time, seq,
-event)``, ordered by ascending ``seq``: **index 0 is always the choice
-the default scheduler would have made**, so :class:`FifoPolicy`
-reproduces un-policied runs bit for bit.
+Policies see the ready list as the raw schedule entries ``(time, seq,
+event)`` — ``event`` being an :class:`~repro.sim.core.Event` or a
+sleeping process's ``_Sleep`` entry — ordered by ascending ``seq``:
+**index 0 is always the choice the default scheduler would have made**,
+so :class:`FifoPolicy` reproduces un-policied runs bit for bit.
 
 All randomness is drawn from seeded numpy generators via
 :func:`repro.common.rng.derive_seed` — a policy seed fully determines
@@ -28,11 +29,11 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.schedcheck.decisions import Decisions
-from repro.sim.core import Event, Process, _Echo
+from repro.sim.core import Event, Process, _Echo, _Sleep
 
 
-#: heap entry shape policies receive: (time, seq, event)
-ReadyEntry = "tuple[float, int, Event]"
+#: schedule entry shape policies receive: (time, seq, event or sleep)
+ReadyEntry = "tuple[float, int, Event | _Sleep]"
 
 
 class SchedulePolicy:
@@ -116,8 +117,12 @@ class PctPolicy(SchedulePolicy):
     @staticmethod
     def _task_key(entry: tuple) -> tuple:
         """Stable identity of the task an event resumes: the waiting
-        process's pid when there is one, else the event's own seq."""
+        process's pid when there is one, else the event's own seq.  A
+        sleep entry resumes its owner; one an interrupt disarmed resumes
+        nobody, like an abandoned ``Timeout``."""
         _time, seq, event = entry
+        if event.__class__ is _Sleep:
+            return ("p", event.proc.pid) if event.seq == seq else ("e", seq)
         if isinstance(event, _Echo):
             callbacks = [event._fn]
         else:

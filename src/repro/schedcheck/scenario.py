@@ -190,11 +190,14 @@ class LockScenario:
             table.attach_history(history)
         picker = PICKERS[self.pick]
         env = cluster.env
+        # floats: a process sleeps by yielding a float delay
+        stagger_ns, cs_ns, think_ns = (
+            float(self.stagger_ns), float(self.cs_ns), float(self.think_ns))
 
         def client(node: int, thread: int, order: int):
             ctx = cluster.thread_ctx(node, thread)
-            if self.stagger_ns > 0 and order > 0:
-                yield env.timeout(order * self.stagger_ns)
+            if stagger_ns > 0 and order > 0:
+                yield order * stagger_ns
             for op in range(self.ops_per_thread):
                 idx = picker(node, thread, op, table)
                 # No try/finally release: a client that dies mid-CS must
@@ -202,12 +205,12 @@ class LockScenario:
                 # explorer classifies the dead client and the checkers
                 # see the unreleased lock); cleanup would mask the bug.
                 yield from table.acquire(ctx, idx)  # simlint: ignore[resource-guard]
-                if self.cs_ns > 0:
-                    yield env.timeout(self.cs_ns)
+                if cs_ns > 0:
+                    yield cs_ns
                 yield from table.guarded_increment(ctx, idx)
                 yield from table.release(ctx, idx)
-                if self.think_ns > 0:
-                    yield env.timeout(self.think_ns)
+                if think_ns > 0:
+                    yield think_ns
 
         processes = []
         order = 0

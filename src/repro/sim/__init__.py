@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
 A purpose-built, simpy-flavoured kernel: processes are Python generators
-that ``yield`` events; the environment advances a virtual clock in
-nanoseconds.  Determinism is guaranteed by a total order on scheduled
+that ``yield`` events — or a float delay in nanoseconds, to simply let
+time pass; the environment advances a virtual clock in nanoseconds.  Determinism is guaranteed by a total order on scheduled
 events ``(time, seq)`` where ``seq`` is a monotonically increasing
 insertion counter — two runs with the same seed produce identical
 trajectories.

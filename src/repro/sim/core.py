@@ -27,6 +27,21 @@ holds entries from a stale time.
 Negative delays would put an entry behind the clock, so
 :meth:`Environment.schedule` rejects them with
 :class:`~repro.common.errors.ConfigError`.
+
+Sleeping
+--------
+
+A process that merely lets time pass yields the delay itself —
+``yield 95.0`` — instead of building a :class:`Timeout`.  The process
+owns one re-armable :class:`_Sleep` entry for its whole life;
+``Process._resume`` stamps it with a fresh ``seq`` and files it in the
+heap or the now-queue by the same rule ``Timeout.__init__`` uses, and
+the dispatch loop resumes the owner directly when the entry is popped:
+no event object, no callbacks list, no callback loop.  The entry
+occupies exactly the ``(time, seq)`` slot the ``Timeout`` would have,
+so the schedule — and everything derived from it — is the same.
+:class:`Timeout` remains the composable form (``any_of``/``all_of``,
+callbacks, waiting from outside a process).
 """
 
 from __future__ import annotations
@@ -229,12 +244,34 @@ class Timeout(Event):
             env._nowq.append((now, seq, self))
 
 
+class _Sleep:
+    """A process's re-armable sleep entry (``yield <float delay>``).
+
+    One per process, allocated at spawn.  ``seq`` is the schedule slot
+    it is currently armed for; an interrupt disarms it (``seq = 0`` —
+    real seqs start at 1), which leaves the slot in the schedule as a
+    counted no-op, exactly what an abandoned :class:`Timeout` is.  The
+    class-level ``_ok``/``_value`` let the dispatch loop hand the entry
+    straight to ``Process._resume`` as "succeeded with ``None``".
+    """
+
+    __slots__ = ("proc", "resume", "seq")
+
+    _ok = True
+    _value = None
+
+    def __init__(self, proc: "Process"):
+        self.proc = proc
+        self.resume = proc._resume_cb
+        self.seq = 0
+
+
 class Process(Event):
     """Wraps a generator; the process *is* an event that triggers when the
     generator returns (value = its ``return`` value) or raises."""
 
     __slots__ = ("_generator", "_waiting_on", "name", "pid", "last_resumed_at",
-                 "_resume_cb")
+                 "_resume_cb", "_sleep")
 
     def __init__(self, env: "Environment", generator: Generator[Any, Any, Any],
                  name: str = ""):
@@ -242,7 +279,7 @@ class Process(Event):
             raise SimulationError(f"process target must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
+        self._waiting_on: "Event | _Sleep | None" = None
         self.name = name or getattr(generator, "__name__", "process")
         #: creation-order id — stable identity for schedule policies and
         #: deadlock reports (never an address).
@@ -253,7 +290,8 @@ class Process(Event):
         # identically and schedule policies keying on ``cb.__self__``
         # see a stable owner.  Also saves a method-object allocation per
         # resume on the hot path.
-        self._resume_cb: Callable[[Event], None] = self._resume
+        self._resume_cb: Callable[["Event | _Sleep"], None] = self._resume
+        self._sleep = _Sleep(self)
         # Kick off at the current time.
         boot = Event(env)
         boot._value = None
@@ -274,7 +312,9 @@ class Process(Event):
         if not self.is_alive:
             return
         target = self._waiting_on
-        if target is not None and target.callbacks is not None:
+        if isinstance(target, _Sleep):
+            target.seq = 0  # disarm: the stale slot dispatches as a no-op
+        elif target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume_cb)
             except ValueError:
@@ -287,7 +327,7 @@ class Process(Event):
         assert kick.callbacks is not None
         kick.callbacks.append(self._resume_cb)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: "Event | _Sleep") -> None:
         self._waiting_on = None
         env = self.env
         self.last_resumed_at = env._now
@@ -299,9 +339,29 @@ class Process(Event):
                     target = gen.send(event._value)
                 else:
                     target = gen.throw(event._value)
+                if target.__class__ is float:
+                    # ``yield <delay>``: arm the process's own sleep
+                    # entry.  seq and routing are Timeout.__init__'s,
+                    # so the entry takes the slot a Timeout would have.
+                    if not target >= 0.0:
+                        raise SimulationError(
+                            f"process {self.name!r} yielded a negative "
+                            f"or NaN delay {target!r}")
+                    sleep = self._sleep
+                    env._seq = seq = env._seq + 1
+                    sleep.seq = seq
+                    now = env._now
+                    t = now + target
+                    if t > now:
+                        heappush(env._heap, (t, seq, sleep))
+                    else:
+                        env._nowq.append((now, seq, sleep))
+                    self._waiting_on = sleep
+                    return
                 if not isinstance(target, Event):
                     raise SimulationError(
-                        f"process {self.name!r} yielded non-event {target!r}")
+                        f"process {self.name!r} yielded non-event {target!r}"
+                        " (a sleep is a float delay in ns)")
                 callbacks = target.callbacks
                 if callbacks is not None:
                     # Pending, or triggered but not yet processed — park and
@@ -392,22 +452,28 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
-def _describe_wait(event: Optional[Event]) -> str:
+def _describe_wait(event: "Event | _Sleep | None") -> str:
     """Human-readable description of what a parked process waits on,
     using :attr:`Event.info` labels when the issuer set one."""
     if event is None:
         return "nothing (never parked or mid-interrupt)"
+    if isinstance(event, _Sleep):
+        return "Timeout"  # a sleep is a timeout to everyone but the heap
     if event.info is not None:
         kind, *detail = event.info
         return f"{kind}({', '.join(str(d) for d in detail)})"
     return type(event).__name__
 
 
+#: a schedule entry, in the heap or the now-queue
+_Entry = tuple[float, int, "Event | _Sleep"]
+
+
 class SchedulePolicyLike(Protocol):
     """Structural type of the same-time tie-break hook (see
     :mod:`repro.schedcheck`)."""
 
-    def choose(self, ready: list[tuple[float, int, Event]]) -> int: ...
+    def choose(self, ready: list[_Entry]) -> int: ...
 
 
 class Environment:
@@ -428,8 +494,8 @@ class Environment:
         self._now = float(initial_time)
         # the schedule: see the module docstring.  _nowq is consumed via
         # a head index (amortized O(1), no list.pop(0)).
-        self._heap: list[tuple[float, int, Event]] = []
-        self._nowq: list[tuple[float, int, Event]] = []
+        self._heap: list[_Entry] = []
+        self._nowq: list[_Entry] = []
         self._now_head = 0
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -601,11 +667,23 @@ class Environment:
             if fl is not None:
                 fl.note("sched", "sched.tiebreak", idx, n_ready)
         if idx:
-            event = nowq.pop(nh + idx)[2]
+            entry = nowq.pop(nh + idx)
         else:
-            event = nowq[nh][2]
+            entry = nowq[nh]
             self._now_head = nh + 1
+        self._dispatch(entry)
+
+    def _dispatch(self, entry: _Entry) -> None:
+        """Run one popped schedule entry (:meth:`_run_drain` inlines
+        this)."""
         self._event_count += 1
+        event = entry[2]
+        if isinstance(event, _Sleep):
+            # a sleep entry resumes its owner directly — unless an
+            # interrupt disarmed it, which leaves a counted no-op
+            if event.seq == entry[1]:
+                event.resume(event)
+            return
         if isinstance(event, _Echo):
             event._process()
             return
@@ -633,13 +711,6 @@ class Environment:
                 it; an :class:`Event` → run until it is processed and
                 return its value (raising if it failed).
         """
-        if until is None:
-            if self._policy is not None:
-                while self._has_work():
-                    self.step()
-            else:
-                self._run_drain(_INF)
-            return None
         if isinstance(until, Event):
             stop = until
             while not stop.processed:
@@ -651,25 +722,64 @@ class Environment:
             if stop._ok:
                 return stop._value
             raise stop._value
-        deadline = float(until)
+        deadline = _INF if until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
         if self._policy is not None:
-            while self.peek() <= deadline:
-                self.step()
+            self._run_policy(deadline)
         else:
             self._run_drain(deadline)
-        self._now = deadline
+        if until is not None:
+            self._now = deadline
         return None
 
+    def _run_policy(self, deadline: float) -> None:
+        """The dispatch loop under a schedule policy.
+
+        Same schedule as ``while peek() <= deadline: step()``; a tick
+        with a single ready entry — most of them — is dispatched here
+        without assembling a batch, and :meth:`step` (the tie-set code,
+        where the policy is consulted) runs only when a second entry is
+        ready at the same time.
+        """
+        heap = self._heap
+        nowq = self._nowq
+        while True:
+            nh = self._now_head
+            n_now = len(nowq) - nh
+            if n_now == 0:
+                if not heap:
+                    return
+                t = heap[0][0]
+                if t > deadline:
+                    return
+                # The second-smallest entry of a binary heap is one of
+                # the root's children.
+                n = len(heap)
+                if (n > 1 and heap[1][0] == t) or (n > 2 and heap[2][0] == t):
+                    self.step()
+                    continue
+                if nh:
+                    del nowq[:]
+                    self._now_head = 0
+                self._now = t
+                self._dispatch(heappop(heap))
+            elif n_now == 1 and not (heap and heap[0][0] == self._now):
+                self._now_head = nh + 1
+                self._dispatch(nowq[nh])
+            else:
+                self.step()
+
     def _run_drain(self, deadline: float) -> None:
-        """The no-policy dispatch loop, inlined from :meth:`step`.
+        """The no-policy dispatch loop, inlined from :meth:`step` and
+        :meth:`_dispatch`.
 
         This is the innermost loop of every benchmark and experiment:
         dispatching through here instead of per-event ``step()`` calls
-        removes a Python frame plus several attribute loads per event.
+        removes two Python frames plus several attribute loads per event.
         Semantically identical to ``while peek() <= deadline: step()`` —
-        same order, same Timeout/_Echo handling, same callback sequence.
+        same order, same sleep/Timeout/_Echo handling, same callback
+        sequence.
         """
         heap = self._heap
         nowq = self._nowq
@@ -681,9 +791,9 @@ class Environment:
                 if heap and heap[0][0] == now:
                     # heap entries at the current time go first: their
                     # seqs predate the now-queue's (module docstring)
-                    event = heappop(heap)[2]
+                    entry = heappop(heap)
                 elif nh < len(nowq):
-                    event = nowq[nh][2]
+                    entry = nowq[nh]
                     nh += 1
                 else:
                     # tick exhausted: advance the clock
@@ -696,12 +806,17 @@ class Environment:
                     if now > deadline:
                         break
                     self._now = now
-                    event = heappop(heap)[2]
+                    entry = heappop(heap)
                 count += 1
+                # exact-class tests below: mypy only narrows on isinstance
+                event: Any = entry[2]
                 cls = event.__class__
+                if cls is _Sleep:
+                    if event.seq == entry[1]:
+                        event.resume(event)
+                    continue
                 if cls is Timeout:
-                    # exact-class test: mypy only narrows on isinstance
-                    event._value = event._pending_value  # type: ignore[attr-defined]
+                    event._value = event._pending_value
                 elif cls is not Event:
                     if isinstance(event, _Echo):
                         event._process()

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Any
 
 from repro.common.errors import SimulationError
-from repro.sim.core import Environment, Event, Timeout
+from repro.sim.core import Environment, Event
 
 
 class Resource:
@@ -56,7 +56,7 @@ class Resource:
 
     # -- stats ---------------------------------------------------------
     def _account(self) -> None:
-        now = self.env.now
+        now = self.env._now
         self._busy_integral += self._in_use * (now - self._last_change)
         self._last_change = now
 
@@ -137,8 +137,23 @@ class Resource:
         """Interrupt-safe admission: ``yield from resource.acquire()``.
 
         Equivalent to ``yield resource.request()`` except that an
-        interrupt (or any exception) delivered while waiting cancels the
-        request instead of leaking the queued grant."""
+        interrupt (or any exception) delivered while waiting returns the
+        slot (or withdraws the queued request) instead of leaking it.
+
+        A free slot is taken in place and the grant's position in the
+        schedule is held by a zero-delay sleep: it takes the ``seq`` the
+        grant event's ``succeed()`` would have taken and joins the same
+        now-queue, so the order of everything else is untouched."""
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            self.total_served += 1
+            try:
+                yield 0.0
+            except BaseException:
+                self.release()
+                raise
+            return
         req = self.request()
         try:
             yield req
@@ -152,9 +167,20 @@ class Resource:
         Interrupt-safe in both phases: waiting cancels the request,
         holding releases the slot.
 
-        The :meth:`acquire` protocol is inlined (and the Timeout built
-        directly) — serve() runs once per NIC pipeline stage, several
-        times per verb, so the extra generator frame is measurable."""
+        The :meth:`acquire` protocol is inlined — serve() runs once per
+        NIC pipeline stage, several times per verb, so the extra
+        generator frame is measurable."""
+        if self._in_use < self.capacity:
+            # free slot: taken in place, see acquire()
+            self._account()
+            self._in_use += 1
+            self.total_served += 1
+            try:
+                yield 0.0
+                yield float(service_time)
+            finally:
+                self.release()
+            return
         req = self.request()
         try:
             yield req
@@ -162,7 +188,7 @@ class Resource:
             self.cancel(req)
             raise
         try:
-            yield Timeout(self.env, service_time)
+            yield float(service_time)
         finally:
             self.release()
 

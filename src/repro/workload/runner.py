@@ -19,7 +19,6 @@ from repro.common.errors import SimulationError, VerbTimeout
 from repro.locktable import DistributedLockTable
 from repro.obs import ObsConfig
 from repro.obs import postmortem
-from repro.sim.core import Timeout
 from repro.obs import capture as obs_capture
 from repro.workload.generator import LockPicker
 from repro.workload.metrics import RunResult
@@ -82,7 +81,9 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
         entries = table.entries
         leased = table.lease_ns > 0
         ops_cap = spec.ops_per_thread
-        cs_counter, cs_ns, think_ns = spec.cs_counter, spec.cs_ns, spec.think_ns
+        cs_counter = spec.cs_counter
+        # floats: a process sleeps by yielding a float delay
+        cs_ns, think_ns = float(spec.cs_ns), float(spec.think_ns)
         ops_done = 0
         while duration_mode or ops_done < ops_cap:
             idx = picker.next_lock()
@@ -104,12 +105,12 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
                     stall_ns = injector.holder_stall(node, thread)
                     if stall_ns > 0:
                         completed["injected_cs_stalls"] += 1
-                        yield Timeout(env, stall_ns)
+                        yield float(stall_ns)
                 if cs_counter:
                     yield from table.guarded_increment(ctx, idx)
                     completed["cs_increments"] += 1
                 if cs_ns > 0:
-                    yield Timeout(env, cs_ns)
+                    yield cs_ns
                 yield from entry.lock.unlock(ctx)
             except VerbTimeout:
                 # The lock's home partition stayed unreachable past the
@@ -133,7 +134,7 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
                 latencies.append(end - start)
                 local_flags.append(is_local)
             if think_ns > 0:
-                yield Timeout(env, think_ns)
+                yield think_ns
         if not duration_mode:
             per_thread_ops[(node, thread)] = ops_done
 

@@ -5,8 +5,16 @@ Each probe runs in a fresh interpreter (the hash seed is fixed at
 start-up) and prints a digest blob; the blobs are compared as exact
 strings across two hash seeds.  These are subprocess smokes, so they
 lean on the "smoke" experiment scale.
+
+The same blobs are also compared with golden values, so "byte-identical
+with the parent commit" is asserted here rather than checked by hand.
+A change that moves the schedule on purpose (a model change, a
+versioned tie-break) re-records them — ``python
+tests/ci/test_hashseed_identity.py`` prints the current values — and
+says so in CHANGES.md; an engine or performance change must not.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,6 +48,32 @@ print("pct7", r.digest, list(r.dense), list(r.fanouts))
 """
 
 
+#: fig5/fig6 smoke digests, unchanged since PR 11 (ca30824 and before)
+GOLDEN_FIG = """\
+fig5 b75e428268a2e47ebac3db3ff0dd3829
+fig6 be9424f76b2fb0898a8d463a661f76d2
+"""
+
+#: the four schedcheck probe lines as printed at ca30824; the two long
+#: ones (dense picks + fan-outs of a random and a PCT walk) by digest
+GOLDEN_SCHED = {
+    "default": "default c35ce1a93ae69d1517b46ec4c93c6178",
+    "random6": "random6 6 []",
+    "rw42": "d261f178134a2a9ac28359e21c98d289",
+    "pct7": "aa7750fa8c5a81a87d5b85ef628eb5f7",
+}
+
+
+def _sched_lines(blob: str) -> dict:
+    """Probe output keyed by its first word; long lines hashed."""
+    out = {}
+    for line in blob.splitlines():
+        key = line.split(" ", 1)[0]
+        out[key] = (line if len(line) < 80 else
+                    hashlib.blake2b(line.encode(), digest_size=16).hexdigest())
+    return out
+
+
 def _run_probe(probe: str, hashseed: str) -> str:
     env = dict(
         os.environ,
@@ -54,8 +88,18 @@ def _run_probe(probe: str, hashseed: str) -> str:
 
 
 def test_fig_digests_hashseed_invariant():
-    assert _run_probe(FIG_PROBE, "1") == _run_probe(FIG_PROBE, "31337")
+    blob = _run_probe(FIG_PROBE, "1")
+    assert blob == _run_probe(FIG_PROBE, "31337")
+    assert blob == GOLDEN_FIG
 
 
 def test_decision_strings_hashseed_invariant():
-    assert _run_probe(SCHED_PROBE, "2") == _run_probe(SCHED_PROBE, "424242")
+    blob = _run_probe(SCHED_PROBE, "2")
+    assert blob == _run_probe(SCHED_PROBE, "424242")
+    assert _sched_lines(blob) == GOLDEN_SCHED
+
+
+if __name__ == "__main__":  # re-record: print what the goldens should be
+    print(_run_probe(FIG_PROBE, "1"), end="")
+    for key, value in _sched_lines(_run_probe(SCHED_PROBE, "2")).items():
+        print(f"{key!r}: {value!r},")

@@ -4,19 +4,19 @@
 def leaky(resource, env):
     req = resource.request()               # no cancel on the failure path
     yield req
-    yield env.timeout(10)
+    yield 10.0
     resource.release()
 
 
 def leaky_acquire(resource, env):
     yield from resource.acquire()          # no release at all
-    yield env.timeout(10)
+    yield 10.0
 
 
 def guarded_finally(resource, env):
     yield from resource.acquire()
     try:
-        yield env.timeout(10)
+        yield 10.0
     finally:
         resource.release()
 
@@ -25,7 +25,7 @@ def guarded_handler(resource, env):
     req = resource.request()
     try:
         yield req
-        yield env.timeout(10)
+        yield 10.0
     except BaseException:
         resource.cancel(req)
         raise

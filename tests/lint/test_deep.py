@@ -302,6 +302,29 @@ class TestEffects:
         lock = index.functions["repro.locks.snippet:L.lock"]
         assert engine.function_effects(lock).blocking == BLOCK_UNBOUNDED
 
+    def test_a_yielded_delay_is_a_timed_wait(self):
+        """The sleep form is not a call, so no intrinsic sees it: a
+        backoff helper written ``yield self.backoff_ns`` must summarize
+        exactly as ``yield ctx.env.timeout(self.backoff_ns)`` does."""
+        def blocking_of(wait: str) -> int:
+            index = parse_snippet(
+                "class L(DistributedLock):\n"
+                "    def lock(self, ctx):\n"
+                "        yield from self._backoff(ctx)\n"
+                "    def _backoff(self, ctx):\n"
+                f"        yield {wait}\n")
+            lock = index.functions["repro.locks.snippet:L.lock"]
+            return EffectEngine(index).function_effects(lock).blocking
+
+        old = blocking_of("ctx.env.timeout(self.backoff_ns)")
+        assert old == BLOCK_BOUNDED
+        for sleep in ("self.backoff_ns", "delay", "40.0", "float(pause)",
+                      "attempts * self.step_ns"):
+            assert blocking_of(sleep) == old, sleep
+        # a yielded event stays what it was: inert unless it is a park
+        assert blocking_of("grant") == 0
+        assert blocking_of("self.env.event()") == 0
+
     def test_unresolved_helpers_default_inert(self):
         index = parse_snippet(
             "class L(DistributedLock):\n"

@@ -211,6 +211,29 @@ class TestEngineChokepointRule:
         assert not self.findings(module="benchmarks.fixture")
 
 
+class TestBareTimeoutRule:
+    def findings(self, module=SIM_MODULE):
+        return [f for f in lint_fixture("bare_timeout.py", module=module)
+                if f.rule == "bare-timeout"]
+
+    def test_fires_on_every_bare_form(self):
+        messages = " | ".join(f.message for f in self.findings())
+        assert "'yield Timeout(...)'" in messages
+        assert "'yield env.timeout(...)'" in messages
+        assert "'yield ctx.env.timeout(...)'" in messages
+        assert len(self.findings()) == 3
+
+    def test_sleeps_and_composed_timeouts_are_fine(self):
+        src = (FIXTURES / "bare_timeout.py").read_text().splitlines()
+        fine_start = next(i for i, line in enumerate(src, start=1)
+                          if "fine --" in line)
+        assert not {f.line for f in self.findings() if f.line > fine_start}
+
+    def test_silent_outside_the_simulation_packages(self):
+        # tests and examples may spell a wait either way
+        assert not self.findings(module="tests.sim.fixture")
+
+
 class TestGuardedTraceSiteRule:
     def test_fires_on_every_bare_site(self):
         findings = [f for f in lint_fixture("trace.py")

@@ -218,6 +218,33 @@ class TestWatchers:
         region.gc_watchers()
         assert region.watcher_count() == 0
 
+    def test_fired_entries_are_swept_on_append(self, env, region):
+        """watch_any events fired through one word pile up under a word
+        nobody writes; appends sweep them, so the list stays bounded."""
+        for i in range(1000):
+            region.watch_any([64, 72])
+            region.write(64, i)         # fires it; 72's entry goes stale
+            assert region.watcher_count() < 16
+        env.run()
+
+    def test_sweep_keeps_pending_entries_in_order(self, env, region):
+        woke = []
+
+        def waiter(tag):
+            yield region.watch(72)
+            woke.append(tag)
+
+        for tag in range(5):
+            env.process(waiter(tag))
+        env.run()
+        for i in range(40):             # several sweeps of 72's list
+            region.watch_any([64, 72])
+            region.write(64, i)
+        assert region.watcher_count() < 5 + 16
+        region.write(72, 1)
+        env.run()
+        assert woke == [0, 1, 2, 3, 4]
+
     def test_rmw_commit_wakes_watcher(self, env, region):
         """The MCS wakeup path: predecessor's remote write-back must wake
         a spinner parked on the word."""
@@ -236,3 +263,33 @@ class TestWatchers:
         env.process(remote())
         env.run()
         assert got["v"] == (64, 55)
+
+
+class TestWatcherBoundOnLocalRun:
+    def test_watcher_count_stays_bounded_over_an_all_local_run(self, monkeypatch):
+        """An uncontended ``wait_local_cond`` leaves its watch_any event
+        registered; the copy under ``tail_r`` — a word a 100%-local run
+        never writes — used to pile up for the whole run (856
+        registrations at the longer window below, and growing)."""
+        from repro.workload import WorkloadSpec, runner
+
+        clusters = []
+        build = runner.build_cluster
+
+        def tapped(spec, **kwargs):
+            built = build(spec, **kwargs)
+            clusters.append(built[0])
+            return built
+
+        monkeypatch.setattr(runner, "build_cluster", tapped)
+        held = []
+        for measure_ns in (50_000, 200_000):
+            result = runner.run_workload(WorkloadSpec(
+                lock_kind="alock", n_nodes=2, threads_per_node=3, n_locks=4,
+                locality_pct=100, measure_ns=measure_ns, warmup_ns=10_000,
+                audit="off", seed=0))
+            assert result.completed_ops > 400
+            held.append(sum(r.watcher_count() for r in clusters[-1].regions))
+        # 4 locks x (victim, tail_r) lists, each under twice its few
+        # pending entries — and no larger for a 4x longer run
+        assert max(held) < 40

@@ -7,9 +7,12 @@ same digest) — otherwise recorded decision strings would not mean
 anything.
 """
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.rng import derive_seed
 from repro.schedcheck import (
     FifoPolicy,
     LockScenario,
@@ -79,6 +82,37 @@ class TestPolicyDeterminism:
         for seed in range(5):
             assert run_schedule(sc, RandomWalkPolicy(seed)).ok
             assert run_schedule(sc, PctPolicy(seed)).ok
+
+
+class TestPctWalkGolden:
+    """A PCT walk's decision strings, fan-outs, event counts and
+    execution digests, hashed, against values recorded on commit ca30824
+    — before sleeps and free-slot grants stopped being ``Event``s.  PCT
+    keys priorities on the task an entry resumes, so this pins both the
+    tie sets and ``PctPolicy._task_key``'s attribution of sleep entries
+    to their owner (unattributed, the alock walk below visits 8 distinct
+    executions instead of 6)."""
+
+    GOLDEN = {
+        "alock": ("72ffd9a16ab90f302a0b131ce7abc755", 6),
+        "mcs": ("03f82055eab1d851fae6916c1f439c83", 5),
+        "spinlock": ("3d7f26f523e90268b31d7135250c7526", 4),
+    }
+
+    @pytest.mark.parametrize("lock_kind", sorted(GOLDEN))
+    def test_walk_matches_parent(self, lock_kind):
+        scenario = LockScenario(lock_kind=lock_kind, n_nodes=2,
+                                threads_per_node=2, n_locks=1,
+                                ops_per_thread=2, seed=11)
+        h = hashlib.blake2b(digest_size=16)
+        executions = set()
+        for i in range(8):
+            r = run_schedule(scenario, PctPolicy(
+                derive_seed(5, "pct-walk", i), change_points=3))
+            assert r.ok, r.summary()
+            executions.add(r.digest)
+            h.update(repr((r.dense, r.fanouts, r.events, r.digest)).encode())
+        assert (h.hexdigest(), len(executions)) == self.GOLDEN[lock_kind]
 
 
 class TestMakePolicy:

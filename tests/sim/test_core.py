@@ -316,6 +316,159 @@ class TestProcess:
         assert env.now == 5
 
 
+class TestSleep:
+    """``yield <float delay>``: the allocation-free way to let time pass."""
+
+    def test_sleep_advances_clock_and_resumes_with_none(self, env):
+        got = []
+
+        def proc():
+            got.append((yield 5.0))
+            got.append(env.now)
+            got.append((yield 0.0))
+            got.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert got == [None, 5.0, None, 5.0]
+
+    def test_each_sleep_is_one_event(self, env):
+        def proc():
+            for _ in range(10):
+                yield 1.0
+
+        env.process(proc())
+        env.run()
+        # boot + 10 sleeps + the process's own completion
+        assert env.event_count == 12
+
+    @pytest.mark.parametrize("bad", [5, True, -1.0, float("nan"), "5.0", None])
+    def test_anything_but_a_nonnegative_float_fails_loudly(self, env, bad):
+        reached = []
+
+        def proc():
+            yield bad
+            reached.append("resumed")  # pragma: no cover
+
+        p = env.process(proc())
+        env.run()
+        assert not p.ok and not reached
+        assert isinstance(p.value, SimulationError)
+        assert repr(bad) in str(p.value)
+
+    def test_infinite_sleep_is_legal(self, env):
+        def proc():
+            yield float("inf")
+            return env.now
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == float("inf")
+
+    def test_underflowing_delay_joins_the_current_tick(self):
+        env = Environment(initial_time=1e20)
+        order = []
+
+        def sleeper():
+            yield 1e-30            # now + 1e-30 == now
+            order.append("sleeper")
+
+        def other():
+            yield env.timeout(0)
+            order.append("other")
+
+        env.process(sleeper())
+        env.process(other())
+        env.run()
+        assert order == ["sleeper", "other"] and env.now == 1e20
+
+    def test_sleep_and_timeout_share_one_order(self, env):
+        order = []
+
+        def proc(tag, wait):
+            yield wait
+            order.append(tag)
+
+        env.process(proc("a", 5.0))
+        env.process(proc("b", env.timeout(5.0)))   # seq taken right here
+        env.process(proc("c", 5.0))
+        env.run()
+        assert order == ["b", "a", "c"]
+
+    def test_interrupted_sleep_then_resleep_ignores_the_stale_entry(self, env):
+        log = []
+
+        def victim():
+            try:
+                yield 100.0
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield 500.0     # re-arms the same entry; the t=100 slot is stale
+            log.append(("woke", env.now))
+
+        def attacker(p):
+            yield 10.0
+            p.interrupt("now")
+
+        p = env.process(victim())
+        env.process(attacker(p))
+        env.run()
+        assert log == [("interrupted", 10.0), ("woke", 510.0)]
+
+    def test_stale_entry_is_a_counted_noop(self, env):
+        def victim():
+            try:
+                yield 100.0
+            except Interrupt:
+                return
+
+        def attacker(p):
+            yield 10.0
+            p.interrupt()
+
+        p = env.process(victim())
+        env.process(attacker(p))
+        env.run()
+        assert env.now == 100.0   # the abandoned slot still drains
+        # 2 boots, the attacker's sleep, the kick, 2 completions, and the
+        # victim's disarmed slot — what an abandoned Timeout costs too
+        assert env.event_count == 7
+
+    def test_interrupt_at_the_tick_the_sleep_is_due(self, env):
+        """The sleep's slot and the interrupt land in the same tick, the
+        interrupt first: the slot must not resume the process again."""
+        log = []
+        procs = {}
+
+        def attacker():
+            yield 50.0
+            procs["victim"].interrupt("race")
+
+        def victim():
+            try:
+                yield 50.0
+                log.append("slept")  # pragma: no cover - interrupt wins
+            except Interrupt:
+                log.append("interrupted")
+            yield 1.0
+            log.append(env.now)
+
+        # attacker first, so its t=50 slot precedes the victim's
+        env.process(attacker())
+        procs["victim"] = env.process(victim())
+        env.run()
+        assert log == ["interrupted", 51.0]
+
+    def test_deadlock_report_calls_a_sleep_a_timeout(self, env):
+        def sleeper():
+            yield 1e9
+
+        env.process(sleeper(), name="napper")
+        env.run(until=10.0)
+        assert "napper" in env.describe_alive()
+        assert "waiting on Timeout" in env.describe_alive()
+
+
 class TestConditions:
     def test_any_of_first_wins(self, env):
         t1 = env.timeout(10, value="fast")
@@ -516,19 +669,24 @@ def _digest(trace: list) -> str:
     return hashlib.blake2b(repr(trace).encode(), digest_size=8).hexdigest()
 
 
-def _run_random_workload(seed: int) -> list:
+def _run_random_workload(seed: int, sleep_form: bool = False) -> list:
     """A randomized mix of sleeps, same-tick bursts, wakeup events,
-    failures, and interrupts (cancellations); returns the full trace."""
+    failures, and interrupts (cancellations); returns the full trace.
+    With ``sleep_form`` every bare wait is ``yield delay`` instead of
+    ``yield env.timeout(delay)``."""
     rng = random.Random(0xA10C ^ seed)
     env = Environment()
     trace = []
     gates = [Event(env) for _ in range(4)]
 
+    def wait(delay, value=None):
+        return delay if sleep_form else env.timeout(delay, value=value)
+
     def sleeper(pid, rounds):
         for i in range(rounds):
             delay = rng.choice([0.0, 1.0, 1.0, 7.5, 1000.0, 1e308])
             try:
-                yield env.timeout(delay, value=(pid, i))
+                yield wait(delay, value=(pid, i))
                 trace.append(("tick", pid, i, env.now))
             except Interrupt as intr:
                 trace.append(("intr", pid, i, env.now, str(intr.cause)))
@@ -546,14 +704,14 @@ def _run_random_workload(seed: int) -> list:
                  for pid in range(6)]
         for pid, gate in enumerate(gates):
             env.process(waiter(pid, gate), name=f"w{pid}")
-        yield env.timeout(3.0)
+        yield wait(3.0)
         gates[0].succeed("early")
         gates[1].fail(RuntimeError("boom"))
-        yield env.timeout(2.0)
+        yield wait(2.0)
         procs[0].interrupt("cancelled")
         procs[1].interrupt("cancelled")
         gates[2].succeed("mid")
-        yield env.timeout(10.0)
+        yield wait(10.0)
         gates[3].succeed("late")
         trace.append(("driver-done", env.now))
 
@@ -601,6 +759,11 @@ class TestGoldenOrder:
     @pytest.mark.parametrize("seed", sorted(GOLDEN))
     def test_random_workload_trace(self, seed):
         assert _digest(_run_random_workload(seed)) == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_sleep_form_is_the_same_trace(self, seed):
+        assert _digest(_run_random_workload(seed, sleep_form=True)) \
+            == self.GOLDEN[seed]
 
     def test_condition_combinators_trace(self):
         assert _run_conditions() == [

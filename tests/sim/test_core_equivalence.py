@@ -10,6 +10,12 @@ also be shown the ready sets (and log the fan-outs) of a plain heap fed
 the same events.  Delay mixes cover delay-0 and same-tick bursts, tight
 clusters, uniform spreads, ``1e308`` (and from there ``inf``) and
 delays that underflow (``now + 1e-30 == now``).
+
+The second half holds the sleep form to the same standard: a random
+tree of *processes* — sleeping, spawning children, interrupting each
+other mid-sleep — must produce the same dispatch stream, ``event_count``
+and policy ready lists whether each wait is ``yield d`` or
+``yield Timeout(env, d)``.
 """
 
 import heapq
@@ -17,7 +23,8 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Event, Timeout
+from repro.schedcheck.policies import PctPolicy
+from repro.sim import Environment, Event, Interrupt, Timeout
 
 DELAY_MIXES = {
     "dense_ticks": lambda rng: rng.choice([0.0, 0.0, 0.0, 1000.0]),
@@ -42,6 +49,25 @@ class FirstReady:
         keys = [(t, self.seq_of[ev]) for t, _seq, ev in ready]
         assert keys == sorted(keys) and len({t for t, _ in keys}) == 1
         return 0
+
+
+def _drive(env, mode: str, seed: int, policy) -> None:
+    """Run ``env`` dry: by ``run()``, by ``run()`` under ``policy``, or
+    by ``step()``/``run(until)`` hand-offs in the middle of a tick."""
+    if mode == "policy":
+        env.set_schedule_policy(policy)
+        env.run()
+    elif mode == "run":
+        env.run()
+    else:
+        # (_has_work, not peek() < inf: far_future reaches t == inf)
+        driver = random.Random(seed)
+        while env._has_work():
+            for _ in range(driver.randrange(1, 4)):
+                if env._has_work():
+                    env.step()
+            if driver.random() < 0.5:
+                env.run(until=env.now)
 
 
 def _dispatch_stream(mix: str, seed: int, mode: str):
@@ -84,20 +110,7 @@ def _dispatch_stream(mix: str, seed: int, mode: str):
 
     for _ in range(rng.randrange(1, 25)):
         spawn(-1)
-    if mode == "policy":
-        env.set_schedule_policy(FirstReady(seq_of))
-        env.run()
-    elif mode == "run":
-        env.run()
-    else:
-        # (_has_work, not peek() < inf: far_future reaches t == inf)
-        driver = random.Random(seed)
-        while env._has_work():
-            for _ in range(driver.randrange(1, 4)):
-                if env._has_work():
-                    env.step()
-            if driver.random() < 0.5:
-                env.run(until=env.now)
+    _drive(env, mode, seed, FirstReady(seq_of))
     return env, ran, records
 
 
@@ -136,3 +149,88 @@ class TestQueueStreamEquivalence:
             assert env.schedule_decisions == [0] * len(env.schedule_fanouts)
         else:
             assert env.schedule_fanouts == []
+
+
+class LastReady:
+    """Always the *youngest* ready entry — every tie is reordered — and
+    a log of each ready list as ``(time, seq, PCT task key)``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def choose(self, ready):
+        self.seen.append([(t, seq, PctPolicy._task_key((t, seq, ev)))
+                          for t, seq, ev in ready])
+        return len(ready) - 1
+
+
+def _process_stream(mix: str, seed: int, mode: str, form: str):
+    """Drive a random tree of sleeping processes in ``mode``, each wait
+    written as ``form`` (``"sleep"``: ``yield d``; ``"timeout"``:
+    ``yield Timeout(env, d)``).  Returns everything observable: what
+    ran as ``(env.now, pid, step, interrupted)``, ``event_count``, final
+    time, and the policy's ready lists, decisions and fan-outs."""
+    rng = random.Random(f"proc-{mix}-{seed}")
+    delay_of = DELAY_MIXES[mix]
+    env = Environment()
+    ran = []
+    started = []   # an interrupt must find its target past its boot event
+    poked = set()  # ... and with no earlier interrupt still in flight
+    budget = 300
+
+    def wait(delay):
+        return delay if form == "sleep" else Timeout(env, delay)
+
+    def body(depth):
+        nonlocal budget
+        me = env.active_process
+        started.append(me)
+        for step in range(rng.randrange(4, 20)):
+            if budget <= 0:
+                return
+            budget -= 1
+            interrupted = False
+            try:
+                yield wait(delay_of(rng))
+            except Interrupt:
+                interrupted = True
+                poked.discard(me)
+            ran.append((env.now, me.pid, step, interrupted))
+            roll = rng.random()
+            if roll < 0.25 and depth < 3:
+                env.process(body(depth + 1))
+            elif roll < 0.45:
+                # the target is mid-sleep, or finished (a no-op)
+                target = rng.choice(started)
+                if target is not me and target.is_alive \
+                        and target not in poked:
+                    poked.add(target)
+                    target.interrupt("poke")
+
+    for _ in range(rng.randrange(3, 8)):
+        env.process(body(0))
+    policy = LastReady()
+    _drive(env, mode, seed, policy)
+    return (ran, env.event_count, env.now, policy.seen,
+            list(env.schedule_decisions), list(env.schedule_fanouts))
+
+
+class TestSleepMatchesTimeout:
+    @pytest.mark.parametrize("mode", ["run", "step", "policy"])
+    @pytest.mark.parametrize("mix", list(DELAY_MIXES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_stream_either_form(self, mode, mix, seed):
+        slept = _process_stream(mix, seed, mode, "sleep")
+        timed = _process_stream(mix, seed, mode, "timeout")
+        assert len(slept[0]) > 10
+        assert slept == timed
+        if mode == "policy":
+            assert slept[5] and all(n > 1 for n in slept[5])
+
+    def test_interrupts_leave_stale_entries_behind(self):
+        """The walk above must actually exercise the disarmed-entry
+        path, or it proves nothing about it."""
+        ran, events, *_ = _process_stream("same_tick", 1, "run", "sleep")
+        assert any(interrupted for *_rest, interrupted in ran)
+        # every wait that ran and every stale slot is one counted event
+        assert events > len(ran)

@@ -126,6 +126,103 @@ class TestCancel:
         assert res.total_served == 1
 
 
+class TestFreeSlotGrant:
+    """serve()/acquire() take a free slot in place and hold the grant's
+    schedule position with a zero-delay sleep; an interrupt in that
+    window, or later mid-service, must hand the slot back."""
+
+    @pytest.mark.parametrize("method", ["serve", "acquire"])
+    def test_interrupt_on_the_free_slot_grant_returns_the_slot(self, env, method):
+        res = Resource(env, capacity=1)
+        outcome = []
+
+        def doomed():
+            try:
+                if method == "serve":
+                    yield from res.serve(100)
+                else:
+                    yield from res.acquire()
+                    res.release()  # pragma: no cover - never granted
+            except Interrupt:
+                outcome.append(("interrupted", env.now, res.in_use))
+
+        victim = env.process(doomed())
+        env.step()                      # boot the victim: slot taken in place
+        # the grant's slot is still in the schedule: the victim holds the
+        # resource but has not been resumed with it
+        assert res.in_use == 1 and res.total_served == 1
+        victim.interrupt("too early")
+        env.run()
+        assert outcome == [("interrupted", 0.0, 0)]
+        assert res.in_use == 0 and res.queue_length == 0
+        assert res.total_served == 1
+
+    def test_interrupted_free_slot_grant_admits_the_next_waiter(self, env):
+        res = Resource(env, capacity=1)
+        order = []
+
+        def doomed():
+            try:
+                yield from res.serve(100)
+            except Interrupt:
+                order.append(("interrupted", env.now))
+
+        def patient():
+            yield from res.serve(10)
+            order.append(("served", env.now))
+
+        victim = env.process(doomed())
+        env.process(patient())          # queues behind the victim
+        env.step()                      # victim takes the slot in place
+        env.step()                      # patient queues
+        assert res.queue_length == 1
+        victim.interrupt("go away")
+        env.run()
+        assert order == [("interrupted", 0.0), ("served", 10.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+        assert res.total_served == 2
+
+    def test_interrupt_mid_service_after_free_slot_grant(self, env):
+        res = Resource(env, capacity=2)
+        done = []
+
+        def served(tag):
+            try:
+                yield from res.serve(100)
+                done.append(tag)
+            except Interrupt:
+                done.append(f"{tag}-interrupted@{env.now}")
+
+        a = env.process(served("a"))
+        env.process(served("b"))
+
+        def assassin():
+            yield 40.0                  # both are inside their service sleep
+            assert res.in_use == 2
+            a.interrupt("abort")
+
+        env.process(assassin())
+        env.run()
+        assert done == ["a-interrupted@40.0", "b"]
+        assert res.in_use == 0 and res.total_served == 2
+
+    def test_free_and_queued_grants_keep_request_order(self, env):
+        """A free-slot grant occupies the same schedule position the
+        grant event used to: arrivals are served in arrival order."""
+        res = Resource(env, capacity=1)
+        order = []
+
+        def client(tag):
+            yield from res.serve(5)
+            order.append((tag, env.now))
+
+        for tag in "abc":
+            env.process(client(tag))
+        env.run()
+        assert order == [("a", 5.0), ("b", 10.0), ("c", 15.0)]
+        assert res.total_served == 3 and res.peak_queue == 2
+
+
 class TestInterruptedVerbPipeline:
     def test_nic_pipeline_survives_interrupted_receives(self, env):
         """Drive many interrupted waits through one capacity-1 resource
