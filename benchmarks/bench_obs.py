@@ -11,18 +11,16 @@ each instrumented configuration relative to the off baseline in
 * **Coverage**: the instrumented run actually produced spans for every
   measured operation (the overhead number is of a *working* recorder).
 
-``test_flight_overhead`` holds the *always-on* flight recorder (PR 8)
-to the same contracts plus its <3% budget, gated on the profiled
-within-run share of ``FlightRecorder.note`` — wall-clock pairing is
-recorded but not asserted, because the off-vs-off null distribution on
-shared runners spans several percent on its own.
+``test_flight_overhead`` holds the *always-on* ring of the event log to
+its <3% budget, gated on the profiled within-run share of
+``EventLog.emit`` (the estimator ``ci_bench`` records) — there is no
+off switch to pair a wall clock against.
 """
 
-import cProfile
-import pstats
 import time
 
 import numpy as np
+from ci_bench import profiled_emit_share
 from conftest import run_once
 
 from repro.cluster import Cluster
@@ -31,7 +29,7 @@ from repro.obs import ObsConfig
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
 
-#: The always-on recorder's budget, as a percent of profiled run time.
+#: The always-on ring's budget, as a percent of profiled run time.
 FLIGHT_BUDGET_PCT = 3.0
 
 CONFIGS = {
@@ -80,59 +78,22 @@ def test_obs_overhead(benchmark):
     assert full.obs_metrics["network"]["verbs"]["rCAS"] > 0
 
 
-def _profiled_note_share(runs: int = 3) -> tuple[float, int]:
-    """(profiled share of ``note`` in percent, note calls per run)."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(runs):
-        run_workload(spec(), flight=True)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    note_cum = 0.0
-    note_calls = 0
-    for (filename, _line, name), (_cc, nc, _tt, ct, _cl) in stats.stats.items():
-        if name == "note" and filename.endswith("flight.py"):
-            note_cum += ct
-            note_calls += nc
-    return 100.0 * note_cum / stats.total_tt, note_calls // runs
-
-
 def test_flight_overhead(benchmark):
-    def run_pair():
-        t0 = time.perf_counter()
-        on = run_workload(spec(), flight=True)
-        t1 = time.perf_counter()
-        off = run_workload(spec(), flight=False)
-        t2 = time.perf_counter()
-        return (t1 - t0, on), (t2 - t1, off)
-
-    (on_s, on), (off_s, off) = run_once(benchmark, run_pair)
-    # informational only — see the module docstring for why this number
-    # is never asserted against the budget
-    benchmark.extra_info["flight_wall_delta_pct"] = round(
-        100.0 * (on_s / off_s - 1.0), 1)
-
-    # non-perturbation: the recorder reads the sim clock, never advances it
-    assert on.measured_ops == off.measured_ops
-    assert on.window_ns == off.window_ns
-    assert np.array_equal(np.asarray(on.latencies_ns),
-                          np.asarray(off.latencies_ns))
-
-    # the budget gate: profiled within-run share of note(), plus the
-    # deterministic call count (catches a newly instrumented poll loop)
-    share_pct, calls_per_run = _profiled_note_share()
+    # the budget gate: profiled within-run share of emit(), plus the
+    # deterministic kept-event count (catches a newly reported poll loop)
+    share_pct, kept_per_run = run_once(
+        benchmark, lambda: profiled_emit_share(spec(), 3))
     benchmark.extra_info["flight_profiled_share_pct"] = round(share_pct, 2)
-    benchmark.extra_info["flight_notes_per_run"] = calls_per_run
-    assert calls_per_run > 0, "flight-on run recorded nothing"
+    benchmark.extra_info["flight_notes_per_run"] = kept_per_run
+    assert kept_per_run > 0, "the default-level run kept nothing"
     assert share_pct < FLIGHT_BUDGET_PCT, (
-        f"flight recorder profiled share {share_pct:.2f}% exceeds the "
+        f"event log profiled share {share_pct:.2f}% exceeds the "
         f"{FLIGHT_BUDGET_PCT}% always-on budget")
 
 
 def test_flight_coverage():
-    """The recorder is on by default and actually sees the protocol."""
+    """The ring is always on and actually sees the protocol."""
     cluster = Cluster(2, audit="off")
-    assert cluster.flight is not None  # always on unless opted out
     lock = make_lock("alock", cluster, 0)
     ctx = cluster.thread_ctx(1, 0)  # remote cohort: exercises verbs too
 
@@ -146,5 +107,3 @@ def test_flight_coverage():
     kinds = {e.kind for e in cluster.flight.window()}
     assert {"lock.acquired", "lock.released", "desc.begin",
             "verb.issue"} <= kinds
-    # opting out leaves no ring and costs call sites one attribute test
-    assert Cluster(2, audit="off", flight=False).flight is None

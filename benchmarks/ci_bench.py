@@ -5,8 +5,9 @@ Runs a fixed set of scenarios — the DES-core microbenchmarks from
 ``bench_lock_primitives``, the observability overhead probe from
 ``bench_obs``, and one fig5-style sweep cell — each repeated
 ``--repeats`` times, and writes the medians to ``BENCH_ci.json`` —
-plus a ``flight_overhead`` entry (note count, profiled share, paired
-wall delta) that the regression script gates at <3% recorder cost.
+plus a ``flight_overhead`` entry (ring events kept per run, profiled
+share of the event log's ``emit``) that the regression script gates at
+<3% always-on cost.
 
 This is *not* pytest-benchmark: CI needs a dependency-light harness
 whose output schema is stable enough to diff against a committed
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
 import json
 import os
 import platform
@@ -187,68 +187,61 @@ def single_cell() -> int:
     return run_workload(spec).measured_ops
 
 
-# -- flight-recorder overhead probe ---------------------------------------
-def flight_overhead_probe(profile_runs: int = 3, paired_rounds: int = 4) -> dict:
-    """Measure the always-on flight recorder's cost on the obs workload.
+# -- always-on event-log overhead probe -------------------------------------
+def profiled_emit_share(spec: WorkloadSpec, runs: int) -> tuple[float, int]:
+    """``(share, kept)`` over ``runs`` default-level runs of ``spec``
+    under cProfile: the percent of total profiled time spent inside the
+    event log's ``emit`` (cumulative: the level test, the tuple, the
+    ring append — for kept and dropped events alike), and the ring
+    events kept per run (``deque.append`` calls made from ``emit``)."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(runs):
+        run_workload(spec)
+    profiler.disable()
+    stats = pstats.Stats(profiler)
+    log_py = os.path.join("repro", "obs", "log.py")
+
+    def is_emit(func) -> bool:
+        return func[2] == "emit" and func[0].endswith(log_py)
+
+    emit_cum = 0.0
+    kept = 0
+    for func, (_cc, _nc, _tt, ct, callers) in stats.stats.items():
+        if is_emit(func):
+            emit_cum += ct
+        elif "'append' of 'collections.deque'" in func[2]:
+            kept += sum(nc for caller, (nc, *_rest) in callers.items()
+                        if is_emit(caller))
+    share_pct = 100.0 * emit_cum / stats.total_tt if stats.total_tt else 0.0
+    return share_pct, kept // runs
+
+
+def flight_overhead_probe(profile_runs: int = 3) -> dict:
+    """Measure the always-on ring's cost on the obs workload.
 
     The gated number is the *profiled share*: the fraction of total
-    cProfile time spent inside ``FlightRecorder.note`` over
-    ``profile_runs`` flight-on runs.  A within-run ratio is the only
-    estimator stable enough for a <3% budget on shared CI runners —
-    paired wall-clock deltas have a null (off-vs-off) distribution whose
-    medians span roughly ±6% on such boxes, so they are recorded here
-    purely as context (``paired_wall_delta_pct``), never gated.
+    cProfile time spent inside ``EventLog.emit`` over ``profile_runs``
+    default-level runs.  A within-run ratio is the only estimator stable
+    enough for a <3% budget on shared CI runners; there is nothing to
+    pair it against, because the ring cannot be switched off.
 
-    ``note_calls_per_run`` is fully deterministic for a fixed spec and
-    is the early-warning number: someone instrumenting a poll loop shows
-    up as a call-count jump long before any timer can prove it.
+    ``note_calls_per_run`` (the ring events kept per run; the key keeps
+    its historical name so baselines stay comparable) is fully
+    deterministic for a fixed spec and is the early-warning number:
+    someone reporting from a poll loop shows up as a count jump long
+    before any timer can prove it.
     """
     spec = WorkloadSpec(
         n_nodes=5, threads_per_node=4, n_locks=20, locality_pct=90.0,
         ops_per_thread=30, cs_ns=500.0, seed=17, lock_kind="alock",
         audit="off")
-
-    run_workload(spec, flight=True)  # warm imports/caches
-    run_workload(spec, flight=False)
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(profile_runs):
-        run_workload(spec, flight=True)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    note_cum = 0.0
-    note_calls = 0
-    for (filename, _line, name), (_cc, nc, _tt, ct, _callers) in stats.stats.items():
-        if name == "note" and filename.endswith("flight.py"):
-            note_cum += ct
-            note_calls += nc
-    share_pct = 100.0 * note_cum / stats.total_tt if stats.total_tt else 0.0
-
-    def timed(flight: bool) -> float:
-        t0 = time.process_time()
-        run_workload(spec, flight=flight)
-        return time.process_time() - t0
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        ratios = []
-        for _ in range(paired_rounds):
-            a_on, a_off = timed(True), timed(False)   # ABBA interleave
-            b_off, b_on = timed(False), timed(True)   # cancels drift/order bias
-            ratios.append((a_on + b_on) / (a_off + b_off))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
+    run_workload(spec)  # warm imports/caches
+    share_pct, kept = profiled_emit_share(spec, profile_runs)
     return {
-        "note_calls_per_run": note_calls // profile_runs,
+        "note_calls_per_run": kept,
         "profiled_share_pct": round(share_pct, 3),
-        "paired_wall_delta_pct": round(
-            100.0 * (statistics.median(ratios) - 1.0), 2),
         "profile_runs": profile_runs,
-        "paired_rounds": paired_rounds,
     }
 
 
@@ -302,9 +295,8 @@ def run_suite(repeats: int, only=None) -> dict:
     if only is None or "flight_overhead" in only:
         payload["flight_overhead"] = flight_overhead_probe()
         fo = payload["flight_overhead"]
-        print(f"  flight_overhead: {fo['note_calls_per_run']} notes/run, "
-              f"profiled share {fo['profiled_share_pct']:.2f}%, "
-              f"paired wall delta {fo['paired_wall_delta_pct']:+.1f}%",
+        print(f"  flight_overhead: {fo['note_calls_per_run']} ring events/run, "
+              f"profiled emit share {fo['profiled_share_pct']:.2f}%",
               file=sys.stderr)
     return payload
 

@@ -13,10 +13,10 @@ Exit status: 0 when every scenario's median is within ``--threshold``
 missing from the current run.  New scenarios absent from the baseline
 are reported but don't fail — they start gating once re-baselined.
 
-The always-on flight recorder has its own budget: the current run's
-``flight_overhead`` probe must show a profiled recorder share under
-``--flight-threshold`` (default 3%), and the deterministic
-notes-per-run count must not have grown past 1.5x the baseline's.
+The always-on ring of the event log has its own budget: the current
+run's ``flight_overhead`` probe must show a profiled ``emit`` share
+under ``--flight-threshold`` (default 3%), and the deterministic
+ring-events-per-run count must not have grown past 1.5x the baseline's.
 
 Re-baselining: after an *intentional* perf change (or a runner-class
 change), regenerate the baseline on the machine class that runs the
@@ -74,16 +74,17 @@ def compare(baseline: dict, current: dict, threshold: float) -> tuple[list[str],
 
 def check_flight_overhead(baseline: dict, current: dict,
                           flight_threshold: float) -> tuple[list[str], list[str]]:
-    """Gate the always-on flight recorder's cost (the <3% budget).
+    """Gate the always-on event ring's cost (the <3% budget).
 
     Two checks, both on the *current* run's ``flight_overhead`` probe
     (see ``ci_bench.flight_overhead_probe`` for why the gated number is
-    the profiled within-run share, not a paired wall delta):
+    the profiled within-run share of the log's ``emit``):
 
     * ``profiled_share_pct`` must stay under ``flight_threshold``;
-    * ``note_calls_per_run`` — deterministic for the pinned workload —
-      must not exceed 1.5x the baseline's count, which catches a newly
-      instrumented hot path (e.g. a per-poll note) with zero timer noise.
+    * ``note_calls_per_run`` (ring events kept per run) — deterministic
+      for the pinned workload — must not exceed 1.5x the baseline's
+      count, which catches a newly reported hot path (e.g. a per-poll
+      event) with zero timer noise.
     """
     lines: list[str] = []
     failures: list[str] = []
@@ -99,18 +100,16 @@ def check_flight_overhead(baseline: dict, current: dict,
     if share > flight_threshold:
         verdict = "REGRESSION"
         failures.append(
-            f"flight_overhead: recorder profiled share {share:.2f}% exceeds "
+            f"flight_overhead: emit profiled share {share:.2f}% exceeds "
             f"the {flight_threshold:.1f}% always-on budget")
-    lines.append(f"  flight recorder: {calls} notes/run, profiled share "
-                 f"{share:.2f}% (budget {flight_threshold:.1f}%), paired wall "
-                 f"delta {cur.get('paired_wall_delta_pct', 0.0):+.1f}% "
-                 f"(ungated, noisy)  {verdict}")
+    lines.append(f"  event ring: {calls} events/run, profiled emit share "
+                 f"{share:.2f}% (budget {flight_threshold:.1f}%)  {verdict}")
     if base is not None:
         base_calls = base.get("note_calls_per_run", 0)
         if base_calls and calls > 1.5 * base_calls:
             failures.append(
-                f"flight_overhead: {calls} notes/run vs {base_calls} in the "
-                f"baseline (> 1.5x) — a hot path gained a flight note")
+                f"flight_overhead: {calls} ring events/run vs {base_calls} in "
+                f"the baseline (> 1.5x) — a hot path gained a ring event")
     return lines, failures
 
 
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
                         help="allowed median slowdown fraction "
                              "(0.20 = fail beyond +20%%)")
     parser.add_argument("--flight-threshold", type=float, default=3.0,
-                        help="flight-recorder budget as a percent of "
+                        help="always-on event-ring budget as a percent of "
                              "profiled run time (default %(default)s%%)")
     args = parser.parse_args(argv)
     baseline = load(args.baseline)

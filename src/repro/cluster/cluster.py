@@ -13,13 +13,11 @@ from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
-from repro.common.trace import TraceBuffer
 from repro.faults import FaultInjector, FaultPlan
 from repro.memory.pointer import MAX_NODES
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion
 from repro.obs import ObsConfig, Observability
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.rdma.config import RdmaConfig
 from repro.rdma.network import RdmaNetwork
 from repro.sim.core import Environment
@@ -48,29 +46,31 @@ class Cluster:
         region_bytes: RDMA slab size per node.
         seed: root seed for all derived RNG streams.
         audit: Table-1 race auditing mode (``"off"``/``"record"``/``"strict"``).
-        trace: enable the protocol trace buffer (quickstart walkthroughs).
+        trace: keep the protocol steps in the event log, so
+            ``cluster.tracer`` shows them (quickstart walkthroughs,
+            schedcheck scenarios).
         faults: optional :class:`~repro.faults.FaultPlan`; an *active*
             plan arms the verb-path retransmission harness and the fault
             injector (seeded from this cluster's RNG registry, so fault
             schedules replay exactly).  ``None`` or an inactive plan
             keeps the fault-free code path.
-        obs: optional :class:`~repro.obs.ObsConfig` enabling typed trace
-            spans and/or the metrics registry.  The registry's pull-model
-            collectors (NIC/verb/fault counters) are wired regardless, so
-            ``cluster.obs.metrics.collect()`` works even with recording
-            off.
-        flight: keep the always-on flight recorder (default).  ``False``
-            is for overhead benchmarks only — without the ring, failures
-            lose their post-mortem event window.
-        flight_capacity: flight ring size (events retained).
+        obs: optional :class:`~repro.obs.ObsConfig` enabling timed
+            intervals (the span tree) and/or the metrics registry.  The
+            registry's pull-model collectors (NIC/verb/fault counters)
+            are wired regardless, so ``cluster.obs.metrics.collect()``
+            works even with recording off.
+
+    Every cluster has one protocol event log (:mod:`repro.obs.log`);
+    ``trace`` and ``obs.spans`` only raise what it keeps above the
+    always-on ring.  ``cluster.flight``, ``cluster.tracer`` and
+    ``cluster.obs.spans`` are its read-side views.
     """
 
     def __init__(self, n_nodes: int, *, config: Optional[RdmaConfig] = None,
                  region_bytes: int = DEFAULT_REGION_BYTES, seed: int = 0,
                  audit: str = "record", trace: bool = False,
                  faults: Optional[FaultPlan] = None,
-                 obs: Optional[ObsConfig] = None,
-                 flight: bool = True, flight_capacity: int = DEFAULT_CAPACITY):
+                 obs: Optional[ObsConfig] = None):
         if not 1 <= n_nodes <= MAX_NODES:
             raise ConfigError(f"n_nodes must be in [1, {MAX_NODES}], got {n_nodes}")
         if faults is not None and not isinstance(faults, FaultPlan):
@@ -86,19 +86,16 @@ class Cluster:
         # return at once; the cluster keeps the (idle) object for
         # reporting — violation_count stays 0.
         live_auditor = self.auditor if audit != "off" else None
-        self.tracer = TraceBuffer(enabled=trace)
-        self.obs = Observability(self.env, obs or ObsConfig())
-        # Always-on flight recorder (the backward-looking half of obs):
-        # the env hook feeds schedule tie-breaks, the network/injector
-        # handles feed verb + fault lifecycle, locks note transitions.
-        self.flight = FlightRecorder(self.env, flight_capacity) if flight else None
-        self.env.flight = self.flight
+        self.obs = Observability(self.env, obs or ObsConfig(), trace=trace)
+        self.log = self.obs.log
+        self.flight = self.obs.flight
+        self.tracer = self.obs.tracer
+        # the engine reports schedule tie-breaks (policy runs only)
+        self.env.emit = self.log.emit
         self.fault_plan = faults
         self.fault_injector = (
-            FaultInjector(faults, self.rng.fork("faults"))
+            FaultInjector(faults, self.rng.fork("faults"), emit=self.log.emit)
             if faults is not None and faults.active else None)
-        if self.fault_injector is not None:
-            self.fault_injector.flight = self.flight
         self.regions = [
             MemoryRegion(self.env, i, region_bytes, auditor=live_auditor)
             for i in range(n_nodes)
@@ -106,8 +103,7 @@ class Cluster:
         self.network = RdmaNetwork(
             self.env, self.config, self.regions, auditor=live_auditor,
             jitter_rng=self.rng.get("fabric-jitter"),
-            injector=self.fault_injector, obs=self.obs,
-            flight=self.flight)
+            injector=self.fault_injector, obs=self.obs)
         self.nodes = [Node(i, self.regions[i]) for i in range(n_nodes)]
         self._contexts: dict[tuple[int, int], "ThreadContext"] = {}
         self._register_collectors()

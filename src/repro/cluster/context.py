@@ -32,7 +32,7 @@ class ThreadContext:
     # (see repro.locks.alock.descriptors / repro.locks.baselines.mcs).
     __slots__ = ("cluster", "env", "node_id", "thread_id", "gid", "actor",
                  "_region", "_net", "_read_ns", "_write_ns", "_cas_ns",
-                 "_fence_ns", "_recheck_ns", "tracer", "spans", "_flight",
+                 "_fence_ns", "_recheck_ns", "emit",
                  "local_op_count", "remote_op_count", "verb_timeouts",
                  "_alock_descriptors", "_alock_descriptor_pools",
                  "_mcs_descriptor")
@@ -55,9 +55,9 @@ class ThreadContext:
         self._cas_ns = float(cpu.local_cas_ns)
         self._fence_ns = float(cpu.fence_ns)
         self._recheck_ns = float(cpu.spin_recheck_ns)
-        self.tracer = cluster.tracer
-        self.spans = cluster.obs.spans  # typed span recorder (obs layer)
-        self._flight = cluster.flight  # always-on flight ring (or None)
+        #: report a protocol step: ``ctx.emit(ctx.actor, kind, *fields)``
+        #: (the cluster log's ``emit`` — see :mod:`repro.obs.log`).
+        self.emit = cluster.log.emit
         # statistics
         self.local_op_count = 0
         self.remote_op_count = 0
@@ -77,9 +77,6 @@ class ThreadContext:
                 f"{ptr_node(ptr)} memory — local ops require loopback or "
                 f"verbs (this is the bug class ALock exists to prevent)")
         return ptr & _ADDR_MASK
-
-    def trace(self, kind: str, detail: str = "") -> None:
-        self.tracer.emit(self.env.now, self.actor, kind, detail)
 
     # -- local (shared-memory) operations ------------------------------
     def read(self, ptr: int, *, signed: bool = False):
@@ -159,21 +156,6 @@ class ThreadContext:
             yield ev
             yield self._recheck_ns
 
-    def wait_local_any(self, ptrs: list[int]):
-        """Park until any of several *local* words is written; returns
-        ``(ptr, raw_value)`` of the write that woke us.  Used by the local
-        cohort's Peterson wait, which watches both the victim word and the
-        other cohort's tail."""
-        addrs = [self._local_addr(p) for p in ptrs]
-        ev = self._region.watch_any(addrs)
-        addr, raw = yield ev
-        yield self._recheck_ns
-        # map the byte address back to the caller's pointer
-        for p, a in zip(ptrs, addrs):
-            if a == addr:
-                return p, raw
-        raise MemoryError_("watcher woke for an unexpected address")  # pragma: no cover
-
     # -- remote (RDMA) operations ------------------------------------------
     def _remote(self, fragment):
         """Drive one verb fragment, attributing any retry-budget
@@ -186,36 +168,32 @@ class ThreadContext:
         except VerbTimeout as exc:
             self.verb_timeouts += 1
             exc.actor = self.actor
-            fl = self._flight
-            if fl is not None:
-                fl.note(self.actor, "verb.timeout", exc.verb, exc.target_node)
+            self.emit(self.actor, "verb.timeout", exc.verb, exc.target_node)
             raise
 
     def r_read(self, ptr: int, *, signed: bool = False):
         """One-sided RDMA read (loopback if ``ptr`` is local — only the
         baseline locks do that deliberately).
 
-        No ``verb.issue`` flight note here or in :meth:`r_write`: reads
-        and writes are the poll-loop verbs — recording each one both
-        blows the <3% recorder budget and floods the ring with spin
-        noise that evicts the protocol events a post-mortem needs.  The
-        atomics below are the protocol chokepoints and are recorded;
-        timeouts are recorded for every verb kind in :meth:`_remote`.
+        No ``verb.issue`` event here or in :meth:`r_write`: reads and
+        writes are the poll-loop verbs — reporting each one both blows
+        the <3% ring budget and floods the ring with spin noise that
+        evicts the protocol events a post-mortem needs.  The atomics
+        below are the protocol chokepoints and are reported; timeouts
+        are reported for every verb kind in :meth:`_remote`.
         """
         value = yield from self._remote(self._net.r_read(
             self.node_id, self.thread_id, ptr, signed=signed))
         return value
 
     def r_write(self, ptr: int, value: int):
-        """One-sided RDMA write (unrecorded, see :meth:`r_read`)."""
+        """One-sided RDMA write (unreported, see :meth:`r_read`)."""
         yield from self._remote(self._net.r_write(
             self.node_id, self.thread_id, ptr, value))
 
     def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
         """One-sided RDMA compare-and-swap; returns the previous value."""
-        fl = self._flight
-        if fl is not None:
-            fl.note(self.actor, "verb.issue", "rCAS", ptr >> ADDR_BITS)
+        self.emit(self.actor, "verb.issue", "rCAS", ptr >> ADDR_BITS)
         old = yield from self._remote(self._net.r_cas(
             self.node_id, self.thread_id, ptr, expected, desired,
             signed=signed, actor=self.actor))
@@ -223,9 +201,7 @@ class ThreadContext:
 
     def r_faa(self, ptr: int, delta: int, *, signed: bool = False):
         """One-sided RDMA fetch-and-add; returns the previous value."""
-        fl = self._flight
-        if fl is not None:
-            fl.note(self.actor, "verb.issue", "rFAA", ptr >> ADDR_BITS)
+        self.emit(self.actor, "verb.issue", "rFAA", ptr >> ADDR_BITS)
         old = yield from self._remote(self._net.r_faa(
             self.node_id, self.thread_id, ptr, delta, signed=signed,
             actor=self.actor))

@@ -1,4 +1,4 @@
-"""Shared utilities: errors, identifiers, RNG streams, tracing.
+"""Shared utilities: errors, identifiers, RNG streams.
 
 Everything in :mod:`repro` builds on these small pieces.  They are kept
 dependency-free (stdlib + numpy only) so every subsystem can import them
@@ -15,7 +15,6 @@ from repro.common.errors import (
 )
 from repro.common.ids import NodeId, ThreadId, GlobalThreadId, make_global_thread_id
 from repro.common.rng import RngStreams, derive_seed
-from repro.common.trace import TraceBuffer, TraceEvent
 
 __all__ = [
     "ReproError",
@@ -30,6 +29,4 @@ __all__ = [
     "make_global_thread_id",
     "RngStreams",
     "derive_seed",
-    "TraceBuffer",
-    "TraceEvent",
 ]

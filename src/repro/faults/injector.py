@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.common.rng import RngStreams
 from repro.faults.plan import FaultPlan
+from repro.obs.log import discard
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,11 @@ class VerbFault:
 _CLEAN = VerbFault()
 
 
+def _node_actor(node: int) -> str:
+    """The actor a verb-path fault is attributed to: the source NIC."""
+    return f"n{node}"
+
+
 class FaultInjector:
     """Draws fault decisions for a cluster and counts what it injected.
 
@@ -39,16 +45,16 @@ class FaultInjector:
         rngs: a seeded stream family, conventionally
             ``cluster.rng.fork("faults")`` so fault draws never perturb
             workload or jitter streams.
+        emit: the cluster log's ``emit``; injected faults are ring
+            events, so post-mortems show what the fault layer did in the
+            window before a failure.
     """
 
-    def __init__(self, plan: FaultPlan, rngs: RngStreams):
+    def __init__(self, plan: FaultPlan, rngs: RngStreams, emit=discard):
         self.plan = plan
         self._rngs = rngs
         self._verb_rng = rngs.get("verb")
-        #: flight-recorder handle, attached by the Cluster; injected
-        #: faults become ring events so post-mortems show what the fault
-        #: layer did in the window before a failure.
-        self.flight = None
+        self._emit = emit
         # -- counters ----------------------------------------------------
         self.injected_losses = 0
         self.injected_spikes = 0
@@ -63,22 +69,21 @@ class FaultInjector:
                     now: float) -> VerbFault:
         """Fault verdict for one transmission attempt of ``verb``."""
         plan = self.plan
-        fl = self.flight
         if plan.crash_windows and plan.crashed(dst_node, now):
             self.crash_drops += 1
-            if fl is not None:
-                fl.note(f"n{src_node}", "fault.drop", verb, dst_node, "crash")
+            self._emit(_node_actor(src_node), "fault.drop", verb, dst_node,
+                       "crash")
             return VerbFault(dropped=True, cause="crash")
         delay = 0.0
         if plan.spike_rate > 0 and self._verb_rng.random() < plan.spike_rate:
             self.injected_spikes += 1
             delay = plan.spike_ns
-            if fl is not None:
-                fl.note(f"n{src_node}", "fault.delay", verb, dst_node, delay)
+            self._emit(_node_actor(src_node), "fault.delay", verb, dst_node,
+                       delay)
         if plan.verb_loss_rate > 0 and self._verb_rng.random() < plan.verb_loss_rate:
             self.injected_losses += 1
-            if fl is not None:
-                fl.note(f"n{src_node}", "fault.drop", verb, dst_node, "loss")
+            self._emit(_node_actor(src_node), "fault.drop", verb, dst_node,
+                       "loss")
             return VerbFault(dropped=True, delay_ns=delay, cause="loss")
         if delay == 0.0:
             return _CLEAN
@@ -101,9 +106,8 @@ class FaultInjector:
         rng = self._rngs.get("stall", node, thread)
         if rng.random() < plan.holder_stall_rate:
             self.holder_stalls += 1
-            fl = self.flight
-            if fl is not None:
-                fl.note(f"t{thread}@n{node}", "fault.stall", plan.holder_stall_ns)
+            actor = f"t{thread}@n{node}"
+            self._emit(actor, "fault.stall", plan.holder_stall_ns)
             return plan.holder_stall_ns
         return 0.0
 

@@ -97,7 +97,6 @@ INERT = Effects()
 INTRINSICS: Dict[str, Effects] = {
     "wait_local": Effects(blocking=BLOCK_UNBOUNDED, raises=True),
     "wait_local_cond": Effects(blocking=BLOCK_UNBOUNDED, raises=True),
-    "wait_local_any": Effects(blocking=BLOCK_UNBOUNDED, raises=True),
     "r_read": Effects(blocking=BLOCK_BOUNDED, raises=True),
     "r_write": Effects(blocking=BLOCK_BOUNDED, raises=True, writes=True),
     "r_cas": Effects(blocking=BLOCK_BOUNDED, raises=True, writes=True),
@@ -107,7 +106,7 @@ INTRINSICS: Dict[str, Effects] = {
     "cas": Effects(writes=True),
     "faa": Effects(writes=True),
     "fence": INERT,
-    "trace": INERT,
+    "emit": INERT,
     "timeout": Effects(blocking=BLOCK_BOUNDED),
     "watch": INERT,       # returns an event; the park is the *yield* of it
     "watch_any": INERT,

@@ -18,8 +18,8 @@ the shared CFG:
 ``desc``
     the descriptor lifecycle — set by a zero-argument ``.begin()`` call
     or ``x.in_use = True``; cleared by zero-argument ``.end()`` or
-    ``x.in_use = False``.  (The zero-argument restriction keeps
-    ``ctx.spans.end(sp)`` — same name tail, different protocol — out.)
+    ``x.in_use = False``.  (The zero-argument restriction keeps an
+    unrelated ``x.end(arg)`` — same name tail, different protocol — out.)
 
 Both dimensions are four-valued: ``ID`` (untouched), ``SET``, ``CLR``,
 ``MIX`` (differs by path).  Helpers are summarized interprocedurally

@@ -32,11 +32,11 @@ Each rule encodes one invariant the reproduction's validity rests on
     ``heapq``/``bisect`` (a scheduler's building blocks) may only be
     imported by the event core, ``repro.sim.core``.
 
-``guarded-trace-site``
-    Flight-recorder ``.note()`` calls must sit inside an ``is not
-    None`` guard on the recorder — the always-on ring is optional per
-    cluster, and its <3% budget rests on flight-off paths paying a
-    single attribute test.
+``emit-format``
+    An argument of an event-log ``emit(...)`` call must be a raw value,
+    not an f-string, ``%``/``.format`` result or ``str(...)`` — the log
+    drops what its level does not keep, and a dropped event must cost a
+    call, not a format.
 
 ``bare-timeout``
     A process that merely lets time pass yields the float delay
@@ -70,19 +70,14 @@ DEFAULT_SENSITIVE_PACKAGES: tuple[str, ...] = (
     "repro.workload",
     "repro.memory",
     "repro.obs",
-    # listed explicitly although repro.obs covers it: the flight ring's
-    # event order IS user-visible output (post-mortem dumps are gated on
-    # byte determinism), so it must never fall out of this set if the
-    # obs package is ever split.
-    "repro.obs.flight",
     "repro.verification",
     "repro.schedcheck",
     "repro.parallel",
 )
 
-#: The always-on flight recorder module (the one place ``note()`` is
-#: defined, and the one module exempt from the guarded-trace-site rule).
-FLIGHT_MODULE = "repro.obs.flight"
+#: The package that owns the protocol event log and its read-side
+#: views — the one place allowed to turn raw event fields into text.
+OBS_PACKAGE = "repro.obs"
 
 
 # --------------------------------------------------------------------------
@@ -748,109 +743,62 @@ class EngineChokepointRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 8: flight-recorder call sites must be guarded (the <3% budget)
+# rule 8: events are reported raw (a dropped event costs a call, not a format)
 # --------------------------------------------------------------------------
 
-#: attribute names under which a cluster/context/env exposes its flight
-#: recorder.  An expression ending in one of these is "flight-ish".
-_FLIGHT_ATTRS = frozenset({"flight", "_flight"})
+def _formats(node: ast.AST) -> bool:
+    """Does evaluating ``node`` build a string?  f-string, ``"..." % x``,
+    ``"...".format(...)`` or ``str(...)``."""
+    if isinstance(node, ast.JoinedStr):
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        left = node.left
+        return isinstance(left, ast.JoinedStr) or (
+            isinstance(left, ast.Constant) and isinstance(left.value, str))
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr == "format"
+        return isinstance(node.func, ast.Name) and node.func.id == "str"
+    return False
 
 
-def _is_flight_expr(node: ast.AST) -> bool:
-    name = dotted_name(node)
-    return name is not None and name.split(".")[-1] in _FLIGHT_ATTRS
+class EmitFormatRule(Rule):
+    """A formatted argument in an ``emit(...)`` call.
 
-
-def _guard_keys(test: ast.AST) -> set[str]:
-    """Dotted names proven non-None by ``test`` (``x is not None``
-    compares, possibly conjoined with ``and``)."""
-    keys: set[str] = set()
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        for value in test.values:
-            keys |= _guard_keys(value)
-    elif isinstance(test, ast.Compare) and len(test.ops) == 1 \
-            and isinstance(test.ops[0], ast.IsNot) \
-            and len(test.comparators) == 1 \
-            and isinstance(test.comparators[0], ast.Constant) \
-            and test.comparators[0].value is None:
-        key = dotted_name(test.left)
-        if key:
-            keys.add(key)
-    return keys
-
-
-class GuardedTraceSiteRule(Rule):
-    """``.note()`` on a flight recorder without an ``is not None`` guard.
-
-    The recorder is optional (``Cluster(flight=False)``, raw
-    ``Environment`` runs) and its budget rests on call sites paying a
-    single attribute test when it is off — the idiom is::
-
-        fl = self._flight
-        if fl is not None:
-            fl.note(...)
-
-    Calling ``.note()`` on a flight-ish receiver (an expression ending
-    in ``flight``/``_flight``, or a local bound from one) outside such a
-    guard either crashes on flight-off runs or hides an unconditional
-    recording cost; both are one missing ``if`` away from every hot
-    path, which is why this is a lint rule and not a convention.
+    Every protocol step is reported by one unconditional
+    ``emit(actor, kind, *raw_fields)`` (see :mod:`repro.obs.log`); the
+    log keeps or drops the event by its retention level and the views
+    format on the read side.  Formatting at the call site is paid on
+    every call, kept or not — at the default level most protocol-step
+    events are dropped — so the fields must be the values themselves.
     """
 
-    rule_id = "guarded-trace-site"
-    description = ("flight-recorder .note() calls must sit inside an "
-                   "'is not None' guard on the recorder — the recorder is "
-                   "optional and its <3% budget rests on flight-off paths "
-                   "paying one attribute test")
-
-    #: the recorder implementation itself.
-    exempt_modules = (FLIGHT_MODULE,)
+    rule_id = "emit-format"
+    description = ("arguments of an event-log emit(...) call must be raw "
+                   "values — no f-string, %/.format or str(...): a dropped "
+                   "event must cost a call, not a format (the views format "
+                   "on the read side)")
 
     def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
         self.sim_packages = tuple(sim_packages)
 
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages):
+        if not sf.in_package(*self.sim_packages) or sf.in_package(OBS_PACKAGE):
             return
-        if sf.module in self.exempt_modules:
-            return
-        # names bound from a flight-ish expression anywhere in the file
-        # (per-file, not per-scope: cheap, deterministic, and a false
-        # positive only if someone reuses 'fl' for a non-recorder — at
-        # which point the name itself is the bug)
-        flight_names: set[str] = set()
         for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Assign) and _is_flight_expr(node.value):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        flight_names.add(tgt.id)
-        for node in ast.walk(sf.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "note"):
+            if not isinstance(node, ast.Call):
                 continue
-            recv = node.func.value
-            key = dotted_name(recv)
-            if key is None:
+            name = dotted_name(node.func)
+            if name is None or name.split(".")[-1] not in ("emit", "_emit"):
                 continue
-            if not (_is_flight_expr(recv) or key in flight_names):
-                continue
-            if not self._guarded(node, key):
-                yield self.finding(
-                    sf, node,
-                    f"'{key}.note()' outside an 'if {key} is not None' "
-                    f"guard; the flight recorder is optional — guard the "
-                    f"call (and bind 'fl = ..._flight' once) so flight-off "
-                    f"runs pay a single attribute test")
-
-    def _guarded(self, call: ast.Call, key: str) -> bool:
-        for anc in ancestors(call):
-            if isinstance(anc, ast.If) and key in _guard_keys(anc.test) \
-                    and _subtree_contains(anc.body, call):
-                return True
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return False
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                if _formats(arg):
+                    yield self.finding(
+                        sf, arg,
+                        f"formatted argument in '{name}(...)': pass the raw "
+                        f"values as fields — the event log formats nothing "
+                        f"and drops what its level does not keep, so this "
+                        f"string is built even when nobody will read it")
 
 
 # --------------------------------------------------------------------------
@@ -914,7 +862,7 @@ def default_rules(
         FrozenSetattrRule(),
         ProcessBoundaryRule(sensitive_packages),
         EngineChokepointRule(sensitive_packages),
-        GuardedTraceSiteRule(sim_packages),
+        EmitFormatRule(sim_packages),
         BareTimeoutRule(sim_packages),
     )
 

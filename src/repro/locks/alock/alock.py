@@ -47,8 +47,7 @@ from repro.locks.base import (
     register_lock_type,
 )
 from repro.locks.layout import ALOCK_LAYOUT
-from repro.memory.pointer import RdmaPointer, ptr_addr
-from repro.obs import COHORT_HANDOVER, MCS_QUEUE_WAIT
+from repro.memory.pointer import ptr_addr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster, ThreadContext
@@ -138,8 +137,6 @@ class ALock(DistributedLock):
             pair = descriptor_pair(ctx)
         slot = 0 if ctx.is_local(self.base_ptr) else 1
         cohort = "local" if slot == 0 else "remote"
-        if ctx.spans.enabled:
-            ctx.spans.annotate(ctx.actor, cohort=cohort)
         desc = pools[slot].acquire() if self.allow_nesting else pair[slot]
         # begin() runs before the cleanup guard: if it raises, the
         # descriptor is owned by another in-flight acquisition and must
@@ -163,8 +160,6 @@ class ALock(DistributedLock):
         yield from ctx.fence()
         self._sessions[ctx.gid] = (cohort, desc)
         self._note_acquired(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.enter", self.name)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -179,8 +174,6 @@ class ALock(DistributedLock):
         # linearization point is when it *lands*, which a successor can
         # observe before this generator resumes (see base.py).
         self._note_released(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.exit", self.name)
         if cohort == "local":
             yield from self._unlock_local(ctx, desc)
         else:
@@ -202,8 +195,7 @@ class ALock(DistributedLock):
 
     def _lock_remote(self, ctx: "ThreadContext", desc: Descriptor):
         prev = yield from self._swap_tail_remote(ctx, desc.ptr)
-        if ctx.tracer.enabled:
-            ctx.trace("mcs.swap", f"{self.name} cohort=REMOTE prev={RdmaPointer(prev)}")
+        ctx.emit(ctx.actor, "mcs.swap", self.name, "remote", prev)
         if prev == 0:
             # Queue was empty: cohort leader; lock was NOT passed.
             yield from ctx.write(desc.budget_ptr, self.remote_budget)
@@ -212,18 +204,11 @@ class ALock(DistributedLock):
             return
         # Link behind the predecessor, then spin locally on our budget.
         yield from self._neighbor_write(ctx, prev + OFF_NEXT, desc.ptr)
-        fl = ctx._flight
-        if fl is not None:
-            fl.note(ctx.actor, "lock.wait", self.name, "budget")
-        sp = (ctx.spans.start(ctx.actor, MCS_QUEUE_WAIT, cohort="remote")
-              if ctx.spans.enabled else None)
+        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", "remote")
         budget = yield from ctx.wait_local(
             desc.budget_ptr, lambda b: b != WAITING, signed=True)
-        if sp is not None:
-            ctx.spans.end(sp, budget=budget)
         self.passes["remote"] += 1
-        if ctx.tracer.enabled:
-            ctx.trace("mcs.passed", f"{self.name} cohort=REMOTE budget={budget}")
+        ctx.emit(ctx.actor, "mcs.passed", self.name, "remote", budget)
         if budget == 0:
             # Budget exhausted: yield to the other cohort, then reacquire.
             self.reacquires["remote"] += 1
@@ -242,35 +227,24 @@ class ALock(DistributedLock):
                 # on a budget nobody will write.
                 nxt = yield from ctx.read(desc.next_ptr)
                 if nxt == 0:
-                    if ctx.tracer.enabled:
-                        ctx.trace("mcs.release",
-                                  f"{self.name} cohort=REMOTE handoff abandoned")
+                    ctx.emit(ctx.actor, "mcs.release", self.name, "remote",
+                             "handoff abandoned")
                     desc.end()
                     # simlint: ignore[deep-protocol] -- seeded skip_budget_wait
                     return
                 budget = yield from ctx.read(desc.budget_ptr, signed=True)
                 yield from self._neighbor_write(ctx, nxt + OFF_BUDGET,
                                                 budget - 1)
-                if ctx.tracer.enabled:
-                    ctx.trace("mcs.pass",
-                              f"{self.name} cohort=REMOTE -> budget {budget - 1}")
+                ctx.emit(ctx.actor, "mcs.pass", self.name, "remote", budget - 1)
                 desc.end()
                 return
-            fl = ctx._flight
-            if fl is not None:
-                fl.note(ctx.actor, "lock.wait", self.name, "next")
-            sp = (ctx.spans.start(ctx.actor, COHORT_HANDOVER, cohort="remote")
-                  if ctx.spans.enabled else None)
+            ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", "remote")
             nxt = yield from ctx.wait_local(desc.next_ptr, lambda p: p != 0)
             budget = yield from ctx.read(desc.budget_ptr, signed=True)
             yield from self._neighbor_write(ctx, nxt + OFF_BUDGET, budget - 1)
-            if sp is not None:
-                ctx.spans.end(sp, budget=budget - 1)
-            if ctx.tracer.enabled:
-                ctx.trace("mcs.pass", f"{self.name} cohort=REMOTE -> budget {budget - 1}")
+            ctx.emit(ctx.actor, "mcs.pass", self.name, "remote", budget - 1)
         else:
-            if ctx.tracer.enabled:
-                ctx.trace("mcs.release", f"{self.name} cohort=REMOTE tail cleared")
+            ctx.emit(ctx.actor, "mcs.release", self.name, "remote", "tail cleared")
         desc.end()
 
     def _neighbor_write(self, ctx: "ThreadContext", ptr: int, value: int):
@@ -293,8 +267,7 @@ class ALock(DistributedLock):
 
     def _lock_local(self, ctx: "ThreadContext", desc: Descriptor):
         prev = yield from self._swap_tail_local(ctx, desc.ptr)
-        if ctx.tracer.enabled:
-            ctx.trace("mcs.swap", f"{self.name} cohort=LOCAL prev={RdmaPointer(prev)}")
+        ctx.emit(ctx.actor, "mcs.swap", self.name, "local", prev)
         if prev == 0:
             yield from ctx.write(desc.budget_ptr, self.local_budget)
             self.leader_acquires["local"] += 1
@@ -302,18 +275,11 @@ class ALock(DistributedLock):
             return
         # Predecessor is necessarily a thread on this same node.
         yield from ctx.write(prev + OFF_NEXT, desc.ptr)
-        fl = ctx._flight
-        if fl is not None:
-            fl.note(ctx.actor, "lock.wait", self.name, "budget")
-        sp = (ctx.spans.start(ctx.actor, MCS_QUEUE_WAIT, cohort="local")
-              if ctx.spans.enabled else None)
+        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", "local")
         budget = yield from ctx.wait_local(
             desc.budget_ptr, lambda b: b != WAITING, signed=True)
-        if sp is not None:
-            ctx.spans.end(sp, budget=budget)
         self.passes["local"] += 1
-        if ctx.tracer.enabled:
-            ctx.trace("mcs.passed", f"{self.name} cohort=LOCAL budget={budget}")
+        ctx.emit(ctx.actor, "mcs.passed", self.name, "local", budget)
         if budget == 0:
             self.reacquires["local"] += 1
             yield from peterson.acquire_local(ctx, self)
@@ -326,42 +292,29 @@ class ALock(DistributedLock):
                 # Seeded defect: see _unlock_remote.
                 nxt = yield from ctx.read(desc.next_ptr)
                 if nxt == 0:
-                    if ctx.tracer.enabled:
-                        ctx.trace("mcs.release",
-                                  f"{self.name} cohort=LOCAL handoff abandoned")
+                    ctx.emit(ctx.actor, "mcs.release", self.name, "local",
+                             "handoff abandoned")
                     desc.end()
                     # simlint: ignore[deep-protocol] -- seeded skip_budget_wait
                     return
                 budget = yield from ctx.read(desc.budget_ptr, signed=True)
                 yield from ctx.write(nxt + OFF_BUDGET, budget - 1)
-                if ctx.tracer.enabled:
-                    ctx.trace("mcs.pass",
-                              f"{self.name} cohort=LOCAL -> budget {budget - 1}")
+                ctx.emit(ctx.actor, "mcs.pass", self.name, "local", budget - 1)
                 desc.end()
                 return
-            fl = ctx._flight
-            if fl is not None:
-                fl.note(ctx.actor, "lock.wait", self.name, "next")
-            sp = (ctx.spans.start(ctx.actor, COHORT_HANDOVER, cohort="local")
-                  if ctx.spans.enabled else None)
+            ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", "local")
             nxt = yield from ctx.wait_local(desc.next_ptr, lambda p: p != 0)
             budget = yield from ctx.read(desc.budget_ptr, signed=True)
             yield from ctx.write(nxt + OFF_BUDGET, budget - 1)
-            if sp is not None:
-                ctx.spans.end(sp, budget=budget - 1)
-            if ctx.tracer.enabled:
-                ctx.trace("mcs.pass", f"{self.name} cohort=LOCAL -> budget {budget - 1}")
+            ctx.emit(ctx.actor, "mcs.pass", self.name, "local", budget - 1)
         else:
-            if ctx.tracer.enabled:
-                ctx.trace("mcs.release", f"{self.name} cohort=LOCAL tail cleared")
+            ctx.emit(ctx.actor, "mcs.release", self.name, "local", "tail cleared")
         desc.end()
 
     # -- introspection -------------------------------------------------------
     def is_locked(self) -> bool:
         """``qIsLocked`` over both cohorts (oracle read, no simulated cost)."""
         region = self.cluster.regions[self.home_node]
-        from repro.memory.pointer import ptr_addr
-
         return (region.peek(ptr_addr(self.tail_r_ptr)) != 0
                 or region.peek(ptr_addr(self.tail_l_ptr)) != 0)
 

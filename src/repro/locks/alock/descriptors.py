@@ -65,18 +65,15 @@ class Descriptor:
                 f"{self.ctx.actor}: {self.flavor} descriptor reused while still "
                 f"enqueued (a thread can wait on only one lock at a time)")
         self.in_use = True
-        fl = self.ctx._flight
-        if fl is not None:
-            fl.note(self.ctx.actor, "desc.begin", self.label)
+        self.ctx.emit(self.ctx.actor, "desc.begin", self.label, self.flavor)
         yield from self.ctx.write(self.budget_ptr, WAITING)
         yield from self.ctx.write(self.next_ptr, 0)
 
     def end(self) -> None:
-        # No flight note: a descriptor's retirement is implied by the
-        # same label's next desc.begin (or the lock.released that
-        # precedes it), and the per-acquisition note here was one of the
-        # recorder's hottest call sites (see the <3% budget in
-        # repro.obs.flight).
+        # Not reported: a descriptor's retirement is implied by the same
+        # label's next desc.begin (or the lock.released that precedes
+        # it), and a per-acquisition event here was one of the ring's
+        # hottest call sites (see the <3% budget in repro.obs.flight).
         self.in_use = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.locks.layout import COHORT_LOCAL, COHORT_REMOTE
-from repro.obs import PETERSON_COMPETE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import ThreadContext
@@ -36,13 +35,8 @@ def acquire_local(ctx: "ThreadContext", lock: "ALock"):
     remote tail is NULL or the victim is no longer LOCAL.  The wait is
     event-driven on the two words — zero traffic while parked.
     """
-    if ctx.tracer.enabled:
-        ctx.trace("peterson.enter", f"{lock.name} cohort=LOCAL")
-    fl = ctx._flight
-    if fl is not None:
-        fl.note(ctx.actor, "lock.wait", lock.name, "peterson-local")
-    sp = (ctx.spans.start(ctx.actor, PETERSON_COMPETE, cohort="local")
-          if ctx.spans.enabled else None)
+    ctx.emit(ctx.actor, "lock.wait", lock.name, "peterson-local",
+             "cohort", "local")
     yield from ctx.write(lock.victim_ptr, COHORT_LOCAL)
     yield from ctx.fence()
 
@@ -64,10 +58,7 @@ def acquire_local(ctx: "ThreadContext", lock: "ALock"):
 
     why = yield from ctx.wait_local_cond(
         [lock.tail_r_ptr, lock.victim_ptr], check)
-    if sp is not None:
-        ctx.spans.end(sp, via=why)
-    if ctx.tracer.enabled:
-        ctx.trace("peterson.acquired", f"{lock.name} cohort=LOCAL via {why}")
+    ctx.emit(ctx.actor, "peterson.acquired", lock.name, "local", why)
 
 
 def acquire_remote(ctx: "ThreadContext", lock: "ALock"):
@@ -78,32 +69,19 @@ def acquire_remote(ctx: "ThreadContext", lock: "ALock"):
     still locked, an ``rRead`` of the victim.  This is real NIC traffic —
     the asymmetric reacquire cost the budget policy is tuned around.
     """
-    if ctx.tracer.enabled:
-        ctx.trace("peterson.enter", f"{lock.name} cohort=REMOTE")
-    fl = ctx._flight
-    if fl is not None:
-        fl.note(ctx.actor, "lock.wait", lock.name, "peterson-remote")
-    sp = (ctx.spans.start(ctx.actor, PETERSON_COMPETE, cohort="remote")
-          if ctx.spans.enabled else None)
+    ctx.emit(ctx.actor, "lock.wait", lock.name, "peterson-remote",
+             "cohort", "remote")
     yield from ctx.r_write(lock.victim_ptr, COHORT_REMOTE)
     spins = 0
     while True:
         tail_l = yield from ctx.r_read(lock.tail_l_ptr)
         if tail_l == 0:
-            if sp is not None:
-                ctx.spans.end(sp, via="local-unlocked", spins=spins)
-            if ctx.tracer.enabled:
-                ctx.trace("peterson.acquired",
-                          f"{lock.name} cohort=REMOTE via local-unlocked "
-                          f"after {spins} spins")
+            ctx.emit(ctx.actor, "peterson.acquired", lock.name, "remote",
+                     "local-unlocked", spins)
             return
         victim = yield from ctx.r_read(lock.victim_ptr)
         if victim != COHORT_REMOTE:
-            if sp is not None:
-                ctx.spans.end(sp, via="not-victim", spins=spins)
-            if ctx.tracer.enabled:
-                ctx.trace("peterson.acquired",
-                          f"{lock.name} cohort=REMOTE via not-victim "
-                          f"after {spins} spins")
+            ctx.emit(ctx.actor, "peterson.acquired", lock.name, "remote",
+                     "not-victim", spins)
             return
         spins += 1

@@ -23,30 +23,31 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _traced(span_name: str):
     """Decorator factory wrapping a ``lock``/``unlock`` generator method
-    in a typed span + phase histogram sample.
+    in a timed interval + phase histogram sample.
 
     Opt-in per implementation (the shipped locks use it); ``lock`` /
     ``unlock`` remain the abstract override points, so user locks that
     implement them directly — like the tutorial's TAS lock — stay
-    first-class, just unobserved.  With observability off the wrapper
-    returns the undecorated generator: one boolean check, no allocation,
-    no extra frame on the drive path.
+    first-class, just untimed.  Unless the cluster was built to time
+    intervals or collect metrics the wrapper returns the undecorated
+    generator: one boolean check, no allocation, no extra frame on the
+    drive path.
     """
 
     def deco(fn):
         @functools.wraps(fn)
         def wrapper(self, ctx, *args, **kwargs):
             inner = fn(self, ctx, *args, **kwargs)
-            if not (self._spans.enabled or self._obs_h is not None):
+            if not self._timed:
                 return inner
             return self._observed_op(ctx, span_name, inner)
         return wrapper
     return deco
 
 
-#: wrap a lock implementation's ``lock`` in a ``lock.acquire`` span.
+#: time a lock implementation's ``lock`` as a ``lock.acquire`` interval.
 observed_acquire = _traced(LOCK_ACQUIRE)
-#: wrap a lock implementation's ``unlock`` in a ``lock.release`` span.
+#: time a lock implementation's ``unlock`` as a ``lock.release`` interval.
 observed_release = _traced(LOCK_RELEASE)
 
 
@@ -64,10 +65,10 @@ class DistributedLock(ABC):
         self.name = name or f"{self.kind}@n{home_node}"
         self._holder_gid: int = 0
         self._holder_since: float = 0.0
-        self._flight = cluster.flight  # always-on flight ring (or None)
-        # observability handles (see observed_acquire/observed_release)
+        # the timing wrapper is installed only for a cluster built to
+        # time intervals or collect metrics (see _traced)
         obs = cluster.obs
-        self._spans = obs.spans
+        self._timed = obs.enabled
         if obs.metrics.enabled:
             self._obs_h = {
                 LOCK_ACQUIRE: obs.metrics.histogram(
@@ -81,27 +82,26 @@ class DistributedLock(ABC):
         self.acquisitions = 0
 
     def _observed_op(self, ctx: "ThreadContext", span_name: str, inner):
-        """Drive ``inner`` under a span; record its duration.  Only
-        entered when some recorder is on (see :func:`_traced`)."""
-        rec = self._spans
-        sp = (rec.start(ctx.actor, span_name, lock=self.name,
-                        kind=self.kind, home=self.home_node)
-              if rec.enabled else None)
+        """Drive ``inner`` as one timed interval; sample its duration.
+        Only entered on a timed cluster (see :func:`_traced`)."""
+        ctx.emit(ctx.actor, "span.begin", span_name, self.name, self.kind,
+                 self.home_node)
         t0 = ctx.env.now
         try:
             result = yield from inner
         except BaseException:
-            if sp is not None:
-                rec.end(sp, outcome="error")
+            ctx.emit(ctx.actor, "span.end", span_name, "error")
             raise
-        if sp is not None:
-            rec.end(sp, outcome="ok")
+        ctx.emit(ctx.actor, "span.end", span_name, "ok")
         if self._obs_h is not None:
             self._obs_h[span_name].observe(ctx.env.now - t0)
         return result
 
     # -- protocol bookkeeping (not part of the simulated algorithm) -------
-    def _note_acquired(self, ctx: "ThreadContext") -> None:
+    def _note_acquired(self, ctx: "ThreadContext", how=None, n=None) -> None:
+        """``how`` says how this lock kind won, as a constant — a phrase,
+        or a ``%`` template over the count ``n`` (``"after %d rCAS",
+        attempts``); the trace shows it after the lock's name."""
         if self._holder_gid != 0:
             raise ProtocolError(
                 f"{self.name}: {ctx.actor} acquired while gid {self._holder_gid} "
@@ -109,9 +109,7 @@ class DistributedLock(ABC):
         self._holder_gid = ctx.gid
         self._holder_since = self.cluster.env.now
         self.acquisitions += 1
-        fl = self._flight
-        if fl is not None:
-            fl.note(ctx.actor, "lock.acquired", self.name)
+        ctx.emit(ctx.actor, "lock.acquired", self.name, how, n)
 
     def _note_released(self, ctx: "ThreadContext") -> None:
         if self._holder_gid != ctx.gid:
@@ -119,9 +117,7 @@ class DistributedLock(ABC):
                 f"{self.name}: unlock by {ctx.actor} (gid {ctx.gid}) but holder "
                 f"is gid {self._holder_gid}")
         self._holder_gid = 0
-        fl = self._flight
-        if fl is not None:
-            fl.note(ctx.actor, "lock.released", self.name)
+        ctx.emit(ctx.actor, "lock.released", self.name)
 
     @property
     def holder_gid(self) -> int:

@@ -28,7 +28,6 @@ from repro.locks.base import (
     register_lock_type,
 )
 from repro.locks.layout import MCS_DESCRIPTOR_LAYOUT, MCS_LAYOUT
-from repro.obs import MCS_QUEUE_WAIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster, ThreadContext
@@ -167,19 +166,14 @@ class RdmaMcsLock(DistributedLock):
             prev = expected
             if prev != 0:
                 yield from ctx.r_write(prev + OFF_NEXT, desc.ptr)
-                fl = ctx._flight
-                if fl is not None:
-                    fl.note(ctx.actor, "lock.wait", self.name, "locked")
-                sp = (ctx.spans.start(ctx.actor, MCS_QUEUE_WAIT,
-                                      loopback_poll=True)
-                      if ctx.spans.enabled else None)
+                ctx.emit(ctx.actor, "lock.wait", self.name, "locked",
+                         "loopback_poll", True)
                 if self.bug == "lost_wakeup":
                     yield from self._buggy_wait(ctx, desc)
                 else:
                     yield from self._poll(ctx, desc.locked_ptr,
                                           lambda v: v == 0)
-                if sp is not None:
-                    ctx.spans.end(sp)
+                ctx.emit(ctx.actor, "lock.passed", self.name)
                 self.passes += 1
         except BaseException:
             # Failed acquisition (a VerbTimeout from the fault layer, or an
@@ -190,8 +184,6 @@ class RdmaMcsLock(DistributedLock):
         yield from ctx.fence()
         self._sessions[ctx.gid] = desc
         self._note_acquired(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.enter", self.name)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -200,13 +192,9 @@ class RdmaMcsLock(DistributedLock):
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         yield from ctx.fence()
         self._note_released(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.exit", self.name)
         old = yield from ctx.r_cas(self.tail_ptr, desc.ptr, 0)
         if old != desc.ptr:
-            fl = ctx._flight
-            if fl is not None:
-                fl.note(ctx.actor, "lock.wait", self.name, "next")
+            ctx.emit(ctx.actor, "lock.wait", self.name, "next")
             nxt = yield from self._poll(ctx, desc.next_ptr, lambda v: v != 0)
             yield from ctx.r_write(nxt + OFF_LOCKED, 0)
         desc.in_use = False

@@ -68,9 +68,7 @@ class RdmaSpinlock(DistributedLock):
                             self.max_backoff_ns)
                 yield delay
         yield from ctx.fence()
-        self._note_acquired(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.enter", f"{self.name} after {attempts} rCAS")
+        self._note_acquired(ctx, "after %d rCAS", attempts)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -79,8 +77,6 @@ class RdmaSpinlock(DistributedLock):
         yield from ctx.fence()
         # Oracle updated before the release op is issued (see base.py).
         self._note_released(ctx)
-        if ctx.tracer.enabled:
-            ctx.trace("cs.exit", self.name)
         yield from ctx.r_write(self.word_ptr, 0)
 
 

@@ -86,8 +86,7 @@ class BakeryLock(DistributedLock):
                 if ticket == 0 or (ticket, k) > (my_ticket, me):
                     break
         yield from ctx.fence()
-        self._note_acquired(ctx)
-        ctx.trace("cs.enter", f"{self.name} (bakery, ticket {my_ticket})")
+        self._note_acquired(ctx, "(bakery, ticket %d)", my_ticket)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -96,7 +95,6 @@ class BakeryLock(DistributedLock):
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         yield from ctx.fence()
         self._note_released(ctx)
-        ctx.trace("cs.exit", self.name)
         yield from ctx.r_write(self._number_ptrs[slot], 0)
 
 

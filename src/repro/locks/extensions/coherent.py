@@ -82,7 +82,7 @@ class MixedAtomicLock(DistributedLock):
             self.overlap_oracle += 1
         self._holder_gid = ctx.gid
         self.acquisitions += 1
-        ctx.trace("cs.enter", f"{self.name} (mixedcas)")
+        ctx.emit(ctx.actor, "lock.acquired", self.name, "(mixedcas)")
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -91,7 +91,7 @@ class MixedAtomicLock(DistributedLock):
         yield from ctx.fence()
         self._in_cs -= 1
         self._holder_gid = 0
-        ctx.trace("cs.exit", self.name)
+        ctx.emit(ctx.actor, "lock.released", self.name)
         if ctx.is_local(self.word_ptr):
             yield from ctx.write(self.word_ptr, 0)
         else:

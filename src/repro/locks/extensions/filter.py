@@ -92,8 +92,7 @@ class FilterLock(DistributedLock):
                 if not blocked:
                     break
         yield from ctx.fence()
-        self._note_acquired(ctx)
-        ctx.trace("cs.enter", f"{self.name} (filter, slot {me})")
+        self._note_acquired(ctx, "(filter, slot %d)", me)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
@@ -102,7 +101,6 @@ class FilterLock(DistributedLock):
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         yield from ctx.fence()
         self._note_released(ctx)
-        ctx.trace("cs.exit", self.name)
         yield from ctx.r_write(self._level_ptrs[slot], 0)
 
 

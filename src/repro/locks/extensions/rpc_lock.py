@@ -110,15 +110,13 @@ class RpcLock(DistributedLock):
             ("lock", self.lock_id, ctx.gid))
         if reply != "granted":  # pragma: no cover - defensive
             raise ProtocolError(f"{self.name}: unexpected reply {reply!r}")
-        self._note_acquired(ctx)
-        ctx.trace("cs.enter", f"{self.name} (rpc)")
+        self._note_acquired(ctx, "(rpc)")
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
         if self.holder_gid != ctx.gid:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         self._note_released(ctx)
-        ctx.trace("cs.exit", self.name)
         reply = yield from self.service.transport.call(
             ctx.node_id, ctx.thread_id, self.home_node,
             ("unlock", self.lock_id, ctx.gid))

@@ -125,9 +125,7 @@ class DistributedLockTable:
                 # One holder sat on the lock for a full lease: stalled.
                 self.lease_expirations += 1
                 self.degraded_entries.add(index)
-                fl = self.cluster.flight
-                if fl is not None:
-                    fl.note(ctx.actor, "lease.expired", lock.name, holder)
+                ctx.emit(ctx.actor, "lease.expired", lock.name, holder)
                 # Freeze the evidence: a lease expiry is a failure even
                 # though the run continues degraded.
                 from repro.obs.postmortem import dump_json, snapshot

@@ -1,139 +1,64 @@
-"""Always-on flight recorder: a bounded ring of protocol events.
+"""The ring view: the always-on, backward-looking window of the log.
 
-Unlike the opt-in spans/metrics of PR 3 (forward-looking, sized for
-analysis), the flight recorder is the *backward-looking* half of the
-observability story: a fixed-capacity ``deque`` of plain tuples that is
-on for every cluster and cheap enough to forget about.  When anything
-fails — sim deadlock, schedcheck stall, crashed sweep cell, lease
-expiry — the post-mortem engine (:mod:`repro.obs.postmortem`) freezes
-the last-N window of this ring into the dump, so every failure carries
-the protocol history that led up to it.
+At the default level the cluster's event log (:mod:`repro.obs.log`) *is*
+a 1024-entry ring of protocol chokepoints — verb issue/timeout, lock
+transitions, descriptor arming, fault injections, lease expiry,
+schedule tie-breaks — and when anything fails (sim deadlock, schedcheck
+stall, crashed sweep cell, lease expiry) the post-mortem engine
+(:mod:`repro.obs.postmortem`) freezes its last-N window into the dump.
+At a higher level the log keeps more; this view still shows the same
+thing — the last :data:`~repro.obs.log.RING_CAPACITY` ring-level events
+with their ring-level fields — so a post-mortem reads the same whether
+or not the run was traced.
 
-Cost discipline (the <3% budget gated by ``bench_obs`` and the CI bench
-baseline):
-
-* one tuple + one ``deque.append`` per note — eviction is C-speed via
-  ``maxlen``, never a Python branch;
-* notes only at protocol chokepoints (verb issue/timeout, lock
-  transitions, descriptor lifecycle, fault injections, lease expiry,
-  schedule tie-breaks) — never per sim event;
-* every call site guards on ``recorder is not None`` (the
-  guarded-trace-site pattern from the PR 5 hot-path pass, enforced by
-  simlint's ``guarded-trace-site`` rule), so raw-``Environment`` code
-  paths and flight-off benchmark runs pay a single attribute test.
-
-Event vocabulary (the ``kind`` strings):
-
-==================  ====================================================
-``verb.issue``      an RDMA verb left a thread (detail: verb, dst node)
-``verb.timeout``    retry budget exhausted (detail: verb)
-``fault.drop``      injector dropped a verb (detail: verb, cause)
-``fault.delay``     injector delayed a verb (detail: verb, delay ns)
-``fault.stall``     injector froze a holder (detail: stall ns)
-``lock.acquired``   lock handover observed (detail: lock name)
-``lock.released``   lock released (detail: lock name)
-``desc.begin``      queue descriptor armed (detail: desc label) —
-                    retirement is implied by the label's next begin
-``lease.expired``   locktable lease ran out (detail: lock name)
-``sched.tiebreak``  policy chose among same-time events (detail: index,
-                    fanout) — policy runs only, actor ``"sched"``
-==================  ====================================================
+Why 1024: the ring's retained tuples are the log's cache-resident
+footprint, and a capacity sweep on the CI bench workload showed the
+wall overhead tracking capacity (4096 ≈ 6%, 1024 ≈ 3.5%, 256 ≈ 2.5%
+paired-median delta) while the pure append cost stayed ~1% — eviction
+pressure, not appends, is what a too-large ring buys.  It still covers
+hundreds of lock handovers, far more than any post-mortem window needs.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
+from typing import NamedTuple, Optional
 
-#: Default ring capacity.  1024 events still cover hundreds of lock
-#: handovers of history — far more than any post-mortem window needs —
-#: and the size matters for speed, not just memory: the ring's retained
-#: tuples are the recorder's cache-resident footprint, and a capacity
-#: sweep on the CI bench workload showed the wall overhead tracking
-#: capacity (4096 ≈ 6%, 1024 ≈ 3.5%, 256 ≈ 2.5% paired-median delta)
-#: while the pure ``note()`` cost stayed ~1% — eviction pressure, not
-#: appends, is what a too-large ring buys.
-DEFAULT_CAPACITY = 1024
+from repro.obs.log import RING, RING_ARITY, RING_CAPACITY, VOCABULARY, EventLog
 
 
-class FlightEvent(tuple):
-    """A recorded note: ``(t_ns, actor, kind, detail)``.
+class FlightEvent(NamedTuple):
+    """One ring event."""
 
-    Kept as a tuple subclass (not a dataclass) so recording stays a bare
-    tuple allocation; the named accessors exist for readers only.
-    """
-
-    __slots__ = ()
-
-    @property
-    def t_ns(self) -> float:
-        return self[0]
-
-    @property
-    def actor(self) -> str:
-        return self[1]
-
-    @property
-    def kind(self) -> str:
-        return self[2]
-
-    @property
-    def detail(self) -> tuple:
-        return self[3]
+    t_ns: float
+    actor: str
+    kind: str
+    detail: tuple
 
 
-class FlightRecorder:
-    """Bounded, allocation-light ring of :class:`FlightEvent` tuples.
+class RingView:
+    """Read side of the ring: windows, last actions, kind filters."""
 
-    Args:
-        env: simulation environment (timestamps come from ``env.now``).
-        capacity: ring size; oldest events are evicted in C.
-    """
+    __slots__ = ("_log",)
 
-    __slots__ = ("env", "capacity", "_ring", "_append")
-
-    def __init__(self, env, capacity: int = DEFAULT_CAPACITY):
-        if capacity <= 0:
-            raise ValueError(f"flight ring capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self._append = self._ring.append
-
-    # -- recording (the hot side) --------------------------------------
-    def note(self, actor: str, kind: str, *detail: object) -> None:
-        """Append one event.  Call sites guard on ``recorder is not
-        None`` so this body never needs its own enabled test.  Reads the
-        clock via ``env._now`` (not the ``now`` property) and appends
-        through a pre-bound method: this body is the recorder's entire
-        steady-state cost, paid a few thousand times per run."""
-        self._append((self.env._now, actor, kind, detail))
-
-    # -- reading (the cold side) ---------------------------------------
-    def __len__(self) -> int:
-        return len(self._ring)
+    def __init__(self, log: EventLog):
+        self._log = log
 
     def window(self, last: Optional[int] = None) -> list[FlightEvent]:
-        """The most recent ``last`` events, oldest first (whole ring if
-        ``last`` is None or exceeds the ring)."""
-        ring = self._ring
-        if last is None or last >= len(ring):
-            return [FlightEvent(e) for e in ring]
-        # deque slicing is unsupported; islice from the left is O(n) —
-        # fine on the cold read side.
-        start = len(ring) - last
-        return [FlightEvent(e) for i, e in enumerate(ring) if i >= start]
+        """The most recent ``last`` ring events, oldest first (the whole
+        ring if ``last`` is None or exceeds it)."""
+        ring = [FlightEvent(t, actor, kind, fields[:RING_ARITY.get(kind)])
+                for t, actor, kind, fields in self._log
+                if VOCABULARY.get(kind, RING) == RING][-RING_CAPACITY:]
+        return ring if last is None else ring[max(len(ring) - last, 0):]
+
+    def __len__(self) -> int:
+        return len(self.window())
 
     def last_actions(self) -> dict[str, FlightEvent]:
         """Each actor's most recent event, keyed by actor, sorted keys."""
-        latest: dict[str, FlightEvent] = {}
-        for e in self._ring:
-            latest[e[1]] = FlightEvent(e)
+        latest = {e.actor: e for e in self.window()}
         return {actor: latest[actor] for actor in sorted(latest)}
 
     def filtered(self, kind_prefix: str) -> list[FlightEvent]:
         """Events whose kind starts with ``kind_prefix``, oldest first."""
-        return [FlightEvent(e) for e in self._ring if e[2].startswith(kind_prefix)]
-
-    def clear(self) -> None:
-        self._ring.clear()
+        return [e for e in self.window() if e.kind.startswith(kind_prefix)]

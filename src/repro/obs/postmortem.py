@@ -1,7 +1,7 @@
 """Failure snapshots: freeze the evidence at the moment something breaks.
 
 A *post-mortem dump* is a plain-JSON snapshot assembled from things the
-simulation already tracks — the flight ring
+simulation already tracks — the ring view of the event log
 (:mod:`repro.obs.flight`), the process registry's parked-on
 descriptions, the lock oracle state, and the labeled protocol words —
 taken when a failure is detected: sim deadlock, schedcheck
@@ -158,9 +158,9 @@ def snapshot(cluster, *, reason: str, detail: str = "", table=None,
     # The frozen event timeline is bounded to ``window``, but the
     # wait-for graph scans the whole ring: a hot spinner's verb events
     # can evict another client's lock.wait from the tail window.
-    all_events = flight.window() if flight is not None else []
+    all_events = flight.window()
     events = all_events[-window:] if window else all_events
-    last = flight.last_actions() if flight is not None else {}
+    last = flight.last_actions()
 
     processes = []
     for p in env.alive_processes():

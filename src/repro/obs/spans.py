@@ -1,32 +1,32 @@
-"""Typed trace spans: the protocol interior as a tree of timed intervals.
+"""The span view: the protocol interior as a tree of timed intervals.
 
 A :class:`Span` is a named, sim-clock-timed interval attributed to one
-actor (``"t1@n0"``).  Spans nest: the recorder keeps one open-span stack
-per actor, so a verb issued while a lock acquisition is in flight
-becomes a *child* of that acquisition — one lock operation is a span
-tree (``lock.acquire`` → ``mcs.queue_wait`` / ``peterson.compete`` →
-``verb.rtt`` → ``fault.retry``).
+actor (``"t1@n0"``).  Spans nest: a verb issued while a lock acquisition
+is in flight is a *child* of that acquisition — one lock operation is a
+span tree (``lock.acquire`` → ``mcs.queue_wait`` / ``peterson.compete``
+→ ``verb.rtt`` → ``fault.retry``).
+
+Nothing records spans.  :class:`SpanView` *replays* the begin/end
+events of the cluster's log (:mod:`repro.obs.log`, kept at the
+``INTERVALS`` level) through one open-span stack per actor: the outer
+intervals (``lock.acquire``/``lock.release``, ``verb.rtt``,
+``fault.retry``) are explicit ``span.begin``/``span.end`` events from
+the two timing wrappers, the inner ones are the protocol's own steps —
+a timed ``lock.wait`` opens the wait's span, and ``mcs.passed``,
+``mcs.pass`` and ``peterson.acquired`` close it.
 
 Span names are dotted and typed — the constants below are the
-vocabulary the locks, verbs and fault layer emit, and the phase
-decomposition (:mod:`repro.obs.phases`) and exporters
-(:mod:`repro.obs.export`) consume.
-
-Cost discipline: when the recorder is disabled (the default), call
-sites guard on :attr:`SpanRecorder.enabled` and skip the call entirely,
-so the hot path pays one attribute read and allocates nothing.  When
-enabled, all timing comes from ``env.now`` — recording never advances
-the simulation, so an instrumented run produces bit-identical timelines
-to an uninstrumented one.
+vocabulary the phase decomposition (:mod:`repro.obs.phases`) and the
+exporters (:mod:`repro.obs.export`) consume.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.core import Environment
+from repro.obs.log import INTERVALS, EventLog
 
 # -- span vocabulary --------------------------------------------------------
 #: one full lock acquisition: ``Lock()`` entry to critical-section entry.
@@ -76,91 +76,102 @@ class Span:
                 f"{self.name:<18} {self.attrs}")
 
 
-class SpanRecorder:
-    """Bounded collector of finished spans + per-actor open-span stacks.
+#: attribute names of the positional ``span.begin`` / ``span.end`` fields.
+_BEGIN_ATTRS = {
+    LOCK_ACQUIRE: ("lock", "kind", "home"),
+    LOCK_RELEASE: ("lock", "kind", "home"),
+    VERB_RTT: ("verb", "dst", "loopback"),
+    FAULT_RETRY: ("verb", "transmission"),
+}
+_END_ATTRS = {
+    LOCK_ACQUIRE: ("outcome",),
+    LOCK_RELEASE: ("outcome",),
+    VERB_RTT: ("outcome",),
+    FAULT_RETRY: ("timeout_ns",),
+}
 
-    Attributes:
-        enabled: master switch.  Call sites must check it before calling
-            :meth:`start` so the disabled path allocates nothing.
-        capacity: maximum retained *finished* spans (oldest dropped
-            first; :attr:`dropped` counts evictions).
+#: the span a timed ``lock.wait`` opens, by the word waited on.
+_WAIT_SPAN = {
+    "budget": MCS_QUEUE_WAIT,
+    "locked": MCS_QUEUE_WAIT,
+    "next": COHORT_HANDOVER,
+    "peterson-local": PETERSON_COMPETE,
+    "peterson-remote": PETERSON_COMPETE,
+}
+
+
+class SpanView:
+    """Spans of the cluster's log, rebuilt on demand.
+
+    Empty below the ``INTERVALS`` level (``ObsConfig(spans=True)``).  A
+    non-zero ``log.dropped`` means the oldest spans are missing or lost
+    their beginning.
     """
 
-    def __init__(self, env: Environment, capacity: int = 1 << 18,
-                 enabled: bool = False):
-        self.env = env
-        self.enabled = enabled
-        self.capacity = capacity
-        self._finished: deque = deque(maxlen=capacity)
-        self._open: dict[str, list[Span]] = {}
-        self._next_id = 1
-        self.dropped = 0
+    __slots__ = ("_log",)
 
-    # -- recording ---------------------------------------------------------
-    def start(self, actor: str, name: str, **attrs) -> Optional[Span]:
-        """Open a span; it becomes the parent of later starts by the same
-        actor until ended.  Returns None when disabled (callers should
-        guard on :attr:`enabled` instead to skip the call outright)."""
-        if not self.enabled:
-            return None
-        stack = self._open.get(actor)
-        if stack is None:
-            stack = self._open[actor] = []
-        parent = stack[-1].span_id if stack else 0
-        span = Span(self._next_id, parent, name, actor, self.env.now,
-                    attrs=attrs)
-        self._next_id += 1
-        stack.append(span)
-        return span
+    def __init__(self, log: EventLog):
+        self._log = log
 
-    def end(self, span: Optional[Span], **attrs) -> None:
-        """Close ``span`` at the current sim time.  ``None`` is a no-op so
-        callers can hold a maybe-disabled handle.  Any spans the actor
-        left open *above* this one (an aborted interior) are closed with
-        it, keeping the stack consistent after exceptions."""
-        if span is None:
-            return
-        stack = self._open.get(span.actor)
-        if stack and span in stack:
-            while stack:
-                top = stack.pop()
-                if top is span:
-                    break
-                self._finish(top, {"outcome": "abandoned"})
-        if attrs:
-            span.attrs.update(attrs)
-        self._finish(span, None)
+    def _replay(self) -> tuple[list[Span], dict[str, list[Span]]]:
+        """(finished spans in end order, open stacks by actor)."""
+        finished: list[Span] = []
+        stacks: dict[str, list[Span]] = {}
+        if self._log.level < INTERVALS:
+            return finished, stacks
+        ids = itertools.count(1)
 
-    def annotate(self, actor: str, **attrs) -> None:
-        """Attach attributes to the actor's innermost open span (no-op if
-        disabled or nothing is open)."""
-        if not self.enabled:
-            return
-        stack = self._open.get(actor)
-        if stack:
-            stack[-1].attrs.update(attrs)
+        def begin(t: float, actor: str, name: str, attrs: dict) -> None:
+            stack = stacks.setdefault(actor, [])
+            parent = stack[-1].span_id if stack else 0
+            stack.append(Span(next(ids), parent, name, actor, t, attrs=attrs))
 
-    def _finish(self, span: Span, extra: Optional[dict]) -> None:
-        span.end_ns = self.env.now
-        if extra:
-            span.attrs.update(extra)
-        if len(self._finished) == self._finished.maxlen:
-            self.dropped += 1
-        self._finished.append(span)
+        def end(t: float, actor: str, name: str, attrs: dict) -> None:
+            # Ends the actor's innermost open ``name``; whatever it left
+            # open above (an interior unwound by an exception) ends with
+            # it, marked abandoned.  An end with no open span — a step
+            # reported outside a timed wait — is not an interval.
+            stack = stacks.get(actor, ())
+            if not any(s.name == name for s in stack):
+                return
+            while True:
+                span = stack.pop()
+                span.end_ns = t
+                finished.append(span)
+                if span.name == name:
+                    span.attrs.update(attrs)
+                    return
+                span.attrs["outcome"] = "abandoned"
 
-    # -- access ------------------------------------------------------------
+        for t, actor, kind, fields in self._log:
+            if kind == "span.begin":
+                name = fields[0]
+                begin(t, actor, name, dict(zip(_BEGIN_ATTRS[name], fields[1:])))
+            elif kind == "span.end":
+                name = fields[0]
+                end(t, actor, name, dict(zip(_END_ATTRS[name], fields[1:])))
+            elif kind == "lock.wait":
+                if len(fields) == 4:  # a timed wait: (lock, word, attr, value)
+                    begin(t, actor, _WAIT_SPAN[fields[1]], {fields[2]: fields[3]})
+            elif kind == "mcs.passed":
+                end(t, actor, MCS_QUEUE_WAIT, {"budget": fields[2]})
+            elif kind == "lock.passed":
+                end(t, actor, MCS_QUEUE_WAIT, {})
+            elif kind == "mcs.pass":
+                end(t, actor, COHORT_HANDOVER, {"budget": fields[2]})
+            elif kind == "peterson.acquired":
+                end(t, actor, PETERSON_COMPETE,
+                    dict(zip(("via", "spins"), fields[2:])))
+            elif kind == "desc.begin" and stacks.get(actor):
+                # arming a cohort's descriptor classifies the acquisition
+                stacks[actor][-1].attrs["cohort"] = fields[1]
+        return finished, stacks
+
     def spans(self) -> list[Span]:
         """Finished spans, in end order."""
-        return list(self._finished)
+        return self._replay()[0]
 
     def open_spans(self) -> list[Span]:
         """Spans still open (e.g. clients abandoned mid-op at window end),
-        in deterministic (actor-insertion, stack) order."""
-        return [s for stack in self._open.values() for s in stack]
-
-    def __len__(self) -> int:
-        return len(self._finished)
-
-    def clear(self) -> None:
-        self._finished.clear()
-        self._open.clear()
+        in deterministic (actor-first-seen, stack) order."""
+        return [s for stack in self._replay()[1].values() for s in stack]

@@ -63,8 +63,7 @@ class RdmaNetwork:
                  auditor: Optional[RaceAuditor] = None,
                  jitter_rng: Optional[np.random.Generator] = None,
                  injector: Optional[FaultInjector] = None,
-                 obs: Optional[Observability] = None,
-                 flight=None):
+                 obs: Optional[Observability] = None):
         self.env = env
         self.config = config
         self.regions = regions
@@ -72,14 +71,17 @@ class RdmaNetwork:
         self.nics = [Rnic(env, i, config.nic) for i in range(len(regions))]
         self._jitter_rng = jitter_rng
         self.injector = injector
-        # flight recorder: consulted only on the cold retry/timeout path
-        # (per-verb issue notes live in ThreadContext, where the actor
-        # string is precomputed)
-        self._flight = flight
-        # observability: span recorder handle + pre-built RTT histograms
-        # (None when disabled — the hot path checks one attribute).
-        self._spans = obs.spans if obs is not None else None
-        if obs is not None and obs.metrics.enabled:
+        # A network built without a cluster (unit tests) gets its own
+        # ring-level log.  Verbs are reported here only on the cold
+        # retry/timeout path and inside the timing wrapper (per-verb
+        # issue events live in ThreadContext, where the actor string is
+        # precomputed).
+        if obs is None:
+            obs = Observability(env)
+        self._emit = obs.log.emit
+        self._node_actors = [f"n{i}" for i in range(len(regions))]
+        # pre-built RTT histograms (None when metrics are off)
+        if obs.metrics.enabled:
             self._h_rtt = {
                 (v, lb): obs.metrics.histogram(
                     "verb.rtt_ns", verb=v,
@@ -88,10 +90,10 @@ class RdmaNetwork:
             }
         else:
             self._h_rtt = None
-        # computed once: with everything off the verbs skip the
-        # _observed wrapper frame and run the exact pre-obs code path
-        self._obs_on = ((self._spans is not None and self._spans.enabled)
-                        or self._h_rtt is not None)
+        # computed once: unless the cluster times intervals or collects
+        # metrics the verbs skip the _observed wrapper frame and run the
+        # exact pre-obs code path
+        self._obs_on = obs.enabled
         # Per-verb latency parameters cached off the (immutable) config:
         # every verb consults the fabric latency twice per round trip, and
         # the config-object attribute chain is hot enough to matter.
@@ -147,8 +149,10 @@ class RdmaNetwork:
         ``attempt`` is a zero-argument generator function performing the
         full fault-free round trip; it is invoked at most once (losses
         hang *instead of* executing, mirroring request-path drops).
-        ``actor`` is non-None only when span recording is on; each
-        retransmission wait then becomes a ``fault.retry`` child span.
+        ``actor`` is the issuing thread when the call comes through the
+        timing wrapper, and each retransmission wait is then a
+        ``fault.retry`` interval; without the wrapper nothing keeps
+        interval events, so nobody misses the name.
         """
         inj = self.injector
         if inj is None:
@@ -163,22 +167,17 @@ class RdmaNetwork:
                 return (yield from attempt())
             # Dropped: the doomed transmission still occupies real NIC
             # resources; the requester times out and kills it mid-flight.
-            retry_sp = (self._spans.start(actor, FAULT_RETRY, verb=verb,
-                                          transmission=transmission)
-                        if actor is not None else None)
+            self._emit(actor, "span.begin", FAULT_RETRY, verb, transmission)
             ghost = self.env.process(
                 self._lost_transmission(qp, src_nic, loopback),
                 name=f"{verb}-lost-tx")
             yield float(timeout_ns)
             ghost.interrupt("verb-timeout")
             inj.note_retry(verb)
-            if retry_sp is not None:
-                self._spans.end(retry_sp, timeout_ns=timeout_ns)
+            self._emit(actor, "span.end", FAULT_RETRY, timeout_ns)
             timeout_ns *= plan.retry_backoff
         inj.note_verb_timeout(verb)
-        fl = self._flight
-        if fl is not None:
-            fl.note(f"n{src_node}", "verb.timeout", verb, dst)
+        self._emit(self._node_actors[src_node], "verb.timeout", verb, dst)
         raise VerbTimeout(
             f"{verb} to node {dst} lost {plan.retry_limit} transmissions "
             f"(retry budget exhausted)",
@@ -186,16 +185,11 @@ class RdmaNetwork:
 
     def _observed(self, verb: str, src_node: int, src_thread: int, dst: int,
                   qp: tuple, src_nic: Rnic, loopback: bool, attempt):
-        """Wrap one verb round trip in a ``verb.rtt`` span and RTT
-        histogram sample.  With observability off this adds two attribute
-        reads and no allocation."""
-        spans = self._spans
-        actor = None
-        sp = None
-        if spans is not None and spans.enabled:
-            actor = f"t{src_thread}@n{src_node}"
-            sp = spans.start(actor, VERB_RTT, verb=verb, dst=dst,
-                             loopback=loopback)
+        """Time one verb round trip as a ``verb.rtt`` interval and RTT
+        histogram sample.  Only entered on a cluster that times intervals
+        or collects metrics (``_obs_on``)."""
+        actor = f"t{src_thread}@n{src_node}"
+        self._emit(actor, "span.begin", VERB_RTT, verb, dst, loopback)
         h = self._h_rtt
         t0 = self.env.now if h is not None else 0.0
         try:
@@ -203,11 +197,9 @@ class RdmaNetwork:
                                               src_nic, loopback, attempt,
                                               actor)
         except VerbTimeout:
-            if sp is not None:
-                spans.end(sp, outcome="timeout")
+            self._emit(actor, "span.end", VERB_RTT, "timeout")
             raise
-        if sp is not None:
-            spans.end(sp, outcome="ok")
+        self._emit(actor, "span.end", VERB_RTT, "ok")
         if h is not None:
             h[(verb, loopback)].observe(self.env.now - t0)
         return result

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.common.trace import TraceEvent
+from repro.obs.trace import TraceEvent
 from repro.schedcheck.history import HistoryRecorder
 from repro.schedcheck.linearize import CounterModel, KvModel, check_history
 

@@ -52,7 +52,7 @@ from typing import Any, Callable, Generator, Iterable, Optional, Protocol
 from repro.common.errors import ConfigError, SimulationError
 
 __all__ = [
-    "PENDING", "Interrupt", "FlightLike",
+    "PENDING", "Interrupt", "EmitLike",
     "Event", "Timeout", "Process", "AnyOf", "AllOf",
     "Environment", "core_info",
 ]
@@ -60,15 +60,17 @@ __all__ = [
 _INF = float("inf")
 
 
-class FlightLike(Protocol):
-    """Sink for flight-recorder notes (see :mod:`repro.obs.flight`).
+class EmitLike(Protocol):
+    """The ``emit`` of a protocol event log (see :mod:`repro.obs.log`).
 
-    The engine stays ignorant of the recorder's implementation; it only
-    needs somewhere to note schedule tie-breaks, which exist solely on
-    the policy path, so the default dispatch loop never pays for it.
+    The engine sits below the log's package and stays ignorant of it; it
+    only needs somewhere to report schedule tie-breaks, which exist
+    solely on the policy path, so the default dispatch loop never pays
+    for it — and a bare :class:`Environment` has no log at all, which is
+    why this one sink stays optional.
     """
 
-    def note(self, actor: str, kind: str, *detail: object) -> None: ...
+    def __call__(self, actor: str, kind: str, *fields: object) -> None: ...
 
 
 class _Pending:
@@ -311,6 +313,17 @@ class Process(Event):
         """
         if not self.is_alive:
             return
+        self._unpark()
+        kick = Event(self.env)
+        kick._value = Interrupt(cause)
+        kick._ok = False
+        self.env._schedule(kick)
+        assert kick.callbacks is not None
+        kick.callbacks.append(self._interrupted)
+
+    def _unpark(self) -> None:
+        """Withdraw from whatever the process is parked on: its wake-up,
+        if it still comes, must not resume the process."""
         target = self._waiting_on
         if isinstance(target, _Sleep):
             target.seq = 0  # disarm: the stale slot dispatches as a no-op
@@ -320,12 +333,16 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
-        kick = Event(self.env)
-        kick._value = Interrupt(cause)
-        kick._ok = False
-        self.env._schedule(kick)
-        assert kick.callbacks is not None
-        kick.callbacks.append(self._resume_cb)
+
+    def _interrupted(self, kick: Event) -> None:
+        """Deliver an interrupt's kick.  Since :meth:`interrupt` ran the
+        process may have been resumed by an earlier kick and parked
+        again (two interrupts in one tick, or one it sent itself), so it
+        is withdrawn from where it is parked *now* — otherwise that wait
+        would later resume it a second time."""
+        if self.is_alive:
+            self._unpark()
+            self._resume(kick)
 
     def _resume(self, event: "Event | _Sleep") -> None:
         self._waiting_on = None
@@ -504,9 +521,9 @@ class Environment:
         self._policy: Optional[SchedulePolicyLike] = None
         self._sched_log: list[int] = []
         self._sched_fanout: list[int] = []
-        # flight-recorder hook: only the policy step consults it, so the
-        # no-policy hot loop is untouched (see FlightLike)
-        self.flight: Optional[FlightLike] = None
+        # event-log hook: only the policy step consults it, so the
+        # no-policy hot loop is untouched (see EmitLike)
+        self.emit: Optional[EmitLike] = None
         # process registry for deadlock diagnostics / schedule policies
         self._procs: list[Process] = []
         self._next_pid = 0
@@ -663,9 +680,9 @@ class Environment:
                     f"{n_ready} ready events")
             self._sched_log.append(idx)
             self._sched_fanout.append(n_ready)
-            fl = self.flight
-            if fl is not None:
-                fl.note("sched", "sched.tiebreak", idx, n_ready)
+            emit = self.emit
+            if emit is not None:
+                emit("sched", "sched.tiebreak", idx, n_ready)
         if idx:
             entry = nowq.pop(nh + idx)
         else:

@@ -65,7 +65,7 @@ class RunResult:
     #: fault-layer counters (injector + lock-table recovery + client
     #: outcomes); empty when the run had no active FaultPlan.
     fault_stats: dict = field(default_factory=dict)
-    #: finished typed spans from the run's SpanRecorder (empty unless the
+    #: finished spans replayed from the run's event log (empty unless the
     #: cluster was built with ObsConfig(spans=True)).
     spans: list = field(default_factory=list)
     #: MetricsRegistry.collect() tree snapshot taken at run end (empty

@@ -239,27 +239,6 @@ class TestWaitLocal:
         cluster.run()
         assert got["v"] == 3
 
-    def test_wait_local_any_identifies_writer(self, cluster):
-        ctx = cluster.thread_ctx(0, 0)
-        other = cluster.thread_ctx(0, 1)
-        p1 = cluster.alloc_on(0, 64)
-        p2 = cluster.alloc_on(0, 64)
-        got = {}
-
-        def spin():
-            ptr, raw = yield from ctx.wait_local_any([p1, p2])
-            got["ptr"] = ptr
-            got["raw"] = raw
-
-        def write():
-            yield cluster.env.timeout(50)
-            yield from other.write(p2, 4)
-
-        cluster.env.process(spin())
-        cluster.env.process(write())
-        cluster.run()
-        assert got == {"ptr": p2, "raw": 4}
-
 
 class TestLocality:
     def test_is_local(self, cluster):

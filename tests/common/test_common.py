@@ -1,4 +1,4 @@
-"""Tests for ids, RNG streams, and the trace buffer."""
+"""Tests for ids, RNG streams, and the protocol trace view."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,10 @@ from repro.common.ids import (
     split_global_thread_id,
 )
 from repro.common.rng import RngStreams, derive_seed
-from repro.common.trace import TraceBuffer, TraceEvent
+from repro.obs import log as event_log
+from repro.obs.log import PROTOCOL, RING, EventLog
+from repro.obs.trace import TraceEvent, TraceView
+from repro.sim import Environment
 
 
 class TestGlobalThreadIds:
@@ -120,57 +123,108 @@ class TestRngStreams:
 
 
 class TestTraceBuffer:
+    """The trace view over the cluster's event log (it used to be a
+    buffer of its own; the ids are kept so the history stays
+    comparable)."""
+
+    @staticmethod
+    def traced(level=PROTOCOL):
+        log = EventLog(Environment(), level)
+        return log, TraceView(log)
+
     def test_disabled_by_default(self):
-        buf = TraceBuffer()
-        buf.emit(1.0, "t", "kind")
-        assert len(buf) == 0
+        log, tracer = self.traced(level=RING)
+        log.emit("t", "mcs.swap", "l0", "local", 0)    # dropped by the log
+        log.emit("t", "lock.acquired", "l0")           # kept, for the ring
+        assert len(log) == 1 and len(tracer) == 0
 
     def test_emit_and_iterate(self):
-        buf = TraceBuffer(enabled=True)
-        buf.emit(1.0, "t0", "lock", "detail")
-        buf.emit(2.0, "t1", "unlock")
-        events = list(buf)
-        assert [e.kind for e in events] == ["lock", "unlock"]
+        log, tracer = self.traced()
+        log.emit("t0", "lock.acquired", "l0")
+        log.emit("t1", "lock.released", "l0")
+        events = list(tracer)
+        assert [e.kind for e in events] == ["cs.enter", "cs.exit"]
+        assert all(isinstance(e, TraceEvent) for e in events)
 
-    def test_capacity_ring(self):
-        buf = TraceBuffer(capacity=3, enabled=True)
+    def test_details_are_rendered_on_the_read_side(self):
+        """The lock code reports raw fields; every legacy detail string
+        comes out of the view's per-kind table."""
+        log, tracer = self.traced()
+        log.emit("t", "mcs.swap", "l0", "remote", 0)
+        log.emit("t", "lock.wait", "l0", "peterson-remote", "cohort", "remote")
+        log.emit("t", "lock.wait", "l0", "budget", "cohort", "remote")  # untraced
+        log.emit("t", "peterson.acquired", "l0", "remote", "not-victim", 3)
+        log.emit("t", "peterson.acquired", "l0", "local", "remote-unlocked")
+        log.emit("t", "mcs.passed", "l0", "local", 4)
+        log.emit("t", "mcs.pass", "l0", "local", 3)
+        log.emit("t", "mcs.release", "l0", "local", "tail cleared")
+        log.emit("t", "lock.acquired", "l0", "after %d rCAS", 2)
+        log.emit("t", "lock.acquired", "l0", "(rpc)")
+        log.emit("t", "tas.spin", "l0", 7)             # a user lock's own kind
+        assert [(e.kind, e.detail) for e in tracer] == [
+            ("mcs.swap", "l0 cohort=REMOTE prev=rdma_ptr(NULL)"),
+            ("peterson.enter", "l0 cohort=REMOTE"),
+            ("peterson.acquired", "l0 cohort=REMOTE via not-victim after 3 spins"),
+            ("peterson.acquired", "l0 cohort=LOCAL via remote-unlocked"),
+            ("mcs.passed", "l0 cohort=LOCAL budget=4"),
+            ("mcs.pass", "l0 cohort=LOCAL -> budget 3"),
+            ("mcs.release", "l0 cohort=LOCAL tail cleared"),
+            ("cs.enter", "l0 after 2 rCAS"),
+            ("cs.enter", "l0 (rpc)"),
+            ("tas.spin", "l0 7"),
+        ]
+
+    def test_capacity_ring(self, monkeypatch):
+        monkeypatch.setattr(event_log, "LOG_CAPACITY", 3)
+        log, tracer = self.traced()
         for i in range(5):
-            buf.emit(float(i), "t", f"k{i}")
-        assert [e.kind for e in buf] == ["k2", "k3", "k4"]
+            log.emit("t", "lock.acquired", f"l{i}")
+        assert [e.detail for e in tracer] == ["l2", "l3", "l4"]
 
     def test_filtered_by_actor_and_kind(self):
-        buf = TraceBuffer(enabled=True)
-        buf.emit(1.0, "a", "mcs.swap")
-        buf.emit(2.0, "b", "mcs.pass")
-        buf.emit(3.0, "a", "peterson.enter")
-        assert len(buf.filtered(actor="a")) == 2
-        assert len(buf.filtered(kind="mcs")) == 2
-        assert len(buf.filtered(actor="a", kind="mcs")) == 1
+        log, tracer = self.traced()
+        log.emit("a", "mcs.swap", "l0", "local", 0)
+        log.emit("b", "mcs.pass", "l0", "local", 1)
+        log.emit("a", "peterson.acquired", "l0", "local", "not-victim")
+        assert len(tracer.filtered(actor="a")) == 2
+        assert len(tracer.filtered(kind="mcs")) == 2
+        assert len(tracer.filtered(actor="a", kind="mcs")) == 1
 
     def test_filtered_actor_prefix_match(self):
-        buf = TraceBuffer(enabled=True)
-        buf.emit(1.0, "t0@n0", "lock")
-        buf.emit(2.0, "t0@n1", "lock")
-        buf.emit(3.0, "t1@n0", "lock")
+        log, tracer = self.traced()
+        log.emit("t0@n0", "lock.acquired", "l0")
+        log.emit("t0@n1", "lock.acquired", "l1")
+        log.emit("t1@n0", "lock.acquired", "l2")
         # prefix semantics: all of node-thread t0's events, any node
-        assert len(buf.filtered(actor="t0")) == 2
-        assert len(buf.filtered(actor="t0@n1")) == 1
-        assert len(buf.filtered(actor="t9")) == 0
+        assert len(tracer.filtered(actor="t0")) == 2
+        assert len(tracer.filtered(actor="t0@n1")) == 1
+        assert len(tracer.filtered(actor="t9")) == 0
 
-    def test_capacity_enforced_by_deque(self):
-        # the ring is a bounded deque, not a manually trimmed list
-        buf = TraceBuffer(capacity=2, enabled=True)
-        assert buf._events.maxlen == 2
+    def test_capacity_enforced_by_deque(self, monkeypatch):
+        # the log is a bounded deque, not a manually trimmed list; what
+        # it evicts is accounted for
+        monkeypatch.setattr(event_log, "LOG_CAPACITY", 2)
+        log, tracer = self.traced()
+        assert log._events.maxlen == 2
         for i in range(4):
-            buf.emit(float(i), "t", f"k{i}")
-        assert [e.kind for e in buf] == ["k2", "k3"]
-        assert len(buf) == 2
+            log.emit("t", "lock.acquired", f"l{i}")
+        assert [e.detail for e in tracer] == ["l2", "l3"]
+        assert (len(log), log.kept, log.dropped) == (2, 4, 2)
+
+    def test_view_follows_the_log(self):
+        """The rendered list is cached, but never stale."""
+        log, tracer = self.traced()
+        log.emit("t", "lock.acquired", "l0")
+        assert len(tracer) == 1 and len(tracer) == 1
+        log.emit("t", "lock.released", "l0")
+        assert [e.kind for e in tracer] == ["cs.enter", "cs.exit"]
 
     def test_clear(self):
-        buf = TraceBuffer(enabled=True)
-        buf.emit(1.0, "t", "k")
-        buf.clear()
-        assert len(buf) == 0
+        log, tracer = self.traced()
+        log.emit("t", "lock.acquired", "l0")
+        assert len(tracer) == 1
+        log.clear()
+        assert len(tracer) == 0
 
     def test_event_is_frozen(self):
         ev = TraceEvent(1.0, "t", "k")

@@ -39,6 +39,21 @@ class TestRun:
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0
 
 
+QUICKSTART_TRACE = """\
+  [      3350.0 ns] t0@n0      mcs.swap           l2 cohort=REMOTE prev=rdma_ptr(NULL)
+  [      3410.0 ns] t0@n0      peterson.enter     l2 cohort=REMOTE
+  [      7215.0 ns] t0@n1      mcs.swap           l2 cohort=LOCAL prev=rdma_ptr(NULL)
+  [      7275.0 ns] t0@n1      peterson.enter     l2 cohort=LOCAL
+  [      7710.0 ns] t0@n0      peterson.acquired  l2 cohort=REMOTE via local-unlocked after 0 spins
+  [      7735.0 ns] t0@n0      cs.enter           l2
+  [     17760.0 ns] t0@n0      cs.exit            l2
+  [     19195.0 ns] t0@n1      peterson.acquired  l2 cohort=LOCAL via remote-unlocked
+  [     19220.0 ns] t0@n1      cs.enter           l2
+  [     19245.0 ns] t0@n1      cs.exit            l2
+  [     19340.0 ns] t0@n1      mcs.release        l2 cohort=LOCAL tail cleared
+  [     20090.0 ns] t0@n0      mcs.release        l2 cohort=REMOTE tail cleared"""
+
+
 class TestExamplesRun:
     """The examples are part of the public deliverable: each fast one
     must execute cleanly end to end."""
@@ -59,3 +74,8 @@ class TestExamplesRun:
                                 capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
         assert result.stdout  # printed a report
+        if script == "quickstart.py":
+            # the trace view of the event log, line for line (recorded
+            # when the trace was still a buffer of eagerly built strings)
+            block = result.stdout.split("Protocol trace:\n")[1].split("\n\n")[0]
+            assert block == QUICKSTART_TRACE

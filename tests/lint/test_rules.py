@@ -234,44 +234,46 @@ class TestBareTimeoutRule:
         assert not self.findings(module="tests.sim.fixture")
 
 
-class TestGuardedTraceSiteRule:
-    def test_fires_on_every_bare_site(self):
-        findings = [f for f in lint_fixture("trace.py")
-                    if f.rule == "guarded-trace-site"]
-        messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 4, findings
-        assert "'self._flight.note()'" in messages
-        assert "'fl.note()'" in messages
-        assert "'ctx._flight.note()'" in messages
+class TestEmitFormatRule:
+    def findings(self, module=SIM_MODULE):
+        return [f for f in lint_fixture("emit_format.py", module=module)
+                if f.rule == "emit-format"]
 
-    def test_guarded_idioms_are_clean(self):
-        findings = [f for f in lint_fixture("trace.py")
-                    if f.rule == "guarded-trace-site"]
-        fine_start = 27  # the fixture's "fine" section
-        assert not [f for f in findings if f.line >= fine_start], findings
+    def test_fires_on_every_formatted_argument(self):
+        findings = self.findings()
+        assert len(findings) == 5, findings
+        messages = " | ".join(f.message for f in findings)
+        assert "'ctx.emit(...)'" in messages
+        assert "'lock._emit(...)'" in messages
+
+    def test_raw_fields_are_clean(self):
+        src = (FIXTURES / "emit_format.py").read_text().splitlines()
+        fine_start = next(i for i, line in enumerate(src, start=1)
+                          if "fine --" in line)
+        assert not [f for f in self.findings() if f.line > fine_start]
 
     def test_silent_outside_sim_packages(self):
-        findings = lint_file(FIXTURES / "trace.py", module="tests.fixture")
-        assert "guarded-trace-site" not in rules_fired(findings)
+        assert not self.findings(module="tests.fixture")
 
-    def test_recorder_module_is_exempt_and_registered(self):
-        from repro.lint.rules import (DEFAULT_SENSITIVE_PACKAGES,
-                                      FLIGHT_MODULE, GuardedTraceSiteRule)
-        assert FLIGHT_MODULE in DEFAULT_SENSITIVE_PACKAGES
-        assert FLIGHT_MODULE in GuardedTraceSiteRule.exempt_modules
+    def test_obs_package_is_exempt_and_registered(self):
+        """The views live in repro.obs and are the one place that turns
+        event fields into text."""
+        from repro.lint.rules import DEFAULT_SENSITIVE_PACKAGES, OBS_PACKAGE
+        assert OBS_PACKAGE in DEFAULT_SENSITIVE_PACKAGES
+        assert not self.findings(module="repro.obs.fixture")
 
-    def test_real_call_sites_are_all_guarded(self):
+    def test_real_call_sites_are_all_raw(self):
         """The shipped tree must satisfy its own rule (lock hot paths,
         faults, network, scheduler)."""
         import repro.locks.alock.alock as _  # anchor: src layout on path
         root = Path(_.__file__).resolve().parents[3]
-        bad = []
+        bad, emitters = [], 0
         for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root.parent)
-            module = ".".join(rel.with_suffix("").parts)
+            module = ".".join(path.relative_to(root).with_suffix("").parts)
+            emitters += "emit(" in path.read_text()
             bad += [f for f in lint_file(path, module=module)
-                    if f.rule == "guarded-trace-site"]
-        assert not bad, bad
+                    if f.rule == "emit-format"]
+        assert emitters >= 10 and not bad, bad
 
 
 class TestRuleFrameworkContracts:

@@ -23,6 +23,12 @@ from repro.workload.spec import WorkloadSpec
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
+#: sha256 of the selftest's stdout (Perfetto JSON + metrics JSON + phase
+#: summary), recorded while spans were still recorded eagerly: the span
+#: view's replay must rebuild the same ids, parents, attrs and outcomes.
+SELFTEST_SHA256 = \
+    "7dc0bba9082b9d8e154489e86afacd598c518c86c31391706a13e5ba2fb3198c"
+
 
 def run_selftest(hashseed: str) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=hashseed,
@@ -41,6 +47,7 @@ class TestHashSeedDeterminism:
         h0 = hashlib.sha256(out0).hexdigest()
         h1 = hashlib.sha256(out1).hexdigest()
         assert h0 == h1, "obs output depends on PYTHONHASHSEED"
+        assert h0 == SELFTEST_SHA256, "exported spans/metrics changed"
         # Sanity: the output is substantive, not an empty trace.
         assert b'"ph":"X"' in out0 and b"phase_summary" in out0
 

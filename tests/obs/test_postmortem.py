@@ -166,9 +166,7 @@ class HangLock(DistributedLock):
         region.label_word(ptr_addr(self._ptr), f"{self.name}.never")
 
     def lock(self, ctx):
-        fl = self._flight
-        if fl is not None:
-            fl.note(ctx.actor, "lock.wait", self.name, "never")
+        ctx.emit(ctx.actor, "lock.wait", self.name, "never")
         yield from ctx.wait_local(self._ptr, lambda v: v == 1)
         self._note_acquired(ctx)  # pragma: no cover
 
@@ -203,13 +201,3 @@ class TestRunnerDeadlockPostmortem:
         assert all("hang[0]@n0.never" in w for w in waiting.values())
         assert [s for s, _d in dump["wait_for"]["edges"]] == \
             ["t0@n0", "t1@n0"]
-
-    def test_snapshot_survives_flightless_cluster(self, hang_lock_kind):
-        spec = WorkloadSpec(n_nodes=1, threads_per_node=1, n_locks=1,
-                            ops_per_thread=1, lock_kind=hang_lock_kind,
-                            audit="off")
-        with pytest.raises(SimulationError) as err:
-            run_workload(spec, flight=False)
-        dump = json.loads(err.value._postmortem)
-        assert dump["events"] == [] and dump["wait_for"]["edges"] == []
-        assert dump["processes"][0]["waiting_on"].count("never") == 1

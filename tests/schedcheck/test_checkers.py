@@ -8,7 +8,7 @@ RaceAuditor — independent observers that must agree.
 
 import pytest
 
-from repro.common.trace import TraceEvent
+from repro.obs.trace import TraceEvent
 from repro.schedcheck import (
     CounterModel,
     KvModel,

@@ -2,6 +2,7 @@
 carries a dump, and the shrinker (satellite 6) always reports the dump
 of the *shrunk* failure — not a stale one from the original schedule."""
 
+import hashlib
 import json
 
 from repro.obs.postmortem import SCHEMA
@@ -19,6 +20,13 @@ CORRECT = LockScenario(
     seed=0)
 
 
+#: sha256 of ``first_failure().dump``, recorded while the ring was a
+#: recorder of its own: the ring view of the log must freeze the same
+#: window, byte for byte.
+FIRST_FAILURE_DUMP_SHA256 = \
+    "f3ebec87210e64daf5dd888dc4812b389333fb1b7e807219ee9a94d793ec57ae"
+
+
 def first_failure():
     report = explore_random(LOST_WAKEUP, 50, seed=1, stop_on_failure=True)
     assert report.first_failure is not None
@@ -33,6 +41,8 @@ class TestScheduleResultDump:
         assert dump["reason"] == failure.failure_kind
         # the dump's decision string is the failing schedule's — replayable
         assert dump["sched"]["decisions"] == failure.decisions.to_string()
+        assert hashlib.sha256(failure.dump.encode()).hexdigest() == \
+            FIRST_FAILURE_DUMP_SHA256
 
     def test_ok_results_carry_none(self):
         result = run_schedule(CORRECT, None)

@@ -175,7 +175,6 @@ def _process_stream(mix: str, seed: int, mode: str, form: str):
     env = Environment()
     ran = []
     started = []   # an interrupt must find its target past its boot event
-    poked = set()  # ... and with no earlier interrupt still in flight
     budget = 300
 
     def wait(delay):
@@ -194,18 +193,15 @@ def _process_stream(mix: str, seed: int, mode: str, form: str):
                 yield wait(delay_of(rng))
             except Interrupt:
                 interrupted = True
-                poked.discard(me)
             ran.append((env.now, me.pid, step, interrupted))
             roll = rng.random()
             if roll < 0.25 and depth < 3:
                 env.process(body(depth + 1))
             elif roll < 0.45:
-                # the target is mid-sleep, or finished (a no-op)
-                target = rng.choice(started)
-                if target is not me and target.is_alive \
-                        and target not in poked:
-                    poked.add(target)
-                    target.interrupt("poke")
+                # the target is mid-sleep, or still owed an earlier
+                # interrupt of this tick (they stack), or this process
+                # itself, or finished (a no-op)
+                rng.choice(started).interrupt("poke")
 
     for _ in range(rng.randrange(3, 8)):
         env.process(body(0))

@@ -8,7 +8,7 @@ with every verb timeout until the NIC pipeline wedged.
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Interrupt, Resource, Timeout
 
 
 @pytest.fixture()
@@ -252,3 +252,68 @@ class TestInterruptedVerbPipeline:
         assert res.queue_length == 0
         # the survivors all got through
         assert completed and all(i % 2 == 0 for i in completed)
+
+
+class TestStackedInterrupts:
+    """An interrupt's kick is delivered later in the tick; by then an
+    earlier kick may have resumed the process and it has parked again.
+    Delivery must withdraw it from *that* wait, or the wait's own
+    wake-up resumes it a second time (``scheduled twice``)."""
+
+    @staticmethod
+    def victim(env, form, log):
+        for i in range(4):
+            try:
+                yield 100.0 if form == "sleep" else Timeout(env, 100.0)
+                log.append((env.now, i, "woke"))
+            except Interrupt as intr:
+                log.append((env.now, i, intr.cause))
+
+    @pytest.mark.parametrize("form", ["sleep", "timeout"])
+    def test_two_interrupts_in_one_tick(self, env, form):
+        log = []
+        p = env.process(self.victim(env, form, log))
+
+        def poker():
+            yield 10.0
+            p.interrupt("a")
+            p.interrupt("b")
+
+        env.process(poker())
+        env.run()
+        # both delivered, and each later iteration wakes exactly once
+        assert log == [(10.0, 0, "a"), (10.0, 1, "b"),
+                       (110.0, 2, "woke"), (210.0, 3, "woke")]
+        assert p.ok
+
+    @pytest.mark.parametrize("form", ["sleep", "timeout"])
+    def test_self_interrupt_lands_on_the_next_wait(self, env, form):
+        log = []
+
+        def body():
+            env.active_process.interrupt("self")
+            yield from self.victim(env, form, log)
+
+        p = env.process(body())
+        env.run()
+        assert log == [(0.0, 0, "self"), (100.0, 1, "woke"),
+                       (200.0, 2, "woke"), (300.0, 3, "woke")]
+        assert p.ok
+
+    def test_kick_for_a_finished_process_is_dropped(self, env):
+        def body():
+            try:
+                yield 5.0
+            except Interrupt:
+                return "interrupted"
+
+        p = env.process(body())
+
+        def poker():
+            yield 1.0
+            p.interrupt("a")   # ends the process ...
+            p.interrupt("b")   # ... before this one is delivered
+
+        env.process(poker())
+        env.run()
+        assert p.ok and p.value == "interrupted"
