@@ -1,10 +1,11 @@
 """Per-thread execution context: the operation families of the paper's
 system model (§4).
 
-Every method that costs simulated time is a generator to be driven with
-``yield from`` inside a simulation process.  Local operations charge the
-CPU cost model and act directly on the node's memory region; remote
-operations are one-sided verbs through the NIC/fabric.  The context
+Every method that costs simulated time is driven with ``yield from``
+inside a simulation process.  Local operations are generators that
+charge the CPU cost model and act directly on the node's memory region;
+remote operations are one-sided verbs through the NIC/fabric and return
+the network's round-trip generator rather than wrapping it.  The context
 enforces Definition 4.1: the local family refuses pointers whose home
 node differs from the thread's node.
 """
@@ -32,7 +33,7 @@ class ThreadContext:
     # (see repro.locks.alock.descriptors / repro.locks.baselines.mcs).
     __slots__ = ("cluster", "env", "node_id", "thread_id", "gid", "actor",
                  "_region", "_net", "_read_ns", "_write_ns", "_cas_ns",
-                 "_fence_ns", "_recheck_ns", "emit",
+                 "_fence_ns", "_recheck_ns", "_faults_on", "emit",
                  "local_op_count", "remote_op_count", "verb_timeouts",
                  "_alock_descriptors", "_alock_descriptor_pools",
                  "_mcs_descriptor")
@@ -55,6 +56,9 @@ class ThreadContext:
         self._cas_ns = float(cpu.local_cas_ns)
         self._fence_ns = float(cpu.fence_ns)
         self._recheck_ns = float(cpu.spin_recheck_ns)
+        # decided once: only a fault injector can exhaust a verb's retry
+        # budget, so only then are verbs wrapped to attribute the timeout
+        self._faults_on = cluster.network.injector is not None
         #: report a protocol step: ``ctx.emit(ctx.actor, kind, *fields)``
         #: (the cluster log's ``emit`` — see :mod:`repro.obs.log`).
         self.emit = cluster.log.emit
@@ -157,14 +161,17 @@ class ThreadContext:
             yield self._recheck_ns
 
     # -- remote (RDMA) operations ------------------------------------------
-    def _remote(self, fragment):
-        """Drive one verb fragment, attributing any retry-budget
-        exhaustion to this thread (fault layer: the typed
-        :class:`VerbTimeout` gains the actor, and the per-thread counter
-        feeds degraded-mode metrics)."""
-        self.remote_op_count += 1
+    # Plain functions, not generators: each counts, reports and *returns*
+    # the network's round-trip generator, so a lock's
+    # ``yield from ctx.r_cas(...)`` drives that one frame directly.
+    def _attributed(self, trip):
+        """Drive one verb, attributing a retry-budget exhaustion to this
+        thread: the typed :class:`VerbTimeout` gains the actor, and the
+        per-thread counter feeds degraded-mode metrics.  Wrapped around
+        verbs only on a cluster with a fault injector — nothing else
+        raises :class:`VerbTimeout`."""
         try:
-            return (yield from fragment)
+            return (yield from trip)
         except VerbTimeout as exc:
             self.verb_timeouts += 1
             exc.actor = self.actor
@@ -180,32 +187,34 @@ class ThreadContext:
         the <3% ring budget and floods the ring with spin noise that
         evicts the protocol events a post-mortem needs.  The atomics
         below are the protocol chokepoints and are reported; timeouts
-        are reported for every verb kind in :meth:`_remote`.
+        are reported for every verb kind in :meth:`_attributed`.
         """
-        value = yield from self._remote(self._net.r_read(
-            self.node_id, self.thread_id, ptr, signed=signed))
-        return value
+        self.remote_op_count += 1
+        trip = self._net.r_read(self.node_id, self.thread_id, ptr,
+                                signed=signed)
+        return self._attributed(trip) if self._faults_on else trip
 
     def r_write(self, ptr: int, value: int):
         """One-sided RDMA write (unreported, see :meth:`r_read`)."""
-        yield from self._remote(self._net.r_write(
-            self.node_id, self.thread_id, ptr, value))
+        self.remote_op_count += 1
+        trip = self._net.r_write(self.node_id, self.thread_id, ptr, value)
+        return self._attributed(trip) if self._faults_on else trip
 
     def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
         """One-sided RDMA compare-and-swap; returns the previous value."""
         self.emit(self.actor, "verb.issue", "rCAS", ptr >> ADDR_BITS)
-        old = yield from self._remote(self._net.r_cas(
-            self.node_id, self.thread_id, ptr, expected, desired,
-            signed=signed, actor=self.actor))
-        return old
+        self.remote_op_count += 1
+        trip = self._net.r_cas(self.node_id, self.thread_id, ptr, expected,
+                               desired, signed=signed, actor=self.actor)
+        return self._attributed(trip) if self._faults_on else trip
 
     def r_faa(self, ptr: int, delta: int, *, signed: bool = False):
         """One-sided RDMA fetch-and-add; returns the previous value."""
         self.emit(self.actor, "verb.issue", "rFAA", ptr >> ADDR_BITS)
-        old = yield from self._remote(self._net.r_faa(
-            self.node_id, self.thread_id, ptr, delta, signed=signed,
-            actor=self.actor))
-        return old
+        self.remote_op_count += 1
+        trip = self._net.r_faa(self.node_id, self.thread_id, ptr, delta,
+                               signed=signed, actor=self.actor)
+        return self._attributed(trip) if self._faults_on else trip
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ThreadContext {self.actor}>"

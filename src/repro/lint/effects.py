@@ -119,7 +119,7 @@ INTRINSICS: Dict[str, Effects] = {
 }
 
 #: unresolved calls with these tails are assumed to acquire something.
-_ACQUIRE_TAILS = frozenset({"lock", "acquire", "request"})
+_ACQUIRE_TAILS = frozenset({"lock", "acquire", "admit", "request"})
 _ACQUIRE_EFFECTS = Effects(blocking=BLOCK_UNBOUNDED, raises=True)
 
 #: yields of calls with these tails are raw parks (one-shot wakeups

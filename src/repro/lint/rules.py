@@ -405,7 +405,7 @@ class UnorderedIterRule(Rule):
 # rule 3: unguarded admission (the PR 1 slot-leak class)
 # --------------------------------------------------------------------------
 
-_ADMISSION_METHODS = frozenset({"acquire", "request"})
+_ADMISSION_METHODS = frozenset({"acquire", "admit", "request"})
 _RELEASE_METHODS = frozenset({"release", "cancel"})
 
 
@@ -423,9 +423,10 @@ class ResourceGuardRule(Rule):
     """Admission calls without a ``finally``/``except`` release path."""
 
     rule_id = "resource-guard"
-    description = ("an acquire()/request() admission must release/cancel on "
-                   "every exit path (try/finally or an except handler), or "
-                   "the slot leaks when the waiter is interrupted")
+    description = ("an acquire()/admit()/request() admission must "
+                   "release/cancel on every exit path (try/finally, or an "
+                   "except handler plus a release() after the try), or the "
+                   "slot leaks when the waiter is interrupted")
 
     #: modules that implement the admission protocol itself.
     exempt_modules = ("repro.sim.resources",)
@@ -460,18 +461,30 @@ class ResourceGuardRule(Rule):
                     return True
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 break
-        # (b) a later statement in an enclosing block is such a Try.
+        # (b) the next Try in an enclosing block is such a Try.  A
+        # finally covers both exits; a handler covers only the failure
+        # path, so an admit() hold (the NIC round trip's idiom: admit,
+        # try/except-cancel, release) must also end in a straight-line
+        # release() after the Try.  acquire()/request() may hand the
+        # slot to code that releases it elsewhere (a lock session).
+        func = call.func
+        short_hold = isinstance(func, ast.Attribute) and func.attr == "admit"
         node: ast.AST = call
         for anc in ancestors(call):
             for block in _block_fields(anc):
                 if node in block:
                     after = block[block.index(node) + 1:]
-                    for stmt in after:
-                        if isinstance(stmt, ast.Try) and (
-                                _has_release_call(stmt.finalbody)
-                                or any(_has_release_call(h.body)
-                                       for h in stmt.handlers)):
+                    for i, stmt in enumerate(after):
+                        if not isinstance(stmt, ast.Try):
+                            continue
+                        if _has_release_call(stmt.finalbody):
                             return True
+                        if any(_has_release_call(h.body)
+                               for h in stmt.handlers) and (
+                                   not short_hold
+                                   or _has_release_call(after[i + 1:])):
+                            return True
+                        break  # a later Try guards a later admission
             node = anc
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 break

@@ -7,6 +7,12 @@ the lock-table application uses for counters).
 
 Every verb is a simulation-process fragment (``yield from network.r_cas(...)``)
 that returns the op's result to the caller after the full round trip.
+The round trip through the two NICs is stated once, as one flat
+generator (:meth:`RdmaNetwork._round_trip`); ``r_read``/``r_write``/
+``r_cas``/``r_faa`` are plain functions that count, route and *return*
+that generator, so the caller's ``yield from`` drives a single frame.
+The RPC transport's one-way message and the fault layer's doomed
+transmission are the same traversal cut short.
 Issuing a verb against the caller's *own* node takes the **loopback**
 path: same NIC, both pipelines, no fabric — the mechanism the paper's
 competitors rely on for local accesses and the source of the Fig. 1
@@ -31,8 +37,8 @@ path only, before the target executes the op, so retries are
 exactly-once at the application layer (what PSN dedup guarantees on real
 hardware) and a retried rCAS can never double-apply.  When the retry
 budget is exhausted a typed :class:`~repro.common.errors.VerbTimeout`
-surfaces to the caller.  Without an injector the verbs run the original
-fault-free code path unchanged.
+surfaces to the caller.  Without an injector the caller drives the bare
+round trip.
 """
 
 from __future__ import annotations
@@ -45,11 +51,10 @@ from repro.common.errors import MemoryError_, VerbTimeout
 from repro.faults.injector import FaultInjector
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion, from_signed, to_signed
-from repro.memory.pointer import ptr_addr, ptr_node
+from repro.memory.pointer import ADDR_BITS, _ADDR_MASK
 from repro.obs import FAULT_RETRY, VERB_RTT, Observability
 from repro.rdma.config import RdmaConfig
 from repro.rdma.nic import Rnic
-from repro.rdma.qp import qp_id
 from repro.sim.core import Environment
 
 _VERBS = ("rRead", "rWrite", "rCAS", "rFAA")
@@ -91,8 +96,7 @@ class RdmaNetwork:
         else:
             self._h_rtt = None
         # computed once: unless the cluster times intervals or collects
-        # metrics the verbs skip the _observed wrapper frame and run the
-        # exact pre-obs code path
+        # metrics a verb is the bare round trip, with no wrapper frame
         self._obs_on = obs.enabled
         # Per-verb latency parameters cached off the (immutable) config:
         # every verb consults the fabric latency twice per round trip, and
@@ -104,59 +108,154 @@ class RdmaNetwork:
         self.verb_counts = {"rRead": 0, "rWrite": 0, "rCAS": 0, "rFAA": 0}
         self.loopback_verbs = 0
 
-    # -- internals ---------------------------------------------------------
-    def _route(self, src_node: int, ptr: int) -> tuple[int, int, MemoryRegion, bool]:
-        dst = ptr_node(ptr)
-        addr = ptr_addr(ptr)
-        if not 0 <= dst < self._n_nodes:
-            raise MemoryError_(f"pointer targets unknown node {dst}")
-        return dst, addr, self.regions[dst], dst == src_node
-
+    # -- the NIC pipeline ----------------------------------------------------
     def _fabric_delay(self) -> float:
         d = self._one_way_latency_ns
         if self._jitter_ns > 0 and self._jitter_rng is not None:
             d += float(self._jitter_rng.uniform(0.0, self._jitter_ns))
         return d
 
-    def _transit(self, src_nic: Rnic, loopback: bool):
-        """Source-to-target transit after the send side."""
+    def _round_trip(self, op: Optional[str], qp: tuple, src_nic: Rnic,
+                    dst_nic: Rnic, loopback: bool,
+                    region: Optional[MemoryRegion] = None, addr: int = 0,
+                    a: int = 0, b: int = 0, signed: bool = False,
+                    actor: str = "?", reply: bool = True,
+                    lost: bool = False):
+        """One op's whole path through the two NICs, as one generator.
+
+        ``op`` says what lands at the target — ``"rRead"``, ``"rWrite"``
+        (``a`` = value), ``"rCAS"`` (``a`` = expected, ``b`` = desired,
+        both raw), ``"rFAA"`` (``a`` = delta), or ``None`` for a bare
+        message that touches no memory.  ``reply=False`` ends the
+        traversal once the op has landed (a two-sided send has no
+        response path); ``lost=True`` is a transmission whose request
+        packet is dropped: the send side is charged for real, then the
+        op hangs in flight until the retransmission watchdog interrupts
+        it, and never reaches the target.
+
+        Each of the five pipeline stages is an interrupt-safe hold on a
+        :class:`~repro.sim.resources.Resource`, written out with
+        :meth:`~repro.sim.resources.Resource.admit` so that the caller's
+        ``yield from`` resumes this frame and nothing below it.
+        """
+        # -- send side: WQE fetch over PCIe, then the TX pipeline
+        src_nic.tx_ops += 1
+        pcie = src_nic.pcie
+        grant = pcie.admit()
+        try:
+            yield grant
+            yield src_nic._pcie_crossing_ns
+        except BaseException:
+            pcie.cancel(grant)
+            raise
+        pcie.release()
+        service = src_nic._tx_service_ns + src_nic._qpc_penalty(qp)
+        tx = src_nic.tx
+        grant = tx.admit()
+        try:
+            yield grant
+            yield service
+        except BaseException:
+            tx.cancel(grant)
+            raise
+        tx.release()
+        # -- transit: internal TX->RX turnaround, or the fabric
         if loopback:
-            yield from src_nic.loopback_turnaround()
+            src_nic.loopback_ops += 1
+            yield src_nic._loopback_turnaround_ns
         else:
             yield self._fabric_delay()
-
-    def _return_path(self, src_nic: Rnic, loopback: bool):
-        """ACK/response back to the requester + completion DMA."""
+        if lost:
+            yield self.env.event()  # the packet is gone; nothing wakes us
+            return None
+        # -- receive side: the responder holds connection state too, and
+        # touches its QPC on arrival, before queueing for the RX pipeline
+        dst_nic.rx_ops += 1
+        penalty = dst_nic._qpc_penalty(qp)
+        rx = dst_nic.rx
+        result = None
+        grant = rx.admit()
+        try:
+            yield grant
+            # congestion is judged by the backlog at the head of the queue
+            yield dst_nic._rx_service_time() + penalty
+            # the op lands: its linearization point
+            if op == "rRead":
+                result = region.remote_read(addr)
+            elif op == "rWrite":
+                region.remote_write(addr, a)
+            elif op is not None:
+                # A remote RMW is a read, then a write-back one atomic
+                # window later, with the RX pipeline held throughout so
+                # remote atomics serialize at the target.
+                result = region.remote_rmw_read(addr)
+                if op == "rFAA":
+                    new = from_signed(to_signed(result) + a)
+                else:
+                    new = b if result == a else None
+                window_ns = dst_nic._atomic_window_ns
+                auditor = self.auditor
+                window = None
+                if auditor is not None:
+                    now = self.env.now
+                    window = auditor.remote_rmw_begin(
+                        dst_nic.node_id, addr, op, actor, now,
+                        now + window_ns)
+                try:
+                    yield window_ns
+                    if new is not None:
+                        region.remote_rmw_commit(addr, new)
+                finally:
+                    # also when killed inside the window: a dead RMW
+                    # must not leave a Table-1 window open on the word
+                    if window is not None:
+                        auditor.remote_rmw_end(dst_nic.node_id, window)
+        except BaseException:
+            rx.cancel(grant)
+            raise
+        rx.release()
+        # the DMA against host memory
+        pcie = dst_nic.pcie
+        grant = pcie.admit()
+        try:
+            yield grant
+            yield dst_nic._pcie_crossing_ns
+        except BaseException:
+            pcie.cancel(grant)
+            raise
+        pcie.release()
+        if not reply:
+            return result
+        # -- return path: ACK/response back to the requester + completion DMA
         if not loopback:
             yield self._fabric_delay()
-        yield from src_nic.pcie_crossing()
+        pcie = src_nic.pcie
+        grant = pcie.admit()
+        try:
+            yield grant
+            yield src_nic._pcie_crossing_ns
+        except BaseException:
+            pcie.cancel(grant)
+            raise
+        pcie.release()
+        return to_signed(result) if signed else result
 
     # -- fault/retry harness ----------------------------------------------
-    def _lost_transmission(self, qp: tuple, src_nic: Rnic, loopback: bool):
-        """One transmission whose request packet is dropped: the send
-        side is charged for real, then the op vanishes in flight.  The
-        watchdog in :meth:`_deliver` interrupts this process; the hang
-        event is never triggered."""
-        yield from src_nic.send_side(qp)
-        yield from self._transit(src_nic, loopback)
-        yield self.env.event()  # the packet is gone; nothing wakes us
-
     def _deliver(self, verb: str, src_node: int, dst: int, qp: tuple,
-                 src_nic: Rnic, loopback: bool, attempt,
-                 actor: Optional[str] = None):
+                 loopback: bool, trip, actor: Optional[str] = None):
         """Run one verb, retransmitting through the fault layer.
 
-        ``attempt`` is a zero-argument generator function performing the
-        full fault-free round trip; it is invoked at most once (losses
-        hang *instead of* executing, mirroring request-path drops).
-        ``actor`` is the issuing thread when the call comes through the
-        timing wrapper, and each retransmission wait is then a
-        ``fault.retry`` interval; without the wrapper nothing keeps
-        interval events, so nobody misses the name.
+        ``trip`` is the not-yet-started fault-free round trip; it is
+        driven at most once (losses hang *instead of* executing,
+        mirroring request-path drops).  ``actor`` is the issuing thread
+        when the call comes through the timing wrapper, and each
+        retransmission wait is then a ``fault.retry`` interval; without
+        the wrapper nothing keeps interval events, so nobody misses the
+        name.
         """
         inj = self.injector
         if inj is None:
-            return (yield from attempt())
+            return (yield from trip)
         plan = inj.plan
         timeout_ns = plan.retry_timeout_ns
         for transmission in range(plan.retry_limit):
@@ -164,12 +263,13 @@ class RdmaNetwork:
             if fault.delay_ns > 0.0:
                 yield float(fault.delay_ns)  # latency spike
             if not fault.dropped:
-                return (yield from attempt())
+                return (yield from trip)
             # Dropped: the doomed transmission still occupies real NIC
             # resources; the requester times out and kills it mid-flight.
             self._emit(actor, "span.begin", FAULT_RETRY, verb, transmission)
             ghost = self.env.process(
-                self._lost_transmission(qp, src_nic, loopback),
+                self._round_trip(None, qp, self.nics[src_node],
+                                 self.nics[dst], loopback, lost=True),
                 name=f"{verb}-lost-tx")
             yield float(timeout_ns)
             ghost.interrupt("verb-timeout")
@@ -184,7 +284,7 @@ class RdmaNetwork:
             verb=verb, target_node=dst, attempts=plan.retry_limit)
 
     def _observed(self, verb: str, src_node: int, src_thread: int, dst: int,
-                  qp: tuple, src_nic: Rnic, loopback: bool, attempt):
+                  qp: tuple, loopback: bool, trip):
         """Time one verb round trip as a ``verb.rtt`` interval and RTT
         histogram sample.  Only entered on a cluster that times intervals
         or collects metrics (``_obs_on``)."""
@@ -194,8 +294,7 @@ class RdmaNetwork:
         t0 = self.env.now if h is not None else 0.0
         try:
             result = yield from self._deliver(verb, src_node, dst, qp,
-                                              src_nic, loopback, attempt,
-                                              actor)
+                                              loopback, trip, actor)
         except VerbTimeout:
             self._emit(actor, "span.end", VERB_RTT, "timeout")
             raise
@@ -205,133 +304,55 @@ class RdmaNetwork:
         return result
 
     # -- verbs -----------------------------------------------------------
+    def _verb(self, verb: str, src_node: int, src_thread: int, ptr: int,
+              a: int, b: int, signed: bool, actor: str):
+        """Count and route one verb; return the generator that performs
+        it — the bare round trip, or the cold wrapper this network was
+        built to need around it."""
+        self.verb_counts[verb] += 1
+        dst = ptr >> ADDR_BITS
+        if not 0 <= dst < self._n_nodes:
+            raise MemoryError_(f"pointer targets unknown node {dst}")
+        loopback = dst == src_node
+        if loopback:
+            self.loopback_verbs += 1
+        qp = (src_node, src_thread, dst)  # qp_id(), inlined
+        nics = self.nics
+        trip = self._round_trip(verb, qp, nics[src_node], nics[dst], loopback,
+                                self.regions[dst], ptr & _ADDR_MASK, a, b,
+                                signed, actor)
+        if self._obs_on:
+            return self._observed(verb, src_node, src_thread, dst, qp,
+                                  loopback, trip)
+        if self.injector is not None:
+            return self._deliver(verb, src_node, dst, qp, loopback, trip)
+        return trip
+
     def r_read(self, src_node: int, src_thread: int, ptr: int,
                *, signed: bool = False):
         """One-sided read of the 8-byte word at ``ptr``; returns its value."""
-        self.verb_counts["rRead"] += 1
-        dst, addr, region, loopback = self._route(src_node, ptr)
-        if loopback:
-            self.loopback_verbs += 1
-        qp = qp_id(src_node, src_thread, dst)
-        src_nic, dst_nic = self.nics[src_node], self.nics[dst]
-
-        def attempt():
-            yield from src_nic.send_side(qp)
-            yield from self._transit(src_nic, loopback)
-            value = yield from dst_nic.receive_side(
-                qp, execute=lambda: region.remote_read(addr))
-            yield from self._return_path(src_nic, loopback)
-            return value
-
-        if self._obs_on:
-            value = yield from self._observed("rRead", src_node, src_thread,
-                                              dst, qp, src_nic, loopback,
-                                              attempt)
-        elif self.injector is None:
-            # No fault layer: _deliver would only delegate — skip its frame.
-            value = yield from attempt()
-        else:
-            value = yield from self._deliver("rRead", src_node, dst, qp,
-                                             src_nic, loopback, attempt)
-        return to_signed(value) if signed else value
+        return self._verb("rRead", src_node, src_thread, ptr, 0, 0, signed,
+                          "?")
 
     def r_write(self, src_node: int, src_thread: int, ptr: int, value: int):
         """One-sided write of ``value`` to the word at ``ptr``."""
-        self.verb_counts["rWrite"] += 1
-        dst, addr, region, loopback = self._route(src_node, ptr)
-        if loopback:
-            self.loopback_verbs += 1
-        qp = qp_id(src_node, src_thread, dst)
-        src_nic, dst_nic = self.nics[src_node], self.nics[dst]
-
-        def attempt():
-            yield from src_nic.send_side(qp)
-            yield from self._transit(src_nic, loopback)
-            yield from dst_nic.receive_side(
-                qp, execute=lambda: region.remote_write(addr, value))
-            yield from self._return_path(src_nic, loopback)
-
-        if self._obs_on:
-            yield from self._observed("rWrite", src_node, src_thread, dst,
-                                      qp, src_nic, loopback, attempt)
-        elif self.injector is None:
-            yield from attempt()
-        else:
-            yield from self._deliver("rWrite", src_node, dst, qp, src_nic,
-                                     loopback, attempt)
-
-    def _rmw(self, verb: str, src_node: int, src_thread: int, ptr: int,
-             apply_fn, actor: str):
-        """Common path for rCAS/rFAA: two-phase execute at the target with
-        the Table-1 window registered on the auditor."""
-        self.verb_counts[verb] += 1
-        dst, addr, region, loopback = self._route(src_node, ptr)
-        if loopback:
-            self.loopback_verbs += 1
-        qp = qp_id(src_node, src_thread, dst)
-        src_nic, dst_nic = self.nics[src_node], self.nics[dst]
-        env = self.env
-        auditor = self.auditor
-        state: dict = {}
-
-        def execute(phase: str):
-            if phase == "read":
-                old = region.remote_rmw_read(addr)
-                state["old"] = old
-                state["new"] = apply_fn(old)
-                if auditor is not None:
-                    state["win"] = auditor.remote_rmw_begin(
-                        dst, addr, verb, actor, env.now,
-                        env.now + dst_nic.config.atomic_window_ns)
-                return old
-            # commit phase
-            if state["new"] is not None:
-                region.remote_rmw_commit(addr, state["new"])
-            if auditor is not None:
-                auditor.remote_rmw_end(dst, state["win"])
-            return state["old"]
-
-        def attempt():
-            yield from src_nic.send_side(qp)
-            yield from self._transit(src_nic, loopback)
-            old = yield from dst_nic.receive_side(qp, atomic=True,
-                                                  execute=execute)
-            yield from self._return_path(src_nic, loopback)
-            return old
-
-        if self._obs_on:
-            old = yield from self._observed(verb, src_node, src_thread, dst,
-                                            qp, src_nic, loopback, attempt)
-        elif self.injector is None:
-            old = yield from attempt()
-        else:
-            old = yield from self._deliver(verb, src_node, dst, qp, src_nic,
-                                           loopback, attempt)
-        return old
+        return self._verb("rWrite", src_node, src_thread, ptr, value, 0,
+                          False, "?")
 
     def r_cas(self, src_node: int, src_thread: int, ptr: int,
               expected: int, desired: int, *, signed: bool = False,
               actor: str = "?"):
         """One-sided compare-and-swap; returns the previous value (the
         swap happened iff the return equals ``expected``)."""
-        exp_raw = from_signed(expected)
-
-        def apply_fn(old: int):
-            return from_signed(desired) if old == exp_raw else None
-
-        old = yield from self._rmw("rCAS", src_node, src_thread, ptr,
-                                   apply_fn, actor)
-        return to_signed(old) if signed else old
+        return self._verb("rCAS", src_node, src_thread, ptr,
+                          from_signed(expected), from_signed(desired),
+                          signed, actor)
 
     def r_faa(self, src_node: int, src_thread: int, ptr: int, delta: int,
               *, signed: bool = False, actor: str = "?"):
         """One-sided fetch-and-add; returns the previous value."""
-        def apply_fn(old: int):
-            return from_signed(to_signed(old) + delta)
-
-        old = yield from self._rmw("rFAA", src_node, src_thread, ptr,
-                                   apply_fn, actor)
-        return to_signed(old) if signed else old
+        return self._verb("rFAA", src_node, src_thread, ptr, delta, 0,
+                          signed, actor)
 
     # -- reporting -----------------------------------------------------
     def stats(self) -> dict:

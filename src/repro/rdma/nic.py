@@ -1,9 +1,15 @@
 """The RNIC model: TX/RX pipelines, PCIe, QPC cache, congestion.
 
-An op's path through a NIC is a sequence of resource holds:
+An :class:`Rnic` is the *state* of one node's NIC — three queued
+resources (the TX pipeline, the RX pipeline, the PCIe bus), the
+QP-context cache, the cached cost parameters and the op counters — plus
+the two per-op computations that read that state: the QPC reload
+penalty and the congestion-inflated RX service time.  The *path* an op
+takes through two NICs is stated once, in
+:meth:`repro.rdma.network.RdmaNetwork._round_trip`:
 
 * **send side** — one PCIe crossing (WQE fetch via doorbell + DMA) then
-  the TX pipeline for ``tx_service_ns``.
+  the TX pipeline for ``tx_service_ns`` (plus a QPC reload on a miss).
 * **receive side** — the RX pipeline, whose effective service time
   inflates with the backlog queued at arrival (RX-buffer accumulation
   under PCIe backpressure, the Fig. 1 mechanism), then one PCIe crossing
@@ -65,24 +71,13 @@ class Rnic:
         self.loopback_ops = 0
         self.qpc_penalty_ns_total = 0.0
 
-    # -- building blocks -------------------------------------------------
+    # -- per-op computations ---------------------------------------------
     def _qpc_penalty(self, qp: tuple) -> float:
         """Touch the QPC cache; return the reload penalty (0 on hit)."""
         if self.qpc.access(qp):
             return 0.0
         self.qpc_penalty_ns_total += self._qpc_miss_penalty_ns
         return self._qpc_miss_penalty_ns
-
-    def pcie_crossing(self):
-        """Process fragment: one PCIe transaction."""
-        yield from self.pcie.serve(self._pcie_crossing_ns)
-
-    def send_side(self, qp: tuple):
-        """Process fragment: requester-side work for one outbound op."""
-        self.tx_ops += 1
-        yield from self.pcie.serve(self._pcie_crossing_ns)
-        service = self._tx_service_ns + self._qpc_penalty(qp)
-        yield from self.tx.serve(service)
 
     def _rx_service_time(self) -> float:
         """RX service with congestion inflation, based on the backlog
@@ -94,45 +89,6 @@ class Rnic:
         factor = min(1.0 + self._rx_congestion_factor * over,
                      self._rx_congestion_max_factor)
         return self._rx_service_ns * factor
-
-    def receive_side(self, qp: tuple, *, atomic: bool = False,
-                     execute=None):
-        """Process fragment: target-side work for one inbound op.
-
-        Args:
-            qp: queue-pair identity (touches this NIC's QPC cache too —
-                the responder also holds connection state).
-            atomic: hold the RX pipeline for the full RMW window so
-                remote atomics serialize at the target.
-            execute: optional callable run at the op's *linearization
-                point*: for plain ops, after RX service; for atomics it
-                receives a ``commit`` phase via the returned generator
-                protocol (see :mod:`repro.rdma.network`).
-        """
-        self.rx_ops += 1
-        penalty = self._qpc_penalty(qp)
-        # Interrupt-safe admission: a fault-layer watchdog may kill this
-        # op while it is still queued behind the RX pipeline.
-        yield from self.rx.acquire()
-        try:
-            yield self._rx_service_time() + penalty
-            if atomic:
-                # read phase happens now; write-back lands after the window
-                result = execute("read") if execute is not None else None
-                yield self._atomic_window_ns
-                if execute is not None:
-                    execute("commit")
-            else:
-                result = execute() if execute is not None else None
-        finally:
-            self.rx.release()
-        yield from self.pcie.serve(self._pcie_crossing_ns)
-        return result
-
-    def loopback_turnaround(self):
-        """Process fragment: internal TX→RX handoff on the same NIC."""
-        self.loopback_ops += 1
-        yield self._loopback_turnaround_ns
 
     # -- reporting -----------------------------------------------------
     def stats(self) -> dict:

@@ -75,18 +75,18 @@ class RpcTransport:
         return reply
 
     def _send(self, src_node: int, src_thread: int, dst_node: int):
-        """One message traversal: NIC TX -> fabric -> NIC RX (or IPC)."""
+        """One message traversal: NIC TX -> fabric -> NIC RX (or IPC) —
+        the verbs' round trip, one way: the message lands in the inbox,
+        not in registered memory, and a send has no response path."""
         self.messages_sent += 1
         if src_node == dst_node:
             self.local_ipc_messages += 1
             yield LOCAL_IPC_NS
             return
-        qp = qp_id(src_node, src_thread, dst_node)
-        src_nic = self.network.nics[src_node]
-        dst_nic = self.network.nics[dst_node]
-        yield from src_nic.send_side(qp)
-        yield self.network._fabric_delay()
-        yield from dst_nic.receive_side(qp)
+        nics = self.network.nics
+        yield from self.network._round_trip(
+            None, qp_id(src_node, src_thread, dst_node), nics[src_node],
+            nics[dst_node], False, reply=False)
 
     # -- server side ---------------------------------------------------
     def serve(self, node: int, handler):

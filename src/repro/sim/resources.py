@@ -98,23 +98,51 @@ class Resource:
                 self.peak_queue = len(self._queue)
         return ev
 
-    def cancel(self, ev: Event) -> bool:
+    def admit(self) -> "float | Event":
+        """Ask for a slot; returns what the calling process must ``yield``.
+
+        A free slot is taken in place and ``0.0`` is returned: the
+        zero-delay sleep takes the ``seq`` the grant event's
+        ``succeed()`` would have taken and joins the same now-queue, so
+        the grant keeps its position in the schedule without an
+        :class:`Event`.  A busy resource returns the queued grant event.
+        Either way the value goes to :meth:`cancel` if the wait or the
+        hold is abandoned, so the whole interrupt-safe hold is::
+
+            grant = res.admit()
+            try:
+                yield grant          # admission
+                yield t              # hold
+            except BaseException:
+                res.cancel(grant)
+                raise
+            res.release()
+        """
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            self.total_served += 1
+            return 0.0
+        return self.request()
+
+    def cancel(self, grant: "float | Event") -> bool:
         """Withdraw a pending request, or give back an already-granted
         slot the requester will never use.
 
+        ``grant`` is what :meth:`admit` or :meth:`request` returned.
         Returns True if a slot had been granted (and was released here).
         Safe to call regardless of the request's state, so interrupt
         handlers need no bookkeeping about how far admission got:
 
         * still queued — the grant event is removed from the queue and
           will never be succeeded;
-        * already granted (immediately, or handed over by a
-          :meth:`release` in the same timestep the interrupt landed) —
-          the slot is released on the canceller's behalf.
+        * already granted (in place — ``0.0`` —, immediately, or handed
+          over by a :meth:`release` in the same timestep the interrupt
+          landed) — the slot is released on the canceller's behalf.
         """
-        if not ev.triggered:
+        if grant.__class__ is not float and not grant.triggered:
             try:
-                self._queue.remove(ev)
+                self._queue.remove(grant)
             except ValueError:
                 pass  # unknown/foreign event: nothing to withdraw
             return False
@@ -138,59 +166,27 @@ class Resource:
 
         Equivalent to ``yield resource.request()`` except that an
         interrupt (or any exception) delivered while waiting returns the
-        slot (or withdraws the queued request) instead of leaking it.
-
-        A free slot is taken in place and the grant's position in the
-        schedule is held by a zero-delay sleep: it takes the ``seq`` the
-        grant event's ``succeed()`` would have taken and joins the same
-        now-queue, so the order of everything else is untouched."""
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            self.total_served += 1
-            try:
-                yield 0.0
-            except BaseException:
-                self.release()
-                raise
-            return
-        req = self.request()
+        slot (or withdraws the queued request) instead of leaking it."""
+        grant = self.admit()
         try:
-            yield req
+            yield grant
         except BaseException:
-            self.cancel(req)
+            self.cancel(grant)
             raise
 
     def serve(self, service_time: float):
         """Convenience process fragment: acquire, hold for ``service_time``,
         release.  ``yield from resource.serve(t)`` inside a process.
         Interrupt-safe in both phases: waiting cancels the request,
-        holding releases the slot.
-
-        The :meth:`acquire` protocol is inlined — serve() runs once per
-        NIC pipeline stage, several times per verb, so the extra
-        generator frame is measurable."""
-        if self._in_use < self.capacity:
-            # free slot: taken in place, see acquire()
-            self._account()
-            self._in_use += 1
-            self.total_served += 1
-            try:
-                yield 0.0
-                yield float(service_time)
-            finally:
-                self.release()
-            return
-        req = self.request()
+        holding releases the slot."""
+        grant = self.admit()
         try:
-            yield req
-        except BaseException:
-            self.cancel(req)
-            raise
-        try:
+            yield grant
             yield float(service_time)
-        finally:
-            self.release()
+        except BaseException:
+            self.cancel(grant)
+            raise
+        self.release()
 
 
 class Store:

@@ -94,6 +94,41 @@ class TestResourceGuardRule:
         assert lint_file(FIXTURES / "resources.py",
                          module="repro.sim.resources") == []
 
+    def test_fires_on_unguarded_and_never_released_admit(self):
+        findings = [f for f in lint_fixture("admission.py",
+                                            module="repro.rdma.network")
+                    if f.rule == "resource-guard"]
+        assert sorted(f.line for f in findings) == [6, 13]
+        assert all(".admit()" in f.message for f in findings)
+
+    def test_the_round_trip_hold_idiom_is_clean(self):
+        findings = lint_fixture("admission.py", module="repro.rdma.network")
+        assert not [f for f in findings if f.line >= 22], findings
+
+    def test_the_rule_sees_the_round_trip(self):
+        """Only ``repro.sim.resources`` is exempt: the five hand-written
+        holds of the verb path are checked, not skipped."""
+        import ast
+
+        import repro.rdma.network as network
+        from repro.lint.rules import ResourceGuardRule, _ADMISSION_METHODS
+
+        sf = SourceFile.parse(Path(network.__file__),
+                              module="repro.rdma.network")
+        admits = [n for n in ast.walk(sf.tree)
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "admit"]
+        assert len(admits) == 5 and "admit" in _ADMISSION_METHODS
+        rule = ResourceGuardRule()
+        assert "repro.rdma.network" not in rule.exempt_modules
+        assert list(rule.check(sf)) == []
+        # ... and it is the guard, not blindness, that keeps it clean
+        unguarded = sf.source.replace("pcie.cancel(grant)", "pass")
+        broken = SourceFile.from_source(unguarded, path=sf.path,
+                                        module="repro.rdma.network")
+        assert len(list(rule.check(broken))) == 3
+
 
 class TestRegionBypassRule:
     def test_fires_on_raw_writes_and_remote_api(self):

@@ -317,3 +317,266 @@ class TestStackedInterrupts:
         env.process(poker())
         env.run()
         assert p.ok and p.value == "interrupted"
+
+
+class TestAdmit:
+    """``admit()`` states the admission protocol once: it returns what
+    to yield, and ``cancel()`` takes that value back whatever became of
+    it."""
+
+    @staticmethod
+    def hold(res, service, log, env):
+        """The interrupt-safe hold exactly as the NIC round trip writes
+        it."""
+        grant = res.admit()
+        try:
+            yield grant
+            yield service
+        except BaseException:
+            log.append(("cancelled", env.now, res.cancel(grant)))
+            raise
+        res.release()
+        log.append(("served", env.now))
+
+    def test_free_slot_is_taken_in_place(self, env):
+        res = Resource(env, capacity=1)
+        grant = res.admit()
+        assert grant.__class__ is float and grant == 0.0
+        assert res.in_use == 1 and res.total_served == 1
+        assert res.queue_length == 0
+
+    def test_busy_resource_returns_the_queued_grant(self, env):
+        res = Resource(env, capacity=1)
+        res.admit()
+        grant = res.admit()
+        assert not grant.triggered
+        assert res.queue_length == 1 and res.peak_queue == 1
+        assert res.in_use == 1 and res.total_served == 1
+        res.release()                   # handed over, occupancy unchanged
+        assert grant.triggered and res.in_use == 1
+        assert res.total_served == 2
+
+    def test_cancel_in_place_grant_releases_the_slot(self, env):
+        res = Resource(env, capacity=2)
+        assert res.cancel(res.admit()) is True
+        assert res.in_use == 0
+
+    def test_cancel_in_place_grant_admits_the_next_waiter(self, env):
+        res = Resource(env, capacity=1)
+        mine = res.admit()
+        waiter = res.admit()
+        assert res.cancel(mine) is True
+        assert waiter.triggered and res.in_use == 1
+
+    def test_cancel_queued_grant_withdraws_it(self, env):
+        res = Resource(env, capacity=1)
+        res.admit()
+        queued = res.admit()
+        assert res.cancel(queued) is False
+        assert res.queue_length == 0 and res.in_use == 1
+        res.release()
+        assert not queued.triggered     # never succeeded for a dead waiter
+        assert res.in_use == 0
+
+    def test_cancel_of_a_grant_handed_over_in_the_interrupt_tick(self, env):
+        """release() hands the slot to the queued waiter and the
+        interrupt lands in the same tick, before the waiter resumes:
+        the grant is triggered, so cancel() must give the slot back."""
+        res = Resource(env, capacity=1)
+        log = []
+        env.process(self.hold(res, 50.0, log, env))
+        victim = env.process(self.hold(res, 10.0, log, env))
+
+        def assassin():
+            yield 10.0
+            yield 40.0                  # t=50, after the holder's wake-up
+            assert res.in_use == 1 and res.queue_length == 0   # handed over
+            victim.interrupt("too late")
+
+        killer = env.process(assassin())
+        env.run()
+        assert killer.ok, killer.value
+        assert log == [("served", 50.0), ("cancelled", 50.0, True)]
+        assert res.in_use == 0 and res.queue_length == 0
+        assert res.total_served == 2
+
+    @pytest.mark.parametrize("when", [0.0, 5.0, 25.0])
+    def test_hold_interrupted_in_every_phase(self, env, when):
+        """Queued (t=5), on the grant tick (t=0: in place) and inside
+        the hold (t=25, after the t=20 hand-over)."""
+        res = Resource(env, capacity=1)
+        log = []
+        if when:
+            env.process(self.hold(res, 20.0, log, env))
+        victim = env.process(self.hold(res, 100.0, log, env))
+        follower = env.process(self.hold(res, 1.0, log, env))
+
+        def assassin():
+            yield when
+            victim.interrupt("stop")
+
+        env.process(assassin())
+        env.run()
+        assert follower.ok and not victim.ok
+        assert res.in_use == 0 and res.queue_length == 0
+        granted_slot = when != 5.0
+        assert ("cancelled", when, granted_slot) in log
+        # the follower is served as soon as the slot is free
+        assert log[-1] == ("served", max(when, 20.0 if when else 0.0) + 1.0)
+
+
+# -- the NIC round trip: five hand-written holds ------------------------
+
+from repro.cluster import Cluster                      # noqa: E402
+from repro.memory import ptr_addr                      # noqa: E402
+
+_VERBS = ("rRead", "rWrite", "rCAS", "rFAA")
+_INITIAL = 5
+#: the word after the verb landed (rCAS 5->9, rFAA 5+3, rWrite 7)
+_LANDED = {"rRead": 5, "rWrite": 7, "rCAS": 9, "rFAA": 8}
+
+
+def _verb(net, verb, node, thread, ptr):
+    if verb == "rRead":
+        return net.r_read(node, thread, ptr)
+    if verb == "rWrite":
+        return net.r_write(node, thread, ptr, 7)
+    if verb == "rCAS":
+        return net.r_cas(node, thread, ptr, _INITIAL, 9, actor="ghost")
+    return net.r_faa(node, thread, ptr, 3, actor="ghost")
+
+
+def _resources(net):
+    return [r for nic in net.nics for r in (nic.tx, nic.rx, nic.pcie)]
+
+
+def _stepper(gen, k, at_suspension):
+    """Process body that drives ``gen`` by hand (``yield from`` cannot
+    count) and calls ``at_suspension()`` once ``gen`` is parked at its
+    ``k``-th suspension; returns the number of suspensions."""
+    i = 0
+    value = exc = None
+    while True:
+        try:
+            target = gen.send(value) if exc is None else gen.throw(exc)
+        except StopIteration:
+            return i
+        if i == k and at_suspension() == "closed":
+            return i
+        i += 1
+        try:
+            value, exc = (yield target), None
+        except BaseException as e:
+            value, exc = None, e
+
+
+class TestRoundTripKilledAtEverySuspension:
+    """Kill the flat traversal at each of its suspension points — by
+    ``interrupt()`` and by ``close()`` — and check nothing is left
+    behind: no held slot, no queued grant, no open RMW window, no
+    half-applied commit."""
+
+    def build(self, path):
+        cluster = Cluster(2, seed=0, audit="record")
+        target = 0 if path == "loopback" else 1
+        ptr = cluster.alloc_on(target, 8)
+        cluster.regions[target].write(ptr_addr(ptr), _INITIAL)
+        return cluster, target, ptr
+
+    def run_one(self, verb, path, load, how, k):
+        """Returns (suspensions seen, info) for a ghost killed at its
+        ``k``-th suspension (``k=-1``: never)."""
+        cluster, target, ptr = self.build(path)
+        env, net = cluster.env, cluster.network
+        info = {"probes": [], "window_open": False, "killed_at": None}
+        others = []
+        if load == "queued":
+            # traffic ahead of the ghost on every pipeline it crosses
+            others = [env.process(net.r_read(0, t, ptr)) for t in (1, 2, 3)]
+
+        def probe(res):
+            grant = res.admit()
+            try:
+                yield grant
+            except BaseException:  # pragma: no cover - never interrupted
+                res.cancel(grant)
+                raise
+            info["probes"].append((res.name, env.now))
+            res.release()
+
+        def at_suspension():
+            info["killed_at"] = env.now
+            info["window_open"] = bool(cluster.auditor._windows)
+            if load == "free":
+                # alone on idle NICs, whatever is in use is the ghost's:
+                # queue a requester behind each slot it holds
+                info["held"] = [r.name for r in _resources(net) if r.in_use]
+                for res in _resources(net):
+                    if res.in_use:
+                        env.process(probe(res))
+            if how == "close":
+                ghost_gen.close()
+                return "closed"
+            env.active_process.interrupt("kill")
+
+        ghost_gen = _verb(net, verb, 0, 0, ptr)
+        ghost = env.process(_stepper(ghost_gen, k, at_suspension))
+        env.run()
+        word = cluster.regions[target].peek(ptr_addr(ptr))
+        # -- nothing leaks, whatever k was
+        for res in _resources(net):
+            assert res.in_use == 0 and res.queue_length == 0, (res.name, k)
+        assert cluster.auditor._windows == {}, k
+        assert cluster.auditor.consistency_errors == 0
+        assert all(p.ok for p in others), k
+        info["word"] = word
+        info["ghost"] = ghost
+        return info
+
+    @pytest.mark.parametrize("how", ["interrupt", "close"])
+    @pytest.mark.parametrize("load", ["free", "queued"])
+    @pytest.mark.parametrize("path", ["loopback", "fabric"])
+    @pytest.mark.parametrize("verb", _VERBS)
+    def test_kill_at_every_suspension(self, verb, path, load, how):
+        whole = self.run_one(verb, path, load, how, -1)
+        n = whole["ghost"].value
+        # 5 holds x (grant, hold) + transit [+ return fabric] [+ window]
+        expected = 11 + (path == "fabric") + (verb in ("rCAS", "rFAA"))
+        assert n == expected and whole["word"] == _LANDED[verb]
+        windows_seen = 0
+        for k in range(n):
+            info = self.run_one(verb, path, load, how, k)
+            ghost = info["ghost"]
+            if how == "interrupt":
+                assert not ghost.ok and isinstance(ghost.value, Interrupt)
+            else:
+                assert ghost.ok and ghost.value == k
+            # no half-applied commit: the word is the old or the new value
+            assert info["word"] in (_INITIAL, _LANDED[verb])
+            if info["window_open"]:
+                # killed between the RMW's read and its write-back
+                windows_seen += 1
+                assert info["word"] == _INITIAL
+            if load == "free":
+                # every requester queued behind the ghost was granted at
+                # the instant the ghost died
+                assert sorted(info["probes"]) == sorted(
+                    (name, info["killed_at"]) for name in info["held"]), k
+        assert windows_seen == (verb in ("rCAS", "rFAA"))
+
+    def test_a_dead_rmw_does_not_poison_the_word(self):
+        """After an rCAS dies inside its window a local write to the
+        word is not a Table-1 violation: the window died with it."""
+        cluster, target, ptr = self.build("fabric")
+        env, net = cluster.env, cluster.network
+        ghost = env.process(net.r_cas(0, 0, ptr, _INITIAL, 9, actor="ghost"))
+        while not cluster.auditor._windows:
+            env.step()
+        ghost.interrupt("kill")
+        env.run()
+        assert not ghost.ok and cluster.auditor._windows == {}
+        ctx = cluster.thread_ctx(1, 0)
+        writer = env.process(ctx.write(ptr, 11))
+        env.run()
+        assert writer.ok and cluster.auditor.violations == []
+        assert cluster.regions[target].peek(ptr_addr(ptr)) == 11
