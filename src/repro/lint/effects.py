@@ -10,8 +10,8 @@ The deep analyses consume these three ways:
   :meth:`EffectEngine.stmt_raises`, so "leaks on the exceptional path"
   findings fire only where an exception can actually originate;
 * the protocol pass asks whether a handover obligation is discharged by
-  a statement with a remote *write* effect (directly or through a
-  helper like ``_neighbor_write``);
+  a statement with a *write* effect (directly, through a helper, or
+  through a cohort's ``neighbor_write``);
 * the blocking pass reads the blocking level and raw-park bit directly.
 
 Simulator machinery (the verbs API, local region ops, waits) is
@@ -28,6 +28,8 @@ call (by name tail)     blocking   raises  writes
 ``r_read``              bounded    yes     no
 ``r_write/r_cas/r_faa`` bounded    yes     yes
 ``write/cas/faa``       none       no      yes
+``tail_cas``            bounded    yes     yes
+``neighbor_write``      bounded    yes     yes
 ``read`` / ``fence``    none       no      no
 ``timeout``             bounded    no      no
 ``yield <delay>``       bounded    no      no
@@ -117,6 +119,15 @@ INTRINSICS: Dict[str, Effects] = {
     "_note_acquired": INERT,
     "_note_released": INERT,
 }
+
+#: ALock states Algorithm 3 once over a per-cohort record whose ops are
+#: the shared-memory *or* the verbs family's, called with the context
+#: first: ``cohort.tail_cas(ctx, ptr, expected, new)``.  Which family is
+#: data the lint cannot see, so the contract is the join of the two.
+COHORT_OPS = {"tail_cas": ("cas", "r_cas"),
+              "neighbor_write": ("write", "r_write")}
+INTRINSICS.update({tail: INTRINSICS[shared].join(INTRINSICS[verb])
+                   for tail, (shared, verb) in COHORT_OPS.items()})
 
 #: unresolved calls with these tails are assumed to acquire something.
 _ACQUIRE_TAILS = frozenset({"lock", "acquire", "admit", "request"})

@@ -247,7 +247,20 @@ class ProjectIndex:
                 if hit is not None:
                     return [hit]
             return self._by_unique_name(func.attr)
-        # bare f(...) — same module, then imports.
+        named = self._resolve_named(func, caller)
+        if named is not None:
+            return named
+        # obj.m(...) — unique-name fallback.
+        if isinstance(func, ast.Attribute):
+            return self._by_unique_name(func.attr)
+        return []
+
+    def _resolve_named(self, func: ast.AST,
+                       caller: FunctionInfo) -> Optional[List[FunctionInfo]]:
+        """The function(s) ``func`` *names* statically, called or not;
+        None when it is no bare name or import-qualified path (a method
+        on some object, say)."""
+        # bare f — same module, then imports.
         if isinstance(func, ast.Name):
             qual = self._module_funcs.get((caller.module, func.id))
             if qual is not None:
@@ -265,17 +278,14 @@ class ProjectIndex:
                         node=sub, sf=caller.sf)
                     return [nested]
             return []
-        # mod.f(...) / pkg.mod.f(...) via the import table.
+        # mod.f / pkg.mod.f via the import table.
         dotted = expr_text(func)
         if dotted is not None and "." in dotted:
             head, rest = dotted.split(".", 1)
             target = self._imports.get(caller.module, {}).get(head)
             if target is not None:
                 return self._resolve_dotted(f"{target}.{rest}")
-        # obj.m(...) — unique-name fallback.
-        if isinstance(func, ast.Attribute):
-            return self._by_unique_name(func.attr)
-        return []
+        return None
 
     def _resolve_dotted(self, dotted: str) -> List[FunctionInfo]:
         """``pkg.mod.func`` / ``pkg.mod.Class.meth`` against the index."""
@@ -311,8 +321,17 @@ class ProjectIndex:
         if cached is not None:
             return cached
         out: Dict[str, FunctionInfo] = {}
-        for call in self.calls_in(fn):
-            for callee in self.resolve_call(call, fn):
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Call):
+                hits = self.resolve_call(node, fn)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                # A function named without being called (ALock keeps
+                # each cohort's Peterson side in a record) may be called
+                # by whoever receives it, so it stays in the closure.
+                hits = self._resolve_named(node, fn) or ()
+            else:
+                continue
+            for callee in hits:
                 out.setdefault(callee.qualname, callee)
         result = tuple(out[q] for q in sorted(out))
         self._callee_cache[fn.qualname] = result

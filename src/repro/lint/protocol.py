@@ -31,10 +31,12 @@ P3 (use-after-relinquish, reported at the offending verb)
     relinquished word again.
 
 The relinquish site is recognized syntactically: an assignment
-``v = [yield from] <cas|r_cas>(ptr, expected, 0)`` whose stored value
-is literally zero, followed by a branch comparing ``v`` against the
-expected expression.  Branch refinement happens on the CFG's
-TRUE/FALSE edges, so arbitrarily nested handling code is tracked.
+``v = [yield from] <cas|r_cas>(ptr, expected, 0)`` — or a cohort's
+``tail_cas(ctx, ptr, expected, 0)``, how a lock that states the queue
+once for both API families spells it (:data:`effects.COHORT_OPS`) —
+whose stored value is literally zero, followed by a branch comparing
+``v`` against the expected expression.  Branch refinement happens on the
+CFG's TRUE/FALSE edges, so arbitrarily nested handling code is tracked.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from repro.lint.dataflow import (
     EXC, FALSE, TRUE, Cfg, CfgNode, ForwardAnalysis, run_forward,
 )
 from repro.lint.deep import DeepContext, DeepRule
+from repro.lint.effects import COHORT_OPS
 from repro.lint.findings import Finding
 from repro.lint.ir import FunctionInfo, attr_tail, expr_text, name_tails
 
-_CAS_TAILS = frozenset({"cas", "r_cas"})
+_CAS_TAILS = frozenset({"cas", "r_cas", "tail_cas"})
 _VERB_TAILS = frozenset({"read", "write", "cas", "faa",
-                         "r_read", "r_write", "r_cas", "r_faa"})
+                         "r_read", "r_write", "r_cas", "r_faa"}) | set(COHORT_OPS)
 _WAIT_COND_TAILS = frozenset({"wait_local_cond"})
 
 
@@ -74,6 +77,12 @@ def _unwrap_call(value: ast.AST) -> Optional[ast.Call]:
     return value if isinstance(value, ast.Call) else None
 
 
+def _operands(call: ast.Call) -> List[ast.expr]:
+    """A verb call's own operands, pointer first: a cohort op is handed
+    the context ahead of them."""
+    return call.args[1:] if attr_tail(call.func) in COHORT_OPS else call.args
+
+
 def find_relinquish_sites(fn: FunctionInfo) -> List[RelinquishSite]:
     sites: List[RelinquishSite] = []
     for node in ast.walk(fn.node):
@@ -85,11 +94,12 @@ def find_relinquish_sites(fn: FunctionInfo) -> List[RelinquishSite]:
         call = _unwrap_call(node.value)
         if call is None or attr_tail(call.func) not in _CAS_TAILS:
             continue
-        if len(call.args) < 3:
+        args = _operands(call)
+        if len(args) < 3:
             continue
-        ptr_text = expr_text(call.args[0])
-        expected_text = expr_text(call.args[1])
-        stored = call.args[2]
+        ptr_text = expr_text(args[0])
+        expected_text = expr_text(args[1])
+        stored = args[2]
         if ptr_text is None or expected_text is None:
             continue
         if not (isinstance(stored, ast.Constant) and stored.value == 0):
@@ -284,9 +294,10 @@ class DeepProtocolRule(DeepRule):
             for call in _walk_heads(node):
                 if not isinstance(call, ast.Call):
                     continue
-                if attr_tail(call.func) not in _VERB_TAILS or not call.args:
+                operands = _operands(call)
+                if attr_tail(call.func) not in _VERB_TAILS or not operands:
                     continue
-                ptr = expr_text(call.args[0])
+                ptr = expr_text(operands[0])
                 if ptr in relinquished:
                     yield ctx.finding(
                         fn, call.lineno, call.col_offset, self.rule_id,

@@ -28,8 +28,9 @@ every test run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Callable, NamedTuple
 
+from repro.cluster import Cluster, ThreadContext
 from repro.common.errors import ConfigError, ProtocolError
 from repro.locks.alock import peterson
 from repro.locks.alock.descriptors import (
@@ -49,12 +50,29 @@ from repro.locks.base import (
 from repro.locks.layout import ALOCK_LAYOUT
 from repro.memory.pointer import ptr_addr
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster import Cluster, ThreadContext
-
 #: Paper's chosen budgets after the Fig. 4 sweep (§6.1).
 DEFAULT_LOCAL_BUDGET = 5
 DEFAULT_REMOTE_BUDGET = 20
+
+
+class _Cohort(NamedTuple):
+    """What tells one cohort's queue from the other's.  The paper states
+    Algorithm 3 once and gets the local cohort by "replacing each remote
+    access with a local one"; so the accesses are data.  The callables
+    take the context first: ``cohort.tail_cas(ctx, ptr, expected, new)``."""
+
+    name: str                 #: "local" | "remote" — event field, stats key
+    tail_ptr: int             #: the cohort's MCS tail == its Peterson flag
+    budget: int               #: consecutive passes before the cohort yields
+    tail_cas: Callable        #: the one RMW family allowed on ``tail_ptr``
+    neighbor_write: Callable  #: store into a queue neighbor's descriptor
+    acquire_global: Callable  #: this cohort leader's side of Algorithm 4
+
+
+def _shortcut_write(ctx: ThreadContext, ptr: int, value: int):
+    """The non-strict ablation's neighbor write: same-node descriptors
+    are written through shared memory instead of loopback."""
+    return ctx.write(ptr, value) if ctx.is_local(ptr) else ctx.r_write(ptr, value)
 
 
 class ALock(DistributedLock):
@@ -119,7 +137,18 @@ class ALock(DistributedLock):
         region.label_word(ptr_addr(self.tail_r_ptr), f"{self.name}.tail_r")
         region.label_word(ptr_addr(self.tail_l_ptr), f"{self.name}.tail_l")
         region.label_word(ptr_addr(self.victim_ptr), f"{self.name}.victim")
-        self._sessions: dict[int, tuple[str, Descriptor]] = {}
+        # Indexed by lock()'s slot.  A local thread's queue neighbors are
+        # necessarily on its own node; the remote cohort (Algorithm 3
+        # verbatim) uses ``rWrite`` unconditionally unless the ablation
+        # short-circuits same-node targets.
+        self._cohorts = (
+            _Cohort("local", self.tail_l_ptr, local_budget, ThreadContext.cas,
+                    ThreadContext.write, peterson.acquire_local),
+            _Cohort("remote", self.tail_r_ptr, remote_budget, ThreadContext.r_cas,
+                    ThreadContext.r_write if strict_remote_rdma else _shortcut_write,
+                    peterson.acquire_remote),
+        )
+        self._sessions: dict[int, tuple[int, Descriptor]] = {}
         # statistics (per-lock protocol behaviour, used by ablations)
         self.passes = {"local": 0, "remote": 0}
         self.reacquires = {"local": 0, "remote": 0}
@@ -136,17 +165,13 @@ class ALock(DistributedLock):
         else:
             pair = descriptor_pair(ctx)
         slot = 0 if ctx.is_local(self.base_ptr) else 1
-        cohort = "local" if slot == 0 else "remote"
         desc = pools[slot].acquire() if self.allow_nesting else pair[slot]
         # begin() runs before the cleanup guard: if it raises, the
         # descriptor is owned by another in-flight acquisition and must
         # NOT be reset or returned to the pool here.
         yield from desc.begin()
         try:
-            if slot == 0:
-                yield from self._lock_local(ctx, desc)
-            else:
-                yield from self._lock_remote(ctx, desc)
+            yield from self._acquire_cohort(ctx, desc, self._cohorts[slot])
         except BaseException:
             # Failed acquisition (e.g. a VerbTimeout from the fault
             # layer): the descriptor must come back, or the pool leaks
@@ -158,7 +183,7 @@ class ALock(DistributedLock):
             raise
         # §5.2: atomic thread fence after locking.
         yield from ctx.fence()
-        self._sessions[ctx.gid] = (cohort, desc)
+        self._sessions[ctx.gid] = (slot, desc)
         self._note_acquired(ctx)
 
     @observed_release
@@ -167,56 +192,52 @@ class ALock(DistributedLock):
         session = self._sessions.pop(ctx.gid, None)
         if session is None:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        cohort, desc = session
+        slot, desc = session
         # §5.2: atomic thread fence before unlocking.
         yield from ctx.fence()
         # The oracle is updated before the release op is issued: the op's
         # linearization point is when it *lands*, which a successor can
         # observe before this generator resumes (see base.py).
         self._note_released(ctx)
-        if cohort == "local":
-            yield from self._unlock_local(ctx, desc)
-        else:
-            yield from self._unlock_remote(ctx, desc)
+        yield from self._release_cohort(ctx, desc, self._cohorts[slot])
         if self.allow_nesting:
-            pools = descriptor_pools(ctx)
-            (pools[0] if cohort == "local" else pools[1]).release(desc)
+            descriptor_pools(ctx)[slot].release(desc)
 
-    # -- remote cohort (Algorithm 3 verbatim) ------------------------------
-    def _swap_tail_remote(self, ctx: "ThreadContext", new: int):
-        """Atomic swap emulated by an rCAS retry loop (IB verbs have CAS
-        and FAA but no swap).  Returns the previous tail value."""
+    # -- one cohort's budgeted MCS queue (Algorithm 3) ----------------------
+    def _acquire_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort):
+        """``qLock`` and, for a leader, Algorithm 2's ``pLock``: returns
+        holding the lock, won through Peterson or passed by a predecessor."""
+        # Atomic swap emulated by a CAS retry loop (IB verbs have CAS
+        # and FAA but no swap); ``prev`` ends as the previous tail.
         expected = 0
         while True:
-            old = yield from ctx.r_cas(self.tail_r_ptr, expected, new)
-            if old == expected:
-                return old
-            expected = old
-
-    def _lock_remote(self, ctx: "ThreadContext", desc: Descriptor):
-        prev = yield from self._swap_tail_remote(ctx, desc.ptr)
-        ctx.emit(ctx.actor, "mcs.swap", self.name, "remote", prev)
+            prev = yield from cohort.tail_cas(ctx, cohort.tail_ptr, expected, desc.ptr)
+            if prev == expected:
+                break
+            expected = prev
+        ctx.emit(ctx.actor, "mcs.swap", self.name, cohort.name, prev)
         if prev == 0:
             # Queue was empty: cohort leader; lock was NOT passed.
-            yield from ctx.write(desc.budget_ptr, self.remote_budget)
-            self.leader_acquires["remote"] += 1
-            yield from peterson.acquire_remote(ctx, self)
+            yield from ctx.write(desc.budget_ptr, cohort.budget)
+            self.leader_acquires[cohort.name] += 1
+            yield from cohort.acquire_global(ctx, self)
             return
         # Link behind the predecessor, then spin locally on our budget.
-        yield from self._neighbor_write(ctx, prev + OFF_NEXT, desc.ptr)
-        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", "remote")
+        yield from cohort.neighbor_write(ctx, prev + OFF_NEXT, desc.ptr)
+        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", cohort.name)
         budget = yield from ctx.wait_local(
             desc.budget_ptr, lambda b: b != WAITING, signed=True)
-        self.passes["remote"] += 1
-        ctx.emit(ctx.actor, "mcs.passed", self.name, "remote", budget)
+        self.passes[cohort.name] += 1
+        ctx.emit(ctx.actor, "mcs.passed", self.name, cohort.name, budget)
         if budget == 0:
             # Budget exhausted: yield to the other cohort, then reacquire.
-            self.reacquires["remote"] += 1
-            yield from peterson.acquire_remote(ctx, self)
-            yield from ctx.write(desc.budget_ptr, self.remote_budget)
+            self.reacquires[cohort.name] += 1
+            yield from cohort.acquire_global(ctx, self)
+            yield from ctx.write(desc.budget_ptr, cohort.budget)
 
-    def _unlock_remote(self, ctx: "ThreadContext", desc: Descriptor):
-        old = yield from ctx.r_cas(self.tail_r_ptr, desc.ptr, 0)
+    def _release_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort):
+        """``qUnlock``: clear the tail, or pass the lock to the successor."""
+        old = yield from cohort.tail_cas(ctx, cohort.tail_ptr, desc.ptr, 0)
         if old != desc.ptr:
             # A successor is enqueued (or still linking): wait for the
             # link, then pass the lock with a decremented budget.
@@ -227,88 +248,19 @@ class ALock(DistributedLock):
                 # on a budget nobody will write.
                 nxt = yield from ctx.read(desc.next_ptr)
                 if nxt == 0:
-                    ctx.emit(ctx.actor, "mcs.release", self.name, "remote",
+                    ctx.emit(ctx.actor, "mcs.release", self.name, cohort.name,
                              "handoff abandoned")
                     desc.end()
                     # simlint: ignore[deep-protocol] -- seeded skip_budget_wait
                     return
-                budget = yield from ctx.read(desc.budget_ptr, signed=True)
-                yield from self._neighbor_write(ctx, nxt + OFF_BUDGET,
-                                                budget - 1)
-                ctx.emit(ctx.actor, "mcs.pass", self.name, "remote", budget - 1)
-                desc.end()
-                return
-            ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", "remote")
-            nxt = yield from ctx.wait_local(desc.next_ptr, lambda p: p != 0)
+            else:
+                ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", cohort.name)
+                nxt = yield from ctx.wait_local(desc.next_ptr, lambda p: p != 0)
             budget = yield from ctx.read(desc.budget_ptr, signed=True)
-            yield from self._neighbor_write(ctx, nxt + OFF_BUDGET, budget - 1)
-            ctx.emit(ctx.actor, "mcs.pass", self.name, "remote", budget - 1)
+            yield from cohort.neighbor_write(ctx, nxt + OFF_BUDGET, budget - 1)
+            ctx.emit(ctx.actor, "mcs.pass", self.name, cohort.name, budget - 1)
         else:
-            ctx.emit(ctx.actor, "mcs.release", self.name, "remote", "tail cleared")
-        desc.end()
-
-    def _neighbor_write(self, ctx: "ThreadContext", ptr: int, value: int):
-        """Write into a queue neighbor's descriptor from the remote
-        cohort.  Algorithm 3 uses ``rWrite`` unconditionally; the
-        non-strict ablation short-circuits same-node targets."""
-        if self.strict_remote_rdma or not ctx.is_local(ptr):
-            yield from ctx.r_write(ptr, value)
-        else:
-            yield from ctx.write(ptr, value)
-
-    # -- local cohort ("each remote access replaced with a local one") ----
-    def _swap_tail_local(self, ctx: "ThreadContext", new: int):
-        expected = 0
-        while True:
-            old = yield from ctx.cas(self.tail_l_ptr, expected, new)
-            if old == expected:
-                return old
-            expected = old
-
-    def _lock_local(self, ctx: "ThreadContext", desc: Descriptor):
-        prev = yield from self._swap_tail_local(ctx, desc.ptr)
-        ctx.emit(ctx.actor, "mcs.swap", self.name, "local", prev)
-        if prev == 0:
-            yield from ctx.write(desc.budget_ptr, self.local_budget)
-            self.leader_acquires["local"] += 1
-            yield from peterson.acquire_local(ctx, self)
-            return
-        # Predecessor is necessarily a thread on this same node.
-        yield from ctx.write(prev + OFF_NEXT, desc.ptr)
-        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", "local")
-        budget = yield from ctx.wait_local(
-            desc.budget_ptr, lambda b: b != WAITING, signed=True)
-        self.passes["local"] += 1
-        ctx.emit(ctx.actor, "mcs.passed", self.name, "local", budget)
-        if budget == 0:
-            self.reacquires["local"] += 1
-            yield from peterson.acquire_local(ctx, self)
-            yield from ctx.write(desc.budget_ptr, self.local_budget)
-
-    def _unlock_local(self, ctx: "ThreadContext", desc: Descriptor):
-        old = yield from ctx.cas(self.tail_l_ptr, desc.ptr, 0)
-        if old != desc.ptr:
-            if self.bug == "skip_budget_wait":
-                # Seeded defect: see _unlock_remote.
-                nxt = yield from ctx.read(desc.next_ptr)
-                if nxt == 0:
-                    ctx.emit(ctx.actor, "mcs.release", self.name, "local",
-                             "handoff abandoned")
-                    desc.end()
-                    # simlint: ignore[deep-protocol] -- seeded skip_budget_wait
-                    return
-                budget = yield from ctx.read(desc.budget_ptr, signed=True)
-                yield from ctx.write(nxt + OFF_BUDGET, budget - 1)
-                ctx.emit(ctx.actor, "mcs.pass", self.name, "local", budget - 1)
-                desc.end()
-                return
-            ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", "local")
-            nxt = yield from ctx.wait_local(desc.next_ptr, lambda p: p != 0)
-            budget = yield from ctx.read(desc.budget_ptr, signed=True)
-            yield from ctx.write(nxt + OFF_BUDGET, budget - 1)
-            ctx.emit(ctx.actor, "mcs.pass", self.name, "local", budget - 1)
-        else:
-            ctx.emit(ctx.actor, "mcs.release", self.name, "local", "tail cleared")
+            ctx.emit(ctx.actor, "mcs.release", self.name, cohort.name, "tail cleared")
         desc.end()
 
     # -- introspection -------------------------------------------------------
@@ -319,8 +271,4 @@ class ALock(DistributedLock):
                 or region.peek(ptr_addr(self.tail_l_ptr)) != 0)
 
 
-def _make_alock(cluster, home_node, **options):
-    return ALock(cluster, home_node, **options)
-
-
-register_lock_type("alock", _make_alock)
+register_lock_type("alock", ALock)

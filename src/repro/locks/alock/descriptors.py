@@ -99,32 +99,24 @@ class DescriptorPool:
     applications that hold two locks at once (e.g. the KV store's
     two-bucket transfer).  A descriptor is just a 64-byte record, so the
     natural extension is a small pool: each nested acquisition takes the
-    next free descriptor and returns it on release.
-
-    ``capacity=1`` reproduces the paper's single-descriptor discipline
-    exactly (reuse raises ProtocolError); ALock's ``allow_nesting``
-    option switches to an unbounded pool.
+    next free descriptor and returns it on release.  ALock's
+    ``allow_nesting`` option draws from it; without the option the
+    thread's fixed pair is used and reuse raises ProtocolError.
     """
 
-    __slots__ = ("ctx", "flavor", "capacity", "_free", "_allocated")
+    __slots__ = ("ctx", "flavor", "_free", "_allocated")
 
-    def __init__(self, ctx: "ThreadContext", flavor: str, capacity: int = 0):
+    def __init__(self, ctx: "ThreadContext", flavor: str):
         self.ctx = ctx
         self.flavor = flavor
-        self.capacity = capacity  # 0 = unbounded
         self._free: list[Descriptor] = []
         self._allocated = 0
 
     def acquire(self) -> Descriptor:
         """A free descriptor (allocating a new record when the pool is
-        empty and under capacity)."""
+        empty)."""
         if self._free:
             return self._free.pop()
-        if self.capacity and self._allocated >= self.capacity:
-            raise ProtocolError(
-                f"{self.ctx.actor}: all {self.capacity} {self.flavor} "
-                f"descriptor(s) in use — nested acquisition beyond the "
-                f"pool capacity")
         self._allocated += 1
         return Descriptor(self.ctx, self.flavor)
 

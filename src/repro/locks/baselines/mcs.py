@@ -28,6 +28,7 @@ from repro.locks.base import (
     register_lock_type,
 )
 from repro.locks.layout import MCS_DESCRIPTOR_LAYOUT, MCS_LAYOUT
+from repro.memory.pointer import ptr_addr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster, ThreadContext
@@ -44,8 +45,6 @@ class _McsDescriptor:
         region = ctx.cluster.regions[ctx.node_id]
         self.ptr = region.alloc_ptr(MCS_DESCRIPTOR_LAYOUT.size)
         self.label = f"mcsdesc[{ctx.actor}]"
-        from repro.memory.pointer import ptr_addr
-
         addr = ptr_addr(self.ptr)
         region.label_word(addr + OFF_LOCKED, self.label + ".locked")
         region.label_word(addr + OFF_NEXT, self.label + ".next")
@@ -101,8 +100,6 @@ class RdmaMcsLock(DistributedLock):
         self.bug = bug
         self.base_ptr = cluster.alloc_on(home_node, MCS_LAYOUT.size)
         self.tail_ptr = MCS_LAYOUT.addr_of(self.base_ptr, "tail")
-        from repro.memory.pointer import ptr_addr
-
         cluster.regions[home_node].label_word(
             ptr_addr(self.tail_ptr), f"{self.name}.tail")
         self._sessions: dict[int, _McsDescriptor] = {}
@@ -127,8 +124,6 @@ class RdmaMcsLock(DistributedLock):
         to be seen, landed too early to trip the watcher — and the waiter
         sleeps forever (contrast ``wait_local``'s watcher-before-check
         ordering, which makes the correct path lost-wakeup free)."""
-        from repro.memory.pointer import ptr_addr
-
         region = ctx.cluster.regions[ctx.node_id]
         while True:
             value = yield from ctx.r_read(desc.locked_ptr)
@@ -200,8 +195,4 @@ class RdmaMcsLock(DistributedLock):
         desc.in_use = False
 
 
-def _make_mcs(cluster, home_node, **options):
-    return RdmaMcsLock(cluster, home_node, **options)
-
-
-register_lock_type("mcs", _make_mcs)
+register_lock_type("mcs", RdmaMcsLock)

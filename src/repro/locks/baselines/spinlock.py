@@ -80,8 +80,4 @@ class RdmaSpinlock(DistributedLock):
         yield from ctx.r_write(self.word_ptr, 0)
 
 
-def _make_spinlock(cluster, home_node, **options):
-    return RdmaSpinlock(cluster, home_node, **options)
-
-
-register_lock_type("spinlock", _make_spinlock)
+register_lock_type("spinlock", RdmaSpinlock)

@@ -98,8 +98,4 @@ class BakeryLock(DistributedLock):
         yield from ctx.r_write(self._number_ptrs[slot], 0)
 
 
-def _make_bakery(cluster, home_node, **options):
-    return BakeryLock(cluster, home_node, **options)
-
-
-register_lock_type("bakery", _make_bakery)
+register_lock_type("bakery", BakeryLock)

@@ -98,8 +98,4 @@ class MixedAtomicLock(DistributedLock):
             yield from ctx.r_write(self.word_ptr, 0)
 
 
-def _make_mixedcas(cluster, home_node, **options):
-    return MixedAtomicLock(cluster, home_node, **options)
-
-
-register_lock_type("mixedcas", _make_mixedcas)
+register_lock_type("mixedcas", MixedAtomicLock)

@@ -104,8 +104,4 @@ class FilterLock(DistributedLock):
         yield from ctx.r_write(self._level_ptrs[slot], 0)
 
 
-def _make_filter(cluster, home_node, **options):
-    return FilterLock(cluster, home_node, **options)
-
-
-register_lock_type("filter", _make_filter)
+register_lock_type("filter", FilterLock)

@@ -124,8 +124,4 @@ class RpcLock(DistributedLock):
             raise ProtocolError(f"{self.name}: unexpected reply {reply!r}")
 
 
-def _make_rpc(cluster, home_node, **options):
-    return RpcLock(cluster, home_node, **options)
-
-
-register_lock_type("rpc", _make_rpc)
+register_lock_type("rpc", RpcLock)

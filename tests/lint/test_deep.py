@@ -18,7 +18,7 @@ from repro.lint.dataflow import (
 )
 from repro.lint.deep import run_deep_rules
 from repro.lint.effects import (
-    BLOCK_BOUNDED, BLOCK_UNBOUNDED, EffectEngine, INTRINSICS,
+    BLOCK_BOUNDED, BLOCK_UNBOUNDED, EffectEngine, INTRINSICS, deep_scope,
 )
 from repro.lint.ir import ProjectIndex
 from repro.lint.source import SourceFile
@@ -133,6 +133,20 @@ class TestDeepScope:
             "        yield from ctx.r_write(self.word_ptr, 1)\n")
         names = [c.name for c in index.subclasses_of("DistributedLock")]
         assert names == ["MyLock"]
+
+    def test_a_function_kept_as_data_stays_in_scope(self):
+        """ALock keeps each cohort's Peterson side in a record; the call
+        through the record resolves to nothing, so the *mention* is what
+        keeps ``peterson.py`` under the path checks."""
+        index = parse_snippet(
+            "def side(ctx, lock):\n"
+            "    yield from ctx.read(lock.w)\n"
+            "class L(DistributedLock):\n"
+            "    def __init__(self):\n"
+            "        self.sides = (side,)\n"
+            "    def lock(self, ctx):\n"
+            "        yield from self.sides[0](ctx, self)\n")
+        assert "repro.locks.snippet:side" in deep_scope(index)
 
     def test_nested_class_is_not_indexed(self):
         index = parse_snippet(
@@ -269,6 +283,13 @@ class TestEffects:
         assert INTRINSICS["write"].writes and not INTRINSICS["write"].raises
         assert not INTRINSICS["read"].writes
 
+    def test_a_cohort_op_has_the_join_of_both_families(self):
+        """``cohort.tail_cas`` is ``ctx.cas`` or ``ctx.r_cas`` depending
+        on data, so it must be assumed to do what either can."""
+        assert INTRINSICS["tail_cas"] == \
+            INTRINSICS["cas"].join(INTRINSICS["r_cas"]) == INTRINSICS["r_cas"]
+        assert INTRINSICS["neighbor_write"] == INTRINSICS["r_write"]
+
     def test_effects_propagate_through_helpers(self):
         index = parse_snippet(
             "class L(DistributedLock):\n"
@@ -373,6 +394,36 @@ class TestInterprocedural:
         findings = run_deep_rules([sf])
         assert [f.rule for f in findings] == ["deep-lockset"]
         assert "without recording the acquisition" in findings[0].message
+
+
+class TestCohortSpelling:
+    """The relinquish CAS of a lock that states the queue once for both
+    cohorts: ``cohort.tail_cas(ctx, ptr, expected, 0)`` — the context
+    comes first, so the operands sit one place to the right."""
+
+    SOURCE = (
+        "class L(DistributedLock):\n"
+        "    def unlock(self, ctx):\n"
+        "        self._note_released(ctx)\n"
+        "        old = yield from q.tail_cas(ctx, q.tail_ptr, d.ptr, 0)\n"
+        "        if old != d.ptr:\n"
+        "            nxt = yield from ctx.read(d.next_ptr)\n"
+        "            if nxt == 0:\n"
+        "                return\n"
+        "            yield from q.neighbor_write(ctx, nxt, 1)\n"
+        "        else:\n"
+        "            yield from q.tail_cas(ctx, q.tail_ptr, 0, d.ptr)\n")
+
+    def test_handover_and_use_after_relinquish_are_both_seen(self):
+        sf = SourceFile.from_source(self.SOURCE, path=Path("/l.py"),
+                                    display="l.py",
+                                    module="repro.locks.snippet")
+        findings = run_deep_rules([sf])
+        assert [(f.rule, f.line) for f in findings] == [
+            ("deep-protocol", 8), ("deep-protocol", 11)]
+        assert "handover left undischarged" in findings[0].message
+        assert "q.tail_ptr after the CAS that relinquished it" \
+            in findings[1].message
 
 
 # ---------------------------------------------------------------------------

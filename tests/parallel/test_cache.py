@@ -14,6 +14,8 @@ import json
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.locks import LOCK_TYPES, make_lock
 from repro.parallel import (ResultCache, SourceFingerprinter, enumerate_grid,
                             pmap_workloads, run_cells, run_sweep_parallel)
 from repro.parallel.cache import CACHE_FORMAT
@@ -122,6 +124,18 @@ class TestInvalidationScope:
         assert hits["alock"] == [False, False]
         assert hits["spinlock"] == [True, True]
         assert hits["mcs"] == [True, True]
+
+    def test_every_shipped_kind_resolves_to_its_defining_module(self):
+        """Kinds are registered as their classes, not as factory
+        functions; either way ``__module__`` must name the file whose
+        edit invalidates the kind's cells."""
+        shipped = sorted(kind for kind, factory in LOCK_TYPES.items()
+                         if factory.__module__.startswith("repro.locks."))
+        assert len(shipped) == 7
+        fingerprinter, cluster = SourceFingerprinter(), Cluster(2, seed=0)
+        for kind in shipped:
+            assert fingerprinter._resolve_lock_module(kind) == \
+                type(make_lock(kind, cluster, 0)).__module__
 
     def test_editing_shared_core_invalidates_everything(self, cache, tmp_path):
         run_sweep_parallel(BASE, AXES, workers=0, cache=cache)

@@ -26,9 +26,9 @@ SEEDS = [1, 2]
 
 
 def _wall(workers: int) -> float:
-    t0 = time.perf_counter()  # simlint: ignore[nondet-source]
+    t0 = time.perf_counter()
     result = run_sweep_parallel(BASE, AXES, seeds=SEEDS, workers=workers)
-    elapsed = time.perf_counter() - t0  # simlint: ignore[nondet-source]
+    elapsed = time.perf_counter() - t0
     assert not result.failures
     return elapsed
 

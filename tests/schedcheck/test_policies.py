@@ -115,6 +115,61 @@ class TestPctWalkGolden:
         assert (h.hexdigest(), len(executions)) == self.GOLDEN[lock_kind]
 
 
+class TestCohortQueueGolden:
+    """ALock runs no other golden reaches — budget exhaustion with
+    ``pReacquire`` in both cohorts, the non-strict neighbor-write
+    ablation, the seeded ``skip_budget_wait`` sampling path — under no
+    policy, a random walk and PCT.  Digests recorded on commit a2beaa0,
+    where the cohort queue was still written out once per cohort."""
+
+    GOLDEN = {
+        "budgets": (
+            (("local_budget", 1), ("remote_budget", 2)),
+            ("ce606bfcdfa0165a857ad4bc92e466eb",
+             "d6f12139fe689b0650516ed4d21aa7c3",
+             "dac68c1d25410d82ff0087f1f9744a2d")),
+        "non-strict": (
+            (("local_budget", 1), ("remote_budget", 2),
+             ("strict_remote_rdma", False)),
+            ("a567b83aee4eff87e1adec3772b81c39",
+             "e400f9de1046109f975081676ea30f6d",
+             "6df203d518812d632d656ca3fc2fdb7a")),
+        "skip_budget_wait": (
+            (("local_budget", 2), ("remote_budget", 1),
+             ("bug", "skip_budget_wait")),
+            ("e9f97d14d8b19c573c1cd17b86f47c54",
+             "df1bf73f1b0a3092124e8a288646cf03",
+             "b487993b39cd08af17dc154ad6b09407")),
+    }
+
+    @staticmethod
+    def _scenario(lock_options):
+        return LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=3,
+                            ops_per_thread=4, think_ns=100.0, seed=3,
+                            lock_options=lock_options)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_digests_match_parent(self, case):
+        lock_options, golden = self.GOLDEN[case]
+        digests = []
+        for kind in (None, "random", "pct"):
+            policy = kind and make_policy(kind, 11, change_points=3,
+                                          horizon=500)
+            r = run_schedule(self._scenario(lock_options), policy)
+            assert r.ok, r.summary()
+            digests.append(r.digest)
+        assert tuple(digests) == golden
+
+    def test_the_reacquire_path_is_under_the_golden(self):
+        lock_options, golden = self.GOLDEN["budgets"]
+        run = self._scenario(lock_options).build()
+        run.cluster.env.run(until=run.deadline_ns)
+        assert execution_digest(run.cluster) == golden[0]
+        lock = run.table.entries[0].lock
+        assert lock.name == "alock[0]@n0"
+        assert lock.reacquires == {"local": 11, "remote": 5}
+
+
 class TestMakePolicy:
     def test_known_kinds(self):
         assert isinstance(make_policy("fifo", 0), FifoPolicy)

@@ -21,10 +21,10 @@ GATE_SCHEDULES = 50
 class TestSmokeGate:
     def test_fifty_random_schedules_all_clean_under_30s(self):
         # Wall-clock guards the gate's own cost; it never feeds results.
-        start = time.monotonic()  # simlint: ignore[nondet-source]
+        start = time.monotonic()
         report = explore_random(GATE_SCENARIO, GATE_SCHEDULES,
                                 seed=GATE_SEED)
-        elapsed = time.monotonic() - start  # simlint: ignore[nondet-source]
+        elapsed = time.monotonic() - start
         assert report.schedules_run == GATE_SCHEDULES
         assert report.ok_count == GATE_SCHEDULES, report.summary()
         # ties must actually be getting explored, not skipped
