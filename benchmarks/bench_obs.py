@@ -11,16 +11,16 @@ each instrumented configuration relative to the off baseline in
 * **Coverage**: the instrumented run actually produced spans for every
   measured operation (the overhead number is of a *working* recorder).
 
-``test_flight_overhead`` holds the *always-on* ring of the event log to
-its <3% budget, gated on the profiled within-run share of
-``EventLog.emit`` (the estimator ``ci_bench`` records) — there is no
-off switch to pair a wall clock against.
+The *always-on* ring of the event log has no off switch to pair a wall
+clock against; its <3% budget is held by the perf gate
+(``scripts/check_ledger_exact.py``: ``obs.share_pct`` of the ledger's
+profiled pass, with ``obs.calls_per_op`` as the exact early warning).
+``test_flight_coverage`` here only checks that the ring sees the protocol.
 """
 
 import time
 
 import numpy as np
-from ci_bench import profiled_emit_share
 from conftest import run_once
 
 from repro.cluster import Cluster
@@ -28,9 +28,6 @@ from repro.locks import make_lock
 from repro.obs import ObsConfig
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
-
-#: The always-on ring's budget, as a percent of profiled run time.
-FLIGHT_BUDGET_PCT = 3.0
 
 CONFIGS = {
     "off": None,
@@ -76,19 +73,6 @@ def test_obs_overhead(benchmark):
                 if s.name == "lock.acquire" and s.attrs.get("outcome") == "ok"]
     assert len(acquires) >= full.measured_ops
     assert full.obs_metrics["network"]["verbs"]["rCAS"] > 0
-
-
-def test_flight_overhead(benchmark):
-    # the budget gate: profiled within-run share of emit(), plus the
-    # deterministic kept-event count (catches a newly reported poll loop)
-    share_pct, kept_per_run = run_once(
-        benchmark, lambda: profiled_emit_share(spec(), 3))
-    benchmark.extra_info["flight_profiled_share_pct"] = round(share_pct, 2)
-    benchmark.extra_info["flight_notes_per_run"] = kept_per_run
-    assert kept_per_run > 0, "the default-level run kept nothing"
-    assert share_pct < FLIGHT_BUDGET_PCT, (
-        f"event log profiled share {share_pct:.2f}% exceeds the "
-        f"{FLIGHT_BUDGET_PCT}% always-on budget")
 
 
 def test_flight_coverage():

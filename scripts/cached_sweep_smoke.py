@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke gate for the content-addressed sweep cache.
+"""Smoke gate for the content-addressed sweep cache.
 
 Runs the same small sweep grid twice against a throwaway cache store and
 fails unless
@@ -9,7 +9,8 @@ fails unless
 * both runs serialize to byte-identical JSON and CSV (a cached row and
   a computed row must be indistinguishable).
 
-Usage::
+Usage (CI runs it on every Python of the tests job, through
+``tests/ci/test_cached_sweep_smoke.py``)::
 
     PYTHONPATH=src python scripts/cached_sweep_smoke.py [--workers N]
 

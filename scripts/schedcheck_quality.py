@@ -12,11 +12,12 @@ measured fleet schedule rate, and can rewrite the committed baseline::
     PYTHONPATH=src python scripts/schedcheck_quality.py \\
         --out benchmarks/baselines/QUALITY_schedcheck.json
 
-The committed JSON is informational (it sits next to ``BENCH_ci.json``
-but is not a pass/fail gate): CI gates only on *found at all within
-budget*, via ``tests/schedcheck/test_coverage.py``.  Everything written
-to the file is a pure function of the seed panel — byte-identical on
-any machine — while wall-clock rates go to stdout only.
+The committed JSON is informational (it sits next to the perf gate's
+``BENCH_exact.json`` but is not itself compared by any gate): CI gates
+only on *found at all within budget*, via
+``tests/schedcheck/test_coverage.py``.  Everything written to the file
+is a pure function of the seed panel — byte-identical on any machine —
+while wall-clock rates go to stdout only.
 
 Exit status: 0 when steering's median beats random on at least 2 of the
 3 bugs (the acceptance bar this repo documents), 1 otherwise.

@@ -28,7 +28,9 @@ import os
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.common.errors import ConfigError
+from repro.experiments.registry import (EXPERIMENTS, get_experiment,
+                                        run_experiment)
 from repro.obs import ObsConfig
 from repro.obs.capture import ObsCapture, activate, deactivate
 from repro.obs.export import write_metrics, write_trace
@@ -219,6 +221,16 @@ def _fleet(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except ConfigError as exc:
+        # Bad config is the user's to fix: one precise line and the
+        # usage-error status, not a traceback into the simulator.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="alock-experiments",
         description="Regenerate the ALock paper's tables and figures on "
@@ -403,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     ids = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    for exp_id in ids:
+        get_experiment(exp_id)      # a typo must not cost the ids before it
     workers = _resolve_workers(args)
     capture = None
     if args.trace_out or args.metrics_out:

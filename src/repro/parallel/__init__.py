@@ -29,9 +29,8 @@ from repro.parallel.cache import (CacheStats, ResultCache,
                                   SourceFingerprinter, canonical_spec)
 from repro.parallel.cells import (CellResult, SweepCell, cell_key,
                                   check_boundary_value, worker_entry)
-from repro.parallel.engine import (METRICS, InProcessShell, ProcessPoolShell,
-                                   SweepShell, default_chunk_size,
-                                   pmap_workloads, resolve_shell, run_cells)
+from repro.parallel.engine import (METRICS, default_chunk_size,
+                                   pmap_workloads, run_cells)
 from repro.parallel.store import BlobStore
 from repro.parallel.sweep import (ParallelSweepResult, enumerate_grid,
                                   run_sweep_parallel)
@@ -54,8 +53,4 @@ __all__ = [
     "SourceFingerprinter",
     "canonical_spec",
     "BlobStore",
-    "SweepShell",
-    "InProcessShell",
-    "ProcessPoolShell",
-    "resolve_shell",
 ]

@@ -21,13 +21,12 @@ returning the wrong shape, or rows for the wrong cells — is validated
 against the submitted chunk and recorded cell by cell, never allowed to
 abort the sweep late with a generic error.
 
-Execution runs through a pluggable **shell** seam
-(:class:`SweepShell`): the in-process shell is the serial reference
-path, the process-pool shell is today's fan-out, and a multi-host
-backend can slot in later without touching the sealed-cell interface —
-a shell only ever sees primitive chunks and returns primitive results.
-This module is the repo's only pool chokepoint (simlint
-``process-boundary``), so every shell lives here.
+Chunks execute in one place, :func:`run_chunks`: in this process, in
+submission order, when ``workers <= 1`` (the serial reference path —
+the same worker functions, no pool at all, which is what makes the
+byte-identity comparison against pooled runs meaningful), on a local
+process pool otherwise.  This module is the repo's only pool
+chokepoint (simlint ``process-boundary``).
 
 ``KeyboardInterrupt`` (or any error) in the parent cancels all pending
 chunks and shuts the pool down *waiting* for workers to exit, so an
@@ -113,36 +112,20 @@ def _chunks(items: Sequence, size: int) -> list[tuple]:
     return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-# --------------------------------------------------------------------------
-# the shell seam
-# --------------------------------------------------------------------------
+def run_chunks(chunks: "list[tuple]", submit_fn,
+               on_chunk_done: Callable[[int, object, Optional[BaseException]], None],
+               *, workers: int,
+               executor_factory: Optional[Callable[[int], Executor]] = None) -> None:
+    """Execute ``chunks`` and report ``(chunk_index, value, error)`` to
+    ``on_chunk_done`` in completion order.  ``submit_fn(chunk)`` names
+    the worker entry and its primitive arguments (the sealed-cell
+    boundary).  The pool, when there is one, is fully torn down —
+    workers joined — before this returns or raises.
 
-class SweepShell:
-    """Where chunks execute.  A shell receives primitive chunks (the
-    sealed-cell boundary) and reports ``(chunk_index, value, error)`` to
-    ``on_chunk_done`` in completion order; it guarantees that whatever
-    execution substrate it owns is fully torn down — workers joined —
-    before returning or raising.  Implementations today run in-process
-    or on a local process pool; a multi-host backend implements the same
-    two methods."""
-
-    #: short name for CLI/progress display.
-    name = "shell"
-
-    def run_chunks(self, chunks: "list[tuple]", submit_fn,
-                   on_chunk_done: Callable[[int, object, Optional[BaseException]], None]) -> None:
-        raise NotImplementedError
-
-
-class InProcessShell(SweepShell):
-    """The serial reference shell: chunks run one after another in this
-    process, in submission order.  This is the ``workers <= 1`` path —
-    the same worker functions, no pool at all — which is what makes the
-    byte-identity comparison against pooled runs meaningful."""
-
-    name = "in-process"
-
-    def run_chunks(self, chunks, submit_fn, on_chunk_done) -> None:
+    ``workers <= 1`` without an ``executor_factory`` (the test seam,
+    ``workers -> Executor``) runs the chunks inline; anything else is
+    chunked work-stealing on a process pool."""
+    if workers <= 1 and executor_factory is None:
         for idx, chunk in enumerate(chunks):
             fn, *args = submit_fn(chunk)
             try:
@@ -150,59 +133,28 @@ class InProcessShell(SweepShell):
             except Exception as exc:
                 value, error = None, exc
             on_chunk_done(idx, value, error)
-
-
-class ProcessPoolShell(SweepShell):
-    """Chunked work-stealing on a local process pool."""
-
-    name = "process-pool"
-
-    def __init__(self, workers: int,
-                 executor_factory: Optional[Callable[[int], Executor]] = None):
-        self.workers = max(1, workers)
-        self.executor_factory = executor_factory
-
-    def run_chunks(self, chunks, submit_fn, on_chunk_done) -> None:
-        if self.executor_factory is not None:
-            executor = self.executor_factory(self.workers)
-        else:
-            executor = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            pending = {executor.submit(*submit_fn(chunk)): i
-                       for i, chunk in enumerate(chunks)}
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    idx = pending.pop(fut)
-                    error = fut.exception()
-                    value = None if error is not None else fut.result()
-                    on_chunk_done(idx, value, error)
-        except BaseException:
-            # Interrupt/crash in the parent: drop what hasn't started and
-            # wait for in-flight workers so no orphan processes survive.
-            executor.shutdown(wait=True, cancel_futures=True)
-            raise
-        executor.shutdown(wait=True)
-
-
-def resolve_shell(workers: int,
-                  executor_factory: Optional[Callable[[int], Executor]] = None,
-                  shell: Optional[SweepShell] = None) -> SweepShell:
-    """Pick the execution shell: an explicit ``shell`` wins, a factory or
-    ``workers > 1`` means the pool, anything else runs in-process."""
-    if shell is not None:
-        return shell
-    if workers > 1 or executor_factory is not None:
-        return ProcessPoolShell(workers, executor_factory)
-    return InProcessShell()
-
-
-def _execute_chunks(chunks: list[tuple], submit_fn, workers: int,
-                    executor_factory: Optional[Callable[[int], Executor]],
-                    on_chunk_done: Callable[[int, object, Optional[BaseException]], None],
-                    shell: Optional[SweepShell] = None) -> None:
-    resolve_shell(workers, executor_factory, shell).run_chunks(
-        chunks, submit_fn, on_chunk_done)
+        return
+    workers = max(1, workers)
+    if executor_factory is not None:
+        executor = executor_factory(workers)
+    else:
+        executor = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = {executor.submit(*submit_fn(chunk)): i
+                   for i, chunk in enumerate(chunks)}
+        while pending:
+            done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
+            for fut in done:
+                idx = pending.pop(fut)
+                error = fut.exception()
+                value = None if error is not None else fut.result()
+                on_chunk_done(idx, value, error)
+    except BaseException:
+        # Interrupt/crash in the parent: drop what hasn't started and
+        # wait for in-flight workers so no orphan processes survive.
+        executor.shutdown(wait=True, cancel_futures=True)
+        raise
+    executor.shutdown(wait=True)
 
 
 def _validated_chunk_results(chunk: "tuple[SweepCell, ...]", idx: int,
@@ -257,8 +209,7 @@ def run_cells(cells: Sequence[SweepCell], *, workers: int = 0,
               metric: str = "throughput", chunk_size: Optional[int] = None,
               on_result: Optional[Callable[[CellResult], None]] = None,
               executor_factory: Optional[Callable[[int], Executor]] = None,
-              cache: Optional[ResultCache] = None,
-              shell: Optional[SweepShell] = None) -> list[CellResult]:
+              cache: Optional[ResultCache] = None) -> list[CellResult]:
     """Execute ``cells`` and return their results **in cell-key order**
     (= enumeration order), regardless of worker count or completion
     order — the deterministic-merge guarantee.
@@ -278,7 +229,6 @@ def run_cells(cells: Sequence[SweepCell], *, workers: int = 0,
             hits skip submission entirely, fresh successful results are
             written back as they arrive, so an interrupted sweep resumes
             from whatever the store already holds.
-        shell: optional execution shell override (see :class:`SweepShell`).
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
@@ -313,9 +263,9 @@ def run_cells(cells: Sequence[SweepCell], *, workers: int = 0,
         raise SimulationError(f"no submitted cell with key {key!r}")  # pragma: no cover
 
     if chunks:
-        resolve_shell(workers, executor_factory, shell).run_chunks(
-            chunks, lambda chunk: (run_cell_chunk, chunk, metric),
-            on_chunk_done)
+        run_chunks(chunks, lambda chunk: (run_cell_chunk, chunk, metric),
+                   on_chunk_done, workers=workers,
+                   executor_factory=executor_factory)
     missing = [cell.key for cell in cells if cell.key not in merged]
     if missing:  # pragma: no cover - defensive
         raise SimulationError(f"sweep lost cells {missing[:3]}...")
@@ -339,8 +289,7 @@ def _add_note(exc: BaseException, note: str) -> None:
 def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                    chunk_size: Optional[int] = None,
                    executor_factory: Optional[Callable[[int], Executor]] = None,
-                   cache: Optional[ResultCache] = None,
-                   shell: Optional[SweepShell] = None) -> list[RunResult]:
+                   cache: Optional[ResultCache] = None) -> list[RunResult]:
     """Run every spec and return full :class:`RunResult` values in input
     order.  The experiment-module fan-out path: results are exactly what
     ``run_workload`` would have produced serially (sealed seeded cells),
@@ -360,7 +309,7 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
             if hit is not None:
                 results[i] = hit
     miss_indices = [i for i in range(len(specs)) if i not in results]
-    if workers <= 1 and executor_factory is None and shell is None:
+    if workers <= 1 and executor_factory is None:
         for i in miss_indices:
             results[i] = run_workload(specs[i])
             if cache is not None:
@@ -388,10 +337,10 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                 cache.store_run(specs[i], result)
 
     if index_chunks:
-        resolve_shell(workers, executor_factory, shell).run_chunks(
+        run_chunks(
             index_chunks,
             lambda chunk: (run_spec_chunk, tuple(specs[i] for i in chunk)),
-            on_chunk_done)
+            on_chunk_done, workers=workers, executor_factory=executor_factory)
     if failures:
         failures.sort(key=lambda pair: pair[0])
         first_idx, primary = failures[0]

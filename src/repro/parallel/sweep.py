@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 from repro.common.errors import ConfigError
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import CellResult, SweepCell, cell_key
-from repro.parallel.engine import SweepShell, run_cells
+from repro.parallel.engine import run_cells
 from repro.workload.spec import WorkloadSpec
 
 
@@ -154,8 +154,7 @@ def run_sweep_parallel(base: WorkloadSpec, axes: "dict[str, Sequence]", *,
                        chunk_size: Optional[int] = None,
                        on_result: Optional[Callable[[CellResult], None]] = None,
                        executor_factory=None,
-                       cache: Optional[ResultCache] = None,
-                       shell: Optional[SweepShell] = None) -> ParallelSweepResult:
+                       cache: Optional[ResultCache] = None) -> ParallelSweepResult:
     """Run a (seed × config) grid sweep, sharded over ``workers``
     processes, and return the deterministically merged result.
 
@@ -174,8 +173,7 @@ def run_sweep_parallel(base: WorkloadSpec, axes: "dict[str, Sequence]", *,
     start = time.perf_counter()  # simlint: ignore[nondet-source]
     results = run_cells(cells, workers=workers, metric=metric,
                         chunk_size=chunk_size, on_result=on_result,
-                        executor_factory=executor_factory,
-                        cache=cache, shell=shell)
+                        executor_factory=executor_factory, cache=cache)
     elapsed = time.perf_counter() - start  # simlint: ignore[nondet-source]
     axis_names = cells[0].key[1:] if cells else ()
     return ParallelSweepResult(

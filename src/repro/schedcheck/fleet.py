@@ -2,8 +2,8 @@
 
 Exploration is embarrassingly parallel — every schedule is a sealed
 build of a frozen :class:`~repro.schedcheck.scenario.LockScenario` plus
-one derived policy seed — so the fleet fans walks across the
-:mod:`repro.parallel` execution shells the same way sweeps fan cells:
+one derived policy seed — so the fleet fans walks through
+:func:`repro.parallel.engine.run_chunks` the same way sweeps fan cells:
 primitive :class:`ExploreCell` units out, primitive :class:`CellOut`
 records back, crash isolation per cell, byte-identical merge in cell
 order.
@@ -43,7 +43,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.faults import FaultPlan
 from repro.parallel.cells import check_boundary_value, worker_entry
-from repro.parallel.engine import resolve_shell
+from repro.parallel.engine import run_chunks
 from repro.schedcheck.corpus import (
     CorpusEntry,
     scenario_payload,
@@ -598,7 +598,7 @@ def _shrink_and_freeze(st: _ScenarioState, config: FleetConfig) -> None:
 
 
 def run_fleet(config: FleetConfig, *, workers: int = 0,
-              executor_factory=None, shell=None,
+              executor_factory=None,
               on_round: Optional[Callable[[FleetReport], None]] = None
               ) -> FleetReport:
     """Run the exploration fleet described by ``config``.
@@ -607,7 +607,7 @@ def run_fleet(config: FleetConfig, *, workers: int = 0,
         workers: ``<= 1`` runs in-process (the serial reference path);
             ``N > 1`` shards cells over N worker processes.  Any value
             produces byte-identical canonical output.
-        executor_factory / shell: the :mod:`repro.parallel` test seams.
+        executor_factory: the :mod:`repro.parallel` test seam.
         on_round: progress callback, invoked with the (partially
             filled) report after each merged round.
     """
@@ -647,8 +647,9 @@ def run_fleet(config: FleetConfig, *, workers: int = 0,
         # one cell per chunk: a cell is already a batch of schedules,
         # so finer chunking buys nothing and coarser hurts stealing.
         chunks = [(cell,) for cell in cells]
-        resolve_shell(workers, executor_factory, shell).run_chunks(
-            chunks, lambda chunk: (run_explore_chunk, chunk), on_chunk_done)
+        run_chunks(chunks, lambda chunk: (run_explore_chunk, chunk),
+                   on_chunk_done, workers=workers,
+                   executor_factory=executor_factory)
 
         by_name = {st.name: st for st in states}
         for cell in cells:                     # global cell order

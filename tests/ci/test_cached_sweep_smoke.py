@@ -1,5 +1,6 @@
-"""Tier-1 wrapper around the CI cached-sweep smoke gate, so the exact
-script the bench tier runs is exercised locally on every pytest run."""
+"""The cached-sweep smoke gate (``scripts/cached_sweep_smoke.py``), run
+as part of tier-1: locally on every pytest run, in CI on every Python
+of the tests job."""
 
 from __future__ import annotations
 

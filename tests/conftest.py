@@ -14,9 +14,18 @@ Three families of helpers that used to be copied between
 
 Import directly (``from tests.conftest import run_lock_clients``) or via
 the back-compat re-exports in ``tests.locks.helpers``.
+
+One fixture lives here too: ``smoke_figure``, fig5/fig6 at smoke scale,
+simulated once per session for every test that reads them.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import json
+
+import pytest
 
 from repro.cluster import Cluster
 from repro.locktable import DistributedLockTable
@@ -97,3 +106,30 @@ def small_workload_spec(**over):
                 lock_kind="alock", ops_per_thread=10, seed=3, audit="record")
     base.update(over)
     return WorkloadSpec(**base)
+
+
+# ------------------------------------------------------- shared figures
+
+@pytest.fixture(scope="session")
+def smoke_figure():
+    """``smoke_figure("fig5")``: the serial smoke-scale run of fig5 or
+    fig6 at seed 0, simulated once per session for every reader (the
+    smoke classes, the serial leg of the parallel-parity test).  Each
+    run is held to the golden digest that the two-subprocess hash-seed
+    test pins — this process's hash seed is a third."""
+    from repro.experiments import run_experiment
+    from tests.ci.test_hashseed_identity import GOLDEN_FIG
+
+    golden = dict(line.split() for line in GOLDEN_FIG.splitlines())
+
+    @functools.cache
+    def run(experiment_id: str):
+        result = run_experiment(experiment_id, scale="smoke", seed=0)
+        digest = hashlib.blake2b(
+            json.dumps(result.rows, sort_keys=True).encode(),
+            digest_size=16).hexdigest()
+        assert digest == golden[experiment_id], (
+            f"{experiment_id} smoke rows moved: {digest}")
+        return result
+
+    return run

@@ -29,11 +29,25 @@ class TestRun:
         assert "## table1" in text
         assert "rCAS" in text
 
-    def test_run_unknown_experiment_raises(self):
-        from repro.common.errors import ConfigError
+    def test_run_unknown_experiment_raises(self, capsys):
+        """...to the user, as one ``error:`` line and the usage-error
+        status — not as a traceback."""
+        assert main(["run", "fig99", "--scale", "smoke"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown experiment 'fig99'")
+        assert captured.err.count("\n") == 1 and not captured.out
 
-        with pytest.raises(ConfigError):
-            main(["run", "fig99", "--scale", "smoke"])
+    def test_every_id_is_checked_before_any_experiment_runs(self, capsys):
+        assert main(["run", "table1", "fig99", "--scale", "smoke"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown experiment 'fig99'")
+        assert not captured.out         # table1's report was never produced
+
+    def test_config_errors_of_other_commands_are_reported_the_same(self, capsys):
+        assert main(["explore", "--lock", "nosuch", "--schedules", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown lock type 'nosuch'")
+        assert captured.err.count("\n") == 1 and not captured.out
 
     def test_seed_changes_are_accepted(self, capsys):
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0

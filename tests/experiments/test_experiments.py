@@ -82,8 +82,8 @@ class TestFig4Smoke:
 
 class TestFig5Smoke:
     @pytest.fixture(scope="class")
-    def fig5(self):
-        return run_experiment("fig5", scale="smoke")
+    def fig5(self, smoke_figure):
+        return smoke_figure("fig5")
 
     def test_all_panels_present(self, fig5):
         panels = {r["panel"] for r in fig5.rows}
@@ -104,8 +104,8 @@ class TestFig5Smoke:
 
 class TestFig6Smoke:
     @pytest.fixture(scope="class")
-    def fig6(self):
-        return run_experiment("fig6", scale="smoke")
+    def fig6(self, smoke_figure):
+        return smoke_figure("fig6")
 
     def test_twelve_panels(self, fig6):
         assert {r["panel"] for r in fig6.rows} == set("abcdefghijkl")

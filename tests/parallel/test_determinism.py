@@ -65,10 +65,10 @@ def test_run_cells_results_in_key_order():
 
 
 @pytest.mark.parametrize("experiment_id", ["fig5", "fig6"])
-def test_experiment_parallel_parity(experiment_id):
+def test_experiment_parallel_parity(experiment_id, smoke_figure):
     """fig5/fig6 via the registry: workers=2 reproduces the serial rows,
     series, and shape-check outcomes exactly."""
-    serial = run_experiment(experiment_id, scale="smoke", seed=0)
+    serial = smoke_figure(experiment_id)
     par = run_experiment(experiment_id, scale="smoke", seed=0, workers=2)
     assert serial.rows == par.rows
     assert serial.shape_checks == par.shape_checks

@@ -115,19 +115,15 @@ class TestMalformedChunks:
         assert not results[1].ok
         assert "non-CellResult entry" in results[1].error
 
-    def test_serial_shell_validates_too(self):
-        """The in-process shell runs the same reconciliation: a lying
-        worker function cannot lose a serial sweep either."""
-        from repro.parallel.engine import InProcessShell
+    def test_serial_shell_validates_too(self, monkeypatch):
+        """The in-process path (no pool, no executor) runs the same
+        reconciliation: a lying worker function cannot lose a serial
+        sweep either."""
+        from repro.parallel import engine
 
-        cells = _cells(2)
-
-        class _LyingShell(InProcessShell):
-            def run_chunks(self, chunks, submit_fn, on_chunk_done):
-                for idx, chunk in enumerate(chunks):
-                    on_chunk_done(idx, [], None)  # drops every cell
-
-        results = run_cells(cells, chunk_size=1, shell=_LyingShell())
+        monkeypatch.setattr(engine, "run_cell_chunk",
+                            lambda chunk, metric: [])  # drops every cell
+        results = run_cells(_cells(2), chunk_size=1)
         assert [r.ok for r in results] == [False, False]
         assert all("malformed chunk" in r.error for r in results)
 
