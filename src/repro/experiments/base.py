@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.analysis import format_table
 from repro.common.errors import ConfigError
+from repro.parallel.engine import pmap_workloads
+from repro.workload import RunResult, WorkloadSpec
 
 #: Scale presets.  Extent knobs consumed by the experiment modules:
 #: ``nodes`` — cluster sizes to sweep; ``threads`` — threads/node sweep;
@@ -64,26 +66,30 @@ def scale_params(scale: str) -> dict[str, Any]:
         raise ConfigError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}") from None
 
 
-def prefetch_runs(specs, workers: int) -> dict:
-    """Evaluate ``specs`` on a process pool, keyed by spec.
+class Cell(NamedTuple):
+    """One sealed run of an experiment's grid: where its numbers go (the
+    row's coordinates, in the shape the module's assembly reads) and the
+    spec that produces them."""
 
-    The parallel seam of the experiment modules: each module enumerates
-    the exact specs its assembly phase will ask for, this fans them out
-    via :func:`repro.parallel.engine.pmap_workloads`, and the assembly
-    code looks results up by spec (``WorkloadSpec`` is frozen, hence
-    hashable).  Every cell is a sealed seeded run, so the returned
-    ``RunResult`` values are identical to what serial ``run_workload``
-    calls would produce — parallelism changes wall-clock only.
+    coords: Any
+    spec: WorkloadSpec
 
-    With ``workers <= 1`` returns an empty dict: callers fall back to
-    their original inline ``run_workload`` path, keeping the serial code
-    the reference implementation.
+
+def run_specs(specs, workers: int) -> dict[WorkloadSpec, RunResult]:
+    """Run every distinct spec once; return ``{spec: RunResult}``.
+
+    The one way an experiment runs its cells: a module states its grid
+    once, as a generator of :class:`Cell`, hands the specs here, and
+    assembles its rows by indexing the returned dict — a plain index, so
+    a cell the grid did not name is a ``KeyError``, never a silent extra
+    run.  Every cell is a sealed seeded run (``WorkloadSpec`` is frozen,
+    hence hashable), so who fills the dict — this process or a pool — is
+    :func:`~repro.parallel.engine.pmap_workloads`'s business and changes
+    wall-clock only.
     """
-    if workers <= 1:
-        return {}
-    from repro.parallel.engine import pmap_workloads
     unique = list(dict.fromkeys(specs))
-    return dict(zip(unique, pmap_workloads(unique, workers=workers)))
+    return dict(zip(unique, pmap_workloads(unique, workers=workers),
+                    strict=True))
 
 
 @dataclass

@@ -40,7 +40,7 @@ def _resolve_workers(args) -> int:
     """``--workers N`` wins; ``--parallel`` means one worker per CPU."""
     if args.workers is not None:
         if args.workers < 0:
-            raise SystemExit(f"--workers must be >= 0, got {args.workers}")
+            raise ConfigError(f"--workers must be >= 0, got {args.workers}")
         return args.workers
     if args.parallel:
         return os.cpu_count() or 1
@@ -71,8 +71,8 @@ def _sweep(args) -> int:
             axes[field_name] = list(values)
     base = WorkloadSpec(seed=args.seeds[0], **base_kwargs)
     if args.metric not in METRICS:
-        raise SystemExit(f"unknown --metric {args.metric!r}; "
-                         f"choose from {sorted(METRICS)}")
+        raise ConfigError(f"unknown --metric {args.metric!r}; "
+                          f"choose from {sorted(METRICS)}")
 
     done = {"n": 0}
 
@@ -114,7 +114,7 @@ def _parse_lock_options(pairs: list[str]) -> tuple:
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--lock-option wants KEY=VALUE, got {pair!r}")
+            raise ConfigError(f"--lock-option wants KEY=VALUE, got {pair!r}")
         value: object = raw
         try:
             value = int(raw)

@@ -17,9 +17,12 @@ matter:
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, is_strict, scale_params
+from typing import Iterator
+
+from repro.experiments.base import (Cell, ExperimentResult, is_strict,
+                                    run_specs, scale_params)
 from repro.faults import FaultPlan
-from repro.workload import WorkloadSpec, run_workload
+from repro.workload import WorkloadSpec
 
 LOSS_RATES = (0.0, 0.01, 0.03)
 LOCKS = ("alock", "spinlock", "mcs")
@@ -27,27 +30,50 @@ LOCKS = ("alock", "spinlock", "mcs")
 #: Requester retry policy used throughout the sweep: timeout ~10× the
 #: unloaded verb RTT, doubled per retransmission.
 RETRY = dict(retry_timeout_ns=25_000.0, retry_backoff=2.0, retry_limit=8)
+#: A cell is keyed by (row label, loss rate).  The sweep's label is the
+#: lock kind; the two scenario cells are ALock runs under these keys.
+ZERO_PLAN, STALLS = ("alock+zero-plan", 0.0), ("alock+stalls", 0.005)
 
 
-def _plan(loss_rate: float) -> FaultPlan:
-    return FaultPlan(verb_loss_rate=loss_rate, **RETRY)
+def _cells(params: dict, seed: int) -> Iterator[Cell]:
+    base = WorkloadSpec(
+        n_nodes=max(params["nodes"]), threads_per_node=max(params["threads"]),
+        n_locks=100, locality_pct=90.0, warmup_ns=params["warmup_ns"],
+        measure_ns=params["measure_ns"], seed=seed, audit="off")
+    for rate in LOSS_RATES:
+        for kind in LOCKS:
+            plan = FaultPlan(verb_loss_rate=rate, **RETRY) if rate else None
+            yield Cell((kind, rate), base.with_(lock_kind=kind, faults=plan))
+    yield Cell(ZERO_PLAN, base.with_(lock_kind="alock", faults=FaultPlan()))
+    yield Cell(STALLS, base.with_(lock_kind="alock", faults=FaultPlan(
+        verb_loss_rate=STALLS[1], holder_stall_rate=0.02,
+        holder_stall_ns=10 * params["measure_ns"] / 100,
+        lease_ns=params["measure_ns"] / 40, **RETRY)))
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0,
+        workers: int = 0) -> ExperimentResult:
     params = scale_params(scale)
-    n_nodes = max(params["nodes"])
-    threads = max(params["threads"])
+    cells = list(_cells(params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
     result = ExperimentResult(
         "ext-faults", "Fault injection: throughput vs verb-loss rate, "
         "plus lease-based stall detection", scale)
-    base = WorkloadSpec(
-        n_nodes=n_nodes, threads_per_node=threads, n_locks=100,
-        locality_pct=90.0, warmup_ns=params["warmup_ns"],
-        measure_ns=params["measure_ns"], seed=seed, audit="off")
+    runs = {key: results[spec] for key, spec in cells}
+    for (label, rate), res in runs.items():
+        if (label, rate) == ZERO_PLAN:
+            continue                    # compared below, not a table row
+        result.rows.append({
+            "loss_pct": rate * 100, "lock": label,
+            "throughput_ops": round(res.throughput_ops_per_sec),
+            "retries": res.retry_count,
+            "recoveries": res.recovery_count,
+            "aborted_clients": res.fault_stats.get("aborted_clients", 0),
+        })
+    tput = {key: res.throughput_ops_per_sec for key, res in runs.items()}
 
     # -- zero-fault plan must be free --------------------------------------
-    plain = run_workload(base.with_(lock_kind="alock"))
-    zero = run_workload(base.with_(lock_kind="alock", faults=FaultPlan()))
+    plain, zero = runs["alock", 0.0], runs[ZERO_PLAN]
     result.check(
         "zero-fault FaultPlan reproduces the fault-free run exactly",
         plain.completed_ops == zero.completed_ops
@@ -55,30 +81,13 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         and not zero.fault_stats)
 
     # -- loss sweep --------------------------------------------------------
-    tput: dict[tuple[str, float], float] = {}
-    retries: dict[tuple[str, float], int] = {}
-    for rate in LOSS_RATES:
-        for kind in LOCKS:
-            spec = base.with_(lock_kind=kind,
-                              faults=_plan(rate) if rate else None)
-            res = run_workload(spec)
-            tput[kind, rate] = res.throughput_ops_per_sec
-            retries[kind, rate] = res.retry_count
-            result.rows.append({
-                "loss_pct": rate * 100, "lock": kind,
-                "throughput_ops": round(res.throughput_ops_per_sec),
-                "retries": res.retry_count,
-                "recoveries": res.recovery_count,
-                "aborted_clients": res.fault_stats.get("aborted_clients", 0),
-            })
-
     worst = LOSS_RATES[-1]
     result.check(
         "every lossy run makes progress (retries mask the drops)",
         all(tput[k, r] > 0 for k in LOCKS for r in LOSS_RATES))
     result.check(
         "retransmissions are reported at nonzero loss",
-        all(retries[k, worst] > 0 for k in LOCKS))
+        all(runs[k, worst].retry_count > 0 for k in LOCKS))
     result.check(
         "loss costs throughput",
         all(tput[k, worst] < tput[k, 0.0] for k in LOCKS))
@@ -89,18 +98,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
                                        tput["mcs", worst]))
 
     # -- holder stalls + lease detection -----------------------------------
-    stall_plan = FaultPlan(
-        verb_loss_rate=0.005, holder_stall_rate=0.02,
-        holder_stall_ns=10 * params["measure_ns"] / 100,
-        lease_ns=params["measure_ns"] / 40, **RETRY)
-    stalled = run_workload(base.with_(lock_kind="alock", faults=stall_plan))
-    result.rows.append({
-        "loss_pct": 0.5, "lock": "alock+stalls",
-        "throughput_ops": round(stalled.throughput_ops_per_sec),
-        "retries": stalled.retry_count,
-        "recoveries": stalled.recovery_count,
-        "aborted_clients": stalled.fault_stats.get("aborted_clients", 0),
-    })
+    stalled = runs[STALLS]
     result.check(
         "lease monitor detects injected holder stalls",
         stalled.fault_stats.get("injected_cs_stalls", 0) > 0

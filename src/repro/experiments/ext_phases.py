@@ -33,7 +33,10 @@ from repro.workload import WorkloadSpec, run_workload
 LOCKS = ("alock", "mcs", "spinlock")
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0,
+        workers: int = 0) -> ExperimentResult:
+    """``workers`` is unused: typed spans (``obs=``) come back only from an
+    in-process ``run_workload``, so there is no sealed cell to shard."""
     params = scale_params(scale)
     n_nodes = max(params["nodes"])
     threads = max(params["threads"])

@@ -8,12 +8,15 @@ CXL outlook (naive mixed-CAS lock on a coherent fabric).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.analysis import ratio
 from repro.cluster import Cluster
-from repro.experiments.base import ExperimentResult, is_strict, scale_params
+from repro.experiments.base import (Cell, ExperimentResult, is_strict,
+                                    run_specs, scale_params)
 from repro.locks import make_lock
 from repro.locks.extensions.coherent import cxl_config
-from repro.workload import WorkloadSpec, run_workload
+from repro.workload import WorkloadSpec
 
 CONTENDERS = (
     ("alock", {}),
@@ -21,6 +24,16 @@ CONTENDERS = (
     ("filter", {"max_slots": 8}),
     ("bakery", {"max_slots": 8}),
 )
+
+
+def _cells(params: dict, seed: int) -> Iterator[Cell]:
+    """The contended table; the uncontended costs probe a raw ``Cluster``."""
+    for kind, options in CONTENDERS:
+        yield Cell(kind, WorkloadSpec(
+            n_nodes=3, threads_per_node=max(params["threads"]), n_locks=12,
+            locality_pct=95.0, lock_kind=kind, lock_options=options,
+            warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
+            seed=seed, audit="off"))
 
 
 def _uncontended_ns(kind: str, options: dict, cluster=None) -> float:
@@ -43,8 +56,11 @@ def _uncontended_ns(kind: str, options: dict, cluster=None) -> float:
     return p.value
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0,
+        workers: int = 0) -> ExperimentResult:
     params = scale_params(scale)
+    cells = list(_cells(params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
     result = ExperimentResult(
         "ext-related",
         "Related-work alternatives (filter / bakery / RPC / CXL) vs ALock",
@@ -61,22 +77,16 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
                             "vs_alock": round(ratio(cost, costs["alock"]), 1)})
 
     # -- contended throughput ---------------------------------------------
-    base = WorkloadSpec(n_nodes=3, threads_per_node=max(params["threads"]),
-                        n_locks=12, locality_pct=95.0,
-                        warmup_ns=params["warmup_ns"],
-                        measure_ns=params["measure_ns"],
-                        seed=seed, audit="off")
-    tputs = {}
-    for kind, options in CONTENDERS:
-        tput = run_workload(base.with_(lock_kind=kind,
-                                       lock_options=options)).throughput_ops_per_sec
-        tputs[kind] = tput
+    tputs = {kind: results[spec].throughput_ops_per_sec
+             for kind, spec in cells}
+    for kind, tput in tputs.items():
         result.rows.append({"metric": "throughput_ops", "lock": kind,
                             "value": round(tput),
                             "vs_alock": round(ratio(tput, tputs["alock"]), 3)})
 
+    # costs["filter"] is the CONTENDERS entry: 8 slots.
     result.check("filter lock pays O(n) verbs: slot growth raises cost",
-                 _uncontended_ns("filter", {"max_slots": 8})
+                 costs["filter"]
                  > 1.5 * _uncontended_ns("filter", {"max_slots": 3}))
     result.check("ALock beats filter and bakery by >= 10x",
                  tputs["alock"] >= 10 * tputs["filter"]

@@ -11,16 +11,20 @@ Paper shape: rise → peak at a small thread count → decline.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, prefetch_runs, scale_params
-from repro.workload import WorkloadSpec, run_workload
+from typing import Iterator
+
+from repro.experiments.base import (Cell, ExperimentResult, run_specs,
+                                    scale_params)
+from repro.workload import WorkloadSpec
 
 
-def _spec(threads: int, *, params: dict, seed: int) -> WorkloadSpec:
-    return WorkloadSpec(
-        n_nodes=1, threads_per_node=threads, n_locks=1000,
-        locality_pct=100.0, lock_kind="spinlock",
-        warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
-        seed=seed, audit="off")
+def _cells(params: dict, seed: int) -> Iterator[Cell]:
+    for threads in params["fig1_threads"]:
+        yield Cell(threads, WorkloadSpec(
+            n_nodes=1, threads_per_node=threads, n_locks=1000,
+            locality_pct=100.0, lock_kind="spinlock",
+            warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
+            seed=seed, audit="off"))
 
 
 def run(scale: str = "small", seed: int = 0,
@@ -29,16 +33,12 @@ def run(scale: str = "small", seed: int = 0,
     result = ExperimentResult(
         "fig1", "RDMA spinlock with 1k locks on 1 node (loopback saturation)",
         scale)
-    threads_axis = params["fig1_threads"]
-    prefetched = prefetch_runs(
-        (_spec(threads, params=params, seed=seed) for threads in threads_axis),
-        workers)
+    cells = list(_cells(params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
+    threads_axis = [threads for threads, _ in cells]
     throughputs = []
-    for threads in threads_axis:
-        spec = _spec(threads, params=params, seed=seed)
-        run_result = prefetched.get(spec)
-        if run_result is None:
-            run_result = run_workload(spec)
+    for threads, spec in cells:
+        run_result = results[spec]
         tput = run_result.throughput_ops_per_sec
         throughputs.append(tput)
         rx = run_result.nic_stats[0]
@@ -51,8 +51,7 @@ def run(scale: str = "small", seed: int = 0,
             "rx_peak_queue": rx["rx_peak_queue"],
             "loopback_verbs": run_result.loopback_verbs,
         })
-    result.series["fig1"] = (list(threads_axis),
-                             {"spinlock": throughputs})
+    result.series["fig1"] = (threads_axis, {"spinlock": throughputs})
     peak_idx = max(range(len(throughputs)), key=throughputs.__getitem__)
     result.check("throughput peaks before the largest thread count",
                  peak_idx < len(throughputs) - 1)

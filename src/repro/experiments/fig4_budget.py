@@ -14,30 +14,18 @@ algorithm) than for the local cohort.
 from __future__ import annotations
 
 from statistics import mean
+from typing import Iterator
 
 from repro.analysis import relative_speedup
-from repro.experiments.base import (ExperimentResult, is_strict,
-                                    prefetch_runs, scale_params)
-from repro.workload import WorkloadSpec, run_workload
+from repro.experiments.base import (Cell, ExperimentResult, is_strict,
+                                    run_specs, scale_params)
+from repro.workload import WorkloadSpec
 
 BASELINE_BUDGET = 5
 
 
-def _spec(remote_budget: int, local_budget: int, locality: float, *,
-          params: dict, n_nodes: int, n_locks: int, threads: int,
-          seed: int) -> WorkloadSpec:
-    return WorkloadSpec(
-        n_nodes=n_nodes, threads_per_node=threads, n_locks=n_locks,
-        locality_pct=locality, lock_kind="alock",
-        lock_options={"remote_budget": remote_budget,
-                      "local_budget": local_budget},
-        warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
-        seed=seed, audit="off")
-
-
-def run(scale: str = "small", seed: int = 0,
-        workers: int = 0) -> ExperimentResult:
-    params = scale_params(scale)
+def _cells(scale: str, params: dict, seed: int) -> Iterator[Cell]:
+    """One cell per budget pair and locality, keyed by the pair."""
     # The paper runs 20 nodes x 100 locks (~2.4 threads per lock).  The
     # budget only matters while cohort queues actually form, so smaller
     # scales keep the *threads-per-lock pressure* rather than the
@@ -47,51 +35,48 @@ def run(scale: str = "small", seed: int = 0,
     # One lock per node at reduced scales keeps the cross-cohort queue
     # pressure of the paper's 240-thread/100-lock configuration.
     n_locks = 100 if scale == "paper" else n_nodes
-    budgets = params["budgets"]
+    for remote_budget in params["budgets"]:
+        for local_budget in params["budgets"]:
+            for locality in params["localities"]:
+                yield Cell((remote_budget, local_budget), WorkloadSpec(
+                    n_nodes=n_nodes, threads_per_node=threads, n_locks=n_locks,
+                    locality_pct=locality, lock_kind="alock",
+                    lock_options={"remote_budget": remote_budget,
+                                  "local_budget": local_budget},
+                    warmup_ns=params["warmup_ns"],
+                    measure_ns=params["measure_ns"], seed=seed, audit="off"))
 
-    prefetched = prefetch_runs(
-        (_spec(rb, lb, locality, params=params, n_nodes=n_nodes,
-               n_locks=n_locks, threads=threads, seed=seed)
-         for rb in budgets for lb in budgets
-         for locality in params["localities"]),
-        workers)
 
-    def _avg_throughput(remote_budget: int, local_budget: int) -> float:
-        """Throughput averaged over the locality mix for one budget pair."""
-        samples = []
-        for locality in params["localities"]:
-            spec = _spec(remote_budget, local_budget, locality,
-                         params=params, n_nodes=n_nodes, n_locks=n_locks,
-                         threads=threads, seed=seed)
-            run_result = prefetched.get(spec)
-            if run_result is None:
-                run_result = run_workload(spec)
-            samples.append(run_result.throughput_ops_per_sec)
-        return mean(samples)
-
+def run(scale: str = "small", seed: int = 0,
+        workers: int = 0) -> ExperimentResult:
+    params = scale_params(scale)
+    cells = list(_cells(scale, params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
     result = ExperimentResult(
         "fig4",
         "Relative speedup vs (remote=5, local=5) budgets, averaged over "
         "95/90/85% locality",
         scale)
 
-    baseline = _avg_throughput(BASELINE_BUDGET, BASELINE_BUDGET)
+    # Throughput of a budget pair = the mean over its locality mix.
+    samples: dict[tuple[int, int], list[float]] = {}
+    for pair, spec in cells:
+        samples.setdefault(pair, []).append(
+            results[spec].throughput_ops_per_sec)
+    baseline = mean(samples[(BASELINE_BUDGET, BASELINE_BUDGET)])
     speedups: dict[tuple[int, int], float] = {}
-    for remote_budget in budgets:
-        for local_budget in budgets:
-            tput = (baseline if (remote_budget == BASELINE_BUDGET
-                                 and local_budget == BASELINE_BUDGET)
-                    else _avg_throughput(remote_budget, local_budget))
-            speedup = relative_speedup(tput, baseline)
-            speedups[(remote_budget, local_budget)] = speedup
-            result.rows.append({
-                "remote_budget": remote_budget,
-                "local_budget": local_budget,
-                "throughput_ops": round(tput),
-                "speedup_vs_5_5_pct": round(speedup, 1),
-            })
+    for (remote_budget, local_budget), pair_samples in samples.items():
+        tput = mean(pair_samples)
+        speedup = relative_speedup(tput, baseline)
+        speedups[(remote_budget, local_budget)] = speedup
+        result.rows.append({
+            "remote_budget": remote_budget,
+            "local_budget": local_budget,
+            "throughput_ops": round(tput),
+            "speedup_vs_5_5_pct": round(speedup, 1),
+        })
 
-    max_budget = max(budgets)
+    max_budget = max(params["budgets"])
     best = max(speedups, key=speedups.get)
     if is_strict(scale):
         result.check(

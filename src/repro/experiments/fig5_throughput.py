@@ -21,161 +21,95 @@ Paper shapes asserted per row of panels:
 
 from __future__ import annotations
 
-from repro.experiments.base import (CONTENTION_LOCKS, ExperimentResult,
-                                    is_strict, prefetch_runs, scale_params)
-from repro.workload import WorkloadSpec, run_workload
+from itertools import groupby
+from typing import Iterator
+
+from repro.experiments.base import (CONTENTION_LOCKS, Cell, ExperimentResult,
+                                    is_strict, run_specs, scale_params)
+from repro.workload import WorkloadSpec
 
 LOCKS = ("alock", "spinlock", "mcs")
 #: Reference locality for the mixed-workload panels.
 REFERENCE_LOCALITY = 90.0
 _PANEL_NAMES = "abcdefghijkl"
+#: Panel columns as (contention, table size, locality of the curves):
+#: three mixed-locality panels, then the isolated 100%-locality one (high
+#: contention — the paper stresses ALock wins "even ... with just 20 locks").
+COLUMNS = (*((level, n_locks, REFERENCE_LOCALITY)
+             for level, n_locks in CONTENTION_LOCKS.items()),
+           ("high", CONTENTION_LOCKS["high"], 100.0))
 
 
-def _panel_name(row: int, col: int) -> str:
-    return _PANEL_NAMES[row * 4 + col]
-
-
-def _spec(lock_kind: str, *, n_nodes: int, threads: int, n_locks: int,
-          locality: float, params: dict, seed: int) -> WorkloadSpec:
-    return WorkloadSpec(
-        n_nodes=n_nodes, threads_per_node=threads, n_locks=max(n_locks, n_nodes),
-        locality_pct=locality, lock_kind=lock_kind,
-        warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
-        seed=seed, audit="off")
-
-
-def _enumerate_specs(params: dict, seed: int):
-    """Every spec :func:`run` will evaluate, in its request order.
-
-    Kept structurally parallel to the assembly loops in :func:`run`; a
-    spec missed here is still computed (serially) by the fallback in
-    ``_throughput``, so drift degrades speed, never results.
-    """
-    threads_axis = list(params["threads"])
-    for n_nodes in params["nodes"]:
-        for level, n_locks in CONTENTION_LOCKS.items():
-            for lock_kind in LOCKS:
-                for threads in threads_axis:
-                    yield _spec(lock_kind, n_nodes=n_nodes, threads=threads,
-                                n_locks=n_locks, locality=REFERENCE_LOCALITY,
-                                params=params, seed=seed)
+def _cells(params: dict, seed: int) -> Iterator[Cell]:
+    """One cell per measured point, keyed by its row's leading columns."""
+    for row, n_nodes in enumerate(params["nodes"]):
+        for col, (level, n_locks, curve_locality) in enumerate(COLUMNS):
+            points = [(curve_locality, lock_kind, threads)
+                      for lock_kind in LOCKS for threads in params["threads"]]
+            # Locality sensitivity of ALock in the low-contention panel
+            # ("improves by 40% from 85% to 90% ... 75% more at 95%").
             if level == "low":
-                for locality in params["localities"]:
-                    if locality != REFERENCE_LOCALITY:
-                        yield _spec("alock", n_nodes=n_nodes,
-                                    threads=threads_axis[-1], n_locks=n_locks,
-                                    locality=locality, params=params, seed=seed)
-        for lock_kind in LOCKS:
-            for threads in threads_axis:
-                yield _spec(lock_kind, n_nodes=n_nodes, threads=threads,
-                            n_locks=CONTENTION_LOCKS["high"], locality=100.0,
-                            params=params, seed=seed)
+                points += [(locality, "alock", params["threads"][-1])
+                           for locality in params["localities"]
+                           if locality != REFERENCE_LOCALITY]
+            for locality, lock_kind, threads in points:
+                yield Cell(
+                    {"panel": _PANEL_NAMES[row * len(COLUMNS) + col],
+                     "nodes": n_nodes, "contention": level, "locks": n_locks,
+                     "locality_pct": locality, "lock": lock_kind,
+                     "threads_per_node": threads},
+                    WorkloadSpec(
+                        n_nodes=n_nodes, threads_per_node=threads,
+                        n_locks=max(n_locks, n_nodes), locality_pct=locality,
+                        lock_kind=lock_kind, warmup_ns=params["warmup_ns"],
+                        measure_ns=params["measure_ns"], seed=seed,
+                        audit="off"))
 
 
 def run(scale: str = "small", seed: int = 0,
         workers: int = 0) -> ExperimentResult:
     params = scale_params(scale)
-    prefetched = prefetch_runs(_enumerate_specs(params, seed), workers)
-
-    def _throughput(lock_kind: str, *, n_nodes: int, threads: int,
-                    n_locks: int, locality: float, params: dict,
-                    seed: int) -> float:
-        spec = _spec(lock_kind, n_nodes=n_nodes, threads=threads,
-                     n_locks=n_locks, locality=locality, params=params,
-                     seed=seed)
-        run_result = prefetched.get(spec)
-        if run_result is None:
-            run_result = run_workload(spec)
-        return run_result.throughput_ops_per_sec
-
+    cells = list(_cells(params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
     result = ExperimentResult(
         "fig5", "Throughput grid: nodes x contention x locality x threads",
         scale)
-    threads_axis = list(params["threads"])
-
-    for row, n_nodes in enumerate(params["nodes"]):
-        # Columns 0-2: mixed locality at each contention level.
-        for col, (level, n_locks) in enumerate(CONTENTION_LOCKS.items()):
-            panel = _panel_name(row, col)
-            series: dict[str, list[float]] = {}
-            for lock_kind in LOCKS:
-                curve = []
-                for threads in threads_axis:
-                    tput = _throughput(
-                        lock_kind, n_nodes=n_nodes, threads=threads,
-                        n_locks=n_locks, locality=REFERENCE_LOCALITY,
-                        params=params, seed=seed)
-                    curve.append(tput)
-                    result.rows.append({
-                        "panel": panel, "nodes": n_nodes,
-                        "contention": level, "locks": n_locks,
-                        "locality_pct": REFERENCE_LOCALITY,
-                        "lock": lock_kind, "threads_per_node": threads,
-                        "throughput_ops": round(tput),
-                    })
-                series[lock_kind] = curve
-            # Locality sensitivity of ALock in the low-contention panel
-            # ("improves by 40% from 85% to 90% ... 75% more at 95%").
-            if level == "low":
-                for locality in params["localities"]:
-                    if locality == REFERENCE_LOCALITY:
-                        continue
-                    tput = _throughput(
-                        "alock", n_nodes=n_nodes, threads=threads_axis[-1],
-                        n_locks=n_locks, locality=locality, params=params,
-                        seed=seed)
-                    result.rows.append({
-                        "panel": panel, "nodes": n_nodes,
-                        "contention": level, "locks": n_locks,
-                        "locality_pct": locality, "lock": "alock",
-                        "threads_per_node": threads_axis[-1],
-                        "throughput_ops": round(tput),
-                    })
-            result.series[panel] = (threads_axis, series)
-            self_check_panel(result, panel, level, series, strict=is_strict(scale))
-        # Column 3: the isolated 100%-locality panel (high contention —
-        # the paper stresses ALock wins "even ... with just 20 locks").
-        panel = _panel_name(row, 3)
-        series = {}
-        for lock_kind in LOCKS:
-            curve = []
-            for threads in threads_axis:
-                tput = _throughput(
-                    lock_kind, n_nodes=n_nodes, threads=threads,
-                    n_locks=CONTENTION_LOCKS["high"], locality=100.0,
-                    params=params, seed=seed)
-                curve.append(tput)
-                result.rows.append({
-                    "panel": panel, "nodes": n_nodes,
-                    "contention": "high", "locks": CONTENTION_LOCKS["high"],
-                    "locality_pct": 100.0, "lock": lock_kind,
-                    "threads_per_node": threads,
-                    "throughput_ops": round(tput),
-                })
-            series[lock_kind] = curve
-        result.series[panel] = (threads_axis, series)
-        result.check(
-            f"panel ({panel}): 100% locality, ALock leads both competitors",
-            series["alock"][-1] > series["spinlock"][-1]
-            and series["alock"][-1] > series["mcs"][-1])
-        if is_strict(scale):
-            result.check(
-                f"panel ({panel}): 100% locality, ALock >= 8x spinlock at max threads",
-                series["alock"][-1] >= 8 * series["spinlock"][-1])
-            result.check(
-                f"panel ({panel}): 100% locality, ALock >= 8x MCS at max threads",
-                series["alock"][-1] >= 8 * series["mcs"][-1])
+    for panel, group in groupby(cells, key=lambda cell: cell.coords["panel"]):
+        panel_cells = list(group)
+        # A panel's curves are at its first cell's locality; the other
+        # localities are the ALock sensitivity points: rows, no curve.
+        head = panel_cells[0].coords
+        series: dict[str, list[float]] = {}
+        for coords, spec in panel_cells:
+            tput = results[spec].throughput_ops_per_sec
+            result.rows.append({**coords, "throughput_ops": round(tput)})
+            if coords["locality_pct"] == head["locality_pct"]:
+                series.setdefault(coords["lock"], []).append(tput)
+        result.series[panel] = (list(params["threads"]), series)
+        self_check_panel(result, panel, head, series, strict=is_strict(scale))
     return result
 
 
-def self_check_panel(result: ExperimentResult, panel: str, level: str,
+def self_check_panel(result: ExperimentResult, panel: str, head: dict,
                      series: dict[str, list[float]], *, strict: bool) -> None:
-    """Shape assertions for one mixed-locality panel."""
+    """Shape assertions for one panel (``head``: its first row's columns)."""
     alock, spin, mcs = series["alock"], series["spinlock"], series["mcs"]
+    if head["locality_pct"] == 100.0:
+        result.check(
+            f"panel ({panel}): 100% locality, ALock leads both competitors",
+            alock[-1] > spin[-1] and alock[-1] > mcs[-1])
+        if strict:
+            result.check(
+                f"panel ({panel}): 100% locality, ALock >= 8x spinlock at max threads",
+                alock[-1] >= 8 * spin[-1])
+            result.check(
+                f"panel ({panel}): 100% locality, ALock >= 8x MCS at max threads",
+                alock[-1] >= 8 * mcs[-1])
+        return
     result.check(
         f"panel ({panel}): ALock leads both competitors at the top thread count",
         alock[-1] > spin[-1] and alock[-1] > mcs[-1])
-    if strict and level == "high":
+    if strict and head["contention"] == "high":
         result.check(
             f"panel ({panel}): high contention, ALock >= 4x both competitors",
             alock[-1] >= 4 * spin[-1] and alock[-1] >= 4 * mcs[-1])

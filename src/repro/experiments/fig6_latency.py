@@ -19,23 +19,34 @@ Paper shapes asserted:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.analysis import ratio
-from repro.experiments.base import (CONTENTION_LOCKS, ExperimentResult,
-                                    is_strict, prefetch_runs, scale_params)
-from repro.workload import WorkloadSpec, run_workload
+from repro.experiments.base import (CONTENTION_LOCKS, Cell, ExperimentResult,
+                                    is_strict, run_specs, scale_params)
+from repro.workload import WorkloadSpec
 
 LOCKS = ("alock", "spinlock", "mcs")
 LOCALITY_ROWS = (100.0, 95.0, 90.0, 85.0)
 _PANEL_NAMES = "abcdefghijkl"
 
 
-def _spec(lock_kind: str, locality: float, n_locks: int, *, n_nodes: int,
-          threads: int, params: dict, seed: int) -> WorkloadSpec:
-    return WorkloadSpec(
-        n_nodes=n_nodes, threads_per_node=threads,
-        n_locks=n_locks, locality_pct=locality, lock_kind=lock_kind,
-        warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
-        seed=seed, audit="off")
+def _cells(n_nodes: int, threads: int, params: dict,
+           seed: int) -> Iterator[Cell]:
+    """One cell per CDF, keyed by its row's leading columns."""
+    for row, locality in enumerate(LOCALITY_ROWS):
+        for col, (level, n_locks) in enumerate(CONTENTION_LOCKS.items()):
+            for lock_kind in LOCKS:
+                yield Cell(
+                    {"panel": _PANEL_NAMES[row * 3 + col],
+                     "locality_pct": locality, "contention": level,
+                     "locks": n_locks, "lock": lock_kind},
+                    WorkloadSpec(
+                        n_nodes=n_nodes, threads_per_node=threads,
+                        n_locks=n_locks, locality_pct=locality,
+                        lock_kind=lock_kind, warmup_ns=params["warmup_ns"],
+                        measure_ns=params["measure_ns"], seed=seed,
+                        audit="off"))
 
 
 def run(scale: str = "small", seed: int = 0,
@@ -45,13 +56,8 @@ def run(scale: str = "small", seed: int = 0,
     # nearest equivalent.
     n_nodes = max(params["nodes"]) if scale != "paper" else 10
     threads = 8 if 8 in params["threads"] else max(params["threads"])
-    prefetched = prefetch_runs(
-        (_spec(lock_kind, locality, n_locks, n_nodes=n_nodes,
-               threads=threads, params=params, seed=seed)
-         for locality in LOCALITY_ROWS
-         for n_locks in CONTENTION_LOCKS.values()
-         for lock_kind in LOCKS),
-        workers)
+    cells = list(_cells(n_nodes, threads, params, seed))
+    results = run_specs((cell.spec for cell in cells), workers)
     result = ExperimentResult(
         "fig6",
         f"Latency CDFs on {n_nodes} nodes x {threads} threads "
@@ -59,34 +65,25 @@ def run(scale: str = "small", seed: int = 0,
         scale)
 
     summaries: dict[tuple[str, str, float], dict] = {}
-    for row, locality in enumerate(LOCALITY_ROWS):
-        for col, (level, n_locks) in enumerate(CONTENTION_LOCKS.items()):
-            panel = _PANEL_NAMES[row * 3 + col]
-            curves = {}
-            for lock_kind in LOCKS:
-                spec = _spec(lock_kind, locality, n_locks, n_nodes=n_nodes,
-                             threads=threads, params=params, seed=seed)
-                run_result = prefetched.get(spec)
-                if run_result is None:
-                    run_result = run_workload(spec)
-                lat = run_result.latency
-                values, probs = run_result.latency_cdf(points=50)
-                curves[lock_kind] = (values.tolist(), probs.tolist())
-                summaries[(level, lock_kind, locality)] = {
-                    "mean": lat.mean, "p50": lat.p50, "p99": lat.p99,
-                    "p999": lat.p999,
-                }
-                result.rows.append({
-                    "panel": panel, "locality_pct": locality,
-                    "contention": level, "locks": n_locks,
-                    "lock": lock_kind,
-                    "p50_ns": round(lat.p50),
-                    "p90_ns": round(lat.p90),
-                    "p99_ns": round(lat.p99),
-                    "p999_ns": round(lat.p999),
-                    "samples": lat.count,
-                })
-            result.series[panel] = ((), curves)
+    for coords, spec in cells:
+        run_result = results[spec]
+        lat = run_result.latency
+        values, probs = run_result.latency_cdf(points=50)
+        _, curves = result.series.setdefault(coords["panel"], ((), {}))
+        curves[coords["lock"]] = (values.tolist(), probs.tolist())
+        summaries[(coords["contention"], coords["lock"],
+                   coords["locality_pct"])] = {
+            "mean": lat.mean, "p50": lat.p50, "p99": lat.p99,
+            "p999": lat.p999,
+        }
+        result.rows.append({
+            **coords,
+            "p50_ns": round(lat.p50),
+            "p90_ns": round(lat.p90),
+            "p99_ns": round(lat.p99),
+            "p999_ns": round(lat.p999),
+            "samples": lat.count,
+        })
 
     # -- shape checks --------------------------------------------------
     for level in CONTENTION_LOCKS:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable
 
 from repro.common.errors import ConfigError
@@ -42,20 +41,10 @@ def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
         ) from None
 
 
-def supports_workers(experiment_id: str) -> bool:
-    """Whether the experiment's runner takes a ``workers`` argument
-    (i.e. can shard its cells over a process pool)."""
-    fn = get_experiment(experiment_id)
-    return "workers" in inspect.signature(fn).parameters
-
-
 def run_experiment(experiment_id: str, scale: str = "small", seed: int = 0,
                    workers: int = 0) -> ExperimentResult:
-    """Run one experiment.  ``workers > 1`` fans the experiment's sealed
-    cells out over a process pool where the experiment supports it
-    (fig1/fig4/fig5/fig6); results are identical to a serial run —
-    every cell is a sealed seeded simulation (see repro.parallel)."""
-    fn = get_experiment(experiment_id)
-    if workers > 1 and supports_workers(experiment_id):
-        return fn(scale=scale, seed=seed, workers=workers)
-    return fn(scale=scale, seed=seed)
+    """Run one experiment.  ``workers > 1`` runs its sealed seeded cells
+    on a process pool; the result is identical to a serial run (see
+    :func:`repro.experiments.base.run_specs`)."""
+    return get_experiment(experiment_id)(scale=scale, seed=seed,
+                                         workers=workers)

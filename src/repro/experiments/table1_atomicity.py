@@ -70,7 +70,10 @@ def _stress_pair(local_op: str, remote_op: str, *, rounds: int = 40,
     return cluster.auditor.violation_count == 0
 
 
-def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
+def run(scale: str = "small", seed: int = 0,
+        workers: int = 0) -> ExperimentResult:
+    """``workers`` is unused: the probes read a raw ``Cluster``'s race
+    auditor, so there is no sealed ``WorkloadSpec`` cell to shard."""
     rounds = {"smoke": 15, "small": 40, "paper": 120}.get(scale, 40)
     result = ExperimentResult(
         "table1", "Atomicity between 8-byte local and remote accesses", scale)

@@ -580,15 +580,17 @@ class FrozenSetattrRule(Rule):
 #: crosses a process boundary funnels through its audited chokepoint.
 _SPAWN_CHOKEPOINTS = frozenset({"repro.parallel.engine"})
 
-#: the one module allowed to (de)serialize result blobs: the sweep
-#: cache's store, where corruption-as-miss and the boundary re-audit
-#: live.  Pickled bytes are a process boundary stretched over time.
-_SERIALIZATION_CHOKEPOINTS = frozenset({"repro.parallel.store"})
-
 _POOL_IMPORTS = frozenset({"ProcessPoolExecutor", "multiprocessing"})
 
+#: blob (de)serializers: no module of the sensitive packages may import
+#: one.  Pickled bytes on disk are a process boundary stretched over
+#: time; the sweep cache's store writes canonical JSON rows instead.
 _SERIALIZATION_MODULES = frozenset({"pickle", "cPickle", "marshal", "shelve",
                                     "dill", "cloudpickle"})
+_SERIALIZER_FINDING = (
+    "blob (de)serialization in a sensitive package; cache entries are "
+    "canonical-JSON rows written by repro.parallel.store, and nothing here "
+    "may unpickle a file")
 
 
 def _decorator_names(func: ast.AST) -> set[str]:
@@ -607,13 +609,13 @@ class ProcessBoundaryRule(Rule):
 
     * process pools (``ProcessPoolExecutor`` / ``multiprocessing``) may
       only be touched by the engine chokepoint module — sweep shards and
-      experiment prefetches all funnel through its single, audited
+      experiment fan-outs all funnel through its single, audited
       submit loop (orphan-free shutdown, failed-chunk isolation);
     * blob (de)serializers (``pickle``/``marshal``/``shelve``/…) may
-      only be touched by the store chokepoint module — serialized cache
-      entries are a process boundary stretched over time, and the store
-      is where corruption-as-miss handling and the post-load boundary
-      re-audit are centralized;
+      not be imported at all — a serialized blob on disk is a process
+      boundary stretched over time, and the one thing the sweep cache
+      stores (``repro.parallel.store``) is a canonical-JSON row that is
+      re-audited after every load;
     * a ``@worker_entry`` function must be defined at module top level:
       nested or method defs are not picklable by reference and would
       fail only at runtime, on the first parallel run;
@@ -624,7 +626,7 @@ class ProcessBoundaryRule(Rule):
 
     rule_id = "process-boundary"
     description = ("process fan-out must go through repro.parallel.engine, "
-                   "cache (de)serialization through repro.parallel.store, "
+                   "nothing may import a blob (de)serializer, "
                    "and worker entry points must be module-level functions "
                    "marked @worker_entry")
 
@@ -636,7 +638,6 @@ class ProcessBoundaryRule(Rule):
         if not sf.in_package(*self.sensitive_packages):
             return
         at_chokepoint = sf.module in _SPAWN_CHOKEPOINTS
-        at_store = sf.module in _SERIALIZATION_CHOKEPOINTS
         marked: set[str] = set()
         unmarked_defs: set[str] = set()
         for node in sf.tree.body:
@@ -656,13 +657,8 @@ class ProcessBoundaryRule(Rule):
                             "chokepoint; spawn workers via "
                             "repro.parallel.engine so shutdown and "
                             "failed-chunk isolation stay centralized")
-                    elif root in _SERIALIZATION_MODULES and not at_store:
-                        yield self.finding(
-                            sf, node,
-                            "blob (de)serialization outside the store "
-                            "chokepoint; round-trip cache entries through "
-                            "repro.parallel.store so corruption-as-miss and "
-                            "the boundary re-audit stay centralized")
+                    elif root in _SERIALIZATION_MODULES:
+                        yield self.finding(sf, node, _SERIALIZER_FINDING)
             elif isinstance(node, ast.ImportFrom):
                 mod = node.module or ""
                 pulled = {a.name for a in node.names}
@@ -674,14 +670,8 @@ class ProcessBoundaryRule(Rule):
                         "process-pool import outside the engine chokepoint; "
                         "spawn workers via repro.parallel.engine so shutdown "
                         "and failed-chunk isolation stay centralized")
-                elif mod.split(".")[0] in _SERIALIZATION_MODULES \
-                        and not at_store:
-                    yield self.finding(
-                        sf, node,
-                        "blob (de)serialization outside the store "
-                        "chokepoint; round-trip cache entries through "
-                        "repro.parallel.store so corruption-as-miss and "
-                        "the boundary re-audit stay centralized")
+                elif mod.split(".")[0] in _SERIALIZATION_MODULES:
+                    yield self.finding(sf, node, _SERIALIZER_FINDING)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if "worker_entry" in _decorator_names(node) and \
                         enclosing_function(node) is not None:

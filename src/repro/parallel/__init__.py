@@ -14,9 +14,12 @@ Quick start::
         seeds=range(3), workers=4)
     res.write(json_path="sweep.json", csv_path="sweep.csv")
 
+``enumerate_grid`` is the one cartesian driver: for each cell's full
+``RunResult`` instead of a row, ``repro.experiments.base.run_specs`` its specs.
+
 The output is byte-identical at any ``workers`` value — and, with a
-:class:`ResultCache`, identical again when most cells come out of the
-content-addressed store instead of a worker::
+:class:`ResultCache` (memoized cell rows), identical again when most
+cells come out of the content-addressed store instead of a worker::
 
     from repro.parallel import ResultCache
 

@@ -27,9 +27,9 @@ Nothing in this module crosses a process boundary: lookups happen in the
 parent before chunks are submitted, write-back happens in the parent as
 results arrive, and loaded rows are re-audited with
 :func:`~repro.parallel.cells.check_boundary_value` before they are
-allowed to stand in for a worker's output.  Disk (de)serialization is
-delegated to :class:`repro.parallel.store.BlobStore`, the one module
-allowed to touch pickle/JSON blobs (simlint ``process-boundary``).
+allowed to stand in for a worker's output.  Only the cell's *row* is
+memoized, as canonical JSON (:class:`repro.parallel.store.BlobStore`):
+nothing under ``src/repro`` unpickles a file (simlint ``process-boundary``).
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Content-addressed cache of sweep-cell rows and full RunResults.
+    """Content-addressed cache of sweep-cell rows.
 
     Only *successful* results are stored: a failed cell recomputes on
     the next sweep, which is what makes an interrupted or partially
@@ -321,15 +321,6 @@ class ResultCache:
             "format": CACHE_FORMAT,
             "kind": "cell-row",
             "metric": metric,
-            "spec": canonical_spec(spec),
-            "code": self.fingerprinter.fingerprint(spec.lock_kind),
-        }
-        return _sha256_hex(_canonical_json(payload).encode("utf-8"))
-
-    def run_digest(self, spec: WorkloadSpec) -> str:
-        payload = {
-            "format": CACHE_FORMAT,
-            "kind": "run-result",
             "spec": canonical_spec(spec),
             "code": self.fingerprinter.fingerprint(spec.lock_kind),
         }
@@ -366,24 +357,4 @@ class ResultCache:
             return  # failures are retried, never memoized
         self.store.put_json(self.cell_digest(cell.spec, metric),
                             {"format": CACHE_FORMAT, "row": result.row})
-        self.stats.writes += 1
-
-    # -- full RunResults (pmap_workloads path) ----------------------------
-    def lookup_run(self, spec: WorkloadSpec):
-        """Cached :class:`~repro.workload.metrics.RunResult` for ``spec``,
-        or ``None``.  The loaded value must carry a spec equal to the
-        requested one — a digest collision or stale blob can never leak
-        a foreign run into an experiment."""
-        from repro.workload.metrics import RunResult
-
-        value = self.store.get_pickle(self.run_digest(spec))
-        if not isinstance(value, RunResult) or value.spec != spec:
-            self.stats.invalid += int(value is not None)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return value
-
-    def store_run(self, spec: WorkloadSpec, result) -> None:
-        self.store.put_pickle(self.run_digest(spec), result)
         self.stats.writes += 1

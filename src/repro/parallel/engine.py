@@ -93,10 +93,10 @@ def run_cell_chunk(chunk: "tuple[SweepCell, ...]", metric: str = "throughput") -
 
 @worker_entry
 def run_spec_chunk(chunk: "tuple[WorkloadSpec, ...]") -> list[RunResult]:
-    """Worker entry point for the experiment prefetch path: execute a
-    chunk of specs and return the full (picklable) :class:`RunResult`
-    values.  Exceptions propagate — an experiment run is not allowed to
-    silently drop a cell."""
+    """Worker entry point for the experiment fan-out
+    (:func:`pmap_workloads`): execute a chunk of specs and return the
+    full (picklable) :class:`RunResult` values.  Exceptions propagate —
+    an experiment run is not allowed to silently drop a cell."""
     return [run_workload(spec) for spec in chunk]
 
 
@@ -288,40 +288,31 @@ def _add_note(exc: BaseException, note: str) -> None:
 
 def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                    chunk_size: Optional[int] = None,
-                   executor_factory: Optional[Callable[[int], Executor]] = None,
-                   cache: Optional[ResultCache] = None) -> list[RunResult]:
+                   executor_factory: Optional[Callable[[int], Executor]] = None
+                   ) -> list[RunResult]:
     """Run every spec and return full :class:`RunResult` values in input
     order.  The experiment-module fan-out path: results are exactly what
     ``run_workload`` would have produced serially (sealed seeded cells),
     so callers assemble tables/series byte-identically.
 
     Unlike :func:`run_cells` a worker exception here propagates — paper
-    experiments must not silently drop cells.  When several chunks fail,
-    the first failure is raised with every other failure chained onto it
-    as ``__notes__`` naming each failed chunk's index and spec labels,
-    so no failure identity is ever discarded.
+    experiments must not silently drop cells.  Inline (``workers <= 1``)
+    that is the first failing spec, at once; on a pool, when several
+    chunks fail, the first failure is raised with every other failure
+    chained onto it as ``__notes__`` naming each failed chunk's index
+    and spec labels, so no failure identity is ever discarded.
     """
     specs = list(specs)
-    results: dict[int, RunResult] = {}
-    if cache is not None:
-        for i, spec in enumerate(specs):
-            hit = cache.lookup_run(spec)
-            if hit is not None:
-                results[i] = hit
-    miss_indices = [i for i in range(len(specs)) if i not in results]
     if workers <= 1 and executor_factory is None:
-        for i in miss_indices:
-            results[i] = run_workload(specs[i])
-            if cache is not None:
-                cache.store_run(specs[i], results[i])
-        return [results[i] for i in range(len(specs))]
+        return [run_workload(spec) for spec in specs]
 
-    size = chunk_size if chunk_size else default_chunk_size(len(miss_indices), workers)
-    index_chunks = _chunks(miss_indices, size)
+    size = chunk_size if chunk_size else default_chunk_size(len(specs), workers)
+    chunks = _chunks(specs, size)
+    results: list[Optional[list[RunResult]]] = [None] * len(chunks)
     failures: list[tuple[int, BaseException]] = []
 
     def _chunk_desc(idx: int) -> str:
-        labels = [specs[i].label() for i in index_chunks[idx]]
+        labels = [spec.label() for spec in chunks[idx]]
         shown = "; ".join(labels[:3])
         if len(labels) > 3:
             shown += f"; ... {len(labels) - 3} more"
@@ -330,17 +321,13 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
     def on_chunk_done(idx: int, value, error: Optional[BaseException]) -> None:
         if error is not None:
             failures.append((idx, error))
-            return
-        for i, result in zip(index_chunks[idx], value):
-            results[i] = result
-            if cache is not None:
-                cache.store_run(specs[i], result)
+        else:
+            results[idx] = value
 
-    if index_chunks:
-        run_chunks(
-            index_chunks,
-            lambda chunk: (run_spec_chunk, tuple(specs[i] for i in chunk)),
-            on_chunk_done, workers=workers, executor_factory=executor_factory)
+    if chunks:
+        run_chunks(chunks, lambda chunk: (run_spec_chunk, chunk),
+                   on_chunk_done, workers=workers,
+                   executor_factory=executor_factory)
     if failures:
         failures.sort(key=lambda pair: pair[0])
         first_idx, primary = failures[0]
@@ -351,7 +338,4 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                       f"also failed: chunk {idx} "
                       f"(specs: {_chunk_desc(idx)}): {exc!r}")
         raise primary
-    out: list[RunResult] = []
-    for i in range(len(specs)):
-        out.append(results[i])
-    return out
+    return [result for chunk_results in results for result in chunk_results]

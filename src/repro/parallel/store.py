@@ -1,10 +1,10 @@
 """Content-addressed blob store backing the sweep cache.
 
-This module is the repo's **serialization chokepoint**: the only place
-in the sensitive packages allowed to (de)serialize result blobs to disk
-(enforced by simlint's ``process-boundary`` rule, the same way pool
-construction is confined to :mod:`repro.parallel.engine`).  Confining it
-here keeps two invariants checkable:
+The only place in the sensitive packages that writes result blobs to
+disk, in one format: canonical JSON.  (``pickle``/``marshal``/… are a
+simlint ``process-boundary`` finding everywhere in those packages, here
+too — a pickled file is a process boundary stretched over time.)
+Confining the disk format here keeps two invariants checkable:
 
 * everything written passes the same primitives-only audit as the
   process boundary (the cache layer runs ``check_boundary_value`` on
@@ -16,7 +16,6 @@ here keeps two invariants checkable:
 Layout is a git-style fan-out under the store root::
 
     <root>/<digest[:2]>/<digest>.json   # cell rows (canonical JSON)
-    <root>/<digest[:2]>/<digest>.pkl    # full RunResults (pickle)
 
 Digests are computed by :mod:`repro.parallel.cache`; the store never
 interprets them.  Writes are atomic (temp file + ``os.replace``) so an
@@ -28,19 +27,17 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from typing import Optional
 
 _JSON_EXT = ".json"
-_PICKLE_EXT = ".pkl"
 
 
 class BlobStore:
     """A directory of content-addressed blobs with atomic writes.
 
-    The store is deliberately dumb: ``get_*`` returns ``None`` for
-    anything it cannot fully load and validate as its format (missing,
-    truncated, corrupt, wrong type), and ``put_*`` unconditionally
+    The store is deliberately dumb: ``get_json`` returns ``None`` for
+    anything it cannot fully load and validate as a JSON object (missing,
+    truncated, corrupt, wrong type), and ``put_json`` unconditionally
     (re)writes.  All keying/invalidations live in the digest.
     """
 
@@ -78,42 +75,7 @@ class BlobStore:
                           separators=(",", ":")).encode("utf-8")
         self._write_atomic(self._path(digest, _JSON_EXT), data)
 
-    # -- pickle blobs (full RunResults, pmap path) -----------------------
-    def get_pickle(self, digest: str) -> Optional[object]:
-        """Load a pickled blob; ``None`` if absent or unreadable.
-
-        The blob is trusted no further than the cache layer's
-        post-load audit — callers re-validate shape and boundary
-        safety before using anything returned here.
-        """
-        try:
-            with open(self._path(digest, _PICKLE_EXT), "rb") as fh:
-                return pickle.loads(fh.read())
-        except Exception:
-            # Any unpickling failure (truncation, version skew, garbage)
-            # is a miss by contract.
-            return None
-
-    def put_pickle(self, digest: str, value: object) -> None:
-        self._write_atomic(self._path(digest, _PICKLE_EXT),
-                           pickle.dumps(value, protocol=4))
-
     # -- introspection ----------------------------------------------------
-    def has_json(self, digest: str) -> bool:
-        return os.path.exists(self._path(digest, _JSON_EXT))
-
     def json_path(self, digest: str) -> str:
         """Where a JSON entry lives (for tests and debugging)."""
         return self._path(digest, _JSON_EXT)
-
-    def entry_count(self) -> int:
-        """Number of blobs currently stored (any format)."""
-        n = 0
-        if not os.path.isdir(self.root):
-            return 0
-        for fan in sorted(os.listdir(self.root)):
-            sub = os.path.join(self.root, fan)
-            if os.path.isdir(sub):
-                n += sum(1 for name in os.listdir(sub)
-                         if name.endswith((_JSON_EXT, _PICKLE_EXT)))
-        return n

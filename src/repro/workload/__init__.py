@@ -19,7 +19,6 @@ from repro.workload.generator import LockPicker
 from repro.workload.fairness import FairnessReport, jain_index, min_max_share
 from repro.workload.metrics import LatencySummary, RunResult
 from repro.workload.runner import run_workload
-from repro.workload.sweep import SweepResult, grid, p99_metric, sweep, throughput_metric
 
 __all__ = [
     "WorkloadSpec",
@@ -30,9 +29,4 @@ __all__ = [
     "jain_index",
     "min_max_share",
     "run_workload",
-    "sweep",
-    "grid",
-    "SweepResult",
-    "throughput_metric",
-    "p99_metric",
 ]

@@ -15,15 +15,17 @@ Three families of helpers that used to be copied between
 Import directly (``from tests.conftest import run_lock_clients``) or via
 the back-compat re-exports in ``tests.locks.helpers``.
 
-One fixture lives here too: ``smoke_figure``, fig5/fig6 at smoke scale,
-simulated once per session for every test that reads them.
+One fixture lives here too: ``smoke_figure``, each experiment at smoke
+scale, simulated once per session for every test that reads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import types
 
 import pytest
 
@@ -110,13 +112,41 @@ def small_workload_spec(**over):
 
 # ------------------------------------------------------- shared figures
 
+@contextlib.contextmanager
+def recorded_fanout():
+    """What an experiment hands its runner while the block runs:
+    ``calls`` — the ``(specs, workers)`` of every ``run_specs`` fan-out
+    as it reaches ``pmap_workloads`` — and ``runs``, every workload this
+    process simulated, fanned out or not (``run_workload`` builds its
+    cluster through the patched name however it was imported)."""
+    from repro.experiments import base
+    from repro.workload import runner
+
+    record = types.SimpleNamespace(calls=[], runs=0)
+    pmap_workloads, build_cluster = base.pmap_workloads, runner.build_cluster
+
+    def recording_pmap(specs, *, workers):
+        record.calls.append((list(specs), workers))
+        return pmap_workloads(specs, workers=workers)
+
+    def counting_build(spec, **cluster_kwargs):
+        record.runs += 1
+        return build_cluster(spec, **cluster_kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(base, "pmap_workloads", recording_pmap)
+        patch.setattr(runner, "build_cluster", counting_build)
+        yield record
+
+
 @pytest.fixture(scope="session")
 def smoke_figure():
-    """``smoke_figure("fig5")``: the serial smoke-scale run of fig5 or
-    fig6 at seed 0, simulated once per session for every reader (the
-    smoke classes, the serial leg of the parallel-parity test).  Each
-    run is held to the golden digest that the two-subprocess hash-seed
-    test pins — this process's hash seed is a third."""
+    """``smoke_figure("fig5")``: the serial smoke-scale run of one
+    experiment at seed 0, simulated once per session for every reader
+    (the smoke classes, the serial leg of the parallel-parity test);
+    ``smoke_figure.fanout["fig5"]`` is what :func:`recorded_fanout` saw
+    of that run.  Where the two-subprocess hash-seed test pins a golden
+    digest the run is held to it — this process's hash seed is a third."""
     from repro.experiments import run_experiment
     from tests.ci.test_hashseed_identity import GOLDEN_FIG
 
@@ -124,12 +154,16 @@ def smoke_figure():
 
     @functools.cache
     def run(experiment_id: str):
-        result = run_experiment(experiment_id, scale="smoke", seed=0)
-        digest = hashlib.blake2b(
-            json.dumps(result.rows, sort_keys=True).encode(),
-            digest_size=16).hexdigest()
-        assert digest == golden[experiment_id], (
-            f"{experiment_id} smoke rows moved: {digest}")
+        with recorded_fanout() as record:
+            result = run_experiment(experiment_id, scale="smoke", seed=0)
+        run.fanout[experiment_id] = record
+        if experiment_id in golden:
+            digest = hashlib.blake2b(
+                json.dumps(result.rows, sort_keys=True).encode(),
+                digest_size=16).hexdigest()
+            assert digest == golden[experiment_id], (
+                f"{experiment_id} smoke rows moved: {digest}")
         return result
 
+    run.fanout = {}
     return run

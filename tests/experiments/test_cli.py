@@ -37,6 +37,19 @@ class TestRun:
         assert captured.err.startswith("error: unknown experiment 'fig99'")
         assert captured.err.count("\n") == 1 and not captured.out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "table1", "--workers", "-1"], "--workers must be >= 0, got -1"),
+        (["sweep", "--metric", "nope"], "unknown --metric 'nope'"),
+        (["explore", "--lock-option", "novalue"],
+         "--lock-option wants KEY=VALUE, got 'novalue'"),
+    ])
+    def test_bad_option_values_are_reported_the_same(self, argv, message,
+                                                     capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and not captured.out
+
     def test_every_id_is_checked_before_any_experiment_runs(self, capsys):
         assert main(["run", "table1", "fig99", "--scale", "smoke"]) == 2
         captured = capsys.readouterr()

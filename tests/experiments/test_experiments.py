@@ -33,14 +33,37 @@ class TestRegistry:
         assert set(SCALES) == {"smoke", "small", "paper"}
 
 
-@pytest.fixture(scope="module")
-def table1():
-    return run_experiment("table1", scale="smoke")
+#: cells each spec-driven experiment hands its one fan-out at smoke
+FANOUT_CELLS = {"fig1": 4, "fig4": 8, "fig5": 26, "fig6": 36,
+                "ext-related": 4, "ext-skew": 9, "ext-faults": 11}
+#: workloads run outside a fan-out: ext-phases' three runs return typed
+#: spans (``obs=``), which exist only in the process that simulated them
+DIRECT_RUNS = {"ext-phases": 3}
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+def test_one_fanout_per_experiment(experiment_id, smoke_figure):
+    """The grid is stated once: every workload an experiment simulates is
+    a distinct cell of its single ``run_specs`` call."""
+    smoke_figure(experiment_id)
+    record = smoke_figure.fanout[experiment_id]
+    cells = FANOUT_CELLS.get(experiment_id, 0)
+    if cells:
+        [(specs, _workers)] = record.calls
+        assert len(specs) == len(set(specs)) == cells
+    else:
+        assert record.calls == []
+    assert record.runs == cells + DIRECT_RUNS.get(experiment_id, 0)
 
 
 @pytest.fixture(scope="module")
-def fig1():
-    return run_experiment("fig1", scale="smoke")
+def table1(smoke_figure):
+    return smoke_figure("table1")
+
+
+@pytest.fixture(scope="module")
+def fig1(smoke_figure):
+    return smoke_figure("fig1")
 
 
 class TestTable1:
@@ -70,8 +93,8 @@ class TestFig1:
 
 
 class TestFig4Smoke:
-    def test_runs_and_reports_grid(self):
-        result = run_experiment("fig4", scale="smoke")
+    def test_runs_and_reports_grid(self, smoke_figure):
+        result = smoke_figure("fig4")
         budgets = SCALES["smoke"]["budgets"]
         assert len(result.rows) == len(budgets) ** 2
         baseline_rows = [r for r in result.rows

@@ -233,9 +233,8 @@ class TestLeaseRecovery:
 
 
 @pytest.mark.faults
-def test_ext_faults_experiment_smoke():
+def test_ext_faults_experiment_smoke(smoke_figure):
     """Tier-1 smoke of the full fault sweep: every shape check holds."""
-    from repro.experiments.registry import run_experiment
-    result = run_experiment("ext-faults", scale="smoke", seed=0)
+    result = smoke_figure("ext-faults")
     assert result.all_shapes_hold, result.shape_checks
     assert len(result.rows) == 10

@@ -6,8 +6,8 @@ tree but NOT the engine chokepoint, so pool imports here must fire.
 
 from concurrent.futures import ProcessPoolExecutor  # finding: pool import
 import multiprocessing  # finding: multiprocessing import
-import pickle  # finding: serialization outside the store chokepoint
-from marshal import dumps  # finding: serialization outside the store
+import pickle  # finding: blob (de)serializer import
+from marshal import dumps  # finding: blob (de)serializer import
 
 
 def worker_entry(fn):  # stand-in for repro.parallel.cells.worker_entry

@@ -17,7 +17,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.locks import LOCK_TYPES, make_lock
 from repro.parallel import (ResultCache, SourceFingerprinter, enumerate_grid,
-                            pmap_workloads, run_cells, run_sweep_parallel)
+                            run_cells, run_sweep_parallel)
 from repro.parallel.cache import CACHE_FORMAT
 from repro.workload.spec import WorkloadSpec
 
@@ -227,29 +227,6 @@ class TestCorruption:
         fresh = ResultCache(cache.cache_dir)
         assert fresh.lookup_cell(cells[0], "throughput") is None
         assert fresh.stats.invalid == 1
-
-
-class TestPmapCache:
-    def test_full_runresults_round_trip(self, cache, tmp_path):
-        specs = [BASE.with_(seed=s) for s in (0, 1)]
-        plain = pmap_workloads(specs)
-        pmap_workloads(specs, cache=cache)
-        resumed = pmap_workloads(specs, cache=_fresh(tmp_path))
-        assert [r.summary_row() for r in resumed] == \
-               [r.summary_row() for r in plain]
-        assert [r.spec for r in resumed] == specs
-
-    def test_corrupt_pickle_is_a_miss(self, cache, tmp_path):
-        specs = [BASE.with_(seed=0)]
-        pmap_workloads(specs, cache=cache)
-        digest = cache.run_digest(specs[0])
-        path = cache.store.json_path(digest)[:-len(".json")] + ".pkl"
-        with open(path, "wb") as fh:
-            fh.write(b"not a pickle")
-        fresh = _fresh(tmp_path)
-        results = pmap_workloads(specs, cache=fresh)
-        assert results[0].spec == specs[0]
-        assert fresh.stats.misses == 1
 
 
 class TestDigestStability:

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.parallel import enumerate_grid, run_cells, run_sweep_parallel
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import recorded_fanout
 
 #: Small, count-mode base so each cell is a few milliseconds.
 BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
@@ -64,12 +65,17 @@ def test_run_cells_results_in_key_order():
     assert [r.key for r in results] == [c.key for c in cells]
 
 
-@pytest.mark.parametrize("experiment_id", ["fig5", "fig6"])
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
 def test_experiment_parallel_parity(experiment_id, smoke_figure):
-    """fig5/fig6 via the registry: workers=2 reproduces the serial rows,
-    series, and shape-check outcomes exactly."""
+    """Every experiment via the registry: the serial run holds its shapes,
+    and workers=2 — which reaches the pool wherever there are cells to
+    shard — reproduces its rows, series, shape checks and report exactly."""
     serial = smoke_figure(experiment_id)
-    par = run_experiment(experiment_id, scale="smoke", seed=0, workers=2)
+    assert serial.all_shapes_hold, serial.shape_checks
+    with recorded_fanout() as pooled:
+        par = run_experiment(experiment_id, scale="smoke", seed=0, workers=2)
+    assert [workers for _, workers in pooled.calls] == \
+        [2] * len(smoke_figure.fanout[experiment_id].calls)
     assert serial.rows == par.rows
     assert serial.shape_checks == par.shape_checks
     assert serial.series == par.series
