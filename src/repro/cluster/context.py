@@ -126,17 +126,22 @@ class ThreadContext:
         Event-driven: parks on a memory watcher, so the spin generates no
         simulated traffic (the MCS local-spin property).  The watcher is
         registered *before* each check read — a write landing between the
-        check and the park would otherwise be lost forever.  Returns the
-        satisfying value.
+        check and the park would otherwise be lost forever — and
+        withdrawn when the check succeeds: nobody will park on it, and
+        left in place it would fire on the word's next write, a wake-up
+        for no one.  Returns the satisfying value.
         """
         addr = self._local_addr(ptr)
+        region = self._region
+        watched = (addr,)
         while True:
-            ev = self._region.watch(addr)  # register first (synchronous)
+            ev = region.watch(addr)  # register first (synchronous)
             self.local_op_count += 1
             yield self._read_ns
-            raw = self._region.read(addr, self.actor)
+            raw = region.read(addr, self.actor)
             value = to_signed(raw) if signed else raw
             if predicate(value):
+                region.unwatch(ev, watched)
                 return value
             yield ev
             yield self._recheck_ns
@@ -147,15 +152,18 @@ class ThreadContext:
         ``check`` is a generator function (driven with ``yield from``)
         returning truthy to stop; it is re-evaluated after every write to
         any of ``ptrs``.  The watcher-before-check ordering makes the wait
-        lost-wakeup free.  Used by the local cohort's Peterson wait, which
-        involves both the victim word and the other cohort's tail.
-        Returns the truthy check result.
+        lost-wakeup free; as in :meth:`wait_local`, a watcher whose check
+        succeeded is withdrawn.  Used by the local cohort's Peterson
+        wait, which involves both the victim word and the other cohort's
+        tail.  Returns the truthy check result.
         """
         addrs = [self._local_addr(p) for p in ptrs]
+        region = self._region
         while True:
-            ev = self._region.watch_any(addrs)  # register first
+            ev = region.watch_any(addrs)  # register first
             result = yield from check()
             if result:
+                region.unwatch(ev, addrs)
                 return result
             yield ev
             yield self._recheck_ns

@@ -10,9 +10,19 @@ matter:
 
 * a *zero-fault* plan is free — the harness must produce bit-identical
   results to the fault-free code path; and
-* under loss, every run still completes (retries mask the drops; the
-  retry counters in ``RunResult`` say how hard the transport worked),
-  with ALock degrading no worse than the verb-hungrier baselines.
+* under loss, every run still completes: retries mask the drops, and the
+  retry counters in ``RunResult`` say how hard the transport worked —
+  more with every step of the loss rate, and more for the baselines,
+  which issue more verbs per op, than for ALock.
+
+What loss does to *throughput* is reported, not asserted, because it
+depends on how congested the NICs already are.  On the uncongested
+``smoke`` cluster it costs every lock 14–39 % at 3 % loss (six of six
+seeds).  At ``small`` scale (12 threads per node, RX pipelines
+saturated by loopback) a dropped verb is a 25 µs back-off: MCS *gains*
+8–15 % in six of six seeds, the spinlock stays within 6 %, and ALock —
+whose loss-free rate itself varies 15–26 M ops/s with the seed — keeps
+0.68–1.17× of it, still ≥ 2.9× ahead of both baselines.
 """
 
 from __future__ import annotations
@@ -85,12 +95,16 @@ def run(scale: str = "small", seed: int = 0,
     result.check(
         "every lossy run makes progress (retries mask the drops)",
         all(tput[k, r] > 0 for k in LOCKS for r in LOSS_RATES))
+    retries = {key: res.retry_count for key, res in runs.items()}
     result.check(
-        "retransmissions are reported at nonzero loss",
-        all(runs[k, worst].retry_count > 0 for k in LOCKS))
+        "retransmissions grow with the loss rate",
+        all(retries[k, 0.0] == 0 and all(
+            retries[k, lo] < retries[k, hi]
+            for lo, hi in zip(LOSS_RATES, LOSS_RATES[1:])) for k in LOCKS))
     result.check(
-        "loss costs throughput",
-        all(tput[k, worst] < tput[k, 0.0] for k in LOCKS))
+        "the baselines, with more verbs per op, retransmit more than ALock",
+        all(retries[k, r] > retries["alock", r]
+            for k in ("spinlock", "mcs") for r in LOSS_RATES[1:]))
     if is_strict(scale):
         result.check(
             "ALock still leads both baselines at the highest loss rate",

@@ -3,10 +3,20 @@
 The paper sweeps *uniform* lock choice at three table sizes.  Real lock
 services see skewed popularity; a Zipfian workload concentrates traffic
 on a few hot locks, which favors designs that pass the lock efficiently.
-This experiment sweeps the skew parameter and checks that ALock's lead
-*persists* under skew.  (Measured: the lead compresses slightly as skew
-grows — deep queues on hot locks let the MCS-style baselines amortize
-their loopback overhead through passing too — but never inverts.)
+This experiment sweeps the skew parameter and reports ALock's advantage
+over the best baseline at each level.
+
+Asserted is what every seed tried supports (0–5, ``smoke`` and
+``small``): ALock leads under mild skew (θ = 0.5), and skew costs every
+lock throughput.  Whether the lead *persists* is reported as numbers,
+because it depends on the scale: on the ``smoke`` cluster it compresses
+(2.1× → 1.8× as θ goes 0.5 → 1.3) and never inverts; at ``small`` scale
+(5 nodes × 12 threads) it inverts — at θ = 1.3 ALock reaches 0.64–0.95×
+of the best baseline in five of six seeds (3.17× at seed 0), and at
+θ = 0.99 it trails in four of six.  Why is not established here — most
+traffic then targets one hot lock, whose home RNIC every remote handoff
+crosses; the per-run "why" report of ROADMAP item 2 is the tool for it.
+EXPERIMENTS.md records the inversion under "Summary of deviations".
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis import ratio
-from repro.experiments.base import (Cell, ExperimentResult, is_strict,
-                                    run_specs, scale_params)
+from repro.experiments.base import (Cell, ExperimentResult, run_specs,
+                                    scale_params)
 from repro.workload import WorkloadSpec
 
 THETAS = (0.5, 0.99, 1.3)
@@ -53,13 +63,20 @@ def run(scale: str = "small", seed: int = 0,
             "alock_advantage": round(advantage[theta], 2),
         })
 
-    result.check("ALock leads at every skew level",
-                 all(a > 1.0 for a in advantage.values()))
-    if is_strict(scale):
-        result.check(
-            "ALock's advantage does not shrink as skew concentrates load",
-            advantage[THETAS[-1]] >= 0.8 * advantage[THETAS[0]])
+    mild = THETAS[0]
+    result.check(f"ALock leads under mild skew (theta = {mild})",
+                 advantage[mild] > 1.0)
+    result.check(
+        "skew costs every lock throughput",
+        all(tputs[mild, kind] > max(tputs[theta, kind]
+                                    for theta in THETAS[1:])
+            for kind in LOCKS))
     result.notes.append(
         "advantage over the best baseline by theta: "
         + ", ".join(f"{t}: {advantage[t]:.2f}x" for t in THETAS))
+    trailing = [theta for theta in THETAS if advantage[theta] < 1.0]
+    if trailing:
+        result.notes.append(
+            "ALock trails the best baseline at theta = "
+            + ", ".join(str(theta) for theta in trailing))
     return result

@@ -269,6 +269,25 @@ class MemoryRegion:
         if n >= _WATCHER_SWEEP_MIN and not n & (n - 1):
             watchers[:] = [w for w in watchers if w._value is PENDING]
 
+    def unwatch(self, ev: Event, addrs: Iterable[int]) -> None:
+        """Withdraw ``ev`` from the ``addrs`` it was registered under
+        (by :meth:`watch` or :meth:`watch_any`): its owner found what it
+        was waiting for without parking.  Left registered it would be
+        triggered by the next write to one of the words and dispatched
+        with nobody listening."""
+        by_word = self._watchers
+        for addr in addrs:
+            idx = addr >> _WORD_SHIFT
+            watchers = by_word.get(idx)
+            if watchers is None:
+                continue
+            try:
+                watchers.remove(ev)
+            except ValueError:
+                continue  # a write got there first: fired through this word
+            if not watchers:
+                del by_word[idx]
+
     def watcher_count(self) -> int:
         """Watcher registrations currently held (test/debug aid)."""
         return sum(len(v) for v in self._watchers.values())

@@ -13,7 +13,7 @@ a Chrome/Perfetto trace slice (instant events per actor, same
 byte-determinism discipline as :mod:`repro.obs.export`).
 
 The tool also reads counterexample-corpus entries (schema
-``alock-corpus/1``, see :mod:`repro.schedcheck.corpus`): it prints the
+``alock-corpus/<n>``, see :mod:`repro.schedcheck.corpus`): it prints the
 entry header — scenario recipe, minimized decision string, replay
 command — and then renders the referenced post-mortem dump, resolved
 relative to the entry file.
@@ -154,9 +154,10 @@ def render_report(dump: dict, timeline: int = TIMELINE_LIMIT) -> str:
 
 # -- corpus entries ------------------------------------------------------
 
-#: matches repro.schedcheck.corpus.SCHEMA (string literal so this
-#: reader stays importable without the schedcheck package)
-CORPUS_SCHEMA = "alock-corpus/1"
+#: matches repro.schedcheck.corpus.SCHEMA_PREFIX (string literal so
+#: this reader stays importable without the schedcheck package); what
+#: follows it is the schedule version the entry was recorded under
+CORPUS_SCHEMA_PREFIX = "alock-corpus/"
 
 
 def render_corpus_entry(payload: dict, base_dir: str = "",
@@ -177,6 +178,8 @@ def render_corpus_entry(payload: dict, base_dir: str = "",
         + (f" [{opts}]" if opts else "")
         + (" +faults" if scenario.get("faults") else ""))
     add(f"decisions: \"{payload.get('decisions', '')}\"  "
+        f"(schedule version "
+        f"{str(payload.get('schema', '?')).rpartition('/')[2]})  "
         f"execution digest {payload.get('digest', '?')}")
     if payload.get("detail"):
         add(f"detail: {payload['detail']}")
@@ -191,6 +194,9 @@ def render_corpus_entry(payload: dict, base_dir: str = "",
         f" --threads {scenario.get('threads_per_node', '?')}"
         f" --ops {scenario.get('ops_per_thread', '?')}"
         f" --scenario-seed {scenario.get('seed', '?')}"
+        + "".join(f" --{knob.replace('_', '-')} {scenario[knob]}"
+                  for knob in ("cs_ns", "think_ns", "stagger_ns")
+                  if scenario.get(knob))
         + "".join(f" --lock-option {k}={v}"
                   for k, v in scenario.get("lock_options", [])))
     dump_ref = payload.get("dump_ref")
@@ -294,7 +300,7 @@ def main(argv=None) -> int:
         with open(args.dump, encoding="utf-8") as fh:
             dump = json.load(fh)
         base_dir = os.path.dirname(os.path.abspath(args.dump))
-    if dump.get("schema") == CORPUS_SCHEMA:
+    if str(dump.get("schema")).startswith(CORPUS_SCHEMA_PREFIX):
         print(render_corpus_entry(dump, base_dir=base_dir,
                                   timeline=args.timeline))
         return 0

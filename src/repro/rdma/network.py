@@ -30,8 +30,9 @@ Fault injection (:mod:`repro.faults`): when the network is built with a
 requester-side retransmission harness modeled on the RC transport.  A
 lost transmission charges the send side and then hangs in flight; a
 watchdog timer fires after the retry timeout and *interrupts* the
-in-flight attempt (:meth:`~repro.sim.core.Process.interrupt`) — cleanly,
-because NIC resources cancel abandoned admissions — then the verb is
+in-flight attempt (:meth:`~repro.sim.core.Process.interrupt`) — cleanly:
+what the dead op booked on PCIe and TX stands (the NIC did that work),
+and an RX slot it held or queued for is given back — then the verb is
 retransmitted with exponential backoff.  Losses happen on the *request*
 path only, before the target executes the op, so retries are
 exactly-once at the application layer (what PSN dedup guarantees on real
@@ -133,38 +134,30 @@ class RdmaNetwork:
         op hangs in flight until the retransmission watchdog interrupts
         it, and never reaches the target.
 
-        Each of the five pipeline stages is an interrupt-safe hold on a
-        :class:`~repro.sim.resources.Resource`, written out with
-        :meth:`~repro.sim.resources.Resource.admit` so that the caller's
-        ``yield from`` resumes this frame and nothing below it.
+        PCIe and TX are computed FIFOs
+        (:class:`~repro.sim.resources.Pipeline`): their service time is
+        known on arrival, so the op books its place and sleeps once, to
+        the far side of the stage *and* of whatever fixed delay follows
+        it.  RX is an evented :class:`~repro.sim.resources.Resource`:
+        its service time is judged at the head of the queue, atomics
+        hold it across landing + window, and a killed op must give it
+        back.  A PCIe/TX booking of a killed op stands — the NIC has
+        fetched the WQE; a requester-side timeout does not un-process
+        it.  The stages are not folded into one completion event:
+        arrival order at a shared stage is decided when the arrival
+        happens.
         """
-        # -- send side: WQE fetch over PCIe, then the TX pipeline
+        # -- send side: WQE fetch over PCIe, then the TX pipeline and the
+        # transit behind it (internal TX->RX turnaround, or the fabric)
         src_nic.tx_ops += 1
-        pcie = src_nic.pcie
-        grant = pcie.admit()
-        try:
-            yield grant
-            yield src_nic._pcie_crossing_ns
-        except BaseException:
-            pcie.cancel(grant)
-            raise
-        pcie.release()
+        yield src_nic.pcie.transit(src_nic._pcie_crossing_ns)
         service = src_nic._tx_service_ns + src_nic._qpc_penalty(qp)
-        tx = src_nic.tx
-        grant = tx.admit()
-        try:
-            yield grant
-            yield service
-        except BaseException:
-            tx.cancel(grant)
-            raise
-        tx.release()
-        # -- transit: internal TX->RX turnaround, or the fabric
         if loopback:
             src_nic.loopback_ops += 1
-            yield src_nic._loopback_turnaround_ns
+            flight_ns = src_nic._loopback_turnaround_ns
         else:
-            yield self._fabric_delay()
+            flight_ns = self._fabric_delay()
+        yield src_nic.tx.transit(service) + flight_ns
         if lost:
             yield self.env.event()  # the packet is gone; nothing wakes us
             return None
@@ -176,7 +169,8 @@ class RdmaNetwork:
         result = None
         grant = rx.admit()
         try:
-            yield grant
+            if grant is not None:
+                yield grant
             # congestion is judged by the backlog at the head of the queue
             yield dst_nic._rx_service_time() + penalty
             # the op lands: its linearization point
@@ -214,30 +208,13 @@ class RdmaNetwork:
             rx.cancel(grant)
             raise
         rx.release()
-        # the DMA against host memory
-        pcie = dst_nic.pcie
-        grant = pcie.admit()
-        try:
-            yield grant
-            yield dst_nic._pcie_crossing_ns
-        except BaseException:
-            pcie.cancel(grant)
-            raise
-        pcie.release()
+        # -- the DMA against host memory and, behind it, the ACK/response's
+        # way back to the requester; then the completion DMA
+        back_ns = self._fabric_delay() if reply and not loopback else 0.0
+        yield dst_nic.pcie.transit(dst_nic._pcie_crossing_ns) + back_ns
         if not reply:
             return result
-        # -- return path: ACK/response back to the requester + completion DMA
-        if not loopback:
-            yield self._fabric_delay()
-        pcie = src_nic.pcie
-        grant = pcie.admit()
-        try:
-            yield grant
-            yield src_nic._pcie_crossing_ns
-        except BaseException:
-            pcie.cancel(grant)
-            raise
-        pcie.release()
+        yield src_nic.pcie.transit(src_nic._pcie_crossing_ns)
         return to_signed(result) if signed else result
 
     # -- fault/retry harness ----------------------------------------------

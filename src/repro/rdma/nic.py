@@ -1,11 +1,12 @@
 """The RNIC model: TX/RX pipelines, PCIe, QPC cache, congestion.
 
-An :class:`Rnic` is the *state* of one node's NIC — three queued
-resources (the TX pipeline, the RX pipeline, the PCIe bus), the
-QP-context cache, the cached cost parameters and the op counters — plus
-the two per-op computations that read that state: the QPC reload
-penalty and the congestion-inflated RX service time.  The *path* an op
-takes through two NICs is stated once, in
+An :class:`Rnic` is the *state* of one node's NIC — three FIFO stages
+(the TX pipeline and the PCIe bus, whose service time is known on
+arrival and whose departures are therefore computed; the RX pipeline,
+an evented queue), the QP-context cache, the cached cost parameters and
+the op counters — plus the two per-op computations that read that
+state: the QPC reload penalty and the congestion-inflated RX service
+time.  The *path* an op takes through two NICs is stated once, in
 :meth:`repro.rdma.network.RdmaNetwork._round_trip`:
 
 * **send side** — one PCIe crossing (WQE fetch via doorbell + DMA) then
@@ -30,7 +31,7 @@ from __future__ import annotations
 from repro.rdma.config import NicConfig
 from repro.rdma.qp import QpcCache
 from repro.sim.core import Environment
-from repro.sim.resources import Resource
+from repro.sim.resources import Pipeline, Resource
 
 
 class Rnic:
@@ -47,9 +48,9 @@ class Rnic:
         self.env = env
         self.node_id = node_id
         self.config = config
-        self.tx = Resource(env, 1, name=f"nic{node_id}.tx")
+        self.tx = Pipeline(env, 1, name=f"nic{node_id}.tx")
         self.rx = Resource(env, 1, name=f"nic{node_id}.rx")
-        self.pcie = Resource(env, config.pcie_lanes, name=f"nic{node_id}.pcie")
+        self.pcie = Pipeline(env, config.pcie_lanes, name=f"nic{node_id}.pcie")
         self.qpc = QpcCache(config.qpc_cache_entries)
         # Per-op latency parameters, cached off the config object: the
         # config is immutable for the lifetime of the NIC and these are

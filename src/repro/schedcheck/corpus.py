@@ -1,14 +1,16 @@
 """The counterexample corpus: every bug ever found, forever replayable.
 
 A *corpus entry* freezes one shrunk failing schedule as plain JSON
-(schema ``alock-corpus/1``): the complete scenario recipe, the minimized
-sparse decision string, the failure kind, the failing execution's
-digest, and a relative reference to the post-mortem dump captured at
-the moment of failure.  Entries committed under
+(schema ``alock-corpus/<schedule version>``): the complete scenario
+recipe, the minimized sparse decision string, the failure kind, the
+failing execution's digest, and a relative reference to the post-mortem
+dump captured at the moment of failure.  Entries committed under
 ``tests/schedcheck/corpus/`` become tier-1 regression tests — see
 ``tests/schedcheck/test_corpus_replay.py`` — replayed in strict mode so
-a scenario that drifts under a recording is reported as *stale* (with a
-re-shrink hint) rather than silently replaying a different schedule.
+an entry recorded under another
+:data:`~repro.schedcheck.decisions.SCHEDULE_VERSION`, or a scenario that
+drifts under a recording, is reported as *stale* (with a re-shrink
+hint) rather than silently replaying a different schedule.
 
 Files are content-addressed: the filename embeds a digest of the
 canonical entry JSON, so identical failures collapse, concurrent fleet
@@ -28,10 +30,13 @@ from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.faults.plan import CrashWindow, FaultPlan
+from repro.schedcheck.decisions import SCHEDULE_VERSION
 from repro.schedcheck.explore import ScheduleResult, replay
 from repro.schedcheck.scenario import LockScenario
 
-SCHEMA = "alock-corpus/1"
+#: the schema names the schedule version the decisions were recorded under
+SCHEMA_PREFIX = "alock-corpus/"
+SCHEMA = f"{SCHEMA_PREFIX}{SCHEDULE_VERSION}"
 
 #: subdirectory (of the corpus dir) holding referenced post-mortem dumps
 DUMPS_SUBDIR = "dumps"
@@ -107,6 +112,9 @@ class CorpusEntry:
             produced no dump).
         provenance: how the entry was found — schedules spent, fleet
             seed, shrink stats.  Informational; not part of identity.
+        schedule_version: the
+            :data:`~repro.schedcheck.decisions.SCHEDULE_VERSION` the
+            decisions index into (the number in the entry's schema).
     """
 
     name: str
@@ -117,10 +125,11 @@ class CorpusEntry:
     detail: str = ""
     dump_ref: Optional[str] = None
     provenance: tuple = ()
+    schedule_version: int = SCHEDULE_VERSION
 
     def payload(self) -> dict:
         return {
-            "schema": SCHEMA,
+            "schema": f"{SCHEMA_PREFIX}{self.schedule_version}",
             "name": self.name,
             "failure_kind": self.failure_kind,
             "scenario": scenario_payload(self.scenario),
@@ -147,11 +156,17 @@ class CorpusEntry:
 
 
 def entry_from_payload(payload: dict) -> CorpusEntry:
-    schema = payload.get("schema")
-    if schema != SCHEMA:
+    # An entry recorded under an earlier schedule version loads — so
+    # check_entry can call it stale — but one from a later version, or
+    # anything else, is not a schema this code knows.
+    schema = str(payload.get("schema"))
+    version = schema.removeprefix(SCHEMA_PREFIX)
+    if not (schema.startswith(SCHEMA_PREFIX) and version.isdecimal()
+            and 1 <= int(version) <= SCHEDULE_VERSION):
         raise ConfigError(f"unknown corpus schema {schema!r}; "
-                          f"expected {SCHEMA!r}")
+                          f"expected {SCHEMA!r} (or an earlier version)")
     return CorpusEntry(
+        schedule_version=int(version),
         name=payload["name"],
         failure_kind=payload["failure_kind"],
         scenario=scenario_from_payload(payload["scenario"]),
@@ -241,16 +256,19 @@ def check_entry(entry: CorpusEntry) -> tuple[str, ScheduleResult]:
 
     * ``"reproduced"`` — the replay failed with the recorded kind *and*
       landed on the recorded execution digest (byte-identical replay);
-    * ``"stale"`` — the scenario drifted under the recording (see
-      :func:`~repro.schedcheck.explore.replay` strict mode); the entry
-      needs re-finding and re-shrinking, not debugging;
+    * ``"stale"`` — the entry was recorded under another schedule
+      version (it is then not run at all), or the scenario drifted
+      under the recording (see :func:`~repro.schedcheck.explore.replay`
+      strict mode); the entry needs re-finding and re-shrinking, not
+      debugging;
     * ``"passed"`` — the schedule completed cleanly (the bug is gone —
       expected when replaying against fixed code);
     * ``"mismatch"`` — it failed, faithfully, but differently than
       recorded (kind or digest changed): the code under the scenario
       has materially changed and the entry needs review.
     """
-    result = replay(entry.scenario, entry.decisions, strict=True)
+    result = replay(entry.scenario, entry.decisions, strict=True,
+                    recorded_version=entry.schedule_version)
     if result.failure_kind == "stale":
         return "stale", result
     if result.ok:
@@ -262,8 +280,9 @@ def check_entry(entry: CorpusEntry) -> tuple[str, ScheduleResult]:
 
 
 __all__ = [
-    "SCHEMA", "DUMPS_SUBDIR", "CorpusEntry", "check_entry", "entry_json",
-    "entry_from_payload", "load_corpus", "load_dump", "load_entry",
+    "SCHEMA", "SCHEMA_PREFIX", "DUMPS_SUBDIR", "CorpusEntry", "check_entry",
+    "entry_json", "entry_from_payload", "load_corpus", "load_dump",
+    "load_entry",
     "scenario_digest", "scenario_from_payload", "scenario_payload",
     "write_entry",
 ]

@@ -19,6 +19,19 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.common.errors import ConfigError
 
+#: Version of the schedule that decision strings index into.  A string
+#: names choice points by their position in dispatch order and options
+#: by their position in the tie set, so it describes a run only under
+#: the slot layout it was recorded with.  Bump whenever a change adds,
+#: removes or reorders schedule slots, i.e. whenever ``GOLDEN_SCHED``
+#: (tests/ci/test_hashseed_identity.py) is re-recorded; corpus entries
+#: carry the version they were recorded under and strict replay reports
+#: any other as stale (docs/architecture.md, "Re-recording the
+#: schedule").  1: one slot per grant and per hold at every NIC stage;
+#: 2: PCIe/TX departures computed, free slots and unparked watchers
+#: take no slot.
+SCHEDULE_VERSION = 2
+
 
 class Decisions:
     """An immutable sparse decision string.
@@ -113,4 +126,4 @@ class Decisions:
         return f"Decisions({self.to_string()!r})"
 
 
-__all__ = ["Decisions"]
+__all__ = ["SCHEDULE_VERSION", "Decisions"]

@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro.common.rng import derive_seed
 from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
-from repro.schedcheck.decisions import Decisions
+from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
 from repro.schedcheck.checkers import run_all_checkers
 from repro.schedcheck.policies import (
     PrefixPolicy,
@@ -152,24 +152,40 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
     return result
 
 
-def replay(scenario, decisions, strict: bool = False) -> ScheduleResult:
+_RESHRINK_HINT = ("re-find and re-shrink it, e.g. alock-experiments fleet "
+                  "--write-corpus against the current code")
+
+
+def replay(scenario, decisions, strict: bool = False,
+           recorded_version: int = SCHEDULE_VERSION) -> ScheduleResult:
     """Re-execute a recorded (possibly shrunk) decision string.
 
     ``decisions`` may be a :class:`Decisions`, a mapping, or a rendered
     string like ``"17:2,45:1"``.
 
-    ``strict=True`` is the corpus-replay mode: when the scenario has
+    ``strict=True`` is the corpus-replay mode: a recording that no
+    longer describes this scenario is reported as failure kind
+    ``"stale"`` instead of whatever the unfaithfully-replayed schedule
+    happened to do.  That is the case when ``recorded_version`` — the
+    :data:`~repro.schedcheck.decisions.SCHEDULE_VERSION` the decisions
+    were recorded under — is not this code's (the run is then not even
+    started: with a different slot layout the same indices can replay
+    to the end without a single clamped pick), and when the scenario
     drifted under the recording — the run ended before a recorded
     decision point, or a recorded pick had to be clamped to a narrower
-    ready list — the result is reported as failure kind ``"stale"``
-    instead of whatever the unfaithfully-replayed schedule happened to
-    do.  A stale result's detail carries a re-shrink hint: the entry's
-    decision string no longer describes this scenario and must be
-    re-found and re-shrunk, not trusted.
+    ready list.  A stale result's detail carries a re-shrink hint: the
+    entry's decision string must be re-found and re-shrunk, not
+    trusted.
     """
     if isinstance(decisions, str):
         decisions = Decisions.parse(decisions)
     policy = ReplayPolicy(decisions)
+    if strict and recorded_version != SCHEDULE_VERSION:
+        return ScheduleResult(
+            ok=False, failure_kind="stale", decisions=policy.decisions,
+            detail=(f"stale corpus entry: recorded under schedule version "
+                    f"{recorded_version}, this code schedules under "
+                    f"version {SCHEDULE_VERSION}; {_RESHRINK_HINT}"))
     result = run_schedule(scenario, policy)
     if strict:
         drift = policy.drift()
@@ -178,9 +194,8 @@ def replay(scenario, decisions, strict: bool = False) -> ScheduleResult:
             result.failure_kind = "stale"
             result.detail = (
                 "stale corpus entry: the scenario drifted under the "
-                "recorded decisions (" + "; ".join(drift) + "); re-find "
-                "and re-shrink it, e.g. alock-experiments fleet "
-                "--write-corpus against the current code")
+                "recorded decisions (" + "; ".join(drift) + "); "
+                + _RESHRINK_HINT)
             result.dump = None
     return result
 

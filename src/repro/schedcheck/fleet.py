@@ -81,9 +81,13 @@ SEEDED_BUGS: tuple = (
         50,
     ),
     (
+        # Two threads and a 100 ns critical section: under schedule
+        # version 2 the handoff write of a three-thread, zero-dwell run
+        # lands ahead of the too-late watcher in the *default* order, so
+        # the bug would no longer hide from plain testing.
         "lost_wakeup",
-        LockScenario(lock_kind="mcs", n_nodes=1, threads_per_node=3,
-                     ops_per_thread=3, seed=0,
+        LockScenario(lock_kind="mcs", n_nodes=1, threads_per_node=2,
+                     ops_per_thread=3, cs_ns=100.0, seed=0,
                      lock_options=(("bug", "lost_wakeup"),
                                    ("poll_interval_ns", 200.0))),
         50,

@@ -12,8 +12,10 @@ Public surface:
 * :class:`Environment` — the event loop / clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — awaitables.
 * :class:`AnyOf`, :class:`AllOf` — event combinators.
-* :class:`Resource` — FIFO server pool with utilization accounting
-  (models NIC pipelines and PCIe lanes).
+* :class:`Resource` — evented FIFO server pool with utilization
+  accounting (models the NIC RX pipeline and the RPC server CPU).
+* :class:`Pipeline` — the same FIFO for a stage whose service time is
+  known on arrival: departures are computed, not queued (NIC TX, PCIe).
 * :class:`Store` — FIFO message channel.
 * :class:`Interrupt` — cooperative cancellation.
 """
@@ -29,7 +31,7 @@ from repro.sim.core import (
     Timeout,
     core_info,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Pipeline, Resource, Store
 
 __all__ = [
     "Environment",
@@ -41,6 +43,7 @@ __all__ = [
     "Interrupt",
     "PENDING",
     "Resource",
+    "Pipeline",
     "Store",
     "core_info",
 ]

@@ -1,10 +1,20 @@
 """Queued resources for the simulator.
 
-:class:`Resource` models a server pool with FIFO admission — we use it
-for NIC TX/RX pipelines and the PCIe bus, where the *queueing delay under
-load* is exactly the congestion phenomenon the paper discusses (§2).
-It tracks busy time and queue-length statistics so experiments can report
-utilization.
+Two models of a FIFO server pool, for the NIC stages where the
+*queueing delay under load* is exactly the congestion phenomenon the
+paper discusses (§2):
+
+* :class:`Resource` — evented: a requester is granted a slot, holds it
+  for as long as it likes, and releases it.  Needed where the hold is
+  not known at arrival or can be cut short — the NIC RX pipeline, whose
+  service time is judged at the head of the queue, which atomics hold
+  across landing + window, and which a killed op must give back.
+* :class:`Pipeline` — computed: a stage whose service time is known on
+  arrival (PCIe, NIC TX) is a FIFO whose departure time is arithmetic,
+  so crossing it costs the caller one sleep and the schedule no event
+  of its own.
+
+Both track busy time so experiments can report utilization.
 
 :class:`Store` is an unbounded FIFO channel used by RPC-style helpers and
 tests.
@@ -13,7 +23,7 @@ tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import Any, Optional
 
 from repro.common.errors import SimulationError
 from repro.sim.core import Environment, Event
@@ -98,20 +108,20 @@ class Resource:
                 self.peak_queue = len(self._queue)
         return ev
 
-    def admit(self) -> "float | Event":
-        """Ask for a slot; returns what the calling process must ``yield``.
+    def admit(self) -> Optional[Event]:
+        """Ask for a slot; returns the grant event to ``yield``, or
+        ``None`` when there is nothing to wait for.
 
-        A free slot is taken in place and ``0.0`` is returned: the
-        zero-delay sleep takes the ``seq`` the grant event's
-        ``succeed()`` would have taken and joins the same now-queue, so
-        the grant keeps its position in the schedule without an
-        :class:`Event`.  A busy resource returns the queued grant event.
-        Either way the value goes to :meth:`cancel` if the wait or the
-        hold is abandoned, so the whole interrupt-safe hold is::
+        A free slot is taken in place and costs no schedule slot: the
+        caller already holds it when ``admit()`` returns ``None`` and
+        carries straight on.  A busy resource returns the queued grant
+        event.  Either way the value goes to :meth:`cancel` if the wait
+        or the hold is abandoned, so the whole interrupt-safe hold is::
 
             grant = res.admit()
             try:
-                yield grant          # admission
+                if grant is not None:
+                    yield grant      # admission
                 yield t              # hold
             except BaseException:
                 res.cancel(grant)
@@ -122,10 +132,10 @@ class Resource:
             self._account()
             self._in_use += 1
             self.total_served += 1
-            return 0.0
+            return None
         return self.request()
 
-    def cancel(self, grant: "float | Event") -> bool:
+    def cancel(self, grant: Optional[Event]) -> bool:
         """Withdraw a pending request, or give back an already-granted
         slot the requester will never use.
 
@@ -136,11 +146,11 @@ class Resource:
 
         * still queued — the grant event is removed from the queue and
           will never be succeeded;
-        * already granted (in place — ``0.0`` —, immediately, or handed
+        * already granted (in place — ``None`` —, immediately, or handed
           over by a :meth:`release` in the same timestep the interrupt
           landed) — the slot is released on the canceller's behalf.
         """
-        if grant.__class__ is not float and not grant.triggered:
+        if grant is not None and not grant.triggered:
             try:
                 self._queue.remove(grant)
             except ValueError:
@@ -164,15 +174,17 @@ class Resource:
     def acquire(self):
         """Interrupt-safe admission: ``yield from resource.acquire()``.
 
-        Equivalent to ``yield resource.request()`` except that an
-        interrupt (or any exception) delivered while waiting returns the
-        slot (or withdraws the queued request) instead of leaking it."""
+        Equivalent to ``yield resource.request()`` except that a free
+        slot is taken without suspending, and that an interrupt (or any
+        exception) delivered while waiting returns the slot (or
+        withdraws the queued request) instead of leaking it."""
         grant = self.admit()
-        try:
-            yield grant
-        except BaseException:
-            self.cancel(grant)
-            raise
+        if grant is not None:
+            try:
+                yield grant
+            except BaseException:
+                self.cancel(grant)
+                raise
 
     def serve(self, service_time: float):
         """Convenience process fragment: acquire, hold for ``service_time``,
@@ -181,12 +193,82 @@ class Resource:
         holding releases the slot."""
         grant = self.admit()
         try:
-            yield grant
+            if grant is not None:
+                yield grant
             yield float(service_time)
         except BaseException:
             self.cancel(grant)
             raise
         self.release()
+
+
+class Pipeline:
+    """A FIFO stage with ``capacity`` servers whose departures are
+    computed instead of queued.
+
+    For a stage whose service time is known when the op arrives, FIFO
+    admission needs no grant event: the op starts when the earliest-free
+    server frees (or now, if one is idle) and leaves ``service_ns``
+    later, whatever arrives behind it.  :meth:`transit` books that and
+    returns the delay until departure, which the caller sleeps on —
+    alone, or added to whatever fixed delay follows the stage::
+
+        yield nic.tx.transit(service_ns) + turnaround_ns
+
+    Arrivals are served in the order :meth:`transit` is called, which
+    is the order a :class:`Resource` would have queued them in, so the
+    departure times are those of ``yield from resource.serve(t)``.  A
+    booking cannot be withdrawn: an op killed while it waits has still
+    been processed by the stage.
+
+    Statistics: :attr:`total_served` counts bookings (as a
+    :class:`Resource` counts grants); :meth:`utilization` counts booked
+    service only up to the present.
+    """
+
+    __slots__ = ("env", "capacity", "name", "_free_at", "_booked_ns",
+                 "_started_at", "total_served")
+
+    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"pipeline capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.name = name
+        #: when each server finishes what is booked on it
+        self._free_at = [env.now] * capacity
+        self._booked_ns = 0.0
+        self._started_at = env.now
+        self.total_served = 0
+
+    def transit(self, service_ns: float) -> float:
+        """Book ``service_ns`` on the earliest-free server and return
+        the delay from now until the op leaves the stage."""
+        now = self.env._now
+        free_at = self._free_at
+        start = min(free_at)
+        server = free_at.index(start)
+        if start < now:
+            start = now
+        free_at[server] = end = start + service_ns
+        self._booked_ns += service_ns
+        self.total_served += 1
+        return end - now
+
+    def utilization(self) -> float:
+        """Mean fraction of capacity busy since construction.  A server
+        is busy without a gap from now until its ``free_at`` (a booking
+        starts in the future only when it queues behind another), so
+        the service still to come is what lies beyond ``now``."""
+        now = self.env._now
+        elapsed = now - self._started_at
+        if elapsed <= 0:
+            return 0.0
+        busy = self._booked_ns
+        for free_at in self._free_at:
+            if free_at > now:
+                busy -= free_at - now
+        return busy / (elapsed * self.capacity)
 
 
 class Store:

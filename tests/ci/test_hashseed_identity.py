@@ -10,8 +10,11 @@ The same blobs are also compared with golden values, so "byte-identical
 with the parent commit" is asserted here rather than checked by hand.
 A change that moves the schedule on purpose (a model change, a
 versioned tie-break) re-records them — ``python
-tests/ci/test_hashseed_identity.py`` prints the current values — and
-says so in CHANGES.md; an engine or performance change must not.
+tests/ci/test_hashseed_identity.py`` prints the current values — bumps
+``repro.schedcheck.decisions.SCHEDULE_VERSION`` with ``GOLDEN_SCHED``
+and says so in CHANGES.md; any other engine or performance change must
+not.  docs/architecture.md, "Re-recording the schedule", lists every
+artefact that moves with these.
 """
 
 import hashlib
@@ -48,19 +51,23 @@ print("pct7", r.digest, list(r.dense), list(r.fanouts))
 """
 
 
-#: fig5/fig6 smoke digests, unchanged since PR 11 (ca30824 and before)
+#: fig5/fig6 smoke digests under ``SCHEDULE_VERSION`` 2 (PR 20: the
+#: baselines' verbs tie in a new order; b75e4282…/be9424f7… under
+#: version 1, unchanged from PR 11 to PR 19)
 GOLDEN_FIG = """\
-fig5 b75e428268a2e47ebac3db3ff0dd3829
-fig6 be9424f76b2fb0898a8d463a661f76d2
+fig5 abe837ce8e91b6df17160f4e6ae5ab11
+fig6 6d7628cb1f0b62266dfe89dd2480a921
 """
 
-#: the four schedcheck probe lines as printed at ca30824; the two long
-#: ones (dense picks + fan-outs of a random and a PCT walk) by digest
+#: the four schedcheck probe lines under ``SCHEDULE_VERSION`` 2; the two
+#: long ones (dense picks + fan-outs of a random and a PCT walk) by
+#: digest.  Re-recording these is what bumps the version
+#: (repro.schedcheck.decisions).
 GOLDEN_SCHED = {
-    "default": "default c35ce1a93ae69d1517b46ec4c93c6178",
+    "default": "default 81d563e1c88702ead27d8a6a2d6b4e4f",
     "random6": "random6 6 []",
-    "rw42": "d261f178134a2a9ac28359e21c98d289",
-    "pct7": "aa7750fa8c5a81a87d5b85ef628eb5f7",
+    "rw42": "47d8459f6eeac25bcf4e40d8006333b8",
+    "pct7": "947727749c7c0ac1a05a717e5b48eb36",
 }
 
 

@@ -175,6 +175,22 @@ class TestWaitLocal:
             return v
 
         assert drive(cluster, proc()) == 3
+        # the watcher registered before the check is withdrawn, so the
+        # word's next write wakes nobody
+        assert cluster.regions[0].watcher_count() == 0
+
+    def test_a_satisfied_compound_wait_leaves_no_watcher(self, cluster):
+        ctx = cluster.thread_ctx(0, 0)
+        a, b = cluster.alloc_on(0, 64), cluster.alloc_on(0, 64)
+
+        def check():
+            return (yield from ctx.read(a)) == 0
+
+        def proc():
+            return (yield from ctx.wait_local_cond([a, b], check))
+
+        assert drive(cluster, proc()) is True
+        assert cluster.regions[0].watcher_count() == 0
 
     def test_wakes_on_remote_write(self, cluster):
         """The MCS handoff path: a remote rWrite wakes the local spinner."""

@@ -4,7 +4,8 @@ ways to get it wrong."""
 
 def leaky(resource):
     grant = resource.admit()               # no cancel on the failure path
-    yield grant
+    if grant is not None:
+        yield grant
     yield 10.0
     resource.release()
 
@@ -12,7 +13,8 @@ def leaky(resource):
 def never_released(resource):
     grant = resource.admit()               # cancelled on failure, but the
     try:                                   # normal path keeps the slot
-        yield grant
+        if grant is not None:
+            yield grant
         yield 10.0
     except BaseException:
         resource.cancel(grant)
@@ -22,7 +24,8 @@ def never_released(resource):
 def hold(resource):
     grant = resource.admit()
     try:
-        yield grant
+        if grant is not None:
+            yield grant
         yield 10.0
     except BaseException:
         resource.cancel(grant)
@@ -33,7 +36,8 @@ def hold(resource):
 def two_holds(first, second):
     grant = first.admit()
     try:
-        yield grant
+        if grant is not None:
+            yield grant
         yield 10.0
     except BaseException:
         first.cancel(grant)
@@ -41,7 +45,8 @@ def two_holds(first, second):
     first.release()
     grant = second.admit()
     try:
-        yield grant
+        if grant is not None:
+            yield grant
         yield 20.0
     finally:
         second.cancel(grant)

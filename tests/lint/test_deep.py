@@ -340,7 +340,10 @@ class TestEffects:
         old = blocking_of("ctx.env.timeout(self.backoff_ns)")
         assert old == BLOCK_BOUNDED
         for sleep in ("self.backoff_ns", "delay", "40.0", "float(pause)",
-                      "attempts * self.step_ns"):
+                      "attempts * self.step_ns",
+                      # a computed FIFO stage: the time to departure
+                      "nic.tx.transit(service)",
+                      "nic.tx.transit(service) + self.turnaround_ns"):
             assert blocking_of(sleep) == old, sleep
         # a yielded event stays what it was: inert unless it is a park
         assert blocking_of("grant") == 0

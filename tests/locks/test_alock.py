@@ -376,3 +376,34 @@ class TestStress:
     def test_strict_audit_mode_stays_clean(self):
         stress("alock", n_nodes=2, threads_per_node=2, n_locks=2,
                ops_per_thread=8, pick_lock=mixed_locality, audit="strict")
+
+
+class TestWatcherWithdrawal:
+    """``wait_local``/``wait_local_cond`` register their watcher before
+    the check and withdraw it when the check succeeds, so a wait that
+    never parked leaves nothing behind to be fired at nobody."""
+
+    def test_an_uncontended_local_run_leaves_no_watcher(self):
+        out = stress("alock", n_nodes=2, threads_per_node=1, n_locks=2,
+                     ops_per_thread=25, pick_lock=always_local)
+        cluster = out["cluster"]
+        assert [r.watcher_count() for r in cluster.regions] == [0, 0]
+        # same run, same simulated time as with the ghost wake-ups (652
+        # dispatches before the withdrawal): only they are gone
+        assert out["duration_ns"] == 16875.0
+        assert cluster.env.event_count == 604
+
+    def test_a_contended_local_run_wakes_exactly_as_before(self):
+        """Parked waiters are woken by the same writes in the same
+        order: duration, passes and reacquires are the values from
+        before the withdrawal; only dispatches nobody listened to (254
+        of 2 392) are gone.  No verb, no resource: this run does not
+        depend on the schedule version."""
+        out = stress("alock", n_nodes=1, threads_per_node=4, n_locks=1,
+                     ops_per_thread=30, pick_lock=single_lock)
+        lock = out["table"].entries[0].lock
+        assert out["duration_ns"] == 67750.0
+        assert (lock.passes["local"], lock.reacquires["local"],
+                lock.leader_acquires["local"]) == (119, 23, 1)
+        assert out["cluster"].env.event_count == 2138
+        assert out["cluster"].regions[0].watcher_count() == 0

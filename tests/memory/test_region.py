@@ -202,6 +202,43 @@ class TestWatchers:
         env.run()
         assert got == [(72, 9)]
 
+    def test_unwatch_withdraws_a_pending_watcher(self, env, region):
+        """The owner found its condition true without parking: the next
+        write must not dispatch an event for nobody, and the watchers
+        that are parked keep their order."""
+        woke = []
+
+        def waiter(tag):
+            yield region.watch(64)
+            woke.append(tag)
+
+        env.process(waiter("a"))
+        env.run()
+        ghost = region.watch(64)
+        env.process(waiter("b"))
+        env.run()
+        region.unwatch(ghost, (64,))
+        assert region.watcher_count() == 2
+        before = env.event_count
+        region.write(64, 1)
+        env.run()
+        assert woke == ["a", "b"] and not ghost.triggered
+        # the two wake-ups and the two finished processes, nothing else
+        assert env.event_count - before == 4
+        assert region.watcher_count() == 0
+
+    def test_unwatch_covers_every_word_and_tolerates_a_fired_one(self, env,
+                                                                 region):
+        ev = region.watch_any([64, 72])
+        region.unwatch(ev, [64, 72])
+        assert region.watcher_count() == 0
+        fired = region.watch_any([64, 72])
+        region.write(64, 1)             # fires it; 72's entry goes stale
+        region.unwatch(fired, [64, 72])
+        assert region.watcher_count() == 0
+        region.unwatch(fired, [64, 72])  # idempotent
+        env.run()
+
     def test_gc_watchers_cleans_triggered(self, env, region):
         def waiter():
             yield region.watch_any([64, 72])

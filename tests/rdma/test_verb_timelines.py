@@ -4,13 +4,23 @@ Every verb, one RPC round trip and one dropped-then-retransmitted verb
 are pinned event by event: the simulated time of every dispatch the
 scenario causes, ``env.event_count`` and the clock when each verb
 completes, its result, and every NIC's op counters, ``total_served``
-and QPC hits/misses.  ``golden_verb_timelines.json`` was recorded at
-the commit *before* the round trip became one flat generator (by the
-nested ``send_side``/``receive_side``/``serve`` fragments), so this
-suite is the proof that the flat traversal keeps every ``(time, seq)``
-slot.  Re-record only for a deliberate, versioned schedule change::
+and QPC hits/misses.
+
+``golden_verb_timelines.json`` is schedule-derived (see "Re-recording
+the schedule" in docs/architecture.md): a deliberate, versioned
+schedule change re-records it with ::
 
     PYTHONPATH=src python tests/rdma/test_verb_timelines.py --record
+
+which first checks that the change is *only* a schedule change:
+against the committed recording, ``steps`` and the event counts may
+differ, but every verb's completion time and result and every NIC
+counter (:func:`durations`) must not — otherwise it refuses.  The
+schedule-version-2 recording (PCIe/TX departures computed, free slots
+take no slot) passed that check against the version-1 file, which
+itself was recorded before the round trip became one flat generator:
+same durations, about half the dispatches.  A model change that is
+meant to move a completion time deletes the file first.
 """
 
 import inspect
@@ -121,6 +131,23 @@ def retransmit_scenario():
     return out
 
 
+def durations(timeline):
+    """What a schedule change must not move: when each verb completed
+    and with what result, and every NIC counter (plus ``retries``).
+    ``steps`` and the event count at completion *are* the schedule."""
+    kept = {k: v for k, v in timeline.items() if k != "steps"}
+    kept["done"] = {name: [at, result]
+                    for name, (at, _events, result) in timeline["done"].items()}
+    return kept
+
+
+def moved_durations(old, new):
+    """Scenarios whose :func:`durations` differ between two recordings."""
+    return [name for name in sorted(set(old) | set(new))
+            if name not in old or name not in new
+            or durations(old[name]) != durations(new[name])]
+
+
 def record():
     out = {f"{verb}/{path}/{load}": verb_scenario(verb, path, load)
            for verb in VERBS for path in PATHS for load in LOADS}
@@ -189,15 +216,42 @@ def test_a_verb_is_one_generator_frame():
     # every dispatch but the last (the finished process's own event,
     # which nobody waits on) resumes the body, which resumes the trip
     verb_events = cluster.env.event_count - 1
-    assert verb_events == 13
+    # boot + one sleep per stage boundary (pcie; tx + turnaround; rx;
+    # the RMW window; dma; completion)
+    assert verb_events == 7
     assert sorted(set(resumes)) == ["_round_trip", "body"]
     assert len(resumes) == 2 * verb_events
+
+
+def test_the_record_guard_tells_schedule_from_durations(golden):
+    """``--record`` accepts a recording that differs in dispatches only
+    and refuses one that moves a completion time or a counter."""
+    fewer_events = json.loads(json.dumps(golden))
+    for timeline in fewer_events.values():
+        del timeline["steps"][1::2]
+        for entry in timeline["done"].values():
+            entry[1] -= 1
+    assert moved_durations(golden, fewer_events) == []
+    late = json.loads(json.dumps(golden))
+    late["rpc"]["done"]["caller"][0] += 5.0
+    late["retransmit"]["nics"][0]["served"][0] += 1
+    late["rRead/fabric/idle"]["done"]["t0@n0"][2] = 6
+    assert moved_durations(golden, late) == [
+        "rRead/fabric/idle", "retransmit", "rpc"]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
+    recording = json.loads(json.dumps(record()))
+    if GOLDEN.exists():
+        moved = moved_durations(json.loads(GOLDEN.read_text()), recording)
+        if moved:
+            sys.exit("refusing to re-record: completion times, results or "
+                     "NIC counters moved in " + ", ".join(moved) + " — that "
+                     "is a model change, not a schedule change (delete "
+                     f"{GOLDEN.name} first if it is meant)")
     rows = ",\n".join(f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
-                      for k, v in sorted(record().items()))
+                      for k, v in sorted(recording.items()))
     GOLDEN.write_text("{\n" + rows + "\n}\n")
     print(f"recorded {GOLDEN}")

@@ -29,6 +29,7 @@ from repro.schedcheck.corpus import (
     scenario_payload,
     write_entry,
 )
+from repro.schedcheck.decisions import SCHEDULE_VERSION
 from repro.schedcheck.explore import explore_random, replay
 
 BUG_SC = LockScenario(lock_kind="alock", n_nodes=1, threads_per_node=2,
@@ -151,6 +152,73 @@ class TestStrictReplay:
 
     def test_non_strict_stays_forgiving(self):
         assert replay(BUG_SC, {10_000: 1}).failure_kind != "stale"
+
+
+class TestScheduleVersion:
+    """A decision string indexes into one slot layout.  Recorded under
+    another ``SCHEDULE_VERSION`` it may replay to the end without a
+    clamped pick — so it is called stale by its version, unrun."""
+
+    #: the ``no_victim_check`` entry as committed under version 1
+    #: (217c4c4d5a338ab5): its one decision, replayed on the version-2
+    #: schedule, neither runs out of choice points nor clamps — the
+    #: seeded bug simply is not hit, and strict replay says "passed"
+    V1_SCENARIO = LockScenario(
+        lock_kind="alock", n_nodes=2, threads_per_node=2, ops_per_thread=2,
+        think_ns=200.0, seed=0, lock_options=(("bug", "no_victim_check"),))
+    V1_DECISIONS = "24:1"
+
+    def v1_entry(self, **overrides):
+        return CorpusEntry(**{**dict(
+            name="no_victim_check", failure_kind="stall",
+            scenario=self.V1_SCENARIO, decisions=self.V1_DECISIONS,
+            digest="d99c70617b5262d90af9547129ca9c3a",
+            schedule_version=1), **overrides})
+
+    def test_entries_carry_the_version_in_their_schema(self):
+        payload = json.loads(entry_json(find_entry(BUG_SC)))
+        assert payload["schema"] == f"alock-corpus/{SCHEDULE_VERSION}"
+        assert entry_from_payload(payload).schedule_version == SCHEDULE_VERSION
+        assert SCHEDULE_VERSION == 2
+
+    def test_an_entry_of_an_earlier_version_loads_and_is_stale(self):
+        payload = json.loads(entry_json(self.v1_entry()))
+        assert payload["schema"] == "alock-corpus/1"
+        entry = entry_from_payload(payload)
+        assert entry.schedule_version == 1
+        status, result = check_entry(entry)
+        assert status == "stale" and result.failure_kind == "stale"
+        assert "recorded under schedule version 1" in result.detail
+        assert "re-find and re-shrink" in result.detail
+        # reported before running it: nothing was executed
+        assert result.events == 0 and result.digest == ""
+
+    def test_without_the_version_the_old_recording_replays_silently(self):
+        """Why drift detection alone is not enough."""
+        status, result = check_entry(
+            self.v1_entry(schedule_version=SCHEDULE_VERSION))
+        assert status == "passed", result.summary()
+
+    def test_strict_replay_takes_the_recorded_version(self):
+        stale = replay(self.V1_SCENARIO, self.V1_DECISIONS, strict=True,
+                       recorded_version=1)
+        assert stale.failure_kind == "stale" and stale.events == 0
+        # the forgiving mode replays whatever it is given
+        assert replay(self.V1_SCENARIO, self.V1_DECISIONS,
+                      recorded_version=1).ok
+
+    def test_the_version_is_part_of_an_entrys_identity(self):
+        assert self.v1_entry().entry_digest() != self.v1_entry(
+            schedule_version=SCHEDULE_VERSION).entry_digest()
+
+    @pytest.mark.parametrize("schema", [
+        "alock-corpus/0", f"alock-corpus/{SCHEDULE_VERSION + 1}",
+        "alock-corpus/", "alock-corpus/two", "alock-postmortem/1", None])
+    def test_only_known_versions_load(self, schema):
+        payload = json.loads(entry_json(self.v1_entry()))
+        payload["schema"] = schema
+        with pytest.raises(ConfigError):
+            entry_from_payload(payload)
 
 
 class TestCheckEntry:

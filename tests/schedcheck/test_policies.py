@@ -86,21 +86,23 @@ class TestPolicyDeterminism:
 
 class TestPctWalkGolden:
     """A PCT walk's decision strings, fan-outs, event counts and
-    execution digests, hashed, against values recorded on commit ca30824
-    — before sleeps and free-slot grants stopped being ``Event``s.  PCT
-    keys priorities on the task an entry resumes, so this pins both the
-    tie sets and ``PctPolicy._task_key``'s attribution of sleep entries
-    to their owner (unattributed, the alock walk below visits 8 distinct
-    executions instead of 6)."""
+    execution digests, hashed.  PCT keys priorities on the task an entry
+    resumes, so this pins both the tie sets and
+    ``PctPolicy._task_key``'s attribution of sleep entries to their
+    owner (unattributed, the alock walk below visits 8 distinct
+    executions instead of 4).  Schedule-derived: recorded under
+    ``SCHEDULE_VERSION`` 2;
+    ``python tests/schedcheck/test_policies.py`` prints the current
+    values (see "Re-recording the schedule" in docs/architecture.md)."""
 
     GOLDEN = {
-        "alock": ("72ffd9a16ab90f302a0b131ce7abc755", 6),
-        "mcs": ("03f82055eab1d851fae6916c1f439c83", 5),
-        "spinlock": ("3d7f26f523e90268b31d7135250c7526", 4),
+        "alock": ("e6bf492bcbdcc8014f2ab62a672f74e8", 4),
+        "mcs": ("176f7fce66ec7fd9a708b328f30310f9", 5),
+        "spinlock": ("eadf8aec7a9fa141197915fd22f71361", 4),
     }
 
-    @pytest.mark.parametrize("lock_kind", sorted(GOLDEN))
-    def test_walk_matches_parent(self, lock_kind):
+    @staticmethod
+    def walk(lock_kind):
         scenario = LockScenario(lock_kind=lock_kind, n_nodes=2,
                                 threads_per_node=2, n_locks=1,
                                 ops_per_thread=2, seed=11)
@@ -112,34 +114,41 @@ class TestPctWalkGolden:
             assert r.ok, r.summary()
             executions.add(r.digest)
             h.update(repr((r.dense, r.fanouts, r.events, r.digest)).encode())
-        assert (h.hexdigest(), len(executions)) == self.GOLDEN[lock_kind]
+        return h.hexdigest(), len(executions)
+
+    @pytest.mark.parametrize("lock_kind", sorted(GOLDEN))
+    def test_walk_matches_parent(self, lock_kind):
+        assert self.walk(lock_kind) == self.GOLDEN[lock_kind]
 
 
 class TestCohortQueueGolden:
     """ALock runs no other golden reaches — budget exhaustion with
     ``pReacquire`` in both cohorts, the non-strict neighbor-write
     ablation, the seeded ``skip_budget_wait`` sampling path — under no
-    policy, a random walk and PCT.  Digests recorded on commit a2beaa0,
-    where the cohort queue was still written out once per cohort."""
+    policy, a random walk and PCT.  Schedule-derived, like
+    :class:`TestPctWalkGolden` and re-recorded with it."""
+
+    OPTIONS = {
+        "budgets": (("local_budget", 1), ("remote_budget", 2)),
+        "non-strict": (("local_budget", 1), ("remote_budget", 2),
+                       ("strict_remote_rdma", False)),
+        "skip_budget_wait": (("local_budget", 2), ("remote_budget", 1),
+                             ("bug", "skip_budget_wait")),
+    }
 
     GOLDEN = {
         "budgets": (
-            (("local_budget", 1), ("remote_budget", 2)),
-            ("ce606bfcdfa0165a857ad4bc92e466eb",
-             "d6f12139fe689b0650516ed4d21aa7c3",
-             "dac68c1d25410d82ff0087f1f9744a2d")),
+            "e9dedd597c84cbcb3b8567f1e28012c0",
+            "d6e158477d0ec3cf3bd73b53bef4df43",
+            "e2c995dc4def4dffa16acbae73eb3de1"),
         "non-strict": (
-            (("local_budget", 1), ("remote_budget", 2),
-             ("strict_remote_rdma", False)),
-            ("a567b83aee4eff87e1adec3772b81c39",
-             "e400f9de1046109f975081676ea30f6d",
-             "6df203d518812d632d656ca3fc2fdb7a")),
+            "a567b83aee4eff87e1adec3772b81c39",
+            "05f3b0152e2033dd2da43c8cc698d01b",
+            "6df203d518812d632d656ca3fc2fdb7a"),
         "skip_budget_wait": (
-            (("local_budget", 2), ("remote_budget", 1),
-             ("bug", "skip_budget_wait")),
-            ("e9f97d14d8b19c573c1cd17b86f47c54",
-             "df1bf73f1b0a3092124e8a288646cf03",
-             "b487993b39cd08af17dc154ad6b09407")),
+            "698f20e996f7247f91ca290152e9fc91",
+            "724d78bb3b9f17f26d26d12cfc828e1b",
+            "3505b014fac3a0d1cff68ce6dcd20da1"),
     }
 
     @staticmethod
@@ -148,23 +157,25 @@ class TestCohortQueueGolden:
                             ops_per_thread=4, think_ns=100.0, seed=3,
                             lock_options=lock_options)
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_digests_match_parent(self, case):
-        lock_options, golden = self.GOLDEN[case]
-        digests = []
+    @classmethod
+    def digests(cls, case):
+        out = []
         for kind in (None, "random", "pct"):
             policy = kind and make_policy(kind, 11, change_points=3,
                                           horizon=500)
-            r = run_schedule(self._scenario(lock_options), policy)
+            r = run_schedule(cls._scenario(cls.OPTIONS[case]), policy)
             assert r.ok, r.summary()
-            digests.append(r.digest)
-        assert tuple(digests) == golden
+            out.append(r.digest)
+        return tuple(out)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_digests_match_parent(self, case):
+        assert self.digests(case) == self.GOLDEN[case]
 
     def test_the_reacquire_path_is_under_the_golden(self):
-        lock_options, golden = self.GOLDEN["budgets"]
-        run = self._scenario(lock_options).build()
+        run = self._scenario(self.OPTIONS["budgets"]).build()
         run.cluster.env.run(until=run.deadline_ns)
-        assert execution_digest(run.cluster) == golden[0]
+        assert execution_digest(run.cluster) == self.GOLDEN["budgets"][0]
         lock = run.table.entries[0].lock
         assert lock.name == "alock[0]@n0"
         assert lock.reacquires == {"local": 11, "remote": 5}
@@ -194,3 +205,10 @@ class TestDigest:
         d1 = execution_digest(run.cluster)
         assert d1 == execution_digest(run.cluster)  # pure
         assert len(d1) == 32  # blake2b-128 hex
+
+
+if __name__ == "__main__":  # re-record: print what the goldens should be
+    for kind in sorted(TestPctWalkGolden.GOLDEN):
+        print(f"{kind!r}: {TestPctWalkGolden.walk(kind)!r},")
+    for name in sorted(TestCohortQueueGolden.GOLDEN):
+        print(f"{name!r}: {TestCohortQueueGolden.digests(name)!r},")

@@ -4,6 +4,13 @@ Regression suite for the slot-leak the fault layer exposed: a process
 interrupted while waiting in ``Resource.request`` left its request event
 in the queue (or, worse, kept a granted slot), so capacity drained away
 with every verb timeout until the NIC pipeline wedged.
+
+The contract for a killed verb, stated once (``RdmaNetwork._round_trip``):
+a PCIe/TX booking of an op killed mid-flight *stands* — those stages are
+computed FIFOs, the NIC has fetched the WQE and a requester-side timeout
+does not un-process it — so the only thing a dead op can hold is the RX
+slot, and ``Resource.cancel`` returns it whether the grant was taken in
+place, still queued, or handed over in the tick the interrupt landed.
 """
 
 import pytest
@@ -127,12 +134,38 @@ class TestCancel:
 
 
 class TestFreeSlotGrant:
-    """serve()/acquire() take a free slot in place and hold the grant's
-    schedule position with a zero-delay sleep; an interrupt in that
-    window, or later mid-service, must hand the slot back."""
+    """serve()/acquire() take a free slot in place — no grant event, no
+    zero-delay slot: the requester is in its hold before anything else
+    is dispatched — and an interrupt in the hold hands the slot back."""
+
+    @pytest.mark.parametrize("method", ["serve", "acquire"])
+    def test_a_free_slot_costs_no_schedule_slot(self, env, method):
+        res = Resource(env, capacity=1)
+        seen = []
+
+        def client():
+            if method == "serve":
+                yield from res.serve(100)
+            else:
+                yield from res.acquire()
+                seen.append((env.now, env.event_count))
+                yield 100.0
+                res.release()
+
+        proc = env.process(client())
+        env.step()                      # boot: slot taken, hold begun
+        assert res.in_use == 1 and res.total_served == 1
+        assert res.queue_length == 0
+        env.run()
+        assert proc.ok and res.in_use == 0 and env.now == 100.0
+        # boot, the hold, the finished process: nothing for the grant
+        assert env.event_count == 3
+        if method == "acquire":
+            assert seen == [(0.0, 1)]   # still inside the boot dispatch
 
     @pytest.mark.parametrize("method", ["serve", "acquire"])
     def test_interrupt_on_the_free_slot_grant_returns_the_slot(self, env, method):
+        """Interrupted in the very tick the slot was taken in place."""
         res = Resource(env, capacity=1)
         outcome = []
 
@@ -142,14 +175,15 @@ class TestFreeSlotGrant:
                     yield from res.serve(100)
                 else:
                     yield from res.acquire()
-                    res.release()  # pragma: no cover - never granted
+                    try:
+                        yield 100.0
+                    finally:
+                        res.release()
             except Interrupt:
                 outcome.append(("interrupted", env.now, res.in_use))
 
         victim = env.process(doomed())
         env.step()                      # boot the victim: slot taken in place
-        # the grant's slot is still in the schedule: the victim holds the
-        # resource but has not been resumed with it
         assert res.in_use == 1 and res.total_served == 1
         victim.interrupt("too early")
         env.run()
@@ -207,8 +241,8 @@ class TestFreeSlotGrant:
         assert res.in_use == 0 and res.total_served == 2
 
     def test_free_and_queued_grants_keep_request_order(self, env):
-        """A free-slot grant occupies the same schedule position the
-        grant event used to: arrivals are served in arrival order."""
+        """Taking a free slot in place does not let anyone overtake:
+        arrivals are served in arrival order."""
         res = Resource(env, capacity=1)
         order = []
 
@@ -320,17 +354,18 @@ class TestStackedInterrupts:
 
 
 class TestAdmit:
-    """``admit()`` states the admission protocol once: it returns what
-    to yield, and ``cancel()`` takes that value back whatever became of
-    it."""
+    """``admit()`` states the admission protocol once: it returns the
+    grant to wait for — ``None`` when the slot is already the caller's
+    — and ``cancel()`` takes that value back whatever became of it."""
 
     @staticmethod
     def hold(res, service, log, env):
         """The interrupt-safe hold exactly as the NIC round trip writes
-        it."""
+        it for the RX pipeline."""
         grant = res.admit()
         try:
-            yield grant
+            if grant is not None:
+                yield grant
             yield service
         except BaseException:
             log.append(("cancelled", env.now, res.cancel(grant)))
@@ -340,8 +375,7 @@ class TestAdmit:
 
     def test_free_slot_is_taken_in_place(self, env):
         res = Resource(env, capacity=1)
-        grant = res.admit()
-        assert grant.__class__ is float and grant == 0.0
+        assert res.admit() is None
         assert res.in_use == 1 and res.total_served == 1
         assert res.queue_length == 0
 
@@ -402,8 +436,8 @@ class TestAdmit:
 
     @pytest.mark.parametrize("when", [0.0, 5.0, 25.0])
     def test_hold_interrupted_in_every_phase(self, env, when):
-        """Queued (t=5), on the grant tick (t=0: in place) and inside
-        the hold (t=25, after the t=20 hand-over)."""
+        """Queued (t=5), in the tick the slot was taken in place (t=0)
+        and inside the hold (t=25, after the t=20 hand-over)."""
         res = Resource(env, capacity=1)
         log = []
         if when:
@@ -425,7 +459,9 @@ class TestAdmit:
         assert log[-1] == ("served", max(when, 20.0 if when else 0.0) + 1.0)
 
 
-# -- the NIC round trip: five hand-written holds ------------------------
+
+
+# -- the NIC round trip: computed PCIe/TX, one evented hold (RX) --------
 
 from repro.cluster import Cluster                      # noqa: E402
 from repro.memory import ptr_addr                      # noqa: E402
@@ -444,10 +480,6 @@ def _verb(net, verb, node, thread, ptr):
     if verb == "rCAS":
         return net.r_cas(node, thread, ptr, _INITIAL, 9, actor="ghost")
     return net.r_faa(node, thread, ptr, 3, actor="ghost")
-
-
-def _resources(net):
-    return [r for nic in net.nics for r in (nic.tx, nic.rx, nic.pcie)]
 
 
 def _stepper(gen, k, at_suspension):
@@ -470,50 +502,66 @@ def _stepper(gen, k, at_suspension):
             value, exc = None, e
 
 
+def _build(path):
+    cluster = Cluster(2, seed=0, audit="record")
+    target = 0 if path == "loopback" else 1
+    ptr = cluster.alloc_on(target, 8)
+    cluster.regions[target].write(ptr_addr(ptr), _INITIAL)
+    return cluster, target, ptr
+
+
+def _follower_rtt(cluster, ptr):
+    """Round-trip time of a fresh thread's rRead issued now."""
+    env = cluster.env
+    t0 = env.now
+    follower = env.process(cluster.network.r_read(0, 9, ptr))
+    env.run()
+    assert follower.ok, follower.value
+    return env.now - t0
+
+
+def _undisturbed_rtt(path):
+    """The same rRead on NICs nothing else has touched."""
+    cluster, _target, ptr = _build(path)
+    return _follower_rtt(cluster, ptr)
+
+
 class TestRoundTripKilledAtEverySuspension:
     """Kill the flat traversal at each of its suspension points — by
     ``interrupt()`` and by ``close()`` — and check nothing is left
-    behind: no held slot, no queued grant, no open RMW window, no
-    half-applied commit."""
-
-    def build(self, path):
-        cluster = Cluster(2, seed=0, audit="record")
-        target = 0 if path == "loopback" else 1
-        ptr = cluster.alloc_on(target, 8)
-        cluster.regions[target].write(ptr_addr(ptr), _INITIAL)
-        return cluster, target, ptr
+    behind: no held RX slot, no queued grant, no open RMW window, no
+    half-applied commit, and a NIC that serves the next verb as an
+    undisturbed one would."""
 
     def run_one(self, verb, path, load, how, k):
-        """Returns (suspensions seen, info) for a ghost killed at its
-        ``k``-th suspension (``k=-1``: never)."""
-        cluster, target, ptr = self.build(path)
+        """Returns info for a ghost killed at its ``k``-th suspension
+        (``k=-1``: never)."""
+        cluster, target, ptr = _build(path)
         env, net = cluster.env, cluster.network
+        receivers = [nic.rx for nic in net.nics]
         info = {"probes": [], "window_open": False, "killed_at": None}
         others = []
         if load == "queued":
-            # traffic ahead of the ghost on every pipeline it crosses
+            # traffic ahead of the ghost on every stage it crosses, and
+            # the target's RX pipeline busy until all of it has queued
             others = [env.process(net.r_read(0, t, ptr)) for t in (1, 2, 3)]
+            others.append(env.process(receivers[target].serve(6_000.0)))
 
-        def probe(res):
-            grant = res.admit()
-            try:
-                yield grant
-            except BaseException:  # pragma: no cover - never interrupted
-                res.cancel(grant)
-                raise
-            info["probes"].append((res.name, env.now))
-            res.release()
+        def probe(rx):
+            yield from rx.acquire()
+            info["probes"].append((rx.name, env.now))
+            rx.release()
 
         def at_suspension():
             info["killed_at"] = env.now
             info["window_open"] = bool(cluster.auditor._windows)
             if load == "free":
-                # alone on idle NICs, whatever is in use is the ghost's:
-                # queue a requester behind each slot it holds
-                info["held"] = [r.name for r in _resources(net) if r.in_use]
-                for res in _resources(net):
-                    if res.in_use:
-                        env.process(probe(res))
+                # alone on idle NICs, an RX slot in use is the ghost's:
+                # queue a requester behind it
+                info["held"] = [rx.name for rx in receivers if rx.in_use]
+                for rx in receivers:
+                    if rx.in_use:
+                        env.process(probe(rx))
             if how == "close":
                 ghost_gen.close()
                 return "closed"
@@ -522,15 +570,18 @@ class TestRoundTripKilledAtEverySuspension:
         ghost_gen = _verb(net, verb, 0, 0, ptr)
         ghost = env.process(_stepper(ghost_gen, k, at_suspension))
         env.run()
-        word = cluster.regions[target].peek(ptr_addr(ptr))
         # -- nothing leaks, whatever k was
-        for res in _resources(net):
-            assert res.in_use == 0 and res.queue_length == 0, (res.name, k)
+        for rx in receivers:
+            assert rx.in_use == 0 and rx.queue_length == 0, (rx.name, k)
         assert cluster.auditor._windows == {}, k
         assert cluster.auditor.consistency_errors == 0
         assert all(p.ok for p in others), k
-        info["word"] = word
+        info["word"] = cluster.regions[target].peek(ptr_addr(ptr))
         info["ghost"] = ghost
+        # -- and the NIC is as good as new once what the dead op booked
+        # on PCIe/TX has been served, like anyone else's
+        env.run(until=env.now + 2_000.0)
+        info["follower_rtt"] = _follower_rtt(cluster, ptr)
         return info
 
     @pytest.mark.parametrize("how", ["interrupt", "close"])
@@ -540,10 +591,13 @@ class TestRoundTripKilledAtEverySuspension:
     def test_kill_at_every_suspension(self, verb, path, load, how):
         whole = self.run_one(verb, path, load, how, -1)
         n = whole["ghost"].value
-        # 5 holds x (grant, hold) + transit [+ return fabric] [+ window]
-        expected = 11 + (path == "fabric") + (verb in ("rCAS", "rFAA"))
+        # one sleep per stage boundary (pcie; tx + transit; rx; dma +
+        # return; completion), the RX grant when queued, the window
+        expected = 5 + (load == "queued") + (verb in ("rCAS", "rFAA"))
         assert n == expected and whole["word"] == _LANDED[verb]
-        windows_seen = 0
+        undisturbed = _undisturbed_rtt(path)
+        assert whole["follower_rtt"] == undisturbed
+        windows_seen = holds_seen = 0
         for k in range(n):
             info = self.run_one(verb, path, load, how, k)
             ghost = info["ghost"]
@@ -558,16 +612,53 @@ class TestRoundTripKilledAtEverySuspension:
                 windows_seen += 1
                 assert info["word"] == _INITIAL
             if load == "free":
-                # every requester queued behind the ghost was granted at
-                # the instant the ghost died
-                assert sorted(info["probes"]) == sorted(
-                    (name, info["killed_at"]) for name in info["held"]), k
+                # the requester queued behind the ghost's RX slot was
+                # granted at the instant the ghost died
+                holds_seen += len(info["held"])
+                assert info["probes"] == [
+                    (name, info["killed_at"]) for name in info["held"]], k
+            assert info["follower_rtt"] == undisturbed, k
         assert windows_seen == (verb in ("rCAS", "rFAA"))
+        if load == "free":
+            # RX is held in its service sleep and, for an RMW, its window
+            assert holds_seen == 1 + (verb in ("rCAS", "rFAA"))
+
+    def test_a_killed_ops_tx_booking_stands(self):
+        """The op is killed while it waits behind its own TX booking;
+        a verb issued by the next thread at that instant still queues
+        behind the dead op's service — a requester-side timeout does not
+        un-process a WQE the NIC has fetched."""
+        cluster, _target, ptr = _build("fabric")
+        env, net = cluster.env, cluster.network
+        nic = net.nics[0]
+        crossing, cold_tx = nic._pcie_crossing_ns, (
+            nic._tx_service_ns + nic._qpc_miss_penalty_ns)
+        rtt = {}
+
+        def follower():
+            t0 = env.now
+            yield from net.r_read(0, 1, ptr)
+            rtt["follower"] = env.now - t0
+
+        def at_suspension():
+            # parked on `tx.transit(...) + fabric`, TX booked from now
+            assert env.now == crossing
+            env.process(follower())
+            env.active_process.interrupt("kill")
+
+        ghost = env.process(_stepper(net.r_read(0, 0, ptr), 1, at_suspension))
+        env.run()
+        assert not ghost.ok and nic.tx.total_served == 2
+        undisturbed = _undisturbed_rtt("fabric")
+        # the follower reaches TX one crossing after the ghost did and
+        # waits out the rest of the ghost's (cold-QPC) service
+        assert rtt["follower"] == undisturbed + (cold_tx - crossing)
+        assert net.nics[1].rx_ops == 1      # the ghost never arrived
 
     def test_a_dead_rmw_does_not_poison_the_word(self):
         """After an rCAS dies inside its window a local write to the
         word is not a Table-1 violation: the window died with it."""
-        cluster, target, ptr = self.build("fabric")
+        cluster, target, ptr = _build("fabric")
         env, net = cluster.env, cluster.network
         ghost = env.process(net.r_cas(0, 0, ptr, _INITIAL, 9, actor="ghost"))
         while not cluster.auditor._windows:

@@ -7,7 +7,7 @@ resources conserve slots, and stores conserve items.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Pipeline, Resource, Store
 
 # Keep generated schedules small; the invariants are about *ordering*,
 # not volume.
@@ -124,6 +124,75 @@ class TestResourceInvariants:
             env.process(proc(hold))
         env.run()
         assert 0.0 <= res.utilization() <= 1.0 + 1e-9
+
+
+#: (gap since the previous arrival, service time), in whole ns so every
+#: sum is exact: gap 0 is a simultaneous arrival
+arrivals = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 30)),
+                    min_size=1, max_size=25)
+
+
+class TestPipelineIsAFifoResource:
+    """Same durations, fewer slots: a ``Pipeline`` and ``yield from
+    resource.serve(t)`` give every arrival the same departure time."""
+
+    @staticmethod
+    def run(stage_cls, capacity, plan, probes):
+        env = Environment()
+        stage = stage_cls(env, capacity)
+        departed = {}
+        seen = []
+
+        def client(i, at, service):
+            yield at
+            if stage_cls is Pipeline:
+                yield stage.transit(service)
+            else:
+                yield from stage.serve(service)
+            departed[i] = env.now
+
+        def observer():
+            for at in probes:
+                yield at - env.now
+                seen.append((env.now, stage.utilization()))
+
+        at = 0.0
+        for i, (gap, service) in enumerate(plan):
+            at += gap
+            env.process(client(i, at, float(service)))
+        env.process(observer())
+        env.run()
+        return departed, seen, stage.total_served, stage.utilization(), \
+            env.event_count
+
+    @given(st.sampled_from([1, 2]), arrivals,
+           st.lists(st.integers(0, 300), max_size=6))
+    @settings(max_examples=120)
+    def test_same_departures_served_and_utilization(self, capacity, plan,
+                                                    probe_at):
+        # read utilization() off the arrival grid, mid-backlog included:
+        # booked service must count only up to ``now``
+        probes = sorted({t + 0.25 for t in probe_at})
+        want = self.run(Resource, capacity, plan, probes)
+        got = self.run(Pipeline, capacity, plan, probes)
+        assert got[:4] == want[:4]
+        # ... for one dispatch per arrival where the queue took up to two
+        assert got[4] <= want[4]
+
+    def test_an_idle_stage_and_a_backlog(self):
+        env = Environment()
+        pipe = Pipeline(env, capacity=2)
+        assert pipe.transit(10.0) == 10.0       # idle server: no wait
+        assert pipe.transit(4.0) == 4.0         # second lane
+        assert pipe.transit(1.0) == 5.0         # behind the 4 ns op
+        assert pipe.transit(1.0) == 6.0         # FIFO: behind that one
+        assert pipe.total_served == 4 and pipe.utilization() == 0.0
+        env.run(until=5.0)
+        # lane one busy 0-5 of its 10, lane two 0-5: nothing beyond now
+        assert pipe.utilization() == 1.0
+        env.run(until=20.0)
+        assert pipe.utilization() == 16.0 / 40.0
+        assert pipe.transit(3.0) == 3.0         # the backlog is history
 
 
 class TestStoreInvariants:
