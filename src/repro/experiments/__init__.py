@@ -15,8 +15,9 @@ fig6      Fig. 6 — latency CDFs (contention × locality, 8 threads)
 
 Plus beyond-the-paper extensions: ``ext-related`` (the §1/§7
 alternatives measured), ``ext-skew`` (Zipfian lock popularity),
-``ext-faults`` (throughput under injected verb loss and holder stalls)
-and ``ext-phases`` (per-phase latency decomposition from typed spans).
+``ext-faults`` (throughput under injected verb loss and holder stalls),
+``ext-phases`` (per-phase latency decomposition from typed spans) and
+``ext-ablations`` (one modelled mechanism altered at a time).
 
 Each experiment accepts a ``scale``:
 

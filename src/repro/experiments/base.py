@@ -121,7 +121,11 @@ class ExperimentResult:
         return all(self.shape_checks.values())
 
     def check(self, name: str, condition: bool) -> None:
-        """Record a paper-shape assertion outcome."""
+        """Record a paper-shape assertion outcome (once per name: a later
+        pass must not be able to overwrite a recorded failure)."""
+        if name in self.shape_checks:
+            raise ConfigError(f"{self.experiment_id}: shape check {name!r} "
+                              f"recorded twice")
         self.shape_checks[name] = bool(condition)
 
     def to_markdown(self) -> str:

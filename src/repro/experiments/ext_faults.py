@@ -93,8 +93,10 @@ def run(scale: str = "small", seed: int = 0,
     # -- loss sweep --------------------------------------------------------
     worst = LOSS_RATES[-1]
     result.check(
-        "every lossy run makes progress (retries mask the drops)",
-        all(tput[k, r] > 0 for k in LOCKS for r in LOSS_RATES))
+        "retries mask the drops: every lossy run keeps > 0.3x of its "
+        "lock's loss-free throughput",
+        all(tput[k, r] > 0.3 * tput[k, 0.0] > 0
+            for k in LOCKS for r in LOSS_RATES[1:]))
     retries = {key: res.retry_count for key, res in runs.items()}
     result.check(
         "retransmissions grow with the loss rate",

@@ -28,12 +28,17 @@ CONTENDERS = (
 
 def _cells(params: dict, seed: int) -> Iterator[Cell]:
     """The contended table; the uncontended costs probe a raw ``Cluster``."""
+    top = max(params["threads"])
+    base = WorkloadSpec(
+        n_nodes=3, threads_per_node=top, n_locks=12,
+        locality_pct=95.0, warmup_ns=params["warmup_ns"],
+        measure_ns=params["measure_ns"], seed=seed, audit="off")
     for kind, options in CONTENDERS:
-        yield Cell(kind, WorkloadSpec(
-            n_nodes=3, threads_per_node=max(params["threads"]), n_locks=12,
-            locality_pct=95.0, lock_kind=kind, lock_options=options,
-            warmup_ns=params["warmup_ns"], measure_ns=params["measure_ns"],
-            seed=seed, audit="off"))
+        yield Cell(kind, base.with_(lock_kind=kind, lock_options=options))
+    if top > 4:     # thread scaling; smoke's grid *is* at 4
+        for kind in ("alock", "rpc"):
+            yield Cell(f"{kind}@4", base.with_(lock_kind=kind,
+                                               threads_per_node=4))
 
 
 def _uncontended_ns(kind: str, options: dict, cluster=None) -> float:
@@ -69,8 +74,10 @@ def run(scale: str = "small", seed: int = 0,
     # -- uncontended remote op cost ---------------------------------------
     costs = {kind: _uncontended_ns(kind, options)
              for kind, options in CONTENDERS}
-    costs["mixedcas@cxl"] = _uncontended_ns(
-        "mixedcas", {}, Cluster(2, config=cxl_config(), audit="off"))
+    costs["filter(4)"] = _uncontended_ns("filter", {"max_slots": 4})
+    for kind in ("mixedcas", "alock"):
+        costs[f"{kind}@cxl"] = _uncontended_ns(
+            kind, {}, Cluster(2, config=cxl_config(), audit="off"))
     for kind, cost in costs.items():
         result.rows.append({"metric": "uncontended_remote_op_ns",
                             "lock": kind, "value": round(cost),
@@ -84,16 +91,31 @@ def run(scale: str = "small", seed: int = 0,
                             "value": round(tput),
                             "vs_alock": round(ratio(tput, tputs["alock"]), 3)})
 
-    # costs["filter"] is the CONTENDERS entry: 8 slots.
+    # costs["filter"] and costs["bakery"] are the CONTENDERS entries: 8 slots.
+    result.check("filter and bakery pay O(n) verbs: > 2x ALock uncontended",
+                 costs["filter(4)"] > 2 * costs["alock"]
+                 and costs["bakery"] > 2 * costs["alock"])
     result.check("filter lock pays O(n) verbs: slot growth raises cost",
-                 costs["filter"]
-                 > 1.5 * _uncontended_ns("filter", {"max_slots": 3}))
+                 costs["filter"] > 1.5 * costs["filter(4)"])
+    result.check("RPC pays two traversals: the same order as ALock "
+                 "uncontended (> 0.5x)",
+                 costs["rpc"] > 0.5 * costs["alock"])
+    result.check("CXL outlook: mixed-CAS within 3x of ALock on the coherent "
+                 "fabric, where ALock itself is cheaper than on RDMA",
+                 costs["mixedcas@cxl"] < 3 * costs["alock@cxl"]
+                 and costs["alock@cxl"] < costs["alock"])
     result.check("ALock beats filter and bakery by >= 10x",
                  tputs["alock"] >= 10 * tputs["filter"]
                  and tputs["alock"] >= 10 * tputs["bakery"])
     if is_strict(scale):
-        result.check("ALock beats the RPC service at scale (server CPU bound)",
-                     tputs["alock"] > 1.5 * tputs["rpc"])
+        result.check("ALock beats the RPC service at scale by > 2x "
+                     "(server CPU bound)",
+                     tputs["alock"] > 2 * tputs["rpc"])
+    if "rpc@4" in tputs:
+        result.check("RPC is flat from 4 threads to the top count (< 1.25x) "
+                     "while ALock keeps scaling (> 1.25x)",
+                     tputs["rpc"] < 1.25 * tputs["rpc@4"]
+                     and tputs["alock"] > 1.25 * tputs["alock@4"])
     result.notes.append(
         "CXL outlook (§7): on a coherent fabric the naive one-word lock "
         f"costs {costs['mixedcas@cxl']:.0f} ns uncontended remote — within "

@@ -53,10 +53,17 @@ def run(scale: str = "small", seed: int = 0,
         })
     result.series["fig1"] = (threads_axis, {"spinlock": throughputs})
     peak_idx = max(range(len(throughputs)), key=throughputs.__getitem__)
-    result.check("throughput peaks before the largest thread count",
-                 peak_idx < len(throughputs) - 1)
-    result.check("throughput declines past the peak (RX-buffer congestion)",
-                 throughputs[-1] < 0.9 * throughputs[peak_idx])
+    result.check("throughput peaks strictly inside the thread sweep",
+                 0 < peak_idx < len(throughputs) - 1)
+    result.check("throughput rises with every step up to the peak",
+                 all(throughputs[i] < throughputs[i + 1]
+                     for i in range(peak_idx)))
+    result.check("throughput declines past the peak to < 0.75x of it "
+                 "(RX-buffer congestion)",
+                 throughputs[-1] < 0.75 * throughputs[peak_idx])
+    result.check("the RX pipeline is saturated at the largest thread count "
+                 "(utilization > 0.9)",
+                 result.rows[-1]["rx_utilization"] > 0.9)
     result.check("all traffic is loopback",
                  all(row["loopback_verbs"] > 0 for row in result.rows))
     result.notes.append(

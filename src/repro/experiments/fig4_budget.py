@@ -13,6 +13,7 @@ algorithm) than for the local cohort.
 
 from __future__ import annotations
 
+from itertools import product
 from statistics import mean
 from typing import Iterator
 
@@ -78,6 +79,12 @@ def run(scale: str = "small", seed: int = 0,
 
     max_budget = max(params["budgets"])
     best = max(speedups, key=speedups.get)
+    result.check(
+        "every (remote, local) budget pair of the grid has a row",
+        set(speedups) == set(product(params["budgets"], repeat=2)))
+    result.check(
+        "the (5, 5) baseline reads 0.0% against itself",
+        speedups[(BASELINE_BUDGET, BASELINE_BUDGET)] == 0.0)
     if is_strict(scale):
         result.check(
             "raising the remote budget (local fixed at 5) does not regress "

@@ -80,20 +80,29 @@ def run(scale: str = "small", seed: int = 0,
         # localities are the ALock sensitivity points: rows, no curve.
         head = panel_cells[0].coords
         series: dict[str, list[float]] = {}
+        #: ALock at the top thread count, by locality
+        by_locality: dict[float, float] = {}
         for coords, spec in panel_cells:
             tput = results[spec].throughput_ops_per_sec
             result.rows.append({**coords, "throughput_ops": round(tput)})
             if coords["locality_pct"] == head["locality_pct"]:
                 series.setdefault(coords["lock"], []).append(tput)
+            if (coords["lock"] == "alock"
+                    and coords["threads_per_node"] == params["threads"][-1]):
+                by_locality[coords["locality_pct"]] = tput
         result.series[panel] = (list(params["threads"]), series)
-        self_check_panel(result, panel, head, series, strict=is_strict(scale))
+        self_check_panel(result, panel, head, series, by_locality,
+                         strict=is_strict(scale))
     return result
 
 
 def self_check_panel(result: ExperimentResult, panel: str, head: dict,
-                     series: dict[str, list[float]], *, strict: bool) -> None:
+                     series: dict[str, list[float]],
+                     by_locality: dict[float, float], *, strict: bool) -> None:
     """Shape assertions for one panel (``head``: its first row's columns)."""
     alock, spin, mcs = series["alock"], series["spinlock"], series["mcs"]
+    # The abstract's headline factors are claimed at the paper's 20 nodes.
+    headline = head["nodes"] >= 20
     if head["locality_pct"] == 100.0:
         result.check(
             f"panel ({panel}): 100% locality, ALock leads both competitors",
@@ -105,6 +114,11 @@ def self_check_panel(result: ExperimentResult, panel: str, head: dict,
             result.check(
                 f"panel ({panel}): 100% locality, ALock >= 8x MCS at max threads",
                 alock[-1] >= 8 * mcs[-1])
+        if headline:
+            result.check(
+                f"panel ({panel}): 20 nodes, 100% locality, ALock >= 10x both "
+                f"competitors",
+                alock[-1] >= 10 * spin[-1] and alock[-1] >= 10 * mcs[-1])
         return
     result.check(
         f"panel ({panel}): ALock leads both competitors at the top thread count",
@@ -113,6 +127,21 @@ def self_check_panel(result: ExperimentResult, panel: str, head: dict,
         result.check(
             f"panel ({panel}): high contention, ALock >= 4x both competitors",
             alock[-1] >= 4 * spin[-1] and alock[-1] >= 4 * mcs[-1])
+    if headline and head["contention"] == "high":
+        result.check(
+            f"panel ({panel}): 20 nodes, high contention, ALock >= 6x MCS",
+            alock[-1] >= 6 * mcs[-1])
+    if head["contention"] == "low":
+        at85, at90, at95 = (by_locality[pct] for pct in (85.0, 90.0, 95.0))
+        result.check(
+            f"panel ({panel}): low contention, ALock grows with locality "
+            f"(95% > 90% > 85%)",
+            at95 > at90 > at85)
+        # Paper §6.2: +40% from 85 to 90%, +75% more at 95%.
+        result.check(
+            f"panel ({panel}): the 90->95% gain exceeds the 85->90% gain "
+            f"(itself > 5%)",
+            at95 / at90 > at90 / at85 > 1.05)
     if len(alock) >= 3:
         result.check(
             f"panel ({panel}): ALock scales with threads",

@@ -6,6 +6,7 @@ from typing import Callable
 
 from repro.common.errors import ConfigError
 from repro.experiments import (
+    ext_ablations,
     ext_faults,
     ext_phases,
     ext_related_work,
@@ -29,6 +30,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ext-skew": ext_skew.run,
     "ext-faults": ext_faults.run,
     "ext-phases": ext_phases.run,
+    "ext-ablations": ext_ablations.run,
 }
 
 

@@ -46,7 +46,7 @@ def module_name_for(path: Path) -> str:
     ``src/repro/lint/engine.py`` → ``repro.lint.engine``;
     ``tests/sim/test_core.py`` → ``tests.sim.test_core`` (the test tree
     is a package); a free-standing file such as
-    ``benchmarks/bench_faults.py`` maps to its bare stem.
+    ``scripts/schedcheck_quality.py`` maps to its bare stem.
     """
     path = path.resolve()
     parts = [path.stem] if path.name != "__init__.py" else []
@@ -66,7 +66,7 @@ class SourceFile:
 
     path: Path          #: absolute path on disk
     display: str        #: POSIX-form path used in findings/baselines
-    module: str         #: dotted module name ("bench_x" style when unpackaged)
+    module: str         #: dotted module name (the bare stem when unpackaged)
     source: str
     tree: ast.Module
     lines: tuple[str, ...]

@@ -9,8 +9,8 @@ collapses in Figs. 1, 5 and 6.
 
 ``backoff_ns`` adds truncated binary exponential backoff between failed
 attempts (off by default, matching the paper's plain spinlock; the
-ablation benchmark turns it on to show backoff alone does not close the
-gap to ALock).
+``ext-ablations`` experiment turns it on to show backoff alone does not
+close the gap to ALock).
 """
 
 from __future__ import annotations

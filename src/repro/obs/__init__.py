@@ -10,9 +10,9 @@ One stream, three views, one registry:
   always-on ring post-mortems freeze, the protocol trace the checkers
   read, and the span tree (``lock.acquire`` → ``peterson.compete`` →
   ``verb.rtt`` → ...) rebuilt by replaying begin/end events;
-* :mod:`repro.obs.metrics` — counters / gauges / sim-time histograms in
-  a single queryable registry, plus pull-model collectors consolidating
-  the NIC, verb and fault counters;
+* :mod:`repro.obs.metrics` — sim-time histograms in a single queryable
+  registry, plus pull-model collectors consolidating the NIC, verb and
+  fault counters;
 * :mod:`repro.obs.phases` — the lock-phase latency decomposition
   (queue-wait / cross-cohort / critical-section / release) built on the
   span tree;
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.obs.flight import RingView
 from repro.obs.log import INTERVALS, PROTOCOL, RING, EventLog
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import (
     COHORT_HANDOVER,
     FAULT_RETRY,
@@ -87,7 +87,7 @@ class Observability:
 __all__ = [
     "COHORT_HANDOVER", "FAULT_RETRY", "LOCK_ACQUIRE", "LOCK_RELEASE",
     "MCS_QUEUE_WAIT", "PETERSON_COMPETE", "VERB_RTT",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Histogram", "MetricsRegistry",
     "ObsConfig", "OBS_OFF", "OBS_FULL", "Observability",
     "EventLog", "RingView", "Span", "SpanView", "TraceEvent", "TraceView",
 ]

@@ -2,12 +2,12 @@
 
 Two halves:
 
-* **Push** — components create :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` handles up front (``registry.counter("verbs",
-  verb="cas")``) and update them on the hot path.  When the registry is
-  disabled every factory returns a shared null handle whose methods are
-  no-ops, so call sites keep a single unconditional code path and the
-  disabled run allocates nothing per event.
+* **Push** — components create :class:`Histogram` handles up front
+  (``registry.histogram("verb_rtt_ns", verb="rCAS")``) and update them
+  on the hot path.  When the registry is disabled the factory returns a
+  shared null handle whose ``observe`` is a no-op, so call sites keep a
+  single unconditional code path and the disabled run allocates nothing
+  per event.
 * **Pull** — subsystems that already keep their own counters (NICs, the
   network, the fault injector, the race auditor) register a *collector*
   callback.  Collectors are registered regardless of the enabled flag:
@@ -26,7 +26,7 @@ no data-dependent bucket allocation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 # Power-of-two bucket upper bounds: 64 ns .. ~1.1 s, then +inf.
 _BUCKET_BOUNDS = tuple(float(1 << e) for e in range(6, 31)) + (float("inf"),)
@@ -34,43 +34,6 @@ _BUCKET_BOUNDS = tuple(float(1 << e) for e in range(6, 31)) + (float("inf"),)
 
 def _label_key(name: str, labels: dict) -> tuple:
     return (name,) + tuple(sorted(labels.items()))
-
-
-class Counter:
-    """Monotonically increasing count (ops, verbs, retries...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: dict):
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def snapshot(self):
-        return self.value
-
-
-class Gauge:
-    """Last-write-wins instantaneous value (queue depth, budget...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: dict):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def snapshot(self):
-        return self.value
 
 
 class Histogram:
@@ -124,15 +87,6 @@ class _Null:
 
     __slots__ = ()
 
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
     def observe(self, value_ns: float) -> None:
         pass
 
@@ -141,7 +95,7 @@ _NULL = _Null()
 
 
 class MetricsRegistry:
-    """Counters/gauges/histograms plus pull-model collectors.
+    """Pushed histograms plus pull-model collectors.
 
     ``enabled`` gates only the *push* side.  Collectors (NIC stats,
     verb counts, fault counters) are cheap pre-existing state and are
@@ -151,30 +105,18 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self._metrics: dict[tuple, object] = {}
+        self._metrics: dict[tuple, Histogram] = {}
         self._collectors: dict[str, Callable[[], object]] = {}
 
     # -- push side ---------------------------------------------------------
-    def _get(self, cls, name: str, labels: dict):
+    def histogram(self, name: str, **labels):
         if not self.enabled:
             return _NULL
         key = _label_key(name, labels)
         handle = self._metrics.get(key)
         if handle is None:
-            handle = self._metrics[key] = cls(name, labels)
-        elif not isinstance(handle, cls):
-            raise TypeError(f"metric {name!r}{labels} already registered "
-                            f"as {type(handle).__name__}")
+            handle = self._metrics[key] = Histogram(name, labels)
         return handle
-
-    def counter(self, name: str, **labels):
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels):
-        return self._get(Gauge, name, labels)
-
-    def histogram(self, name: str, **labels):
-        return self._get(Histogram, name, labels)
 
     # -- pull side ---------------------------------------------------------
     def add_collector(self, name: str, fn: Callable[[], object]) -> None:

@@ -1,7 +1,8 @@
 """Smoke-scale runs of every experiment: structure + qualitative shapes.
 
-These are the per-artifact regression tests; the benchmarks run the
-same experiments at larger scales with the paper's quantitative checks.
+These are the per-artifact regression tests; the quantitative paper
+factors are the experiments' strict ``check``s, which CI's ``experiments``
+job runs with ``alock-experiments run all --scale small``.
 """
 
 import pytest
@@ -16,7 +17,8 @@ class TestRegistry:
         assert {"table1", "fig1", "fig4", "fig5", "fig6"} <= set(EXPERIMENTS)
 
     def test_extensions_registered(self):
-        assert {"ext-related", "ext-skew", "ext-faults"} <= set(EXPERIMENTS)
+        assert {"ext-related", "ext-skew", "ext-faults",
+                "ext-ablations"} <= set(EXPERIMENTS)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -35,10 +37,13 @@ class TestRegistry:
 
 #: cells each spec-driven experiment hands its one fan-out at smoke
 FANOUT_CELLS = {"fig1": 4, "fig4": 8, "fig5": 26, "fig6": 36,
-                "ext-related": 4, "ext-skew": 9, "ext-faults": 11}
+                "ext-related": 4, "ext-skew": 9, "ext-faults": 11,
+                "ext-ablations": 13}
 #: workloads run outside a fan-out: ext-phases' three runs return typed
-#: spans (``obs=``), which exist only in the process that simulated them
-DIRECT_RUNS = {"ext-phases": 3}
+#: spans (``obs=``), which exist only in the process that simulated them;
+#: ext-ablations' two model-off runs take a NIC config, which is no
+#: ``WorkloadSpec`` axis
+DIRECT_RUNS = {"ext-phases": 3, "ext-ablations": 2}
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
@@ -54,6 +59,12 @@ def test_one_fanout_per_experiment(experiment_id, smoke_figure):
     else:
         assert record.calls == []
     assert record.runs == cells + DIRECT_RUNS.get(experiment_id, 0)
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+def test_every_experiment_asserts_something(experiment_id, smoke_figure):
+    """``all_shapes_hold`` over zero checks is a vacuous pass."""
+    assert smoke_figure(experiment_id).shape_checks
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +162,10 @@ class TestExperimentResult:
         assert not result.all_shapes_hold
         md = result.to_markdown()
         assert "- [x] good" in md and "- [ ] bad" in md
+
+    def test_repeated_check_name_cannot_mask_a_failure(self):
+        result = ExperimentResult("x", "t", "smoke")
+        result.check("shape", False)
+        with pytest.raises(ConfigError, match="recorded twice"):
+            result.check("shape", True)
+        assert not result.all_shapes_hold

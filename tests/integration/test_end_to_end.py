@@ -46,6 +46,25 @@ class TestEmergentCongestion:
             spec, config=RdmaConfig().with_nic(qpc_cache_entries=8))
         assert tiny.throughput_ops_per_sec < 0.9 * roomy.throughput_ops_per_sec
 
+    def test_qpc_pressure_is_real_at_twenty_nodes(self):
+        """At 20 nodes x 12 threads the per-NIC QP working set (12x19 TX +
+        19x12 RX = 456) overwhelms the 256-entry QPC cache, while 5 nodes
+        fit easily — the §2 scalability pitfall, localized.  All-remote
+        and uncontended: under contention the spinlock's retries hammer
+        one QP back-to-back, which is cache-friendly and masks it."""
+        spec = WorkloadSpec(n_nodes=20, threads_per_node=12, n_locks=1000,
+                            locality_pct=0.0, lock_kind="spinlock",
+                            warmup_ns=200_000, measure_ns=800_000,
+                            audit="off")
+
+        def miss_rate(result):
+            return np.mean([nic["qpc_miss_rate"] for nic in result.nic_stats])
+
+        miss_big = miss_rate(run_workload(spec))
+        miss_small = miss_rate(run_workload(spec.with_(n_nodes=5)))
+        assert miss_big > 4 * miss_small
+        assert miss_big > 0.15
+
     def test_alock_local_workload_immune_to_nic_size(self):
         """100%-local ALock traffic never touches the NIC, so NIC sizing
         cannot change it — the no-loopback claim, falsifiably."""

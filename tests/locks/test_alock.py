@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError, ProtocolError
-from repro.locks import ALock
+from repro.locks import ALock, make_lock
 from repro.memory.pointer import ptr_addr
 
 from tests.locks.helpers import (
@@ -107,6 +107,36 @@ class TestSingleThread:
         assert counts["rCAS"] == 2
         assert counts["rWrite"] == 1
         assert counts["rRead"] == 1
+
+    def test_uncontended_cost_asymmetry(self):
+        """The microscopic asymmetry §6's macro results are built from: a
+        warm uncontended local ALock op costs hundreds of ns; every
+        RDMA-path op — remote ALock, and the baselines even locally,
+        through loopback — costs microseconds."""
+        def one_op_ns(kind, local):
+            cluster = Cluster(2, audit="off")
+            lock = make_lock(kind, cluster, 0)
+            ctx = cluster.thread_ctx(0 if local else 1, 0)
+
+            def proc():
+                yield from lock.lock(ctx)       # warm the QP contexts
+                yield from lock.unlock(ctx)
+                start = cluster.env.now
+                yield from lock.lock(ctx)
+                yield from lock.unlock(ctx)
+                return cluster.env.now - start
+
+            (p,) = drive(cluster, proc())
+            return p.value
+
+        cost = {(kind, local): one_op_ns(kind, local)
+                for kind in ("alock", "spinlock", "mcs")
+                for local in (True, False)}
+        fast = cost.pop(("alock", True))
+        assert fast < 1_500
+        assert all(ns > 1_500 for ns in cost.values()), cost
+        assert cost["spinlock", True] > 4 * fast
+        assert cost["mcs", True] > 8 * fast
 
     def test_relock_after_unlock(self, cluster):
         lock = ALock(cluster, 0)

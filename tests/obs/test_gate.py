@@ -73,3 +73,5 @@ class TestNonPerturbation:
             assert np.array_equal(
                 np.asarray(res.latencies_ns), np.asarray(base.latencies_ns))
         assert not base.spans and full.spans  # obs captured only when on
+        assert not base.obs_metrics
+        assert full.obs_metrics["network"]["verbs"]["rCAS"] > 0

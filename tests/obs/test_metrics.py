@@ -8,12 +8,8 @@ from repro.obs.metrics import MetricsRegistry, _BUCKET_BOUNDS
 class TestDisabled:
     def test_factories_return_shared_null(self):
         reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x")
-        g = reg.gauge("y")
         h = reg.histogram("z")
-        assert c is g is h  # one shared no-op handle, zero allocation
-        c.inc()
-        g.set(5)
+        assert h is reg.histogram("y", verb="rCAS")  # one shared no-op handle
         h.observe(100.0)
         assert reg.collect() == {}
 
@@ -24,34 +20,14 @@ class TestDisabled:
 
 
 class TestPush:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry(enabled=True)
-        c = reg.counter("ops", node=0)
-        c.inc()
-        c.inc(4)
-        assert reg.collect()["app"]["ops"]["node=0"] == 5
-
     def test_handles_cached_by_name_and_labels(self):
         reg = MetricsRegistry(enabled=True)
-        assert reg.counter("ops", node=0) is reg.counter("ops", node=0)
-        assert reg.counter("ops", node=0) is not reg.counter("ops", node=1)
+        assert reg.histogram("ops", node=0) is reg.histogram("ops", node=0)
+        assert reg.histogram("ops", node=0) is not reg.histogram("ops", node=1)
 
     def test_label_order_irrelevant(self):
         reg = MetricsRegistry(enabled=True)
-        assert reg.counter("v", a=1, b=2) is reg.counter("v", b=2, a=1)
-
-    def test_type_conflict_rejected(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("m")
-        with pytest.raises(TypeError):
-            reg.gauge("m")
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry(enabled=True)
-        g = reg.gauge("depth")
-        g.set(3)
-        g.add(2)
-        assert reg.collect()["app"]["depth"]["_"] == 5
+        assert reg.histogram("v", a=1, b=2) is reg.histogram("v", b=2, a=1)
 
     def test_histogram_summary(self):
         reg = MetricsRegistry(enabled=True)
@@ -86,19 +62,19 @@ class TestTree:
         reg = MetricsRegistry(enabled=True)
         reg.add_collector("network", lambda: {"verbs": {"rCAS": 7},
                                               "nics": [{"tx": 1}, {"tx": 2}]})
-        reg.counter("retries", verb="rCAS").inc(3)
+        reg.histogram("rtt", verb="rCAS").observe(3.0)
         return reg
 
     def test_collect_merges_collectors_and_app(self):
         tree = self.make().collect()
         assert tree["network"]["verbs"]["rCAS"] == 7
-        assert tree["app"]["retries"]["verb=rCAS"] == 3
+        assert tree["app"]["rtt"]["verb=rCAS"]["sum_ns"] == 3.0
 
     def test_flat_dotted_paths(self):
         flat = self.make().flat()
         assert flat["network.verbs.rCAS"] == 7
         assert flat["network.nics.1.tx"] == 2
-        assert flat["app.retries.verb=rCAS"] == 3
+        assert flat["app.rtt.verb=rCAS.count"] == 1
         assert list(flat) == sorted(flat)
 
     def test_query_path(self):

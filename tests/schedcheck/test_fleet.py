@@ -126,6 +126,19 @@ class TestCrashIsolation:
         assert a.payload() == b.payload()
 
 
+class TestBudget:
+    def test_a_fleet_nothing_stops_spends_exactly_its_budget(self):
+        """Coverage folding and candidate breeding on, a correct lock, no
+        stop on find: every budgeted schedule is run, none twice."""
+        scenario = LockScenario(lock_kind="alock", n_nodes=2,
+                                threads_per_node=2, ops_per_thread=2, seed=5)
+        report = run_fleet(FleetConfig(
+            scenarios=(("alock_small", scenario),), budget=32, seed=11,
+            cell_size=8, cells_per_round=2, stop_on_find=False, shrink=False))
+        assert report.total_schedules == 32
+        assert report.found == []
+
+
 class TestConfigValidation:
     def test_duplicate_names_rejected(self):
         from repro.common.errors import ConfigError

@@ -23,6 +23,9 @@ class TestMutualExclusion:
         assert result.holds
         assert result.states_explored > 100
 
+    def test_holds_two_processes_budget_two(self):
+        assert check_mutual_exclusion(ALockSpec(2, 2)).holds
+
     def test_holds_two_processes_budget_three(self):
         assert check_mutual_exclusion(ALockSpec(2, 3)).holds
 
@@ -43,6 +46,10 @@ class TestDeadlockFreedom:
 
     def test_holds_three_processes_budget_one(self):
         assert check_deadlock_freedom(ALockSpec(3, 1)).holds
+
+    def test_holds_three_processes_budget_two(self):
+        """EXPERIMENTS.md, Appendix A: NP=3 at both budgets."""
+        assert check_deadlock_freedom(ALockSpec(3, 2)).holds
 
 
 class TestProgressPossibility:
