@@ -66,10 +66,22 @@ def project(ledger: dict) -> dict:
     return {"python": python, "values": values}
 
 
+def totals(values: dict, name: str) -> tuple[float, float, float]:
+    """One workload's Σ calls/op and Σ resumes/op over the repo's layers
+    (the columns :func:`project` keeps) and its resumes per event."""
+    def total(suffix: str) -> float:
+        return sum(value for key, value in values.items()
+                   if key.startswith(name + " ") and key.endswith(suffix))
+    resumes = total(".resumes_per_op")
+    events = values.get(f"{name} sim.events_per_op")
+    return total(".calls_per_op"), resumes, resumes / events if events else 0.0
+
+
 def check(committed: dict | None, ledger: dict) -> int:
     """Compare one ledger run with the committed exact values, print
-    every difference as ``workload column: committed → now``, and
-    return the exit status.  ``None`` judges the run against itself,
+    every difference as ``workload column: committed → now`` and each
+    workload's layer totals (committed → now), and return the exit
+    status.  ``None`` judges the run against itself,
     which is what decides whether ``--write`` may record it."""
     if ledger.get("schema") != LEDGER_SCHEMA:
         print(f"refusing to compare: ledger schema {ledger.get('schema')!r}, "
@@ -99,6 +111,10 @@ def check(committed: dict | None, ledger: dict) -> int:
     differing = [key for key in keys if old.get(key) != new.get(key)]
     for key in differing:
         print(f"{key}: {old.get(key)!r} → {new.get(key)!r}")
+    for name in sorted(ledger["workloads"]):
+        print(f"{name} Σ calls/op, Σ resumes/op, resumes/event: "
+              + " → ".join("%.2f, %.2f, %.2f" % totals(values, name)
+                           for values in (old, new)))
     for failure in failures:
         print(f"FAILED: {failure}")
     print(f"{len(differing)} of {len(keys)} exact values differ")

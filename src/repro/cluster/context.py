@@ -2,21 +2,23 @@
 system model (§4).
 
 Every method that costs simulated time is driven with ``yield from``
-inside a simulation process.  Local operations are generators that
-charge the CPU cost model and act directly on the node's memory region;
-remote operations are one-sided verbs through the NIC/fabric and return
-the network's round-trip generator rather than wrapping it.  The context
-enforces Definition 4.1: the local family refuses pointers whose home
-node differs from the thread's node.
+inside a simulation process — except :meth:`ThreadContext.fence`, which
+has nothing to apply and *returns* its delay (``yield ctx.fence()``).
+A local operation is one leaf generator frame: it sleeps its cost from
+the CPU cost model, then applies itself through one call on the node's
+memory region.  Remote operations are one-sided verbs through the
+NIC/fabric and return the network's round-trip generator rather than
+wrapping it.  The context enforces Definition 4.1: the local family
+refuses pointers whose home node differs from the thread's node.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.ids import make_global_thread_id
-from repro.memory.pointer import ADDR_BITS, _ADDR_MASK, ptr_addr, ptr_node
+from repro.memory.pointer import ADDR_BITS, _ADDR_MASK, ptr_node
 from repro.memory.region import to_signed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,8 +31,8 @@ class ThreadContext:
     Not constructed directly — use :meth:`Cluster.thread_ctx`.
     """
 
-    # The trailing slots are lazily-attached per-lock descriptor caches
-    # (see repro.locks.alock.descriptors / repro.locks.baselines.mcs).
+    # The trailing slots are per-lock descriptor caches, None until first
+    # use (see repro.locks.alock.descriptors / repro.locks.baselines.mcs).
     __slots__ = ("cluster", "env", "node_id", "thread_id", "gid", "actor",
                  "_region", "_net", "_read_ns", "_write_ns", "_cas_ns",
                  "_fence_ns", "_recheck_ns", "_faults_on", "emit",
@@ -66,15 +68,20 @@ class ThreadContext:
         self.local_op_count = 0
         self.remote_op_count = 0
         self.verb_timeouts = 0
+        self._alock_descriptors = None
+        self._alock_descriptor_pools = None
+        self._mcs_descriptor = None
 
     # -- locality ----------------------------------------------------------
     def is_local(self, ptr: int) -> bool:
         """Definition 4.1/4.2: does ``ptr`` live on this thread's node?
-        (The ALock's ``Lock()`` uses this to pick the cohort.)"""
+        (The ALock's ``Lock()`` picks the cohort by the same test, made
+        on its record's ``home_node``.)"""
         return ptr_node(ptr) == self.node_id
 
     def _local_addr(self, ptr: int) -> int:
-        # ptr_node/ptr_addr inlined: this guard runs on every local op.
+        # The word ops make this test inline (it runs on every one of
+        # them) and call here only to raise.
         if (ptr >> ADDR_BITS) != self.node_id:
             raise MemoryError_(
                 f"{self.actor} attempted a LOCAL operation on node "
@@ -85,39 +92,45 @@ class ThreadContext:
     # -- local (shared-memory) operations ------------------------------
     def read(self, ptr: int, *, signed: bool = False):
         """Local atomic 8-byte load."""
-        addr = self._local_addr(ptr)
+        if ptr >> ADDR_BITS != self.node_id:
+            self._local_addr(ptr)
         self.local_op_count += 1
         yield self._read_ns
-        value = self._region.read(addr, self.actor)
+        value = self._region.read(ptr & _ADDR_MASK, self.actor)
         return to_signed(value) if signed else value
 
     def write(self, ptr: int, value: int):
         """Local atomic 8-byte store."""
-        addr = self._local_addr(ptr)
+        if ptr >> ADDR_BITS != self.node_id:
+            self._local_addr(ptr)
         self.local_op_count += 1
         yield self._write_ns
-        self._region.write(addr, value, self.actor)
+        self._region.write(ptr & _ADDR_MASK, value, self.actor)
 
     def cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
         """Local compare-and-swap; returns the previous value."""
-        addr = self._local_addr(ptr)
+        if ptr >> ADDR_BITS != self.node_id:
+            self._local_addr(ptr)
         self.local_op_count += 1
         yield self._cas_ns
-        old = self._region.cas(addr, expected, desired, self.actor)
+        old = self._region.cas(ptr & _ADDR_MASK, expected, desired, self.actor)
         return to_signed(old) if signed else old
 
     def faa(self, ptr: int, delta: int, *, signed: bool = False):
         """Local fetch-and-add; returns the previous value."""
-        addr = self._local_addr(ptr)
+        if ptr >> ADDR_BITS != self.node_id:
+            self._local_addr(ptr)
         self.local_op_count += 1
         yield self._cas_ns
-        old = self._region.faa(addr, delta, self.actor)
+        old = self._region.faa(ptr & _ADDR_MASK, delta, self.actor)
         return to_signed(old) if signed else old
 
-    def fence(self):
+    def fence(self) -> float:
         """atomic_thread_fence — required by §5.2 after locking and before
-        unlocking (RDMA memory semantics are not sequentially consistent)."""
-        yield self._fence_ns
+        unlocking (RDMA memory semantics are not sequentially consistent).
+        It applies nothing, so it *returns* its delay for the caller to
+        sleep: ``yield ctx.fence()`` (``yield from`` raises ``TypeError``)."""
+        return self._fence_ns
 
     def wait_local(self, ptr: int, predicate: Callable[[int], bool],
                    *, signed: bool = False):
@@ -146,25 +159,33 @@ class ThreadContext:
             yield ev
             yield self._recheck_ns
 
-    def wait_local_cond(self, ptrs: list[int], check):
+    def wait_local_cond(self, ptrs: Sequence[int],
+                        clauses: Sequence[tuple[int, Callable[[int], bool], str]]):
         """Park until a compound condition over several *local* words holds.
 
-        ``check`` is a generator function (driven with ``yield from``)
-        returning truthy to stop; it is re-evaluated after every write to
-        any of ``ptrs``.  The watcher-before-check ordering makes the wait
-        lost-wakeup free; as in :meth:`wait_local`, a watcher whose check
-        succeeded is withdrawn.  Used by the local cohort's Peterson
-        wait, which involves both the victim word and the other cohort's
-        tail.  Returns the truthy check result.
+        ``clauses`` are ordered ``(ptr, predicate, why)``: each round
+        makes one charged read per clause, in order, and stops at the
+        first whose ``predicate(value)`` holds — later words are not
+        read — returning that clause's ``why``.  A round is made on
+        entry and after every write to any of ``ptrs``.  The watcher is
+        registered before the round's first read, which makes the wait
+        lost-wakeup free; as in :meth:`wait_local`, a watcher whose
+        round succeeded is withdrawn.  Used by the local cohort's
+        Peterson wait, which involves both the victim word and the other
+        cohort's tail.
         """
         addrs = [self._local_addr(p) for p in ptrs]
         region = self._region
         while True:
             ev = region.watch_any(addrs)  # register first
-            result = yield from check()
-            if result:
-                region.unwatch(ev, addrs)
-                return result
+            for ptr, predicate, why in clauses:
+                if ptr >> ADDR_BITS != self.node_id:
+                    self._local_addr(ptr)
+                self.local_op_count += 1
+                yield self._read_ns
+                if predicate(region.read(ptr & _ADDR_MASK, self.actor)):
+                    region.unwatch(ev, addrs)
+                    return why
             yield ev
             yield self._recheck_ns
 

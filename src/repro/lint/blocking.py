@@ -17,10 +17,12 @@ B1 (raw check-then-park, reported at the yield)
     finding.
 
 B2 (blocking wait predicate, reported at the wait call)
-    The predicate passed to ``ctx.wait_local`` / ``wait_local_cond``
-    re-runs on every wakeup inside the wait machinery; if it
-    (transitively) blocks, the waiter can deadlock against the very
-    transition it polls for.  Predicates must be effect-free reads.
+    The predicate passed to ``ctx.wait_local`` re-runs on every wakeup
+    inside the wait machinery; if it (transitively) blocks, the waiter
+    can deadlock against the very transition it polls for.  Predicates
+    must be effect-free reads.  (``wait_local_cond`` makes its reads
+    itself and is handed predicates over the value read, inside its
+    clause tuples; deep-protocol's P1 reads those.)
 
 B3 (unbounded block during handover, reported at the blocking call)
     Between a failed relinquish CAS and the discharging store (the
@@ -36,13 +38,13 @@ B3 (unbounded block during handover, reported at the blocking call)
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.lint.deep import DeepContext, DeepRule
 from repro.lint.effects import BLOCK_UNBOUNDED, is_raw_park
 from repro.lint.findings import Finding
 from repro.lint.ir import FunctionInfo, attr_tail, expr_text, name_tails
-from repro.lint.protocol import predicate_node, relinquish_windows
+from repro.lint.protocol import relinquish_windows
 
 _WAIT_TAILS = frozenset({"wait_local", "wait_local_cond"})
 
@@ -54,6 +56,19 @@ _SUCCESSOR_HINTS = ("next", "nxt", "succ")
 def _mentions_successor(node: ast.AST) -> bool:
     return any(any(hint in tail.lower() for hint in _SUCCESSOR_HINTS)
                for tail in name_tails(node))
+
+
+def predicate_node(fn: FunctionInfo, expr: ast.AST) -> Optional[ast.AST]:
+    """Resolve a wait predicate argument to its body-bearing node: a
+    lambda inline, or a nested ``def`` of the same name inside ``fn``."""
+    if isinstance(expr, ast.Lambda):
+        return expr
+    if isinstance(expr, ast.Name):
+        for node in ast.walk(fn.node):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node is not fn.node and node.name == expr.id:
+                return node
+    return None
 
 
 RULE_ID = "deep-blocking"
@@ -91,7 +106,7 @@ class DeepBlockingRule(DeepRule):
     def _check_wait_predicates(self, ctx: DeepContext,
                                fn: FunctionInfo) -> Iterator[Finding]:
         for call in ctx.index.calls_in(fn):
-            if attr_tail(call.func) not in _WAIT_TAILS or len(call.args) < 2:
+            if attr_tail(call.func) != "wait_local" or len(call.args) < 2:
                 continue
             pred = predicate_node(fn, call.args[1])
             if pred is None:

@@ -39,7 +39,8 @@ The last row is not a call: a process sleeps by yielding a float delay
 (:mod:`repro.sim.core`), recognized syntactically by :func:`is_sleep` —
 including the delay a computed FIFO stage hands back,
 ``yield <pipeline>.transit(...) [+ delay]``
-(:class:`repro.sim.resources.Pipeline`).
+(:class:`repro.sim.resources.Pipeline`), and a fence's,
+``yield ctx.fence()``: the ``fence`` call only returns the delay.
 
 Remote verbs "raise" because fault injection (PR 1) can fail them;
 local region ops are audited infallible accessors.  The ``writes``
@@ -151,10 +152,11 @@ def is_raw_park(node: ast.AST) -> bool:
 def is_sleep(node: ast.AST) -> bool:
     """True for ``yield <delay>``, the engine's sleep form — a timed
     (bounded) wait, like ``timeout``.  The yielded float is recognized
-    by shape: a numeric literal, arithmetic, ``float(...)``, a computed
-    stage's ``<pipeline>.transit(...)`` (its time to departure), or a
-    name that by the repo's convention holds a duration (``*_ns``,
-    ``delay``).  Any other yielded name is an event and stays inert."""
+    by shape: a numeric literal, arithmetic, ``float(...)``, a call that
+    returns a delay — a computed stage's ``<pipeline>.transit(...)`` (its
+    time to departure), ``<ctx>.fence()`` — or a name that by the repo's
+    convention holds a duration (``*_ns``, ``delay``).  Any other
+    yielded name is an event and stays inert."""
     if not isinstance(node, ast.Yield) or node.value is None:
         return False
     value = node.value
@@ -166,7 +168,7 @@ def is_sleep(node: ast.AST) -> bool:
     if isinstance(value, ast.Call):
         if isinstance(value.func, ast.Name):
             return value.func.id == "float"
-        return attr_tail(value.func) == "transit"
+        return attr_tail(value.func) in ("transit", "fence")
     tail = attr_tail(value)
     return tail is not None and (tail.endswith("_ns") or tail == "delay")
 

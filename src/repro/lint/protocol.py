@@ -14,12 +14,15 @@ core: ``OWNED → (CAS tail, expect own descriptor, store 0)`` and then
 
 Three checks, all flow-sensitive over the shared CFG:
 
-P1 (wait-predicate completeness, reported at the wait call)
-    ``ctx.wait_local_cond([w1, w2], check)`` parks on writes to *all*
-    the listed words; if ``check`` never reads one of them, a wakeup on
+P1 (wait-clause completeness, reported at the wait call)
+    ``ctx.wait_local_cond([w1, w2], clauses)`` parks on writes to *all*
+    the listed words and re-checks its ordered ``(word, predicate,
+    why)`` clauses; if a watched word is no clause's word, a wakeup on
     it cannot change the decision and the sleeper can hang — exactly
     the ``no_victim_check`` seeded bug, where the Peterson waiter
-    watches the victim word it never reads.
+    watches the victim word it never reads.  Both arguments must be
+    literals (inline, or a name the function binds to one): a call the
+    rule cannot read is itself a finding, not a pass.
 
 P2 (handover obligation, reported at the escaping exit)
     After the failed-relinquish branch, every normal exit must be
@@ -51,7 +54,7 @@ from repro.lint.dataflow import (
 from repro.lint.deep import DeepContext, DeepRule
 from repro.lint.effects import COHORT_OPS
 from repro.lint.findings import Finding
-from repro.lint.ir import FunctionInfo, attr_tail, expr_text, name_tails
+from repro.lint.ir import FunctionInfo, attr_tail, expr_text
 
 _CAS_TAILS = frozenset({"cas", "r_cas", "tail_cas"})
 _VERB_TAILS = frozenset({"read", "write", "cas", "faa",
@@ -201,17 +204,17 @@ def relinquish_windows(ctx: DeepContext, fn: FunctionInfo
     return cached  # type: ignore[return-value]
 
 
-def predicate_node(fn: FunctionInfo, expr: ast.AST) -> Optional[ast.AST]:
-    """Resolve a wait predicate argument to its body-bearing node: a
-    lambda inline, or a nested ``def`` of the same name inside ``fn``."""
-    if isinstance(expr, ast.Lambda):
-        return expr
+def _literal_elts(fn: FunctionInfo, expr: ast.AST) -> Optional[List[ast.expr]]:
+    """Elements of a tuple/list literal, given inline or through a name
+    ``fn`` binds to one — its first such binding: re-binding the name to
+    a slice of itself, how a seeded defect drops a clause, is not one."""
     if isinstance(expr, ast.Name):
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node is not fn.node and node.name == expr.id:
-                return node
-    return None
+        expr = next((node.value for node in ast.walk(fn.node)
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, (ast.Tuple, ast.List))
+                     and [expr_text(t) for t in node.targets] == [expr.id]),
+                    expr)
+    return expr.elts if isinstance(expr, (ast.Tuple, ast.List)) else None
 
 
 RULE_ID = "deep-protocol"
@@ -224,37 +227,32 @@ class DeepProtocolRule(DeepRule):
 
     def check_project(self, ctx: DeepContext) -> Iterator[Finding]:
         for fn in ctx.checked_functions():
-            yield from self._check_wait_predicates(ctx, fn)
+            yield from self._check_wait_clauses(ctx, fn)
             yield from self._check_windows(ctx, fn)
 
     # -- P1 ----------------------------------------------------------------
-    def _check_wait_predicates(self, ctx: DeepContext,
+    def _check_wait_clauses(self, ctx: DeepContext,
                                fn: FunctionInfo) -> Iterator[Finding]:
         for call in ctx.index.calls_in(fn):
             if attr_tail(call.func) not in _WAIT_COND_TAILS:
                 continue
-            if len(call.args) < 2 or not isinstance(
-                    call.args[0], (ast.List, ast.Tuple)):
-                continue
-            pred = predicate_node(fn, call.args[1])
-            if pred is None:
-                continue
-            body = pred.body
-            reads = name_tails(ast.Module(body=body, type_ignores=[])
-                               if isinstance(body, list) else body)
-            pred_name = getattr(pred, "name", "<lambda>")
-            for elt in call.args[0].elts:
-                text = expr_text(elt)
-                tail = attr_tail(elt)
-                if tail is None or tail in reads:
+            args = [_literal_elts(fn, arg) for arg in call.args]
+            if len(args) == 2 and None not in args and all(
+                    isinstance(c, ast.Tuple) and c.elts for c in args[1]):
+                read = {ast.dump(c.elts[0]) for c in args[1]}
+                unread = ", ".join(ast.unparse(word) for word in args[0]
+                                   if ast.dump(word) not in read)
+                if not unread:
                     continue
-                yield ctx.finding(
-                    fn, call.lineno, call.col_offset, self.rule_id,
-                    self.default_severity,
-                    f"watched word {text or tail} is never read by wait "
-                    f"predicate {pred_name}() — a wakeup on it cannot "
-                    f"change the decision, so the waiter can sleep through "
-                    f"the very transition it is parked on")
+                message = (f"watched word {unread} is no clause's word — no "
+                           f"re-check() reads it, so a wakeup on it cannot "
+                           f"change the decision and the waiter can sleep "
+                           f"through the very transition it is parked on")
+            else:
+                message = ("cannot read the watched words and (word, predicate, "
+                           "why) clauses of this wait — spell both as literals")
+            yield ctx.finding(fn, call.lineno, call.col_offset, self.rule_id,
+                              self.default_severity, message)
 
     # -- P2 / P3 -----------------------------------------------------------
     def _check_windows(self, ctx: DeepContext,
@@ -310,5 +308,5 @@ class DeepProtocolRule(DeepRule):
 # re-exported for deep-blocking (B3 shares the obligation window)
 __all__ = [
     "DeepProtocolRule", "RelinquishSite", "find_relinquish_sites",
-    "relinquish_windows", "predicate_node", "RULE_ID",
+    "relinquish_windows", "RULE_ID",
 ]

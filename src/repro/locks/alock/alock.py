@@ -160,17 +160,19 @@ class ALock(DistributedLock):
         """Algorithm 2 ``Lock(rdma_ptr<ALock>)``."""
         if ctx.gid in self._sessions:
             raise ProtocolError(f"{ctx.actor} re-locking {self.name} (not reentrant)")
+        slot = 0 if ctx.node_id == self.home_node else 1
         if self.allow_nesting:
-            pools = descriptor_pools(ctx)
+            desc = descriptor_pools(ctx)[slot].acquire()
         else:
-            pair = descriptor_pair(ctx)
-        slot = 0 if ctx.is_local(self.base_ptr) else 1
-        desc = pools[slot].acquire() if self.allow_nesting else pair[slot]
+            desc = descriptor_pair(ctx)[slot]
         # begin() runs before the cleanup guard: if it raises, the
         # descriptor is owned by another in-flight acquisition and must
         # NOT be reset or returned to the pool here.
-        yield from desc.begin()
+        desc.begin()
         try:
+            # Algorithm 3 line 2: reset our own descriptor for the enqueue.
+            yield from ctx.write(desc.budget_ptr, WAITING)
+            yield from ctx.write(desc.next_ptr, 0)
             yield from self._acquire_cohort(ctx, desc, self._cohorts[slot])
         except BaseException:
             # Failed acquisition (e.g. a VerbTimeout from the fault
@@ -179,10 +181,10 @@ class ALock(DistributedLock):
             # discipline wedges the thread permanently.
             desc.end()
             if self.allow_nesting:
-                pools[slot].release(desc)
+                descriptor_pools(ctx)[slot].release(desc)
             raise
         # §5.2: atomic thread fence after locking.
-        yield from ctx.fence()
+        yield ctx.fence()
         self._sessions[ctx.gid] = (slot, desc)
         self._note_acquired(ctx)
 
@@ -194,7 +196,7 @@ class ALock(DistributedLock):
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         slot, desc = session
         # §5.2: atomic thread fence before unlocking.
-        yield from ctx.fence()
+        yield ctx.fence()
         # The oracle is updated before the release op is issued: the op's
         # linearization point is when it *lands*, which a successor can
         # observe before this generator resumes (see base.py).

@@ -35,39 +35,32 @@ OFF_NEXT = DESCRIPTOR_LAYOUT.offset_of("next")
 class Descriptor:
     """One thread's descriptor for one cohort flavor."""
 
-    __slots__ = ("ctx", "flavor", "ptr", "label", "in_use")
+    __slots__ = ("ctx", "flavor", "ptr", "budget_ptr", "next_ptr", "label",
+                 "in_use")
 
     def __init__(self, ctx: "ThreadContext", flavor: str):
         self.ctx = ctx
         self.flavor = flavor  # "local" | "remote"
         region = ctx.cluster.regions[ctx.node_id]
         self.ptr = region.alloc_ptr(DESCRIPTOR_LAYOUT.size)
+        self.budget_ptr = self.ptr + OFF_BUDGET
+        self.next_ptr = self.ptr + OFF_NEXT
         self.label = f"desc[{ctx.actor}:{flavor}]"
         addr = ptr_addr(self.ptr)
         region.label_word(addr + OFF_BUDGET, self.label + ".budget")
         region.label_word(addr + OFF_NEXT, self.label + ".next")
         self.in_use = False
 
-    @property
-    def budget_ptr(self) -> int:
-        return self.ptr + OFF_BUDGET
-
-    @property
-    def next_ptr(self) -> int:
-        return self.ptr + OFF_NEXT
-
-    def begin(self):
-        """Reset for a fresh enqueue (Algorithm 3 line 2): budget = -1,
-        next = NULL.  Local writes — the descriptor is our own memory.
-        Generator; drives the cost of the two stores."""
+    def begin(self) -> None:
+        """Claim the descriptor for a fresh enqueue.  The reset itself
+        (Algorithm 3 line 2: budget = -1, next = NULL) is the caller's
+        two local writes — the descriptor is the thread's own memory."""
         if self.in_use:
             raise ProtocolError(
                 f"{self.ctx.actor}: {self.flavor} descriptor reused while still "
                 f"enqueued (a thread can wait on only one lock at a time)")
         self.in_use = True
         self.ctx.emit(self.ctx.actor, "desc.begin", self.label, self.flavor)
-        yield from self.ctx.write(self.budget_ptr, WAITING)
-        yield from self.ctx.write(self.next_ptr, 0)
 
     def end(self) -> None:
         # Not reported: a descriptor's retirement is implied by the same
@@ -83,7 +76,7 @@ class Descriptor:
 def descriptor_pair(ctx: "ThreadContext") -> tuple[Descriptor, Descriptor]:
     """The thread's (local, remote) descriptor pair, allocated lazily on
     first use and cached on the context."""
-    pair = getattr(ctx, "_alock_descriptors", None)
+    pair = ctx._alock_descriptors
     if pair is None:
         pair = (Descriptor(ctx, "local"), Descriptor(ctx, "remote"))
         ctx._alock_descriptors = pair
@@ -131,7 +124,7 @@ class DescriptorPool:
 def descriptor_pools(ctx: "ThreadContext") -> tuple[DescriptorPool, DescriptorPool]:
     """The thread's (local, remote) descriptor pools for nesting-enabled
     ALocks; lazily created, shared across locks."""
-    pools = getattr(ctx, "_alock_descriptor_pools", None)
+    pools = ctx._alock_descriptor_pools
     if pools is None:
         pools = (DescriptorPool(ctx, "local"), DescriptorPool(ctx, "remote"))
         ctx._alock_descriptor_pools = pools

@@ -38,26 +38,20 @@ def acquire_local(ctx: "ThreadContext", lock: "ALock"):
     ctx.emit(ctx.actor, "lock.wait", lock.name, "peterson-local",
              "cohort", "local")
     yield from ctx.write(lock.victim_ptr, COHORT_LOCAL)
-    yield from ctx.fence()
-
-    def check():
-        tail_r = yield from ctx.read(lock.tail_r_ptr)
-        if tail_r == 0:
-            return "remote-unlocked"
-        if lock.bug == "no_victim_check":
-            # Seeded defect: the not-victim clause is what lets the local
-            # leader proceed while the remote cohort is still queued; a
-            # leader without it waits for a fully-drained remote tail —
-            # forever, once the remote side is itself waiting on the
-            # victim word this leader will never rewrite.
-            return None
-        victim = yield from ctx.read(lock.victim_ptr)
-        if victim != COHORT_LOCAL:
-            return "not-victim"
-        return None
-
+    yield ctx.fence()
+    clauses = (
+        (lock.tail_r_ptr, lambda tail_r: tail_r == 0, "remote-unlocked"),
+        (lock.victim_ptr, lambda victim: victim != COHORT_LOCAL, "not-victim"),
+    )
+    if lock.bug == "no_victim_check":
+        # Seeded defect: the not-victim clause is what lets the local
+        # leader proceed while the remote cohort is still queued; a
+        # leader without it waits for a fully-drained remote tail —
+        # forever, once the remote side is itself waiting on the victim
+        # word this leader still watches and will never rewrite.
+        clauses = clauses[:1]
     why = yield from ctx.wait_local_cond(
-        [lock.tail_r_ptr, lock.victim_ptr], check)
+        [lock.tail_r_ptr, lock.victim_ptr], clauses)
     ctx.emit(ctx.actor, "peterson.acquired", lock.name, "local", why)
 
 

@@ -36,8 +36,8 @@ def _traced(span_name: str):
 
     def deco(fn):
         @functools.wraps(fn)
-        def wrapper(self, ctx, *args, **kwargs):
-            inner = fn(self, ctx, *args, **kwargs)
+        def wrapper(self, ctx):
+            inner = fn(self, ctx)
             if not self._timed:
                 return inner
             return self._observed_op(ctx, span_name, inner)

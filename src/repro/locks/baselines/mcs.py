@@ -60,7 +60,7 @@ class _McsDescriptor:
 
 
 def _descriptor(ctx: "ThreadContext") -> _McsDescriptor:
-    desc = getattr(ctx, "_mcs_descriptor", None)
+    desc = ctx._mcs_descriptor
     if desc is None:
         desc = _McsDescriptor(ctx)
         ctx._mcs_descriptor = desc
@@ -176,7 +176,7 @@ class RdmaMcsLock(DistributedLock):
             # thread can never enqueue again.
             desc.in_use = False
             raise
-        yield from ctx.fence()
+        yield ctx.fence()
         self._sessions[ctx.gid] = desc
         self._note_acquired(ctx)
 
@@ -185,7 +185,7 @@ class RdmaMcsLock(DistributedLock):
         desc = self._sessions.pop(ctx.gid, None)
         if desc is None:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_released(ctx)
         old = yield from ctx.r_cas(self.tail_ptr, desc.ptr, 0)
         if old != desc.ptr:

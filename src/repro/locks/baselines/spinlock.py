@@ -67,14 +67,14 @@ class RdmaSpinlock(DistributedLock):
                 delay = min(self.backoff_ns * (1 << min(attempts, 16)),
                             self.max_backoff_ns)
                 yield delay
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_acquired(ctx, "after %d rCAS", attempts)
 
     @observed_release
     def unlock(self, ctx: "ThreadContext"):
         if self.holder_gid != ctx.gid:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        yield from ctx.fence()
+        yield ctx.fence()
         # Oracle updated before the release op is issued (see base.py).
         self._note_released(ctx)
         yield from ctx.r_write(self.word_ptr, 0)

@@ -85,7 +85,7 @@ class BakeryLock(DistributedLock):
                 self.spin_reads += 1
                 if ticket == 0 or (ticket, k) > (my_ticket, me):
                     break
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_acquired(ctx, "(bakery, ticket %d)", my_ticket)
 
     @observed_release
@@ -93,7 +93,7 @@ class BakeryLock(DistributedLock):
         slot = self._slots.get(ctx.gid)
         if slot is None or self.holder_gid != ctx.gid:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_released(ctx)
         yield from ctx.r_write(self._number_ptrs[slot], 0)
 

@@ -73,7 +73,7 @@ class MixedAtomicLock(DistributedLock):
             self.cas_attempts += 1
             if old == 0:
                 break
-        yield from ctx.fence()
+        yield ctx.fence()
         # Oracle bookkeeping WITHOUT the strict holder assertion: on a
         # non-coherent fabric this lock is *expected* to double-grant, and
         # we want to count that instead of crashing the simulation.
@@ -88,7 +88,7 @@ class MixedAtomicLock(DistributedLock):
     def unlock(self, ctx: "ThreadContext"):
         if self._in_cs <= 0:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        yield from ctx.fence()
+        yield ctx.fence()
         self._in_cs -= 1
         self._holder_gid = 0
         ctx.emit(ctx.actor, "lock.released", self.name)

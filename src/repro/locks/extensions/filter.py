@@ -91,7 +91,7 @@ class FilterLock(DistributedLock):
                         break
                 if not blocked:
                     break
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_acquired(ctx, "(filter, slot %d)", me)
 
     @observed_release
@@ -99,7 +99,7 @@ class FilterLock(DistributedLock):
         slot = self._slots.get(ctx.gid)
         if slot is None or self.holder_gid != ctx.gid:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
-        yield from ctx.fence()
+        yield ctx.fence()
         self._note_released(ctx)
         yield from ctx.r_write(self._level_ptrs[slot], 0)
 

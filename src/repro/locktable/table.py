@@ -68,6 +68,7 @@ class DistributedLockTable:
         options = dict(lock_options or {})
         self.entries: list[LockEntry] = []
         self._by_node: list[list[int]] = [[] for _ in range(cluster.n_nodes)]
+        self._remote_by_node: list[Optional[list[int]]] = [None] * cluster.n_nodes
         for i in range(n_locks):
             node = i % cluster.n_nodes
             lock = make_lock(lock_kind, cluster, node,
@@ -89,8 +90,14 @@ class DistributedLockTable:
         return self._by_node[node]
 
     def remote_indices(self, node: int) -> list[int]:
-        """Lock indices homed elsewhere (remote accesses for ``node``'s threads)."""
-        return [i for i in range(len(self.entries)) if self.entries[i].home_node != node]
+        """Lock indices homed elsewhere (remote accesses for ``node``'s
+        threads).  Built on first request and shared by every thread of
+        the node, like :meth:`local_indices`: read it, do not mutate it."""
+        remote = self._remote_by_node[node]
+        if remote is None:
+            remote = self._remote_by_node[node] = [
+                e.index for e in self.entries if e.home_node != node]
+        return remote
 
     # -- operations ----------------------------------------------------------
     def acquire(self, ctx: "ThreadContext", index: int):

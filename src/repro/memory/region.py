@@ -24,7 +24,7 @@ as budgets.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.common.errors import MemoryError_
 from repro.memory.pointer import CACHE_LINE, WORD_SIZE, pack_ptr
@@ -160,12 +160,19 @@ class MemoryRegion:
                     ev.succeed((addr, raw))
 
     # -- local API (shared-memory operations) ------------------------------
+    # One flat call per word op: count, audit, the bounds test of peek()
+    # and the word list indexed in place.  _store() masks to 64 bits, so
+    # signed operands need no conversion on the way in.
     def read(self, addr: int, actor: str = "?") -> int:
         """Local 8-byte atomic load (raw pattern)."""
         self.local_reads += 1
         if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_READ, actor, self.env.now)
-        return self.peek(addr)
+            self.auditor.local_op(self.node_id, addr, LOCAL_READ, actor, self.env._now)
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
+        words = self._words
+        return words[idx] if idx < len(words) else 0
 
     def read_signed(self, addr: int, actor: str = "?") -> int:
         return to_signed(self.read(addr, actor))
@@ -174,27 +181,35 @@ class MemoryRegion:
         """Local 8-byte atomic store."""
         self.local_writes += 1
         if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_WRITE, actor, self.env.now)
-        self._store(addr, from_signed(value))
+            self.auditor.local_op(self.node_id, addr, LOCAL_WRITE, actor, self.env._now)
+        self._store(addr, value)
 
     def cas(self, addr: int, expected: int, desired: int, actor: str = "?") -> int:
         """Local compare-and-swap; returns the *previous* raw value (the
         CAS succeeded iff the return equals ``expected``)."""
         self.local_rmws += 1
         if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env.now)
-        old = self.peek(addr)
-        if old == from_signed(expected):
-            self._store(addr, from_signed(desired))
+            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
+        words = self._words
+        old = words[idx] if idx < len(words) else 0
+        if old == expected & _MASK64:
+            self._store(addr, desired)
         return old
 
     def faa(self, addr: int, delta: int, actor: str = "?") -> int:
         """Local fetch-and-add (two's-complement); returns previous value."""
         self.local_rmws += 1
         if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env.now)
-        old = self.peek(addr)
-        self._store(addr, from_signed(to_signed(old) + delta))
+            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
+        words = self._words
+        old = words[idx] if idx < len(words) else 0
+        self._store(addr, old + delta)  # mod 2**64: two's-complement add
         return old
 
     # -- remote landing (called by the verbs layer at the target) ----------
@@ -204,7 +219,7 @@ class MemoryRegion:
 
     def remote_write(self, addr: int, value: int) -> None:
         self.remote_ops_landed += 1
-        self._store(addr, from_signed(value))
+        self._store(addr, value)
 
     def remote_rmw_read(self, addr: int) -> int:
         """Phase 1 of a remote RMW: the NIC's read of the target word."""
@@ -215,7 +230,7 @@ class MemoryRegion:
         """Phase 2 of a remote RMW: the NIC's write-back.  Unconditional —
         if a local write landed inside the window, it is lost, exactly the
         hazard Table 1 warns about."""
-        self._store(addr, from_signed(value))
+        self._store(addr, value)
 
     # -- word labels ---------------------------------------------------
     def label_word(self, addr: int, label: str) -> None:
@@ -240,14 +255,20 @@ class MemoryRegion:
         self._register_watcher(idx, ev)
         return ev
 
-    def watch_any(self, addrs: Iterable[int]) -> Event:
+    def watch_any(self, addrs: Sequence[int]) -> Event:
         """One-shot event fired by the next write to *any* of ``addrs``."""
         ev = Event(self.env)
-        addrs = tuple(addrs)
         labels = self._labels
-        ev.info = ("watch", self._node_label) + tuple(labels.get(a, a) for a in addrs)
+        ev.info = ("watch", self._node_label, *[labels.get(a, a) for a in addrs])
+        by_word = self._watchers
         for addr in addrs:
-            self._register_watcher(self._word_index(addr), ev)
+            if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+                self._word_index(addr)  # raises, naming the fault
+            idx = addr >> _WORD_SHIFT
+            if idx in by_word:
+                self._register_watcher(idx, ev)
+            else:
+                by_word[idx] = [ev]
         return ev
 
     def _register_watcher(self, idx: int, ev: Event) -> None:

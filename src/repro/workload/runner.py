@@ -89,7 +89,7 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
             idx = picker.next_lock()
             entry = entries[idx]
             is_local = entry.home_node == node
-            start = env.now
+            start = env._now
             try:
                 # A VerbTimeout below aborts this client *without* a
                 # release: it models a crashed holder, which is exactly
@@ -119,7 +119,7 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
                 # abort and retire; every other client keeps running.
                 completed["aborted_clients"] += 1
                 break
-            end = env.now
+            end = env._now
             ops_done += 1
             completed["ops"] += 1
             if duration_mode:

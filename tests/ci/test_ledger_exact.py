@@ -46,6 +46,9 @@ def test_identical_passes(capsys):
     status, out = _check(capsys)
     assert status == 0
     assert "0 of 60 exact values differ" in out     # 12 columns x 5, no other.*
+    # the totals a frame diet is judged in: three repo layers, no other.*
+    assert ("alock_local Σ calls/op, Σ resumes/op, resumes/event: "
+            "21.75, 10.50, 0.91 → 21.75, 10.50, 0.91") in out
 
 
 @pytest.mark.parametrize("named, edit", [

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError, MemoryError_
-from repro.memory.pointer import MAX_NODES, pack_ptr, ptr_node
+from repro.memory.pointer import MAX_NODES, pack_ptr, ptr_addr, ptr_node
 
 
 @pytest.fixture()
@@ -72,13 +72,35 @@ class TestLocalOps:
             yield from ctx.write(ptr, 1)
             yield from ctx.read(ptr)
             yield from ctx.cas(ptr, 1, 2)
-            yield from ctx.fence()
+            yield ctx.fence()
             return cluster.env.now - t0
 
         cpu = cluster.config.cpu
         expected = (cpu.local_write_ns + cpu.local_read_ns
                     + cpu.local_cas_ns + cpu.fence_ns)
         assert drive(cluster, proc()) == pytest.approx(expected)
+
+    def test_a_fence_is_a_delay_the_caller_sleeps(self, cluster):
+        """``ctx.fence()`` applies nothing, so it returns its cost:
+        ``yield ctx.fence()`` is one dispatch, and the generator
+        spelling fails loudly instead of silently costing nothing."""
+        ctx = cluster.thread_ctx(0, 0)
+        assert ctx.fence() == cluster.config.cpu.fence_ns
+
+        def proc():
+            yield ctx.fence()
+
+        drive(cluster, proc())
+        # boot, the fence's sleep, the finished process's own event
+        assert cluster.env.event_count == 3
+        assert cluster.env.now == cluster.config.cpu.fence_ns
+
+        def old_spelling():
+            yield from ctx.fence()
+
+        p = cluster.env.process(old_spelling())
+        cluster.run()
+        assert not p.ok and isinstance(p.value, TypeError)
 
     def test_local_op_on_remote_memory_rejected(self, cluster):
         """Definition 4.1: shared-memory ops only touch the own node."""
@@ -180,17 +202,79 @@ class TestWaitLocal:
         assert cluster.regions[0].watcher_count() == 0
 
     def test_a_satisfied_compound_wait_leaves_no_watcher(self, cluster):
+        """First clause true: one charged read, the second word never
+        read, the clause's ``why`` returned, the watcher withdrawn."""
         ctx = cluster.thread_ctx(0, 0)
         a, b = cluster.alloc_on(0, 64), cluster.alloc_on(0, 64)
-
-        def check():
-            return (yield from ctx.read(a)) == 0
+        region = cluster.regions[0]
 
         def proc():
-            return (yield from ctx.wait_local_cond([a, b], check))
+            return (yield from ctx.wait_local_cond(
+                [a, b], ((a, lambda v: v == 0, "a-clear"),
+                         (b, lambda v: pytest.fail("b was read"), "b"))))
 
-        assert drive(cluster, proc()) is True
-        assert cluster.regions[0].watcher_count() == 0
+        assert drive(cluster, proc()) == "a-clear"
+        assert ctx.local_op_count == 1 and region.local_reads == 1
+        assert cluster.env.now == cluster.config.cpu.local_read_ns
+        assert region.watcher_count() == 0
+
+    @pytest.mark.parametrize("lands_at,value,expected", [
+        # (why, finished at, charged reads, dispatches, watchers left) —
+        # each row is what the pre-clause ``check`` generator form
+        # produced for the same writes.  The watcher is registered
+        # before the round's first read, so a write landing during that
+        # read's sleep fires it: a satisfying one is seen by the same
+        # round (2 reads), an idle one buys a second full round before
+        # parking (2 + 2, then 1 in the round ``a`` ends).
+        (60.0, 2, ("b-changed", 150.0, 2, 12, 0)),    # during read 1
+        (60.0, 1, ("a-clear", 1215.0, 5, 18, 1)),
+        (110.0, 2, ("b-changed", 150.0, 2, 12, 0)),   # between the reads
+        (110.0, 1, ("a-clear", 1265.0, 5, 18, 1)),
+    ])
+    def test_a_write_during_a_round_wakes_as_the_check_form_did(
+            self, cluster, lands_at, value, expected):
+        """The waiter's first round reads ``a`` over 40–95 ns and ``b``
+        over 95–150 ns; a write of ``value`` to ``b`` lands at
+        ``lands_at`` and ``a`` is cleared 1 060 ns later."""
+        ctx, other = cluster.thread_ctx(0, 0), cluster.thread_ctx(0, 1)
+        a, b = cluster.alloc_on(0, 64), cluster.alloc_on(0, 64)
+        region = cluster.regions[0]
+        region.write(ptr_addr(a), 1)
+        region.write(ptr_addr(b), 1)
+        out = {}
+
+        def waiter():
+            yield 40.0
+            before = ctx.local_op_count
+            out["why"] = yield from ctx.wait_local_cond(
+                [a, b], ((a, lambda v: v == 0, "a-clear"),
+                         (b, lambda v: v != 1, "b-changed")))
+            out["reads"] = ctx.local_op_count - before
+            out["t"] = cluster.env.now
+
+        def writer():
+            yield lands_at - cluster.config.cpu.local_write_ns
+            yield from other.write(b, value)
+            yield 1000.0
+            yield from other.write(a, 0)
+
+        cluster.env.process(waiter())
+        cluster.env.process(writer())
+        cluster.run()
+        assert (out["why"], out["t"], out["reads"], cluster.env.event_count,
+                region.watcher_count()) == expected
+
+    def test_a_compound_wait_clause_on_remote_memory_is_rejected(self, cluster):
+        ctx = cluster.thread_ctx(0, 0)
+        a, far = cluster.alloc_on(0, 64), cluster.alloc_on(1, 64)
+
+        def proc():
+            yield from ctx.wait_local_cond(
+                [a], ((a, lambda v: v != 0, "a"), (far, lambda v: True, "far")))
+
+        p = cluster.env.process(proc())
+        cluster.run()
+        assert not p.ok and isinstance(p.value, MemoryError_)
 
     def test_wakes_on_remote_write(self, cluster):
         """The MCS handoff path: a remote rWrite wakes the local spinner."""

@@ -1,5 +1,5 @@
 """Fixture: the PR 4 ``no_victim_check`` mutation shape — the Peterson
-waiter watches the victim word its predicate never reads.
+waiter watches the victim word none of its clauses reads.
 
 Expected: deep-protocol (P1) at the ``wait_local_cond`` call.
 """
@@ -12,13 +12,9 @@ COHORT_LOCAL = 1
 class NoVictimCheckLock(DistributedLock):
     def lock(self, ctx):
         yield from ctx.write(self.victim_ptr, COHORT_LOCAL)
-
-        def check():
-            tail = ctx.read(self.tail_ptr)
-            return tail == 0  # never consults victim_ptr
-
         yield from ctx.wait_local_cond(
-            [self.tail_ptr, self.victim_ptr], check)
+            [self.tail_ptr, self.victim_ptr],
+            ((self.tail_ptr, lambda tail: tail == 0, "unlocked"),))
         self._note_acquired(ctx)
 
     def unlock(self, ctx):

@@ -343,7 +343,9 @@ class TestEffects:
                       "attempts * self.step_ns",
                       # a computed FIFO stage: the time to departure
                       "nic.tx.transit(service)",
-                      "nic.tx.transit(service) + self.turnaround_ns"):
+                      "nic.tx.transit(service) + self.turnaround_ns",
+                      # a fence applies nothing: the call returns its delay
+                      "ctx.fence()"):
             assert blocking_of(sleep) == old, sleep
         # a yielded event stays what it was: inert unless it is a park
         assert blocking_of("grant") == 0
@@ -427,6 +429,42 @@ class TestCohortSpelling:
         assert "handover left undischarged" in findings[0].message
         assert "q.tail_ptr after the CAS that relinquished it" \
             in findings[1].message
+
+
+class TestP1ReadsThePetersonWait:
+    """P1 is only as good as its sight of the one real compound wait:
+    the rule must *evaluate* ``acquire_local``'s call, not skip it."""
+
+    ALOCK = Path(__file__).parents[2] / "src" / "repro" / "locks" / "alock"
+    G3 = '        (lock.victim_ptr, lambda victim: victim != COHORT_LOCAL, "not-victim"),\n'
+
+    def _deep(self, peterson: str):
+        sources = [SourceFile.parse(self.ALOCK / "alock.py", display="alock.py",
+                                    module="repro.locks.alock.alock"),
+                   SourceFile.from_source(
+                       peterson, path=self.ALOCK / "peterson.py",
+                       display="peterson.py",
+                       module="repro.locks.alock.peterson")]
+        return [f for f in run_deep_rules(sources) if f.file == "peterson.py"]
+
+    def test_the_shipped_wait_is_read_and_complete(self):
+        assert self._deep((self.ALOCK / "peterson.py").read_text()) == []
+
+    def test_a_deleted_clause_is_flagged_while_both_words_stay_watched(self):
+        source = (self.ALOCK / "peterson.py").read_text()
+        assert source.count(self.G3) == 1
+        mutant = source.replace(self.G3, "")
+        (finding,) = self._deep(mutant)
+        assert finding.rule == "deep-protocol"
+        assert "lock.victim_ptr is no clause's word" in finding.message
+        assert "wait_local_cond" in mutant.splitlines()[finding.line - 1]
+
+    def test_a_wait_the_rule_cannot_read_is_a_finding_not_a_pass(self):
+        source = (self.ALOCK / "peterson.py").read_text().replace(
+            "[lock.tail_r_ptr, lock.victim_ptr], clauses)",
+            "lock.peterson_words, clauses)")
+        (finding,) = self._deep(source)
+        assert "cannot read the watched words" in finding.message
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """ALock correctness tests: single-thread paths, cohort contention,
 cross-cohort Peterson interaction, budget fairness, atomicity audit."""
 
+import inspect
+import sys
+
 import pytest
 
 from repro.cluster import Cluster
@@ -437,3 +440,42 @@ class TestWatcherWithdrawal:
                 lock.leader_acquires["local"]) == (119, 23, 1)
         assert out["cluster"].env.event_count == 2138
         assert out["cluster"].regions[0].watcher_count() == 0
+
+
+def test_an_uncontended_local_op_is_one_leaf_frame_per_step():
+    """The depth guard for the local path (the verbs' is
+    ``test_verb_timelines.py::test_a_verb_is_one_generator_frame``): on
+    an untimed cluster one uncontended local ``lock`` + ``unlock`` is
+    ten sleeps, and the only generators under the process body are the
+    algorithm's own procedures and one leaf frame per stored word op —
+    a fence is a delay, the compound wait makes its own reads, a
+    descriptor's ``begin`` is bookkeeping."""
+    cluster = Cluster(1, seed=0)
+    lock = ALock(cluster, 0)
+    ctx = cluster.thread_ctx(0, 0)
+
+    def body():
+        yield from lock.lock(ctx)
+        yield from lock.unlock(ctx)
+
+    entered = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            entered.append(frame.f_code.co_name)
+
+    proc = cluster.env.process(body())
+    sys.setprofile(profiler)
+    try:
+        cluster.run()
+    finally:
+        sys.setprofile(None)
+    assert proc.ok, proc.value
+    # boot, ten sleeps (2 resets, swap, budget, victim, fence, one
+    # clause read, fence | fence, tail CAS), the process's own event
+    assert cluster.env.event_count == 12
+    assert cluster.env.now == 560.0
+    assert set(entered) == {
+        "body", "lock", "_acquire_cohort", "acquire_local", "wait_local_cond",
+        "unlock", "_release_cohort", "write", "cas"}
+    assert len(entered) <= 49  # 65 through begin/fence/check/read/<genexpr>

@@ -31,6 +31,16 @@ class TestPartitioning:
             assert local | remote == set(range(8))
             assert not local & remote
 
+    def test_a_nodes_remote_indices_are_built_once(self, cluster):
+        """240 clients asked for an O(n_locks) rebuild each; every
+        thread of a node is handed the one list."""
+        table = DistributedLockTable(cluster, 10, "alock")
+        for node in range(4):
+            remote = table.remote_indices(node)
+            assert table.remote_indices(node) is remote
+            assert remote == [i for i in range(10)
+                              if table.entries[i].home_node != node]
+
     def test_too_few_locks_rejected(self, cluster):
         with pytest.raises(ConfigError):
             DistributedLockTable(cluster, 3, "alock")

@@ -172,7 +172,7 @@ class HangLock(DistributedLock):
 
     def unlock(self, ctx):  # pragma: no cover - never reached
         self._note_released(ctx)
-        yield from ctx.fence()
+        yield ctx.fence()
 
 
 @pytest.fixture
