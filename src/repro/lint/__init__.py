@@ -13,29 +13,27 @@ Usage::
 
     python -m repro.lint                  # lint [tool.simlint] paths
     python -m repro.lint src tests        # explicit paths
-    python -m repro.lint --strict --json  # CI-friendly modes
-    python -m repro.lint --deep           # + project-wide deep pass
+    python -m repro.lint --json           # the report as JSON
 
-The deep pass (:mod:`repro.lint.deep`) layers interprocedural analyses
-— acquire/release locksets, verb-protocol state machines, blocking-
-effect inference — over a project index and per-function CFGs; see
-``docs/architecture.md`` ("Deep analysis").
+Every run is the whole analysis: the per-file rules, the deep pass
+(:mod:`repro.lint.deep` — interprocedural analyses of the lock classes
+over a project index and per-function CFGs) and the check that every
+suppression comment still suppresses something; see
+``docs/architecture.md`` ("Static analysis: simlint").
 
 See :mod:`repro.lint.rules` for the per-file rule set and
-``docs/tutorial.md`` for the suppression / baseline workflow.
+``docs/tutorial.md`` for the suppression workflow.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.deep import (
     DeepContext,
     DeepRule,
     default_deep_rules,
     run_deep_rules,
 )
-from repro.lint.engine import LintReport, lint_file, run_lint
+from repro.lint.engine import LintReport, all_rules, lint_file, run_lint
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.rules import (
-    ALL_RULE_IDS,
     DEFAULT_SENSITIVE_PACKAGES,
     DEFAULT_SIM_PACKAGES,
     Rule,
@@ -43,8 +41,6 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "ALL_RULE_IDS",
-    "Baseline",
     "DEFAULT_SENSITIVE_PACKAGES",
     "DEFAULT_SIM_PACKAGES",
     "DeepContext",
@@ -54,6 +50,7 @@ __all__ = [
     "LintReport",
     "Rule",
     "WARNING",
+    "all_rules",
     "default_deep_rules",
     "default_rules",
     "lint_file",

@@ -1,22 +1,19 @@
 """``python -m repro.lint`` — the simlint command line.
 
-Exit status: 0 when the tree is clean (after suppressions and baseline),
-1 when findings remain, 2 on usage errors (argparse's convention), 3
-when ``--fail-stale`` is set and baseline entries no longer fire.
+One mode: every run applies the per-file rules, the deep pass and the
+unused-suppression check (see :mod:`repro.lint.engine`).  Exit status:
+0 when the tree is clean, 1 when findings remain, 2 on a usage error —
+a bad argument, a path that does not exist, or a ``[tool.simlint]``
+table that does not parse or carries a key simlint does not know.
 
 Configuration is read from ``[tool.simlint]`` in the nearest
 ``pyproject.toml`` at or above ``--root`` (default: the current
-directory); command-line arguments override it.  Recognised keys::
+directory); paths given on the command line replace ``paths``.  The
+keys::
 
     [tool.simlint]
     paths = ["src", "tests", "benchmarks"]
     exclude = ["tests/lint/fixtures"]
-    baseline = "simlint-baseline.json"
-
-The deep pass (``--deep``) adds the project-wide rules —
-``deep-lockset``, ``deep-protocol``, ``deep-blocking`` — on top of the
-per-file set.  Selecting a deep rule id with ``--select`` implies
-``--deep``.
 """
 
 from __future__ import annotations
@@ -28,11 +25,14 @@ import tomllib
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.deep import default_deep_rules
-from repro.lint.engine import run_lint
-from repro.lint.findings import SEVERITIES
-from repro.lint.rules import default_rules
+from repro.lint.deep import DeepRule
+from repro.lint.engine import all_rules, run_lint
+
+CONFIG_KEYS = ("paths", "exclude")
+
+
+class UsageError(Exception):
+    """A command line or configuration simlint cannot run with (exit 2)."""
 
 
 def _load_config(root: Path) -> dict:
@@ -42,9 +42,21 @@ def _load_config(root: Path) -> dict:
         if candidate.is_file():
             try:
                 data = tomllib.loads(candidate.read_text(encoding="utf-8"))
-            except tomllib.TOMLDecodeError:
-                return {}
-            return data.get("tool", {}).get("simlint", {})
+            except tomllib.TOMLDecodeError as exc:
+                raise UsageError(f"{candidate} does not parse: {exc}") from None
+            config = data.get("tool", {}).get("simlint", {})
+            unknown = sorted(set(config) - set(CONFIG_KEYS))
+            if unknown:
+                raise UsageError(
+                    f"{candidate}: unknown [tool.simlint] key(s) "
+                    f"{', '.join(unknown)} (known: {', '.join(CONFIG_KEYS)})")
+            for key, value in config.items():
+                if not (isinstance(value, list)
+                        and all(isinstance(v, str) for v in value)):
+                    raise UsageError(
+                        f"{candidate}: [tool.simlint] {key} must be a list "
+                        f"of strings")
+            return config
         if cur.parent == cur:
             return {}
         cur = cur.parent
@@ -59,153 +71,33 @@ def _build_parser() -> argparse.ArgumentParser:
                              "[tool.simlint] paths, else 'src')")
     parser.add_argument("--root", default=".",
                         help="directory paths and reports are relative to")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline JSON of grandfathered findings "
-                             "(default: [tool.simlint] baseline, if the "
-                             "file exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any configured baseline")
-    parser.add_argument("--strict", action="store_true",
-                        help="ignore the baseline and flag unused "
-                             "suppression comments")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON on stdout")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the baseline dropping entries that "
-                             "no longer fire (counts only shrink) and "
-                             "exit 0")
-    parser.add_argument("--fail-stale", action="store_true",
-                        help="exit 3 when baseline entries no longer fire "
-                             "(default: warn on stderr)")
-    parser.add_argument("--deep", action="store_true",
-                        help="run the project-wide deep pass (lockset, "
-                             "protocol and blocking analyses)")
-    parser.add_argument("--select", default=None,
-                        help="comma-separated rule ids to run (default: "
-                             "all); deep ids imply --deep")
-    parser.add_argument("--ignore", default=None,
-                        help="comma-separated rule ids to skip")
-    parser.add_argument("--severity", action="append", default=None,
-                        metavar="RULE=LEVEL",
-                        help="override a rule's reported severity "
-                             "(error|warning); repeatable")
-    parser.add_argument("--rules", default=None,
-                        help="alias for --select (kept for compatibility)")
     parser.add_argument("--list-rules", action="store_true",
                         help="list rule ids and exit")
     return parser
 
 
-def _split_ids(raw: Optional[str]) -> list[str]:
-    return [r.strip() for r in (raw or "").split(",") if r.strip()]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    all_rules = default_rules()
-    all_deep = default_deep_rules()
-    known = ({rule.rule_id for rule in all_rules}
-             | {rule.rule_id for rule in all_deep})
-    deep_ids = {rule.rule_id for rule in all_deep}
-
     if args.list_rules:
-        for rule in all_rules:
-            print(f"{rule.rule_id}: {rule.description}")
-        for rule in all_deep:
-            print(f"{rule.rule_id} (deep): {rule.description}")
+        for rule in all_rules():
+            deep = " (deep)" if isinstance(rule, DeepRule) else ""
+            print(f"{rule.rule_id}{deep}: {rule.description}")
         return 0
 
     root = Path(args.root).resolve()
-    config = _load_config(root)
-
-    selected = _split_ids(args.select) + _split_ids(args.rules)
-    ignored = _split_ids(args.ignore)
-    unknown = [w for w in selected + ignored if w not in known]
-    if unknown:
-        print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        config = _load_config(root)
+        paths = list(args.paths) or config.get("paths") or ["src"]
+        missing = [p for p in paths if not (root / p).exists()]
+        if missing:
+            raise UsageError(f"no such path under {root}: {', '.join(missing)}")
+    except UsageError as exc:
+        print(f"simlint: {exc}", file=sys.stderr)
         return 2
 
-    deep = args.deep or any(w in deep_ids for w in selected)
-    rules = all_rules
-    deep_rules = all_deep
-    if selected:
-        rules = tuple(r for r in all_rules if r.rule_id in selected)
-        deep_rules = tuple(r for r in all_deep if r.rule_id in selected)
-    if ignored:
-        rules = tuple(r for r in rules if r.rule_id not in ignored)
-        deep_rules = tuple(r for r in deep_rules
-                           if r.rule_id not in ignored)
-
-    severity_overrides: dict[str, str] = {}
-    for spec in args.severity or ():
-        rule_id, sep, level = spec.partition("=")
-        if not sep or rule_id.strip() not in known \
-                or level.strip() not in SEVERITIES:
-            print(f"bad --severity {spec!r} (want RULE=error|warning "
-                  f"with a known rule id)", file=sys.stderr)
-            return 2
-        severity_overrides[rule_id.strip()] = level.strip()
-
-    paths = list(args.paths) or list(config.get("paths", [])) or ["src"]
-    exclude = list(config.get("exclude", []))
-
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = root / args.baseline
-        elif config.get("baseline"):
-            candidate = root / str(config["baseline"])
-            if candidate.is_file() or args.write_baseline:
-                baseline_path = candidate
-
-    run_kwargs = dict(root=root, rules=rules, exclude=exclude, deep=deep,
-                      deep_rules=deep_rules,
-                      severity_overrides=severity_overrides or None)
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print("--write-baseline needs --baseline or a [tool.simlint] "
-                  "baseline setting", file=sys.stderr)
-            return 2
-        report = run_lint(paths, **run_kwargs)
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return 0
-
-    baseline = None
-    if baseline_path is not None and baseline_path.is_file():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"bad baseline file {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-
-    if args.prune_baseline:
-        if baseline_path is None or baseline is None:
-            print("--prune-baseline needs an existing baseline file "
-                  "(--baseline or [tool.simlint] baseline)", file=sys.stderr)
-            return 2
-        report = run_lint(paths, **run_kwargs)
-        pruned = baseline.pruned(report.findings)
-        dropped = len(baseline) - len(pruned)
-        pruned.save(baseline_path)
-        print(f"pruned {dropped} stale baseline finding(s); "
-              f"{len(pruned)} remain in {baseline_path}")
-        return 0
-
-    report = run_lint(paths, baseline=baseline, strict=args.strict,
-                      **run_kwargs)
-
-    for (file, rule, message), unused in report.stale_baseline:
-        print(f"simlint: stale baseline entry ({unused} unused): "
-              f"{file}: {rule}: {message}", file=sys.stderr)
-    if report.stale_baseline:
-        print("simlint: run --prune-baseline to ratchet the baseline down",
-              file=sys.stderr)
-
+    report = run_lint(paths, root=root, exclude=config.get("exclude", []))
     if args.as_json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -215,17 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    f"{report.files_scanned} file(s)")
         if report.suppressed:
             summary += f", {len(report.suppressed)} suppressed"
-        if report.baselined:
-            summary += f", {len(report.baselined)} baselined"
-        if report.stale_baseline:
-            summary += (f", {len(report.stale_baseline)} stale baseline "
-                        f"entr{'y' if len(report.stale_baseline) == 1 else 'ies'}")
         print(summary)
-    if not report.clean:
-        return 1
-    if report.stale_baseline and args.fail_stale:
-        return 3
-    return 0
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

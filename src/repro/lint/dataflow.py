@@ -1,9 +1,9 @@
 """Per-function control-flow graphs and a worklist dataflow engine.
 
-The deep analyses need path-sensitivity the per-file rules don't: *which
-branch* of a failed tail-CAS a statement sits on, whether a release is
-reached on *every* path to an exit, whether an obligation is still open
-when a ``return`` fires.  This module provides the substrate:
+deep-lockset needs path-sensitivity the per-file rules don't: whether
+a release is reached on *every* path to an exit, whether a descriptor
+is still published when an exception escapes.  This module provides
+the substrate:
 
 * :func:`build_cfg` — a statement-level CFG for one function body.
   Nodes are individual statements (or branch conditions); edges carry a
@@ -20,7 +20,7 @@ when a ``return`` fires.  This module provides the substrate:
 
 Exception edges are generated only at statements the ``raises``
 predicate accepts (by default: anything containing a call, ``yield``,
-``await`` or ``assert``).  Analyses narrow this with effect summaries —
+``await`` or ``assert``).  The deep pass narrows this with raise summaries —
 a local arithmetic statement cannot fault a descriptor handoff, but a
 remote verb under fault injection can — keeping "leaks on the
 exceptional path" findings anchored to operations that really can

@@ -2,11 +2,12 @@
 
 Per-file rules (:mod:`repro.lint.rules`) see one AST at a time.  Deep
 rules see the whole tree through a :class:`DeepContext` — the
-:class:`~repro.lint.ir.ProjectIndex`, the
+:class:`~repro.lint.ir.ProjectIndex`, the raise summaries of
 :class:`~repro.lint.effects.EffectEngine`, the set of functions in
-scope, and a shared CFG cache — and report ordinary
+scope, and a CFG cache — and report ordinary
 :class:`~repro.lint.findings.Finding` objects, so suppression comments
-and the baseline apply to them unchanged.
+apply to them unchanged.  Two rules use it: ``deep-lockset`` and
+``deep-blocking`` (``docs/architecture.md`` records why each exists).
 
 Scope
     The deep rules police the **lock protocol surface**: every method of
@@ -15,24 +16,24 @@ Scope
     call-graph closure of those methods.  Simulator machinery reached
     through the closure — ``repro.sim``, ``repro.memory``,
     ``repro.cluster``, ``repro.rdma``, ``repro.obs``, ``repro.common``
-    — is *summarized* (it feeds effect inference) but never *reported
-    on*: its internals legitimately park, spin and retry, and its
-    contract is what the intrinsics table in
+    — is *summarized* (it feeds the raise summaries) but never
+    *reported on*: its internals legitimately park, spin and retry, and
+    its contract is what the intrinsics table in
     :mod:`repro.lint.effects` encodes.
 
 Suppressing a deep finding works like any other simlint finding::
 
-    # the handoff is discharged by the caller, measured in ext-phases
-    # simlint: ignore[deep-protocol]
-    return
+    # the raw park IS the seeded bug
+    # simlint: ignore[deep-blocking]
+    yield region.watch(addr)
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.dataflow import Cfg, build_cfg
-from repro.lint.effects import EffectEngine, deep_scope
+from repro.lint.effects import EffectEngine
 from repro.lint.findings import ERROR, Finding
 from repro.lint.ir import FunctionInfo, ProjectIndex
 from repro.lint.source import SourceFile
@@ -47,37 +48,42 @@ MACHINERY_PREFIXES: Tuple[str, ...] = (
 LOCK_BASE = "DistributedLock"
 
 
+def deep_scope(index: ProjectIndex) -> Dict[str, FunctionInfo]:
+    """The functions the deep rules police: every method of every class
+    deriving (by name, transitively) from :data:`LOCK_BASE`, plus the
+    call-graph closure of those methods.  Sorted dict keyed by qualname.
+    """
+    roots = [cls_info.methods[name]
+             for cls_info in index.subclasses_of(LOCK_BASE)
+             for name in sorted(cls_info.methods)]
+    return {fn.qualname: fn for fn in index.reachable_from(roots)}
+
+
+def is_machinery(module: str) -> bool:
+    return any(module == p or module.startswith(p + ".")
+               for p in MACHINERY_PREFIXES)
+
+
 class DeepContext:
     """Everything a deep rule needs about one lint run, built once."""
 
-    def __init__(self, files: Sequence[SourceFile],
-                 machinery: Tuple[str, ...] = MACHINERY_PREFIXES,
-                 lock_base: str = LOCK_BASE):
+    def __init__(self, files: Sequence[SourceFile]):
         self.index = ProjectIndex.build(files)
         self.effects = EffectEngine(self.index)
-        self.machinery = machinery
-        self.lock_base = lock_base
         #: qualname -> FunctionInfo: lock methods + call-graph closure
-        self.scope = deep_scope(self.index, lock_base)
+        self.scope = deep_scope(self.index)
         self._cfgs: Dict[str, Cfg] = {}
-        #: scratch memo shared across rules (e.g. relinquish windows)
-        self.cache: Dict[object, object] = {}
-
-    def is_machinery(self, module: str) -> bool:
-        return any(module == p or module.startswith(p + ".")
-                   for p in self.machinery)
 
     def checked_functions(self) -> List[FunctionInfo]:
         """Scope functions the path checks report on: not machinery, not
         synthetic nested-def entries (their bodies are walked as part of
         the enclosing function), sorted by qualname."""
         return [self.scope[q] for q in sorted(self.scope)
-                if ".<" not in q and not self.is_machinery(self.scope[q].module)]
+                if ".<" not in q and not is_machinery(self.scope[q].module)]
 
     def cfg(self, fn: FunctionInfo) -> Cfg:
-        """CFG of ``fn`` with exception edges at statements whose effect
-        summary can raise (shared by every deep rule, so all three see
-        the same flow graph)."""
+        """CFG of ``fn`` with exception edges at statements that can
+        raise (built once per function)."""
         cached = self._cfgs.get(fn.qualname)
         if cached is None:
             cached = build_cfg(
@@ -114,22 +120,19 @@ def default_deep_rules() -> Tuple[DeepRule, ...]:
     # DeepRule, so a top-level import would be circular.
     from repro.lint.blocking import DeepBlockingRule
     from repro.lint.locksets import DeepLocksetRule
-    from repro.lint.protocol import DeepProtocolRule
 
-    return (DeepLocksetRule(), DeepProtocolRule(), DeepBlockingRule())
+    return (DeepLocksetRule(), DeepBlockingRule())
 
 
 def run_deep_rules(files: Sequence[SourceFile],
                    rules: Optional[Sequence[DeepRule]] = None,
-                   context_factory: Callable[..., DeepContext] = None,
                    ) -> List[Finding]:
     """Run deep rules over already-parsed files; returns sorted, de-duped
     findings (a nested helper reached from two lock classes must not
     report twice)."""
     if rules is None:
         rules = default_deep_rules()
-    factory = context_factory or DeepContext
-    ctx = factory(files)
+    ctx = DeepContext(files)
     out: Dict[Finding, None] = {}
     for rule in rules:
         for finding in rule.check_project(ctx):

@@ -4,6 +4,14 @@ The engine is deliberately execution-free — files are *parsed*, never
 imported, so linting ``benchmarks/`` or a half-written module cannot run
 simulations or fail on missing optional dependencies.
 
+One mode
+    Every run applies the per-file rules to each file, then the deep
+    pass to every file that parsed, then each file's suppressions.  A
+    suppression comment that matches no finding, or that names an id
+    no rule has (``python -m repro.lint --list-rules``), is itself a
+    finding (rule id ``unused-suppression``): the pragma of a rule that
+    was deleted or went blind cannot linger.
+
 Suppressions
     ``# simlint: ignore[rule-a,rule-b]`` on a line suppresses those
     rules' findings on that line; ``ignore[*]`` suppresses everything.
@@ -13,9 +21,6 @@ Suppressions
         # wall-clock is fine here: operator-facing progress, not sim time
         # simlint: ignore[nondet-source]
         elapsed = time.perf_counter() - start
-
-    ``--strict`` additionally reports suppression comments that matched
-    nothing (rule id ``unused-suppression``), so stale pragmas rot away.
 
 Determinism
     Files are scanned in sorted path order and findings are globally
@@ -29,11 +34,11 @@ import io
 import os
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from repro.lint.baseline import Baseline
+from repro.lint.deep import DeepRule, default_deep_rules, run_deep_rules
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.rules import Rule, default_rules
 from repro.lint.source import SourceFile
@@ -46,6 +51,13 @@ _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*ignore\[([^\]]*)\]")
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", ".venv", "venv",
                         "node_modules", ".eggs", "build", "dist"})
 
+AnyRule = Union[Rule, DeepRule]
+
+
+def all_rules() -> tuple[AnyRule, ...]:
+    """Every shipped rule, per-file then deep, in reporting order."""
+    return default_rules() + default_deep_rules()
+
 
 @dataclass
 class LintReport:
@@ -53,12 +65,6 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    #: baseline entries that absorbed fewer findings than recorded:
-    #: ((file, rule, message), unused-count) — paid-down debt that
-    #: should be pruned (``--prune-baseline``) so it can't regress.
-    stale_baseline: list[tuple[tuple[str, str, str], int]] = \
-        field(default_factory=list)
     files_scanned: int = 0
 
     @property
@@ -71,12 +77,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "findings": [f.to_json() for f in self.findings],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
-            "stale_baseline": [
-                {"file": key[0], "rule": key[1], "message": key[2],
-                 "unused": unused}
-                for key, unused in self.stale_baseline
-            ],
         }
 
 
@@ -183,9 +183,37 @@ def _apply_suppressions(
     return kept, suppressed, used_lines
 
 
+def _pragma_findings(sf: SourceFile, table: dict[int, set[str]],
+                     used_lines: set[int], known: set[str]) -> Iterator[Finding]:
+    """The suppressions that name no rule or match no finding."""
+    for line in sorted(table):
+        unknown = sorted(table[line] - known - {"*"})
+        if unknown:
+            message = (f"suppression names no simlint rule: "
+                       f"{', '.join(unknown)} (see --list-rules)")
+        elif line in used_lines:
+            continue
+        else:
+            message = "suppression comment matches no finding; remove it"
+        yield Finding(sf.display, line, 0, UNUSED_SUPPRESSION_RULE, WARNING,
+                      message)
+
+
 # --------------------------------------------------------------------------
 # engine
 # --------------------------------------------------------------------------
+
+def _parse(path: Path, display: str,
+           module: Optional[str] = None) -> SourceFile | Finding:
+    """The parsed file, or the ``parse-error`` finding it becomes."""
+    try:
+        return SourceFile.parse(path, display=display, module=module)
+    except (SyntaxError, UnicodeDecodeError) as exc:
+        line = getattr(exc, "lineno", 1) or 1
+        msg = getattr(exc, "msg", None) or str(exc)
+        return Finding(display, line, 0, PARSE_ERROR_RULE, ERROR,
+                       f"file does not parse: {msg}")
+
 
 def lint_source_file(sf: SourceFile, rules: Sequence[Rule]) -> list[Finding]:
     """Raw findings for one parsed file (suppressions not yet applied),
@@ -199,128 +227,68 @@ def lint_source_file(sf: SourceFile, rules: Sequence[Rule]) -> list[Finding]:
 def lint_file(path: Path, *, rules: Optional[Sequence[Rule]] = None,
               root: Optional[Path] = None,
               module: Optional[str] = None) -> list[Finding]:
-    """Lint one file, applying its suppression comments.  ``module``
-    overrides dotted-name inference (used by fixture tests to place a
-    file inside a scoped package)."""
-    root = root or Path.cwd()
-    rules = default_rules() if rules is None else rules
-    display = _display(path, root)
-    try:
-        sf = SourceFile.parse(path, display=display, module=module)
-    except (SyntaxError, UnicodeDecodeError) as exc:
-        line = getattr(exc, "lineno", 1) or 1
-        msg = getattr(exc, "msg", None) or str(exc)
-        return [Finding(display, line, 0, PARSE_ERROR_RULE, ERROR,
-                        f"file does not parse: {msg}")]
-    raw = lint_source_file(sf, rules)
-    table = _suppressions(sf.source)
-    kept, _suppressed, _used = _apply_suppressions(raw, table)
+    """Lint one file with the per-file rules, applying its suppression
+    comments.  ``module`` overrides dotted-name inference (used by
+    fixture tests to place a file inside a scoped package)."""
+    parsed = _parse(path, _display(path, root or Path.cwd()), module)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    raw = lint_source_file(parsed, default_rules() if rules is None else rules)
+    kept, _suppressed, _used = _apply_suppressions(raw, _suppressions(parsed.source))
     return kept
+
+
+def lint_sources(files: Sequence[SourceFile],
+                 rules: Optional[Sequence[AnyRule]] = None) -> LintReport:
+    """The one mode over already-parsed files: the per-file rules on
+    each, the deep rules over all of them at once, then each file's
+    suppressions applied to the merged stream.
+
+    ``rules`` are per-file and deep rule instances alike (default: every
+    shipped rule).  A subset still judges pragmas against the whole
+    registry: one naming a rule left out matches nothing.
+    """
+    rules = all_rules() if rules is None else rules
+    deep_rules = [r for r in rules if isinstance(r, DeepRule)]
+    raw_by_file = {sf.display: lint_source_file(
+        sf, [r for r in rules if not isinstance(r, DeepRule)]) for sf in files}
+    if deep_rules and files:
+        for f in run_deep_rules(files, rules=deep_rules):
+            raw_by_file[f.file].append(f)
+    known = {r.rule_id for r in all_rules()}
+    report = LintReport(files_scanned=len(files))
+    for sf in files:
+        table = _suppressions(sf.source)
+        kept, suppressed, used_lines = _apply_suppressions(
+            sorted(raw_by_file[sf.display]), table)
+        report.suppressed.extend(suppressed)
+        report.findings.extend(kept)
+        report.findings.extend(_pragma_findings(sf, table, used_lines, known))
+    report.findings.sort()
+    report.suppressed.sort()
+    return report
 
 
 def run_lint(paths: Iterable[str | Path], *,
              root: Optional[Path] = None,
-             rules: Optional[Sequence[Rule]] = None,
-             baseline: Optional[Baseline] = None,
-             strict: bool = False,
+             rules: Optional[Sequence[AnyRule]] = None,
              exclude: Sequence[str] = (),
-             deep: bool = False,
-             deep_rules: Optional[Sequence[object]] = None,
-             severity_overrides: Optional[dict[str, str]] = None,
              ) -> LintReport:
-    """Lint a tree.
-
-    Args:
-        paths: files/directories, absolute or ``root``-relative.
-        root: directory findings are reported relative to (default cwd).
-        rules: rule instances (default: the shipped set).
-        baseline: grandfathered findings to subtract (ignored under
-            ``strict``).  Entries that no longer fire are reported in
-            :attr:`LintReport.stale_baseline`.
-        strict: ignore the baseline and report unused suppressions.
-        exclude: root-relative POSIX path prefixes to skip.
-        deep: also run the project-wide deep pass (lockset, protocol,
-            blocking) over all files that parsed.  Deep findings flow
-            through the same suppression and baseline machinery.
-        deep_rules: deep rule instances (default: the shipped three;
-            only consulted when ``deep`` is true).
-        severity_overrides: ``{rule_id: severity}`` applied to reported
-            findings (baseline identity is severity-blind, so an
-            override never un-matches a grandfathered entry).
-
-    The run is two-pass when ``deep`` is set: every file is parsed and
-    per-file rules run first, then the deep pass sees all parsed trees
-    at once, then suppressions apply per file to the merged stream.
-    """
+    """Lint a tree: parse every ``.py`` file under ``paths`` (absolute or
+    ``root``-relative; ``exclude`` holds root-relative POSIX prefixes to
+    skip) and :func:`lint_sources` what parsed.  Findings are reported
+    relative to ``root`` (default cwd); a file that does not parse is a
+    ``parse-error`` finding."""
     root = (root or Path.cwd()).resolve()
-    rules = default_rules() if rules is None else rules
-    report = LintReport()
-
     parsed: list[SourceFile] = []
-    raw_by_file: dict[str, list[Finding]] = {}
     unparsed: list[Finding] = []
-
     for path in iter_source_files(paths, root=root, exclude=exclude):
-        report.files_scanned += 1
-        display = _display(path, root)
-        try:
-            sf = SourceFile.parse(path, display=display)
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            line = getattr(exc, "lineno", 1) or 1
-            msg = getattr(exc, "msg", None) or str(exc)
-            unparsed.append(Finding(display, line, 0, PARSE_ERROR_RULE,
-                                    ERROR, f"file does not parse: {msg}"))
-            continue
-        parsed.append(sf)
-        raw_by_file[sf.display] = lint_source_file(sf, rules)
-
-    if deep and parsed:
-        from repro.lint.deep import run_deep_rules
-        for f in run_deep_rules(parsed, rules=deep_rules):
-            raw_by_file.setdefault(f.file, []).append(f)
-
-    # Rule ids that actually ran this pass: a suppression scoped
-    # entirely to rules that did not run (e.g. a deep-* pragma on a
-    # non-deep run) is not "unused" — it just wasn't exercised.
-    ran_ids = {r.rule_id for r in rules}
-    if deep:
-        if deep_rules is None:
-            from repro.lint.deep import default_deep_rules
-            deep_rules = default_deep_rules()
-        ran_ids |= {r.rule_id for r in deep_rules}
-
-    all_kept: list[Finding] = list(unparsed)
-    for sf in parsed:
-        raw = sorted(raw_by_file.get(sf.display, []))
-        table = _suppressions(sf.source)
-        kept, suppressed, used_lines = _apply_suppressions(raw, table)
-        report.suppressed.extend(suppressed)
-        all_kept.extend(kept)
-        if strict:
-            for line in sorted(table):
-                if line in used_lines:
-                    continue
-                ids = table[line]
-                if "*" not in ids and not ids & ran_ids:
-                    continue
-                all_kept.append(Finding(
-                    sf.display, line, 0, UNUSED_SUPPRESSION_RULE,
-                    WARNING,
-                    "suppression comment matches no finding; remove it"))
-
-    if severity_overrides:
-        all_kept = [
-            replace(f, severity=severity_overrides[f.rule])
-            if f.rule in severity_overrides else f
-            for f in all_kept
-        ]
-
-    if baseline is not None and not strict:
-        kept, baselined = baseline.split(all_kept)
-        report.baselined = baselined
-        report.findings = sorted(kept)
-        report.stale_baseline = baseline.stale_after(all_kept)
-    else:
-        report.findings = sorted(all_kept)
-    report.suppressed.sort()
+        sf = _parse(path, _display(path, root))
+        if isinstance(sf, Finding):
+            unparsed.append(sf)
+        else:
+            parsed.append(sf)
+    report = lint_sources(parsed, rules)
+    report.files_scanned += len(unparsed)
+    report.findings = sorted(report.findings + unparsed)
     return report

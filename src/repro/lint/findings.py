@@ -16,8 +16,6 @@ from dataclasses import asdict, dataclass
 ERROR = "error"
 WARNING = "warning"
 
-SEVERITIES = (ERROR, WARNING)
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
@@ -25,7 +23,7 @@ class Finding:
 
     Attributes:
         file: path as given to the engine, normalised to POSIX form —
-            stable across platforms so baselines are portable.
+            stable across platforms so reports are portable.
         line: 1-based source line.
         col: 0-based column (``ast`` convention).
         rule: rule identifier, e.g. ``"nondet-source"``.
@@ -48,10 +46,3 @@ class Finding:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used by the baseline: deliberately line-insensitive
-        so unrelated edits above a grandfathered finding don't un-match
-        it."""
-        return (self.file, self.rule, self.message)

@@ -1,11 +1,10 @@
 """Project-wide IR for simlint's deep pass: index and call graph.
 
 The per-file rules see one AST at a time; the deep analyses
-(:mod:`repro.lint.locksets`, :mod:`repro.lint.protocol`,
-:mod:`repro.lint.blocking`) need to know *which* function a call lands
-in, across files.  :class:`ProjectIndex` provides that: every module,
-class and function in the linted tree, plus a conservatively resolved
-call graph.
+(:mod:`repro.lint.locksets`, :mod:`repro.lint.blocking`) need to know
+*which* function a call lands in, across files.  :class:`ProjectIndex`
+provides that: every module, class and function in the linted tree,
+plus a conservatively resolved call graph.
 
 Resolution is deliberately static and name-based — simlint never
 imports the code it analyzes — so it is a *may* call graph:
@@ -29,14 +28,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.source import SourceFile
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """Dotted text of a call's function (``a.b.c``), else None."""
-    return expr_text(node.func)
 
 
 def expr_text(node: ast.AST) -> Optional[str]:
@@ -64,18 +58,6 @@ def attr_tail(node: ast.AST) -> Optional[str]:
     return None
 
 
-def name_tails(node: ast.AST) -> frozenset:
-    """All attribute/name tails appearing anywhere in an expression —
-    ``ptr_addr(desc.locked_ptr)`` → {ptr_addr, desc, locked_ptr}."""
-    tails = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            tails.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            tails.add(sub.id)
-    return frozenset(tails)
-
-
 @dataclass
 class FunctionInfo:
     """One function or method in the indexed tree."""
@@ -86,11 +68,6 @@ class FunctionInfo:
     cls: Optional[str]           #: simple class name, None for functions
     node: ast.AST                #: FunctionDef | AsyncFunctionDef
     sf: SourceFile
-    params: Tuple[str, ...] = ()
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<fn {self.qualname}>"
@@ -178,11 +155,8 @@ class ProjectIndex:
         name = node.name  # type: ignore[attr-defined]
         qual = (f"{sf.module}:{cls_name}.{name}" if cls_name
                 else f"{sf.module}:{name}")
-        args = node.args  # type: ignore[attr-defined]
-        params = tuple(a.arg for a in
-                       [*args.posonlyargs, *args.args, *args.kwonlyargs])
         info = FunctionInfo(qualname=qual, module=sf.module, name=name,
-                            cls=cls_name, node=node, sf=sf, params=params)
+                            cls=cls_name, node=node, sf=sf)
         self.functions[qual] = info
         self._by_name.setdefault(name, []).append(qual)
         if cls_name is None:
@@ -308,14 +282,6 @@ class ProjectIndex:
         return []
 
     # -- call graph --------------------------------------------------------
-    def calls_in(self, fn: FunctionInfo) -> Iterator[ast.Call]:
-        """Call nodes lexically inside ``fn`` (nested defs included —
-        their calls run under the enclosing function's dynamic extent
-        for the closure-predicate patterns the deep pass cares about)."""
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                yield node
-
     def callees(self, fn: FunctionInfo) -> Tuple[FunctionInfo, ...]:
         cached = self._callee_cache.get(fn.qualname)
         if cached is not None:

@@ -41,7 +41,7 @@ import ast
 from typing import Dict, Iterator, List, Tuple
 
 from repro.lint.dataflow import EXC, Cfg, CfgNode, ForwardAnalysis, run_forward
-from repro.lint.deep import DeepContext, DeepRule
+from repro.lint.deep import LOCK_BASE, DeepContext, DeepRule, is_machinery
 from repro.lint.findings import Finding
 from repro.lint.ir import FunctionInfo, attr_tail
 
@@ -221,8 +221,8 @@ class DeepLocksetRule(DeepRule):
 
     def check_project(self, ctx: DeepContext) -> Iterator[Finding]:
         summarize = _Summarizer(ctx)
-        for cls_info in ctx.index.subclasses_of(ctx.lock_base):
-            if ctx.is_machinery(cls_info.module):
+        for cls_info in ctx.index.subclasses_of(LOCK_BASE):
+            if is_machinery(cls_info.module):
                 continue
             lock_fn = cls_info.methods.get("lock")
             if lock_fn is not None:

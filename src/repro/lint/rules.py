@@ -14,19 +14,10 @@ Each rule encodes one invariant the reproduction's validity rests on
     Iterating a ``set``/``frozenset`` in an event-ordering-sensitive
     package makes event order depend on ``PYTHONHASHSEED``.
 
-``resource-guard``
-    ``Resource.acquire()``/``request()``-style admissions must be
-    paired with ``release()``/``cancel()`` in a ``finally`` or
-    ``except`` — the PR 1 slot-leak class.
-
 ``region-bypass``
     Writes to :class:`repro.memory.region.MemoryRegion` storage must go
     through the audited accessors; ``_store``/``_words`` and the NIC
     landing API are off-limits outside the memory/verbs layers.
-
-``frozen-setattr``
-    ``object.__setattr__`` on frozen dataclasses is only legitimate
-    inside ``__post_init__``/``__setstate__``.
 
 ``engine-chokepoint``
     ``heapq``/``bisect`` (a scheduler's building blocks) may only be
@@ -38,12 +29,6 @@ Each rule encodes one invariant the reproduction's validity rests on
     drops what its level does not keep, and a dropped event must cost a
     call, not a format.
 
-``bare-timeout``
-    A process that merely lets time pass yields the float delay
-    (``yield delay_ns``); a statement that yields a fresh
-    ``Timeout(env, d)`` / ``env.timeout(d)`` builds an event nobody
-    composes with.
-
 Rules are pure functions of a :class:`~repro.lint.source.SourceFile`;
 they never import or execute the code under analysis.
 """
@@ -51,10 +36,10 @@ they never import or execute the code under analysis.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.lint.findings import ERROR, WARNING, Finding
-from repro.lint.source import SourceFile, ancestors, parent_of
+from repro.lint.source import SourceFile, ancestors
 
 #: Packages forming the simulation core: everything here must be
 #: deterministic given (spec, seed).
@@ -95,14 +80,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(cur.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _subtree_contains(stmts: Sequence[ast.AST], target: ast.AST) -> bool:
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if node is target:
-                return True
-    return False
 
 
 def _block_fields(node: ast.AST) -> Iterator[list[ast.stmt]]:
@@ -182,11 +159,8 @@ class NondetSourceRule(Rule):
                    "and time from env.now — never the wall clock, the "
                    "global random module, or process addresses")
 
-    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
-        self.sim_packages = tuple(sim_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages):
+        if not sf.in_package(*DEFAULT_SIM_PACKAGES):
             return
         for node in ast.walk(sf.tree):
             if isinstance(node, ast.Import):
@@ -307,12 +281,8 @@ class UnorderedIterRule(Rule):
                    "event order depend on PYTHONHASHSEED; sort it or use "
                    "an insertion-ordered container")
 
-    def __init__(self,
-                 sensitive_packages: Iterable[str] = DEFAULT_SENSITIVE_PACKAGES):
-        self.sensitive_packages = tuple(sensitive_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sensitive_packages):
+        if not sf.in_package(*DEFAULT_SENSITIVE_PACKAGES):
             return
         module_scope = self._scope_names(sf.tree.body)
         yield from self._walk(sf, sf.tree, [module_scope])
@@ -402,97 +372,7 @@ class UnorderedIterRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 3: unguarded admission (the PR 1 slot-leak class)
-# --------------------------------------------------------------------------
-
-_ADMISSION_METHODS = frozenset({"acquire", "admit", "request"})
-_RELEASE_METHODS = frozenset({"release", "cancel"})
-
-
-def _has_release_call(stmts: Sequence[ast.AST]) -> bool:
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in _RELEASE_METHODS:
-                return True
-    return False
-
-
-class ResourceGuardRule(Rule):
-    """Admission calls without a ``finally``/``except`` release path."""
-
-    rule_id = "resource-guard"
-    description = ("an acquire()/admit()/request() admission must "
-                   "release/cancel on every exit path (try/finally, or an "
-                   "except handler plus a release() after the try), or the "
-                   "slot leaks when the waiter is interrupted")
-
-    #: modules that implement the admission protocol itself.
-    exempt_modules = ("repro.sim.resources",)
-
-    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
-        self.sim_packages = tuple(sim_packages)
-
-    def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages):
-            return
-        if sf.module in self.exempt_modules:
-            return
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in _ADMISSION_METHODS:
-                if not self._guarded(node):
-                    yield self.finding(
-                        sf, node,
-                        f"'.{node.func.attr}()' admission with no "
-                        f"release()/cancel() on the failure path; wrap the "
-                        f"held region in try/finally (or cancel in an "
-                        f"except handler)")
-
-    def _guarded(self, call: ast.Call) -> bool:
-        # (a) inside the try-body of a Try whose finally/handlers release.
-        for anc in ancestors(call):
-            if isinstance(anc, ast.Try) and _subtree_contains(anc.body, call):
-                if _has_release_call(anc.finalbody):
-                    return True
-                if any(_has_release_call(h.body) for h in anc.handlers):
-                    return True
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        # (b) the next Try in an enclosing block is such a Try.  A
-        # finally covers both exits; a handler covers only the failure
-        # path, so an admit() hold (the NIC round trip's idiom: admit,
-        # try/except-cancel, release) must also end in a straight-line
-        # release() after the Try.  acquire()/request() may hand the
-        # slot to code that releases it elsewhere (a lock session).
-        func = call.func
-        short_hold = isinstance(func, ast.Attribute) and func.attr == "admit"
-        node: ast.AST = call
-        for anc in ancestors(call):
-            for block in _block_fields(anc):
-                if node in block:
-                    after = block[block.index(node) + 1:]
-                    for i, stmt in enumerate(after):
-                        if not isinstance(stmt, ast.Try):
-                            continue
-                        if _has_release_call(stmt.finalbody):
-                            return True
-                        if any(_has_release_call(h.body)
-                               for h in stmt.handlers) and (
-                                   not short_hold
-                                   or _has_release_call(after[i + 1:])):
-                            return True
-                        break  # a later Try guards a later admission
-            node = anc
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return False
-
-
-# --------------------------------------------------------------------------
-# rule 4: region writes that bypass the race auditor
+# rule 3: region writes that bypass the race auditor
 # --------------------------------------------------------------------------
 
 class RegionBypassRule(Rule):
@@ -512,11 +392,8 @@ class RegionBypassRule(Rule):
         "remote_read", "remote_write", "remote_rmw_read", "remote_rmw_commit",
     })
 
-    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
-        self.sim_packages = tuple(sim_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages):
+        if not sf.in_package(*DEFAULT_SIM_PACKAGES):
             return
         in_region = sf.module in self.region_modules
         in_verbs = sf.module in self.verbs_modules
@@ -545,35 +422,7 @@ class RegionBypassRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 5: frozen-dataclass mutation outside __post_init__
-# --------------------------------------------------------------------------
-
-class FrozenSetattrRule(Rule):
-    """``object.__setattr__`` outside ``__post_init__``/``__setstate__``."""
-
-    rule_id = "frozen-setattr"
-    description = ("object.__setattr__ defeats frozen-dataclass immutability;"
-                   " it is only legitimate during __post_init__/__setstate__")
-
-    _ALLOWED_FUNCS = frozenset({"__post_init__", "__setstate__"})
-
-    def check(self, sf: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Call) and \
-                    dotted_name(node.func) == "object.__setattr__":
-                func = enclosing_function(node)
-                if func is None or func.name not in self._ALLOWED_FUNCS:
-                    where = f"'{func.name}'" if func else "module scope"
-                    yield self.finding(
-                        sf, node,
-                        f"object.__setattr__ in {where} mutates a frozen "
-                        f"dataclass after construction; restrict it to "
-                        f"__post_init__/__setstate__ or use "
-                        f"dataclasses.replace()")
-
-
-# --------------------------------------------------------------------------
-# rule 6: process-boundary discipline (the parallel engine's contract)
+# rule 4: process-boundary discipline (the parallel engine's contract)
 # --------------------------------------------------------------------------
 
 #: the one module allowed to construct process pools: everything that
@@ -630,12 +479,8 @@ class ProcessBoundaryRule(Rule):
                    "and worker entry points must be module-level functions "
                    "marked @worker_entry")
 
-    def __init__(self,
-                 sensitive_packages: Iterable[str] = DEFAULT_SENSITIVE_PACKAGES):
-        self.sensitive_packages = tuple(sensitive_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sensitive_packages):
+        if not sf.in_package(*DEFAULT_SENSITIVE_PACKAGES):
             return
         at_chokepoint = sf.module in _SPAWN_CHOKEPOINTS
         marked: set[str] = set()
@@ -695,7 +540,7 @@ class ProcessBoundaryRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 7: scheduler internals stay inside the engine chokepoint
+# rule 5: scheduler internals stay inside the engine chokepoint
 # --------------------------------------------------------------------------
 
 #: the module that IS the event core.
@@ -720,12 +565,8 @@ class EngineChokepointRule(Rule):
                    "repro.sim.core — a priority queue anywhere else in the "
                    "sensitive packages is a second scheduler")
 
-    def __init__(self,
-                 sensitive_packages: Iterable[str] = DEFAULT_SENSITIVE_PACKAGES):
-        self.sensitive_packages = tuple(sensitive_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sensitive_packages) \
+        if not sf.in_package(*DEFAULT_SENSITIVE_PACKAGES) \
                 or sf.module in _ENGINE_CHOKEPOINTS:
             return
         for node in ast.walk(sf.tree):
@@ -746,7 +587,7 @@ class EngineChokepointRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 8: events are reported raw (a dropped event costs a call, not a format)
+# rule 6: events are reported raw (a dropped event costs a call, not a format)
 # --------------------------------------------------------------------------
 
 def _formats(node: ast.AST) -> bool:
@@ -782,11 +623,8 @@ class EmitFormatRule(Rule):
                    "event must cost a call, not a format (the views format "
                    "on the read side)")
 
-    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
-        self.sim_packages = tuple(sim_packages)
-
     def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages) or sf.in_package(OBS_PACKAGE):
+        if not sf.in_package(*DEFAULT_SIM_PACKAGES) or sf.in_package(OBS_PACKAGE):
             return
         for node in ast.walk(sf.tree):
             if not isinstance(node, ast.Call):
@@ -805,69 +643,16 @@ class EmitFormatRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 9: one idiom for letting time pass
-# --------------------------------------------------------------------------
-
-class BareTimeoutRule(Rule):
-    """A statement that just yields ``Timeout(...)`` / ``x.timeout(...)``.
-
-    Inside the simulation packages a process that merely lets time pass
-    yields the delay itself — ``yield delay_ns``, a float — and the
-    engine arms the process's own sleep entry: same ``(time, seq)``
-    slot, no event object, no callbacks list.  ``Timeout`` is for
-    composition (``any_of``/``all_of``, callbacks, a value handed to
-    the waiter), where the event is bound to a name or passed on; a
-    bare ``yield`` of one is the old idiom and only costs allocations.
-    """
-
-    rule_id = "bare-timeout"
-    description = ("a process that merely lets time pass yields the float "
-                   "delay ('yield delay_ns'), not a statement-level yield "
-                   "of Timeout(...) / env.timeout(...)")
-
-    def __init__(self, sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES):
-        self.sim_packages = tuple(sim_packages)
-
-    def check(self, sf: SourceFile) -> Iterator[Finding]:
-        if not sf.in_package(*self.sim_packages):
-            return
-        for node in ast.walk(sf.tree):
-            if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Yield)
-                    and isinstance(node.value.value, ast.Call)):
-                continue
-            call = node.value.value
-            name = dotted_name(call.func)
-            if name is None or name.split(".")[-1] not in ("Timeout", "timeout"):
-                continue
-            yield self.finding(
-                sf, node,
-                f"bare 'yield {name}(...)': yield the float delay itself "
-                f"('yield delay_ns') — the engine sleeps the process in "
-                f"the same schedule slot without building an event; keep "
-                f"Timeout for any_of/all_of, callbacks and values")
-
-
-# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
-def default_rules(
-        sim_packages: Iterable[str] = DEFAULT_SIM_PACKAGES,
-        sensitive_packages: Iterable[str] = DEFAULT_SENSITIVE_PACKAGES,
-) -> tuple[Rule, ...]:
-    """The shipped rule set, in stable registry order."""
+def default_rules() -> tuple[Rule, ...]:
+    """The shipped per-file rule set, in stable registry order."""
     return (
-        NondetSourceRule(sim_packages),
-        UnorderedIterRule(sensitive_packages),
-        ResourceGuardRule(sim_packages),
-        RegionBypassRule(sim_packages),
-        FrozenSetattrRule(),
-        ProcessBoundaryRule(sensitive_packages),
-        EngineChokepointRule(sensitive_packages),
-        EmitFormatRule(sim_packages),
-        BareTimeoutRule(sim_packages),
+        NondetSourceRule(),
+        UnorderedIterRule(),
+        RegionBypassRule(),
+        ProcessBoundaryRule(),
+        EngineChokepointRule(),
+        EmitFormatRule(),
     )
-
-
-ALL_RULE_IDS: tuple[str, ...] = tuple(r.rule_id for r in default_rules())

@@ -65,7 +65,7 @@ class SourceFile:
     """One parsed Python file."""
 
     path: Path          #: absolute path on disk
-    display: str        #: POSIX-form path used in findings/baselines
+    display: str        #: POSIX-form path used in findings
     module: str         #: dotted module name (the bare stem when unpackaged)
     source: str
     tree: ast.Module

@@ -253,7 +253,6 @@ class ALock(DistributedLock):
                     ctx.emit(ctx.actor, "mcs.release", self.name, cohort.name,
                              "handoff abandoned")
                     desc.end()
-                    # simlint: ignore[deep-protocol] -- seeded skip_budget_wait
                     return
             else:
                 ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", cohort.name)

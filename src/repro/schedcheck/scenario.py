@@ -204,7 +204,7 @@ class LockScenario:
                 # LEAVE the lock held so the failure is observable (the
                 # explorer classifies the dead client and the checkers
                 # see the unreleased lock); cleanup would mask the bug.
-                yield from table.acquire(ctx, idx)  # simlint: ignore[resource-guard]
+                yield from table.acquire(ctx, idx)
                 if cs_ns > 0:
                     yield cs_ns
                 yield from table.guarded_increment(ctx, idx)

@@ -96,7 +96,7 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
                 # the stall the locktable's lease monitor must detect
                 # (degraded-entry reporting), so no cleanup by design.
                 if leased:
-                    yield from table.acquire(ctx, idx)  # simlint: ignore[resource-guard]
+                    yield from table.acquire(ctx, idx)
                 else:
                     yield from entry.lock.lock(ctx)
                 if injector is not None:

@@ -1,7 +1,7 @@
 """Fixture: a correct minimal queue lock — zero deep findings.
 
 Exercises every shape the deep rules police (descriptor lifecycle,
-acquisition markers, relinquish CAS with handover, successor wait) the
+acquisition markers, a wait that registers before it checks) the
 *right* way, so it doubles as a regression net against false positives.
 """
 

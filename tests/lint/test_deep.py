@@ -1,8 +1,8 @@
-"""The deep pass: CFG/dataflow core, effect summaries, and the three
+"""The deep pass: CFG/dataflow core, raise summaries, and the two
 project-wide rules, each proven against its seeded-bad-lock fixture.
 
 Fixtures live in ``fixtures/deep/`` (excluded from the repo gate); each
-models one of the PR 4 ``bug=`` mutations or a lifecycle defect the
+models the seeded ``lost_wakeup`` mutation or a lifecycle defect the
 per-file rules cannot see, plus ``clean_lock.py`` as the
 false-positive regression net.
 """
@@ -16,10 +16,8 @@ from repro.lint import run_lint
 from repro.lint.dataflow import (
     EXC, FALSE, TRUE, ForwardAnalysis, build_cfg, run_forward,
 )
-from repro.lint.deep import run_deep_rules
-from repro.lint.effects import (
-    BLOCK_BOUNDED, BLOCK_UNBOUNDED, EffectEngine, INTRINSICS, deep_scope,
-)
+from repro.lint.deep import deep_scope, run_deep_rules
+from repro.lint.effects import INTRINSICS, EffectEngine
 from repro.lint.ir import ProjectIndex
 from repro.lint.source import SourceFile
 
@@ -27,11 +25,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "deep"
 
 #: fixture stem → the one deep rule it must trip
 EXPECTED_RULE = {
-    "no_victim_check": "deep-protocol",
-    "skip_budget_wait": "deep-protocol",
-    "use_after_release": "deep-protocol",
     "lost_wakeup": "deep-blocking",
-    "blocking_handover": "deep-blocking",
     "leaked_descriptor": "deep-lockset",
     "missing_note": "deep-lockset",
 }
@@ -64,35 +58,11 @@ class TestSeededFixtures:
     def test_clean_lock_is_clean(self):
         assert deep_fixture("clean_lock") == []
 
-    def test_no_victim_check_names_the_unread_word(self):
-        (finding,) = deep_fixture("no_victim_check")
-        assert "self.victim_ptr" in finding.message
-        assert "check()" in finding.message
-
-    def test_skip_budget_wait_anchors_the_abandoning_return(self):
-        (finding,) = deep_fixture("skip_budget_wait")
-        assert "self.tail_ptr" in finding.message
-        assert "successor" in finding.message
-        # anchored at the `return`, so one inline suppression can bless it
-        src = (FIXTURES / "skip_budget_wait.py").read_text()
-        assert "return" in src.splitlines()[finding.line - 1]
-
-    def test_use_after_release_flags_the_stale_read(self):
-        (finding,) = deep_fixture("use_after_release")
-        assert "after the CAS that relinquished it" in finding.message
-        src = (FIXTURES / "use_after_release.py").read_text()
-        assert "r_read" in src.splitlines()[finding.line - 1]
-
     def test_lost_wakeup_flags_the_raw_park(self):
         (finding,) = deep_fixture("lost_wakeup")
         assert "watcher is armed at yield time" in finding.message
         src = (FIXTURES / "lost_wakeup.py").read_text()
         assert "watch" in src.splitlines()[finding.line - 1]
-
-    def test_blocking_handover_names_the_open_window(self):
-        (finding,) = deep_fixture("blocking_handover")
-        assert "self.tail_ptr" in finding.message
-        assert "failed CAS at line" in finding.message
 
     def test_leaked_descriptor_reports_every_raising_verb(self):
         findings = deep_fixture("leaked_descriptor")
@@ -277,18 +247,16 @@ class TestCfg:
 
 class TestEffects:
     def test_intrinsics_cover_the_verbs_contract(self):
-        assert INTRINSICS["wait_local"].blocking == BLOCK_UNBOUNDED
-        assert INTRINSICS["r_read"].blocking == BLOCK_BOUNDED
-        assert INTRINSICS["r_write"].writes and INTRINSICS["r_write"].raises
-        assert INTRINSICS["write"].writes and not INTRINSICS["write"].raises
-        assert not INTRINSICS["read"].writes
+        assert INTRINSICS["wait_local"] and INTRINSICS["wait_local_cond"]
+        assert all(INTRINSICS[v] for v in ("r_read", "r_write", "r_cas", "r_faa"))
+        assert not any(INTRINSICS[op] for op in ("read", "write", "cas", "faa"))
 
     def test_a_cohort_op_has_the_join_of_both_families(self):
         """``cohort.tail_cas`` is ``ctx.cas`` or ``ctx.r_cas`` depending
         on data, so it must be assumed to do what either can."""
-        assert INTRINSICS["tail_cas"] == \
-            INTRINSICS["cas"].join(INTRINSICS["r_cas"]) == INTRINSICS["r_cas"]
-        assert INTRINSICS["neighbor_write"] == INTRINSICS["r_write"]
+        assert INTRINSICS["tail_cas"] == (INTRINSICS["cas"] or INTRINSICS["r_cas"])
+        assert INTRINSICS["neighbor_write"] == (
+            INTRINSICS["write"] or INTRINSICS["r_write"])
 
     def test_effects_propagate_through_helpers(self):
         index = parse_snippet(
@@ -299,8 +267,7 @@ class TestEffects:
             "        yield from ctx.r_write(self.word_ptr, 0)\n")
         engine = EffectEngine(index)
         unlock = index.functions["repro.locks.snippet:L.unlock"]
-        eff = engine.function_effects(unlock)
-        assert eff.writes and eff.raises
+        assert engine.function_raises(unlock)
 
     def test_recursive_helpers_converge(self):
         index = parse_snippet(
@@ -308,48 +275,22 @@ class TestEffects:
             "    def lock(self, ctx):\n"
             "        yield from self._spin(ctx)\n"
             "    def _spin(self, ctx):\n"
+            "        yield from self._step(ctx)\n"
+            "    def _step(self, ctx):\n"
             "        yield from ctx.r_read(self.word_ptr)\n"
             "        yield from self._spin(ctx)\n")
         engine = EffectEngine(index)
         lock = index.functions["repro.locks.snippet:L.lock"]
-        assert engine.function_effects(lock).blocking == BLOCK_BOUNDED
+        assert engine.function_raises(lock)
 
-    def test_unresolved_acquire_is_assumed_blocking(self):
+    def test_unresolved_acquire_is_assumed_to_raise(self):
         index = parse_snippet(
             "class L(DistributedLock):\n"
             "    def lock(self, ctx):\n"
             "        yield from self.gate.acquire(ctx)\n")
         engine = EffectEngine(index)
         lock = index.functions["repro.locks.snippet:L.lock"]
-        assert engine.function_effects(lock).blocking == BLOCK_UNBOUNDED
-
-    def test_a_yielded_delay_is_a_timed_wait(self):
-        """The sleep form is not a call, so no intrinsic sees it: a
-        backoff helper written ``yield self.backoff_ns`` must summarize
-        exactly as ``yield ctx.env.timeout(self.backoff_ns)`` does."""
-        def blocking_of(wait: str) -> int:
-            index = parse_snippet(
-                "class L(DistributedLock):\n"
-                "    def lock(self, ctx):\n"
-                "        yield from self._backoff(ctx)\n"
-                "    def _backoff(self, ctx):\n"
-                f"        yield {wait}\n")
-            lock = index.functions["repro.locks.snippet:L.lock"]
-            return EffectEngine(index).function_effects(lock).blocking
-
-        old = blocking_of("ctx.env.timeout(self.backoff_ns)")
-        assert old == BLOCK_BOUNDED
-        for sleep in ("self.backoff_ns", "delay", "40.0", "float(pause)",
-                      "attempts * self.step_ns",
-                      # a computed FIFO stage: the time to departure
-                      "nic.tx.transit(service)",
-                      "nic.tx.transit(service) + self.turnaround_ns",
-                      # a fence applies nothing: the call returns its delay
-                      "ctx.fence()"):
-            assert blocking_of(sleep) == old, sleep
-        # a yielded event stays what it was: inert unless it is a park
-        assert blocking_of("grant") == 0
-        assert blocking_of("self.env.event()") == 0
+        assert engine.function_raises(lock)
 
     def test_unresolved_helpers_default_inert(self):
         index = parse_snippet(
@@ -359,7 +300,7 @@ class TestEffects:
             "        yield\n")
         engine = EffectEngine(index)
         lock = index.functions["repro.locks.snippet:L.lock"]
-        assert engine.function_effects(lock).blocking == 0
+        assert not engine.function_raises(lock)
 
 
 # ---------------------------------------------------------------------------
@@ -401,74 +342,8 @@ class TestInterprocedural:
         assert "without recording the acquisition" in findings[0].message
 
 
-class TestCohortSpelling:
-    """The relinquish CAS of a lock that states the queue once for both
-    cohorts: ``cohort.tail_cas(ctx, ptr, expected, 0)`` — the context
-    comes first, so the operands sit one place to the right."""
-
-    SOURCE = (
-        "class L(DistributedLock):\n"
-        "    def unlock(self, ctx):\n"
-        "        self._note_released(ctx)\n"
-        "        old = yield from q.tail_cas(ctx, q.tail_ptr, d.ptr, 0)\n"
-        "        if old != d.ptr:\n"
-        "            nxt = yield from ctx.read(d.next_ptr)\n"
-        "            if nxt == 0:\n"
-        "                return\n"
-        "            yield from q.neighbor_write(ctx, nxt, 1)\n"
-        "        else:\n"
-        "            yield from q.tail_cas(ctx, q.tail_ptr, 0, d.ptr)\n")
-
-    def test_handover_and_use_after_relinquish_are_both_seen(self):
-        sf = SourceFile.from_source(self.SOURCE, path=Path("/l.py"),
-                                    display="l.py",
-                                    module="repro.locks.snippet")
-        findings = run_deep_rules([sf])
-        assert [(f.rule, f.line) for f in findings] == [
-            ("deep-protocol", 8), ("deep-protocol", 11)]
-        assert "handover left undischarged" in findings[0].message
-        assert "q.tail_ptr after the CAS that relinquished it" \
-            in findings[1].message
-
-
-class TestP1ReadsThePetersonWait:
-    """P1 is only as good as its sight of the one real compound wait:
-    the rule must *evaluate* ``acquire_local``'s call, not skip it."""
-
-    ALOCK = Path(__file__).parents[2] / "src" / "repro" / "locks" / "alock"
-    G3 = '        (lock.victim_ptr, lambda victim: victim != COHORT_LOCAL, "not-victim"),\n'
-
-    def _deep(self, peterson: str):
-        sources = [SourceFile.parse(self.ALOCK / "alock.py", display="alock.py",
-                                    module="repro.locks.alock.alock"),
-                   SourceFile.from_source(
-                       peterson, path=self.ALOCK / "peterson.py",
-                       display="peterson.py",
-                       module="repro.locks.alock.peterson")]
-        return [f for f in run_deep_rules(sources) if f.file == "peterson.py"]
-
-    def test_the_shipped_wait_is_read_and_complete(self):
-        assert self._deep((self.ALOCK / "peterson.py").read_text()) == []
-
-    def test_a_deleted_clause_is_flagged_while_both_words_stay_watched(self):
-        source = (self.ALOCK / "peterson.py").read_text()
-        assert source.count(self.G3) == 1
-        mutant = source.replace(self.G3, "")
-        (finding,) = self._deep(mutant)
-        assert finding.rule == "deep-protocol"
-        assert "lock.victim_ptr is no clause's word" in finding.message
-        assert "wait_local_cond" in mutant.splitlines()[finding.line - 1]
-
-    def test_a_wait_the_rule_cannot_read_is_a_finding_not_a_pass(self):
-        source = (self.ALOCK / "peterson.py").read_text().replace(
-            "[lock.tail_r_ptr, lock.victim_ptr], clauses)",
-            "lock.peterson_words, clauses)")
-        (finding,) = self._deep(source)
-        assert "cannot read the watched words" in finding.message
-
-
 # ---------------------------------------------------------------------------
-# engine integration: deep findings flow through suppressions/baseline
+# engine integration: deep findings flow through suppressions
 
 
 class TestDeepThroughEngine:
@@ -482,13 +357,8 @@ class TestDeepThroughEngine:
 
     def test_deep_findings_reach_the_report(self, tmp_path):
         root = self._project(tmp_path, self.BAD)
-        report = run_lint(["badlock.py"], root=root, deep=True)
-        assert [f.rule for f in report.findings] == ["deep-lockset"]
-
-    def test_deep_off_by_default(self, tmp_path):
-        root = self._project(tmp_path, self.BAD)
         report = run_lint(["badlock.py"], root=root)
-        assert report.findings == []
+        assert [f.rule for f in report.findings] == ["deep-lockset"]
 
     def test_inline_suppression_scopes_to_the_one_path(self, tmp_path):
         root = self._project(
@@ -497,22 +367,9 @@ class TestDeepThroughEngine:
             "    def lock(self, ctx):\n"
             "        # simlint: ignore[deep-lockset] -- measured fast path\n"
             "        yield from ctx.wait_local(self.w, lambda v: v == 0)\n")
-        report = run_lint(["badlock.py"], root=root, deep=True)
+        report = run_lint(["badlock.py"], root=root)
         assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["deep-lockset"]
-
-    def test_strict_without_deep_tolerates_deep_pragmas(self, tmp_path):
-        # a deep-* suppression isn't "unused" on a run where the deep
-        # rules never executed — `--strict` alone must not flag the
-        # annotated seeded-bug sites in the real tree
-        root = self._project(
-            tmp_path,
-            "class BadLock(DistributedLock):\n"
-            "    def lock(self, ctx):\n"
-            "        # simlint: ignore[deep-lockset]\n"
-            "        yield from ctx.wait_local(self.w, lambda v: v == 0)\n")
-        report = run_lint(["badlock.py"], root=root, strict=True)
-        assert report.findings == []
 
     def test_strict_with_deep_flags_truly_unused_deep_pragma(self, tmp_path):
         root = self._project(
@@ -522,15 +379,5 @@ class TestDeepThroughEngine:
             "        yield from ctx.wait_local(self.w, lambda v: v == 0)\n"
             "        # simlint: ignore[deep-lockset]\n"
             "        self._note_acquired(ctx)\n")
-        report = run_lint(["badlock.py"], root=root, strict=True, deep=True)
+        report = run_lint(["badlock.py"], root=root)
         assert [f.rule for f in report.findings] == ["unused-suppression"]
-
-    def test_baseline_absorbs_deep_findings(self, tmp_path):
-        from repro.lint import Baseline
-        root = self._project(tmp_path, self.BAD)
-        first = run_lint(["badlock.py"], root=root, deep=True)
-        baseline = Baseline.from_findings(first.findings)
-        second = run_lint(["badlock.py"], root=root, deep=True,
-                          baseline=baseline)
-        assert second.clean
-        assert len(second.baselined) == 1

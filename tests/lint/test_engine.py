@@ -1,12 +1,12 @@
-"""Engine-level behaviour: suppressions, baseline round-trip, strict
-mode, deterministic ordering, and the CLI surface."""
+"""Engine-level behaviour: suppressions and the pragmas that suppress
+nothing, deterministic ordering, and the CLI surface."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import Baseline, Finding, default_rules, lint_file, run_lint
+from repro.lint import all_rules, lint_file, run_lint
 from repro.lint.engine import (
     PARSE_ERROR_RULE,
     UNUSED_SUPPRESSION_RULE,
@@ -16,6 +16,17 @@ from repro.lint.engine import (
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SIM_MODULE = "repro.sim.fixture"
+
+
+def sim_module(tmp_path, source: str) -> Path:
+    """``source`` as ``src/repro/sim/mod.py`` of a package tree, so module
+    inference puts it inside the simulation packages."""
+    src = tmp_path / "src" / "repro" / "sim" / "mod.py"
+    src.parent.mkdir(parents=True)
+    for pkg in (src.parent.parent, src.parent):
+        (pkg / "__init__.py").write_text("")
+    src.write_text(source)
+    return src
 
 
 class TestSuppressions:
@@ -29,98 +40,59 @@ class TestSuppressions:
         assert any(f.line == 12 and f.rule == "nondet-source"
                    for f in findings)
 
-    def test_suppressed_findings_are_reported_as_suppressed(self):
-        report = run_lint([FIXTURES / "suppressed.py"], root=REPO_ROOT)
-        # module inference puts the fixture outside repro.*, so scoped
-        # rules skip it entirely — no suppression matches anything here.
-        assert report.findings == []
+    def test_suppressed_findings_are_reported_as_suppressed(self, tmp_path):
+        src = sim_module(tmp_path, (FIXTURES / "suppressed.py").read_text())
+        report = run_lint([src], root=tmp_path)
+        assert sorted(f.line for f in report.suppressed) == [7, 10, 11]
+        # the wrong-id pragma suppresses nothing and says so
+        assert [(f.line, f.rule) for f in report.findings] == [
+            (12, UNUSED_SUPPRESSION_RULE), (12, "nondet-source"),
+            (13, "nondet-source")]
 
     def test_strict_flags_unused_suppressions(self, tmp_path):
         src = tmp_path / "mod.py"
         src.write_text(
             "x = 1  # simlint: ignore[nondet-source]\n"
             "y = 2\n")
-        report = run_lint([src], root=tmp_path, strict=True)
+        report = run_lint([src], root=tmp_path)
         assert [f.rule for f in report.findings] == [UNUSED_SUPPRESSION_RULE]
         assert report.findings[0].line == 1
+        assert "matches no finding" in report.findings[0].message
+
+    def test_a_pragma_naming_no_rule_is_flagged(self, tmp_path):
+        """Even beside a rule it does suppress: an id outside
+        ``--list-rules`` (a deleted rule's, a typo) never suppresses
+        anything, so it must not sit in the tree looking as if it did."""
+        src = sim_module(tmp_path,
+                         "import time\n"
+                         "x = 1  # simlint: ignore[no-such-rule]\n"
+                         "t = time.time()  "
+                         "# simlint: ignore[nondet-source, gone-rule]\n")
+        report = run_lint([src], root=tmp_path)
+        assert [(f.line, f.rule) for f in report.findings] == [
+            (2, UNUSED_SUPPRESSION_RULE), (3, UNUSED_SUPPRESSION_RULE)]
+        assert "names no simlint rule: no-such-rule" in report.findings[0].message
+        assert "names no simlint rule: gone-rule" in report.findings[1].message
+        assert [f.rule for f in report.suppressed] == ["nondet-source"]
 
     def test_pragma_quoted_in_string_is_not_a_suppression(self, tmp_path):
         """Docstrings/strings *describing* the pragma must neither
         suppress findings nor show up as unused suppressions."""
-        src = tmp_path / "mod.py"
-        src.write_text(
-            '"""Use `# simlint: ignore[frozen-setattr]` to suppress."""\n'
-            "def f(r):\n"
-            "    object.__setattr__(r, 'x', 1)\n")
-        report = run_lint([src], root=tmp_path, strict=True)
-        assert [f.rule for f in report.findings] == ["frozen-setattr"]
+        src = sim_module(tmp_path,
+                         '"""Use `# simlint: ignore[nondet-source]` to '
+                         'suppress."""\n'
+                         "import time\n"
+                         "t = time.time()\n")
+        report = run_lint([src], root=tmp_path)
+        assert [f.rule for f in report.findings] == ["nondet-source"]
 
     def test_used_suppression_not_flagged_in_strict(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "sim" / "mod.py"
-        src.parent.mkdir(parents=True)
-        for pkg in (tmp_path / "src" / "repro",
-                    tmp_path / "src" / "repro" / "sim"):
-            (pkg / "__init__.py").write_text("")
-        src.write_text(
-            "import time\n"
-            "t = time.time()  # simlint: ignore[nondet-source]\n")
-        report = run_lint([src], root=tmp_path, strict=True)
+        src = sim_module(tmp_path,
+                         "import time\n"
+                         "t = time.time()  # simlint: ignore[nondet-source]\n")
+        report = run_lint([src], root=tmp_path)
         assert report.findings == []
         assert len(report.suppressed) == 1
-
-
-class TestBaseline:
-    def _one_finding(self):
-        return Finding("src/x.py", 10, 4, "nondet-source", "error",
-                       "'time.time()' reads the wall clock")
-
-    def test_round_trip(self, tmp_path):
-        findings = [self._one_finding(), self._one_finding(),
-                    Finding("src/y.py", 2, 0, "unordered-iter", "error",
-                            "iteration materialises set order")]
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 3
-        new, old = loaded.split(findings)
-        assert new == [] and len(old) == 3
-
-    def test_counts_gate_extra_occurrences(self):
-        baseline = Baseline.from_findings([self._one_finding()])
-        # a second occurrence of the same (file, rule, message) is NEW
-        new, old = baseline.split([self._one_finding(), self._one_finding()])
-        assert len(old) == 1 and len(new) == 1
-
-    def test_line_drift_still_matches(self):
-        baseline = Baseline.from_findings([self._one_finding()])
-        drifted = Finding("src/x.py", 99, 4, "nondet-source", "error",
-                          "'time.time()' reads the wall clock")
-        new, old = baseline.split([drifted])
-        assert new == [] and old == [drifted]
-
-    def test_save_is_stable(self, tmp_path):
-        findings = [self._one_finding()]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        Baseline.from_findings(findings).save(a)
-        Baseline.from_findings(findings).save(b)
-        assert a.read_text() == b.read_text()
-
-    def test_run_lint_applies_baseline(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "sim" / "mod.py"
-        src.parent.mkdir(parents=True)
-        for pkg in (tmp_path / "src" / "repro",
-                    tmp_path / "src" / "repro" / "sim"):
-            (pkg / "__init__.py").write_text("")
-        src.write_text("import time\nt = time.time()\n")
-        dirty = run_lint([src], root=tmp_path)
-        assert len(dirty.findings) == 1
-        baseline = Baseline.from_findings(dirty.findings)
-        clean = run_lint([src], root=tmp_path, baseline=baseline)
-        assert clean.findings == [] and len(clean.baselined) == 1
-        # strict ignores the baseline
-        strict = run_lint([src], root=tmp_path, baseline=baseline,
-                          strict=True)
-        assert len(strict.findings) == 1
 
 
 class TestDeterminism:
@@ -131,9 +103,9 @@ class TestDeterminism:
         assert a.suppressed == b.suppressed
 
     def test_path_order_does_not_matter(self):
-        fwd = run_lint([FIXTURES / "frozen.py", FIXTURES / "region.py"],
+        fwd = run_lint([FIXTURES / "nondet.py", FIXTURES / "deep"],
                        root=REPO_ROOT)
-        rev = run_lint([FIXTURES / "region.py", FIXTURES / "frozen.py"],
+        rev = run_lint([FIXTURES / "deep", FIXTURES / "nondet.py"],
                        root=REPO_ROOT)
         assert fwd.findings == rev.findings
 
@@ -160,10 +132,10 @@ class TestDeterminism:
 
     def test_file_discovery_sorted_and_deduplicated(self):
         files = iter_source_files(
-            [FIXTURES, FIXTURES / "frozen.py"], root=REPO_ROOT)
+            [FIXTURES, FIXTURES / "region.py"], root=REPO_ROOT)
         rels = [f.relative_to(FIXTURES).as_posix() for f in files]
         assert rels == sorted(rels)
-        assert rels.count("frozen.py") == 1
+        assert rels.count("region.py") == 1
         assert "deep/clean_lock.py" in rels  # subdirectories are walked
 
 
@@ -187,33 +159,35 @@ class TestCli:
     def test_list_rules(self):
         proc = self._run("--list-rules")
         assert proc.returncode == 0
-        for rule in default_rules():
+        for rule in all_rules():
             assert rule.rule_id in proc.stdout
 
     def test_json_output_on_fixtures(self):
-        proc = self._run("tests/lint/fixtures/frozen.py",
-                         "--json", "--no-baseline")
+        proc = self._run("tests/lint/fixtures/deep/missing_note.py", "--json")
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["clean"] is False
-        assert {f["rule"] for f in payload["findings"]} == {"frozen-setattr"}
+        assert {f["rule"] for f in payload["findings"]} == {"deep-lockset"}
 
-    def test_unknown_rule_id_is_usage_error(self):
-        proc = self._run("--rules", "no-such-rule")
+    def test_a_path_that_does_not_exist_is_a_usage_error(self):
+        proc = self._run("srcc")
         assert proc.returncode == 2
+        assert "no such path" in proc.stderr and "srcc" in proc.stderr
+        assert proc.stdout == ""
 
-    def test_write_baseline_round_trip(self, tmp_path):
-        root = tmp_path
-        (root / "mod.py").write_text(
-            "from dataclasses import dataclass\n"
-            "def f(r):\n"
-            "    object.__setattr__(r, 'x', 1)\n")
-        (root / "pyproject.toml").write_text(
-            '[tool.simlint]\npaths = ["mod.py"]\n'
-            'baseline = "baseline.json"\n')
-        dirty = self._run("--root", str(root), cwd=root)
-        assert dirty.returncode == 1
-        wrote = self._run("--root", str(root), "--write-baseline", cwd=root)
-        assert wrote.returncode == 0, wrote.stderr
-        clean = self._run("--root", str(root), cwd=root)
-        assert clean.returncode == 0, clean.stdout
+    def test_a_malformed_config_is_a_usage_error(self, tmp_path):
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        for table in ('[tool.simlint\npaths = ["mod.py"]\n',
+                      '[tool.simlint]\npaths = "mod.py"\n'):
+            (tmp_path / "pyproject.toml").write_text(table)
+            proc = self._run(cwd=tmp_path)
+            assert proc.returncode == 2, table
+            assert "pyproject.toml" in proc.stderr
+
+    def test_an_unknown_config_key_is_a_usage_error(self, tmp_path):
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.simlint]\npaths = ["mod.py"]\nbaseline = "b.json"\n')
+        proc = self._run(cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "unknown [tool.simlint] key(s) baseline" in proc.stderr

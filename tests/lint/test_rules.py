@@ -77,60 +77,6 @@ class TestUnorderedIterRule:
                          module="repro.analysis.fixture") == []
 
 
-class TestResourceGuardRule:
-    def test_fires_on_unguarded_admissions(self):
-        findings = [f for f in lint_fixture("resources.py",
-                                            module="repro.rdma.fixture")
-                    if f.rule == "resource-guard"]
-        assert sorted(f.line for f in findings) == [5, 12]
-        assert all(".request()" in f.message or ".acquire()" in f.message
-                   for f in findings)
-
-    def test_try_finally_and_except_guards_are_clean(self):
-        findings = lint_fixture("resources.py", module="repro.rdma.fixture")
-        assert not [f for f in findings if f.line >= 16], findings
-
-    def test_resources_module_itself_is_exempt(self):
-        assert lint_file(FIXTURES / "resources.py",
-                         module="repro.sim.resources") == []
-
-    def test_fires_on_unguarded_and_never_released_admit(self):
-        findings = [f for f in lint_fixture("admission.py",
-                                            module="repro.rdma.network")
-                    if f.rule == "resource-guard"]
-        assert sorted(f.line for f in findings) == [6, 14]
-        assert all(".admit()" in f.message for f in findings)
-
-    def test_the_round_trip_hold_idiom_is_clean(self):
-        findings = lint_fixture("admission.py", module="repro.rdma.network")
-        assert not [f for f in findings if f.line >= 24], findings
-
-    def test_the_rule_sees_the_round_trip(self):
-        """Only ``repro.sim.resources`` is exempt: the one evented hold
-        left in the verb path (RX; PCIe and TX are computed, and a
-        booking cannot leak) is checked, not skipped."""
-        import ast
-
-        import repro.rdma.network as network
-        from repro.lint.rules import ResourceGuardRule, _ADMISSION_METHODS
-
-        sf = SourceFile.parse(Path(network.__file__),
-                              module="repro.rdma.network")
-        admits = [n for n in ast.walk(sf.tree)
-                  if isinstance(n, ast.Call)
-                  and isinstance(n.func, ast.Attribute)
-                  and n.func.attr == "admit"]
-        assert len(admits) == 1 and "admit" in _ADMISSION_METHODS
-        rule = ResourceGuardRule()
-        assert "repro.rdma.network" not in rule.exempt_modules
-        assert list(rule.check(sf)) == []
-        # ... and it is the guard, not blindness, that keeps it clean
-        unguarded = sf.source.replace("rx.cancel(grant)", "pass")
-        broken = SourceFile.from_source(unguarded, path=sf.path,
-                                        module="repro.rdma.network")
-        assert len(list(rule.check(broken))) == 1
-
-
 class TestRegionBypassRule:
     def test_fires_on_raw_writes_and_remote_api(self):
         findings = [f for f in lint_fixture("region.py",
@@ -154,24 +100,6 @@ class TestRegionBypassRule:
         assert "remote_write" not in messages
         # _store/_words stay region-internal even inside the verbs layer
         assert "'._store()'" in messages
-
-
-class TestFrozenSetattrRule:
-    def test_fires_outside_post_init(self):
-        findings = [f for f in lint_fixture("frozen.py")
-                    if f.rule == "frozen-setattr"]
-        contexts = " | ".join(f.message for f in findings)
-        assert len(findings) == 2
-        assert "'bump'" in contexts
-        assert "'patch'" in contexts
-
-    def test_post_init_is_allowed(self):
-        findings = lint_fixture("frozen.py")
-        assert not [f for f in findings if f.line == 12], findings
-
-    def test_applies_even_outside_repro_packages(self):
-        findings = lint_file(FIXTURES / "frozen.py", module="tests.fixture")
-        assert rules_fired(findings) == {"frozen-setattr"}
 
 
 class TestProcessBoundaryRule:
@@ -246,29 +174,6 @@ class TestEngineChokepointRule:
         assert not self.findings(module="benchmarks.fixture")
 
 
-class TestBareTimeoutRule:
-    def findings(self, module=SIM_MODULE):
-        return [f for f in lint_fixture("bare_timeout.py", module=module)
-                if f.rule == "bare-timeout"]
-
-    def test_fires_on_every_bare_form(self):
-        messages = " | ".join(f.message for f in self.findings())
-        assert "'yield Timeout(...)'" in messages
-        assert "'yield env.timeout(...)'" in messages
-        assert "'yield ctx.env.timeout(...)'" in messages
-        assert len(self.findings()) == 3
-
-    def test_sleeps_and_composed_timeouts_are_fine(self):
-        src = (FIXTURES / "bare_timeout.py").read_text().splitlines()
-        fine_start = next(i for i, line in enumerate(src, start=1)
-                          if "fine --" in line)
-        assert not {f.line for f in self.findings() if f.line > fine_start}
-
-    def test_silent_outside_the_simulation_packages(self):
-        # tests and examples may spell a wait either way
-        assert not self.findings(module="tests.sim.fixture")
-
-
 class TestEmitFormatRule:
     def findings(self, module=SIM_MODULE):
         return [f for f in lint_fixture("emit_format.py", module=module)
@@ -320,9 +225,7 @@ class TestRuleFrameworkContracts:
     @pytest.mark.parametrize("name,module", [
         ("nondet.py", SIM_MODULE),
         ("unordered.py", SIM_MODULE),
-        ("resources.py", "repro.rdma.fixture"),
         ("region.py", "repro.locks.fixture"),
-        ("frozen.py", SIM_MODULE),
     ])
     def test_finding_order_is_canonical(self, name, module):
         findings = lint_file(FIXTURES / name, module=module)

@@ -258,3 +258,22 @@ class TestCheckEntry:
         status, result = check_entry(fixed)
         assert status == "passed"
         assert result.ok
+
+
+class TestReplayLine:
+    def test_the_replay_line_carries_every_timing_knob(self):
+        """The replay command a corpus entry renders must rebuild its
+        scenario: a knob the line drops — ``--cs-ns`` once was — replays
+        a different schedule from the one recorded."""
+        from repro.obs.report import render_corpus_entry
+
+        scenario = LockScenario(lock_kind="mcs", n_nodes=2,
+                                threads_per_node=2, ops_per_thread=2,
+                                cs_ns=100.0, think_ns=50.0, stagger_ns=25.0)
+        entry = CorpusEntry(name="probe", failure_kind="deadlock",
+                            scenario=scenario, decisions="3:1", digest="0")
+        line, = [row for row in render_corpus_entry(
+            json.loads(entry_json(entry))).splitlines()
+            if row.startswith("replay:")]
+        for flag in ("--cs-ns 100.0", "--think-ns 50.0", "--stagger-ns 25.0"):
+            assert flag in line, line
