@@ -66,23 +66,27 @@ def project(ledger: dict) -> dict:
     return {"python": python, "values": values}
 
 
-def totals(values: dict, name: str) -> tuple[float, float, float]:
+def totals(values: dict, name: str) -> tuple[float, float, float, float]:
     """One workload's Σ calls/op and Σ resumes/op over the repo's layers
-    (the columns :func:`project` keeps) and its resumes per event."""
+    (the columns :func:`project` keeps), its resumes per event and the
+    event core's calls per event (``sim.calls_per_op`` over
+    ``sim.events_per_op``: the engine's Python calls per dispatch)."""
     def total(suffix: str) -> float:
         return sum(value for key, value in values.items()
                    if key.startswith(name + " ") and key.endswith(suffix))
     resumes = total(".resumes_per_op")
     events = values.get(f"{name} sim.events_per_op")
-    return total(".calls_per_op"), resumes, resumes / events if events else 0.0
+    engine = values.get(f"{name} sim.calls_per_op", 0.0)
+    return (total(".calls_per_op"), resumes,
+            resumes / events if events else 0.0, engine / events if events else 0.0)
 
 
 def check(committed: dict | None, ledger: dict) -> int:
     """Compare one ledger run with the committed exact values, print
     every difference as ``workload column: committed → now`` and each
-    workload's layer totals (committed → now), and return the exit
-    status.  ``None`` judges the run against itself,
-    which is what decides whether ``--write`` may record it."""
+    workload's layer totals and engine calls per event (committed →
+    now), and return the exit status.  ``None`` judges the run against
+    itself, which is what decides whether ``--write`` may record it."""
     if ledger.get("schema") != LEDGER_SCHEMA:
         print(f"refusing to compare: ledger schema {ledger.get('schema')!r}, "
               f"this gate reads {LEDGER_SCHEMA!r}")
@@ -112,9 +116,10 @@ def check(committed: dict | None, ledger: dict) -> int:
     for key in differing:
         print(f"{key}: {old.get(key)!r} → {new.get(key)!r}")
     for name in sorted(ledger["workloads"]):
+        sums = [totals(values, name) for values in (old, new)]
         print(f"{name} Σ calls/op, Σ resumes/op, resumes/event: "
-              + " → ".join("%.2f, %.2f, %.2f" % totals(values, name)
-                           for values in (old, new)))
+              + " → ".join("%.2f, %.2f, %.2f" % t[:3] for t in sums)
+              + "; engine calls/event: " + " → ".join("%.2f" % t[3] for t in sums))
     for failure in failures:
         print(f"FAILED: {failure}")
     print(f"{len(differing)} of {len(keys)} exact values differ")

@@ -3,10 +3,10 @@
 Turns a post-mortem dump (see :mod:`repro.obs.postmortem`) into the
 report a human reads first: what failed, the trailing event timeline,
 what every client last did and is now parked on, the lock/holder chain,
-the wait-for cycle (if any), and a *suspected rule* — the simlint
-deep-pass family (``deep-lockset`` / ``deep-protocol`` P1–P3 /
-``deep-blocking`` B1–B3) whose failure shape the dump most resembles,
-as a starting point for the code hunt.
+the wait-for cycle (if any), and a *suspected rule* — the failure
+shape the dump most resembles and, where one guards that shape, the
+simlint rule (``deep-lockset``, ``deep-blocking``) to start the code
+hunt from.
 
 ``--perfetto out.json`` additionally writes the flight-event window as
 a Chrome/Perfetto trace slice (instant events per actor, same
@@ -40,42 +40,45 @@ TIMELINE_LIMIT = 40
 # -- suspected-rule heuristic -------------------------------------------
 
 def suspect_rule(dump: dict) -> str:
-    """Map the dump's failure shape onto the simlint deep-pass
-    vocabulary.  A heuristic, not a verdict: it names the rule family
-    whose canonical failure the evidence most resembles."""
+    """Name the dump's failure shape and, where one guards it, the
+    simlint rule (an id ``python -m repro.lint --list-rules`` prints)
+    whose finding would look like it.  A heuristic, not a verdict: a
+    starting point for the code hunt."""
     reason = dump.get("reason", "")
     events = dump.get("events", [])
     kinds = [e[2] for e in events]
     waits = {e[1]: e[3] for e in events if e[2] == "lock.wait"}
     if reason == "lease-expiry":
-        return ("deep-blocking B3 (unbounded block during handover): a "
-                "holder sat on the lock past its lease")
+        return ("holder past its lease: a client sat on the lock past its "
+                "lease — look for a path out of the critical section that "
+                "skips its release (deep-lockset)")
     if reason == "checker":
-        return ("deep-lockset (acquire/release pairing): a completed run "
-                "failed post-hoc invariants — look for a path that exits "
-                "the critical section without its release obligation")
+        return ("broken invariant: a completed run failed post-hoc checks — "
+                "look for a path that exits the critical section without "
+                "its release obligation (deep-lockset)")
     if reason == "exception":
-        return ("deep-protocol P3 (use-after-relinquish) or a lockset "
-                "violation: a client died mid-protocol — read the error "
-                "and its last verbs below")
+        return ("died mid-protocol: read the error and its last verbs below; "
+                "the raising path must give back the descriptor and the "
+                "lock it held (deep-lockset)")
     if reason in ("deadlock", "stall"):
         parked_words = [str(w[1]) for w in waits.values() if len(w) > 1]
         if any("budget" in w for w in parked_words):
-            return ("deep-protocol P1 (wait-predicate completeness): "
-                    "clients parked on a budget word whose wake "
-                    "conditions exclude a reachable state")
+            return ("parked on a budget word: the waiters' wake conditions "
+                    "exclude a state the protocol reaches — compare the "
+                    "wait's clauses with the writes below (no lint rule "
+                    "reads wait predicates)")
         if "fault.stall" in kinds or "fault.drop" in kinds:
-            return ("deep-blocking B3 (unbounded block during handover) "
-                    "under fault injection: the handoff write was lost "
-                    "or delayed past every waiter's watch")
+            return ("handoff lost to a fault: the write that should wake a "
+                    "waiter was dropped or delayed past every waiter's "
+                    "watch")
         if reason == "deadlock":
-            return ("deep-blocking B1 (raw check-then-park): the "
-                    "schedule drained with waiters parked — a wakeup "
-                    "write landed between a check and its park")
-        return ("deep-blocking B2 (blocking wait predicate) or "
-                "starvation: events still flowed at the deadline but "
-                "these clients made no progress")
-    return "no matching deep-pass rule; read the timeline"
+            return ("lost wakeup: the schedule drained with waiters parked — "
+                    "a wakeup write landed between a check and its park "
+                    "(deep-blocking)")
+        return ("no progress: events still flowed at the deadline but "
+                "these clients did not advance (starvation, or a wait "
+                "that can never be satisfied)")
+    return "no known failure shape; read the timeline"
 
 
 # -- plain-text report ---------------------------------------------------

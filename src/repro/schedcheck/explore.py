@@ -1,7 +1,7 @@
 """The explorer: run scenarios under policies, classify, replay.
 
 One *schedule* = one fresh build of a scenario run under one policy
-until every client finishes, the event heap drains (deadlock), or the
+until every client finishes, the schedule drains (deadlock), or the
 scenario deadline passes (stall/livelock).  The run's tie-break choices
 are recorded as a sparse decision string; feeding that string back
 through :func:`replay` reproduces the execution byte for byte (same
@@ -13,7 +13,7 @@ Failure taxonomy (``ScheduleResult.failure_kind``):
 * ``"exception"`` — a client process died (e.g. the holder oracle's
   :class:`~repro.common.errors.ProtocolError` on a mutual-exclusion
   violation).
-* ``"deadlock"``  — the heap drained with clients still alive (all
+* ``"deadlock"``  — the schedule drained with clients still alive (all
   parked on events nobody will trigger); the detail names each stuck
   process via :meth:`Environment.describe_alive`.
 * ``"stall"``     — the deadline passed with clients alive but events

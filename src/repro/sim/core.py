@@ -8,25 +8,27 @@ Scheduler design
 ----------------
 
 Events run in ``(time, seq)`` order, ``seq`` being a global insertion
-counter.  The schedule is kept in two places:
+counter.  The schedule is one append-only list of ``(time, seq, event)``
+per simulated instant:
 
-* ``_heap`` — a ``heapq`` of ``(time, seq, event)`` holding
-  strictly-future entries (``now + delay > now``, i.e. timeouts).
-* ``_nowq`` — an append-only list for everything scheduled at the
-  *current* time: resource grants, watcher wakeups, process
-  boot/completion/interrupt, echoes.  No priority structure is needed;
-  append order **is** ``(time, seq)`` order.
+* ``_buckets`` — a dict from each exact future time to its list; an
+  entry with ``now + delay > now`` is appended to its time's list.
+* ``_times`` — a ``heapq`` of the distinct times ``_buckets`` holds.
+* ``_nowq`` — the *current* instant's list, consumed through a head
+  index: everything scheduled at ``now`` (resource grants, watcher
+  wakeups, process boot/completion/interrupt, echoes) is appended here.
 
-Why draining "heap entries at *t*, then the now-queue" is ``seq`` order:
-an entry only enters the heap with ``time > now``, so every heap entry
-at time *t* was inserted before the clock reached *t* and has a smaller
-``seq`` than anything appended to the now-queue while ``now == t``.
-The clock only advances once both are exhausted, so the now-queue never
-holds entries from a stale time.
+Append order **is** ``(time, seq)`` order: ``seq`` only grows, and an
+instant's list receives its future entries first and its same-time
+entries once the clock has reached it.  Advancing the clock pops the
+next time and that time's list *becomes* the now-queue, so the ready
+set is always ``_nowq[_now_head:]``.  This is not a calendar queue:
+there is no bucket width — a bucket is one exact instant, and on the
+model's cost grid a few dozen instants hold every pending entry.
 
-Negative delays would put an entry behind the clock, so
-:meth:`Environment.schedule` rejects them with
-:class:`~repro.common.errors.ConfigError`.
+Negative delays would put an entry behind the clock and a NaN one in a
+bucket no time equals, so :meth:`Environment.schedule` rejects both
+with :class:`~repro.common.errors.ConfigError`.
 
 Sleeping
 --------
@@ -34,12 +36,12 @@ Sleeping
 A process that merely lets time pass yields the delay itself —
 ``yield 95.0`` — instead of building a :class:`Timeout`.  The process
 owns one re-armable :class:`_Sleep` entry for its whole life;
-``Process._resume`` stamps it with a fresh ``seq`` and files it in the
-heap or the now-queue by the same rule ``Timeout.__init__`` uses, and
-the dispatch loop resumes the owner directly when the entry is popped:
-no event object, no callbacks list, no callback loop.  The entry
-occupies exactly the ``(time, seq)`` slot the ``Timeout`` would have,
-so the schedule — and everything derived from it — is the same.
+``Process._resume`` stamps it with a fresh ``seq`` and files it by the
+same rule ``Timeout.__init__`` uses, and the dispatch loop resumes the
+owner directly when the entry is due: no event object, no callbacks
+list, no callback loop.  The entry occupies exactly the ``(time, seq)``
+slot the ``Timeout`` would have, so the schedule — and everything
+derived from it — is the same.
 :class:`Timeout` remains the composable form (``any_of``/``all_of``,
 callbacks, waiting from outside a process).
 """
@@ -220,8 +222,9 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # NaN too: it would fire at no time at all
+            raise SimulationError(f"negative timeout delay {delay!r}" if delay < 0
+                                  else f"NaN timeout delay {delay!r}")
         # Flattened Event.__init__ + env._schedule: timeouts are the most
         # frequently created event by an order of magnitude, and the two
         # extra frames per construction are measurable in every benchmark.
@@ -241,7 +244,11 @@ class Timeout(Event):
         now = env._now
         t = now + delay
         if t > now:
-            heappush(env._heap, (t, seq, self))
+            bucket = env._buckets.get(t)
+            if bucket is None:
+                env._buckets[t] = bucket = []
+                heappush(env._times, t)
+            bucket.append((t, seq, self))
         else:
             env._nowq.append((now, seq, self))
 
@@ -370,7 +377,11 @@ class Process(Event):
                     now = env._now
                     t = now + target
                     if t > now:
-                        heappush(env._heap, (t, seq, sleep))
+                        bucket = env._buckets.get(t)
+                        if bucket is None:
+                            env._buckets[t] = bucket = []
+                            heappush(env._times, t)
+                        bucket.append((t, seq, sleep))
                     else:
                         env._nowq.append((now, seq, sleep))
                     self._waiting_on = sleep
@@ -475,14 +486,14 @@ def _describe_wait(event: "Event | _Sleep | None") -> str:
     if event is None:
         return "nothing (never parked or mid-interrupt)"
     if isinstance(event, _Sleep):
-        return "Timeout"  # a sleep is a timeout to everyone but the heap
+        return "Timeout"  # a sleep is a timeout to everyone but the scheduler
     if event.info is not None:
         kind, *detail = event.info
         return f"{kind}({', '.join(str(d) for d in detail)})"
     return type(event).__name__
 
 
-#: a schedule entry, in the heap or the now-queue
+#: a schedule entry, in an instant's list
 _Entry = tuple[float, int, "Event | _Sleep"]
 
 
@@ -511,7 +522,8 @@ class Environment:
         self._now = float(initial_time)
         # the schedule: see the module docstring.  _nowq is consumed via
         # a head index (amortized O(1), no list.pop(0)).
-        self._heap: list[_Entry] = []
+        self._buckets: dict[float, list[_Entry]] = {}
+        self._times: list[float] = []
         self._nowq: list[_Entry] = []
         self._now_head = 0
         self._seq = 0
@@ -619,56 +631,50 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` to be processed ``delay`` ns from now.
 
-        Negative delays are a :class:`ConfigError`: the clock never runs
-        backwards, and an entry behind it would break the ordering
-        argument in the module docstring.
+        Negative and NaN delays are a :class:`ConfigError`: the clock
+        never runs backwards, and an entry behind it (or at no time at
+        all) would break the ordering argument in the module docstring.
         """
         self._schedule(event, delay)
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
-        if delay < 0:
+        if not delay >= 0:
             raise ConfigError(
-                f"schedule() got negative delay {delay!r}; events cannot "
-                f"be scheduled in the past (now={self._now})")
+                f"schedule() got {'negative' if delay < 0 else 'NaN'} delay "
+                f"{delay!r}; events cannot be scheduled in the past "
+                f"(now={self._now})")
         event._scheduled = True
         self._seq = seq = self._seq + 1
         now = self._now
         t = now + delay
         if t > now:
-            heappush(self._heap, (t, seq, event))
+            bucket = self._buckets.get(t)
+            if bucket is None:
+                self._buckets[t] = bucket = []
+                heappush(self._times, t)
+            bucket.append((t, seq, event))
         else:
             self._nowq.append((now, seq, event))
 
     def _has_work(self) -> bool:
-        return self._now_head < len(self._nowq) or bool(self._heap)
+        return self._now_head < len(self._nowq) or bool(self._times)
 
     # -- execution ----------------------------------------------------
     def step(self) -> None:
         """Process exactly one event: the first in ``(time, seq)``
         order, or the schedule policy's pick among those ready at the
-        minimum time."""
-        heap = self._heap
+        minimum time.  The ready set is ``nowq[nh:]`` in ascending
+        ``seq``; unchosen entries stay in place."""
         nowq = self._nowq
         nh = self._now_head
         if nh == len(nowq):
-            if not heap:
+            if not self._times:
                 raise SimulationError("step() on an empty schedule")
-            del nowq[:]
+            self._now = now = heappop(self._times)
+            self._nowq = nowq = self._buckets.pop(now)
             self._now_head = nh = 0
-            self._now = heap[0][0]
-        now = self._now
-        if heap and heap[0][0] == now:
-            # The same-tick batch: heap entries at the current time
-            # predate (smaller seq) everything in the now-queue, so
-            # moving them to its front leaves ``nowq[nh:]`` the whole
-            # ready set in ascending ``seq`` order.  Unchosen entries
-            # stay in place, so re-assembly next step is stable.
-            batch = [heappop(heap)]
-            while heap and heap[0][0] == now:
-                batch.append(heappop(heap))
-            nowq[nh:nh] = batch
         idx = 0
         n_ready = len(nowq) - nh
         policy = self._policy
@@ -717,7 +723,7 @@ class Environment:
         """Time of the next event, or +inf if none is scheduled."""
         if self._now_head < len(self._nowq):
             return self._now
-        return self._heap[0][0] if self._heap else _INF
+        return self._times[0] if self._times else _INF
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the schedule drains, a deadline passes, or an event fires.
@@ -753,35 +759,22 @@ class Environment:
     def _run_policy(self, deadline: float) -> None:
         """The dispatch loop under a schedule policy.
 
-        Same schedule as ``while peek() <= deadline: step()``; a tick
-        with a single ready entry — most of them — is dispatched here
-        without assembling a batch, and :meth:`step` (the tie-set code,
-        where the policy is consulted) runs only when a second entry is
-        ready at the same time.
+        Same schedule as ``while peek() <= deadline: step()``; an
+        instant with a single ready entry — most of them — is dispatched
+        here, and :meth:`step` (the tie-set code, where the policy is
+        consulted) runs only when a second entry is ready at once.
         """
-        heap = self._heap
-        nowq = self._nowq
+        times = self._times
         while True:
+            nowq = self._nowq
             nh = self._now_head
-            n_now = len(nowq) - nh
-            if n_now == 0:
-                if not heap:
+            if nh == len(nowq):
+                if not times or times[0] > deadline:
                     return
-                t = heap[0][0]
-                if t > deadline:
-                    return
-                # The second-smallest entry of a binary heap is one of
-                # the root's children.
-                n = len(heap)
-                if (n > 1 and heap[1][0] == t) or (n > 2 and heap[2][0] == t):
-                    self.step()
-                    continue
-                if nh:
-                    del nowq[:]
-                    self._now_head = 0
-                self._now = t
-                self._dispatch(heappop(heap))
-            elif n_now == 1 and not (heap and heap[0][0] == self._now):
+                self._now = now = heappop(times)
+                self._nowq = nowq = self._buckets.pop(now)
+                self._now_head = nh = 0
+            if len(nowq) - nh == 1:
                 self._now_head = nh + 1
                 self._dispatch(nowq[nh])
             else:
@@ -798,32 +791,25 @@ class Environment:
         same order, same sleep/Timeout/_Echo handling, same callback
         sequence.
         """
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         nowq = self._nowq
         nh = self._now_head
-        now = self._now
         count = self._event_count
         try:
             while True:
-                if heap and heap[0][0] == now:
-                    # heap entries at the current time go first: their
-                    # seqs predate the now-queue's (module docstring)
-                    entry = heappop(heap)
-                elif nh < len(nowq):
+                if nh < len(nowq):
                     entry = nowq[nh]
                     nh += 1
                 else:
-                    # tick exhausted: advance the clock
-                    if nh:
-                        del nowq[:]
-                        nh = 0
-                    if not heap:
+                    # instant exhausted: the next time's list becomes
+                    # the now-queue
+                    if not times or times[0] > deadline:
                         break
-                    now = heap[0][0]
-                    if now > deadline:
-                        break
-                    self._now = now
-                    entry = heappop(heap)
+                    self._now = now = heappop(times)
+                    self._nowq = nowq = buckets.pop(now)
+                    entry = nowq[0]
+                    nh = 1
                 count += 1
                 # exact-class tests below: mypy only narrows on isinstance
                 event: Any = entry[2]

@@ -51,6 +51,16 @@ def test_identical_passes(capsys):
             "21.75, 10.50, 0.91 → 21.75, 10.50, 0.91") in out
 
 
+def test_totals_line_carries_engine_calls_per_event(capsys):
+    # the unit an engine diet is judged in: sim.calls_per_op / events
+    status, out = _check(capsys, lambda _, t: t["per_layer"].update(
+        {"sim.calls_per_op": 2.3}), "alock_local")
+    assert status == 1
+    assert ("alock_local Σ calls/op, Σ resumes/op, resumes/event: "
+            "21.75, 10.50, 0.91 → 16.80, 10.50, 0.91; "
+            "engine calls/event: 0.63 → 0.20") in out
+
+
 @pytest.mark.parametrize("named, edit", [
     ("sim.events_per_op: 11.5 → 11.75",
      lambda _, t: t["info"]["counters"].update({"sim.events_per_op": 11.75})),

@@ -4,11 +4,13 @@ acceptance bar — each seeded lock bug's dump must name the faulty
 client and the lock word it is stuck on."""
 
 import json
+import re
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError
+from repro.lint.engine import all_rules
 from repro.locks import LOCK_TYPES, register_lock_type
 from repro.locks.base import DistributedLock
 from repro.memory.pointer import ptr_addr
@@ -114,8 +116,25 @@ class TestSeededBugAcceptance:
         assert isinstance(dump["sched"]["decisions"], str)
 
     def test_suspect_rule_speaks_deep_pass_vocabulary(self):
-        dump = first_failure_dump("skip_budget_wait")
-        assert "deep-" in suspect_rule(dump)
+        """Every branch names a failure shape and cites only rules that
+        ``python -m repro.lint --list-rules`` prints — not the checks
+        the kill matrix deleted (deep-protocol P1-P3, deep-blocking
+        B2/B3)."""
+        ids = {rule.rule_id for rule in all_rules()}
+        wait = [0.0, "t0@n0", "lock.wait", ["alock[0]@n0", "budget"]]
+        drop = [0.0, "t0@n0", "fault.drop", []]
+        dumps = [{"reason": reason} for reason in
+                 ("lease-expiry", "checker", "exception", "deadlock", "stall", "")]
+        dumps += [{"reason": "stall", "events": [wait]},
+                  {"reason": "deadlock", "events": [drop]}]
+        shapes = [suspect_rule(dump) for dump in dumps]
+        assert len(set(shapes)) == len(shapes) == 8     # one per branch
+        for shape in shapes:
+            assert set(re.findall(r"deep-[a-z]+", shape)) <= ids, shape
+            assert not re.search(r"\b[PB]\d\b", shape), shape
+            assert set(re.findall(r"\(([a-z]+-[a-z]+)\)", shape)) <= ids, shape
+        assert suspect_rule(first_failure_dump("skip_budget_wait")) == shapes[6]
+        assert "(deep-blocking)" in suspect_rule(first_failure_dump("lost_wakeup"))
 
 
 class TestSnapshotDeterminism:

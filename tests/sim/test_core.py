@@ -1,7 +1,9 @@
 """Unit tests for the discrete-event engine core."""
 
 import hashlib
+import heapq
 import random
+import sys
 
 import pytest
 
@@ -469,6 +471,35 @@ class TestSleep:
         assert "waiting on Timeout" in env.describe_alive()
 
 
+def test_the_engine_works_per_instant_not_per_entry(env):
+    """The engine's work guard (the frames' are
+    ``test_an_uncontended_local_op_is_one_leaf_frame_per_step`` and
+    ``test_a_verb_is_one_generator_frame``): eight processes sleeping on
+    a shared 5 ns grid push each distinct future time on the heap once,
+    and pop it once, however many entries share it."""
+    def sleeper(i):
+        for _ in range(6):
+            yield 5.0 * (1 + i % 3)
+
+    for i in range(8):
+        env.process(sleeper(i))
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and arg in (heapq.heappush, heapq.heappop):
+            calls.append(arg)
+
+    sys.setprofile(profiler)
+    try:
+        env.run()
+    finally:
+        sys.setprofile(None)
+    wakeups = {5.0 * (1 + i % 3) * k for i in range(8) for k in range(1, 7)}
+    assert env.event_count == 8 + 8 * 6 + 8   # boots, sleeps, completions
+    assert len(wakeups) == 12
+    assert calls.count(heapq.heappush) == calls.count(heapq.heappop) == 12
+
+
 class TestConditions:
     def test_any_of_first_wins(self, env):
         t1 = env.timeout(10, value="fast")
@@ -662,6 +693,16 @@ class TestNegativeDelayGuard:
         env = Environment()
         with pytest.raises(SimulationError, match="negative timeout delay"):
             env.timeout(-3)
+
+    def test_nan_delay_is_rejected_too(self):
+        """NaN compares false with everything: ``delay < 0`` let it in,
+        and it fired at the current instant."""
+        env = Environment()
+        with pytest.raises(ConfigError, match="NaN delay nan"):
+            env.schedule(env.event(), delay=float("nan"))
+        with pytest.raises(SimulationError, match="NaN timeout delay"):
+            env.timeout(float("nan"))
+        assert not env._has_work()
 
 
 # -- frozen dispatch order -------------------------------------------------
