@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any
 
 from repro.analysis import format_table
 from repro.common.errors import ConfigError
@@ -66,26 +66,17 @@ def scale_params(scale: str) -> dict[str, Any]:
         raise ConfigError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}") from None
 
 
-class Cell(NamedTuple):
-    """One sealed run of an experiment's grid: where its numbers go (the
-    row's coordinates, in the shape the module's assembly reads) and the
-    spec that produces them."""
-
-    coords: Any
-    spec: WorkloadSpec
-
-
 def run_specs(specs, workers: int) -> dict[WorkloadSpec, RunResult]:
     """Run every distinct spec once; return ``{spec: RunResult}``.
 
     The one way an experiment runs its cells: a module states its grid
-    once, as a generator of :class:`Cell`, hands the specs here, and
-    assembles its rows by indexing the returned dict — a plain index, so
-    a cell the grid did not name is a ``KeyError``, never a silent extra
-    run.  Every cell is a sealed seeded run (``WorkloadSpec`` is frozen,
+    once, as a generator of :class:`~repro.parallel.Cell`, hands the
+    specs here, and assembles its rows by indexing the returned dict — a
+    plain index, so a cell the grid did not name is a ``KeyError``, never
+    a silent extra run.  Every cell is a sealed seeded run (``WorkloadSpec`` is frozen,
     hence hashable), so who fills the dict — this process or a pool — is
     :func:`~repro.parallel.engine.pmap_workloads`'s business and changes
-    wall-clock only.
+    wall-clock only — a failing cell fails the run the same way in both.
     """
     unique = list(dict.fromkeys(specs))
     return dict(zip(unique, pmap_workloads(unique, workers=workers),

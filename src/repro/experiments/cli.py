@@ -8,9 +8,10 @@
     alock-experiments run fig5 --scale paper --workers 8
     alock-experiments sweep --lock alock mcs --locality 85 95 \\
         --seeds 0 1 2 --workers 4 --json sweep.json --csv sweep.csv
-    alock-experiments sweep ... --cache            # memoize cells on disk
-    alock-experiments sweep ... --resume           # recompute only what the
-                                                   # cache store is missing
+    alock-experiments sweep ... --cache .alock-cache   # memoize cells on
+                                                       # disk; a re-run
+                                                       # recomputes only what
+                                                       # the store is missing
     alock-experiments explore --lock alock --schedules 50 --shrink
     alock-experiments explore --lock mcs --lock-option bug=lost_wakeup \\
         --lock-option poll_interval_ns=200 --nodes 1 --threads 3 --ops 3
@@ -48,13 +49,11 @@ def _resolve_workers(args) -> int:
 
 
 def _sweep(args) -> int:
-    from repro.parallel import METRICS, ResultCache, run_sweep_parallel
+    from repro.parallel import METRICS, CellFailure, ResultCache, run_sweep_parallel
     from repro.workload.spec import WorkloadSpec
 
     workers = _resolve_workers(args)
-    # --resume implies the cache; an explicit --cache/--no-cache wins.
-    cache_enabled = args.cache if args.cache is not None else args.resume
-    cache = ResultCache(args.cache_dir) if cache_enabled else None
+    cache = ResultCache(args.cache) if args.cache else None
     # Multi-valued arguments become sweep axes; single values pin the
     # base spec.  Declared order fixes the enumeration (= output) order.
     axis_args = (("lock_kind", args.lock_kind), ("n_nodes", args.nodes),
@@ -76,10 +75,13 @@ def _sweep(args) -> int:
 
     done = {"n": 0}
 
-    def _progress(res) -> None:
+    def _where(cell) -> str:
+        return " ".join(f"{k}={v}" for k, v in cell.coords)
+
+    def _progress(cell, res) -> None:
         done["n"] += 1
-        status = "ok" if res.ok else "FAILED"
-        print(f"  [{done['n']}] cell {res.key} {status}", file=sys.stderr)
+        status = "FAILED" if isinstance(res, CellFailure) else "ok"
+        print(f"  [{done['n']}] cell {_where(cell)} {status}", file=sys.stderr)
 
     result = run_sweep_parallel(
         base, axes, seeds=args.seeds, workers=workers, metric=args.metric,
@@ -88,17 +90,15 @@ def _sweep(args) -> int:
           f"({len(result.failures)} failed) with "
           f"{result.workers} worker(s) in {result.elapsed_s:.1f}s")
     if cache is not None:
-        verb = "resumed" if args.resume else "served"
-        print(f"cache: {verb} {result.cache_hits} cell(s) from "
-              f"{args.cache_dir}, computed {result.cache_misses} "
+        print(f"cache: served {result.cache_hits} cell(s) from "
+              f"{args.cache}, computed {result.cache_misses} "
               f"({cache.stats.writes} written back)")
-    for res in result.results:
-        if res.ok:
-            axis_desc = " ".join(f"{k}={v}" for k, v in res.key[1:])
-            print(f"  {axis_desc}: {args.metric}={res.row['metric']:.0f}")
-    for res in result.failures:
-        first_line = (res.error or "").splitlines()[0]
-        print(f"  FAILED {res.key}: {first_line}", file=sys.stderr)
+    for cell, res in zip(result.cells, result.results):
+        if not isinstance(res, CellFailure):
+            print(f"  {_where(cell)}: {args.metric}={res['metric']:.0f}")
+    for cell, failure in result.failures:
+        first_line = failure.error.splitlines()[0]
+        print(f"  FAILED {_where(cell)}: {first_line}", file=sys.stderr)
     result.write(json_path=args.json_out, csv_path=args.csv_out)
     if args.json_out:
         print(f"json: {args.json_out}")
@@ -291,19 +291,12 @@ def _main(argv: list[str] | None) -> int:
                          metavar="FILE", help="write canonical JSON here")
     sweep_p.add_argument("--csv", default=None, dest="csv_out",
                          metavar="FILE", help="write canonical CSV here")
-    sweep_p.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="content-addressed result cache: unchanged "
-                              "cells are served from the store instead of "
-                              "recomputed; output bytes are identical either "
-                              "way (--no-cache disables; default off unless "
-                              "--resume)")
-    sweep_p.add_argument("--cache-dir", default=".alock-cache", metavar="DIR",
-                         help="cache store location (default .alock-cache)")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="resume an interrupted sweep: recompute only "
-                              "the cells missing from the cache store "
-                              "(implies --cache)")
+    sweep_p.add_argument("--cache", default=None, metavar="DIR",
+                         help="content-addressed result cache in DIR: "
+                              "unchanged cells are served from it instead of "
+                              "recomputed, so re-running an interrupted sweep "
+                              "resumes it; output bytes are identical either "
+                              "way (default: no cache)")
     sweep_p.add_argument("--progress", action="store_true",
                          help="print each cell as it completes (stderr)")
     exp_p = sub.add_parser(

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.experiments.base import (Cell, ExperimentResult, run_specs,
-                                    scale_params)
+from repro.experiments.base import ExperimentResult, run_specs, scale_params
+from repro.parallel import Cell
 from repro.rdma.config import RdmaConfig
 from repro.workload import WorkloadSpec, run_workload
 

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.experiments.base import (Cell, ExperimentResult, is_strict,
-                                    run_specs, scale_params)
+from repro.experiments.base import (ExperimentResult, is_strict, run_specs,
+                                    scale_params)
 from repro.faults import FaultPlan
+from repro.parallel import Cell
 from repro.workload import WorkloadSpec
 
 LOSS_RATES = (0.0, 0.01, 0.03)

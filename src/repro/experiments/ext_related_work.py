@@ -12,10 +12,11 @@ from typing import Iterator
 
 from repro.analysis import ratio
 from repro.cluster import Cluster
-from repro.experiments.base import (Cell, ExperimentResult, is_strict,
-                                    run_specs, scale_params)
+from repro.experiments.base import (ExperimentResult, is_strict, run_specs,
+                                    scale_params)
 from repro.locks import make_lock
 from repro.locks.extensions.coherent import cxl_config
+from repro.parallel import Cell
 from repro.workload import WorkloadSpec
 
 CONTENDERS = (

@@ -18,8 +18,9 @@ from statistics import mean
 from typing import Iterator
 
 from repro.analysis import relative_speedup
-from repro.experiments.base import (Cell, ExperimentResult, is_strict,
-                                    run_specs, scale_params)
+from repro.experiments.base import (ExperimentResult, is_strict, run_specs,
+                                    scale_params)
+from repro.parallel import Cell
 from repro.workload import WorkloadSpec
 
 BASELINE_BUDGET = 5

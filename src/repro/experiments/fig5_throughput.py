@@ -24,8 +24,9 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterator
 
-from repro.experiments.base import (CONTENTION_LOCKS, Cell, ExperimentResult,
+from repro.experiments.base import (CONTENTION_LOCKS, ExperimentResult,
                                     is_strict, run_specs, scale_params)
+from repro.parallel import Cell
 from repro.workload import WorkloadSpec
 
 LOCKS = ("alock", "spinlock", "mcs")

@@ -22,8 +22,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis import ratio
-from repro.experiments.base import (CONTENTION_LOCKS, Cell, ExperimentResult,
+from repro.experiments.base import (CONTENTION_LOCKS, ExperimentResult,
                                     is_strict, run_specs, scale_params)
+from repro.parallel import Cell
 from repro.workload import WorkloadSpec
 
 LOCKS = ("alock", "spinlock", "mcs")

@@ -157,12 +157,16 @@ def register_lock_type(kind: str, factory: Callable[..., DistributedLock]) -> No
     LOCK_TYPES[kind] = factory
 
 
+def unknown_lock_type(kind: str) -> ConfigError:
+    """The error for a ``kind`` nothing registered, naming the known ones."""
+    return ConfigError(f"unknown lock type {kind!r}; known: {sorted(LOCK_TYPES)}")
+
+
 def make_lock(kind: str, cluster: "Cluster", home_node: int,
               **options) -> DistributedLock:
     """Construct a lock of the registered ``kind``."""
     try:
         factory = LOCK_TYPES[kind]
     except KeyError:
-        raise ConfigError(
-            f"unknown lock type {kind!r}; known: {sorted(LOCK_TYPES)}") from None
+        raise unknown_lock_type(kind) from None
     return factory(cluster, home_node, **options)

@@ -13,7 +13,9 @@ latency/coherence price the hardware exacts.  :func:`cxl_config`
 models that future: the remote-RMW window collapses to zero (the
 interconnect serializes it against local ops) and fabric latency drops
 to load/store-ish scale.  Under that config this lock is correct, and
-the ``bench_extensions`` ablation measures how close it gets to ALock.
+the ``ext-related`` experiment's CXL outlook
+(:mod:`repro.experiments.ext_related_work`) measures how close it gets
+to ALock.
 """
 
 from __future__ import annotations

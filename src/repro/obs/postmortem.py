@@ -244,9 +244,9 @@ def attach(exc: BaseException, cluster, *, reason: str, detail: str = "",
     persist it if ``$ALOCK_POSTMORTEM_DIR`` is set.
 
     Returns ``exc`` so call sites can ``raise attach(exc, ...)``.  The
-    dump rides the exception across layers — the sweep engine pulls it
-    off a failed cell's error and stores it on the
-    :class:`~repro.parallel.cells.CellResult`.
+    dump rides the exception across layers — the parallel engine's
+    worker pulls it off a failed cell's error and sends it home on the
+    :class:`~repro.parallel.cells.CellFailure`.
     """
     dump = dump_json(snapshot(cluster, reason=reason, detail=detail,
                               table=table, error=repr(exc)))

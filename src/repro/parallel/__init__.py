@@ -14,46 +14,27 @@ Quick start::
         seeds=range(3), workers=4)
     res.write(json_path="sweep.json", csv_path="sweep.csv")
 
-``enumerate_grid`` is the one cartesian driver: for each cell's full
-``RunResult`` instead of a row, ``repro.experiments.base.run_specs`` its specs.
-
-The output is byte-identical at any ``workers`` value — and, with a
-:class:`ResultCache` (memoized cell rows), identical again when most
-cells come out of the content-addressed store instead of a worker::
-
-    from repro.parallel import ResultCache
-
-    cache = ResultCache(".alock-cache")
-    res = run_sweep_parallel(..., workers=4, cache=cache)   # computes
-    res = run_sweep_parallel(..., workers=4, cache=cache)   # all hits
+The output is byte-identical at any ``workers`` value, and again when
+``cache=ResultCache(".alock-cache")`` serves cells from its store.
+``enumerate_grid`` is the one cartesian driver and ``pmap_outcomes`` the
+one fan-out: a sweep reduces each cell's ``RunResult`` to a row, an
+experiment (``repro.experiments.base.run_specs``) keeps it whole.
 """
 
-from repro.parallel.cache import (CacheStats, ResultCache,
-                                  SourceFingerprinter, canonical_spec)
-from repro.parallel.cells import (CellResult, SweepCell, cell_key,
-                                  check_boundary_value, worker_entry)
+from repro.parallel.cache import (CacheStats, ResultCache, canonical_spec,
+                                  source_fingerprint)
+from repro.parallel.cells import (Cell, CellFailure, check_boundary_value,
+                                  worker_entry)
 from repro.parallel.engine import (METRICS, default_chunk_size,
-                                   pmap_workloads, run_cells)
+                                   pmap_outcomes, pmap_workloads)
 from repro.parallel.store import BlobStore
 from repro.parallel.sweep import (ParallelSweepResult, enumerate_grid,
                                   run_sweep_parallel)
 
 __all__ = [
-    "CellResult",
-    "SweepCell",
-    "cell_key",
-    "check_boundary_value",
-    "worker_entry",
-    "METRICS",
-    "default_chunk_size",
-    "pmap_workloads",
-    "run_cells",
-    "ParallelSweepResult",
-    "enumerate_grid",
-    "run_sweep_parallel",
-    "CacheStats",
-    "ResultCache",
-    "SourceFingerprinter",
-    "canonical_spec",
+    "Cell", "CellFailure", "check_boundary_value", "worker_entry",
+    "METRICS", "default_chunk_size", "pmap_outcomes", "pmap_workloads",
+    "ParallelSweepResult", "enumerate_grid", "run_sweep_parallel",
+    "CacheStats", "ResultCache", "canonical_spec", "source_fingerprint",
     "BlobStore",
 ]

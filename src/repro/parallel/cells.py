@@ -1,29 +1,22 @@
-"""Sweep cells: the unit of work the parallel engine ships to workers.
+"""Cells: the unit of work the parallel engine ships to workers.
 
-A *cell* is one sealed, seeded simulation run: a :class:`WorkloadSpec`
-plus a stable **cell key**.  Because every run is deterministic given
-its spec (the repo-wide seed discipline), a cell can execute in any
-process, in any order, and produce the same result — which is what
-makes fan-out safe (see docs/architecture.md § Parallel experiments).
+A *cell* is one sealed, seeded simulation run — ``Cell(coords, spec)``:
+where its numbers go and the :class:`WorkloadSpec` that produces them.
+A run is deterministic given its spec, so a cell can execute in any
+process, in any order (docs/architecture.md § Parallel experiments).
 
-The process boundary is deliberately narrow:
-
-* a worker *receives* only :class:`SweepCell` values — frozen
-  dataclasses of primitives (the spec itself is primitives + an
-  optional frozen :class:`~repro.faults.FaultPlan`);
-* a worker *returns* only :class:`CellResult` values — primitives
-  again (the row dict is ``summary_row()`` output, not live objects).
-
-No :class:`~repro.sim.core.Environment`, cluster, lock, or numpy buffer
-ever crosses the boundary; each worker builds its own world from the
-spec.  The :func:`worker_entry` marker plus simlint's
-``process-boundary`` rule keep it that way.
+The process boundary is narrow: a worker *receives* specs — frozen
+dataclasses of primitives — and *returns*, per spec, the picklable
+:class:`~repro.workload.metrics.RunResult` or a :class:`CellFailure` of
+strings; no Environment, cluster or lock ever crosses it.  The
+:func:`worker_entry` marker plus simlint's ``process-boundary`` rule
+keep it that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Optional, TypeVar
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, NamedTuple, Optional, TypeVar
 
 from repro.common.errors import ConfigError
 from repro.workload.spec import WorkloadSpec
@@ -52,7 +45,7 @@ def check_boundary_value(value, path: str = "cell") -> None:
     """Raise :class:`ConfigError` if ``value`` contains anything beyond
     primitives, tuples/lists/dicts of primitives, or frozen dataclasses
     thereof.  This is the runtime side of the process-boundary
-    contract; the engine audits every cell before submitting it."""
+    contract; the sweep grid audits every cell as it enumerates it."""
     if isinstance(value, _PRIMITIVES):
         return
     if isinstance(value, (tuple, list)):
@@ -74,52 +67,22 @@ def check_boundary_value(value, path: str = "cell") -> None:
         f"Environment/Cluster/lock objects)")
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One schedulable unit: ``key`` identifies it, ``spec`` seals it.
+class Cell(NamedTuple):
+    """One sealed run of a grid: where its numbers go (the row's
+    coordinates, in the shape the grid's reader wants — a sweep's are
+    its ``(axis, value)`` pairs) and the spec that produces them."""
 
-    Attributes:
-        index: position in enumeration order.  The merge step orders
-            results by key, whose first element is this index, so the
-            merged output is byte-identical to a serial run.
-        key: stable primitive tuple ``(index, (axis, value), ...)``.
-        spec: the sealed run description (includes the seed).
-    """
-
-    index: int
-    key: tuple
+    coords: Any
     spec: WorkloadSpec
 
-    def __post_init__(self) -> None:
-        check_boundary_value(self.key, "cell.key")
-        check_boundary_value(self.spec, "cell.spec")
-
 
 @dataclass(frozen=True)
-class CellResult:
-    """What one cell produced — primitives only.
+class CellFailure:
+    """What a cell that raised sends home instead of its result:
+    ``error`` is the ``repr`` + traceback text and ``dump`` the
+    post-mortem (:mod:`repro.obs.postmortem`) the failure site hung on
+    the exception, as canonical JSON — strings both, so the blob
+    survives pickling unchanged."""
 
-    ``ok`` distinguishes a measured row from a recorded failure: a
-    worker exception becomes a failed cell (``error`` carries the
-    ``repr`` + traceback text), never a lost sweep.  When the failure
-    produced a post-mortem (see :mod:`repro.obs.postmortem`), ``dump``
-    carries it as canonical JSON — a string, so the boundary contract
-    holds and the blob survives pickling unchanged.
-    """
-
-    key: tuple
-    ok: bool
-    row: Optional[dict] = field(default=None)
-    error: Optional[str] = field(default=None)
-    dump: Optional[str] = field(default=None)
-
-    def __post_init__(self) -> None:
-        check_boundary_value(self.key, "result.key")
-        if self.row is not None:
-            check_boundary_value(self.row, "result.row")
-
-
-def cell_key(index: int, overrides: dict) -> tuple:
-    """The stable cell key: enumeration index first (so key order *is*
-    serial order), then the axis assignments that produced the cell."""
-    return (index,) + tuple((axis, overrides[axis]) for axis in overrides)
+    error: str
+    dump: Optional[str] = None

@@ -1,26 +1,15 @@
 """Content-addressed blob store backing the sweep cache.
 
 The only place in the sensitive packages that writes result blobs to
-disk, in one format: canonical JSON.  (``pickle``/``marshal``/… are a
-simlint ``process-boundary`` finding everywhere in those packages, here
-too — a pickled file is a process boundary stretched over time.)
-Confining the disk format here keeps two invariants checkable:
-
-* everything written passes the same primitives-only audit as the
-  process boundary (the cache layer runs ``check_boundary_value`` on
-  rows before they are stored and after they are loaded), and
-* **corruption is a miss, never a crash** — a truncated, garbled, or
-  hand-edited blob makes its cell recompute; it cannot take a sweep
-  down or, worse, silently feed it a wrong row.
-
-Layout is a git-style fan-out under the store root::
-
-    <root>/<digest[:2]>/<digest>.json   # cell rows (canonical JSON)
-
-Digests are computed by :mod:`repro.parallel.cache`; the store never
-interprets them.  Writes are atomic (temp file + ``os.replace``) so an
-interrupted sweep leaves either a whole entry or no entry — which is
-what makes ``sweep --resume`` sound.
+disk, in one format: canonical JSON, so what comes back is primitives
+only (``pickle``/``marshal``/… are a simlint ``process-boundary``
+finding here too — a pickled file is a process boundary stretched over
+time).  **Corruption is a miss, never a crash**: a truncated, garbled
+or hand-edited blob makes its cell recompute.  Layout is a git-style
+fan-out, ``<root>/<digest[:2]>/<digest>.json``; digests come from
+:mod:`repro.parallel.cache`.  Writes are atomic (temp file +
+``os.replace``), so an interrupted sweep leaves a whole entry or none —
+which makes re-running it with ``sweep --cache DIR`` a sound resume.
 """
 
 from __future__ import annotations

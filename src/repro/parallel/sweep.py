@@ -1,20 +1,13 @@
 """Parallel parameter sweeps with deterministic, byte-identical output.
 
-This is the user-facing layer of the parallel engine: enumerate a
-(seed × config) grid into sealed :class:`SweepCell` values, fan them out
-with :func:`repro.parallel.engine.run_cells`, and serialize the merged
-result.  The serialized JSON/CSV is **byte-identical at any worker
-count** (gated by tests/parallel/test_determinism.py) because
-
-1. cells are enumerated in a fixed order and keyed by that order,
-2. each cell is a sealed seeded run — its row does not depend on which
-   process computed it, and
-3. the merge sorts by cell key before serializing, discarding
-   completion order.
-
-Wall-clock metadata (worker count, elapsed time) is intentionally kept
-*out* of the serialized payload so identical sweeps produce identical
-bytes regardless of hardware.
+Enumerate a (seed × config) grid into sealed :class:`Cell` values, run
+their specs through :func:`repro.parallel.engine.pmap_outcomes`, reduce
+each :class:`RunResult` to a metric row here in the parent, and
+serialize.  The JSON/CSV is **byte-identical at any worker count**
+(tests/parallel/test_determinism.py): enumeration order is output
+order, each cell is a sealed seeded run, and outcomes come back by
+input position, never completion order.  How the sweep ran (workers,
+elapsed time, cache counters) stays out of the serialized payload.
 """
 
 from __future__ import annotations
@@ -25,24 +18,27 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
+from repro.locks.base import LOCK_TYPES, unknown_lock_type
 from repro.parallel.cache import ResultCache
-from repro.parallel.cells import CellResult, SweepCell, cell_key
-from repro.parallel.engine import run_cells
+from repro.parallel.cells import Cell, CellFailure, check_boundary_value
+from repro.parallel.engine import METRICS, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
+
+#: A sweep cell's result: its metric row, or how it failed.
+RowOrFailure = Union[dict, CellFailure]
 
 
 def enumerate_grid(base: WorkloadSpec, axes: "dict[str, Sequence]",
-                   seeds: Optional[Sequence[int]] = None) -> list[SweepCell]:
-    """Enumerate the cartesian (seed × config) grid into sealed cells.
-
-    ``seeds``, when given, becomes the outermost axis (named ``"seed"``),
-    so repetitions of the whole grid are contiguous.  Enumeration order
-    — ``itertools.product`` over axes in the given order — defines the
-    cell index, which is the first element of every cell key and hence
-    the canonical (serial) output order.
+                   seeds: Optional[Sequence[int]] = None) -> list[Cell]:
+    """Enumerate the cartesian (seed × config) grid into sealed cells
+    whose coordinates are their ``(axis, value)`` pairs, in
+    ``itertools.product`` order over the axes as given — the canonical
+    output order.  ``seeds``, when given, is the outermost axis
+    (``"seed"``).  Every cell passes :func:`check_boundary_value` here,
+    not in a worker.
     """
     if seeds is not None and "seed" in axes:
         raise ConfigError(
@@ -54,26 +50,26 @@ def enumerate_grid(base: WorkloadSpec, axes: "dict[str, Sequence]",
         all_axes["seed"] = list(seeds)
     all_axes.update(axes)
     names = tuple(all_axes)
-    cells: list[SweepCell] = []
-    for index, combo in enumerate(itertools.product(*(all_axes[n] for n in names))):
-        overrides = dict(zip(names, combo))
-        cells.append(SweepCell(index=index, key=cell_key(index, overrides),
-                               spec=base.with_(**overrides)))
+    cells: list[Cell] = []
+    for combo in itertools.product(*(all_axes[n] for n in names)):
+        coords = tuple(zip(names, combo))
+        cell = Cell(coords, base.with_(**dict(coords)))
+        check_boundary_value(cell)
+        cells.append(cell)
     return cells
 
 
 @dataclass
 class ParallelSweepResult:
-    """Merged outcome of a (possibly parallel) sweep.
-
-    ``results`` is in cell-key order — i.e. exactly the order a serial
-    sweep would have produced.  ``workers``, ``elapsed_s``, and the
-    cache counters describe how the sweep *ran* and are excluded from
-    serialization — a cached row and a computed row are the same row.
-    """
+    """Merged outcome of a (possibly parallel) sweep: ``results[i]`` is
+    ``cells[i]``'s metric row or its :class:`CellFailure`, in
+    enumeration order.  ``workers``, ``elapsed_s`` and the cache
+    counters say how the sweep *ran* and are never serialized — a cached
+    row and a computed row are the same row."""
 
     axes: tuple[str, ...]
-    results: list[CellResult] = field(default_factory=list)
+    cells: list[Cell] = field(default_factory=list)
+    results: list[RowOrFailure] = field(default_factory=list)
     metric: str = "throughput"
     workers: int = 1
     elapsed_s: float = 0.0
@@ -82,59 +78,54 @@ class ParallelSweepResult:
 
     @property
     def rows(self) -> list[dict]:
-        """Rows of successful cells, in cell-key order."""
-        return [r.row for r in self.results if r.ok]
+        """Rows of successful cells, in enumeration order."""
+        return [r for r in self.results if not isinstance(r, CellFailure)]
 
     @property
-    def failures(self) -> list[CellResult]:
-        return [r for r in self.results if not r.ok]
+    def failures(self) -> list[tuple[Cell, CellFailure]]:
+        return [(c, r) for c, r in zip(self.cells, self.results)
+                if isinstance(r, CellFailure)]
 
-    def _axis_values(self, result: CellResult) -> dict:
-        return dict(result.key[1:])
+    def _entries(self) -> Iterator[tuple[int, Cell, Optional[dict], Optional[str]]]:
+        """``(index, cell, row, error)`` per cell; one of the last two is
+        ``None``."""
+        for index, (cell, r) in enumerate(zip(self.cells, self.results)):
+            if isinstance(r, CellFailure):
+                yield index, cell, None, r.error
+            else:
+                yield index, cell, r, None
 
     # -- serialization (deterministic; byte-identity gated by tests) -----
     def to_json_bytes(self) -> bytes:
-        """Canonical JSON: sorted keys, fixed separators, ``\\n``-ended.
-        Contains only run-content (axes, metric, per-cell rows/errors),
-        never how the sweep was executed."""
+        """Canonical JSON: sorted keys, fixed separators, ``\\n``-ended."""
         payload = {
             "axes": list(self.axes),
             "metric": self.metric,
-            "cells": [
-                {
-                    "key": list(r.key[1:]),
-                    "index": r.key[0],
-                    "ok": r.ok,
-                    "row": r.row,
-                    "error": r.error,
-                }
-                for r in self.results
-            ],
+            "cells": [{"key": list(cell.coords), "index": index,
+                       "ok": error is None, "row": row, "error": error}
+                      for index, cell, row, error in self._entries()],
         }
         return (json.dumps(payload, sort_keys=True, indent=2,
                            ensure_ascii=True) + "\n").encode("ascii")
 
     def _columns(self) -> list[str]:
         row_keys: set[str] = set()
-        for r in self.results:
-            if r.row:
-                row_keys.update(r.row)
+        for row in self.rows:
+            row_keys.update(row)
         extra = sorted(row_keys - set(self.axes))
         return ["index", *self.axes, *extra, "ok", "error"]
 
     def to_csv_bytes(self) -> bytes:
-        """Canonical CSV: one line per cell in key order, fixed column
-        order (index, axes, sorted row fields, ok, error), ``\\n`` line
-        endings on every platform."""
+        """Canonical CSV: one line per cell, columns index, axes, sorted
+        row fields, ok, error; ``\\n`` line endings on every platform."""
         columns = self._columns()
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for r in self.results:
-            line = {"index": r.key[0], "ok": r.ok, "error": r.error or ""}
-            line.update(self._axis_values(r))
-            if r.row:
-                line.update({k: v for k, v in r.row.items() if k in columns})
+        for index, cell, row, error in self._entries():
+            line = {"index": index, "ok": error is None, "error": error or ""}
+            line.update(cell.coords)
+            line.update({k: v for k, v in (row or {}).items() if k in columns})
             writer.writerow(line)
         return buf.getvalue().encode("utf-8")
 
@@ -152,33 +143,59 @@ def run_sweep_parallel(base: WorkloadSpec, axes: "dict[str, Sequence]", *,
                        seeds: Optional[Sequence[int]] = None,
                        workers: int = 0, metric: str = "throughput",
                        chunk_size: Optional[int] = None,
-                       on_result: Optional[Callable[[CellResult], None]] = None,
+                       on_result: Optional[Callable[[Cell, RowOrFailure], None]] = None,
                        executor_factory=None,
                        cache: Optional[ResultCache] = None) -> ParallelSweepResult:
-    """Run a (seed × config) grid sweep, sharded over ``workers``
-    processes, and return the deterministically merged result.
+    """Run a (seed × config) grid sweep on ``workers`` processes
+    (``<= 1``: inline) and return the merged result, byte-identical at
+    any worker count.  An unknown metric or lock kind is a
+    :class:`ConfigError` before any cell runs.
 
-    ``workers <= 1`` runs inline in this process — the serial reference
-    path; any ``workers`` value yields byte-identical
-    :meth:`ParallelSweepResult.to_json_bytes` /
-    :meth:`~ParallelSweepResult.to_csv_bytes` output.  A ``cache``
-    short-circuits cells whose content address is already in the store
-    (and write-backs fresh ones), which is also the resume path: re-run
-    an interrupted sweep with the same cache and only missing cells
-    recompute.  The serialized bytes are identical with or without it.
+    ``on_result(cell, row_or_failure)`` reports progress in completion
+    order (cache hits first).  A ``cache`` is looked up for every cell
+    before anything is submitted — an all-hit sweep builds no pool — and
+    a fresh row is written back before ``on_result`` sees it, so
+    re-running an interrupted sweep with the same cache recomputes only
+    the missing cells.  The serialized bytes are the same either way.
     """
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
     cells = enumerate_grid(base, axes, seeds)
-    hits0 = cache.stats.hits if cache is not None else 0
-    misses0 = cache.stats.misses if cache is not None else 0
+    for cell in cells:
+        if cell.spec.lock_kind not in LOCK_TYPES:
+            raise unknown_lock_type(cell.spec.lock_kind)
     start = time.perf_counter()  # simlint: ignore[nondet-source]
-    results = run_cells(cells, workers=workers, metric=metric,
-                        chunk_size=chunk_size, on_result=on_result,
-                        executor_factory=executor_factory, cache=cache)
+    results: list = [None] * len(cells)
+
+    def record(i: int, result: RowOrFailure) -> None:
+        results[i] = result
+        if on_result is not None:
+            on_result(cells[i], result)
+
+    if cache is not None:
+        for i, cell in enumerate(cells):
+            row = cache.get(cell.spec, metric)
+            if row is not None:
+                record(i, row)
+    todo = [i for i, r in enumerate(results) if r is None]
+
+    def on_outcome(j: int, outcome) -> None:
+        i = todo[j]
+        if not isinstance(outcome, CellFailure):
+            row = outcome.summary_row()
+            row["metric"] = float(METRICS[metric](outcome))
+            if cache is not None:
+                cache.put(cells[i].spec, metric, row)
+            outcome = row
+        record(i, outcome)
+
+    pmap_outcomes([cells[i].spec for i in todo], workers=workers,
+                  chunk_size=chunk_size, executor_factory=executor_factory,
+                  on_result=on_outcome)
     elapsed = time.perf_counter() - start  # simlint: ignore[nondet-source]
-    axis_names = cells[0].key[1:] if cells else ()
     return ParallelSweepResult(
-        axes=tuple(name for name, _ in axis_names),
-        results=results, metric=metric,
+        axes=tuple(name for name, _ in cells[0].coords) if cells else (),
+        cells=cells, results=results, metric=metric,
         workers=max(1, workers), elapsed_s=elapsed,
-        cache_hits=(cache.stats.hits - hits0) if cache is not None else 0,
-        cache_misses=(cache.stats.misses - misses0) if cache is not None else 0)
+        cache_hits=len(cells) - len(todo) if cache is not None else 0,
+        cache_misses=len(todo) if cache is not None else 0)

@@ -3,10 +3,10 @@
 Exploration is embarrassingly parallel — every schedule is a sealed
 build of a frozen :class:`~repro.schedcheck.scenario.LockScenario` plus
 one derived policy seed — so the fleet fans walks through
-:func:`repro.parallel.engine.run_chunks` the same way sweeps fan cells:
-primitive :class:`ExploreCell` units out, primitive :class:`CellOut`
-records back, crash isolation per cell, byte-identical merge in cell
-order.
+:func:`repro.parallel.engine.run_chunks`, the loop every sweep and
+experiment cell runs on: primitive :class:`ExploreCell` units out,
+primitive :class:`CellOut` records back, crash isolation per cell,
+byte-identical merge in cell order.
 
 The loop is **batch-synchronous novelty steering**.  Each round, every
 active scenario contributes a few cells; a cell's job list mixes fresh
@@ -258,7 +258,7 @@ def run_explore_chunk(chunk: "tuple[ExploreCell, ...]") -> list[CellOut]:
 
     Each cell builds its scenario fresh per schedule inside this
     process; exceptions become failed-cell records and never escape the
-    chunk (crash isolation, mirroring ``run_cell_chunk``)."""
+    chunk (crash isolation, mirroring ``run_spec_chunk``)."""
     out: list[CellOut] = []
     for cell in chunk:
         try:
@@ -633,20 +633,13 @@ def run_fleet(config: FleetConfig, *, workers: int = 0,
         outs: dict[int, CellOut] = {}
 
         def on_chunk_done(idx: int, value, error) -> None:
-            chunk_cells = chunks[idx]
-            if error is not None or not isinstance(value, (list, tuple)):
-                problem = (f"{error!r}" if error is not None
-                           else f"bad chunk value {type(value).__name__!r}")
-                for cell in chunk_cells:
-                    outs[cell.index] = CellOut(
-                        index=cell.index, ok=False,
-                        error=f"chunk failure: {problem}")
-                return
-            by_index = {o.index: o for o in value if isinstance(o, CellOut)}
-            for cell in chunk_cells:
-                outs[cell.index] = by_index.get(cell.index) or CellOut(
-                    index=cell.index, ok=False,
-                    error="malformed chunk: no record for this cell")
+            if error is not None:
+                # The whole chunk died (worker crash / broken pool).
+                value = [CellOut(index=cell.index, ok=False,
+                                 error=f"chunk failure: {error!r}")
+                         for cell in chunks[idx]]
+            for out in value:
+                outs[out.index] = out
 
         # one cell per chunk: a cell is already a batch of schedules,
         # so finer chunking buys nothing and coarser hurts stealing.

@@ -42,6 +42,7 @@ class TestRun:
         (["sweep", "--metric", "nope"], "unknown --metric 'nope'"),
         (["explore", "--lock-option", "novalue"],
          "--lock-option wants KEY=VALUE, got 'novalue'"),
+        (["sweep", "--lock", "alock", "nosuch"], "unknown lock type 'nosuch'"),
     ])
     def test_bad_option_values_are_reported_the_same(self, argv, message,
                                                      capsys):

@@ -9,9 +9,8 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.parallel import (SweepCell, cell_key, check_boundary_value,
-                            enumerate_grid, worker_entry)
-from repro.parallel.engine import run_cell_chunk, run_spec_chunk
+from repro.parallel import check_boundary_value, enumerate_grid, worker_entry
+from repro.parallel.engine import run_spec_chunk
 from repro.workload.spec import WorkloadSpec
 
 
@@ -25,7 +24,6 @@ def test_worker_entry_marks_function():
 
 
 def test_engine_entry_points_are_marked():
-    assert run_cell_chunk.__is_worker_entry__
     assert run_spec_chunk.__is_worker_entry__
 
 
@@ -60,16 +58,12 @@ def test_cells_pickle_round_trip_unchanged():
     restored = pickle.loads(blob)
     assert tuple(cells) == restored
     for cell in restored:
-        check_boundary_value(cell.key)
-        check_boundary_value(cell.spec)
-
-
-def test_sweepcell_constructor_audits():
-    with pytest.raises(ConfigError):
-        SweepCell(index=0, key=(0, ("x", object())),
-                  spec=WorkloadSpec(ops_per_thread=1))
+        check_boundary_value(cell)
 
 
 def test_cell_key_stable():
-    assert cell_key(3, {"seed": 1, "lock_kind": "alock"}) == \
-        (3, ("seed", 1), ("lock_kind", "alock"))
+    """A sweep cell's coordinates are its ``(axis, value)`` pairs, seed
+    first, then the axes in declared order — the JSON ``key``."""
+    (cell,) = enumerate_grid(WorkloadSpec(ops_per_thread=1),
+                             {"lock_kind": ["alock"]}, seeds=[1])
+    assert cell.coords == (("seed", 1), ("lock_kind", "alock"))

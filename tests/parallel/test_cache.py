@@ -2,8 +2,8 @@
 resume, and corruption handling.
 
 The acceptance gates: an unchanged grid re-run is all hits and
-byte-identical to the uncached serial path; editing one lock's source
-invalidates only that lock's cells; an interrupted sweep resumes
+byte-identical to the uncached serial path; editing any source file of
+the package invalidates every cell; an interrupted sweep resumes
 recomputing only the missing cells; a corrupted store entry is a miss,
 never a crash.
 """
@@ -11,14 +11,13 @@ never a crash.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.locks import LOCK_TYPES, make_lock
-from repro.parallel import (ResultCache, SourceFingerprinter, enumerate_grid,
-                            run_cells, run_sweep_parallel)
-from repro.parallel.cache import CACHE_FORMAT
+from repro.parallel import (ResultCache, enumerate_grid, run_sweep_parallel,
+                            source_fingerprint)
+from repro.parallel.cache import CACHE_FORMAT, PACKAGE_ROOT
 from repro.workload.spec import WorkloadSpec
 
 BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
@@ -80,8 +79,8 @@ class TestHitMiss:
                                  cache=cache)
         assert res.cache_hits == 0
 
-    def test_failed_cells_are_not_cached(self, cache):
-        axes = {"lock_kind": ["alock", "no-such-lock"]}
+    def test_failed_cells_are_not_cached(self, cache, hang):
+        axes = {"lock_kind": ["alock", hang]}
         first = run_sweep_parallel(BASE, axes, workers=0, cache=cache)
         assert len(first.failures) == 1
         assert cache.stats.writes == 1  # only the successful cell
@@ -90,58 +89,55 @@ class TestHitMiss:
         assert second.cache_misses == 1  # the failing cell retried
 
 
+@pytest.fixture
+def tree(tmp_path):
+    """A copy of the package's source to edit."""
+    root = tmp_path / "src" / "repro"
+    shutil.copytree(PACKAGE_ROOT, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
 class TestInvalidationScope:
-    """Editing a lock's source (modelled via the fingerprinter overlay)
-    invalidates exactly that lock's cells."""
+    """The code fingerprint is every ``.py`` under the package: editing
+    any one file, lock or not, invalidates every cell."""
 
-    def _hits_by_lock(self, tmp_path, overlay):
-        cache = ResultCache(str(tmp_path / "store"),
-                            fingerprinter=SourceFingerprinter(overlay))
-        cells = enumerate_grid(BASE, AXES)
-        hits = {}
-        for cell in cells:
-            kind = dict(cell.key[1:])["lock_kind"]
-            hit = cache.lookup_cell(cell, "throughput")
-            hits.setdefault(kind, []).append(hit is not None)
-        return hits
+    def _edited(self, tree, rel):
+        with open(tree / rel, "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+        return source_fingerprint(str(tree))
 
-    def test_editing_one_lock_invalidates_only_its_cells(self, cache, tmp_path):
+    def _hits(self, tmp_path, code):
+        cache = ResultCache(str(tmp_path / "store"), code=code)
+        return [cache.get(cell.spec, "throughput") is not None
+                for cell in enumerate_grid(BASE, AXES)]
+
+    def test_editing_any_source_file_changes_the_digest(self, tree, tmp_path):
+        """A cell runs the NIC model and memory as much as its lock:
+        an edit to either must change the address of every cell."""
+        spec = BASE.with_(seed=7)
+        code = source_fingerprint(str(tree))
+        assert code == source_fingerprint()  # the copy is the tree
+        digests = [ResultCache(str(tmp_path), code=code).cell_digest(spec, "p99")]
+        for rel in ("rdma/config.py", "memory/region.py"):
+            code = self._edited(tree, rel)
+            digests.append(ResultCache(str(tmp_path), code=code)
+                           .cell_digest(spec, "p99"))
+        assert len(set(digests)) == 3
+
+    def test_editing_an_imported_helper_invalidates_its_lock(self, cache, tree,
+                                                             tmp_path):
+        """peterson.py is not a registered kind but ALock runs it."""
         run_sweep_parallel(BASE, AXES, workers=0, cache=cache)
-        hits = self._hits_by_lock(
-            tmp_path,
-            overlay={"repro.locks.baselines.spinlock": b"# edited\n"})
-        assert hits["spinlock"] == [False, False]
-        assert hits["alock"] == [True, True]
-        assert hits["mcs"] == [True, True]
+        assert self._hits(tmp_path, cache.code) == [True] * N_CELLS
+        code = self._edited(tree, "locks/alock/peterson.py")
+        assert self._hits(tmp_path, code) == [False] * N_CELLS
 
-    def test_editing_an_imported_helper_invalidates_its_lock(self, cache, tmp_path):
-        """peterson.py is not a registered kind but ALock imports it —
-        the closure walk must catch the dependency."""
+    def test_editing_shared_core_invalidates_everything(self, cache, tree,
+                                                        tmp_path):
         run_sweep_parallel(BASE, AXES, workers=0, cache=cache)
-        hits = self._hits_by_lock(
-            tmp_path,
-            overlay={"repro.locks.alock.peterson": b"# edited\n"})
-        assert hits["alock"] == [False, False]
-        assert hits["spinlock"] == [True, True]
-        assert hits["mcs"] == [True, True]
-
-    def test_every_shipped_kind_resolves_to_its_defining_module(self):
-        """Kinds are registered as their classes, not as factory
-        functions; either way ``__module__`` must name the file whose
-        edit invalidates the kind's cells."""
-        shipped = sorted(kind for kind, factory in LOCK_TYPES.items()
-                         if factory.__module__.startswith("repro.locks."))
-        assert len(shipped) == 7
-        fingerprinter, cluster = SourceFingerprinter(), Cluster(2, seed=0)
-        for kind in shipped:
-            assert fingerprinter._resolve_lock_module(kind) == \
-                type(make_lock(kind, cluster, 0)).__module__
-
-    def test_editing_shared_core_invalidates_everything(self, cache, tmp_path):
-        run_sweep_parallel(BASE, AXES, workers=0, cache=cache)
-        hits = self._hits_by_lock(
-            tmp_path, overlay={"repro.sim.core": b"# edited\n"})
-        assert all(not any(flags) for flags in hits.values())
+        code = self._edited(tree, "sim/core.py")
+        assert self._hits(tmp_path, code) == [False] * N_CELLS
 
 
 class TestResume:
@@ -151,7 +147,7 @@ class TestResume:
         uncached = run_sweep_parallel(BASE, AXES, workers=0)
         seen = {"n": 0}
 
-        def interrupt(result):
+        def interrupt(cell, result):
             seen["n"] += 1
             if seen["n"] == 2:
                 raise KeyboardInterrupt
@@ -185,47 +181,44 @@ class TestResume:
 
 
 class TestCorruption:
-    def _one_cell(self):
-        return enumerate_grid(BASE, {"lock_kind": ["alock"]})
+    AXES = {"lock_kind": ["alock"]}
+    SPEC = BASE.with_(lock_kind="alock")
 
     def test_corrupted_entry_is_a_miss_not_a_crash(self, cache):
-        cells = self._one_cell()
-        run_cells(cells, cache=cache)
-        digest = cache.cell_digest(cells[0].spec, "throughput")
+        run_sweep_parallel(BASE, self.AXES, cache=cache)
+        digest = cache.cell_digest(self.SPEC, "throughput")
         path = cache.store.json_path(digest)
         with open(path, "wb") as fh:
             fh.write(b"\x00garbage{{{")
         fresh = ResultCache(cache.cache_dir)
-        results = run_cells(cells, cache=fresh)
-        assert results[0].ok
+        res = run_sweep_parallel(BASE, self.AXES, cache=fresh)
+        assert len(res.rows) == 1
         assert fresh.stats.hits == 0
         assert fresh.stats.misses == 1
         # ... and the recompute repaired the entry.
         repaired = ResultCache(cache.cache_dir)
-        assert repaired.lookup_cell(cells[0], "throughput") is not None
+        assert repaired.get(self.SPEC, "throughput") is not None
 
     def test_wrong_format_version_is_a_miss(self, cache):
-        cells = self._one_cell()
-        run_cells(cells, cache=cache)
-        digest = cache.cell_digest(cells[0].spec, "throughput")
+        run_sweep_parallel(BASE, self.AXES, cache=cache)
+        digest = cache.cell_digest(self.SPEC, "throughput")
         cache.store.put_json(digest, {"format": CACHE_FORMAT + 1,
                                       "row": {"metric": 1.0}})
         fresh = ResultCache(cache.cache_dir)
-        assert fresh.lookup_cell(cells[0], "throughput") is None
+        assert fresh.get(self.SPEC, "throughput") is None
         assert fresh.stats.invalid == 1
 
     def test_non_primitive_row_fails_the_boundary_audit(self, cache):
-        cells = self._one_cell()
-        digest = cache.cell_digest(cells[0].spec, "throughput")
+        digest = cache.cell_digest(self.SPEC, "throughput")
         cache.store.put_json(digest, {"format": CACHE_FORMAT,
                                       "row": {"metric": [1.0, {"a": None}]}})
         # Nested primitives are fine ...
-        assert ResultCache(cache.cache_dir).lookup_cell(
-            cells[0], "throughput") is not None
+        assert ResultCache(cache.cache_dir).get(
+            self.SPEC, "throughput") is not None
         # ... a row that is not a dict is not.
         cache.store.put_json(digest, {"format": CACHE_FORMAT, "row": 7})
         fresh = ResultCache(cache.cache_dir)
-        assert fresh.lookup_cell(cells[0], "throughput") is None
+        assert fresh.get(self.SPEC, "throughput") is None
         assert fresh.stats.invalid == 1
 
 
@@ -243,9 +236,8 @@ class TestDigestStability:
         assert cache.cell_digest(spec.with_(n_locks=21), "p99") != base
 
     def test_store_entry_is_canonical_json(self, cache):
-        cells = enumerate_grid(BASE, {"lock_kind": ["alock"]})
-        run_cells(cells, cache=cache)
-        digest = cache.cell_digest(cells[0].spec, "throughput")
+        run_sweep_parallel(BASE, {"lock_kind": ["alock"]}, cache=cache)
+        digest = cache.cell_digest(BASE.with_(lock_kind="alock"), "throughput")
         with open(cache.store.json_path(digest), "rb") as fh:
             raw = fh.read()
         payload = json.loads(raw)

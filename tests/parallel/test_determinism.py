@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.parallel import enumerate_grid, run_cells, run_sweep_parallel
+from repro.parallel import enumerate_grid, pmap_outcomes, run_sweep_parallel
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import recorded_fanout
 
@@ -24,15 +24,16 @@ AXES = {"lock_kind": ["alock", "spinlock", "mcs"],
 def test_enumerate_grid_order_and_keys():
     cells = enumerate_grid(BASE, AXES, seeds=[0, 1])
     assert len(cells) == 2 * 3 * 2 * 2
-    # Keys carry the enumeration index first and the axis assignments.
-    assert [c.index for c in cells] == list(range(len(cells)))
-    assert cells[0].key[0] == 0
-    assert dict(cells[0].key[1:]) == {"seed": 0, "lock_kind": "alock",
-                                      "n_locks": 20, "locality_pct": 90.0}
+    # Coordinates carry the axis assignments; the list order is the
+    # output order.
+    assert dict(cells[0].coords) == {"seed": 0, "lock_kind": "alock",
+                                     "n_locks": 20, "locality_pct": 90.0}
+    assert [c.spec for c in cells] == [BASE.with_(**dict(c.coords))
+                                       for c in cells]
     # Seeds are the outermost axis: the second half repeats the grid.
     half = len(cells) // 2
-    assert all(dict(c.key[1:])["seed"] == 0 for c in cells[:half])
-    assert all(dict(c.key[1:])["seed"] == 1 for c in cells[half:])
+    assert all(dict(c.coords)["seed"] == 0 for c in cells[:half])
+    assert all(dict(c.coords)["seed"] == 1 for c in cells[half:])
 
 
 def test_single_worker_matches_serial_byte_identical():
@@ -59,10 +60,14 @@ def test_chunk_size_does_not_change_output():
         assert serial.to_json_bytes() == par.to_json_bytes()
 
 
-def test_run_cells_results_in_key_order():
-    cells = enumerate_grid(BASE, {"lock_kind": ["alock", "mcs"]})
-    results = run_cells(cells, workers=2, chunk_size=1)
-    assert [r.key for r in results] == [c.key for c in cells]
+def test_pmap_outcomes_in_input_order():
+    """Outcomes come back by input position, not completion order."""
+    specs = [BASE.with_(lock_kind=k) for k in ("alock", "mcs", "spinlock")]
+    done = []
+    outcomes = pmap_outcomes(specs, workers=2, chunk_size=1,
+                             on_result=lambda i, r: done.append(i))
+    assert [r.spec for r in outcomes] == specs
+    assert sorted(done) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))

@@ -1,15 +1,17 @@
-"""Edge cases of the parallel engine: more workers than cells, crashing
-cells, and interrupt handling (no orphan processes)."""
+"""Edge cases of the parallel engine: more workers than cells, failing
+cells, unknown lock kinds, and interrupt handling (no orphan
+processes)."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import time
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.parallel import (SweepCell, cell_key, enumerate_grid, run_cells,
+from repro.parallel import (CellFailure, enumerate_grid, pmap_outcomes,
                             run_sweep_parallel)
 from repro.workload.spec import WorkloadSpec
 
@@ -17,55 +19,43 @@ BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
                     ops_per_thread=10, audit="off")
 
 
-def _cells(n: int, **overrides) -> list[SweepCell]:
-    return [SweepCell(index=i, key=cell_key(i, {"seed": i}),
-                      spec=BASE.with_(seed=i, **overrides))
-            for i in range(n)]
-
-
 def test_more_workers_than_cells():
-    cells = _cells(2)
-    results = run_cells(cells, workers=6)
-    assert [r.ok for r in results] == [True, True]
-    assert [r.key for r in results] == [c.key for c in cells]
+    specs = [BASE.with_(seed=s) for s in range(2)]
+    outcomes = pmap_outcomes(specs, workers=6)
+    assert [r.spec for r in outcomes] == specs
 
 
-def test_raising_cell_becomes_failed_record():
+def test_raising_cell_becomes_failed_record(hang):
     """A diverging cell is recorded as failed; the sweep completes and
     every other cell still produces its row."""
-    cells = _cells(4)
-    # lock_kind is validated inside the worker (lock factory), so this
-    # cell raises during run_workload, not at spec construction.
-    bad = SweepCell(index=4, key=cell_key(4, {"seed": 4}),
-                    spec=BASE.with_(lock_kind="no-such-lock"))
-    all_cells = cells + [bad]
-    results = run_cells(all_cells, workers=2, chunk_size=1)
-    assert len(results) == 5
-    assert [r.ok for r in results] == [True, True, True, True, False]
-    assert "no-such-lock" in results[-1].error
-    assert results[-1].row is None
+    res = run_sweep_parallel(
+        BASE, {"lock_kind": ["alock", "mcs", "spinlock", hang]},
+        workers=2, chunk_size=1)
+    assert len(res.results) == 4
+    assert len(res.rows) == 3
+    ((cell, failure),) = res.failures
+    assert cell.coords == (("lock_kind", "hang"),)
+    assert "deadlocked" in failure.error
 
 
-def test_raising_cell_serial_path_matches():
-    bad = SweepCell(index=0, key=cell_key(0, {"seed": 0}),
-                    spec=BASE.with_(lock_kind="no-such-lock"))
-    (serial,) = run_cells([bad], workers=0)
-    (par,) = run_cells([bad], workers=2)
-    assert not serial.ok and not par.ok
+def test_raising_cell_serial_path_matches(hang):
+    spec = BASE.with_(lock_kind=hang)
+    (serial,) = pmap_outcomes([spec], workers=0)
+    (par,) = pmap_outcomes([spec], workers=2)
+    assert isinstance(serial, CellFailure) and isinstance(par, CellFailure)
     # Same exception, same first line (tracebacks differ by process).
     assert serial.error.splitlines()[0] == par.error.splitlines()[0]
 
 
-def test_failed_cells_survive_serialization():
-    axes = {"lock_kind": ["alock", "no-such-lock"]}
+def test_failed_cells_survive_serialization(hang):
+    axes = {"lock_kind": ["alock", hang]}
     serial = run_sweep_parallel(BASE, axes, workers=0)
     par = run_sweep_parallel(BASE, axes, workers=2)
     assert len(serial.failures) == len(par.failures) == 1
     assert len(serial.rows) == 1
     # Byte identity must hold for the *rows*; error text includes
-    # process-specific traceback paths, so compare CSV minus the error
-    # column via the JSON row payloads.
-    import json
+    # process-specific traceback paths, so compare the JSON payloads
+    # minus the error field.
     s = json.loads(serial.to_json_bytes())
     p = json.loads(par.to_json_bytes())
     for cs, cp in zip(s["cells"], p["cells"]):
@@ -74,20 +64,28 @@ def test_failed_cells_survive_serialization():
         assert cs["row"] == cp["row"]
 
 
-def test_keyboard_interrupt_leaves_no_orphans():
-    """An interrupt mid-sweep propagates out of run_cells and the pool
-    is fully shut down — no orphan worker processes remain."""
-    cells = _cells(16, ops_per_thread=200)
+def test_unknown_lock_kind_fails_before_any_cell_runs():
+    seen = []
+    with pytest.raises(ConfigError, match="unknown lock type 'nosuch'"):
+        run_sweep_parallel(BASE, {"lock_kind": ["alock", "nosuch"]},
+                           on_result=lambda cell, res: seen.append(cell))
+    assert seen == []
 
+
+def test_keyboard_interrupt_leaves_no_orphans():
+    """An interrupt mid-sweep propagates out of the sweep and the pool
+    is fully shut down — no orphan worker processes remain."""
     hits = {"n": 0}
 
-    def boom(result):
+    def boom(cell, result):
         hits["n"] += 1
         if hits["n"] == 2:
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        run_cells(cells, workers=2, chunk_size=1, on_result=boom)
+        run_sweep_parallel(BASE.with_(ops_per_thread=200), {},
+                           seeds=range(16), workers=2, chunk_size=1,
+                           on_result=boom)
     # shutdown(wait=True) joins the pool before re-raising; give the
     # reaper a beat, then require every child to be gone.
     deadline = time.monotonic() + 5.0
@@ -98,7 +96,7 @@ def test_keyboard_interrupt_leaves_no_orphans():
 
 def test_unknown_metric_rejected():
     with pytest.raises(ConfigError, match="unknown metric"):
-        run_cells(_cells(1), metric="nope")
+        run_sweep_parallel(BASE, {}, metric="nope")
 
 
 def test_empty_grid():

@@ -1,32 +1,21 @@
-"""Failed sweep cells carry their post-mortem dump across the process
-boundary as a plain JSON string (CellResult.dump)."""
+"""Failed cells carry their post-mortem dump across the process
+boundary as a plain JSON string (CellFailure.dump)."""
 
 import json
 
-from repro.locks import LOCK_TYPES, register_lock_type
 from repro.obs.postmortem import SCHEMA
-from repro.parallel import SweepCell, cell_key, run_cells
+from repro.parallel import CellFailure, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
-from tests.obs.test_postmortem import HangLock
 
 
-def test_failed_cell_carries_dump():
-    register_lock_type("hang", HangLock)
-    try:
-        ok_spec = WorkloadSpec(n_nodes=1, threads_per_node=1, n_locks=1,
-                               ops_per_thread=2, seed=0, audit="off",
-                               lock_kind="spinlock")
-        bad_spec = ok_spec.with_(lock_kind="hang")
-        cells = [
-            SweepCell(index=0, key=cell_key(0, {"seed": 0}), spec=ok_spec),
-            SweepCell(index=1, key=cell_key(1, {"seed": 1}), spec=bad_spec),
-        ]
-        results = run_cells(cells, workers=0)  # inline: registry visible
-    finally:
-        del LOCK_TYPES["hang"]
-    good, bad = results
-    assert good.ok and good.dump is None
-    assert not bad.ok and "deadlocked" in bad.error
+def test_failed_cell_carries_dump(hang):
+    ok_spec = WorkloadSpec(n_nodes=1, threads_per_node=1, n_locks=1,
+                           ops_per_thread=2, seed=0, audit="off",
+                           lock_kind="spinlock")
+    good, bad = pmap_outcomes([ok_spec, ok_spec.with_(lock_kind=hang)],
+                              workers=0)
+    assert not isinstance(good, CellFailure)
+    assert isinstance(bad, CellFailure) and "deadlocked" in bad.error
     dump = json.loads(bad.dump)
     assert dump["schema"] == SCHEMA
     assert dump["reason"] == "deadlock"
