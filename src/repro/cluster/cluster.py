@@ -100,9 +100,12 @@ class Cluster:
             MemoryRegion(self.env, i, region_bytes, auditor=live_auditor)
             for i in range(n_nodes)
         ]
+        # Streams are keyed, so asking for the jitter stream only when a
+        # config reads it moves no other stream.
         self.network = RdmaNetwork(
             self.env, self.config, self.regions, auditor=live_auditor,
-            jitter_rng=self.rng.get("fabric-jitter"),
+            jitter_rng=(self.rng.get("fabric-jitter")
+                        if self.config.fabric.jitter_ns > 0 else None),
             injector=self.fault_injector, obs=self.obs)
         self.nodes = [Node(i, self.regions[i]) for i in range(n_nodes)]
         self._contexts: dict[tuple[int, int], "ThreadContext"] = {}

@@ -65,6 +65,89 @@ def derive_seed(root_seed: int, *key: object) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+_MASK32 = (1 << 32) - 1
+_TWO32 = 1 << 32
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+#: raw 64-bit outputs fetched per refill: one schedule's policy draws
+_BATCH = 64
+
+
+class Draws:
+    """Scalar draws from one bit generator, bit for bit numpy's.
+
+    ``below(n)`` and ``random()`` return exactly what a
+    :class:`numpy.random.Generator` over the same bit generator returns
+    from scalar ``integers(0, n)`` and ``random()`` calls made in the
+    same order — at a fraction of the cost of a numpy scalar call, which
+    is what a schedule policy or a lock picker pays once per decision.
+    The raw 64-bit outputs are read ahead in batches through
+    ``bit_generator.random_raw``, so a ``Draws`` must own its bit
+    generator: nothing else may draw from it.
+
+    Three numpy routines are mirrored (``numpy/random/src``):
+
+    * ``next_double``: the top 53 bits of one raw output, times 2**-53;
+    * PCG64's ``next_uint32``: a raw output yields its low half, and its
+      high half is kept for the next 32-bit draw (``random()`` leaves
+      that half buffered);
+    * ``random_bounded_uint64_fill`` for a range below 2**32: ``n == 1``
+      draws nothing; otherwise Lemire's bounded multiply over 32-bit
+      draws, rejecting a draw whose low word is under
+      ``(2**32 - n) % n``.
+
+    ``tests/common/test_draws.py`` holds the stream to a ``Generator``'s
+    for every rule; it is the tripwire should numpy ever change them.
+    """
+
+    __slots__ = ("_bitgen", "_raw", "_half")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self._bitgen = bit_generator
+        self._raw: list[int] = []   # read-ahead, next output last
+        self._half = -1             # buffered high half; -1: none
+
+    @classmethod
+    def seeded(cls, seed: int) -> "Draws":
+        """The stream of ``np.random.default_rng(seed)``."""
+        return cls(np.random.default_rng(seed).bit_generator)
+
+    def _refill(self) -> None:
+        batch = self._bitgen.random_raw(_BATCH).tolist()
+        batch.reverse()
+        self._raw.extend(batch)
+
+    def random(self) -> float:
+        """A float in ``[0, 1)``: ``Generator.random()``."""
+        raw = self._raw
+        if not raw:
+            self._refill()
+        return (raw.pop() >> 11) * _DOUBLE_UNIT
+
+    def below(self, n: int) -> int:
+        """An int in ``[0, n)``, ``1 <= n < 2**32``:
+        ``Generator.integers(0, n)``."""
+        if not 1 < n < _TWO32:
+            if n == 1:
+                return 0
+            raise ConfigError(f"Draws.below needs 1 <= n < 2**32, got {n!r}")
+        while True:
+            half = self._half
+            if half >= 0:
+                self._half = -1
+                m = half * n
+            else:
+                raw = self._raw
+                if not raw:
+                    self._refill()
+                r = raw.pop()
+                self._half = r >> 32
+                m = (r & _MASK32) * n
+            low = m & _MASK32
+            # numpy tests the cheap bound first: the threshold is < n
+            if low >= n or low >= (_TWO32 - n) % n:
+                return m >> 32
+
+
 class RngStreams:
     """A family of named, independent RNG streams under one root seed.
 

@@ -79,9 +79,8 @@ class MemoryRegion:
         # every lock/memory op, and per-access numpy-scalar conversion
         # costs more than the denser array buys at these region sizes.
         # The list is virtual-zero beyond its current length and grows on
-        # first store, so constructing a 20-node cluster does not pay for
-        # 4 MiB of untouched words per region.
-        self._words: list[int] = [0] * min(size_bytes // WORD_SIZE, 4096)
+        # store, so constructing a cluster pays for no untouched word.
+        self._words: list[int] = []
         # First cache line reserved so byte address 0 is never a live object
         # and the packed pointer value 0 can serve as NULL.
         self._alloc_cursor = CACHE_LINE

@@ -13,16 +13,15 @@ place they live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.memory.pointer import RdmaPointer
 from repro.obs.log import PROTOCOL, VOCABULARY, EventLog
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One protocol-level step.
+class TraceEvent(NamedTuple):
+    """One protocol-level step (immutable; a tuple, because every
+    explored schedule renders a few dozen of them for its digest).
 
     Attributes:
         time: simulated time in nanoseconds.

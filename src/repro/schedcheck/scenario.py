@@ -26,8 +26,21 @@ from repro.schedcheck.history import HistoryRecorder
 from repro.sim.core import Process
 
 
+#: the coarse cost model (see :func:`coarse_config`); frozen, so shared
+_COARSE = RdmaConfig(
+    nic=NicConfig(tx_service_ns=200.0, rx_service_ns=200.0,
+                  atomic_window_ns=200.0, pcie_crossing_ns=100.0,
+                  qpc_miss_penalty_ns=400.0,
+                  loopback_turnaround_ns=1000.0),
+    fabric=FabricConfig(one_way_latency_ns=800.0, jitter_ns=0.0),
+    cpu=CostModel(local_read_ns=100.0, local_write_ns=200.0,
+                  local_cas_ns=100.0, fence_ns=100.0,
+                  spin_recheck_ns=100.0))
+
+
 def coarse_config() -> RdmaConfig:
-    """A tie-friendly cost model for schedule exploration.
+    """A tie-friendly cost model for schedule exploration (one shared
+    frozen instance: every explored schedule builds a cluster on it).
 
     The calibrated CX-3 model uses deliberately unequal constants
     (55/60/95/... ns), so concurrent operations almost never finish at
@@ -38,15 +51,7 @@ def coarse_config() -> RdmaConfig:
     same-time reordering into genuine race coverage.  Ratios (remote ≈
     20× local) are preserved, so protocol behaviour is unchanged.
     """
-    return RdmaConfig(
-        nic=NicConfig(tx_service_ns=200.0, rx_service_ns=200.0,
-                      atomic_window_ns=200.0, pcie_crossing_ns=100.0,
-                      qpc_miss_penalty_ns=400.0,
-                      loopback_turnaround_ns=1000.0),
-        fabric=FabricConfig(one_way_latency_ns=800.0, jitter_ns=0.0),
-        cpu=CostModel(local_read_ns=100.0, local_write_ns=200.0,
-                      local_cas_ns=100.0, fence_ns=100.0,
-                      spin_recheck_ns=100.0))
+    return _COARSE
 
 
 @dataclass

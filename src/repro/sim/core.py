@@ -513,9 +513,10 @@ class Environment:
 
     A *schedule policy* (see :mod:`repro.schedcheck`) may be installed to
     override the same-time tie-break: at each step where several events
-    are ready at the minimum time, the policy picks which one runs.  With
-    no policy installed (the default) the dispatch loop is untouched, and
-    the trivial first-ready policy reproduces it decision for decision.
+    are ready at the minimum time, the policy picks which one runs.  One
+    dispatch loop serves both cases: with no policy installed (the
+    default) it skips the tie test, and the trivial first-ready policy
+    reproduces it decision for decision.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -533,8 +534,8 @@ class Environment:
         self._policy: Optional[SchedulePolicyLike] = None
         self._sched_log: list[int] = []
         self._sched_fanout: list[int] = []
-        # event-log hook: only the policy step consults it, so the
-        # no-policy hot loop is untouched (see EmitLike)
+        # event-log hook: only _choose consults it, so a run without a
+        # policy never reaches it (see EmitLike)
         self.emit: Optional[EmitLike] = None
         # process registry for deadlock diagnostics / schedule policies
         self._procs: list[Process] = []
@@ -675,26 +676,32 @@ class Environment:
             self._now = now = heappop(self._times)
             self._nowq = nowq = self._buckets.pop(now)
             self._now_head = nh = 0
-        idx = 0
-        n_ready = len(nowq) - nh
-        policy = self._policy
-        if policy is not None and n_ready > 1:
-            idx = policy.choose(nowq[nh:])
-            if not 0 <= idx < n_ready:
-                raise SimulationError(
-                    f"schedule policy chose index {idx} out of "
-                    f"{n_ready} ready events")
-            self._sched_log.append(idx)
-            self._sched_fanout.append(n_ready)
-            emit = self.emit
-            if emit is not None:
-                emit("sched", "sched.tiebreak", idx, n_ready)
-        if idx:
+        if (self._policy is not None and len(nowq) - nh > 1
+                and (idx := self._choose(nowq, nh))):
             entry = nowq.pop(nh + idx)
         else:
             entry = nowq[nh]
             self._now_head = nh + 1
         self._dispatch(entry)
+
+    def _choose(self, nowq: list[_Entry], nh: int) -> int:
+        """Ask the policy which of the ready set ``nowq[nh:]`` (two or
+        more entries) runs next; record and report the choice.  The one
+        place the policy is consulted, by :meth:`step` and
+        :meth:`_run_drain` alike."""
+        n_ready = len(nowq) - nh
+        assert self._policy is not None
+        idx = self._policy.choose(nowq[nh:])
+        if not 0 <= idx < n_ready:
+            raise SimulationError(
+                f"schedule policy chose index {idx} out of "
+                f"{n_ready} ready events")
+        self._sched_log.append(idx)
+        self._sched_fanout.append(n_ready)
+        emit = self.emit
+        if emit is not None:
+            emit("sched", "sched.tiebreak", idx, n_ready)
+        return idx
 
     def _dispatch(self, entry: _Entry) -> None:
         """Run one popped schedule entry (:meth:`_run_drain` inlines
@@ -748,68 +755,46 @@ class Environment:
         deadline = _INF if until is None else float(until)
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-        if self._policy is not None:
-            self._run_policy(deadline)
-        else:
-            self._run_drain(deadline)
+        self._run_drain(deadline)
         if until is not None:
             self._now = deadline
         return None
 
-    def _run_policy(self, deadline: float) -> None:
-        """The dispatch loop under a schedule policy.
-
-        Same schedule as ``while peek() <= deadline: step()``; an
-        instant with a single ready entry — most of them — is dispatched
-        here, and :meth:`step` (the tie-set code, where the policy is
-        consulted) runs only when a second entry is ready at once.
-        """
-        times = self._times
-        while True:
-            nowq = self._nowq
-            nh = self._now_head
-            if nh == len(nowq):
-                if not times or times[0] > deadline:
-                    return
-                self._now = now = heappop(times)
-                self._nowq = nowq = self._buckets.pop(now)
-                self._now_head = nh = 0
-            if len(nowq) - nh == 1:
-                self._now_head = nh + 1
-                self._dispatch(nowq[nh])
-            else:
-                self.step()
-
     def _run_drain(self, deadline: float) -> None:
-        """The no-policy dispatch loop, inlined from :meth:`step` and
-        :meth:`_dispatch`.
+        """The dispatch loop, with or without a schedule policy:
+        :meth:`step` and :meth:`_dispatch` inlined.
 
-        This is the innermost loop of every benchmark and experiment:
-        dispatching through here instead of per-event ``step()`` calls
-        removes two Python frames plus several attribute loads per event.
-        Semantically identical to ``while peek() <= deadline: step()`` —
-        same order, same sleep/Timeout/_Echo handling, same callback
-        sequence.
+        This is the innermost loop of every benchmark, experiment and
+        explored schedule: dispatching through here instead of per-event
+        ``step()`` calls removes two Python frames plus several attribute
+        loads per event.  Semantically identical to ``while peek() <=
+        deadline: step()`` — same order, same policy consultations (every
+        dispatch with two or more entries ready, the first one of a newly
+        reached instant included), same sleep/Timeout/_Echo handling,
+        same callback sequence.
         """
         times = self._times
         buckets = self._buckets
+        policy = self._policy
         nowq = self._nowq
         nh = self._now_head
         count = self._event_count
         try:
             while True:
-                if nh < len(nowq):
-                    entry = nowq[nh]
-                    nh += 1
-                else:
+                if nh == len(nowq):
                     # instant exhausted: the next time's list becomes
                     # the now-queue
                     if not times or times[0] > deadline:
                         break
                     self._now = now = heappop(times)
                     self._nowq = nowq = buckets.pop(now)
-                    entry = nowq[0]
-                    nh = 1
+                    nh = 0
+                if (policy is not None and len(nowq) - nh > 1
+                        and (idx := self._choose(nowq, nh))):
+                    entry = nowq.pop(nh + idx)
+                else:
+                    entry = nowq[nh]
+                    nh += 1
                 count += 1
                 # exact-class tests below: mypy only narrows on isinstance
                 event: Any = entry[2]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.rng import Draws
 from repro.workload.spec import WorkloadSpec
 
 
@@ -29,7 +30,14 @@ def _zipf_cdf(n: int, theta: float) -> np.ndarray:
 
 
 class LockPicker:
-    """Chooses the target lock index for each of one thread's operations."""
+    """Chooses the target lock index for each of one thread's operations.
+
+    The picker owns ``rng``: its draws go through :class:`Draws` over the
+    generator's bit generator, which reads ahead, so nothing else may
+    draw from ``rng``.  The choices are exactly those of the generator's
+    own scalar ``random()``/``integers()`` calls, in the same order —
+    including drawing nothing to pick from a single lock.
+    """
 
     def __init__(self, spec: WorkloadSpec, node: int, thread: int,
                  local_indices: list[int], remote_indices: list[int],
@@ -43,10 +51,9 @@ class LockPicker:
         self.spec = spec
         self.node = node
         self.thread = thread
-        self.rng = rng
-        self._local = np.asarray(local_indices, dtype=np.int64)
-        self._remote = np.asarray(remote_indices, dtype=np.int64) \
-            if remote_indices else np.empty(0, dtype=np.int64)
+        self._draws = Draws(rng.bit_generator)
+        self._local = [int(i) for i in local_indices]
+        self._remote = [int(i) for i in remote_indices]
         self._p_local = spec.locality_pct / 100.0
         if spec.distribution == "zipfian":
             self._local_cdf = _zipf_cdf(len(self._local), spec.zipf_theta)
@@ -59,19 +66,19 @@ class LockPicker:
         self.local_picks = 0
         self.remote_picks = 0
 
-    def _pick_from(self, indices: np.ndarray, cdf) -> int:
-        if cdf is None:
-            return int(indices[self.rng.integers(0, len(indices))])
-        rank = int(np.searchsorted(cdf, self.rng.random(), side="right"))
-        return int(indices[min(rank, len(indices) - 1)])
-
     def next_lock(self) -> int:
         """Lock index for the thread's next operation."""
-        if self._p_local >= 1.0 or self.rng.random() < self._p_local:
+        draws = self._draws
+        if self._p_local >= 1.0 or draws.random() < self._p_local:
             self.local_picks += 1
-            return self._pick_from(self._local, self._local_cdf)
-        self.remote_picks += 1
-        return self._pick_from(self._remote, self._remote_cdf)
+            indices, cdf = self._local, self._local_cdf
+        else:
+            self.remote_picks += 1
+            indices, cdf = self._remote, self._remote_cdf
+        if cdf is None:
+            return indices[draws.below(len(indices))]
+        rank = int(np.searchsorted(cdf, draws.random(), side="right"))
+        return indices[min(rank, len(indices) - 1)]
 
     @property
     def observed_locality_pct(self) -> float:

@@ -633,6 +633,41 @@ class TestSchedulePolicyHook:
         assert all(f >= 2 for f in env.schedule_fanouts)
         assert len(env.schedule_decisions) == len(env.schedule_fanouts)
 
+    def test_a_newly_reached_instant_is_a_choice_point(self):
+        """Two processes sleep to the same future instant: its first
+        dispatch is already a tie, so a policy that always picks index 1
+        runs the second sleeper first — whether ``run()`` or ``step()``
+        drives the environment."""
+        class AlwaysSecond:
+            def choose(self, ready):
+                return 1
+
+        def drive(by_step):
+            env = Environment()
+            order = []
+
+            def sleeper(i):
+                yield 10.0
+                order.append(i)
+
+            for i in range(2):
+                env.process(sleeper(i))
+            env.run(until=0.0)       # both boot, unpoliced, in order
+            env.set_schedule_policy(AlwaysSecond())
+            if by_step:
+                while env.peek() <= 100.0:
+                    env.step()
+            else:
+                env.run(until=100.0)
+            return order, env.schedule_decisions, env.schedule_fanouts
+
+        order, decisions, fanouts = drive(by_step=False)
+        assert order == [1, 0]
+        # the instant's first dispatch, then the finished sleeper's
+        # completion beside the other sleeper
+        assert (decisions, fanouts) == ([1, 1], [2, 2])
+        assert drive(by_step=True) == (order, decisions, fanouts)
+
     def test_singleton_ready_list_skips_policy(self):
         calls = []
 

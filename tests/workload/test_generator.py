@@ -69,6 +69,60 @@ class TestDistributions:
         assert counts.min() > 0.7 * counts.max()
 
 
+class NumpyPicker:
+    """The reference: the picker written against a numpy ``Generator``'s
+    scalar calls, as every recorded run was made with."""
+
+    def __init__(self, locality, local, remote, distribution, theta, rng):
+        self.p_local = locality / 100.0
+        self.local = np.asarray(local, dtype=np.int64)
+        self.remote = np.asarray(remote, dtype=np.int64)
+        self.rng = rng
+        self.cdf = {}
+        if distribution == "zipfian":
+            for name, part in (("local", self.local), ("remote", self.remote)):
+                if len(part):
+                    w = 1.0 / np.power(np.arange(1, len(part) + 1,
+                                                 dtype=np.float64), theta)
+                    cdf = np.cumsum(w)
+                    self.cdf[name] = cdf / cdf[-1]
+
+    def next_lock(self):
+        if self.p_local >= 1.0 or self.rng.random() < self.p_local:
+            indices, cdf = self.local, self.cdf.get("local")
+        else:
+            indices, cdf = self.remote, self.cdf.get("remote")
+        if cdf is None:
+            return int(indices[self.rng.integers(0, len(indices))])
+        rank = int(np.searchsorted(cdf, self.rng.random(), side="right"))
+        return int(indices[min(rank, len(indices) - 1)])
+
+
+class TestExactness:
+    """The picker draws through ``Draws`` and must choose exactly what
+    the numpy reference chooses, at every locality — including a
+    one-lock partition, which must draw nothing (20 locks on 20 nodes
+    leave each node one local lock)."""
+
+    @pytest.mark.parametrize("distribution", ["uniform", "zipfian"])
+    @pytest.mark.parametrize("locality", [0.0, 37.5, 85.0, 99.0, 100.0])
+    @pytest.mark.parametrize("local,remote", [
+        ((4,), (0, 1, 2, 3, 5, 6, 7)),
+        ((0, 2, 9), (5,)),
+        ((0, 2, 9, 11, 13), (1, 3, 5, 7)),
+    ])
+    def test_same_choices_as_the_numpy_reference(self, distribution,
+                                                 locality, local, remote):
+        for seed in range(4):
+            picker = make_picker(locality=locality, local=local,
+                                 remote=remote, distribution=distribution,
+                                 seed=seed, theta=0.9)
+            reference = NumpyPicker(locality, local, remote, distribution,
+                                    0.9, np.random.default_rng(seed))
+            assert ([picker.next_lock() for _ in range(400)]
+                    == [reference.next_lock() for _ in range(400)])
+
+
 class TestDeterminism:
     def test_same_seed_same_stream(self):
         a = make_picker(seed=33)
