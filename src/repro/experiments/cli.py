@@ -19,7 +19,7 @@
     alock-experiments fleet --workers 4 --budget 2000 --expect-find \\
         --write-corpus --corpus-dir tests/schedcheck/corpus
     alock-experiments fleet --preset faults --budget 500 --workers 4
-    alock-experiments fleet --preset bugs-hard --no-coverage   # baseline
+    alock-experiments fleet --policy pct --report fleet.json
 """
 
 from __future__ import annotations
@@ -190,9 +190,8 @@ def _fleet(args) -> int:
         budget = max(b for _name, _sc, b in preset)
     config = FleetConfig(
         scenarios=tuple((name, sc) for name, sc, _b in preset),
-        budget=budget, seed=args.seed, coverage=args.coverage,
-        cell_size=args.cell_size, cells_per_round=args.cells_per_round,
-        policy=args.policy, shrink=not args.no_shrink)
+        budget=budget, seed=args.seed, policy=args.policy,
+        shrink=not args.no_shrink)
     workers = _resolve_workers(args)
 
     def _progress(report) -> None:
@@ -343,30 +342,21 @@ def _main(argv: list[str] | None) -> int:
                             "('-' for the default schedule)")
     fleet_p = sub.add_parser(
         "fleet",
-        help="parallel coverage-steered exploration of a scenario preset; "
-             "report and corpus bytes are identical at any worker count")
+        help="the seeded schedule walk of a scenario preset, fanned over "
+             "worker processes; report and corpus bytes are identical at "
+             "any worker count")
     fleet_p.add_argument("--preset", default="bugs",
-                         choices=("bugs", "bugs-hard", "faults"),
-                         help="scenario set: the seeded lock defects, their "
-                              "hardened (staggered) variants, or correct "
-                              "locks under fault injection")
+                         choices=("bugs", "faults"),
+                         help="scenario set: the seeded lock defects or "
+                              "correct locks under fault injection")
     fleet_p.add_argument("--budget", type=int, default=None, metavar="N",
                          help="schedule budget per scenario (default: the "
                               "preset's largest documented repro budget)")
     fleet_p.add_argument("--seed", type=int, default=0,
                          help="master fleet seed")
-    fleet_p.add_argument("--coverage", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="novelty steering from interleaving-prefix "
-                              "coverage (--no-coverage = pure seeded walks, "
-                              "the quality-comparison baseline)")
-    fleet_p.add_argument("--cell-size", type=int, default=16, metavar="N",
-                         help="schedules per worker cell")
-    fleet_p.add_argument("--cells-per-round", type=int, default=4, metavar="N",
-                         help="cells each active scenario adds per round")
     fleet_p.add_argument("--policy", default="random",
                          choices=("random", "pct"),
-                         help="base walk policy for fresh schedules")
+                         help="walk policy")
     fleet_p.add_argument("--no-shrink", action="store_true",
                          help="skip ddmin of each scenario's first failure")
     fleet_p.add_argument("--workers", type=int, default=None, metavar="N",

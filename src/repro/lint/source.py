@@ -46,7 +46,7 @@ def module_name_for(path: Path) -> str:
     ``src/repro/lint/engine.py`` → ``repro.lint.engine``;
     ``tests/sim/test_core.py`` → ``tests.sim.test_core`` (the test tree
     is a package); a free-standing file such as
-    ``scripts/schedcheck_quality.py`` maps to its bare stem.
+    ``scripts/check_ledger_exact.py`` maps to its bare stem.
     """
     path = path.resolve()
     parts = [path.stem] if path.name != "__init__.py" else []

@@ -8,7 +8,8 @@ lost-update, race-audit and linearizability oracles.
 
 Workflow: pick a :class:`~repro.schedcheck.scenario.LockScenario`,
 explore with :func:`~repro.schedcheck.explore.explore_random` (seeded
-random walk or PCT priorities) or
+random walk or PCT priorities; :func:`~repro.schedcheck.fleet.run_fleet`
+fans the same walk over worker processes) or
 :func:`~repro.schedcheck.explore.enumerate_schedules` (bounded
 exhaustive), then :func:`~repro.schedcheck.shrink.shrink_failure` any
 failure down to a readable decision string and
@@ -28,7 +29,6 @@ from repro.schedcheck.corpus import (
     load_corpus,
     write_entry,
 )
-from repro.schedcheck.coverage import CoverageMap, MutationCandidate
 from repro.schedcheck.decisions import Decisions
 from repro.schedcheck.explore import (
     ExplorationReport,
@@ -38,6 +38,7 @@ from repro.schedcheck.explore import (
     explore_random,
     replay,
     run_schedule,
+    walk,
 )
 from repro.schedcheck.fleet import (
     FleetConfig,
@@ -55,8 +56,6 @@ from repro.schedcheck.linearize import (
 from repro.schedcheck.policies import (
     FifoPolicy,
     PctPolicy,
-    PrefixPolicy,
-    PrefixThenRandomPolicy,
     RandomWalkPolicy,
     ReplayPolicy,
     SchedulePolicy,
@@ -66,15 +65,14 @@ from repro.schedcheck.scenario import BuiltRun, LockScenario
 from repro.schedcheck.shrink import ShrinkResult, shrink_failure
 
 __all__ = [
-    "BuiltRun", "CorpusEntry", "CounterModel", "CoverageMap", "Decisions",
+    "BuiltRun", "CorpusEntry", "CounterModel", "Decisions",
     "ExplorationReport", "FifoPolicy", "FleetConfig", "FleetReport",
-    "HistoryRecorder", "KvModel", "LockScenario", "MutationCandidate", "Op",
-    "PctPolicy", "PrefixPolicy", "PrefixThenRandomPolicy",
+    "HistoryRecorder", "KvModel", "LockScenario", "Op", "PctPolicy",
     "RandomWalkPolicy", "ReplayPolicy", "SchedulePolicy", "ScheduleResult",
     "ShrinkResult", "check_budget_bounds", "check_cs_overlap",
     "check_entry", "check_history", "check_linearizability",
     "check_linearizable", "enumerate_schedules", "execution_digest",
     "explore_random", "load_corpus", "make_policy", "replay",
     "run_all_checkers", "run_fleet", "run_schedule", "shrink_failure",
-    "write_entry", "write_fleet_corpus",
+    "walk", "write_entry", "write_fleet_corpus",
 ]

@@ -30,16 +30,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
 from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
 from repro.schedcheck.checkers import run_all_checkers
-from repro.schedcheck.policies import (
-    PrefixPolicy,
-    ReplayPolicy,
-    SchedulePolicy,
-    make_policy,
-)
+from repro.schedcheck.policies import ReplayPolicy, SchedulePolicy, make_policy
 
 #: trace lines kept on each result for failure reports
 TRACE_TAIL = 12
@@ -237,23 +233,33 @@ class ExplorationReport:
         return base
 
 
+def walk(scenario, seed: int, i: int, policy: str = "random",
+         change_points: int = 3, horizon: int = 500) -> ScheduleResult:
+    """Schedule ``i`` of the seeded walk: policy seed
+    ``derive_seed(seed, "schedcheck", "explore", i)``.  The one
+    statement of the walk — :func:`explore_random` loops over it and a
+    fleet cell runs a slice of it, so the two agree by construction."""
+    pseed = derive_seed(seed, "schedcheck", "explore", i)
+    pol = make_policy(policy, pseed, change_points=change_points,
+                      horizon=horizon)
+    return run_schedule(scenario, pol, schedule_index=i, policy_seed=pseed)
+
+
 def explore_random(scenario, n_schedules: int, seed: int = 0,
                    policy: str = "random", change_points: int = 3,
                    horizon: int = 500,
                    stop_on_failure: bool = False) -> ExplorationReport:
-    """Run ``n_schedules`` independently seeded random (or PCT)
-    schedules.  Schedule ``i``'s policy seed is
-    ``derive_seed(seed, "schedcheck", "explore", i)`` — the whole
-    exploration is reproducible from ``seed`` alone.
+    """Run schedules ``0 .. n_schedules - 1`` of the seeded random (or
+    PCT) :func:`walk` — the whole exploration is reproducible from
+    ``seed`` alone.  A hunt that would run nothing is a
+    :class:`~repro.common.errors.ConfigError`, not a pass.
     """
+    if n_schedules < 1:
+        raise ConfigError(f"budget must be >= 1, got {n_schedules}")
     report = ExplorationReport()
     digests = set()
     for i in range(n_schedules):
-        pseed = derive_seed(seed, "schedcheck", "explore", i)
-        pol = make_policy(policy, pseed, change_points=change_points,
-                          horizon=horizon)
-        result = run_schedule(scenario, pol, schedule_index=i,
-                              policy_seed=pseed)
+        result = walk(scenario, seed, i, policy, change_points, horizon)
         digests.add(result.digest)
         report.record(result)
         if stop_on_failure and not result.ok:
@@ -268,7 +274,7 @@ def enumerate_schedules(scenario, max_schedules: int = 256,
     """Bounded exhaustive enumeration (CHESS-style iterative DFS).
 
     Schedules are visited in lexicographic order of their dense decision
-    vectors: each run extends the current forced prefix with defaults,
+    vectors: each run replays the current prefix (defaults past its end),
     then the deepest incrementable position (bounded by
     ``max_choice_points``) is bumped to produce the next prefix.  For
     tiny configurations this covers the entire tie-break tree; the
@@ -276,16 +282,22 @@ def enumerate_schedules(scenario, max_schedules: int = 256,
     than the budget.
 
     Args:
-        max_schedules: hard cap on runs.
-        max_choice_points: only permute the first K choice points
+        max_schedules: hard cap on runs (>= 1).
+        max_choice_points: only permute the first K choice points, K >= 0
             (``None`` = all — feasible only for very small scenarios).
     """
+    if max_schedules < 1:
+        raise ConfigError(f"budget must be >= 1, got {max_schedules}")
+    if max_choice_points is not None and max_choice_points < 0:
+        raise ConfigError(f"max_choice_points must be >= 0, "
+                          f"got {max_choice_points}")
     report = ExplorationReport()
     digests = set()
     prefix: list[int] = []
     exhausted = False
     while not exhausted and report.schedules_run < max_schedules:
-        result = run_schedule(scenario, PrefixPolicy(prefix),
+        result = run_schedule(scenario,
+                              ReplayPolicy(Decisions.from_dense(prefix)),
                               schedule_index=report.schedules_run)
         digests.add(result.digest)
         report.record(result)
@@ -308,5 +320,5 @@ def enumerate_schedules(scenario, max_schedules: int = 256,
 
 __all__ = [
     "ScheduleResult", "ExplorationReport", "execution_digest",
-    "run_schedule", "replay", "explore_random", "enumerate_schedules",
+    "run_schedule", "replay", "walk", "explore_random", "enumerate_schedules",
 ]

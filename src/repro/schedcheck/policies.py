@@ -214,51 +214,6 @@ class ReplayPolicy(SchedulePolicy):
         return problems
 
 
-class PrefixPolicy(SchedulePolicy):
-    """Forces a dense decision prefix, then falls back to the default.
-
-    The bounded-exhaustive enumerator drives runs with successively
-    longer prefixes; everything past the prefix is index 0 so the run
-    completes deterministically.
-    """
-
-    def __init__(self, prefix: Sequence[int]):
-        self.prefix = tuple(int(x) for x in prefix)
-        self._k = 0
-
-    def choose(self, ready: Sequence[tuple]) -> int:
-        idx = self.prefix[self._k] if self._k < len(self.prefix) else 0
-        self._k += 1
-        return min(idx, len(ready) - 1)
-
-
-class PrefixThenRandomPolicy(SchedulePolicy):
-    """Forces a dense decision prefix, then explores randomly.
-
-    The fleet's mutation policy: the prefix navigates to a novel region
-    of the tie-break tree (a sibling of an executed schedule — see
-    :mod:`repro.schedcheck.coverage`), the seeded random tail explores
-    inside it.  Unlike :class:`PrefixPolicy`, whose default tail makes
-    each prefix worth exactly one schedule, the random tail lets one
-    near-miss prefix seed arbitrarily many distinct deep schedules.
-    """
-
-    def __init__(self, prefix: Sequence[int], seed: int):
-        self.prefix = tuple(int(x) for x in prefix)
-        self.seed = int(seed)
-        self._draws = Draws.seeded(
-            derive_seed(self.seed, "schedcheck", "prefix-tail"))
-        self._k = 0
-
-    def choose(self, ready: Sequence[tuple]) -> int:
-        if self._k < len(self.prefix):
-            idx = min(self.prefix[self._k], len(ready) - 1)
-        else:
-            idx = self._draws.below(len(ready))
-        self._k += 1
-        return idx
-
-
 def make_policy(kind: str, seed: int, *,
                 change_points: int = 3, horizon: int = 500) -> SchedulePolicy:
     """Policy factory used by the explorer and the CLI."""
@@ -274,5 +229,5 @@ def make_policy(kind: str, seed: int, *,
 
 __all__ = [
     "SchedulePolicy", "FifoPolicy", "RandomWalkPolicy", "PctPolicy",
-    "ReplayPolicy", "PrefixPolicy", "PrefixThenRandomPolicy", "make_policy",
+    "ReplayPolicy", "make_policy",
 ]

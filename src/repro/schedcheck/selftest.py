@@ -45,7 +45,7 @@ def main() -> None:
     # the config — immune to PYTHONHASHSEED like everything above.
     config = FleetConfig(
         scenarios=tuple((name, bug_sc) for name, bug_sc, _b in SEEDED_BUGS),
-        budget=32, seed=1, cell_size=8, cells_per_round=2)
+        budget=32, seed=1)
     fleet = run_fleet(config)
     digest = hashlib.blake2b(fleet.to_json_bytes(),
                              digest_size=8).hexdigest()
@@ -54,7 +54,7 @@ def main() -> None:
         entry = "-" if s.entry is None else (
             f"{s.entry.stem()} decisions=\"{s.entry.decisions}\"")
         print(f"fleet[{s.name}]: run={s.schedules_run} "
-              f"novel={s.coverage.get('prefixes_seen', 0)} "
+              f"distinct={s.distinct_executions} "
               f"first_find={s.first_find} entry={entry}")
 
 

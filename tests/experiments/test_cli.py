@@ -43,6 +43,9 @@ class TestRun:
         (["explore", "--lock-option", "novalue"],
          "--lock-option wants KEY=VALUE, got 'novalue'"),
         (["sweep", "--lock", "alock", "nosuch"], "unknown lock type 'nosuch'"),
+        (["explore", "--schedules", "0"], "budget must be >= 1, got 0"),
+        (["explore", "--policy", "dfs", "--max-choice-points", "-1"],
+         "max_choice_points must be >= 0, got -1"),
     ])
     def test_bad_option_values_are_reported_the_same(self, argv, message,
                                                      capsys):

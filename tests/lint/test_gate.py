@@ -26,9 +26,13 @@ M = "src/repro/locks/baselines/mcs.py"
 #: (``None``: the first new line) and a fragment of its message.
 KILLS = {
     "nondet-source": (
-        "src/repro/schedcheck/coverage.py",
-        [("        self._pool.sort(key=lambda c: (-c.weight, c.order))",
-          "        self._pool.sort(key=lambda c: (-c.weight, hash(c.hash)))")],
+        "src/repro/parallel/cache.py",
+        [("        return hashlib.sha256(json.dumps(",
+          '        return "%064x" % (hash(json.dumps(payload, sort_keys=True, '
+          'separators=(",", ":"))) & (2**256 - 1))'),
+         ('            payload, sort_keys=True, separators=(",", ":")).encode("utf-8")',
+          ""),
+         ("        ).hexdigest()", "")],
         None, "'hash()' depends on"),
     "unordered-iter": (
         "src/repro/parallel/sweep.py",

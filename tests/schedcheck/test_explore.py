@@ -13,9 +13,13 @@ from repro.schedcheck import (
     explore_random,
     run_schedule,
 )
+from repro.schedcheck.fleet import SEEDED_BUGS
 
 TINY = LockScenario(lock_kind="spinlock", n_nodes=1, threads_per_node=2,
                     ops_per_thread=1, seed=0)
+ALOCK_2X2 = LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=2,
+                         ops_per_thread=2, seed=5)
+LOST_WAKEUP = dict((name, sc) for name, sc, _b in SEEDED_BUGS)["lost_wakeup"]
 
 
 class TestEnumeration:
@@ -42,6 +46,30 @@ class TestEnumeration:
         report = enumerate_schedules(TINY, max_schedules=10_000,
                                      max_choice_points=2)
         assert report.schedules_run < 10_000  # ran out of tree, not budget
+
+    @pytest.mark.parametrize("scenario,max_choice_points,budget,expected", [
+        (TINY, 2, 10_000, (4, 2, 4)),
+        (TINY, 3, 40, (8, 2, 8)),
+        (ALOCK_2X2, 4, 300, (96, 12, 96)),
+        (LOST_WAKEUP, 6, 200, (64, 4, 32)),
+    ], ids=["tiny-2", "tiny-3", "alock-2x2-4", "lost_wakeup-6"])
+    def test_enumeration_counts_are_pinned(self, scenario, max_choice_points,
+                                           budget, expected):
+        """(runs, distinct executions, ok runs) of the DFS: a change to
+        how a prefix is replayed moves these."""
+        report = enumerate_schedules(scenario, max_schedules=budget,
+                                     max_choice_points=max_choice_points)
+        assert (report.schedules_run, report.distinct_executions,
+                report.ok_count) == expected
+
+    def test_a_hunt_that_runs_nothing_is_rejected(self):
+        with pytest.raises(ConfigError, match="budget must be >= 1, got 0"):
+            explore_random(TINY, 0)
+        with pytest.raises(ConfigError, match="budget must be >= 1, got -3"):
+            enumerate_schedules(TINY, max_schedules=-3)
+        with pytest.raises(ConfigError,
+                           match="max_choice_points must be >= 0, got -1"):
+            enumerate_schedules(TINY, max_choice_points=-1)
 
 
 class _CustomScenario:

@@ -27,7 +27,7 @@ NVC_HARD = LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=2,
 
 CONFIG = FleetConfig(
     scenarios=tuple((name, sc) for name, sc, _b in SEEDED_BUGS),
-    budget=48, seed=1, cell_size=8, cells_per_round=2)
+    budget=48, seed=1)
 
 
 def tree_bytes(root: str) -> dict:
@@ -74,26 +74,22 @@ class TestWorkerCountInvariance:
 
 
 class TestRandomModeParity:
-    """With steering off, the fleet walks exactly explore_random's
-    schedule stream — the property that makes steered-vs-random a fair
-    comparison and the worker-count tests meaningful."""
+    """The fleet walks exactly explore_random's schedule stream: both
+    run ``explore.walk``, so they agree by construction, and this holds
+    them to it."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_first_find_matches_explore_random(self, seed):
         budget = 60
         config = FleetConfig(scenarios=(("nvc", NVC_HARD),), budget=budget,
-                             seed=seed, coverage=False, cell_size=4,
-                             cells_per_round=1, shrink=False)
+                             seed=seed, shrink=False)
         fleet_find = run_fleet(config).scenarios[0].first_find
         serial = explore_random(NVC_HARD, budget, seed=seed,
                                 stop_on_failure=True).first_failure
         serial_find = None if serial is None else serial.schedule_index
-        if fleet_find is None or serial_find is None:
-            assert fleet_find == serial_find
-        else:
-            # stop_on_find is round-granular: the fleet may overshoot
-            # within its final round but lands on the same first find.
-            assert fleet_find == serial_find
+        # Stopping is round-granular: the fleet may overshoot within its
+        # final round but lands on the same first find.
+        assert fleet_find == serial_find
 
 
 class TestCrashIsolation:
@@ -103,7 +99,7 @@ class TestCrashIsolation:
                               threads_per_node=2, ops_per_thread=2, seed=0)
         config = FleetConfig(
             scenarios=(("broken", broken), ("nvc", NVC_HARD)),
-            budget=16, seed=1, cell_size=4, cells_per_round=2, shrink=False)
+            budget=16, seed=1, shrink=False)
         report = run_fleet(config, workers=2)
         crashed = report.scenario("broken")
         assert crashed.crashed_cells > 0
@@ -117,10 +113,9 @@ class TestCrashIsolation:
                               threads_per_node=2, ops_per_thread=2, seed=0)
         with_broken = FleetConfig(
             scenarios=(("broken", broken), ("nvc", NVC_HARD)),
-            budget=16, seed=1, cell_size=4, cells_per_round=2, shrink=False)
+            budget=16, seed=1, shrink=False)
         alone = FleetConfig(scenarios=(("nvc", NVC_HARD),), budget=16,
-                            seed=1, cell_size=4, cells_per_round=2,
-                            shrink=False)
+                            seed=1, shrink=False)
         a = run_fleet(with_broken, workers=2).scenario("nvc")
         b = run_fleet(alone).scenario("nvc")
         assert a.payload() == b.payload()
@@ -128,14 +123,15 @@ class TestCrashIsolation:
 
 class TestBudget:
     def test_a_fleet_nothing_stops_spends_exactly_its_budget(self):
-        """Coverage folding and candidate breeding on, a correct lock, no
-        stop on find: every budgeted schedule is run, none twice."""
+        """A correct lock never stops the hunt: every budgeted schedule is
+        run, none twice, over more than one round and a partial cell."""
         scenario = LockScenario(lock_kind="alock", n_nodes=2,
                                 threads_per_node=2, ops_per_thread=2, seed=5)
         report = run_fleet(FleetConfig(
-            scenarios=(("alock_small", scenario),), budget=32, seed=11,
-            cell_size=8, cells_per_round=2, stop_on_find=False, shrink=False))
-        assert report.total_schedules == 32
+            scenarios=(("alock_small", scenario),), budget=70, seed=11,
+            shrink=False))
+        assert report.total_schedules == 70
+        assert report.rounds == 2
         assert report.found == []
 
 
@@ -145,10 +141,3 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigError):
             FleetConfig(scenarios=(("x", NVC_HARD), ("x", NVC_HARD)))
-
-    def test_bad_mutation_fraction_rejected(self):
-        from repro.common.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            FleetConfig(scenarios=(("x", NVC_HARD),), mutation_num=5,
-                        mutation_den=4)
