@@ -7,9 +7,10 @@ has nothing to apply and *returns* its delay (``yield ctx.fence()``).
 A local operation is one leaf generator frame: it sleeps its cost from
 the CPU cost model, then applies itself through one call on the node's
 memory region.  Remote operations are one-sided verbs through the
-NIC/fabric and return the network's round-trip generator rather than
-wrapping it.  The context enforces Definition 4.1: the local family
-refuses pointers whose home node differs from the thread's node.
+NIC/fabric: each calls the network's router, ``RdmaNetwork._verb``, and
+returns its round-trip generator rather than wrapping it.  The context
+enforces Definition 4.1: the local family refuses pointers whose home
+node differs from the thread's node.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence, TYPE_CHECKING
 from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.ids import make_global_thread_id
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK, ptr_node
-from repro.memory.region import to_signed
+from repro.memory.region import _MASK64, to_signed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -219,30 +220,32 @@ class ThreadContext:
         are reported for every verb kind in :meth:`_attributed`.
         """
         self.remote_op_count += 1
-        trip = self._net.r_read(self.node_id, self.thread_id, ptr,
-                                signed=signed)
+        trip = self._net._verb("rRead", self.node_id, self.thread_id, ptr,
+                               0, 0, signed, "?")
         return self._attributed(trip) if self._faults_on else trip
 
     def r_write(self, ptr: int, value: int):
         """One-sided RDMA write (unreported, see :meth:`r_read`)."""
         self.remote_op_count += 1
-        trip = self._net.r_write(self.node_id, self.thread_id, ptr, value)
+        trip = self._net._verb("rWrite", self.node_id, self.thread_id, ptr,
+                               value, 0, False, "?")
         return self._attributed(trip) if self._faults_on else trip
 
     def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
         """One-sided RDMA compare-and-swap; returns the previous value."""
         self.emit(self.actor, "verb.issue", "rCAS", ptr >> ADDR_BITS)
         self.remote_op_count += 1
-        trip = self._net.r_cas(self.node_id, self.thread_id, ptr, expected,
-                               desired, signed=signed, actor=self.actor)
+        trip = self._net._verb("rCAS", self.node_id, self.thread_id, ptr,
+                               expected & _MASK64, desired & _MASK64, signed,
+                               self.actor)
         return self._attributed(trip) if self._faults_on else trip
 
     def r_faa(self, ptr: int, delta: int, *, signed: bool = False):
         """One-sided RDMA fetch-and-add; returns the previous value."""
         self.emit(self.actor, "verb.issue", "rFAA", ptr >> ADDR_BITS)
         self.remote_op_count += 1
-        trip = self._net.r_faa(self.node_id, self.thread_id, ptr, delta,
-                               signed=signed, actor=self.actor)
+        trip = self._net._verb("rFAA", self.node_id, self.thread_id, ptr,
+                               delta, 0, signed, self.actor)
         return self._attributed(trip) if self._faults_on else trip
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -15,7 +15,7 @@ because it depends on the scale: on the ``smoke`` cluster it compresses
 of the best baseline in five of six seeds (3.17× at seed 0), and at
 θ = 0.99 it trails in four of six.  Why is not established here — most
 traffic then targets one hot lock, whose home RNIC every remote handoff
-crosses; the per-run "why" report of ROADMAP item 2 is the tool for it.
+crosses; the per-run "why" report of ROADMAP item 1 is the tool for it.
 EXPERIMENTS.md records the inversion under "Summary of deviations".
 """
 

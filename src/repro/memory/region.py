@@ -212,24 +212,25 @@ class MemoryRegion:
         return old
 
     # -- remote landing (called by the verbs layer at the target) ----------
+    # One flat call per landing, as the local API: the bounds test of
+    # peek() and the word list indexed in place.
     def remote_read(self, addr: int) -> int:
         self.remote_ops_landed += 1
-        return self.peek(addr)
+        if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
+            self._word_index(addr)  # raises, naming the fault
+        idx = addr >> _WORD_SHIFT
+        words = self._words
+        return words[idx] if idx < len(words) else 0
 
     def remote_write(self, addr: int, value: int) -> None:
         self.remote_ops_landed += 1
         self._store(addr, value)
 
-    def remote_rmw_read(self, addr: int) -> int:
-        """Phase 1 of a remote RMW: the NIC's read of the target word."""
-        self.remote_ops_landed += 1
-        return self.peek(addr)
-
-    def remote_rmw_commit(self, addr: int, value: int) -> None:
-        """Phase 2 of a remote RMW: the NIC's write-back.  Unconditional —
-        if a local write landed inside the window, it is lost, exactly the
-        hazard Table 1 warns about."""
-        self._store(addr, value)
+    #: Phase 1 of a remote RMW: the NIC's read of the target word.
+    remote_rmw_read = remote_read
+    #: Phase 2: the NIC's write-back.  Unconditional — if a local write
+    #: landed inside the window, it is lost (the Table 1 hazard).
+    remote_rmw_commit = _store
 
     # -- word labels ---------------------------------------------------
     def label_word(self, addr: int, label: str) -> None:

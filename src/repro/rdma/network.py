@@ -8,9 +8,12 @@ the lock-table application uses for counters).
 Every verb is a simulation-process fragment (``yield from network.r_cas(...)``)
 that returns the op's result to the caller after the full round trip.
 The round trip through the two NICs is stated once, as one flat
-generator (:meth:`RdmaNetwork._round_trip`); ``r_read``/``r_write``/
-``r_cas``/``r_faa`` are plain functions that count, route and *return*
-that generator, so the caller's ``yield from`` drives a single frame.
+generator (:meth:`RdmaNetwork._round_trip`); :meth:`RdmaNetwork._verb`
+counts and routes a verb and *returns* that generator, so the caller's
+``yield from`` drives a single frame; ``r_read``/``r_write``/``r_cas``/
+``r_faa`` are the public entry over it.  Inside the trip each stage
+crossing is one flat call and stays its own schedule slot (DESIGN.md
+decision 18).
 The RPC transport's one-way message and the fault layer's doomed
 transmission are the same traversal cut short.
 Issuing a verb against the caller's *own* node takes the **loopback**
@@ -75,7 +78,8 @@ class RdmaNetwork:
         self.regions = regions
         self.auditor = auditor
         self.nics = [Rnic(env, i, config.nic) for i in range(len(regions))]
-        self._jitter_rng = jitter_rng
+        # without a jitter stream a fabric hop is the plain latency
+        self._jitter_rng = jitter_rng if config.fabric.jitter_ns > 0 else None
         self.injector = injector
         # A network built without a cluster (unit tests) gets its own
         # ring-level log.  Verbs are reported here only on the cold
@@ -111,10 +115,9 @@ class RdmaNetwork:
 
     # -- the NIC pipeline ----------------------------------------------------
     def _fabric_delay(self) -> float:
-        d = self._one_way_latency_ns
-        if self._jitter_ns > 0 and self._jitter_rng is not None:
-            d += float(self._jitter_rng.uniform(0.0, self._jitter_ns))
-        return d
+        """One fabric hop with its jitter draw (jittered networks only)."""
+        return self._one_way_latency_ns + float(
+            self._jitter_rng.uniform(0.0, self._jitter_ns))
 
     def _round_trip(self, op: Optional[str], qp: tuple, src_nic: Rnic,
                     dst_nic: Rnic, loopback: bool,
@@ -151,12 +154,13 @@ class RdmaNetwork:
         # transit behind it (internal TX->RX turnaround, or the fabric)
         src_nic.tx_ops += 1
         yield src_nic.pcie.transit(src_nic._pcie_crossing_ns)
-        service = src_nic._tx_service_ns + src_nic._qpc_penalty(qp)
+        service = src_nic._tx_service_ns + src_nic.qpc.touch(qp)
         if loopback:
             src_nic.loopback_ops += 1
             flight_ns = src_nic._loopback_turnaround_ns
         else:
-            flight_ns = self._fabric_delay()
+            flight_ns = (self._one_way_latency_ns if self._jitter_rng is None
+                         else self._fabric_delay())
         yield src_nic.tx.transit(service) + flight_ns
         if lost:
             yield self.env.event()  # the packet is gone; nothing wakes us
@@ -164,15 +168,20 @@ class RdmaNetwork:
         # -- receive side: the responder holds connection state too, and
         # touches its QPC on arrival, before queueing for the RX pipeline
         dst_nic.rx_ops += 1
-        penalty = dst_nic._qpc_penalty(qp)
+        penalty = dst_nic.qpc.touch(qp)
         rx = dst_nic.rx
         result = None
         grant = rx.admit()
         try:
             if grant is not None:
                 yield grant
-            # congestion is judged by the backlog at the head of the queue
-            yield dst_nic._rx_service_time() + penalty
+            # congestion: the backlog behind the op at the head of the queue
+            service = dst_nic._rx_service_ns
+            over = len(rx._queue) - dst_nic._rx_congestion_threshold
+            if over > 0:
+                service *= min(1.0 + dst_nic._rx_congestion_factor * over,
+                               dst_nic._rx_congestion_max_factor)
+            yield service + penalty
             # the op lands: its linearization point
             if op == "rRead":
                 result = region.remote_read(addr)
@@ -184,7 +193,7 @@ class RdmaNetwork:
                 # remote atomics serialize at the target.
                 result = region.remote_rmw_read(addr)
                 if op == "rFAA":
-                    new = from_signed(to_signed(result) + a)
+                    new = result + a  # the store keeps it mod 2**64
                 else:
                     new = b if result == a else None
                 window_ns = dst_nic._atomic_window_ns
@@ -210,7 +219,9 @@ class RdmaNetwork:
         rx.release()
         # -- the DMA against host memory and, behind it, the ACK/response's
         # way back to the requester; then the completion DMA
-        back_ns = self._fabric_delay() if reply and not loopback else 0.0
+        back_ns = 0.0 if loopback or not reply else (
+            self._one_way_latency_ns if self._jitter_rng is None
+            else self._fabric_delay())
         yield dst_nic.pcie.transit(dst_nic._pcie_crossing_ns) + back_ns
         if not reply:
             return result
@@ -285,7 +296,8 @@ class RdmaNetwork:
               a: int, b: int, signed: bool, actor: str):
         """Count and route one verb; return the generator that performs
         it — the bare round trip, or the cold wrapper this network was
-        built to need around it."""
+        built to need around it.  ``a``/``b`` are raw (a CAS's are
+        64-bit patterns); a thread context calls this directly."""
         self.verb_counts[verb] += 1
         dst = ptr >> ADDR_BITS
         if not 0 <= dst < self._n_nodes:

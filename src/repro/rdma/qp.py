@@ -21,36 +21,43 @@ def qp_id(src_node: int, src_thread: int, dst_node: int) -> tuple[int, int, int]
 
 
 class QpcCache:
-    """LRU cache of QP contexts for one RNIC.
+    """LRU cache of QP contexts for one RNIC, and the reload it costs.
 
-    :meth:`access` returns True on hit.  On miss the entry is loaded
-    (evicting the least-recently used when full) and the *caller* charges
-    the reload penalty — the cache itself is timeless.
+    :meth:`touch` is the whole per-op QPC step, one call on each side of
+    every verb: an LRU refresh on a hit, a load on a miss (evicting the
+    least-recently used when full), and the delay the touching stage
+    pays — 0, or the ``miss_penalty_ns`` reload :attr:`penalty_ns_total`
+    adds up.
     """
 
-    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
+    __slots__ = ("capacity", "miss_penalty_ns", "_entries", "hits",
+                 "misses", "evictions", "penalty_ns_total")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, miss_penalty_ns: float = 0.0):
         if capacity < 1:
             raise ValueError(f"QPC cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.miss_penalty_ns = float(miss_penalty_ns)
         self._entries: OrderedDict[tuple, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.penalty_ns_total = 0.0
 
-    def access(self, qp: tuple) -> bool:
-        """Touch ``qp``; True if it was cached (no reload needed)."""
-        if qp in self._entries:
-            self._entries.move_to_end(qp)
+    def touch(self, qp: tuple) -> float:
+        """Touch ``qp``; return the reload penalty (0.0 if it was cached)."""
+        entries = self._entries
+        if qp in entries:
+            entries.move_to_end(qp)
             self.hits += 1
-            return True
+            return 0.0
         self.misses += 1
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
+        if len(entries) >= self.capacity:
+            entries.popitem(last=False)
             self.evictions += 1
-        self._entries[qp] = None
-        return False
+        entries[qp] = None
+        self.penalty_ns_total += self.miss_penalty_ns
+        return self.miss_penalty_ns
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,3 +72,4 @@ class QpcCache:
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = 0
+        self.penalty_ns_total = 0.0

@@ -14,7 +14,9 @@ paper discusses (§2):
   so crossing it costs the caller one sleep and the schedule no event
   of its own.
 
-Both track busy time so experiments can report utilization.
+Both track busy time so experiments can report utilization.  Every
+verb crosses five stages, so a crossing is one flat call: no helper
+for the busy-time accounting, no scan for the earliest-free server.
 
 :class:`Store` is an unbounded FIFO channel used by RPC-style helpers and
 tests.
@@ -26,7 +28,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.common.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PENDING, Environment, Event
 
 
 class Resource:
@@ -45,7 +47,7 @@ class Resource:
     occupancy signal.
     """
 
-    __slots__ = ("env", "capacity", "name", "_in_use", "_queue",
+    __slots__ = ("env", "capacity", "name", "_info", "_in_use", "_queue",
                  "_busy_integral", "_last_change", "_started_at",
                  "peak_queue", "total_served")
 
@@ -55,6 +57,8 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
+        #: the label every grant event carries (deadlock diagnostics)
+        self._info = ("resource", name or "unnamed")
         self._in_use = 0
         self._queue: deque[Event] = deque()
         # statistics
@@ -95,18 +99,12 @@ class Resource:
         otherwise the queued grant is eventually succeeded for a dead
         process and the slot leaks.
         """
-        ev = Event(self.env)
-        ev.info = ("resource", self.name or "unnamed")
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            self.total_served += 1
-            ev.succeed(self)
-        else:
-            self._queue.append(ev)
-            if len(self._queue) > self.peak_queue:
-                self.peak_queue = len(self._queue)
-        return ev
+        grant = self.admit()
+        if grant is None:
+            grant = Event(self.env)
+            grant.info = self._info
+            grant.succeed(self)
+        return grant
 
     def admit(self) -> Optional[Event]:
         """Ask for a slot; returns the grant event to ``yield``, or
@@ -129,11 +127,19 @@ class Resource:
             res.release()
         """
         if self._in_use < self.capacity:
-            self._account()
+            now = self.env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
             self.total_served += 1
             return None
-        return self.request()
+        grant = Event(self.env)
+        grant.info = self._info
+        queue = self._queue
+        queue.append(grant)
+        if len(queue) > self.peak_queue:
+            self.peak_queue = len(queue)
+        return grant
 
     def cancel(self, grant: Optional[Event]) -> bool:
         """Withdraw a pending request, or give back an already-granted
@@ -150,7 +156,7 @@ class Resource:
           over by a :meth:`release` in the same timestep the interrupt
           landed) — the slot is released on the canceller's behalf.
         """
-        if grant is not None and not grant.triggered:
+        if grant is not None and grant._value is PENDING:
             try:
                 self._queue.remove(grant)
             except ValueError:
@@ -168,7 +174,9 @@ class Resource:
             self.total_served += 1
             self._queue.popleft().succeed(self)
         else:
-            self._account()
+            now = self.env._now
+            self._busy_integral += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use -= 1
 
     def acquire(self):
@@ -221,6 +229,10 @@ class Pipeline:
     booking cannot be withdrawn: an op killed while it waits has still
     been processed by the stage.
 
+    The servers are interchangeable, so :attr:`_free_at` is kept in
+    ascending order: the earliest-free server is its head, and a booking
+    moves it to its new place behind the ones that free up sooner.
+
     Statistics: :attr:`total_served` counts bookings (as a
     :class:`Resource` counts grants); :meth:`utilization` counts booked
     service only up to the present.
@@ -235,7 +247,7 @@ class Pipeline:
         self.env = env
         self.capacity = capacity
         self.name = name
-        #: when each server finishes what is booked on it
+        #: when each server finishes what is booked on it, ascending
         self._free_at = [env.now] * capacity
         self._booked_ns = 0.0
         self._started_at = env.now
@@ -246,11 +258,16 @@ class Pipeline:
         the delay from now until the op leaves the stage."""
         now = self.env._now
         free_at = self._free_at
-        start = min(free_at)
-        server = free_at.index(start)
+        start = free_at[0]
         if start < now:
             start = now
-        free_at[server] = end = start + service_ns
+        end = start + service_ns
+        i = 1
+        n = self.capacity
+        while i < n and free_at[i] < end:
+            free_at[i - 1] = free_at[i]
+            i += 1
+        free_at[i - 1] = end
         self._booked_ns += service_ns
         self.total_served += 1
         return end - now

@@ -56,7 +56,7 @@ KILLS = {
         "src/repro/sim/resources.py",
         [("from collections import deque",
           "from collections import deque; import heapq"),
-         ("        start = min(free_at)",
+         ("        start = free_at[0]",
           "        start = heapq.nsmallest(1, free_at)[0]")],
         None, "'heapq' import outside the engine chokepoint"),
     "emit-format": (

@@ -259,7 +259,7 @@ class TestQpcThrashing:
 
         run_verb(env, churn())
         assert net.nics[0].qpc.miss_rate == 1.0
-        assert net.nics[0].qpc_penalty_ns_total > 0
+        assert net.nics[0].qpc.penalty_ns_total > 0
 
     def test_small_working_set_no_thrashing(self):
         env, net, _ = make_net(n_nodes=2)

@@ -20,31 +20,33 @@ class TestQpcCache:
             QpcCache(0)
 
     def test_first_access_misses(self):
-        cache = QpcCache(4)
-        assert not cache.access(("a",))
+        cache = QpcCache(4, miss_penalty_ns=300)
+        assert cache.touch(("a",)) == 300.0     # a reload
         assert cache.misses == 1
+        assert cache.penalty_ns_total == 300.0
 
     def test_second_access_hits(self):
-        cache = QpcCache(4)
-        cache.access(("a",))
-        assert cache.access(("a",))
+        cache = QpcCache(4, miss_penalty_ns=300)
+        cache.touch(("a",))
+        assert cache.touch(("a",)) == 0.0       # cached: no reload
         assert cache.hits == 1
+        assert cache.penalty_ns_total == 300.0
 
     def test_lru_eviction(self):
         cache = QpcCache(2)
-        cache.access(("a",))
-        cache.access(("b",))
-        cache.access(("c",))  # evicts a
+        cache.touch(("a",))
+        cache.touch(("b",))
+        cache.touch(("c",))  # evicts a
         assert ("a",) not in cache
         assert ("b",) in cache
         assert cache.evictions == 1
 
     def test_access_refreshes_recency(self):
         cache = QpcCache(2)
-        cache.access(("a",))
-        cache.access(("b",))
-        cache.access(("a",))  # refresh a
-        cache.access(("c",))  # evicts b, not a
+        cache.touch(("a",))
+        cache.touch(("b",))
+        cache.touch(("a",))  # refresh a
+        cache.touch(("c",))  # evicts b, not a
         assert ("a",) in cache
         assert ("b",) not in cache
 
@@ -55,7 +57,7 @@ class TestQpcCache:
         qps = [(i,) for i in range(16)]
         for _ in range(4):
             for qp in qps:
-                cache.access(qp)
+                cache.touch(qp)
         assert cache.hits == 0
         assert cache.miss_rate == 1.0
 
@@ -63,15 +65,15 @@ class TestQpcCache:
         cache = QpcCache(16)
         qps = [(i,) for i in range(8)]
         for qp in qps:
-            cache.access(qp)
+            cache.touch(qp)
         cache.reset_stats()
         for _ in range(4):
             for qp in qps:
-                cache.access(qp)
+                cache.touch(qp)
         assert cache.miss_rate == 0.0
 
     def test_len(self):
         cache = QpcCache(4)
         for i in range(6):
-            cache.access((i,))
+            cache.touch((i,))
         assert len(cache) == 4

@@ -632,7 +632,7 @@ class TestRoundTripKilledAtEverySuspension:
         env, net = cluster.env, cluster.network
         nic = net.nics[0]
         crossing, cold_tx = nic._pcie_crossing_ns, (
-            nic._tx_service_ns + nic._qpc_miss_penalty_ns)
+            nic._tx_service_ns + nic.qpc.miss_penalty_ns)
         rtt = {}
 
         def follower():
