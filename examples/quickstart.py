@@ -17,15 +17,15 @@ Run:  python examples/quickstart.py
 import argparse
 
 from repro import ALock, Cluster
-from repro.obs import ObsConfig
-from repro.obs.capture import CapturedRun
-from repro.obs.export import span_table, write_trace
+from repro.obs import INTERVALS, PROTOCOL
+from repro.obs.export import CapturedRun, span_table, write_trace
 
 
 def main(trace_out: str | None = None) -> None:
-    obs = ObsConfig(spans=True) if trace_out else None
-    cluster = Cluster(n_nodes=2, seed=42, trace=True, audit="strict",
-                      obs=obs)
+    # the protocol steps for the trace below; timed intervals on top of
+    # them for --trace-out
+    cluster = Cluster(n_nodes=2, seed=42, audit="strict",
+                      obs=INTERVALS if trace_out else PROTOCOL)
     lock = ALock(cluster, home_node=1, name="l2")
     t1 = cluster.thread_ctx(node_id=0, thread_id=0)   # remote to l2
     t2 = cluster.thread_ctx(node_id=1, thread_id=0)   # local to l2

@@ -17,7 +17,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.memory.pointer import MAX_NODES
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion
-from repro.obs import ObsConfig, Observability
+from repro.obs import RING, Observability
+from repro.obs.log import LEVELS
 from repro.rdma.config import RdmaConfig
 from repro.rdma.network import RdmaNetwork
 from repro.sim.core import Environment
@@ -46,37 +47,37 @@ class Cluster:
         region_bytes: RDMA slab size per node.
         seed: root seed for all derived RNG streams.
         audit: Table-1 race auditing mode (``"off"``/``"record"``/``"strict"``).
-        trace: keep the protocol steps in the event log, so
-            ``cluster.tracer`` shows them (quickstart walkthroughs,
-            schedcheck scenarios).
         faults: optional :class:`~repro.faults.FaultPlan`; an *active*
             plan arms the verb-path retransmission harness and the fault
             injector (seeded from this cluster's RNG registry, so fault
             schedules replay exactly).  ``None`` or an inactive plan
             keeps the fault-free code path.
-        obs: optional :class:`~repro.obs.ObsConfig` enabling timed
-            intervals (the span tree) and/or the metrics registry.  The
+        obs: the event log's recording level — ``RING`` (the default),
+            ``PROTOCOL`` (the protocol steps ``cluster.tracer`` shows, for
+            walkthroughs and schedcheck scenarios) or ``INTERVALS`` (the
+            timed intervals of the span tree and its duration
+            histograms), from :mod:`repro.obs.log`.  The metrics
             registry's pull-model collectors (NIC/verb/fault counters)
-            are wired regardless, so ``cluster.obs.metrics.collect()``
-            works even with recording off.
+            are wired at every level, so ``cluster.obs.metrics.collect()``
+            always works.
 
     Every cluster has one protocol event log (:mod:`repro.obs.log`);
-    ``trace`` and ``obs.spans`` only raise what it keeps above the
-    always-on ring.  ``cluster.flight``, ``cluster.tracer`` and
-    ``cluster.obs.spans`` are its read-side views.
+    ``obs`` only raises what it keeps above the always-on ring.
+    ``cluster.flight``, ``cluster.tracer``, ``cluster.obs.spans`` and
+    the registry's histograms are its read-side views.
     """
 
     def __init__(self, n_nodes: int, *, config: Optional[RdmaConfig] = None,
                  region_bytes: int = DEFAULT_REGION_BYTES, seed: int = 0,
-                 audit: str = "record", trace: bool = False,
-                 faults: Optional[FaultPlan] = None,
-                 obs: Optional[ObsConfig] = None):
+                 audit: str = "record", faults: Optional[FaultPlan] = None,
+                 obs: int = RING):
         if not 1 <= n_nodes <= MAX_NODES:
             raise ConfigError(f"n_nodes must be in [1, {MAX_NODES}], got {n_nodes}")
         if faults is not None and not isinstance(faults, FaultPlan):
             raise ConfigError(f"faults must be a FaultPlan, got {faults!r}")
-        if obs is not None and not isinstance(obs, ObsConfig):
-            raise ConfigError(f"obs must be an ObsConfig, got {obs!r}")
+        if obs not in LEVELS or isinstance(obs, bool):
+            raise ConfigError(f"obs must be a recording level {LEVELS} "
+                              f"(RING, PROTOCOL, INTERVALS), got {obs!r}")
         self.env = Environment()
         self.config = config or RdmaConfig()
         self.rng = RngStreams(seed)
@@ -86,7 +87,7 @@ class Cluster:
         # return at once; the cluster keeps the (idle) object for
         # reporting — violation_count stays 0.
         live_auditor = self.auditor if audit != "off" else None
-        self.obs = Observability(self.env, obs or ObsConfig(), trace=trace)
+        self.obs = Observability(self.env, obs)
         self.log = self.obs.log
         self.flight = self.obs.flight
         self.tracer = self.obs.tracer
@@ -171,7 +172,8 @@ class Cluster:
 
         A subset view of :meth:`repro.obs.metrics.MetricsRegistry.collect`
         (kept for backwards compatibility — the registry tree adds
-        per-thread counters and any pushed app metrics)."""
+        per-thread counters and, at ``INTERVALS``, the duration
+        histograms)."""
         tree = self.obs.metrics.collect()
         return {
             "network": tree["network"],

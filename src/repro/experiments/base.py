@@ -1,14 +1,19 @@
-"""Shared experiment infrastructure: result container, scale presets."""
+"""Shared experiment infrastructure: result container, scale presets,
+the one fan-out every experiment runs its cells through, and the
+recording that collects those runs for export."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, Optional
 
 from repro.analysis import format_table
 from repro.common.errors import ConfigError
+from repro.obs import INTERVALS, RING
+from repro.obs.export import CapturedRun
 from repro.parallel.engine import pmap_workloads
-from repro.workload import RunResult, WorkloadSpec
+from repro.workload import RunResult, WorkloadSpec, run_workload
 
 #: Scale presets.  Extent knobs consumed by the experiment modules:
 #: ``nodes`` — cluster sizes to sweep; ``threads`` — threads/node sweep;
@@ -66,8 +71,41 @@ def scale_params(scale: str) -> dict[str, Any]:
         raise ConfigError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}") from None
 
 
-def run_specs(specs, workers: int) -> dict[WorkloadSpec, RunResult]:
-    """Run every distinct spec once; return ``{spec: RunResult}``.
+#: the open recording's runs (see :func:`recording`), or None.
+_recorded: Optional[list[CapturedRun]] = None
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[list[CapturedRun]]:
+    """Record, for export, every run the block's experiments make: each
+    runs at the ``INTERVALS`` level, in whichever process the fan-out
+    puts it, and its spans, metrics tree and dropped-event count come
+    home in its :class:`RunResult`.  The yielded list fills with one
+    labelled :class:`~repro.obs.export.CapturedRun` per run, in the
+    order the experiments made them — the same at any worker count."""
+    global _recorded
+    outer, _recorded = _recorded, []
+    try:
+        yield _recorded
+    finally:
+        _recorded = outer
+
+
+def _record(results: list[RunResult]) -> None:
+    if _recorded is not None:
+        _recorded.extend(
+            CapturedRun(f"{r.spec.lock_kind}-n{r.spec.n_nodes}"
+                        f"x{r.spec.threads_per_node}-loc{r.spec.locality_pct}"
+                        f"-seed{r.spec.seed}",
+                        r.spans, r.obs_metrics, r.dropped_events)
+            for r in results)
+
+
+def run_specs(specs, workers: int,
+              obs: int = RING) -> dict[WorkloadSpec, RunResult]:
+    """Run every distinct spec once at recording level ``obs`` (raised to
+    ``INTERVALS`` while a :func:`recording` is open); return
+    ``{spec: RunResult}``.
 
     The one way an experiment runs its cells: a module states its grid
     once, as a generator of :class:`~repro.parallel.Cell`, hands the
@@ -79,8 +117,20 @@ def run_specs(specs, workers: int) -> dict[WorkloadSpec, RunResult]:
     wall-clock only — a failing cell fails the run the same way in both.
     """
     unique = list(dict.fromkeys(specs))
-    return dict(zip(unique, pmap_workloads(unique, workers=workers),
-                    strict=True))
+    results = pmap_workloads(unique, workers=workers,
+                             obs=obs if _recorded is None else INTERVALS)
+    _record(results)
+    return dict(zip(unique, results, strict=True))
+
+
+def run_direct(spec: WorkloadSpec, **cluster_kwargs) -> RunResult:
+    """One run no spec can state — a cluster option such as a NIC
+    config — simulated in this process and recorded like a cell of
+    :func:`run_specs`."""
+    result = run_workload(spec, obs=RING if _recorded is None else INTERVALS,
+                          **cluster_kwargs)
+    _record([result])
+    return result
 
 
 @dataclass

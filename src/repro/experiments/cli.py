@@ -25,15 +25,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
 from repro.common.errors import ConfigError
+from repro.experiments.base import recording
 from repro.experiments.registry import (EXPERIMENTS, get_experiment,
                                         run_experiment)
-from repro.obs import ObsConfig
-from repro.obs.capture import ObsCapture, activate, deactivate
 from repro.obs.export import write_metrics, write_trace
 
 
@@ -247,7 +247,8 @@ def _main(argv: list[str] | None) -> int:
     run_p.add_argument("--trace-out", default=None, metavar="FILE",
                        help="record typed spans for every workload run and "
                             "write a Chrome/Perfetto trace-event JSON "
-                            "(open at ui.perfetto.dev)")
+                            "(open at ui.perfetto.dev); works at any "
+                            "--workers")
     run_p.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the per-run metrics-registry snapshots "
                             "as flat JSON")
@@ -401,19 +402,10 @@ def _main(argv: list[str] | None) -> int:
     for exp_id in ids:
         get_experiment(exp_id)      # a typo must not cost the ids before it
     workers = _resolve_workers(args)
-    capture = None
-    if args.trace_out or args.metrics_out:
-        if workers > 1:
-            # Span/metric capture hooks the runner in *this* process;
-            # pool workers would silently escape it.
-            print("note: --trace-out/--metrics-out require in-process "
-                  "runs; ignoring --workers/--parallel", file=sys.stderr)
-            workers = 0
-        capture = activate(ObsCapture(ObsConfig(
-            spans=bool(args.trace_out), metrics=bool(args.metrics_out))))
+    export = bool(args.trace_out or args.metrics_out)
     failed = []
     reports = []
-    try:
+    with recording() if export else contextlib.nullcontext() as runs:
         for exp_id in ids:
             # Wall-clock here times the *host* run for the operator's
             # progress line; it never feeds simulation state or results.
@@ -427,17 +419,20 @@ def _main(argv: list[str] | None) -> int:
             print(f"\n({exp_id} finished in {elapsed:.1f}s)\n")
             if not result.all_shapes_hold:
                 failed.append(exp_id)
-    finally:
-        if capture is not None:
-            deactivate(capture)
-    if capture is not None:
+    if export:
+        for run in runs:
+            if run.dropped:
+                print(f"warning: {run.label} outgrew its event log: the "
+                      f"oldest {run.dropped} events, and the spans and "
+                      f"histogram samples they held, are missing from the "
+                      f"export", file=sys.stderr)
         if args.trace_out:
-            write_trace(args.trace_out, capture.runs)
-            print(f"trace: {len(capture.runs)} runs -> {args.trace_out} "
+            write_trace(args.trace_out, runs)
+            print(f"trace: {len(runs)} runs -> {args.trace_out} "
                   f"(load at ui.perfetto.dev)")
         if args.metrics_out:
-            write_metrics(args.metrics_out, capture.runs)
-            print(f"metrics: {len(capture.runs)} runs -> {args.metrics_out}")
+            write_metrics(args.metrics_out, runs)
+            print(f"metrics: {len(runs)} runs -> {args.metrics_out}")
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write("\n\n".join(reports) + "\n")

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.experiments.base import ExperimentResult, run_specs, scale_params
+from repro.experiments.base import (ExperimentResult, run_direct, run_specs,
+                                    scale_params)
 from repro.parallel import Cell
 from repro.rdma.config import RdmaConfig
-from repro.workload import WorkloadSpec, run_workload
+from repro.workload import WorkloadSpec
 
 #: The NIC model is not a ``WorkloadSpec`` axis: the two model-off runs
-#: are direct ``run_workload`` calls on the ``congestion`` cells' specs.
+#: are direct runs (``run_direct``) of the ``congestion`` cells' specs.
 FLAT_NIC = RdmaConfig().with_nic(rx_congestion_factor=0.0)
 BUDGETS = {"tiny": (1, 1), "paper": (20, 5), "huge": (10_000, 10_000)}
 
@@ -79,7 +80,7 @@ def run(scale: str = "small", seed: int = 0,
     for (ablation, variant), spec in cells:
         runs[ablation, variant] = results[spec]
         if ablation == "congestion":
-            runs[ablation, f"{variant}, model off"] = run_workload(
+            runs[ablation, f"{variant}, model off"] = run_direct(
                 spec, config=FLAT_NIC)
     for (ablation, variant), res in runs.items():
         remote = res.remote_latency

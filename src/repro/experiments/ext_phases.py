@@ -6,7 +6,9 @@ shared-memory MCS queue — but the paper supports the explanation only
 with end-to-end CDFs.  With typed spans on, every operation splits into
 an exact partition: queue-wait / cross-cohort-wait / critical-section /
 release.  This experiment runs the three §6 locks under the same
-contended workload and reports where each one's latency actually goes:
+contended workload — three cells of one fan-out, recorded at the
+``INTERVALS`` level — and reports where each one's latency actually
+goes:
 
 * for **ALock**, cross-cohort (Peterson) wait is visible and bounded,
   and local-cohort queue wait is cheap (shared-memory, event-driven);
@@ -25,18 +27,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.base import ExperimentResult, is_strict, scale_params
-from repro.obs import ObsConfig
+from repro.experiments.base import (ExperimentResult, is_strict, run_specs,
+                                    scale_params)
+from repro.obs import INTERVALS
 from repro.obs.phases import extract_operations, phase_summary
-from repro.workload import WorkloadSpec, run_workload
+from repro.parallel import Cell
+from repro.workload import WorkloadSpec
 
 LOCKS = ("alock", "mcs", "spinlock")
 
 
 def run(scale: str = "small", seed: int = 0,
         workers: int = 0) -> ExperimentResult:
-    """``workers`` is unused: typed spans (``obs=``) come back only from an
-    in-process ``run_workload``, so there is no sealed cell to shard."""
+    """One cell per lock kind, run at the ``INTERVALS`` level: each cell's
+    spans come home in its ``RunResult`` from whichever process ran it."""
     params = scale_params(scale)
     n_nodes = max(params["nodes"])
     threads = max(params["threads"])
@@ -48,13 +52,14 @@ def run(scale: str = "small", seed: int = 0,
         n_nodes=n_nodes, threads_per_node=threads, n_locks=20,
         locality_pct=90.0, ops_per_thread=int(ops), cs_ns=500.0,
         seed=seed, audit="off")
-    obs = ObsConfig(spans=True, metrics=True)
+    cells = [Cell(kind, base.with_(lock_kind=kind)) for kind in LOCKS]
+    results = run_specs((cell.spec for cell in cells), workers, obs=INTERVALS)
 
     summaries: dict[str, dict] = {}
     sums_match = True
     counts_match = True
-    for kind in LOCKS:
-        res = run_workload(base.with_(lock_kind=kind), obs=obs)
+    for kind, spec in cells:
+        res = results[spec]
         lock_ops = extract_operations(res.spans)
         # Ground truth: every span-derived operation latency must equal a
         # runner-measured sample (count mode measures all ops).

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, TYPE_CHECKING
 
 from repro.common.errors import ConfigError, ProtocolError
-from repro.obs import LOCK_ACQUIRE, LOCK_RELEASE
+from repro.obs import INTERVALS, LOCK_ACQUIRE, LOCK_RELEASE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster, ThreadContext
@@ -23,15 +23,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _traced(span_name: str):
     """Decorator factory wrapping a ``lock``/``unlock`` generator method
-    in a timed interval + phase histogram sample.
+    in a timed interval (its duration histogram is a view of the span).
 
     Opt-in per implementation (the shipped locks use it); ``lock`` /
     ``unlock`` remain the abstract override points, so user locks that
     implement them directly — like the tutorial's TAS lock — stay
-    first-class, just untimed.  Unless the cluster was built to time
-    intervals or collect metrics the wrapper returns the undecorated
-    generator: one boolean check, no allocation, no extra frame on the
-    drive path.
+    first-class, just untimed.  Unless the cluster records at the
+    ``INTERVALS`` level the wrapper returns the undecorated generator:
+    one boolean check, no allocation, no extra frame on the drive path.
     """
 
     def deco(fn):
@@ -65,36 +64,23 @@ class DistributedLock(ABC):
         self.name = name or f"{self.kind}@n{home_node}"
         self._holder_gid: int = 0
         self._holder_since: float = 0.0
-        # the timing wrapper is installed only for a cluster built to
-        # time intervals or collect metrics (see _traced)
-        obs = cluster.obs
-        self._timed = obs.enabled
-        if obs.metrics.enabled:
-            self._obs_h = {
-                LOCK_ACQUIRE: obs.metrics.histogram(
-                    "lock.phase_ns", kind=self.kind, phase="acquire"),
-                LOCK_RELEASE: obs.metrics.histogram(
-                    "lock.phase_ns", kind=self.kind, phase="release"),
-            }
-        else:
-            self._obs_h = None
+        # the timing wrapper is installed only for a cluster that records
+        # intervals (see _traced)
+        self._timed = cluster.obs.log.level == INTERVALS
         # statistics
         self.acquisitions = 0
 
     def _observed_op(self, ctx: "ThreadContext", span_name: str, inner):
-        """Drive ``inner`` as one timed interval; sample its duration.
-        Only entered on a timed cluster (see :func:`_traced`)."""
+        """Drive ``inner`` as one timed interval.  Only entered on a
+        timed cluster (see :func:`_traced`)."""
         ctx.emit(ctx.actor, "span.begin", span_name, self.name, self.kind,
                  self.home_node)
-        t0 = ctx.env.now
         try:
             result = yield from inner
         except BaseException:
             ctx.emit(ctx.actor, "span.end", span_name, "error")
             raise
         ctx.emit(ctx.actor, "span.end", span_name, "ok")
-        if self._obs_h is not None:
-            self._obs_h[span_name].observe(ctx.env.now - t0)
         return result
 
     # -- protocol bookkeeping (not part of the simulated algorithm) -------

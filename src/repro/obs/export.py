@@ -4,8 +4,11 @@ The trace format is the Chrome ``trace_event`` JSON array-of-objects
 format (``{"traceEvents": [...]}``), which https://ui.perfetto.dev and
 ``chrome://tracing`` both load directly.  Each finished span becomes a
 complete event (``"ph": "X"``); timestamps are microseconds, so sim-ns
-divide by 1e3.  Each captured run becomes one "process" (pid), each
-actor one "thread" (tid), named via metadata events.
+divide by 1e3.  Each exported run becomes one "process" (pid), each
+actor one "thread" (tid), named via metadata events.  A run whose log
+outgrew its capacity also names, in its process metadata and its
+metrics entry, how many events it dropped (``dropped_events``); a
+complete run's bytes carry no such key.
 
 Byte determinism: every dict is serialised with ``sort_keys=True``,
 events are emitted in ``(pid, tid, ts, span_id)`` order, and tids are
@@ -16,18 +19,34 @@ assigned from *sorted* actor names — so the output is identical across
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.obs.metrics import flatten
 from repro.obs.spans import Span
 
 
-def trace_events(runs: Sequence) -> list[dict]:
-    """Flatten captured runs (objects with ``label``/``spans``) into a
-    Chrome trace-event list."""
+@dataclass
+class CapturedRun:
+    """Spans + metrics snapshot of one cluster run, labelled for export;
+    ``dropped`` is its log's :attr:`~repro.obs.log.EventLog.dropped`."""
+
+    label: str
+    spans: list[Span] = field(default_factory=list)
+    metrics: dict = field(default_factory=dict)
+    dropped: int = 0
+
+
+def _dropped(run) -> dict:
+    return {"dropped_events": run.dropped} if run.dropped else {}
+
+
+def trace_events(runs: Sequence[CapturedRun]) -> list[dict]:
+    """Flatten runs into a Chrome trace-event list."""
     events: list[dict] = []
     for pid, run in enumerate(runs, start=1):
         events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": 0, "args": {"name": run.label}})
+                       "tid": 0, "args": {"name": run.label, **_dropped(run)}})
         actors = sorted({s.actor for s in run.spans})
         tids = {actor: i for i, actor in enumerate(actors, start=1)}
         for actor in actors:
@@ -51,46 +70,29 @@ def trace_events(runs: Sequence) -> list[dict]:
     return events
 
 
-def trace_json(runs: Sequence) -> str:
+def trace_json(runs: Sequence[CapturedRun]) -> str:
     doc = {"traceEvents": trace_events(runs),
            "displayTimeUnit": "ns",
            "otherData": {"clock": "simulated", "time_unit_in": "ns"}}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def write_trace(path: str, runs: Sequence) -> None:
+def write_trace(path: str, runs: Sequence[CapturedRun]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(trace_json(runs))
 
 
-def metrics_json(runs: Sequence) -> str:
-    """Flat metrics document: one entry per run (objects with ``label``
-    and a ``metrics`` tree from ``MetricsRegistry.collect()``)."""
-    doc = {"runs": [{"label": run.label, "metrics": _flatten(run.metrics)}
-                    for run in runs]}
+def metrics_json(runs: Sequence[CapturedRun]) -> str:
+    """Flat metrics document: one entry per run, its ``metrics`` tree
+    (from ``MetricsRegistry.collect()``) flattened."""
+    doc = {"runs": [{"label": run.label, "metrics": flatten(run.metrics),
+                     **_dropped(run)} for run in runs]}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), indent=None)
 
 
-def write_metrics(path: str, runs: Sequence) -> None:
+def write_metrics(path: str, runs: Sequence[CapturedRun]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(metrics_json(runs))
-
-
-def _flatten(tree) -> dict:
-    out: dict = {}
-
-    def walk(prefix: str, node) -> None:
-        if isinstance(node, dict):
-            for k in sorted(node, key=str):
-                walk(f"{prefix}.{k}" if prefix else str(k), node[k])
-        elif isinstance(node, (list, tuple)):
-            for i, item in enumerate(node):
-                walk(f"{prefix}.{i}", item)
-        else:
-            out[prefix] = node
-
-    walk("", tree)
-    return out
 
 
 def span_table(spans: Sequence[Span], limit: int = 40) -> str:

@@ -13,16 +13,19 @@ cluster is built, never at the call site:
 * :data:`RING` (the default) keeps the flight vocabulary in a
   :data:`RING_CAPACITY`-entry ring — the always-on history every
   post-mortem freezes;
-* :data:`PROTOCOL` (``Cluster(trace=True)``) adds the protocol-step
+* :data:`PROTOCOL` (``Cluster(obs=PROTOCOL)``) adds the protocol-step
   kinds the trace checkers and walkthroughs read;
-* :data:`INTERVALS` (``ObsConfig(spans=True)``) adds the begin/end
+* :data:`INTERVALS` (``Cluster(obs=INTERVALS)``) adds the begin/end
   events of timed intervals.
 
-Levels nest: raising the level never changes what a lower view shows.
-The three read-side views — :class:`repro.obs.flight.RingView`,
-:class:`repro.obs.trace.TraceView` and :class:`repro.obs.spans.SpanView`
-— are projections of this one stream; ``docs/architecture.md``
-(§ Observability) has the full vocabulary table with fields and levels.
+The level is the cluster's only recording choice.  Levels nest:
+raising the level never changes what a lower view shows.  The
+read-side views — :class:`repro.obs.flight.RingView`,
+:class:`repro.obs.trace.TraceView`, :class:`repro.obs.spans.SpanView`
+and the duration histograms of
+:meth:`repro.obs.metrics.MetricsRegistry.collect` — are projections of
+this one stream; ``docs/architecture.md`` (§ Observability) has the
+full vocabulary table with fields and levels.
 
 A dropped event costs one call and one set lookup; a kept one also one
 tuple and one ``deque.append``.  Recording never schedules an event or
@@ -36,6 +39,7 @@ from collections import deque
 
 #: retention levels, ordered.
 RING, PROTOCOL, INTERVALS = 0, 1, 2
+LEVELS = (RING, PROTOCOL, INTERVALS)
 
 #: kind -> lowest level that keeps it.  A kind not listed (a user
 #: lock's own step) is kept at every level.
@@ -70,7 +74,9 @@ VOCABULARY: dict[str, int] = {
 #: post-mortem dumps have always had.
 RING_ARITY = {"lock.wait": 2, "lock.acquired": 1, "desc.begin": 1}
 
-#: events retained at the ring level / at the levels above it.
+#: events retained at the ring level / at the levels above it.  A run
+#: that outgrows ``LOG_CAPACITY`` loses its oldest events, and with
+#: them the oldest spans: its export says so (``EventLog.dropped``).
 RING_CAPACITY = 1024
 LOG_CAPACITY = 1 << 20
 

@@ -10,9 +10,8 @@ thereby enforced end to end, not just unit by unit.
 
 from __future__ import annotations
 
-from repro.obs import ObsConfig
-from repro.obs.capture import CapturedRun
-from repro.obs.export import metrics_json, trace_json
+from repro.obs import INTERVALS
+from repro.obs.export import CapturedRun, metrics_json, trace_json
 from repro.obs.phases import extract_operations, phase_summary
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
@@ -24,7 +23,7 @@ def selftest_output(seed: int = 3) -> str:
         n_nodes=3, threads_per_node=2, n_locks=6, locality_pct=75.0,
         ops_per_thread=8, cs_ns=300.0, seed=seed, lock_kind="alock",
         audit="off")
-    result = run_workload(spec, obs=ObsConfig(spans=True, metrics=True))
+    result = run_workload(spec, obs=INTERVALS)
     run = CapturedRun("obs-selftest", result.spans, result.obs_metrics)
     ops = extract_operations(result.spans)
     lines = [

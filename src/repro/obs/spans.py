@@ -103,7 +103,7 @@ _WAIT_SPAN = {
 class SpanView:
     """Spans of the cluster's log, rebuilt on demand.
 
-    Empty below the ``INTERVALS`` level (``ObsConfig(spans=True)``).  A
+    Empty below the ``INTERVALS`` level (``Cluster(obs=INTERVALS)``).  A
     non-zero ``log.dropped`` means the oldest spans are missing or lost
     their beginning.
     """

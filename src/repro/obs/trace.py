@@ -3,8 +3,8 @@
 The quickstart replays the paper's Figure 2 from it, the schedcheck
 checkers (:mod:`repro.schedcheck.checkers`) evaluate mutual exclusion
 and the budget bound over it, and ``execution_digest`` hashes every
-line of it.  It shows something only for a cluster built with
-``trace=True`` (or a higher level).
+line of it.  It shows something only for a cluster recording at the
+``PROTOCOL`` level or above (``Cluster(obs=PROTOCOL)``).
 
 The lock code reports raw fields; the one-line ``detail`` strings are
 produced here, on the read side, by the per-kind table below — the only

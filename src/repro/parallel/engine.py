@@ -27,6 +27,7 @@ from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, w
 from typing import Callable, Optional, Sequence, Union
 
 from repro.common.errors import SimulationError
+from repro.obs import RING
 from repro.parallel.cells import CellFailure, worker_entry
 from repro.workload.metrics import RunResult
 from repro.workload.runner import run_workload
@@ -47,15 +48,18 @@ Outcome = Union[RunResult, CellFailure]
 
 
 @worker_entry
-def run_spec_chunk(chunk: "tuple[WorkloadSpec, ...]") -> list[Outcome]:
-    """Worker entry point: run a chunk of sealed specs, building each
-    cell's whole world — cluster, locks, workload — inside this process.
-    Per spec, its :class:`RunResult`, or the :class:`CellFailure` it
-    raised; an exception never escapes the chunk."""
+def run_spec_chunk(chunk: "tuple[WorkloadSpec, ...]",
+                   obs: int = RING) -> list[Outcome]:
+    """Worker entry point: run a chunk of sealed specs at recording level
+    ``obs``, building each cell's whole world — cluster, locks, workload
+    — inside this process.  Per spec, its :class:`RunResult` (with its
+    spans and metrics tree at ``INTERVALS``), or the
+    :class:`CellFailure` it raised; an exception never escapes the
+    chunk."""
     out: list[Outcome] = []
     for spec in chunk:
         try:
-            out.append(run_workload(spec))
+            out.append(run_workload(spec, obs=obs))
         except Exception as exc:
             # A failure site (runner, sim core, locktable) may have hung
             # a post-mortem dump on the exception; it travels home as a
@@ -117,13 +121,14 @@ def run_chunks(chunks: "list[tuple]", submit_fn,
 def pmap_outcomes(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                   chunk_size: Optional[int] = None,
                   executor_factory: Optional[Callable[[int], Executor]] = None,
-                  on_result: Optional[Callable[[int, Outcome], None]] = None
-                  ) -> list[Outcome]:
-    """Run every spec and return its outcome — the :class:`RunResult`,
-    or the :class:`CellFailure` it ended in — **in input order**,
-    whatever the worker count (``<= 1``: inline) or completion order.
-    ``on_result(index, outcome)`` sees each outcome in completion order;
-    ``chunk_size`` defaults to :func:`default_chunk_size`."""
+                  on_result: Optional[Callable[[int, Outcome], None]] = None,
+                  obs: int = RING) -> list[Outcome]:
+    """Run every spec at recording level ``obs`` and return its outcome
+    — the :class:`RunResult`, or the :class:`CellFailure` it ended in —
+    **in input order**, whatever the worker count (``<= 1``: inline) or
+    completion order.  ``on_result(index, outcome)`` sees each outcome
+    in completion order; ``chunk_size`` defaults to
+    :func:`default_chunk_size`."""
     specs = list(specs)
     size = chunk_size or default_chunk_size(len(specs), workers)
     chunks = [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
@@ -138,15 +143,15 @@ def pmap_outcomes(specs: Sequence[WorkloadSpec], *, workers: int = 0,
             if on_result is not None:
                 on_result(i, outcome)
 
-    run_chunks(chunks, lambda chunk: (run_spec_chunk, chunk), on_chunk_done,
+    run_chunks(chunks, lambda chunk: (run_spec_chunk, chunk, obs), on_chunk_done,
                workers=workers, executor_factory=executor_factory)
     return outcomes
 
 
 def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
                    chunk_size: Optional[int] = None,
-                   executor_factory: Optional[Callable[[int], Executor]] = None
-                   ) -> list[RunResult]:
+                   executor_factory: Optional[Callable[[int], Executor]] = None,
+                   obs: int = RING) -> list[RunResult]:
     """Run every spec and return full :class:`RunResult` values in input
     order — the experiment-module fan-out.  Results are exactly what
     ``run_workload`` would have produced serially (sealed seeded cells),
@@ -159,7 +164,7 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
     """
     specs = list(specs)
     outcomes = pmap_outcomes(specs, workers=workers, chunk_size=chunk_size,
-                             executor_factory=executor_factory)
+                             executor_factory=executor_factory, obs=obs)
     failed = [f"  [{i}] {spec.label()} seed={spec.seed}: "
               f"{out.error.splitlines()[0]}"
               for i, (spec, out) in enumerate(zip(specs, outcomes))

@@ -56,12 +56,10 @@ from repro.faults.injector import FaultInjector
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion, from_signed, to_signed
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK
-from repro.obs import FAULT_RETRY, VERB_RTT, Observability
+from repro.obs import FAULT_RETRY, INTERVALS, VERB_RTT, Observability
 from repro.rdma.config import RdmaConfig
 from repro.rdma.nic import Rnic
 from repro.sim.core import Environment
-
-_VERBS = ("rRead", "rWrite", "rCAS", "rFAA")
 
 
 class RdmaNetwork:
@@ -90,19 +88,9 @@ class RdmaNetwork:
             obs = Observability(env)
         self._emit = obs.log.emit
         self._node_actors = [f"n{i}" for i in range(len(regions))]
-        # pre-built RTT histograms (None when metrics are off)
-        if obs.metrics.enabled:
-            self._h_rtt = {
-                (v, lb): obs.metrics.histogram(
-                    "verb.rtt_ns", verb=v,
-                    path="loopback" if lb else "fabric")
-                for v in _VERBS for lb in (False, True)
-            }
-        else:
-            self._h_rtt = None
-        # computed once: unless the cluster times intervals or collects
-        # metrics a verb is the bare round trip, with no wrapper frame
-        self._obs_on = obs.enabled
+        # computed once: unless the cluster records intervals a verb is
+        # the bare round trip, with no wrapper frame
+        self._obs_on = obs.log.level == INTERVALS
         # Per-verb latency parameters cached off the (immutable) config:
         # every verb consults the fabric latency twice per round trip, and
         # the config-object attribute chain is hot enough to matter.
@@ -273,13 +261,10 @@ class RdmaNetwork:
 
     def _observed(self, verb: str, src_node: int, src_thread: int, dst: int,
                   qp: tuple, loopback: bool, trip):
-        """Time one verb round trip as a ``verb.rtt`` interval and RTT
-        histogram sample.  Only entered on a cluster that times intervals
-        or collects metrics (``_obs_on``)."""
+        """Time one verb round trip as a ``verb.rtt`` interval.  Only
+        entered on a cluster that records intervals (``_obs_on``)."""
         actor = f"t{src_thread}@n{src_node}"
         self._emit(actor, "span.begin", VERB_RTT, verb, dst, loopback)
-        h = self._h_rtt
-        t0 = self.env.now if h is not None else 0.0
         try:
             result = yield from self._deliver(verb, src_node, dst, qp,
                                               loopback, trip, actor)
@@ -287,8 +272,6 @@ class RdmaNetwork:
             self._emit(actor, "span.end", VERB_RTT, "timeout")
             raise
         self._emit(actor, "span.end", VERB_RTT, "ok")
-        if h is not None:
-            h[(verb, loopback)].observe(self.env.now - t0)
         return result
 
     # -- verbs -----------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.cluster import Cluster
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.locktable import DistributedLockTable
+from repro.obs import PROTOCOL
 from repro.rdma.config import CostModel, FabricConfig, NicConfig, RdmaConfig
 from repro.schedcheck.history import HistoryRecorder
 from repro.sim.core import Process
@@ -185,7 +186,7 @@ class LockScenario:
     def build(self) -> BuiltRun:
         n_locks = max(self.n_locks, self.n_nodes)
         cluster = Cluster(self.n_nodes, seed=self.seed, audit=self.audit,
-                          trace=True, faults=self.faults,
+                          obs=PROTOCOL, faults=self.faults,
                           config=coarse_config() if self.coarse_time else None)
         table = DistributedLockTable(cluster, n_locks, self.lock_kind,
                                      lock_options=dict(self.lock_options))

@@ -66,11 +66,14 @@ class RunResult:
     #: outcomes); empty when the run had no active FaultPlan.
     fault_stats: dict = field(default_factory=dict)
     #: finished spans replayed from the run's event log (empty unless the
-    #: cluster was built with ObsConfig(spans=True)).
+    #: run recorded at the ``INTERVALS`` level).
     spans: list = field(default_factory=list)
     #: MetricsRegistry.collect() tree snapshot taken at run end (empty
-    #: unless observability was enabled).
+    #: below ``INTERVALS``).
     obs_metrics: dict = field(default_factory=dict)
+    #: events the log's capacity evicted (``EventLog.dropped``): non-zero
+    #: means the oldest spans, and their histogram samples, are missing.
+    dropped_events: int = 0
 
     @property
     def retry_count(self) -> int:

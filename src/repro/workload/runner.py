@@ -17,9 +17,7 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
 from repro.locktable import DistributedLockTable
-from repro.obs import ObsConfig
-from repro.obs import postmortem
-from repro.obs import capture as obs_capture
+from repro.obs import INTERVALS, RING, postmortem
 from repro.workload.generator import LockPicker
 from repro.workload.metrics import RunResult
 from repro.workload.spec import WorkloadSpec
@@ -38,24 +36,17 @@ def build_cluster(spec: WorkloadSpec, **cluster_kwargs) -> tuple[Cluster, Distri
     return cluster, table
 
 
-def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
-                 label: str = "", **cluster_kwargs) -> RunResult:
+def run_workload(spec: WorkloadSpec, *, obs: int = RING,
+                 **cluster_kwargs) -> RunResult:
     """Execute one workload run; deterministic for a given spec.
 
     Args:
-        obs: observability config for the run's cluster.  When None, an
-            active :class:`~repro.obs.capture.ObsCapture` (the CLI's
-            ``--trace-out``/``--metrics-out`` seam) supplies one; when a
-            capture is active the run's spans + metrics snapshot are also
-            appended to it under ``label``.
-        label: capture label; defaults to a spec-derived one.
+        obs: the cluster's recording level (:mod:`repro.obs.log`).  At
+            ``INTERVALS`` the result carries the run's spans, its
+            metrics tree and how many events the log's capacity
+            dropped; nothing the run measures depends on the level.
     """
-    active_capture = obs_capture.active()
-    if obs is None and active_capture is not None:
-        obs = active_capture.config
-    if obs is not None:
-        cluster_kwargs.setdefault("obs", obs)
-    cluster, table = build_cluster(spec, **cluster_kwargs)
+    cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
     env = cluster.env
     duration_mode = spec.ops_per_thread == 0
     window_start = spec.warmup_ns
@@ -193,15 +184,11 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
 
     spans: list = []
     obs_metrics: dict = {}
-    if cluster.obs.enabled:
+    dropped_events = 0
+    if obs == INTERVALS:
         spans = cluster.obs.spans.spans()
         obs_metrics = cluster.obs.metrics.collect()
-        if active_capture is not None:
-            active_capture.add(
-                label or (f"{spec.lock_kind}-n{spec.n_nodes}"
-                          f"x{spec.threads_per_node}-loc{spec.locality_pct}"
-                          f"-seed{spec.seed}"),
-                spans, obs_metrics)
+        dropped_events = cluster.log.dropped
 
     net_stats = cluster.network.stats()
     return RunResult(
@@ -219,4 +206,5 @@ def run_workload(spec: WorkloadSpec, *, obs: "ObsConfig | None" = None,
         fault_stats=fault_stats,
         spans=spans,
         obs_metrics=obs_metrics,
+        dropped_events=dropped_events,
     )

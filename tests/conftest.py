@@ -125,9 +125,9 @@ def recorded_fanout():
     record = types.SimpleNamespace(calls=[], runs=0)
     pmap_workloads, build_cluster = base.pmap_workloads, runner.build_cluster
 
-    def recording_pmap(specs, *, workers):
+    def recording_pmap(specs, *, workers, **kwargs):
         record.calls.append((list(specs), workers))
-        return pmap_workloads(specs, workers=workers)
+        return pmap_workloads(specs, workers=workers, **kwargs)
 
     def counting_build(spec, **cluster_kwargs):
         record.runs += 1

@@ -1,8 +1,13 @@
 """Tests for the alock-experiments CLI."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.cli import main
+from repro.obs import log as event_log
+from tests.conftest import recorded_fanout
 
 
 class TestList:
@@ -68,6 +73,60 @@ class TestRun:
 
     def test_seed_changes_are_accepted(self, capsys):
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0
+
+
+#: sha256 of the smoke-scale ``--trace-out``/``--metrics-out`` files at
+#: seed 0, recorded while the export was still collected by a hook
+#: inside ``run_workload`` (serial runs only): every worker count must
+#: write these bytes.
+EXPORT_SHA256 = {
+    "fig1": ("583684f82217f0211a4d0e8de0e11c60033102a8fdfa1bea8ec382f032728fea",
+             "4f592a5663ffa5805ac9b15a6eca37935dd887a62e086bdffbc095ce56b887eb"),
+    "ext-phases": (
+        "98c2e2b1572c4291c5a03b59fa376fb1b31694af42c521152a49b30272dcf0c7",
+        "9b172c43c1ebb7400b84680b5e8338224d27ab66750c52e9b5e0d7fe3d9c5945"),
+}
+
+
+def export(tmp_path, experiment_id, workers):
+    """Run one smoke experiment with both exports; return the two files."""
+    trace, metrics = tmp_path / "run.trace.json", tmp_path / "run.metrics.json"
+    assert main(["run", experiment_id, "--scale", "smoke", "--seed", "0",
+                 "--workers", str(workers), "--trace-out", str(trace),
+                 "--metrics-out", str(metrics)]) == 0
+    return trace, metrics
+
+
+class TestExport:
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("experiment_id", sorted(EXPORT_SHA256))
+    def test_same_bytes_at_any_worker_count(self, experiment_id, workers,
+                                            tmp_path, capsys):
+        with recorded_fanout() as record:
+            files = export(tmp_path, experiment_id, workers)
+        # the runs are fanned out as asked, pool and all
+        assert [w for _specs, w in record.calls] == [workers]
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in files) == EXPORT_SHA256[experiment_id]
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_a_truncated_run_says_so(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(event_log, "LOG_CAPACITY", 2_000)
+        trace, metrics = export(tmp_path, "fig1", 0)
+        runs = json.loads(metrics.read_text())["runs"]
+        dropped = {run["label"]: run["dropped_events"] for run in runs
+                   if "dropped_events" in run}
+        assert dropped and all(n > 0 for n in dropped.values())
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == len(dropped)
+        for label, n in dropped.items():
+            assert any(f"{label} outgrew its event log: the oldest {n} events"
+                       in line for line in warnings)
+        processes = [e["args"] for e in json.loads(trace.read_text())["traceEvents"]
+                     if e["name"] == "process_name"]
+        assert {p["name"]: p["dropped_events"] for p in processes
+                if "dropped_events" in p} == dropped
 
 
 QUICKSTART_TRACE = """\

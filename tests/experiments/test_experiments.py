@@ -38,12 +38,10 @@ class TestRegistry:
 #: cells each spec-driven experiment hands its one fan-out at smoke
 FANOUT_CELLS = {"fig1": 4, "fig4": 8, "fig5": 26, "fig6": 36,
                 "ext-related": 4, "ext-skew": 9, "ext-faults": 11,
-                "ext-ablations": 13}
-#: workloads run outside a fan-out: ext-phases' three runs return typed
-#: spans (``obs=``), which exist only in the process that simulated them;
-#: ext-ablations' two model-off runs take a NIC config, which is no
-#: ``WorkloadSpec`` axis
-DIRECT_RUNS = {"ext-phases": 3, "ext-ablations": 2}
+                "ext-phases": 3, "ext-ablations": 13}
+#: workloads run outside a fan-out: ext-ablations' two model-off runs
+#: take a NIC config, which is no ``WorkloadSpec`` axis
+DIRECT_RUNS = {"ext-ablations": 2}
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))

@@ -8,6 +8,7 @@ from repro.common.errors import ProtocolError
 from repro.locks import ALock
 from repro.locks.layout import COHORT_LOCAL, COHORT_REMOTE
 from repro.memory.pointer import ptr_addr
+from repro.obs import PROTOCOL
 
 
 @pytest.fixture()
@@ -229,7 +230,7 @@ class TestPetersonInterleavings:
 
 class TestTraceOutput:
     def test_trace_records_protocol_events(self):
-        cluster = Cluster(2, seed=1, trace=True)
+        cluster = Cluster(2, seed=1, obs=PROTOCOL)
         lock = ALock(cluster, 1)
         ctx = cluster.thread_ctx(0, 0)
 
@@ -248,7 +249,7 @@ class TestTraceOutput:
         assert "mcs.release" in kinds
 
     def test_trace_disabled_records_nothing(self):
-        cluster = Cluster(2, seed=1, trace=False)
+        cluster = Cluster(2, seed=1)
         lock = ALock(cluster, 1)
         ctx = cluster.thread_ctx(0, 0)
 

@@ -2,8 +2,8 @@
 
 import json
 
-from repro.obs.capture import CapturedRun
 from repro.obs.export import (
+    CapturedRun,
     metrics_json,
     span_table,
     trace_events,
@@ -85,6 +85,16 @@ class TestJsonDocs:
         (entry,) = doc["runs"]
         assert entry["label"] == "r1"
         assert entry["metrics"] == {"network.verbs.rCAS": 1}
+
+    def test_dropped_events_named_only_when_non_zero(self):
+        complete, truncated = make_run("ok"), make_run("cut")
+        truncated.dropped = 17
+        metrics = json.loads(metrics_json([complete, truncated]))["runs"]
+        assert "dropped_events" not in metrics[0]
+        assert metrics[1]["dropped_events"] == 17
+        names = [e["args"] for e in trace_events([complete, truncated])
+                 if e["name"] == "process_name"]
+        assert names == [{"name": "ok"}, {"name": "cut", "dropped_events": 17}]
 
     def test_byte_determinism_across_calls(self):
         assert trace_json([make_run()]) == trace_json([make_run()])

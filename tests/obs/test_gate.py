@@ -4,9 +4,9 @@
    (trace JSON + metrics JSON + phase summary) of an instrumented run
    must be byte-identical under different ``PYTHONHASHSEED`` values.
    Any set/dict-ordering leak in the obs layer fails this immediately.
-2. **Non-perturbation** — enabling observability must not change what
+2. **Non-perturbation** — the recording level must not change what
    the simulation *measures*: same ops, same latency samples, same
-   final sim time, with spans on, metrics on, or everything off.
+   final sim time, at every level.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from repro.obs import ObsConfig
+from repro.obs import INTERVALS, PROTOCOL, RING
 from repro.obs.selftest import selftest_output
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
@@ -64,14 +64,17 @@ class TestNonPerturbation:
         return run_workload(spec, obs=obs)
 
     def test_observability_does_not_change_measurements(self):
-        base = self.run(None)
-        spans_on = self.run(ObsConfig(spans=True))
-        full = self.run(ObsConfig(spans=True, metrics=True))
-        for res in (spans_on, full):
+        base = self.run(RING)
+        traced = self.run(PROTOCOL)
+        full = self.run(INTERVALS)
+        for res in (traced, full):
             assert res.measured_ops == base.measured_ops
             assert res.window_ns == base.window_ns
             assert np.array_equal(
                 np.asarray(res.latencies_ns), np.asarray(base.latencies_ns))
-        assert not base.spans and full.spans  # obs captured only when on
-        assert not base.obs_metrics
+        # spans and metrics come back only at INTERVALS
+        assert not base.spans and not traced.spans and full.spans
+        assert not base.obs_metrics and not traced.obs_metrics
         assert full.obs_metrics["network"]["verbs"]["rCAS"] > 0
+        assert full.obs_metrics["app"]["lock.phase_ns"]["kind=alock,phase=acquire"][
+            "count"] == full.measured_ops

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
+from repro.common.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.obs import ObsConfig
 from repro.obs.log import (
     INTERVALS,
     PROTOCOL,
@@ -96,8 +96,8 @@ class TestLevelsNest:
                              spike_ns=400.0, holder_stall_rate=0.05,
                              holder_stall_ns=900.0))
         at_ring, ring_cluster = run_tapped(spec)
-        traced, traced_cluster = run_tapped(spec, trace=True)
-        timed, timed_cluster = run_tapped(spec, obs=ObsConfig(spans=True))
+        traced, traced_cluster = run_tapped(spec, obs=PROTOCOL)
+        timed, timed_cluster = run_tapped(spec, obs=INTERVALS)
 
         # the ring view is the last 1024 ring-vocabulary events of the
         # full log, shown with their ring-level fields ...
@@ -129,13 +129,15 @@ class TestLevelsNest:
 
 
 class TestClusterLevel:
-    def test_level_is_the_highest_asked_for(self):
+    def test_level_is_the_one_asked_for(self):
         assert Cluster(1, audit="off").log.level == RING
-        assert Cluster(1, audit="off", trace=True).log.level == PROTOCOL
-        assert Cluster(1, audit="off",
-                       obs=ObsConfig(spans=True)).log.level == INTERVALS
-        assert Cluster(1, audit="off", trace=True,
-                       obs=ObsConfig(metrics=True)).log.level == PROTOCOL
+        for level in (RING, PROTOCOL, INTERVALS):
+            assert Cluster(1, audit="off", obs=level).log.level == level
+
+    @pytest.mark.parametrize("bad", [3, -1, True, None, "intervals"])
+    def test_anything_but_a_level_is_refused(self, bad):
+        with pytest.raises(ConfigError, match="recording level"):
+            Cluster(1, audit="off", obs=bad)
 
     def test_the_engine_reports_tiebreaks_to_the_cluster_log(self):
         cluster = Cluster(1, audit="off")

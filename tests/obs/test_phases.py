@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.obs import ObsConfig
+from repro.obs import INTERVALS
 from repro.obs.phases import by_kind, extract_operations, phase_summary
 from repro.obs.spans import (
     LOCK_ACQUIRE,
@@ -109,7 +109,7 @@ class TestRealRun:
             n_nodes=3, threads_per_node=2, n_locks=4, locality_pct=80.0,
             ops_per_thread=6, cs_ns=400.0, seed=11, lock_kind=lock_kind,
             audit="off")
-        return run_workload(spec, obs=ObsConfig(spans=True))
+        return run_workload(spec, obs=INTERVALS)
 
     def test_alock_sums_match_runner_latencies(self):
         res = self.run("alock")

@@ -3,9 +3,9 @@ event log's begin/end events through one open-span stack per actor."""
 
 import pytest
 
-from repro.obs import ObsConfig, Observability, SpanView
+from repro.obs import Observability, SpanView
 from repro.obs import log as event_log
-from repro.obs.log import INTERVALS, PROTOCOL, EventLog
+from repro.obs.log import INTERVALS, PROTOCOL, RING, EventLog
 from repro.obs.spans import (
     COHORT_HANDOVER,
     LOCK_ACQUIRE,
@@ -54,10 +54,9 @@ class TestDisabled:
         assert view.spans() == [] and view.open_spans() == []
 
     def test_default_is_disabled(self):
-        assert not ObsConfig().spans
         obs = Observability(Environment())
         begin_acquire(obs.log)
-        assert not obs.enabled and obs.spans.spans() == []
+        assert obs.log.level == RING and obs.spans.spans() == []
         # lower views still see nothing of it either
         assert len(obs.log) == 0
 

@@ -33,7 +33,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.faults import CrashWindow, FaultPlan
 from repro.memory import ptr_addr
-from repro.obs import OBS_FULL
+from repro.obs import INTERVALS
 from repro.rdma.rpc import RpcTransport
 
 GOLDEN = Path(__file__).with_name("golden_verb_timelines.json")
@@ -171,8 +171,8 @@ def test_verb_timeline(golden, verb, path, load):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("verb", VERBS)
 def test_timed_cluster_runs_the_same_traversal(golden, verb, path):
-    """The interval/metrics wrapper adds no event and moves none."""
-    assert (verb_scenario(verb, path, "contended", obs=OBS_FULL)
+    """The interval wrapper adds no event and moves none."""
+    assert (verb_scenario(verb, path, "contended", obs=INTERVALS)
             == golden[f"{verb}/{path}/contended"])
 
 

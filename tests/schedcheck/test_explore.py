@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError
+from repro.obs import PROTOCOL
 from repro.schedcheck import (
     BuiltRun,
     LockScenario,
@@ -80,7 +81,7 @@ class _CustomScenario:
         self.behaviour = behaviour
 
     def build(self) -> BuiltRun:
-        cluster = Cluster(1, seed=0, audit="off", trace=True)
+        cluster = Cluster(1, seed=0, audit="off", obs=PROTOCOL)
         env = cluster.env
 
         def crasher():
