@@ -12,6 +12,9 @@ Three families of helpers that used to be copied between
 * the canonical **small workload spec** — the 2×2 shape most workload
   tests start from.
 
+Plus ``profiling``, the profiler hook the frame and heap-op guards
+count under.
+
 Import directly (``from tests.conftest import run_lock_clients``) or via
 the back-compat re-exports in ``tests.locks.helpers``.
 
@@ -24,7 +27,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import gc
 import json
+import sys
 import types
 
 import pytest
@@ -108,6 +113,30 @@ def small_workload_spec(**over):
                 lock_kind="alock", ops_per_thread=10, seed=3, audit="record")
     base.update(over)
     return WorkloadSpec(**base)
+
+
+# ------------------------------------------------------ profiler guards
+
+class profiling:
+    """Install ``profiler`` with ``sys.setprofile`` while the block runs,
+    with the cyclic collector off: a collection inside the block would
+    finalize suspended generators left by earlier tests, and each close
+    is a generator ``call`` event the guard did not cause.  A class, not
+    a ``contextmanager``, so leaving the block resumes no generator."""
+
+    def __init__(self, profiler):
+        self.profiler = profiler
+
+    def __enter__(self):
+        gc.collect()
+        self.gc_was_enabled = gc.isenabled()
+        gc.disable()
+        sys.setprofile(self.profiler)
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+        if self.gc_was_enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------- shared figures

@@ -2,7 +2,6 @@
 cross-cohort Peterson interaction, budget fairness, atomicity audit."""
 
 import inspect
-import sys
 
 import pytest
 
@@ -11,6 +10,7 @@ from repro.common.errors import ConfigError, ProtocolError
 from repro.locks import ALock, make_lock
 from repro.memory.pointer import ptr_addr
 
+from tests.conftest import profiling
 from tests.locks.helpers import (
     always_local,
     always_remote,
@@ -465,11 +465,8 @@ def test_an_uncontended_local_op_is_one_leaf_frame_per_step():
             entered.append(frame.f_code.co_name)
 
     proc = cluster.env.process(body())
-    sys.setprofile(profiler)
-    try:
+    with profiling(profiler):
         cluster.run()
-    finally:
-        sys.setprofile(None)
     assert proc.ok, proc.value
     # boot, ten sleeps (2 resets, swap, budget, victim, fence, one
     # clause read, fence | fence, tail CAS), the process's own event

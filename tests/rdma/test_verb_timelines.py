@@ -191,6 +191,10 @@ def test_a_verb_is_one_generator_frame():
     ``old = yield from ctx.r_cas(...)`` re-enters exactly two generator
     frames per event the verb causes — the process body and the round
     trip — so wrapper frames cannot silently grow back."""
+    # imported here: this file also runs as a script (``--record``),
+    # where the ``tests`` package is not on the path
+    from tests.conftest import profiling
+
     cluster = Cluster(1, seed=0)
     ctx = cluster.thread_ctx(0, 0)
     ptr = cluster.alloc_on(0, 8)
@@ -207,11 +211,8 @@ def test_a_verb_is_one_generator_frame():
             resumes.append(frame.f_code.co_name)
 
     proc = cluster.env.process(body())
-    sys.setprofile(profiler)
-    try:
+    with profiling(profiler):
         cluster.run()
-    finally:
-        sys.setprofile(None)
     assert proc.ok and got == [0]
     # every dispatch but the last (the finished process's own event,
     # which nobody waits on) resumes the body, which resumes the trip

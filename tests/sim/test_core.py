@@ -3,12 +3,13 @@
 import hashlib
 import heapq
 import random
-import sys
 
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt, Timeout, core_info
+
+from tests.conftest import profiling
 
 
 @pytest.fixture()
@@ -489,11 +490,8 @@ def test_the_engine_works_per_instant_not_per_entry(env):
         if event == "c_call" and arg in (heapq.heappush, heapq.heappop):
             calls.append(arg)
 
-    sys.setprofile(profiler)
-    try:
+    with profiling(profiler):
         env.run()
-    finally:
-        sys.setprofile(None)
     wakeups = {5.0 * (1 + i % 3) * k for i in range(8) for k in range(1, 7)}
     assert env.event_count == 8 + 8 * 6 + 8   # boots, sleeps, completions
     assert len(wakeups) == 12
