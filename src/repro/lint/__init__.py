@@ -15,23 +15,15 @@ Usage::
     python -m repro.lint src tests        # explicit paths
     python -m repro.lint --json           # the report as JSON
 
-Every run is the whole analysis: the per-file rules, the deep pass
-(:mod:`repro.lint.deep` — interprocedural analyses of the lock classes
-over a project index and per-function CFGs) and the check that every
-suppression comment still suppresses something; see
-``docs/architecture.md`` ("Static analysis: simlint").
+Every run is the whole analysis: the rules, one AST at a time, and
+the check that every suppression comment still suppresses something;
+see ``docs/architecture.md`` ("Static analysis: simlint").
 
-See :mod:`repro.lint.rules` for the per-file rule set and
-``docs/tutorial.md`` for the suppression workflow.
+See :mod:`repro.lint.rules` for the rule set and ``docs/tutorial.md``
+for the suppression workflow.
 """
 
-from repro.lint.deep import (
-    DeepContext,
-    DeepRule,
-    default_deep_rules,
-    run_deep_rules,
-)
-from repro.lint.engine import LintReport, all_rules, lint_file, run_lint
+from repro.lint.engine import LintReport, lint_file, run_lint
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.rules import (
     DEFAULT_SENSITIVE_PACKAGES,
@@ -43,17 +35,12 @@ from repro.lint.rules import (
 __all__ = [
     "DEFAULT_SENSITIVE_PACKAGES",
     "DEFAULT_SIM_PACKAGES",
-    "DeepContext",
-    "DeepRule",
     "ERROR",
     "Finding",
     "LintReport",
     "Rule",
     "WARNING",
-    "all_rules",
-    "default_deep_rules",
     "default_rules",
     "lint_file",
     "run_lint",
-    "run_deep_rules",
 ]

@@ -1,10 +1,10 @@
 """``python -m repro.lint`` — the simlint command line.
 
-One mode: every run applies the per-file rules, the deep pass and the
-unused-suppression check (see :mod:`repro.lint.engine`).  Exit status:
-0 when the tree is clean, 1 when findings remain, 2 on a usage error —
-a bad argument, a path that does not exist, or a ``[tool.simlint]``
-table that does not parse or carries a key simlint does not know.
+One mode: every run applies the rules and the unused-suppression check
+(see :mod:`repro.lint.engine`).  Exit status: 0 when the tree is clean,
+1 when findings remain, 2 on a usage error — a bad argument, a path
+that does not exist, or a ``[tool.simlint]`` table that does not parse
+or carries a key simlint does not know.
 
 Configuration is read from ``[tool.simlint]`` in the nearest
 ``pyproject.toml`` at or above ``--root`` (default: the current
@@ -21,14 +21,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tomllib
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.lint.deep import DeepRule
-from repro.lint.engine import all_rules, run_lint
+from repro.lint.engine import run_lint
+from repro.lint.rules import default_rules
+
+if sys.version_info >= (3, 11):
+    import tomllib
+else:  # pragma: no cover - Python 3.10 reads TOML through the backport
+    # mypy targets 3.10 but may run where the backport is not installed
+    import tomli as tomllib  # type: ignore[import-not-found]
 
 CONFIG_KEYS = ("paths", "exclude")
+
+
+def read_toml(path: Path) -> dict[str, Any]:
+    """Parse the TOML file at ``path`` (``tomllib``, or ``tomli`` before
+    Python 3.11); raises ``tomllib.TOMLDecodeError`` on bad input."""
+    data: dict[str, Any] = tomllib.loads(path.read_text(encoding="utf-8"))
+    return data
 
 
 class UsageError(Exception):
@@ -41,7 +53,7 @@ def _load_config(root: Path) -> dict:
         candidate = cur / "pyproject.toml"
         if candidate.is_file():
             try:
-                data = tomllib.loads(candidate.read_text(encoding="utf-8"))
+                data = read_toml(candidate)
             except tomllib.TOMLDecodeError as exc:
                 raise UsageError(f"{candidate} does not parse: {exc}") from None
             config = data.get("tool", {}).get("simlint", {})
@@ -81,9 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
-        for rule in all_rules():
-            deep = " (deep)" if isinstance(rule, DeepRule) else ""
-            print(f"{rule.rule_id}{deep}: {rule.description}")
+        for rule in default_rules():
+            print(f"{rule.rule_id}: {rule.description}")
         return 0
 
     root = Path(args.root).resolve()

@@ -5,9 +5,8 @@ imported, so linting ``benchmarks/`` or a half-written module cannot run
 simulations or fail on missing optional dependencies.
 
 One mode
-    Every run applies the per-file rules to each file, then the deep
-    pass to every file that parsed, then each file's suppressions.  A
-    suppression comment that matches no finding, or that names an id
+    Every run applies the rules to each file, then its suppressions.
+    A suppression comment that matches no finding, or that names an id
     no rule has (``python -m repro.lint --list-rules``), is itself a
     finding (rule id ``unused-suppression``): the pragma of a rule that
     was deleted or went blind cannot linger.
@@ -36,9 +35,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.lint.deep import DeepRule, default_deep_rules, run_deep_rules
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.rules import Rule, default_rules
 from repro.lint.source import SourceFile
@@ -50,13 +48,6 @@ UNUSED_SUPPRESSION_RULE = "unused-suppression"
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*ignore\[([^\]]*)\]")
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", ".venv", "venv",
                         "node_modules", ".eggs", "build", "dist"})
-
-AnyRule = Union[Rule, DeepRule]
-
-
-def all_rules() -> tuple[AnyRule, ...]:
-    """Every shipped rule, per-file then deep, in reporting order."""
-    return default_rules() + default_deep_rules()
 
 
 @dataclass
@@ -227,9 +218,9 @@ def lint_source_file(sf: SourceFile, rules: Sequence[Rule]) -> list[Finding]:
 def lint_file(path: Path, *, rules: Optional[Sequence[Rule]] = None,
               root: Optional[Path] = None,
               module: Optional[str] = None) -> list[Finding]:
-    """Lint one file with the per-file rules, applying its suppression
-    comments.  ``module`` overrides dotted-name inference (used by
-    fixture tests to place a file inside a scoped package)."""
+    """Lint one file, applying its suppression comments.  ``module``
+    overrides dotted-name inference (used by fixture tests to place a
+    file inside a scoped package)."""
     parsed = _parse(path, _display(path, root or Path.cwd()), module)
     if isinstance(parsed, Finding):
         return [parsed]
@@ -239,28 +230,21 @@ def lint_file(path: Path, *, rules: Optional[Sequence[Rule]] = None,
 
 
 def lint_sources(files: Sequence[SourceFile],
-                 rules: Optional[Sequence[AnyRule]] = None) -> LintReport:
-    """The one mode over already-parsed files: the per-file rules on
-    each, the deep rules over all of them at once, then each file's
-    suppressions applied to the merged stream.
+                 rules: Optional[Sequence[Rule]] = None) -> LintReport:
+    """The one mode over already-parsed files: the rules on each, then
+    its suppressions and the check of its pragmas.
 
-    ``rules`` are per-file and deep rule instances alike (default: every
-    shipped rule).  A subset still judges pragmas against the whole
-    registry: one naming a rule left out matches nothing.
+    ``rules`` defaults to every shipped rule.  A subset still judges
+    pragmas against the whole registry: one naming a rule left out
+    matches nothing.
     """
-    rules = all_rules() if rules is None else rules
-    deep_rules = [r for r in rules if isinstance(r, DeepRule)]
-    raw_by_file = {sf.display: lint_source_file(
-        sf, [r for r in rules if not isinstance(r, DeepRule)]) for sf in files}
-    if deep_rules and files:
-        for f in run_deep_rules(files, rules=deep_rules):
-            raw_by_file[f.file].append(f)
-    known = {r.rule_id for r in all_rules()}
+    rules = default_rules() if rules is None else rules
+    known = {r.rule_id for r in default_rules()}
     report = LintReport(files_scanned=len(files))
     for sf in files:
         table = _suppressions(sf.source)
         kept, suppressed, used_lines = _apply_suppressions(
-            sorted(raw_by_file[sf.display]), table)
+            lint_source_file(sf, rules), table)
         report.suppressed.extend(suppressed)
         report.findings.extend(kept)
         report.findings.extend(_pragma_findings(sf, table, used_lines, known))
@@ -271,7 +255,7 @@ def lint_sources(files: Sequence[SourceFile],
 
 def run_lint(paths: Iterable[str | Path], *,
              root: Optional[Path] = None,
-             rules: Optional[Sequence[AnyRule]] = None,
+             rules: Optional[Sequence[Rule]] = None,
              exclude: Sequence[str] = (),
              ) -> LintReport:
     """Lint a tree: parse every ``.py`` file under ``paths`` (absolute or

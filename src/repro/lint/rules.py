@@ -17,7 +17,10 @@ Each rule encodes one invariant the reproduction's validity rests on
 ``region-bypass``
     Writes to :class:`repro.memory.region.MemoryRegion` storage must go
     through the audited accessors; ``_store``/``_words`` and the NIC
-    landing API are off-limits outside the memory/verbs layers.
+    landing API are off-limits outside the memory/verbs layers, and a
+    park on a region watcher (``.watch``/``.watch_any``) is off-limits
+    outside the cluster/memory layers, whose ``wait_local*`` arms the
+    watcher before the check it guards.
 
 ``engine-chokepoint``
     ``heapq``/``bisect`` (a scheduler's building blocks) may only be
@@ -372,21 +375,26 @@ class UnorderedIterRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 3: region writes that bypass the race auditor
+# rule 3: region access that bypasses the race auditor or the wait
 # --------------------------------------------------------------------------
 
 class RegionBypassRule(Rule):
-    """Raw region-buffer writes outside the memory/verbs layers."""
+    """Raw region-buffer writes outside the memory/verbs layers, and raw
+    parks on region watchers outside the cluster/memory layers."""
 
     rule_id = "region-bypass"
     description = ("MemoryRegion storage may only be written through the "
-                   "audited accessors; _store/_words are region-internal "
-                   "and the remote_* landing API belongs to the verbs layer")
+                   "audited accessors; _store/_words are region-internal, "
+                   "the remote_* landing API belongs to the verbs layer and "
+                   "a watcher park to ctx.wait_local*")
 
     #: the accessor implementation itself.
     region_modules = ("repro.memory.region",)
     #: where remote ops legitimately land (the simulated NIC/verbs path).
     verbs_modules = ("repro.memory.region", "repro.rdma.network")
+    #: where a watcher may be armed: ``ThreadContext.wait_local*``
+    #: registers it before the check it guards, the region implements it.
+    park_packages = ("repro.cluster", "repro.memory")
 
     _REMOTE_API = frozenset({
         "remote_read", "remote_write", "remote_rmw_read", "remote_rmw_commit",
@@ -397,6 +405,7 @@ class RegionBypassRule(Rule):
             return
         in_region = sf.module in self.region_modules
         in_verbs = sf.module in self.verbs_modules
+        may_park = sf.in_package(*self.park_packages)
         for node in ast.walk(sf.tree):
             if isinstance(node, ast.Attribute) and node.attr == "_words" \
                     and not in_region:
@@ -419,6 +428,13 @@ class RegionBypassRule(Rule):
                         f"'.{attr}()' is the NIC landing API; issuing it "
                         f"outside repro.rdma.network fabricates remote "
                         f"traffic with no timing or audit window")
+                elif attr in ("watch", "watch_any") and not may_park:
+                    yield self.finding(
+                        sf, node,
+                        f"raw check-then-park: '.{attr}()' arms the watcher "
+                        f"after the check that decided to sleep, so a write "
+                        f"landing in between is lost; wait through "
+                        f"ctx.wait_local*, which registers first")
 
 
 # --------------------------------------------------------------------------

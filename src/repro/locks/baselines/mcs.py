@@ -135,7 +135,7 @@ class RdmaMcsLock(DistributedLock):
                 # here sits between the check and the park, stretching
                 # the unprotected window by a full backoff period.
                 yield self.poll_interval_ns
-            # simlint: ignore[deep-blocking] -- the raw park IS the seeded bug
+            # simlint: ignore[region-bypass] -- the raw park IS the seeded bug
             yield region.watch(ptr_addr(desc.locked_ptr))  # armed too late
 
     @observed_acquire

@@ -102,11 +102,14 @@ class DistributedLockTable:
     # -- operations ----------------------------------------------------------
     def acquire(self, ctx: "ThreadContext", index: int):
         """Acquire entry ``index``'s lock; with a lease configured, also
-        watch for a stalled holder while waiting."""
+        watch for a stalled holder while waiting.
+
+        Returns the generator to drive (``yield from``) rather than being
+        one, so the leaseless path adds no frame to each resume of the
+        lock protocol."""
         if self.lease_ns <= 0:
-            yield from self.entries[index].lock.lock(ctx)
-            return
-        yield from self._acquire_leased(ctx, index)
+            return self.entries[index].lock.lock(ctx)
+        return self._acquire_leased(ctx, index)
 
     def _acquire_leased(self, ctx: "ThreadContext", index: int):
         """Race the acquisition against lease timers (recovery hook).
@@ -147,7 +150,9 @@ class DistributedLockTable:
             raise waiter.value
 
     def release(self, ctx: "ThreadContext", index: int):
-        yield from self.entries[index].lock.unlock(ctx)
+        """Release entry ``index``'s lock: the generator to drive, as
+        :meth:`acquire` returns it."""
+        return self.entries[index].lock.unlock(ctx)
 
     def attach_history(self, recorder) -> None:
         """Record guarded-counter operations into a

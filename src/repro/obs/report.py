@@ -5,8 +5,8 @@ report a human reads first: what failed, the trailing event timeline,
 what every client last did and is now parked on, the lock/holder chain,
 the wait-for cycle (if any), and a *suspected rule* — the failure
 shape the dump most resembles and, where one guards that shape, the
-simlint rule (``deep-lockset``, ``deep-blocking``) to start the code
-hunt from.
+simlint rule (``region-bypass``, for a raw park) to start the code hunt
+from.
 
 ``--perfetto out.json`` additionally writes the flight-event window as
 a Chrome/Perfetto trace slice (instant events per actor, same
@@ -51,15 +51,15 @@ def suspect_rule(dump: dict) -> str:
     if reason == "lease-expiry":
         return ("holder past its lease: a client sat on the lock past its "
                 "lease — look for a path out of the critical section that "
-                "skips its release (deep-lockset)")
+                "skips its release")
     if reason == "checker":
         return ("broken invariant: a completed run failed post-hoc checks — "
                 "look for a path that exits the critical section without "
-                "its release obligation (deep-lockset)")
+                "its release obligation")
     if reason == "exception":
         return ("died mid-protocol: read the error and its last verbs below; "
                 "the raising path must give back the descriptor and the "
-                "lock it held (deep-lockset)")
+                "lock it held")
     if reason in ("deadlock", "stall"):
         parked_words = [str(w[1]) for w in waits.values() if len(w) > 1]
         if any("budget" in w for w in parked_words):
@@ -74,7 +74,7 @@ def suspect_rule(dump: dict) -> str:
         if reason == "deadlock":
             return ("lost wakeup: the schedule drained with waiters parked — "
                     "a wakeup write landed between a check and its park "
-                    "(deep-blocking)")
+                    "(region-bypass)")
         return ("no progress: events still flowed at the deadline but "
                 "these clients did not advance (starvation, or a wait "
                 "that can never be satisfied)")

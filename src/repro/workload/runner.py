@@ -66,9 +66,9 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             table.local_indices(node), table.remote_indices(node),
             cluster.rng.get("workload", node, thread))
         # Hot-loop hoists: the table/spec fields are immutable for the
-        # run, and the leaseless path can drive the lock generator
-        # directly — table.acquire/release would only delegate, and their
-        # frames are paid on *every resume* of the lock protocol below.
+        # run, and the leaseless path drives the lock generator directly,
+        # saving the call in which table.acquire/release would only hand
+        # that generator back.
         entries = table.entries
         leased = table.lease_ns > 0
         ops_cap = spec.ops_per_thread

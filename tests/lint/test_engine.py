@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import all_rules, lint_file, run_lint
+from repro.lint import default_rules, lint_file, run_lint
 from repro.lint.engine import (
     PARSE_ERROR_RULE,
     UNUSED_SUPPRESSION_RULE,
@@ -103,9 +103,9 @@ class TestDeterminism:
         assert a.suppressed == b.suppressed
 
     def test_path_order_does_not_matter(self):
-        fwd = run_lint([FIXTURES / "nondet.py", FIXTURES / "deep"],
+        fwd = run_lint([FIXTURES / "nondet.py", FIXTURES / "region.py"],
                        root=REPO_ROOT)
-        rev = run_lint([FIXTURES / "deep", FIXTURES / "nondet.py"],
+        rev = run_lint([FIXTURES / "region.py", FIXTURES / "nondet.py"],
                        root=REPO_ROOT)
         assert fwd.findings == rev.findings
 
@@ -132,11 +132,10 @@ class TestDeterminism:
 
     def test_file_discovery_sorted_and_deduplicated(self):
         files = iter_source_files(
-            [FIXTURES, FIXTURES / "region.py"], root=REPO_ROOT)
-        rels = [f.relative_to(FIXTURES).as_posix() for f in files]
+            [FIXTURES.parent, FIXTURES / "region.py"], root=REPO_ROOT)
+        rels = [f.relative_to(FIXTURES.parent).as_posix() for f in files]
         assert rels == sorted(rels)
-        assert rels.count("region.py") == 1
-        assert "deep/clean_lock.py" in rels  # subdirectories are walked
+        assert rels.count("fixtures/region.py") == 1  # subdirectories too
 
 
 class TestParseErrors:
@@ -159,15 +158,16 @@ class TestCli:
     def test_list_rules(self):
         proc = self._run("--list-rules")
         assert proc.returncode == 0
-        for rule in all_rules():
+        for rule in default_rules():
             assert rule.rule_id in proc.stdout
 
     def test_json_output_on_fixtures(self):
-        proc = self._run("tests/lint/fixtures/deep/missing_note.py", "--json")
+        proc = self._run("tests/lint/fixtures/suppressed.py", "--json")
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["clean"] is False
-        assert {f["rule"] for f in payload["findings"]} == {"deep-lockset"}
+        assert {f["rule"] for f in payload["findings"]} == {
+            UNUSED_SUPPRESSION_RULE}
 
     def test_a_path_that_does_not_exist_is_a_usage_error(self):
         proc = self._run("srcc")

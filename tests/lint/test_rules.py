@@ -83,15 +83,21 @@ class TestRegionBypassRule:
                                             module="repro.locks.fixture")
                     if f.rule == "region-bypass"]
         messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 4
+        assert len(findings) == 6
         assert "'._store()'" in messages
         assert "'._words'" in messages
         assert "'.remote_write()'" in messages
         assert "'.remote_rmw_commit()'" in messages
+        assert messages.count("raw check-then-park") == 2  # lines 9, 10
 
     def test_audited_accessors_and_peek_are_clean(self):
         findings = lint_fixture("region.py", module="repro.locks.fixture")
-        assert not [f for f in findings if f.line >= 11], findings
+        assert not [f for f in findings if f.line >= 13], findings
+
+    def test_only_the_wait_layers_may_park(self):
+        for module in ("repro.cluster.context", "repro.memory.region"):
+            findings = lint_file(FIXTURES / "region.py", module=module)
+            assert not [f for f in findings if f.line in (9, 10)], module
 
     def test_verbs_layer_may_use_remote_api(self):
         findings = lint_file(FIXTURES / "region.py",

@@ -9,10 +9,11 @@ drive-by edit can't silently unscope the gate.
 
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
+
+from repro.lint.cli import read_toml
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -21,11 +22,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 class TestTypingGate:
     def test_py_typed_marker_is_shipped(self):
         assert (REPO_ROOT / "src" / "repro" / "py.typed").is_file()
-        data = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+        data = read_toml(REPO_ROOT / "pyproject.toml")
         assert "py.typed" in data["tool"]["setuptools"]["package-data"]["repro"]
 
     def test_config_scopes_strict_to_analyzer_and_core(self):
-        data = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+        data = read_toml(REPO_ROOT / "pyproject.toml")
         mypy = data["tool"]["mypy"]
         assert mypy["strict"] is True
         assert set(mypy["files"]) == {"src/repro/lint", "src/repro/sim/core.py"}

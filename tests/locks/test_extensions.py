@@ -229,7 +229,9 @@ class TestRpcLock:
 class TestMixedAtomicLock:
     def test_correct_on_coherent_fabric(self):
         """Under the CXL config the remote RMW window is zero: the naive
-        lock is sound and the auditor stays clean."""
+        lock is sound and the auditor stays clean.  Its bookkeeping
+        bypasses the base class (it is the overlap oracle), so check
+        that the last release was recorded too."""
         cluster = Cluster(2, seed=3, config=cxl_config(), audit="strict")
         lock = MixedAtomicLock(cluster, 1)
 
@@ -245,6 +247,7 @@ class TestMixedAtomicLock:
         cluster.run()
         assert all(p.ok for p in procs)
         assert lock.overlap_oracle == 0
+        assert lock.holder_gid == 0
         cluster.auditor.assert_clean()
 
     def test_unsafe_on_rdma_fabric(self):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError
-from repro.lint.engine import all_rules
+from repro.lint import default_rules
 from repro.locks import LOCK_TYPES, register_lock_type
 from repro.locks.base import DistributedLock
 from repro.memory.pointer import ptr_addr
@@ -115,12 +115,11 @@ class TestSeededBugAcceptance:
         assert dump["sched"]["decision_count"] >= 0
         assert isinstance(dump["sched"]["decisions"], str)
 
-    def test_suspect_rule_speaks_deep_pass_vocabulary(self):
+    def test_suspect_rule_cites_only_listed_rules(self):
         """Every branch names a failure shape and cites only rules that
-        ``python -m repro.lint --list-rules`` prints — not the checks
-        the kill matrix deleted (deep-protocol P1-P3, deep-blocking
-        B2/B3)."""
-        ids = {rule.rule_id for rule in all_rules()}
+        ``python -m repro.lint --list-rules`` prints — not the analyses
+        the kill matrix deleted."""
+        ids = {rule.rule_id for rule in default_rules()}
         wait = [0.0, "t0@n0", "lock.wait", ["alock[0]@n0", "budget"]]
         drop = [0.0, "t0@n0", "fault.drop", []]
         dumps = [{"reason": reason} for reason in
@@ -130,11 +129,10 @@ class TestSeededBugAcceptance:
         shapes = [suspect_rule(dump) for dump in dumps]
         assert len(set(shapes)) == len(shapes) == 8     # one per branch
         for shape in shapes:
-            assert set(re.findall(r"deep-[a-z]+", shape)) <= ids, shape
             assert not re.search(r"\b[PB]\d\b", shape), shape
             assert set(re.findall(r"\(([a-z]+-[a-z]+)\)", shape)) <= ids, shape
         assert suspect_rule(first_failure_dump("skip_budget_wait")) == shapes[6]
-        assert "(deep-blocking)" in suspect_rule(first_failure_dump("lost_wakeup"))
+        assert "(region-bypass)" in suspect_rule(first_failure_dump("lost_wakeup"))
 
 
 class TestSnapshotDeterminism:
