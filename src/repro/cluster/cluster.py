@@ -137,11 +137,23 @@ class Cluster:
         """Advance the simulation (delegates to the environment)."""
         return self.env.run(until)
 
+    def close(self) -> None:
+        """End the run and unlink its reference cycles; readers see the
+        same (DESIGN.md decision 21).  A hand-built cluster run in a
+        loop should call it, as ``run_workload`` and ``run_schedule`` do."""
+        self.env.close()
+        for ctx in self._contexts.values():
+            ctx.cluster = None
+            ctx._alock_descriptors = ctx._alock_descriptor_pools = None
+            ctx._mcs_descriptor = None
+
     def _register_collectors(self) -> None:
         """Consolidate the scattered subsystem counters into the metrics
         registry's pull side.  ``stats()`` and ``metrics.collect()`` are
         views of the same tree."""
+        # the collectors close over what they read: one over self is a cycle
         reg = self.obs.metrics
+        regions, auditor, contexts = self.regions, self.auditor, self._contexts
         reg.add_collector("network", self.network.stats)
         reg.add_collector("memory", lambda: [
             {
@@ -152,10 +164,10 @@ class Cluster:
                 "remote_ops_landed": r.remote_ops_landed,
                 "bytes_allocated": r.bytes_allocated,
             }
-            for r in self.regions
+            for r in regions
         ])
         reg.add_collector("atomicity_violations",
-                          lambda: self.auditor.violation_count)
+                          lambda: auditor.violation_count)
         reg.add_collector("threads", lambda: [
             {
                 "node": node_id,
@@ -164,7 +176,7 @@ class Cluster:
                 "remote_ops": ctx.remote_op_count,
                 "verb_timeouts": ctx.verb_timeouts,
             }
-            for (node_id, thread_id), ctx in sorted(self._contexts.items())
+            for (node_id, thread_id), ctx in sorted(contexts.items())
         ])
 
     def stats(self) -> dict:

@@ -78,7 +78,9 @@ class DistributedLock(ABC):
         try:
             result = yield from inner
         except BaseException:
-            ctx.emit(ctx.actor, "span.end", span_name, "error")
+            # a closed run finalizing the generator ends no interval
+            if not ctx.env._closed:
+                ctx.emit(ctx.actor, "span.end", span_name, "error")
             raise
         ctx.emit(ctx.actor, "span.end", span_name, "ok")
         return result

@@ -312,13 +312,3 @@ class MemoryRegion:
     def watcher_count(self) -> int:
         """Watcher registrations currently held (test/debug aid)."""
         return sum(len(v) for v in self._watchers.values())
-
-    def gc_watchers(self) -> None:
-        """Drop every already-triggered event left by :meth:`watch_any`
-        (the sweep in :meth:`_register_watcher`, for all words at once)."""
-        for idx in list(self._watchers):
-            alive = [ev for ev in self._watchers[idx] if ev._value is PENDING]
-            if alive:
-                self._watchers[idx] = alive
-            else:
-                del self._watchers[idx]

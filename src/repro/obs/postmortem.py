@@ -103,28 +103,30 @@ def _find_cycles(adjacency: dict[str, list[str]]) -> list[list[str]]:
     seen_cycles: set[tuple[str, ...]] = set()
     cycles: list[list[str]] = []
     for root in sorted(adjacency):
-        stack = [root]
-        on_path = {root: 0}
-
-        def dfs(node: str) -> None:
-            for nxt in adjacency.get(node, ()):
-                pos = on_path.get(nxt)
-                if pos is not None:
-                    cyc = stack[pos:]
-                    pivot = min(range(len(cyc)), key=lambda i: cyc[i])
-                    canon = tuple(cyc[pivot:] + cyc[:pivot])
-                    if canon not in seen_cycles:
-                        seen_cycles.add(canon)
-                        cycles.append(list(canon))
-                    continue
-                on_path[nxt] = len(stack)
-                stack.append(nxt)
-                dfs(nxt)
-                stack.pop()
-                del on_path[nxt]
-
-        dfs(root)
+        _dfs(adjacency, [root], {root: 0}, seen_cycles, cycles)
     return cycles
+
+
+def _dfs(adjacency: dict[str, list[str]], stack: list[str],
+         on_path: dict[str, int], seen_cycles: set[tuple[str, ...]],
+         cycles: list[list[str]]) -> None:
+    """:func:`_find_cycles`' search from the end of ``stack`` (not nested:
+    a closure recursing through itself is a reference cycle)."""
+    for nxt in adjacency.get(stack[-1], ()):
+        pos = on_path.get(nxt)
+        if pos is not None:
+            cyc = stack[pos:]
+            pivot = min(range(len(cyc)), key=lambda i: cyc[i])
+            canon = tuple(cyc[pivot:] + cyc[:pivot])
+            if canon not in seen_cycles:
+                seen_cycles.add(canon)
+                cycles.append(list(canon))
+            continue
+        on_path[nxt] = len(stack)
+        stack.append(nxt)
+        _dfs(adjacency, stack, on_path, seen_cycles, cycles)
+        stack.pop()
+        del on_path[nxt]
 
 
 def render_cycle(cycle: list[str]) -> str:

@@ -91,7 +91,8 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
                  schedule_index: int = -1,
                  policy_seed: Optional[int] = None) -> ScheduleResult:
     """Build the scenario fresh and run it to completion under ``policy``
-    (``None`` = the engine's un-policied fast path)."""
+    (``None`` = the engine's un-policied fast path).  The cluster is
+    closed once the digest, the checkers and the dump are taken."""
     run = scenario.build()
     env = run.cluster.env
     env.set_schedule_policy(policy)
@@ -145,6 +146,7 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
             table=run.table, decisions=result.decisions.to_string(),
             error=error_repr))
         maybe_write_dump(result.dump, result.failure_kind)
+    run.cluster.close()
     return result
 
 

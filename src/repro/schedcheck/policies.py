@@ -122,7 +122,7 @@ class PctPolicy(SchedulePolicy):
         nobody, like an abandoned ``Timeout``."""
         _time, seq, event = entry
         if event.__class__ is _Sleep:
-            return ("p", event.proc.pid) if event.seq == seq else ("e", seq)
+            return ("p", event.pid) if event.seq == seq else ("e", seq)
         if isinstance(event, _Echo):
             callbacks = [event._fn]
         else:

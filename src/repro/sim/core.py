@@ -262,17 +262,23 @@ class _Sleep:
     counted no-op, exactly what an abandoned :class:`Timeout` is.  The
     class-level ``_ok``/``_value`` let the dispatch loop hand the entry
     straight to ``Process._resume`` as "succeeded with ``None``".
+    ``pid`` is the owner's, for schedule policies.
     """
 
-    __slots__ = ("proc", "resume", "seq")
+    __slots__ = ("pid", "resume", "seq")
 
     _ok = True
     _value = None
 
     def __init__(self, proc: "Process"):
-        self.proc = proc
+        self.pid = proc.pid
         self.resume = proc._resume_cb
         self.seq = 0
+
+
+def _retired(event: "Event | _Sleep") -> None:
+    """A finished or closed process's resume callback: its own bound
+    ``_resume`` would be a reference cycle."""
 
 
 class Process(Event):
@@ -404,15 +410,16 @@ class Process(Event):
             self._value = stop.value
             self._ok = True
             self.env._schedule(self)
-        except Interrupt as intr:
-            # An un-handled interrupt terminates the process with a failure.
-            self._value = intr
-            self._ok = False
-            self.env._schedule(self)
+            self._resume_cb = self._sleep.resume = _retired
         except BaseException as exc:
-            self._value = exc
+            # An exception (an un-handled interrupt too) fails the process;
+            # the traceback loses this frame, which would make it a cycle.
+            tb = exc.__traceback__
+            self._value = exc.with_traceback(tb.tb_next if tb else None)
+            del tb
             self._ok = False
             self.env._schedule(self)
+            self._resume_cb = self._sleep.resume = _retired
             if not isinstance(exc, Exception):  # pragma: no cover - KeyboardInterrupt etc.
                 raise
         finally:
@@ -541,6 +548,7 @@ class Environment:
         self._procs: list[Process] = []
         self._next_pid = 0
         self._procs_prune_at = 64
+        self._closed = False
 
     # -- clock ------------------------------------------------------
     @property
@@ -556,6 +564,27 @@ class Environment:
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
+
+    def close(self) -> None:
+        """End the run and break its reference cycles (DESIGN.md decision
+        21).  The clock, the counts and each process's state stay
+        readable; :meth:`run` raises; a second call does nothing."""
+        self._closed = True
+        procs, self._procs = self._procs, []
+        for proc in procs:
+            if proc._value is PENDING:
+                proc._generator.close()
+                proc._waiting_on = None
+                proc._resume_cb = proc._sleep.resume = _retired
+                proc.callbacks = []
+        # nothing pending fires now: a condition and a constituent it
+        # watches would stay a cycle
+        for entries in (self._nowq, *self._buckets.values()):
+            for _t, _seq, event in entries:
+                if isinstance(event, Event) and event.callbacks:
+                    event.callbacks = []
+        self._buckets, self._times, self._nowq, self._now_head = {}, [], [], 0
+        self.emit = self._policy = None
 
     # -- factories ----------------------------------------------------
     def event(self) -> Event:
@@ -741,6 +770,8 @@ class Environment:
                 it; an :class:`Event` → run until it is processed and
                 return its value (raising if it failed).
         """
+        if self._closed:
+            raise SimulationError("run() on a closed environment")
         if isinstance(until, Event):
             stop = until
             while not stop.processed:

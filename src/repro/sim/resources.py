@@ -155,7 +155,11 @@ class Resource:
         * already granted (in place — ``None`` —, immediately, or handed
           over by a :meth:`release` in the same timestep the interrupt
           landed) — the slot is released on the canceller's behalf.
+
+        A no-op once the environment is closed: a finished run's counters stay.
         """
+        if self.env._closed:
+            return False
         if grant is not None and grant._value is PENDING:
             try:
                 self._queue.remove(grant)

@@ -45,8 +45,19 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             ``INTERVALS`` the result carries the run's spans, its
             metrics tree and how many events the log's capacity
             dropped; nothing the run measures depends on the level.
+
+    The cluster is closed once the result or the post-mortem is built.
     """
     cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
+    try:
+        return _run(spec, obs, cluster, table)
+    finally:
+        cluster.close()
+
+
+def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
+         table: DistributedLockTable) -> RunResult:
+    """:func:`run_workload`'s run, on a built cluster."""
     env = cluster.env
     duration_mode = spec.ops_per_thread == 0
     window_start = spec.warmup_ns

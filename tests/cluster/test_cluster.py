@@ -3,8 +3,11 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.common.errors import ConfigError, MemoryError_
+from repro.common.errors import ConfigError, MemoryError_, SimulationError
 from repro.memory.pointer import MAX_NODES, pack_ptr, ptr_addr, ptr_node
+from repro.obs import INTERVALS, RING
+from repro.workload import WorkloadSpec
+from repro.workload.runner import build_cluster
 
 
 @pytest.fixture()
@@ -350,3 +353,72 @@ class TestLocality:
         s = cluster.stats()
         assert set(s) == {"network", "memory", "atomicity_violations"}
         assert len(s["memory"]) == 3
+
+
+class TestClose:
+    """``Cluster.close()`` ends a run without changing anything a reader
+    of the finished run sees."""
+
+    @staticmethod
+    def contended_mcs(obs):
+        """A 3x4 MCS duration run on three locks, stopped at 40 µs: every
+        NIC then holds a verb inside RX and queues a grant behind it, and
+        every client is parked mid-acquisition."""
+        spec = WorkloadSpec(n_nodes=3, threads_per_node=4, n_locks=3,
+                            locality_pct=50.0, lock_kind="mcs",
+                            ops_per_thread=0, warmup_ns=0.0,
+                            measure_ns=40_000.0, seed=2)
+        cluster, table = build_cluster(spec, obs=obs)
+        locks = [entry.lock for entry in table.entries]
+
+        def client(ctx, i):
+            while True:
+                lock = locks[i % len(locks)]
+                i += 1
+                yield from lock.lock(ctx)
+                yield from lock.unlock(ctx)
+
+        for node in range(3):
+            for thread in range(4):
+                cluster.env.process(
+                    client(cluster.thread_ctx(node, thread), node + thread))
+        cluster.run(until=spec.measure_ns)
+        assert all(nic.rx.in_use and nic.rx.queue_length
+                   for nic in cluster.network.nics)
+        return cluster
+
+    @staticmethod
+    def readers(cluster):
+        nics = cluster.network.nics
+        return {
+            "stats": cluster.stats(),
+            "metrics": cluster.obs.metrics.collect(),
+            "log": list(cluster.log),
+            "trace": list(cluster.tracer),
+            "events": cluster.env.event_count,
+            "stages": [(stage.total_served, stage.utilization())
+                       for nic in nics for stage in (nic.tx, nic.rx, nic.pcie)],
+            "peak_queue": [nic.rx.peak_queue for nic in nics],
+        }
+
+    @pytest.mark.parametrize("obs", [RING, INTERVALS])
+    def test_close_is_invisible_to_readers(self, obs):
+        cluster = self.contended_mcs(obs)
+        before = self.readers(cluster)
+        if obs == INTERVALS:
+            # lock intervals are open: finalizing them must end none
+            kinds = [kind for _t, _actor, kind, _fields in before["log"]]
+            assert kinds.count("span.begin") > kinds.count("span.end")
+        cluster.close()
+        assert self.readers(cluster) == before
+
+    def test_a_second_close_is_a_no_op_and_a_closed_run_raises(self):
+        cluster = self.contended_mcs(RING)
+        cluster.close()
+        after = self.readers(cluster)
+        cluster.close()
+        assert self.readers(cluster) == after
+        with pytest.raises(SimulationError, match="closed environment"):
+            cluster.run(until=50_000.0)
+        with pytest.raises(SimulationError):
+            cluster.env.step()

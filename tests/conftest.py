@@ -13,7 +13,8 @@ Three families of helpers that used to be copied between
   tests start from.
 
 Plus ``profiling``, the profiler hook the frame and heap-op guards
-count under.
+count under, and ``refcounted_runs``, the guard that a finished run
+leaves no cyclic garbage.
 
 Import directly (``from tests.conftest import run_lock_clients``) or via
 the back-compat re-exports in ``tests.locks.helpers``.
@@ -31,6 +32,7 @@ import gc
 import json
 import sys
 import types
+import weakref
 
 import pytest
 
@@ -136,6 +138,46 @@ class profiling:
     def __exit__(self, *exc):
         sys.setprofile(None)
         if self.gc_was_enabled:
+            gc.enable()
+
+
+@contextlib.contextmanager
+def refcounted_runs():
+    """Run the block with the cyclic collector off and check, on
+    leaving, that every cluster it closed is already gone and that a
+    collection finds nothing: a finished run is freed by reference
+    counting alone.
+
+    Yields the list of closed clusters, one record each taken as
+    :meth:`Cluster.close` starts: ``alive`` — the names of the processes
+    still running — and ``in_flight`` — verbs sent and not yet
+    received, inside RX or queued for it.  Warm the imports up first
+    (one run of the same kind): a first-time import leaves cycles of
+    its own."""
+    closed: list = []
+    close = Cluster.close
+
+    def recording_close(cluster):
+        nics = cluster.network.nics
+        closed.append(types.SimpleNamespace(
+            ref=weakref.ref(cluster),
+            alive=[p.name for p in cluster.env.alive_processes()],
+            in_flight=sum(n.tx_ops - n.rx_ops + n.rx.in_use
+                          + n.rx.queue_length for n in nics)))
+        close(cluster)
+
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    Cluster.close = recording_close
+    try:
+        yield closed
+        assert closed, "the block closed no cluster"
+        assert [c.ref() for c in closed] == [None] * len(closed)
+        assert gc.collect() == 0
+    finally:
+        Cluster.close = close
+        if gc_was_enabled:
             gc.enable()
 
 

@@ -239,22 +239,6 @@ class TestWatchers:
         region.unwatch(fired, [64, 72])  # idempotent
         env.run()
 
-    def test_gc_watchers_cleans_triggered(self, env, region):
-        def waiter():
-            yield region.watch_any([64, 72])
-
-        env.process(waiter())
-
-        def writer():
-            yield env.timeout(1)
-            region.write(64, 1)
-
-        env.process(writer())
-        env.run()
-        assert region.watcher_count() == 1  # stale entry under addr 72
-        region.gc_watchers()
-        assert region.watcher_count() == 0
-
     def test_fired_entries_are_swept_on_append(self, env, region):
         """watch_any events fired through one word pile up under a word
         nobody writes; appends sweep them, so the list stays bounded."""

@@ -15,6 +15,8 @@ from repro.schedcheck import (
     run_schedule,
 )
 from repro.schedcheck.fleet import SEEDED_BUGS
+from repro.schedcheck.policies import make_policy
+from tests.conftest import refcounted_runs
 
 TINY = LockScenario(lock_kind="spinlock", n_nodes=1, threads_per_node=2,
                     ops_per_thread=1, seed=0)
@@ -130,6 +132,22 @@ class TestFailureTaxonomy:
     def test_summary_mentions_decisions(self):
         result = run_schedule(_CustomScenario("deadlock"), None)
         assert "(default)" in result.summary()
+
+
+class TestFinishedScheduleLeavesNoCyclicGarbage:
+    """``run_schedule`` closes the scenario's cluster once the digest,
+    the checkers and the dump are taken: each schedule of a walk is
+    freed by reference counting, passing or failing."""
+
+    def test_passing_and_failing_schedules(self):
+        # first-time imports leave cycles of their own
+        run_schedule(LOST_WAKEUP, make_policy("random", seed=3))
+        with refcounted_runs() as closed:
+            passed = run_schedule(ALOCK_2X2, make_policy("pct", seed=3))
+            failed = run_schedule(LOST_WAKEUP, make_policy("random", seed=3))
+        assert passed.ok and passed.digest
+        assert failed.failure_kind == "deadlock" and failed.dump
+        assert closed[0].alive == [] and closed[1].alive
 
 
 class TestExplorationReport:

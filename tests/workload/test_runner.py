@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import SimulationError
+from repro.faults import FaultPlan
+from repro.locks import LOCK_TYPES, register_lock_type
 from repro.workload import LatencySummary, WorkloadSpec, run_workload
-from tests.conftest import small_workload_spec as small_spec
+from tests.conftest import refcounted_runs, small_workload_spec as small_spec
+from tests.obs.test_postmortem import HangLock
 
 
 class TestCountMode:
@@ -131,3 +135,60 @@ class TestMetrics:
         assert row["jain"] is not None and 0.0 < row["jain"] <= 1.0
         assert row["lat_p999_ns"] is not None
         assert row["lat_p999_ns"] >= row["lat_p99_ns"]
+
+
+class TestFinishedRunLeavesNoCyclicGarbage:
+    """``run_workload`` closes its cluster: whatever the run left in
+    flight, the cluster is freed by reference counting as soon as the
+    result (or the error) is built, with nothing for the collector."""
+
+    @pytest.fixture(autouse=True)
+    def warm_up(self):
+        # first-time imports leave cycles of their own (stdlib enums)
+        run_workload(small_spec(lock_kind="alock", locality_pct=50.0,
+                                ops_per_thread=2,
+                                faults=FaultPlan(verb_loss_rate=0.1)))
+
+    @pytest.mark.parametrize("kind", ["alock", "mcs", "spinlock"])
+    def test_duration_mode_abandons_clients_mid_verb(self, kind):
+        spec = small_spec(lock_kind=kind, n_nodes=3, threads_per_node=4,
+                          n_locks=6, locality_pct=50.0, ops_per_thread=0,
+                          warmup_ns=1_000, measure_ns=20_000)
+        with refcounted_runs() as closed:
+            result = run_workload(spec)
+        assert result.measured_ops > 0
+        assert closed[0].alive and closed[0].in_flight
+
+    def test_count_mode(self):
+        with refcounted_runs() as closed:
+            run_workload(small_spec(cs_counter=True))
+        assert closed[0].alive == []
+
+    def test_fault_injected_run_with_a_lost_transmission_in_flight(self):
+        spec = small_spec(n_nodes=3, threads_per_node=4, locality_pct=50.0,
+                          ops_per_thread=0, warmup_ns=1_000,
+                          measure_ns=30_000,
+                          faults=FaultPlan(verb_loss_rate=0.3,
+                                           retry_timeout_ns=10_000.0,
+                                           lease_ns=20_000.0))
+        with refcounted_runs() as closed:
+            result = run_workload(spec)
+        assert result.fault_stats["retries"] > 0
+        alive = closed[0].alive
+        assert any(name.endswith("-lost-tx") for name in alive)
+        # leased acquisitions still racing their lease timers (any_of)
+        assert any("-acquire-" in name for name in alive)
+
+    def test_deadlocking_spec_raises_with_its_postmortem(self):
+        register_lock_type("hang", HangLock)
+        spec = WorkloadSpec(n_nodes=1, threads_per_node=2, n_locks=1,
+                            ops_per_thread=1, lock_kind="hang", audit="off")
+        try:
+            with refcounted_runs() as closed:
+                with pytest.raises(SimulationError, match="deadlocked") as err:
+                    run_workload(spec)
+                assert err.value._postmortem
+                del err
+        finally:
+            del LOCK_TYPES["hang"]
+        assert len(closed[0].alive) == 2
