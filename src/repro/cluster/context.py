@@ -2,15 +2,20 @@
 system model (§4).
 
 Every method that costs simulated time is driven with ``yield from``
-inside a simulation process — except :meth:`ThreadContext.fence`, which
-has nothing to apply and *returns* its delay (``yield ctx.fence()``).
-A local operation is one leaf generator frame: it sleeps its cost from
-the CPU cost model, then applies itself through one call on the node's
-memory region.  Remote operations are one-sided verbs through the
-NIC/fabric: each calls the network's router, ``RdmaNetwork._verb``, and
-returns its round-trip generator rather than wrapping it.  The context
-enforces Definition 4.1: the local family refuses pointers whose home
-node differs from the thread's node.
+inside a simulation process — except the *private* steps, which nobody
+else can observe: :meth:`ThreadContext.fence` has nothing to apply, and
+:meth:`ThreadContext.private_write` applies at once; both *return* their
+cost.  A local operation is one leaf generator frame: it sleeps its
+cost from the CPU cost model, then applies itself through one call on
+the node's memory region.  A private step's cost rides with the next
+visible step: ``write``, ``cas`` and the compound wait take a ``carry``
+added to their (first) sleep, and ``r_write``/``r_cas`` sleep it just
+before the verb is issued, so the visible step lands when it would
+have after sleeping each private step on its own.  Remote operations
+are one-sided verbs through the NIC/fabric: each calls the network's
+router, ``RdmaNetwork._verb``, and returns its round-trip generator
+rather than wrapping it.  The context enforces Definition 4.1: the local family
+refuses pointers whose home node differs from the thread's node.
 """
 
 from __future__ import annotations
@@ -100,20 +105,21 @@ class ThreadContext:
         value = self._region.read(ptr & _ADDR_MASK, self.actor)
         return to_signed(value) if signed else value
 
-    def write(self, ptr: int, value: int):
+    def write(self, ptr: int, value: int, *, carry: float = 0.0):
         """Local atomic 8-byte store."""
         if ptr >> ADDR_BITS != self.node_id:
             self._local_addr(ptr)
         self.local_op_count += 1
-        yield self._write_ns
+        yield carry + self._write_ns
         self._region.write(ptr & _ADDR_MASK, value, self.actor)
 
-    def cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
+    def cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False,
+            carry: float = 0.0):
         """Local compare-and-swap; returns the previous value."""
         if ptr >> ADDR_BITS != self.node_id:
             self._local_addr(ptr)
         self.local_op_count += 1
-        yield self._cas_ns
+        yield carry + self._cas_ns
         old = self._region.cas(ptr & _ADDR_MASK, expected, desired, self.actor)
         return to_signed(old) if signed else old
 
@@ -126,11 +132,26 @@ class ThreadContext:
         old = self._region.faa(ptr & _ADDR_MASK, delta, self.actor)
         return to_signed(old) if signed else old
 
+    def private_write(self, ptr: int, value: int) -> float:
+        """A local store no other thread can observe before this thread's
+        next visible step: to its own descriptor before the swap
+        publishes it, or a cohort leader's to its own budget word.  It
+        is applied now and *returns* its cost, which the caller carries
+        into that next step (``carry=``), so the step lands when it
+        would have after a sleep of its own.  Privacy is the caller's
+        claim; ``tests/locks/test_private_steps.py`` checks ALock's."""
+        if ptr >> ADDR_BITS != self.node_id:
+            self._local_addr(ptr)
+        self.local_op_count += 1
+        self._region.write(ptr & _ADDR_MASK, value, self.actor)
+        return self._write_ns
+
     def fence(self) -> float:
         """atomic_thread_fence — required by §5.2 after locking and before
         unlocking (RDMA memory semantics are not sequentially consistent).
         It applies nothing, so it *returns* its delay for the caller to
-        sleep: ``yield ctx.fence()`` (``yield from`` raises ``TypeError``)."""
+        sleep — ``yield ctx.fence()`` (``yield from`` raises
+        ``TypeError``) — or to carry into its next operation."""
         return self._fence_ns
 
     def wait_local(self, ptr: int, predicate: Callable[[int], bool],
@@ -139,61 +160,73 @@ class ThreadContext:
 
         Event-driven: parks on a memory watcher, so the spin generates no
         simulated traffic (the MCS local-spin property).  The watcher is
-        registered *before* each check read — a write landing between the
-        check and the park would otherwise be lost forever — and
-        withdrawn when the check succeeds: nobody will park on it, and
-        left in place it would fire on the word's next write, a wake-up
-        for no one.  Returns the satisfying value.
+        registered in the same dispatch as a failed read: no process
+        runs between the two, so a write landing after the read wakes
+        the waiter, and one landing before it was seen by it.  A wait
+        whose first read succeeds registers nothing.  Returns the
+        satisfying value.
         """
         addr = self._local_addr(ptr)
         region = self._region
-        watched = (addr,)
         while True:
-            ev = region.watch(addr)  # register first (synchronous)
             self.local_op_count += 1
             yield self._read_ns
             raw = region.read(addr, self.actor)
             value = to_signed(raw) if signed else raw
             if predicate(value):
-                region.unwatch(ev, watched)
                 return value
-            yield ev
+            yield region.watch(addr)
             yield self._recheck_ns
 
     def wait_local_cond(self, ptrs: Sequence[int],
-                        clauses: Sequence[tuple[int, Callable[[int], bool], str]]):
+                        clauses: Sequence[tuple[int, Callable[[int], bool], str]],
+                        *, carry: float = 0.0):
         """Park until a compound condition over several *local* words holds.
 
         ``clauses`` are ordered ``(ptr, predicate, why)``: each round
         makes one charged read per clause, in order, and stops at the
         first whose ``predicate(value)`` holds — later words are not
         read — returning that clause's ``why``.  A round is made on
-        entry and after every write to any of ``ptrs``.  The watcher is
-        registered before the round's first read, which makes the wait
-        lost-wakeup free; as in :meth:`wait_local`, a watcher whose
-        round succeeded is withdrawn.  Used by the local cohort's
-        Peterson wait, which involves both the victim word and the other
-        cohort's tail.
+        entry and after every write to any of ``ptrs``.  The watcher on
+        all of ``ptrs`` is registered in the same dispatch as the
+        round's *first* failed read, which makes the wait lost-wakeup
+        free: a write to an earlier clause's word landing while a later
+        clause is read fires it.  A round that then succeeds withdraws
+        it — left in place it would fire on the word's next write, a
+        wake-up for no one.  Used by the local cohort's Peterson wait,
+        which involves both the victim word and the other cohort's tail.
         """
         addrs = [self._local_addr(p) for p in ptrs]
         region = self._region
+        delay = carry + self._read_ns
         while True:
-            ev = region.watch_any(addrs)  # register first
+            ev = None
             for ptr, predicate, why in clauses:
                 if ptr >> ADDR_BITS != self.node_id:
                     self._local_addr(ptr)
                 self.local_op_count += 1
-                yield self._read_ns
+                yield delay
+                delay = self._read_ns
                 if predicate(region.read(ptr & _ADDR_MASK, self.actor)):
-                    region.unwatch(ev, addrs)
+                    if ev is not None:
+                        region.unwatch(ev, addrs)
                     return why
+                if ev is None:
+                    ev = region.watch_any(addrs)
             yield ev
             yield self._recheck_ns
 
     # -- remote (RDMA) operations ------------------------------------------
     # Plain functions, not generators: each counts, reports and *returns*
     # the network's round-trip generator, so a lock's
-    # ``yield from ctx.r_cas(...)`` drives that one frame directly.
+    # ``yield from ctx.r_cas(...)`` drives that one frame directly.  A
+    # verb's stages are the NIC's, so a carried cost is not fused into
+    # them: it is one sleep just before the verb is issued (_after).
+    def _after(self, carry: float, verb, *args, **kwargs):
+        """Sleep ``carry``, then issue ``verb(*args)`` and drive it."""
+        yield carry
+        return (yield from verb(*args, **kwargs))
+
     def _attributed(self, trip):
         """Drive one verb, attributing a retry-budget exhaustion to this
         thread: the typed :class:`VerbTimeout` gains the actor, and the
@@ -224,15 +257,21 @@ class ThreadContext:
                                0, 0, signed, "?")
         return self._attributed(trip) if self._faults_on else trip
 
-    def r_write(self, ptr: int, value: int):
+    def r_write(self, ptr: int, value: int, *, carry: float = 0.0):
         """One-sided RDMA write (unreported, see :meth:`r_read`)."""
+        if carry:
+            return self._after(carry, self.r_write, ptr, value)
         self.remote_op_count += 1
         trip = self._net._verb("rWrite", self.node_id, self.thread_id, ptr,
                                value, 0, False, "?")
         return self._attributed(trip) if self._faults_on else trip
 
-    def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False):
+    def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False,
+              carry: float = 0.0):
         """One-sided RDMA compare-and-swap; returns the previous value."""
+        if carry:
+            return self._after(carry, self.r_cas, ptr, expected, desired,
+                               signed=signed)
         self.emit(self.actor, "verb.issue", "rCAS", ptr >> ADDR_BITS)
         self.remote_op_count += 1
         trip = self._net._verb("rCAS", self.node_id, self.thread_id, ptr,

@@ -20,7 +20,7 @@ Each rule encodes one invariant the reproduction's validity rests on
     landing API are off-limits outside the memory/verbs layers, and a
     park on a region watcher (``.watch``/``.watch_any``) is off-limits
     outside the cluster/memory layers, whose ``wait_local*`` arms the
-    watcher before the check it guards.
+    watcher in the same dispatch as the failed read it guards.
 
 ``engine-chokepoint``
     ``heapq``/``bisect`` (a scheduler's building blocks) may only be
@@ -393,7 +393,8 @@ class RegionBypassRule(Rule):
     #: where remote ops legitimately land (the simulated NIC/verbs path).
     verbs_modules = ("repro.memory.region", "repro.rdma.network")
     #: where a watcher may be armed: ``ThreadContext.wait_local*``
-    #: registers it before the check it guards, the region implements it.
+    #: registers it in the dispatch of the failed read it guards, the
+    #: region implements it.
     park_packages = ("repro.cluster", "repro.memory")
 
     _REMOTE_API = frozenset({
@@ -434,7 +435,7 @@ class RegionBypassRule(Rule):
                         f"raw check-then-park: '.{attr}()' arms the watcher "
                         f"after the check that decided to sleep, so a write "
                         f"landing in between is lost; wait through "
-                        f"ctx.wait_local*, which registers first")
+                        f"ctx.wait_local*, which registers with the read")
 
 
 # --------------------------------------------------------------------------

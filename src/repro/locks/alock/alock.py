@@ -49,6 +49,7 @@ from repro.locks.base import (
 )
 from repro.locks.layout import ALOCK_LAYOUT
 from repro.memory.pointer import ptr_addr
+from repro.obs.log import PETERSON_WAIT
 
 #: Paper's chosen budgets after the Fig. 4 sweep (§6.1).
 DEFAULT_LOCAL_BUDGET = 5
@@ -171,9 +172,12 @@ class ALock(DistributedLock):
         desc.begin()
         try:
             # Algorithm 3 line 2: reset our own descriptor for the enqueue.
-            yield from ctx.write(desc.budget_ptr, WAITING)
-            yield from ctx.write(desc.next_ptr, 0)
-            yield from self._acquire_cohort(ctx, desc, self._cohorts[slot])
+            # Nobody can reach it before the swap publishes it, so the
+            # stores are private: their cost rides with the swap's sleep.
+            carry = (ctx.private_write(desc.budget_ptr, WAITING)
+                     + ctx.private_write(desc.next_ptr, 0))
+            carry = yield from self._acquire_cohort(
+                ctx, desc, self._cohorts[slot], carry)
         except BaseException:
             # Failed acquisition (e.g. a VerbTimeout from the fault
             # layer): the descriptor must come back, or the pool leaks
@@ -183,8 +187,10 @@ class ALock(DistributedLock):
             if self.allow_nesting:
                 descriptor_pools(ctx)[slot].release(desc)
             raise
-        # §5.2: atomic thread fence after locking.
-        yield ctx.fence()
+        # §5.2: atomic thread fence after locking (with a reacquirer's
+        # private budget store, which has no visible step to ride with
+        # before the critical section).
+        yield carry + ctx.fence()
         self._sessions[ctx.gid] = (slot, desc)
         self._note_acquired(ctx)
 
@@ -195,38 +201,50 @@ class ALock(DistributedLock):
         if session is None:
             raise ProtocolError(f"{ctx.actor} unlocking {self.name} without holding it")
         slot, desc = session
-        # §5.2: atomic thread fence before unlocking.
-        yield ctx.fence()
-        # The oracle is updated before the release op is issued: the op's
-        # linearization point is when it *lands*, which a successor can
-        # observe before this generator resumes (see base.py).
+        # The oracle is updated when the critical section ends, before the
+        # release op is issued: the op's linearization point is when it
+        # *lands*, which a successor can observe before this generator
+        # resumes (see base.py).
         self._note_released(ctx)
-        yield from self._release_cohort(ctx, desc, self._cohorts[slot])
+        # §5.2: atomic thread fence before unlocking; it applies nothing,
+        # so it rides with the release op's sleep.
+        yield from self._release_cohort(ctx, desc, self._cohorts[slot],
+                                        ctx.fence())
         if self.allow_nesting:
             descriptor_pools(ctx)[slot].release(desc)
 
     # -- one cohort's budgeted MCS queue (Algorithm 3) ----------------------
-    def _acquire_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort):
+    def _acquire_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort,
+                        carry: float):
         """``qLock`` and, for a leader, Algorithm 2's ``pLock``: returns
-        holding the lock, won through Peterson or passed by a predecessor."""
+        holding the lock, won through Peterson or passed by a predecessor.
+        ``carry`` is the cost of the private steps before the swap; the
+        return value is the cost of those after the last visible step."""
         # Atomic swap emulated by a CAS retry loop (IB verbs have CAS
         # and FAA but no swap); ``prev`` ends as the previous tail.
         expected = 0
         while True:
-            prev = yield from cohort.tail_cas(ctx, cohort.tail_ptr, expected, desc.ptr)
+            prev = yield from cohort.tail_cas(ctx, cohort.tail_ptr, expected, desc.ptr,
+                                              carry=carry)
+            carry = 0.0
             if prev == expected:
                 break
             expected = prev
-        ctx.emit(ctx.actor, "mcs.swap", self.name, cohort.name, prev)
+        # Names the descriptor it published, and reports the wait its
+        # outcome opens (repro.obs.log.swap_wait): a leader's in Peterson
+        # — Algorithm 2 runs pLock exactly when qLock returned "not
+        # passed" — a follower's on its budget word.
+        ctx.emit(ctx.actor, "mcs.swap", self.name, cohort.name, prev, desc.label)
         if prev == 0:
-            # Queue was empty: cohort leader; lock was NOT passed.
-            yield from ctx.write(desc.budget_ptr, cohort.budget)
+            # Queue was empty: cohort leader; lock was NOT passed.  Only
+            # this thread reads its budget word, and nobody writes it
+            # until the lock is passed on: a private store.
+            carry = ctx.private_write(desc.budget_ptr, cohort.budget)
             self.leader_acquires[cohort.name] += 1
-            yield from cohort.acquire_global(ctx, self)
-            return
+            yield from cohort.acquire_global(ctx, self, carry)
+            return 0.0
         # Link behind the predecessor, then spin locally on our budget.
         yield from cohort.neighbor_write(ctx, prev + OFF_NEXT, desc.ptr)
-        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", cohort.name)
         budget = yield from ctx.wait_local(
             desc.budget_ptr, lambda b: b != WAITING, signed=True)
         self.passes[cohort.name] += 1
@@ -234,12 +252,17 @@ class ALock(DistributedLock):
         if budget == 0:
             # Budget exhausted: yield to the other cohort, then reacquire.
             self.reacquires[cohort.name] += 1
+            ctx.emit(ctx.actor, "lock.wait", self.name, PETERSON_WAIT[cohort.name],
+                     "cohort", cohort.name)
             yield from cohort.acquire_global(ctx, self)
-            yield from ctx.write(desc.budget_ptr, cohort.budget)
+            return ctx.private_write(desc.budget_ptr, cohort.budget)
+        return 0.0
 
-    def _release_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort):
-        """``qUnlock``: clear the tail, or pass the lock to the successor."""
-        old = yield from cohort.tail_cas(ctx, cohort.tail_ptr, desc.ptr, 0)
+    def _release_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort,
+                        carry: float):
+        """``qUnlock``: clear the tail, or pass the lock to the successor.
+        ``carry`` is the cost of the private steps before the tail CAS."""
+        old = yield from cohort.tail_cas(ctx, cohort.tail_ptr, desc.ptr, 0, carry=carry)
         if old != desc.ptr:
             # A successor is enqueued (or still linking): wait for the
             # link, then pass the lock with a decremented budget.

@@ -54,19 +54,19 @@ class Descriptor:
     def begin(self) -> None:
         """Claim the descriptor for a fresh enqueue.  The reset itself
         (Algorithm 3 line 2: budget = -1, next = NULL) is the caller's
-        two local writes — the descriptor is the thread's own memory."""
+        two private stores — the descriptor is the thread's own memory.
+        Not reported: the swap that publishes the descriptor names it
+        (``mcs.swap``)."""
         if self.in_use:
             raise ProtocolError(
                 f"{self.ctx.actor}: {self.flavor} descriptor reused while still "
                 f"enqueued (a thread can wait on only one lock at a time)")
         self.in_use = True
-        self.ctx.emit(self.ctx.actor, "desc.begin", self.label, self.flavor)
 
     def end(self) -> None:
-        # Not reported: a descriptor's retirement is implied by the same
-        # label's next desc.begin (or the lock.released that precedes
-        # it), and a per-acquisition event here was one of the ring's
-        # hottest call sites (see the <3% budget in repro.obs.flight).
+        # Not reported either: a descriptor's retirement is implied by
+        # the lock.released that precedes it, and a per-acquisition event
+        # here would spend the ring's <3% budget (see repro.obs.flight).
         self.in_use = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

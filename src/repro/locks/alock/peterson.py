@@ -28,17 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.locks.alock.alock import ALock
 
 
-def acquire_local(ctx: "ThreadContext", lock: "ALock"):
+def acquire_local(ctx: "ThreadContext", lock: "ALock", carry: float = 0.0):
     """AcquireGlobal for the local-cohort leader.
 
     Sets ``victim = LOCAL`` (local store + fence), then waits until the
     remote tail is NULL or the victim is no longer LOCAL.  The wait is
-    event-driven on the two words — zero traffic while parked.
+    event-driven on the two words — zero traffic while parked.  The
+    caller's private steps (``carry``) ride with the victim store, the
+    fence with the wait's first read.  The wait is reported by the
+    caller (``lock.wait``, or a leader's ``mcs.swap``).
     """
-    ctx.emit(ctx.actor, "lock.wait", lock.name, "peterson-local",
-             "cohort", "local")
-    yield from ctx.write(lock.victim_ptr, COHORT_LOCAL)
-    yield ctx.fence()
+    yield from ctx.write(lock.victim_ptr, COHORT_LOCAL, carry=carry)
     clauses = (
         (lock.tail_r_ptr, lambda tail_r: tail_r == 0, "remote-unlocked"),
         (lock.victim_ptr, lambda victim: victim != COHORT_LOCAL, "not-victim"),
@@ -51,21 +51,21 @@ def acquire_local(ctx: "ThreadContext", lock: "ALock"):
         # word this leader still watches and will never rewrite.
         clauses = clauses[:1]
     why = yield from ctx.wait_local_cond(
-        [lock.tail_r_ptr, lock.victim_ptr], clauses)
+        [lock.tail_r_ptr, lock.victim_ptr], clauses, carry=ctx.fence())
     ctx.emit(ctx.actor, "peterson.acquired", lock.name, "local", why)
 
 
-def acquire_remote(ctx: "ThreadContext", lock: "ALock"):
+def acquire_remote(ctx: "ThreadContext", lock: "ALock", carry: float = 0.0):
     """AcquireGlobal for the remote-cohort leader.
 
     Sets ``victim = REMOTE`` with an ``rWrite``, then remote-spins:
     each wait iteration is an ``rRead`` of the local tail and, if that is
     still locked, an ``rRead`` of the victim.  This is real NIC traffic —
     the asymmetric reacquire cost the budget policy is tuned around.
+    The caller's private steps (``carry``) are slept before the rWrite,
+    and the wait is reported by the caller, as in :func:`acquire_local`.
     """
-    ctx.emit(ctx.actor, "lock.wait", lock.name, "peterson-remote",
-             "cohort", "remote")
-    yield from ctx.r_write(lock.victim_ptr, COHORT_REMOTE)
+    yield from ctx.r_write(lock.victim_ptr, COHORT_REMOTE, carry=carry)
     spins = 0
     while True:
         tail_l = yield from ctx.r_read(lock.tail_l_ptr)

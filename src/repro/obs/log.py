@@ -53,11 +53,10 @@ VOCABULARY: dict[str, int] = {
     "lock.wait": RING,         # (lock, word[, attr, value]) — see below
     "lock.acquired": RING,     # (lock[, how, n]) — see below
     "lock.released": RING,     # (lock)
-    "desc.begin": RING,        # (descriptor label[, cohort])
+    "mcs.swap": RING,          # (lock, cohort, previous tail, descriptor) — see swap_wait
     "lease.expired": RING,     # (lock, holder gid)
     "sched.tiebreak": RING,    # (index, fanout) — actor "sched"
     # -- protocol steps (Algorithms 3-4) ---------------------------------
-    "mcs.swap": PROTOCOL,           # (lock, cohort, previous tail)
     "mcs.passed": PROTOCOL,         # (lock, cohort, budget received)
     "mcs.pass": PROTOCOL,           # (lock, cohort, budget handed on)
     "mcs.release": PROTOCOL,        # (lock, cohort, how)
@@ -68,11 +67,23 @@ VOCABULARY: dict[str, int] = {
     "span.end": INTERVALS,     # (span name, *attrs)
 }
 
-#: Three ring kinds carry trailing fields only the higher views read (a
-#: timed wait's span attribute, how a lock was won, the cohort a
-#: descriptor serves); the ring shows the leading ones — the shapes
-#: post-mortem dumps have always had.
-RING_ARITY = {"lock.wait": 2, "lock.acquired": 1, "desc.begin": 1}
+#: The word a cohort leader's wait in Peterson's algorithm is reported
+#: on, by cohort.
+PETERSON_WAIT = {"local": "peterson-local", "remote": "peterson-remote"}
+
+
+def swap_wait(cohort: str, prev: int) -> str:
+    """The wait an ALock ``mcs.swap`` opens, which it reports with no
+    ``lock.wait`` of its own: a leader (previous tail 0) competes in
+    Peterson's algorithm, a follower links and waits for its budget.
+    The views read the swap as a ``lock.wait`` on this word."""
+    return PETERSON_WAIT[cohort] if prev == 0 else "budget"
+
+
+#: Two ring kinds carry trailing fields only the higher views read (a
+#: timed wait's span attribute, how a lock was won); the ring shows the
+#: leading ones — the shapes post-mortem dumps have always had.
+RING_ARITY = {"lock.wait": 2, "lock.acquired": 1}
 
 #: events retained at the ring level / at the levels above it.  A run
 #: that outgrows ``LOG_CAPACITY`` loses its oldest events, and with

@@ -49,7 +49,8 @@ class LockOperation:
     critical_section_ns: float
     release_ns: float
     #: sum of ``mcs.queue_wait`` children — the part of ``queue_wait_ns``
-    #: spent blocked in the cohort queue (vs. issuing verbs/linking).
+    #: spent queued behind a predecessor (an ALock follower's link write
+    #: and its wait for the budget; vs. the reset and the swap).
     mcs_blocked_ns: float
     #: ALock cohort annotation ("local"/"remote"; "" for other locks).
     cohort: str = ""

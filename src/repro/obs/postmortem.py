@@ -29,6 +29,7 @@ import os
 from typing import Optional
 
 from repro.common.ids import split_global_thread_id
+from repro.obs.log import swap_wait
 from repro.sim.core import _describe_wait
 
 SCHEMA = "alock-postmortem/1"
@@ -58,6 +59,25 @@ def _jsonable(value):
 
 # -- wait-for graph -----------------------------------------------------
 
+def open_waits(events) -> dict[str, tuple[str, str]]:
+    """Each actor's last undischarged wait, as ``(lock, word)``: a
+    ``lock.wait`` (or ALock's ``mcs.swap``, see
+    :func:`~repro.obs.log.swap_wait`) opens it, a ``lock.acquired`` on
+    the same lock discharges it."""
+    pending: dict[str, tuple[str, str]] = {}
+    for ev in events:
+        actor, kind, detail = ev[1], ev[2], ev[3]
+        if kind == "lock.wait":
+            pending[actor] = (str(detail[0]), str(detail[1]))
+        elif kind == "mcs.swap":
+            pending[actor] = (str(detail[0]), swap_wait(detail[1], detail[2]))
+        elif kind == "lock.acquired":
+            cur = pending.get(actor)
+            if cur is not None and cur[0] == str(detail[0]):
+                del pending[actor]
+    return pending
+
+
 def wait_for_graph(events, lock_holders: dict) -> dict:
     """Build the wait-for graph from flight events + oracle holders.
 
@@ -71,17 +91,7 @@ def wait_for_graph(events, lock_holders: dict) -> dict:
     cycle is reported once, starting from its lexicographically smallest
     node.
     """
-    # Last undischarged wait per actor: a lock.wait opens it, a
-    # lock.acquired on the same lock discharges it.
-    pending: dict[str, tuple[str, str]] = {}
-    for ev in events:
-        actor, kind, detail = ev[1], ev[2], ev[3]
-        if kind == "lock.wait":
-            pending[actor] = (str(detail[0]), str(detail[1]))
-        elif kind == "lock.acquired":
-            cur = pending.get(actor)
-            if cur is not None and cur[0] == str(detail[0]):
-                del pending[actor]
+    pending = open_waits(events)
     edges: set[tuple[str, str]] = set()
     for actor in sorted(pending):
         lock_name, word = pending[actor]

@@ -31,7 +31,7 @@ import json
 import os
 import sys
 
-from repro.obs.postmortem import render_cycle
+from repro.obs.postmortem import open_waits, render_cycle
 
 #: timeline rows shown by default
 TIMELINE_LIMIT = 40
@@ -47,7 +47,7 @@ def suspect_rule(dump: dict) -> str:
     reason = dump.get("reason", "")
     events = dump.get("events", [])
     kinds = [e[2] for e in events]
-    waits = {e[1]: e[3] for e in events if e[2] == "lock.wait"}
+    waits = open_waits(events)
     if reason == "lease-expiry":
         return ("holder past its lease: a client sat on the lock past its "
                 "lease — look for a path out of the critical section that "
@@ -61,7 +61,7 @@ def suspect_rule(dump: dict) -> str:
                 "the raising path must give back the descriptor and the "
                 "lock it held")
     if reason in ("deadlock", "stall"):
-        parked_words = [str(w[1]) for w in waits.values() if len(w) > 1]
+        parked_words = [word for _lock, word in waits.values()]
         if any("budget" in w for w in parked_words):
             return ("parked on a budget word: the waiters' wake conditions "
                     "exclude a state the protocol reaches — compare the "

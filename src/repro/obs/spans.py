@@ -12,8 +12,9 @@ events of the cluster's log (:mod:`repro.obs.log`, kept at the
 intervals (``lock.acquire``/``lock.release``, ``verb.rtt``,
 ``fault.retry``) are explicit ``span.begin``/``span.end`` events from
 the two timing wrappers, the inner ones are the protocol's own steps —
-a timed ``lock.wait`` opens the wait's span, and ``mcs.passed``,
-``mcs.pass`` and ``peterson.acquired`` close it.
+a timed ``lock.wait`` (or ALock's ``mcs.swap``, see
+:func:`~repro.obs.log.swap_wait`) opens the wait's span, and
+``mcs.passed``, ``mcs.pass`` and ``peterson.acquired`` close it.
 
 Span names are dotted and typed — the constants below are the
 vocabulary the phase decomposition (:mod:`repro.obs.phases`) and the
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.log import INTERVALS, EventLog
+from repro.obs.log import INTERVALS, EventLog, swap_wait
 
 # -- span vocabulary --------------------------------------------------------
 #: one full lock acquisition: ``Lock()`` entry to critical-section entry.
@@ -162,9 +163,13 @@ class SpanView:
             elif kind == "peterson.acquired":
                 end(t, actor, PETERSON_COMPETE,
                     dict(zip(("via", "spins"), fields[2:])))
-            elif kind == "desc.begin" and stacks.get(actor):
-                # arming a cohort's descriptor classifies the acquisition
-                stacks[actor][-1].attrs["cohort"] = fields[1]
+            elif kind == "mcs.swap":
+                # joining a cohort's queue classifies the acquisition and
+                # opens the wait the swap's outcome decides (swap_wait)
+                if stacks.get(actor):
+                    stacks[actor][-1].attrs["cohort"] = fields[1]
+                begin(t, actor, _WAIT_SPAN[swap_wait(fields[1], fields[2])],
+                      {"cohort": fields[1]})
         return finished, stacks
 
     def spans(self) -> list[Span]:

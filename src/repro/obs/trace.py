@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.memory.pointer import RdmaPointer
-from repro.obs.log import PROTOCOL, VOCABULARY, EventLog
+from repro.obs.log import PROTOCOL, VOCABULARY, EventLog, swap_wait
 
 
 class TraceEvent(NamedTuple):
@@ -63,7 +63,7 @@ _STEPS: dict[str, tuple[str, Callable[..., Optional[str]]]] = {
     "lock.wait": ("peterson.enter", _peterson_enter),
     "lock.acquired": ("cs.enter", _cs_enter),
     "lock.released": ("cs.exit", lambda lock: lock),
-    "mcs.swap": ("mcs.swap", lambda lock, cohort, prev:
+    "mcs.swap": ("mcs.swap", lambda lock, cohort, prev, _desc:
                  f"{lock} cohort={cohort.upper()} prev={RdmaPointer(prev)}"),
     "mcs.passed": ("mcs.passed", lambda lock, cohort, budget:
                    f"{lock} cohort={cohort.upper()} budget={budget}"),
@@ -102,6 +102,11 @@ class TraceView:
                     detail = step[1](*fields)
                     if detail is not None:
                         out.append(TraceEvent(t, actor, step[0], detail))
+                    if kind == "mcs.swap":
+                        # the swap is also its wait's lock.wait
+                        detail = _peterson_enter(fields[0], swap_wait(fields[1], fields[2]))
+                        if detail is not None:
+                            out.append(TraceEvent(t, actor, "peterson.enter", detail))
                 elif kind not in VOCABULARY:
                     # a user lock's own step: shown as reported
                     out.append(TraceEvent(t, actor, kind,

@@ -29,8 +29,11 @@ from repro.common.errors import ConfigError
 #: any other as stale (docs/architecture.md, "Re-recording the
 #: schedule").  1: one slot per grant and per hold at every NIC stage;
 #: 2: PCIe/TX departures computed, free slots and unparked watchers
-#: take no slot.
-SCHEDULE_VERSION = 2
+#: take no slot; 3: a thread's private steps (fences, stores to its own
+#: unpublished descriptor or leader budget word) take no slot of their
+#: own but ride with its next visible step's sleep, and a local wait
+#: registers its watcher at the round's first failed read.
+SCHEDULE_VERSION = 3
 
 
 class Decisions:

@@ -55,19 +55,19 @@ print("pct7", r.digest, list(r.dense), list(r.fanouts))
 #: baselines' verbs tie in a new order; b75e4282…/be9424f7… under
 #: version 1, unchanged from PR 11 to PR 19)
 GOLDEN_FIG = """\
-fig5 abe837ce8e91b6df17160f4e6ae5ab11
-fig6 6d7628cb1f0b62266dfe89dd2480a921
+fig5 a38a97b269e975197882ab83a5a5e7b0
+fig6 2d354150279875d48907730db3cd2567
 """
 
-#: the four schedcheck probe lines under ``SCHEDULE_VERSION`` 2; the two
+#: the four schedcheck probe lines under ``SCHEDULE_VERSION`` 3; the two
 #: long ones (dense picks + fan-outs of a random and a PCT walk) by
 #: digest.  Re-recording these is what bumps the version
 #: (repro.schedcheck.decisions).
 GOLDEN_SCHED = {
-    "default": "default 81d563e1c88702ead27d8a6a2d6b4e4f",
+    "default": "default c21d591b2398e537b1dd25bdb7401272",
     "random6": "random6 6 []",
-    "rw42": "47d8459f6eeac25bcf4e40d8006333b8",
-    "pct7": "947727749c7c0ac1a05a717e5b48eb36",
+    "rw42": "abb6f5a138aef046e637724fa857a70e",
+    "pct7": "32558d597fd6826a2b4deb2fed9d2fae",
 }
 
 

@@ -98,6 +98,23 @@ def test_ring_budget_gates_default_retention_workloads_only(capsys):
     assert _check(capsys, share(5.5), "schedcheck_walk")[0] == 0
 
 
+def test_a_ring_share_near_the_budget_is_judged_by_its_median(capsys):
+    def run(first, more):
+        ledger = _ledger()
+        ledger["workloads"]["alock_local"]["traced"]["per_layer"]["obs.share_pct"] = first
+        status = gate.check(gate.project(_ledger()), ledger, {"alock_local": more})
+        return status, capsys.readouterr().out
+
+    assert gate.RING_PASSES == {"alock_local": 3}
+    # one slow pass does not fail a tree whose other two read under it ...
+    status, out = run(3.06, [2.64, 2.80])
+    assert status == 0
+    assert "alock_local obs.share_pct: 2.80 % (median of 3.06, 2.64, 2.80)" in out
+    # ... and one fast pass does not pass a tree over budget
+    status, out = run(2.64, [3.42, 3.30])
+    assert status == 1 and "alock_local obs.share_pct: 3.30 % is over" in out
+
+
 def test_other_python_minor_or_schema_is_refused(capsys):
     assert _check(capsys, lambda ledger, _: ledger["env"].update(python="3.12.1"))[0] == 2
     assert _check(capsys, lambda ledger, _: ledger.update(schema="alock-ledger/2"))[0] == 2

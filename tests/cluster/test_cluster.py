@@ -200,9 +200,90 @@ class TestWaitLocal:
             return v
 
         assert drive(cluster, proc()) == 3
-        # the watcher registered before the check is withdrawn, so the
-        # word's next write wakes nobody
+        # the read succeeded, so no watcher was registered: the word's
+        # next write wakes nobody
         assert cluster.regions[0].watcher_count() == 0
+
+    def test_a_write_during_the_reads_sleep_is_seen_by_that_read(self, cluster):
+        """The read applies when its sleep ends: a write landing inside
+        the sleep is what it reads, and no watcher is ever registered."""
+        ctx, other = cluster.thread_ctx(0, 0), cluster.thread_ctx(0, 1)
+        ptr = cluster.alloc_on(0, 64)
+        region = cluster.regions[0]
+        out = {}
+
+        def waiter():
+            yield 40.0
+            out["v"] = yield from ctx.wait_local(ptr, lambda v: v == 1)
+            out["t"] = cluster.env.now
+
+        def writer():
+            yield 10.0
+            yield from other.write(ptr, 1)  # lands at 70, read 40-95
+
+        cluster.env.process(waiter())
+        cluster.env.process(writer())
+        cluster.run()
+        assert out == {"v": 1, "t": 95.0}
+        assert ctx.local_op_count == 1 and region.watcher_count() == 0
+
+    def test_a_write_at_the_instant_after_a_failed_read_wakes_the_waiter(
+            self, cluster):
+        """The watcher is registered in the dispatch of the failed read,
+        so a write dispatched right after it at the same instant fires
+        it: the waiter re-checks and returns instead of parking forever."""
+        ctx = cluster.thread_ctx(0, 0)
+        ptr = cluster.alloc_on(0, 64)
+        region = cluster.regions[0]
+        read_ns = cluster.config.cpu.local_read_ns
+        out = {}
+
+        def waiter():  # booted first: its read is due first at read_ns
+            out["v"] = yield from ctx.wait_local(ptr, lambda v: v == 1)
+            out["t"] = cluster.env.now
+
+        def writer():
+            yield read_ns
+            region.write(ptr_addr(ptr), 1, "writer")
+
+        cluster.env.process(waiter())
+        cluster.env.process(writer())
+        cluster.run()
+        cpu = cluster.config.cpu
+        assert out == {"v": 1, "t": 2 * read_ns + cpu.spin_recheck_ns}
+        assert ctx.local_op_count == 2 and region.watcher_count() == 0
+
+    def test_a_write_to_an_earlier_clause_between_the_reads_wakes_the_waiter(
+            self, cluster):
+        """Clause 1 fails at 95 ns; clause 1's word is cleared at 110 ns,
+        while clause 2 is being read.  The watcher registered at the
+        first failed read fires, so the waiter re-checks and finds clause
+        1 true.  A watcher registered after the whole round (at 150 ns)
+        would have missed the write and parked for good."""
+        ctx, other = cluster.thread_ctx(0, 0), cluster.thread_ctx(0, 1)
+        a, b = cluster.alloc_on(0, 64), cluster.alloc_on(0, 64)
+        region = cluster.regions[0]
+        region.write(ptr_addr(a), 1)
+        region.write(ptr_addr(b), 1)
+        out = {}
+
+        def waiter():
+            yield 40.0
+            out["why"] = yield from ctx.wait_local_cond(
+                [a, b], ((a, lambda v: v == 0, "a-clear"),
+                         (b, lambda v: v != 1, "b-changed")))
+            out["t"] = cluster.env.now
+
+        def writer():
+            yield 50.0
+            yield from other.write(a, 0)  # lands at 110
+
+        cluster.env.process(waiter())
+        cluster.env.process(writer())
+        cluster.run()
+        # 150: round 1 ends parked-on-a-fired-watcher; +40 recheck, +55 read a
+        assert out == {"why": "a-clear", "t": 245.0}
+        assert ctx.local_op_count == 3
 
     def test_a_satisfied_compound_wait_leaves_no_watcher(self, cluster):
         """First clause true: one charged read, the second word never
@@ -222,15 +303,18 @@ class TestWaitLocal:
         assert region.watcher_count() == 0
 
     @pytest.mark.parametrize("lands_at,value,expected", [
-        # (why, finished at, charged reads, dispatches, watchers left) —
-        # each row is what the pre-clause ``check`` generator form
-        # produced for the same writes.  The watcher is registered
-        # before the round's first read, so a write landing during that
-        # read's sleep fires it: a satisfying one is seen by the same
-        # round (2 reads), an idle one buys a second full round before
-        # parking (2 + 2, then 1 in the round ``a`` ends).
-        (60.0, 2, ("b-changed", 150.0, 2, 12, 0)),    # during read 1
-        (60.0, 1, ("a-clear", 1215.0, 5, 18, 1)),
+        # (why, finished at, charged reads, dispatches, watchers left).
+        # The 110 ns rows are what the pre-clause ``check`` generator
+        # form produced for the same writes: the write lands after the
+        # first failed read, which registered the watcher, so it fires
+        # it — a satisfying write is seen by the same round (2 reads),
+        # an idle one buys a second full round before parking (2 + 2,
+        # then 1 in the round ``a`` ends).  A write during read 1 lands
+        # before any watcher exists: it is simply read (b-changed with
+        # no watcher fired, one dispatch fewer), and an idle one no
+        # longer buys the extra round (2, then 1).
+        (60.0, 2, ("b-changed", 150.0, 2, 11, 0)),    # during read 1
+        (60.0, 1, ("a-clear", 1215.0, 3, 14, 1)),
         (110.0, 2, ("b-changed", 150.0, 2, 12, 0)),   # between the reads
         (110.0, 1, ("a-clear", 1265.0, 5, 18, 1)),
     ])

@@ -134,7 +134,7 @@ class TestTraceBuffer:
 
     def test_disabled_by_default(self):
         log, tracer = self.traced(level=RING)
-        log.emit("t", "mcs.swap", "l0", "local", 0)    # dropped by the log
+        log.emit("t", "mcs.pass", "l0", "local", 4)    # dropped by the log
         log.emit("t", "lock.acquired", "l0")           # kept, for the ring
         assert len(log) == 1 and len(tracer) == 0
 
@@ -150,7 +150,8 @@ class TestTraceBuffer:
         """The lock code reports raw fields; every legacy detail string
         comes out of the view's per-kind table."""
         log, tracer = self.traced()
-        log.emit("t", "mcs.swap", "l0", "remote", 0)
+        log.emit("t", "mcs.swap", "l0", "remote", 0, "desc[t:remote]")  # leader
+        log.emit("t", "mcs.swap", "l0", "local", 0x40, "desc[t:local]")
         log.emit("t", "lock.wait", "l0", "peterson-remote", "cohort", "remote")
         log.emit("t", "lock.wait", "l0", "budget", "cohort", "remote")  # untraced
         log.emit("t", "peterson.acquired", "l0", "remote", "not-victim", 3)
@@ -163,6 +164,8 @@ class TestTraceBuffer:
         log.emit("t", "tas.spin", "l0", 7)             # a user lock's own kind
         assert [(e.kind, e.detail) for e in tracer] == [
             ("mcs.swap", "l0 cohort=REMOTE prev=rdma_ptr(NULL)"),
+            ("peterson.enter", "l0 cohort=REMOTE"),
+            ("mcs.swap", "l0 cohort=LOCAL prev=rdma_ptr(n0:0x40)"),
             ("peterson.enter", "l0 cohort=REMOTE"),
             ("peterson.acquired", "l0 cohort=REMOTE via not-victim after 3 spins"),
             ("peterson.acquired", "l0 cohort=LOCAL via remote-unlocked"),
@@ -183,7 +186,7 @@ class TestTraceBuffer:
 
     def test_filtered_by_actor_and_kind(self):
         log, tracer = self.traced()
-        log.emit("a", "mcs.swap", "l0", "local", 0)
+        log.emit("a", "mcs.swap", "l0", "local", 0x40, "desc[a:local]")
         log.emit("b", "mcs.pass", "l0", "local", 1)
         log.emit("a", "peterson.acquired", "l0", "local", "not-victim")
         assert len(tracer.filtered(actor="a")) == 2

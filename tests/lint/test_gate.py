@@ -67,9 +67,9 @@ KILLS = {
         None, "'heapq' import outside the engine chokepoint"),
     "EF3": (
         "emit-format", A,
-        [('        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", '
+        [('                ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", '
           'cohort.name)',
-          '        ctx.emit(ctx.actor, "lock.wait", self.name, "budget", "cohort", '
+          '                ctx.emit(ctx.actor, "lock.wait", self.name, "next", "cohort", '
           'f"{cohort.name}")')],
         None, "formatted argument in 'ctx.emit(...)'"),
 }

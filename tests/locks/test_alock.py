@@ -412,9 +412,10 @@ class TestStress:
 
 
 class TestWatcherWithdrawal:
-    """``wait_local``/``wait_local_cond`` register their watcher before
-    the check and withdraw it when the check succeeds, so a wait that
-    never parked leaves nothing behind to be fired at nobody."""
+    """``wait_local``/``wait_local_cond`` register their watcher at the
+    first failed read and withdraw it when a later read of the round
+    succeeds, so a wait that never parked leaves nothing behind to be
+    fired at nobody."""
 
     def test_an_uncontended_local_run_leaves_no_watcher(self):
         out = stress("alock", n_nodes=2, threads_per_node=1, n_locks=2,
@@ -422,23 +423,26 @@ class TestWatcherWithdrawal:
         cluster = out["cluster"]
         assert [r.watcher_count() for r in cluster.regions] == [0, 0]
         # same run, same simulated time as with the ghost wake-ups (652
-        # dispatches before the withdrawal): only they are gone
+        # dispatches before the withdrawal, 604 before schedule version
+        # 3 fused each op's private steps into its visible ones: five
+        # sleeps per op fewer)
         assert out["duration_ns"] == 16875.0
-        assert cluster.env.event_count == 604
+        assert cluster.env.event_count == 354
 
     def test_a_contended_local_run_wakes_exactly_as_before(self):
         """Parked waiters are woken by the same writes in the same
         order: duration, passes and reacquires are the values from
         before the withdrawal; only dispatches nobody listened to (254
-        of 2 392) are gone.  No verb, no resource: this run does not
-        depend on the schedule version."""
+        of 2 392) are gone, and schedule version 3's fused private
+        steps (2 138 → 1 730).  No verb, no resource: the simulated
+        times do not depend on the schedule version."""
         out = stress("alock", n_nodes=1, threads_per_node=4, n_locks=1,
                      ops_per_thread=30, pick_lock=single_lock)
         lock = out["table"].entries[0].lock
         assert out["duration_ns"] == 67750.0
         assert (lock.passes["local"], lock.reacquires["local"],
                 lock.leader_acquires["local"]) == (119, 23, 1)
-        assert out["cluster"].env.event_count == 2138
+        assert out["cluster"].env.event_count == 1730
         assert out["cluster"].regions[0].watcher_count() == 0
 
 
@@ -446,10 +450,11 @@ def test_an_uncontended_local_op_is_one_leaf_frame_per_step():
     """The depth guard for the local path (the verbs' is
     ``test_verb_timelines.py::test_a_verb_is_one_generator_frame``): on
     an untimed cluster one uncontended local ``lock`` + ``unlock`` is
-    ten sleeps, and the only generators under the process body are the
-    algorithm's own procedures and one leaf frame per stored word op —
-    a fence is a delay, the compound wait makes its own reads, a
-    descriptor's ``begin`` is bookkeeping."""
+    five sleeps, one per visible step (the private steps ride with the
+    next one), and the only generators under the process body are the
+    algorithm's own procedures and one leaf frame per visible word op —
+    a fence is a delay, a private store applies at once, the compound
+    wait makes its own reads, a descriptor's ``begin`` is bookkeeping."""
     cluster = Cluster(1, seed=0)
     lock = ALock(cluster, 0)
     ctx = cluster.thread_ctx(0, 0)
@@ -468,11 +473,11 @@ def test_an_uncontended_local_op_is_one_leaf_frame_per_step():
     with profiling(profiler):
         cluster.run()
     assert proc.ok, proc.value
-    # boot, ten sleeps (2 resets, swap, budget, victim, fence, one
-    # clause read, fence | fence, tail CAS), the process's own event
-    assert cluster.env.event_count == 12
+    # boot, five sleeps ([2 resets, swap], [budget, victim], [fence, one
+    # clause read], [fence] | [fence, tail CAS]), the process's own event
+    assert cluster.env.event_count == 7
     assert cluster.env.now == 560.0
     assert set(entered) == {
         "body", "lock", "_acquire_cohort", "acquire_local", "wait_local_cond",
         "unlock", "_release_cohort", "write", "cas"}
-    assert len(entered) <= 49  # 65 through begin/fence/check/read/<genexpr>
+    assert len(entered) <= 30  # 49 when each step slept on its own

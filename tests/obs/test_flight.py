@@ -82,13 +82,13 @@ class TestRing:
         same window it would have been at the default level."""
         for level in (0, INTERVALS):
             log, fl = ring(level)
-            log.emit("a", "desc.begin", "desc[a:local]", "local")
-            log.emit("a", "mcs.swap", "l0", "local", 0)
+            log.emit("a", "mcs.swap", "l0", "local", 0, "desc[a:local]")
+            log.emit("a", "mcs.pass", "l0", "local", 4)
             log.emit("a", "lock.wait", "l0", "budget", "cohort", "local")
             log.emit("a", "span.begin", "verb.rtt", "rCAS", 1, False)
             log.emit("a", "lock.acquired", "l0", "after %d rCAS", 3)
             assert [(e.kind, e.detail) for e in fl.window()] == [
-                ("desc.begin", ("desc[a:local]",)),
+                ("mcs.swap", ("l0", "local", 0, "desc[a:local]")),
                 ("lock.wait", ("l0", "budget")),
                 ("lock.acquired", ("l0",)),
             ]
@@ -107,7 +107,7 @@ class TestClusterWiring:
         cluster.env.process(proc())
         cluster.run()
         kinds = [e.kind for e in cluster.flight.window()]
-        for expected in ("verb.issue", "desc.begin", "lock.acquired",
+        for expected in ("verb.issue", "mcs.swap", "lock.acquired",
                          "lock.released"):
             assert expected in kinds, kinds
         # acquire precedes release in ring order

@@ -82,6 +82,19 @@ class TestWaitForGraph:
         graph = wait_for_graph(events, {"L1": None, "L2": "A"})
         assert graph["edges"] == [["A", "L1.budget"]]
 
+    def test_an_alock_swap_opens_the_wait_its_outcome_decides(self):
+        """An ALock swap reports the wait it opens: a leader's (previous
+        tail 0) in Peterson's algorithm, a follower's on its budget."""
+        events = [
+            (1.0, "A", "mcs.swap", ("L1", "local", 0, "desc[A:local]")),
+            (2.0, "B", "mcs.swap", ("L1", "remote", 0, "desc[B:remote]")),
+            (3.0, "C", "mcs.swap", ("L1", "local", 0x40, "desc[C:local]")),
+        ]
+        graph = wait_for_graph(events, {"L1": None})
+        assert graph["edges"] == [["A", "L1.peterson-local"],
+                                  ["B", "L1.peterson-remote"],
+                                  ["C", "L1.budget"]]
+
     def test_no_self_edge_for_own_lock(self):
         events = [(1.0, "A", "lock.wait", ("L1", "next"))]
         graph = wait_for_graph(events, {"L1": "A"})

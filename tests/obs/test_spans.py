@@ -50,8 +50,11 @@ class TestDisabled:
 
     def test_annotate_is_noop(self):
         _, log, view = make_view()
-        log.emit("a", "desc.begin", "desc[a:local]", "local")  # nothing open
-        assert view.spans() == [] and view.open_spans() == []
+        log.emit("a", "mcs.swap", "l1", "local", 0x40, "desc[a:local]")  # nothing open
+        # the swap's own wait opens, unannotated by anything outside it
+        assert view.spans() == []
+        assert [(s.name, s.attrs) for s in view.open_spans()] == [
+            (MCS_QUEUE_WAIT, {"cohort": "local"})]
 
     def test_default_is_disabled(self):
         obs = Observability(Environment())
@@ -109,19 +112,25 @@ class TestRecording:
                             "outcome": "ok"}
 
     def test_annotate_hits_innermost_open(self):
-        """Arming a cohort's descriptor classifies the acquisition it
+        """Joining a cohort's queue classifies the acquisition it
         happens in (the innermost open span)."""
         _, log, view = make_view()
         begin_verb(log)
         begin_acquire(log)
-        log.emit("a", "desc.begin", "desc[a:remote]", "remote")
-        outer, inner = view.open_spans()
+        log.emit("a", "mcs.swap", "l1", "remote", 0x40, "desc[a:remote]")
+        outer, inner, wait = view.open_spans()
         assert inner.attrs["cohort"] == "remote" and "cohort" not in outer.attrs
+        assert wait.name == MCS_QUEUE_WAIT and wait.parent_id == inner.span_id
 
     def test_protocol_steps_are_the_inner_intervals(self):
-        """A timed lock.wait opens the wait's span; the step that ends
-        the wait closes it and carries its result."""
+        """A timed lock.wait — or an ALock swap, which opens the wait its
+        outcome decides — opens the wait's span; the step that ends the
+        wait closes it and carries its result."""
         env, log, view = make_view()
+        log.emit("a", "mcs.swap", "l1", "local", 0, "desc[a:local]")  # leader
+        log.emit("a", "peterson.acquired", "l1", "local", "remote-unlocked")
+        log.emit("a", "mcs.swap", "l1", "local", 0x40, "desc[a:local]")  # follower
+        log.emit("a", "mcs.passed", "l1", "local", 5)
         log.emit("a", "lock.wait", "l1", "peterson-remote", "cohort", "remote")
         env._now = 40.0
         log.emit("a", "peterson.acquired", "l1", "remote", "not-victim", 2)
@@ -133,13 +142,15 @@ class TestRecording:
         log.emit("a", "lock.passed", "l1")
         log.emit("a", "lock.wait", "l1", "next")          # untimed: no span
         assert [(s.name, s.attrs) for s in view.spans()] == [
+            (PETERSON_COMPETE, {"cohort": "local", "via": "remote-unlocked"}),
+            (MCS_QUEUE_WAIT, {"cohort": "local", "budget": 5}),
             (PETERSON_COMPETE, {"cohort": "remote", "via": "not-victim",
                                 "spins": 2}),
             (MCS_QUEUE_WAIT, {"cohort": "local", "budget": 4}),
             (COHORT_HANDOVER, {"cohort": "local", "budget": 3}),
             (MCS_QUEUE_WAIT, {"loopback_poll": True}),
         ]
-        assert view.spans()[0].duration_ns == 40.0
+        assert view.spans()[2].duration_ns == 40.0
         assert view.open_spans() == []
 
     def test_ending_outer_closes_abandoned_inner(self):

@@ -8,6 +8,7 @@ re-shrink hint — instead of silently executing a schedule the recording
 never described.
 """
 
+import dataclasses
 import json
 import os
 
@@ -161,8 +162,8 @@ class TestScheduleVersion:
 
     #: the ``no_victim_check`` entry as committed under version 1
     #: (217c4c4d5a338ab5): its one decision, replayed on the version-2
-    #: schedule, neither runs out of choice points nor clamps — the
-    #: seeded bug simply is not hit, and strict replay says "passed"
+    #: schedule, neither ran out of choice points nor clamped — the
+    #: seeded bug simply was not hit, and strict replay said "passed"
     V1_SCENARIO = LockScenario(
         lock_kind="alock", n_nodes=2, threads_per_node=2, ops_per_thread=2,
         think_ns=200.0, seed=0, lock_options=(("bug", "no_victim_check"),))
@@ -179,7 +180,7 @@ class TestScheduleVersion:
         payload = json.loads(entry_json(find_entry(BUG_SC)))
         assert payload["schema"] == f"alock-corpus/{SCHEDULE_VERSION}"
         assert entry_from_payload(payload).schedule_version == SCHEDULE_VERSION
-        assert SCHEDULE_VERSION == 2
+        assert SCHEDULE_VERSION == 3
 
     def test_an_entry_of_an_earlier_version_loads_and_is_stale(self):
         payload = json.loads(entry_json(self.v1_entry()))
@@ -193,19 +194,38 @@ class TestScheduleVersion:
         # reported before running it: nothing was executed
         assert result.events == 0 and result.digest == ""
 
-    def test_without_the_version_the_old_recording_replays_silently(self):
-        """Why drift detection alone is not enough."""
+    #: the ``skip_budget_wait`` entry as committed under version 2
+    #: (7026254b23fe0141): replayed on the version-3 schedule its one
+    #: decision neither runs out of choice points nor clamps, and the
+    #: run deadlocks — on another execution than the one recorded
+    V2_ENTRY = CorpusEntry(
+        name="skip_budget_wait", failure_kind="deadlock",
+        scenario=LockScenario(
+            lock_kind="alock", n_nodes=1, threads_per_node=2,
+            ops_per_thread=4, think_ns=100.0, seed=2,
+            lock_options=(("bug", "skip_budget_wait"),)),
+        decisions="9:1", digest="86044ee0e1d632c295d5b97bb955d287",
+        schedule_version=2)
+
+    def test_an_unversioned_old_entry_is_misjudged(self):
+        """Why drift detection alone is not enough: an old recording
+        that replays to the end is judged as if the code had changed
+        under it ("passed" for the version-1 entry above on the
+        version-2 schedule, "mismatch" for this one on version 3),
+        instead of being re-recorded."""
         status, result = check_entry(
-            self.v1_entry(schedule_version=SCHEDULE_VERSION))
-        assert status == "passed", result.summary()
+            dataclasses.replace(self.V2_ENTRY, schedule_version=SCHEDULE_VERSION))
+        assert status == "mismatch", result.summary()
+        assert check_entry(self.V2_ENTRY)[0] == "stale"
 
     def test_strict_replay_takes_the_recorded_version(self):
         stale = replay(self.V1_SCENARIO, self.V1_DECISIONS, strict=True,
                        recorded_version=1)
         assert stale.failure_kind == "stale" and stale.events == 0
         # the forgiving mode replays whatever it is given
-        assert replay(self.V1_SCENARIO, self.V1_DECISIONS,
-                      recorded_version=1).ok
+        forgiving = replay(self.V1_SCENARIO, self.V1_DECISIONS,
+                           recorded_version=1)
+        assert forgiving.failure_kind != "stale" and forgiving.events > 0
 
     def test_the_version_is_part_of_an_entrys_identity(self):
         assert self.v1_entry().entry_digest() != self.v1_entry(

@@ -90,13 +90,13 @@ class TestPctWalkGolden:
     resumes, so this pins both the tie sets and
     ``PctPolicy._task_key``'s attribution of sleep entries to their
     owner (unattributed, the alock walk below visits 8 distinct
-    executions instead of 4).  Schedule-derived: recorded under
-    ``SCHEDULE_VERSION`` 2;
+    executions instead of 3).  Schedule-derived: recorded under
+    ``SCHEDULE_VERSION`` 3;
     ``python tests/schedcheck/test_policies.py`` prints the current
     values (see "Re-recording the schedule" in docs/architecture.md)."""
 
     GOLDEN = {
-        "alock": ("e6bf492bcbdcc8014f2ab62a672f74e8", 4),
+        "alock": ("5f92eb16b41580e395c7ff734cad41dd", 3),
         "mcs": ("176f7fce66ec7fd9a708b328f30310f9", 5),
         "spinlock": ("eadf8aec7a9fa141197915fd22f71361", 4),
     }
@@ -138,17 +138,17 @@ class TestCohortQueueGolden:
 
     GOLDEN = {
         "budgets": (
-            "e9dedd597c84cbcb3b8567f1e28012c0",
-            "d6e158477d0ec3cf3bd73b53bef4df43",
-            "e2c995dc4def4dffa16acbae73eb3de1"),
+            "961325e9bad5c8d21ba03219f7d3c443",
+            "ff7c343449ae6e5fcced2e879711f956",
+            "2f47e75be079f2af0a6c5a9ffda395a5"),
         "non-strict": (
-            "a567b83aee4eff87e1adec3772b81c39",
-            "05f3b0152e2033dd2da43c8cc698d01b",
-            "6df203d518812d632d656ca3fc2fdb7a"),
+            "a769f6876f5ad058ca63edfde526e195",
+            "9be1350c901392474818cedbf23ad875",
+            "0b0c457263d82aaa5bb96f1d14430668"),
         "skip_budget_wait": (
-            "698f20e996f7247f91ca290152e9fc91",
-            "724d78bb3b9f17f26d26d12cfc828e1b",
-            "3505b014fac3a0d1cff68ce6dcd20da1"),
+            "aacf13a3f6b83b58162fb5ba2b5a5ff7",
+            "92ba6f2d597df420d78001f7eb01909e",
+            "5749824a25ab9890a26aaa7e72fced03"),
     }
 
     @staticmethod

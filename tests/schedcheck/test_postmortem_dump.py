@@ -22,7 +22,7 @@ CORRECT = LockScenario(
 
 #: sha256 of ``first_failure().dump``: the ring view of the log must
 #: freeze the same window, byte for byte.  Schedule-derived (recorded
-#: under ``SCHEDULE_VERSION`` 2); ``python
+#: under ``SCHEDULE_VERSION`` 2; version 3 moved no MCS slot); ``python
 #: tests/schedcheck/test_postmortem_dump.py`` prints the current value.
 FIRST_FAILURE_DUMP_SHA256 = \
     "686bf3a20c1b336bb53d58bb93aded0e3538398babde372964674bf0b9449560"
