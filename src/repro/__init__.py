@@ -37,7 +37,6 @@ Package map (see DESIGN.md for the full inventory):
 from repro.cluster import Cluster, ThreadContext
 from repro.faults import CrashWindow, FaultPlan
 from repro.locks import ALock, RdmaMcsLock, RdmaSpinlock, make_lock
-from repro.kvstore import KVConfig, ShardedKVStore
 from repro.locktable import DistributedLockTable
 from repro.rdma import CostModel, FabricConfig, NicConfig, RdmaConfig
 from repro.workload import RunResult, WorkloadSpec, run_workload
@@ -54,8 +53,6 @@ __all__ = [
     "DistributedLockTable",
     "FaultPlan",
     "CrashWindow",
-    "ShardedKVStore",
-    "KVConfig",
     "WorkloadSpec",
     "RunResult",
     "run_workload",

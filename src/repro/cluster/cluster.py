@@ -144,8 +144,7 @@ class Cluster:
         self.env.close()
         for ctx in self._contexts.values():
             ctx.cluster = None
-            ctx._alock_descriptors = ctx._alock_descriptor_pools = None
-            ctx._mcs_descriptor = None
+            ctx._alock_descriptors = ctx._mcs_descriptor = None
 
     def _register_collectors(self) -> None:
         """Consolidate the scattered subsystem counters into the metrics

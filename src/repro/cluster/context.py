@@ -43,8 +43,7 @@ class ThreadContext:
                  "_region", "_net", "_read_ns", "_write_ns", "_cas_ns",
                  "_fence_ns", "_recheck_ns", "_faults_on", "emit",
                  "local_op_count", "remote_op_count", "verb_timeouts",
-                 "_alock_descriptors", "_alock_descriptor_pools",
-                 "_mcs_descriptor")
+                 "_alock_descriptors", "_mcs_descriptor")
 
     def __init__(self, cluster: "Cluster", node_id: int, thread_id: int):
         self.cluster = cluster
@@ -75,7 +74,6 @@ class ThreadContext:
         self.remote_op_count = 0
         self.verb_timeouts = 0
         self._alock_descriptors = None
-        self._alock_descriptor_pools = None
         self._mcs_descriptor = None
 
     # -- locality ----------------------------------------------------------

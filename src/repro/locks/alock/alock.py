@@ -39,7 +39,6 @@ from repro.locks.alock.descriptors import (
     OFF_NEXT,
     WAITING,
     descriptor_pair,
-    descriptor_pools,
 )
 from repro.locks.base import (
     DistributedLock,
@@ -90,12 +89,6 @@ class ALock(DistributedLock):
             when a queue neighbor's descriptor happens to live on the
             caller's own node (loopback).  False short-circuits those to
             shared-memory ops — an ablation, not the paper's algorithm.
-        allow_nesting: the paper's Algorithm 1 gives each thread one
-            descriptor per cohort, capping it at one in-flight
-            acquisition per flavor.  True draws descriptors from a
-            per-thread pool instead, so a thread may hold several ALocks
-            at once (lock-ordering discipline is the caller's job) — an
-            extension used by the KV store's multi-bucket operations.
         bug: opt-in seeded defect for the schedule-exploration harness
             (see :data:`ALock.BUGS`); "" (default) is the correct
             algorithm.  Never set outside mutation tests.
@@ -115,8 +108,7 @@ class ALock(DistributedLock):
     def __init__(self, cluster: "Cluster", home_node: int, name: str = "",
                  local_budget: int = DEFAULT_LOCAL_BUDGET,
                  remote_budget: int = DEFAULT_REMOTE_BUDGET,
-                 strict_remote_rdma: bool = True,
-                 allow_nesting: bool = False, bug: str = ""):
+                 strict_remote_rdma: bool = True, bug: str = ""):
         super().__init__(cluster, home_node, name)
         if local_budget < 1 or remote_budget < 1:
             raise ConfigError("budgets must be >= 1 (0 would deadlock the cohort)")
@@ -126,7 +118,6 @@ class ALock(DistributedLock):
         self.local_budget = local_budget
         self.remote_budget = remote_budget
         self.strict_remote_rdma = strict_remote_rdma
-        self.allow_nesting = allow_nesting
         self.bug = bug
         self.base_ptr = cluster.alloc_on(home_node, ALOCK_LAYOUT.size)
         self.tail_r_ptr = ALOCK_LAYOUT.addr_of(self.base_ptr, "tail_r")
@@ -162,13 +153,10 @@ class ALock(DistributedLock):
         if ctx.gid in self._sessions:
             raise ProtocolError(f"{ctx.actor} re-locking {self.name} (not reentrant)")
         slot = 0 if ctx.node_id == self.home_node else 1
-        if self.allow_nesting:
-            desc = descriptor_pools(ctx)[slot].acquire()
-        else:
-            desc = descriptor_pair(ctx)[slot]
+        desc = descriptor_pair(ctx)[slot]
         # begin() runs before the cleanup guard: if it raises, the
         # descriptor is owned by another in-flight acquisition and must
-        # NOT be reset or returned to the pool here.
+        # NOT be reset or handed back here.
         desc.begin()
         try:
             # Algorithm 3 line 2: reset our own descriptor for the enqueue.
@@ -180,12 +168,9 @@ class ALock(DistributedLock):
                 ctx, desc, self._cohorts[slot], carry)
         except BaseException:
             # Failed acquisition (e.g. a VerbTimeout from the fault
-            # layer): the descriptor must come back, or the pool leaks
-            # one record per failure and the paper's one-descriptor
-            # discipline wedges the thread permanently.
+            # layer): the descriptor must come back, or the paper's
+            # one-descriptor discipline wedges the thread permanently.
             desc.end()
-            if self.allow_nesting:
-                descriptor_pools(ctx)[slot].release(desc)
             raise
         # §5.2: atomic thread fence after locking (with a reacquirer's
         # private budget store, which has no visible step to ride with
@@ -210,8 +195,6 @@ class ALock(DistributedLock):
         # so it rides with the release op's sleep.
         yield from self._release_cohort(ctx, desc, self._cohorts[slot],
                                         ctx.fence())
-        if self.allow_nesting:
-            descriptor_pools(ctx)[slot].release(desc)
 
     # -- one cohort's budgeted MCS queue (Algorithm 3) ----------------------
     def _acquire_cohort(self, ctx: ThreadContext, desc: Descriptor, cohort: _Cohort,

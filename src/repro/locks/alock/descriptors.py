@@ -4,7 +4,7 @@ Each thread owns exactly **two** descriptors for its entire lifetime —
 one used when it is in the local cohort of some ALock, one for the
 remote cohort (Algorithm 1 allocates one ``LocalDescriptor`` and one
 ``RemoteDescriptor`` per thread).  One pair suffices because a thread
-waits on or holds at most one lock at a time; the pool enforces that
+waits on or holds at most one lock at a time; the pair enforces that
 invariant and raises :class:`ProtocolError` on violations instead of
 corrupting a queue.
 
@@ -81,51 +81,3 @@ def descriptor_pair(ctx: "ThreadContext") -> tuple[Descriptor, Descriptor]:
         pair = (Descriptor(ctx, "local"), Descriptor(ctx, "remote"))
         ctx._alock_descriptors = pair
     return pair
-
-
-class DescriptorPool:
-    """Per-(thread, flavor) pool enabling *nested* ALock acquisitions.
-
-    The paper's Algorithm 1 gives each thread exactly one descriptor per
-    cohort flavor, which caps a thread at one in-flight acquisition per
-    flavor — enough for the lock-table benchmark, but not for
-    applications that hold two locks at once (e.g. the KV store's
-    two-bucket transfer).  A descriptor is just a 64-byte record, so the
-    natural extension is a small pool: each nested acquisition takes the
-    next free descriptor and returns it on release.  ALock's
-    ``allow_nesting`` option draws from it; without the option the
-    thread's fixed pair is used and reuse raises ProtocolError.
-    """
-
-    __slots__ = ("ctx", "flavor", "_free", "_allocated")
-
-    def __init__(self, ctx: "ThreadContext", flavor: str):
-        self.ctx = ctx
-        self.flavor = flavor
-        self._free: list[Descriptor] = []
-        self._allocated = 0
-
-    def acquire(self) -> Descriptor:
-        """A free descriptor (allocating a new record when the pool is
-        empty)."""
-        if self._free:
-            return self._free.pop()
-        self._allocated += 1
-        return Descriptor(self.ctx, self.flavor)
-
-    def release(self, desc: Descriptor) -> None:
-        self._free.append(desc)
-
-    @property
-    def allocated(self) -> int:
-        return self._allocated
-
-
-def descriptor_pools(ctx: "ThreadContext") -> tuple[DescriptorPool, DescriptorPool]:
-    """The thread's (local, remote) descriptor pools for nesting-enabled
-    ALocks; lazily created, shared across locks."""
-    pools = ctx._alock_descriptor_pools
-    if pools is None:
-        pools = (DescriptorPool(ctx, "local"), DescriptorPool(ctx, "remote"))
-        ctx._alock_descriptor_pools = pools
-    return pools

@@ -49,7 +49,6 @@ from repro.schedcheck.fleet import (
 from repro.schedcheck.history import HistoryRecorder, Op
 from repro.schedcheck.linearize import (
     CounterModel,
-    KvModel,
     check_history,
     check_linearizable,
 )
@@ -67,7 +66,7 @@ from repro.schedcheck.shrink import ShrinkResult, shrink_failure
 __all__ = [
     "BuiltRun", "CorpusEntry", "CounterModel", "Decisions",
     "ExplorationReport", "FifoPolicy", "FleetConfig", "FleetReport",
-    "HistoryRecorder", "KvModel", "LockScenario", "Op", "PctPolicy",
+    "HistoryRecorder", "LockScenario", "Op", "PctPolicy",
     "RandomWalkPolicy", "ReplayPolicy", "SchedulePolicy", "ScheduleResult",
     "ShrinkResult", "check_budget_bounds", "check_cs_overlap",
     "check_entry", "check_history", "check_linearizability",

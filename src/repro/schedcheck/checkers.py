@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from repro.obs.trace import TraceEvent
 from repro.schedcheck.history import HistoryRecorder
-from repro.schedcheck.linearize import CounterModel, KvModel, check_history
+from repro.schedcheck.linearize import CounterModel, check_history
 
 
 def _lock_of(detail: str) -> str:
@@ -117,22 +117,13 @@ def check_budget_bounds(trace: Iterable[TraceEvent],
 
 
 def check_linearizability(history: Optional[HistoryRecorder]) -> list[str]:
-    """Linearizability of the recorded operation history, per object.
-
-    Object models are chosen by name prefix: ``counter[...]`` objects
-    use :class:`CounterModel` (lock-table guarded counters),
-    ``kv[...]`` objects use :class:`KvModel` with 0 as the
-    missing-value default (KV records start zeroed).
+    """Linearizability of the recorded operation history, per object:
+    every object is a lock-table guarded counter (``counter[...]``),
+    checked against :class:`CounterModel`.
     """
     if history is None or not history.ops:
         return []
-
-    def model_for(obj: str):
-        if obj.startswith("kv["):
-            return KvModel(missing=0)
-        return CounterModel()
-
-    return check_history(history.by_object(), model_for)
+    return check_history(history.by_object(), CounterModel())
 
 
 def run_all_checkers(trace: Iterable[TraceEvent],

@@ -1,9 +1,9 @@
 """Operation histories for linearizability checking.
 
 A history is the invoke/response record of operations on shared objects
-(guarded counters of the lock table, KV-store buckets).  The recorder is
-an opt-in hook: the data-structure layers call ``invoke``/``respond``
-only when a recorder is attached, so the default path stays one branch.
+(the lock table's guarded counters).  The recorder is an opt-in hook:
+the lock table calls ``invoke``/``respond`` only when a recorder is
+attached, so the default path stays one branch.
 
 Times come from the simulation clock: ``invoke`` is sampled when the
 operation's generator starts touching shared state, ``response`` when
@@ -28,19 +28,17 @@ class Op:
     actor: str
     obj: str
     action: str
-    args: tuple
     result: Any
     invoke: float
     response: float
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        arg_s = ",".join(str(a) for a in self.args)
         return (f"[{self.invoke:>10.1f}..{self.response:>10.1f}] {self.actor:<8} "
-                f"{self.obj}.{self.action}({arg_s}) -> {self.result}")
+                f"{self.obj}.{self.action}() -> {self.result}")
 
 
 class HistoryRecorder:
-    """Collects invoke/response pairs from instrumented data structures.
+    """Collects invoke/response pairs from the instrumented lock table.
 
     Pending operations (invoked, never responded — e.g. a client that
     died mid-operation) are kept separately; the checker treats them as
@@ -52,19 +50,19 @@ class HistoryRecorder:
     def __init__(self, env: Environment):
         self.env = env
         self._next_id = 1
-        self._pending: dict[int, tuple[str, str, str, tuple, float]] = {}
+        self._pending: dict[int, tuple[str, str, str, float]] = {}
         self.ops: list[Op] = []
 
-    def invoke(self, actor: str, obj: str, action: str, args: tuple = ()) -> int:
+    def invoke(self, actor: str, obj: str, action: str) -> int:
         opid = self._next_id
         self._next_id += 1
-        self._pending[opid] = (actor, obj, action, tuple(args), self.env.now)
+        self._pending[opid] = (actor, obj, action, self.env.now)
         return opid
 
     def respond(self, opid: int, result: Any = None) -> None:
-        actor, obj, action, args, invoked = self._pending.pop(opid)
-        self.ops.append(Op(opid, actor, obj, action, args, result,
-                           invoked, self.env.now))
+        actor, obj, action, invoked = self._pending.pop(opid)
+        self.ops.append(Op(opid, actor, obj, action, result, invoked,
+                           self.env.now))
 
     @property
     def pending_count(self) -> int:
@@ -73,7 +71,7 @@ class HistoryRecorder:
     def by_object(self) -> dict[str, list[Op]]:
         """Completed ops grouped per object, each group in invoke order.
         Objects are independent linearizability domains (one lock-table
-        counter, one KV bucket), checked separately."""
+        counter each), checked separately."""
         groups: dict[str, list[Op]] = {}
         for op in self.ops:
             groups.setdefault(op.obj, []).append(op)

@@ -42,31 +42,11 @@ class CounterModel:
         return False, state
 
 
-class KvModel:
-    """Single-key register bucket — the KV store's per-bucket history.
-
-    ``put(v)`` returns None; ``get()`` returns the last put value (or
-    ``missing`` before any put).  State is the current value.
-    """
-
-    def __init__(self, missing=None):
-        self.missing = missing
-
-    def init(self):
-        return self.missing
-
-    def apply(self, state, op: Op) -> tuple[bool, object]:
-        if op.action == "put":
-            return True, op.args[0]
-        if op.action == "get":
-            return op.result == state, state
-        return False, state
-
-
 def check_linearizable(ops: Sequence[Op], model) -> Optional[str]:
     """None if ``ops`` (one object's completed operations) is
     linearizable under ``model``; else a human-readable refusal naming
-    the smallest prefix at which the search got stuck.
+    the ops still unlinearized at the deepest configuration the search
+    reached.
 
     Iterative depth-first search over (remaining ops, state) with a
     memo of visited configurations.
@@ -83,14 +63,16 @@ def check_linearizable(ops: Sequence[Op], model) -> Optional[str]:
     start = (0, model.init())
     stack = [start]
     memo = {start}
-    best_done = 0  # deepest linearized count reached, for the error message
+    # the deepest configuration reached, for the error message
+    best_done, stuck = 0, ops
 
     while stack:
         done_mask, state = stack.pop()
         if done_mask == full_mask:
             return None
         remaining = [op for op in ops if not (done_mask >> ids[op.opid]) & 1]
-        best_done = max(best_done, n - len(remaining))
+        if n - len(remaining) > best_done:
+            best_done, stuck = n - len(remaining), remaining
         # An op is minimal iff no other remaining op's response precedes
         # its invoke; equivalently invoke <= min(response over remaining).
         min_resp = min(op.response for op in remaining)
@@ -105,30 +87,28 @@ def check_linearizable(ops: Sequence[Op], model) -> Optional[str]:
                 memo.add(nxt)
                 stack.append(nxt)
 
-    linearized = best_done
-    stuck = [op for op in ops][:]
     return (f"history of {n} ops is NOT linearizable: search linearized at "
-            f"most {linearized} ops before every extension became illegal "
-            f"(first ops: "
+            f"most {best_done} ops before every extension became illegal "
+            f"(unlinearized there: "
             + "; ".join(str(op) for op in stuck[:4])
-            + (" ..." if n > 4 else "") + ")")
+            + (" ..." if len(stuck) > 4 else "") + ")")
 
 
-def check_history(groups: dict[str, Sequence[Op]], model_for) -> list[str]:
-    """Check every object's group; returns violation messages.
+def check_history(groups: dict[str, Sequence[Op]], model) -> list[str]:
+    """Check every object's group against ``model``; returns violation
+    messages.
 
     Args:
         groups: object name → its completed ops (see
             :meth:`HistoryRecorder.by_object`).
-        model_for: callable ``obj_name -> model`` (constant models are
-            fine: ``lambda obj: CounterModel()``).
+        model: the sequential model every object follows.
     """
     violations = []
     for obj in sorted(groups):
-        msg = check_linearizable(groups[obj], model_for(obj))
+        msg = check_linearizable(groups[obj], model)
         if msg is not None:
             violations.append(f"{obj}: {msg}")
     return violations
 
 
-__all__ = ["CounterModel", "KvModel", "check_linearizable", "check_history"]
+__all__ = ["CounterModel", "check_linearizable", "check_history"]

@@ -1,8 +1,9 @@
 """The prose documents point at files: tests that assert a claim, modules
 that implement it, scripts that regenerate it.  A pointer whose file was
 renamed or deleted keeps reading as if the guard still existed, so every
-backticked repo path — and every bare ``test_*.py`` / ``bench_*.py`` name
-— in the five documents has to resolve to a file of this checkout."""
+backticked repo path — every bare ``test_*.py`` / ``bench_*.py`` name,
+and the script of every ``python <path>.py`` command in a fenced block —
+in the five documents has to resolve to a file of this checkout."""
 
 import re
 from pathlib import Path
@@ -19,13 +20,18 @@ BASES = [REPO_ROOT / base for base in ("", "src", "src/repro",
 #: first components that mark an extension-less token as a directory path
 TOP_LEVEL = {"src", "repro", "tests", "docs", "scripts", "examples",
              "benchmarks", ".github"}
+FENCED_BLOCK = re.compile(r"^```.*?^```", re.M | re.S)
 
 
 def cited(doc: str) -> tuple[set[str], set[str]]:
     """``(paths, bare test-file names)`` among a document's backticked
-    tokens; ``file.py::TestClass::test_x`` cites ``file.py``."""
+    tokens and fenced commands; ``file.py::TestClass::test_x`` cites
+    ``file.py``."""
+    text = (REPO_ROOT / doc).read_text()
     paths, bare = set(), set()
-    for token in re.findall(r"`([^`\n]+)`", (REPO_ROOT / doc).read_text()):
+    for block in FENCED_BLOCK.findall(text):
+        paths.update(re.findall(r"\bpython3?\s+([\w./-]+\.py)\b", block))
+    for token in re.findall(r"`([^`\n]+)`", text):
         token = token.split("::")[0]
         if not re.fullmatch(r"[\w./-]+", token):
             continue            # a command, a glob, an expression

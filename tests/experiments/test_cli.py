@@ -146,13 +146,16 @@ QUICKSTART_TRACE = """\
 
 class TestExamplesRun:
     """The examples are part of the public deliverable: each fast one
-    must execute cleanly end to end."""
+    must execute cleanly end to end.  ``budget_tuning.py`` is left out:
+    it has no size flags and takes about 11 s, and tier-1's wall time is
+    a budget of its own."""
 
     @pytest.mark.parametrize("script,args", [
         ("quickstart.py", []),
         ("model_checking.py", ["--processes", "2", "--budget", "1"]),
         ("lock_table_comparison.py", ["--nodes", "2", "--threads", "2",
                                       "--locks", "8"]),
+        ("atomicity_pitfalls.py", []),
     ])
     def test_example_runs(self, script, args):
         import pathlib

@@ -60,42 +60,6 @@ class TestDescriptorDiscipline:
         assert not p.ok
         assert isinstance(p.value, ProtocolError)
 
-    def test_allow_nesting_permits_same_cohort_pair(self, cluster):
-        """With the descriptor-pool extension, two locks of the same
-        cohort flavor can be held at once (lock ordering is the
-        caller's job)."""
-        a = ALock(cluster, 0, name="a", allow_nesting=True)
-        b = ALock(cluster, 0, name="b", allow_nesting=True)
-        ctx = cluster.thread_ctx(0, 0)
-
-        def proc():
-            yield from a.lock(ctx)
-            yield from b.lock(ctx)
-            assert a.holder_gid == ctx.gid and b.holder_gid == ctx.gid
-            yield from b.unlock(ctx)
-            yield from a.unlock(ctx)
-
-        drive(cluster, proc())
-        cluster.auditor.assert_clean()
-
-    def test_nesting_pool_reuses_descriptors(self, cluster):
-        from repro.locks.alock.descriptors import descriptor_pools
-
-        a = ALock(cluster, 0, name="a", allow_nesting=True)
-        b = ALock(cluster, 0, name="b", allow_nesting=True)
-        ctx = cluster.thread_ctx(0, 0)
-
-        def proc():
-            for _ in range(5):
-                yield from a.lock(ctx)
-                yield from b.lock(ctx)
-                yield from b.unlock(ctx)
-                yield from a.unlock(ctx)
-
-        drive(cluster, proc())
-        local_pool, _ = descriptor_pools(ctx)
-        assert local_pool.allocated == 2  # depth-2 nesting, reused 5x
-
     def test_two_remote_locks_simultaneously_rejected(self, cluster):
         a = ALock(cluster, 1, name="a")
         b = ALock(cluster, 2, name="b")

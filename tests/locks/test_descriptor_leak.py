@@ -2,10 +2,10 @@
 
 Under fault injection a remote acquisition can die mid-protocol with
 :class:`VerbTimeout`.  Before the fix, ``ALock.lock`` never released the
-pooled descriptor on that path, so under ``allow_nesting`` every failure
-allocated a fresh descriptor (unbounded growth) and without nesting the
-pair descriptor stayed marked in-use, turning the *next* attempt into a
-spurious :class:`ProtocolError`.
+thread's descriptor on that path: it stayed marked in-use, turning the
+*next* attempt into a spurious :class:`ProtocolError` (Algorithm 1 gives
+a thread one descriptor per cohort, so nothing else could take its
+place).
 
 :class:`TestEveryDescriptorHolder` runs the two failure exits of a
 verb — a retry budget exhausted, and an interrupt landing while the
@@ -19,7 +19,7 @@ from repro.cluster import Cluster
 from repro.common.errors import VerbTimeout
 from repro.faults import CrashWindow, FaultPlan
 from repro.locks import ALock
-from repro.locks.alock.descriptors import descriptor_pair, descriptor_pools
+from repro.locks.alock.descriptors import descriptor_pair
 from repro.locks.base import make_lock
 from repro.sim.core import Interrupt
 
@@ -124,32 +124,10 @@ class TestEveryDescriptorHolder:
 
 
 class TestDescriptorLeakOnFailure:
-    def test_nesting_pool_does_not_grow_across_failures(self):
-        cluster = Cluster(2, seed=7, faults=DEAD_FABRIC, audit="off")
-        lock = ALock(cluster, 1, allow_nesting=True)
-        ctx = cluster.thread_ctx(0, 0)
-        failures = 0
-
-        def proc():
-            nonlocal failures
-            for _ in range(4):
-                try:
-                    yield from lock.lock(ctx)
-                except VerbTimeout:
-                    failures += 1
-
-        p = cluster.env.process(proc())
-        cluster.run()
-        assert p.ok, p.value
-        assert failures == 4
-        _, remote_pool = descriptor_pools(ctx)
-        # regression: the pool grew by one descriptor per failure
-        assert remote_pool.allocated == 1
-
     def test_pair_descriptor_reusable_after_failure(self):
-        """Without nesting, a failed attempt must not leave the pair
-        descriptor in-use — the retry would die with ProtocolError
-        instead of reaching the network again."""
+        """A failed attempt must not leave the pair descriptor in-use —
+        the retry would die with ProtocolError instead of reaching the
+        network again."""
         cluster = Cluster(2, seed=7, faults=DEAD_FABRIC, audit="off")
         lock = ALock(cluster, 1)
         ctx = cluster.thread_ctx(0, 0)

@@ -11,7 +11,6 @@ import pytest
 from repro.obs.trace import TraceEvent
 from repro.schedcheck import (
     CounterModel,
-    KvModel,
     LockScenario,
     Op,
     check_budget_bounds,
@@ -93,8 +92,8 @@ class TestBudgetBounds:
         assert check_budget_bounds(trace, self.BUDGETS) == []
 
 
-def op(opid, action, result, invoke, response, obj="counter[0]", args=()):
-    return Op(opid, f"t{opid}@n0", obj, action, args, result, invoke, response)
+def op(opid, action, result, invoke, response, obj="counter[0]"):
+    return Op(opid, f"t{opid}@n0", obj, action, result, invoke, response)
 
 
 class TestLinearizability:
@@ -122,13 +121,17 @@ class TestLinearizability:
                op(3, "inc", 1, 40, 50)]
         assert check_linearizable(ops, CounterModel()) is not None
 
-    def test_kv_register_semantics(self):
-        good = [op(1, "put", None, 0, 10, obj="kv[3]", args=(7,)),
-                op(2, "get", 7, 20, 30, obj="kv[3]")]
-        assert check_linearizable(good, KvModel(missing=0)) is None
-        stale = [op(1, "put", None, 0, 10, obj="kv[3]", args=(7,)),
-                 op(2, "get", 0, 20, 30, obj="kv[3]")]
-        assert check_linearizable(stale, KvModel(missing=0)) is not None
+    def test_refusal_names_the_op_where_the_search_got_stuck(self):
+        # six sequential incs; the fifth by invoke time reads 5 where the
+        # counter holds 4, so the search stops after four and that op is
+        # the first one left
+        results = [0, 1, 2, 3, 5, 5]
+        ops = [op(i + 1, "inc", r, 20 * i, 20 * i + 10)
+               for i, r in enumerate(results)]
+        msg = check_linearizable(ops, CounterModel())
+        assert "linearized at most 4 ops" in msg
+        assert str(ops[4]) in msg
+        assert str(ops[0]) not in msg
 
     def test_empty_history_accepted(self):
         assert check_linearizable([], CounterModel()) is None
@@ -161,34 +164,3 @@ class TestCheckersAgreeOnRealRuns:
                              ops_per_thread=2, seed=3), None)
             assert result.ok, f"{kind}: {result.summary()}"
 
-
-class TestKvStoreHistory:
-    def test_kv_history_records_and_linearizes(self):
-        """The KV store's opt-in history hook feeds the checker: a
-        contended get/put workload over shared keys validates clean."""
-        from repro.kvstore import KVConfig, ShardedKVStore
-        from repro.schedcheck import HistoryRecorder, check_linearizability
-        from repro.cluster import Cluster
-
-        cluster = Cluster(2, seed=11, audit="off")
-        store = ShardedKVStore(cluster, KVConfig(n_buckets=4))
-        history = HistoryRecorder(cluster.env)
-        store.attach_history(history)
-
-        def client(node, thread):
-            ctx = cluster.thread_ctx(node, thread)
-            for op in range(4):
-                key = op % 2  # two hot keys, all clients collide
-                if (node + thread + op) % 2:
-                    yield from store.put(ctx, key, node * 100 + op)
-                else:
-                    yield from store.get(ctx, key)
-
-        procs = [cluster.env.process(client(n, t))
-                 for n in range(2) for t in range(2)]
-        cluster.run()
-        assert all(p.ok for p in procs)
-        assert history.ops and history.pending_count == 0
-        assert {o.action for o in history.ops} == {"get", "put"}
-        assert all(o.obj.startswith("kv[") for o in history.ops)
-        assert check_linearizability(history) == []
