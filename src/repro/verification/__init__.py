@@ -1,49 +1,23 @@
 """Explicit-state model checking of the ALock (paper Appendix A).
 
-The paper ships a TLA+/PlusCal specification of the ALock and checks
-MutualExclusion plus liveness properties with TLC.  This package is the
-Python equivalent: :mod:`repro.verification.spec` translates the PlusCal
-algorithm label-by-label into a transition system (every label is one
-atomic step, exactly TLC's granularity), and
-:mod:`repro.verification.checker` explores the full reachable state
-space by BFS.
-
-Checked properties:
-
-* **MutualExclusion** — no reachable state has two processes at ``cs``
-  (an invariant, checked exhaustively);
-* **deadlock freedom** — every reachable state has an enabled step;
-* **progress possibility** — from every reachable state, every process
-  that has started acquiring can still reach ``cs`` on some path (the
-  cheap reachability core of ``StarvationFree``);
-* **StarvationFree under weak fairness** — the appendix's liveness
-  property proper, via an SCC search for fair starvation cycles
-  (:mod:`repro.verification.liveness`).
-
-The spec also supports deliberately injected bugs (e.g. skipping the
-hand-off wait) so tests can confirm the checker actually finds mutual-
-exclusion violations and produces counterexample traces.
+The paper checks its TLA+/PlusCal spec of the ALock with TLC; this is
+the Python equivalent.  :mod:`repro.verification.spec` translates the
+PlusCal label by label into a transition system (one label, one atomic
+step: TLC's granularity), and :func:`check` explores its reachable
+state space once and reads every property off that graph:
+MutualExclusion, DeadlockFreedom, and StarvationFree under weak
+fairness.  Progress possibility follows from the last two (the argument
+is in :mod:`repro.verification.checker`).  Injected spec bugs (e.g.
+skipping the hand-off wait) show that the checker finds violations,
+with replayable counterexample traces.
 """
 
 from repro.verification.spec import ALockSpec, State
 from repro.verification.checker import (
+    PROPERTIES,
     CheckResult,
     Counterexample,
-    check_deadlock_freedom,
-    check_mutual_exclusion,
-    check_progress_possibility,
-    explore,
+    check,
 )
-from repro.verification.liveness import check_starvation_freedom
 
-__all__ = [
-    "ALockSpec",
-    "State",
-    "CheckResult",
-    "Counterexample",
-    "explore",
-    "check_mutual_exclusion",
-    "check_deadlock_freedom",
-    "check_progress_possibility",
-    "check_starvation_freedom",
-]
+__all__ = ["ALockSpec", "State", "CheckResult", "Counterexample", "PROPERTIES", "check"]

@@ -1,26 +1,72 @@
-"""Breadth-first explicit-state exploration and property checks."""
+"""One breadth-first exploration per spec, every appendix property read
+off it, as TLC checks all properties on one state space.
+
+* **Safety, per state as the BFS pops it.**  ``MutualExclusion`` first
+  (no two processes at ``cs``), then ``DeadlockFreedom`` (some step is
+  enabled).  The search stops at the first violation and returns the
+  BFS-parent trace to it, a shortest counterexample.
+* **Liveness, once over the finished graph.**  ``StarvationFree ≜ ∀ p:
+  (pc[p] = "enter") ⇝ (pc[p] = "cs")`` under weak process fairness (a
+  process that stays enabled eventually steps: TLC's ``fair process``).
+  An infinite run eventually stays inside one strongly connected
+  component, and a cycle can visit every state and edge of an SCC.  So
+  ``p`` can starve iff some SCC ``S`` has an edge inside it, ``p`` is
+  mid-acquisition and not at ``cs`` in every state of ``S``, and every
+  process steps on an edge inside ``S`` or is disabled in some state of
+  ``S`` — exact for weak fairness.  The counterexample is a replayable
+  lasso: the BFS-parent prefix to a state of ``S``, then a cycle through
+  those witnesses back to it.
+
+*Progress possibility* (every mid-protocol process can still reach
+``cs`` on some path) is implied, so it is not checked separately.  From
+a state where a mid-protocol ``p`` can never reach ``cs``, some bottom
+SCC is reachable.  In it ``p`` is never at ``cs``, and never idle
+either, since the only way back to ``p1`` is through ``cs``.  A bottom
+SCC is fair by construction — every enabled step stays inside it — so
+it is either a deadlock or a fair starvation cycle:
+``DeadlockFreedom ∧ StarvationFree ⇒ ProgressPossibility``.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional
 
 from repro.common.errors import ConfigError
 from repro.verification.spec import ALockSpec, State
 
+#: ``CheckResult.property_name`` when every property holds.
+PROPERTIES = "MutualExclusion, DeadlockFreedom, StarvationFree"
+
+#: pc labels where a process is not waiting for the lock.
+_NOT_WAITING = frozenset({"p1", "ncs", "cs"})
+
+#: A state's id is its position in BFS order.  Per id: its BFS parent
+#: and the pid that moved (None for initial states) ...
+Parents = list[Optional[tuple[int, int]]]
+#: ... and every enabled (pid, next state's id), in pid order.
+Graph = list[list[tuple[int, int]]]
+
 
 @dataclass
 class Counterexample:
-    """A finite trace from an initial state to a violating state."""
+    """A trace from an initial state: ``actions[i]`` is the pid whose
+    step takes ``states[i]`` to ``states[i + 1]``.  A starvation
+    counterexample is a lasso: the run repeats ``states[loop_start:]``
+    forever (its last state is ``states[loop_start]`` again)."""
 
     states: list[State]
-    actions: list[int]  # pid that moved between consecutive states
+    actions: list[int]
     violation: str
+    loop_start: Optional[int] = None
 
     def __str__(self) -> str:
         lines = [f"violation: {self.violation}",
                  f"trace length: {len(self.states)}"]
+        if self.loop_start is not None:
+            lines.append(f"loop: the last step returns to step {self.loop_start}")
         for i, s in enumerate(self.states):
             mover = f" (pid {self.actions[i - 1]} moved)" if i else ""
             lines.append(f"  step {i}{mover}: pc={s.pc} cohort={s.cohort} "
@@ -30,7 +76,7 @@ class Counterexample:
 
 @dataclass
 class CheckResult:
-    """Outcome of one exploration/property check."""
+    """The first violated property, or :data:`PROPERTIES` when all hold."""
 
     property_name: str
     holds: bool
@@ -39,162 +85,145 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class _Exploration:
-    spec: ALockSpec
-    visited: set[State] = field(default_factory=set)
-    #: state -> (predecessor, pid that moved), None for initial states.
-    parents: dict[State, tuple[State, int] | None] = field(default_factory=dict)
-    frontier: deque[State] = field(default_factory=deque)
+def check(spec: ALockSpec, *, max_states: int = 2_000_000) -> CheckResult:
+    """Check MutualExclusion, DeadlockFreedom and StarvationFree on one
+    exploration of ``spec``.  Exceeding ``max_states`` raises: a bigger
+    configuration needs a bigger bound, not silent truncation."""
+    states, parents, succs, violated = _explore(spec, max_states)
+    if violated is not None:
+        return violated
+    for component in _sccs(succs):
+        starving = [p for p in spec.pids if all(
+            states[i].pc[p - 1] not in _NOT_WAITING for i in component)]
+        if not starving:
+            continue
+        members = set(component)
+        steppers = {pid for i in component for pid, j in succs[i] if j in members}
+        if steppers and all(
+                q in steppers or any(spec.step(states[i], q) is None for i in component)
+                for q in spec.pids):
+            p, witness = starving[0], component[0]
+            violation = (f"pid {p} starves: fair cycle through {len(component)} "
+                         f"state(s) keeps it at {states[witness].pc[p - 1]!r} forever")
+            return CheckResult(
+                "StarvationFree", False, len(states),
+                _lasso(spec, states, parents, succs, members, witness, steppers, violation),
+                detail=f"SCC size {len(component)}, stepping pids {sorted(steppers)}")
+    return CheckResult(PROPERTIES, True, len(states),
+                       detail=f"no violation in {len(states)} states")
 
 
-def _trace(exp: _Exploration, state: State, violation: str) -> Counterexample:
-    states = [state]
-    actions: list[int] = []
-    cur = state
-    while exp.parents[cur] is not None:
-        prev, pid = exp.parents[cur]
-        states.append(prev)
-        actions.append(pid)
-        cur = prev
-    states.reverse()
-    actions.reverse()
-    return Counterexample(states, actions, violation)
-
-
-def explore(spec: ALockSpec, *,
-            invariant: Optional[Callable[[State], Optional[str]]] = None,
-            max_states: int = 2_000_000,
-            require_progress: bool = False) -> CheckResult:
-    """BFS over the reachable state space.
-
-    Args:
-        invariant: callable returning None when a state is fine, or a
-            violation message.  Exploration stops at the first violation
-            with a counterexample trace.
-        max_states: exploration safety valve; exceeding it raises (a
-            bigger configuration needs a bigger bound, not silent
-            truncation).
-        require_progress: also flag states with no enabled step
-            (deadlocks) as violations.
-    """
-    exp = _Exploration(spec)
-    for init in spec.initial_states():
-        exp.visited.add(init)
-        exp.parents[init] = None
-        exp.frontier.append(init)
-
-    name = invariant.__name__ if invariant else "reachability"
-    while exp.frontier:
-        state = exp.frontier.popleft()
-        if invariant is not None:
-            message = invariant(state)
-            if message is not None:
-                return CheckResult(name, False, len(exp.visited),
-                                   _trace(exp, state, message))
-        moved = False
-        for pid, nxt in spec.successors(state):
-            moved = True
-            if nxt not in exp.visited:
-                if len(exp.visited) >= max_states:
-                    raise ConfigError(
-                        f"state space exceeds max_states={max_states}; "
-                        f"raise the bound for this configuration")
-                exp.visited.add(nxt)
-                exp.parents[nxt] = (state, pid)
-                exp.frontier.append(nxt)
-        if require_progress and not moved:
-            return CheckResult(name, False, len(exp.visited),
-                               _trace(exp, state, "deadlock: no enabled step"))
-    return CheckResult(name, True, len(exp.visited))
-
-
-def check_mutual_exclusion(spec: ALockSpec, *, max_states: int = 2_000_000) -> CheckResult:
-    """The appendix's MutualExclusion invariant: at most one process at
-    ``cs`` in every reachable state."""
-
-    def mutual_exclusion(state: State) -> Optional[str]:
+def _explore(spec: ALockSpec, max_states: int
+             ) -> tuple[list[State], Parents, Graph, Optional[CheckResult]]:
+    """The BFS: the states in BFS order, their parents and successor
+    lists, and the first safety violation (None if there is none)."""
+    states = list(spec.initial_states())
+    ids = {s: i for i, s in enumerate(states)}
+    parents: Parents = [None] * len(states)
+    succs: Graph = []
+    for i, state in enumerate(states):  # ``states`` is the BFS queue too
         in_cs = spec.processes_in_cs(state)
         if len(in_cs) > 1:
-            return f"processes {in_cs} simultaneously in the critical section"
-        return None
-
-    result = explore(spec, invariant=mutual_exclusion, max_states=max_states)
-    result.property_name = "MutualExclusion"
-    return result
-
-
-def check_deadlock_freedom(spec: ALockSpec, *, max_states: int = 2_000_000) -> CheckResult:
-    """No reachable state is stuck (some process can always move)."""
-    result = explore(spec, require_progress=True, max_states=max_states)
-    result.property_name = "DeadlockFreedom"
-    return result
-
-
-def check_progress_possibility(spec: ALockSpec, *, max_states: int = 500_000) -> CheckResult:
-    """From every reachable state, every process that has begun acquiring
-    (``pc ∉ {p1, ncs}``) can still reach ``cs`` on *some* continuation.
-
-    This is the reachability core of the appendix's ``StarvationFree``
-    (⇝ requires it) — full starvation freedom additionally needs weak
-    fairness over the scheduler, which this possibility check
-    approximates; see the package docstring.
-    """
-    # Full reachable set first, kept as an insertion-ordered BFS list:
-    # the witness below is "the first bad state in BFS order", which must
-    # not depend on set iteration order (PYTHONHASHSEED).
-    order: list[State] = []
-    seen: set[State] = set()
-    frontier: deque[State] = deque()
-    for init in spec.initial_states():
-        if init not in seen:
-            seen.add(init)
-            order.append(init)
-            frontier.append(init)
-    while frontier:
-        s = frontier.popleft()
-        for _pid, nxt in spec.successors(s):
-            if nxt not in seen:
-                if len(seen) >= max_states:
+            return states, parents, succs, CheckResult(
+                "MutualExclusion", False, len(states), _trace(
+                    states, parents, i,
+                    f"processes {in_cs} simultaneously in the critical section"))
+        out = []
+        for pid, nxt in spec.successors(state):
+            j = ids.setdefault(nxt, len(states))
+            if j == len(states):
+                if j >= max_states:
                     raise ConfigError(
                         f"state space exceeds max_states={max_states}; "
                         f"raise the bound for this configuration")
-                seen.add(nxt)
-                order.append(nxt)
-                frontier.append(nxt)
+                states.append(nxt)
+                parents.append((i, pid))
+            out.append((pid, j))
+        if not out:
+            return states, parents, succs, CheckResult(
+                "DeadlockFreedom", False, len(states),
+                _trace(states, parents, i, "deadlock: no enabled step"))
+        succs.append(out)
+    return states, parents, succs, None
 
-    # Backward check per pid: states from which pid's cs is reachable.
-    # Compute forward instead: for each state and pid, BFS until pid hits
-    # cs — cached by (state, pid) via a reverse fixpoint:
-    # iterate: GOOD_pid = {s : pid at cs in s} ∪ {s : ∃ step → GOOD_pid}.
-    succs: dict[State, list[State]] = {
-        s: [nxt for _p, nxt in spec.successors(s)] for s in order}
-    preds: dict[State, list[State]] = {s: [] for s in order}
-    for s, ns in succs.items():
-        for n in ns:
-            preds[n].append(s)
 
-    for pid in spec.pids:
-        good: set[State] = set()
-        queue: deque[State] = deque()
-        for s in order:
-            if spec.in_critical_section(s, pid):
-                good.add(s)
-                queue.append(s)
-        while queue:
-            g = queue.popleft()
-            for p in preds[g]:
-                if p not in good:
-                    good.add(p)
-                    queue.append(p)
-        idle = {"p1", "ncs"}
-        for s in order:
-            if s.pc[pid - 1] not in idle and s not in good:
-                return CheckResult(
-                    "ProgressPossibility", False, len(order),
-                    Counterexample([s], [], f"pid {pid} at {s.pc[pid-1]} "
-                                            f"can never reach cs"),
-                    detail=f"pid {pid} permanently excluded")
-    return CheckResult("ProgressPossibility", True, len(order),
-                       detail=f"checked {len(order)} states x "
-                              f"{spec.n_processes} processes")
+def _trace(states: list[State], parents: Parents, i: int,
+           violation: str) -> Counterexample:
+    """The BFS-parent path from an initial state to state ``i``."""
+    path, actions = [states[i]], []
+    while parents[i] is not None:
+        i, pid = parents[i]
+        path.append(states[i])
+        actions.append(pid)
+    return Counterexample(path[::-1], actions[::-1], violation)
+
+
+def _lasso(spec: ALockSpec, states: list[State], parents: Parents, succs: Graph,
+           members: set, witness: int, steppers: set, violation: str) -> Counterexample:
+    """The trace to ``witness``, then a cycle inside its SCC that steps
+    every pid in ``steppers``, passes a state where each other pid is
+    disabled, and ends back at ``witness``."""
+    cex = _trace(states, parents, witness, violation)
+    cex.loop_start = len(cex.states) - 1
+    goals: list[Callable[[int, int], bool]] = [
+        lambda pid, _j, q=q: pid == q for q in sorted(steppers)]
+    goals += [lambda _pid, j, q=q: spec.step(states[j], q) is None
+              for q in spec.pids if q not in steppers]
+    goals.append(lambda _pid, j: j == witness)
+    at = witness
+    for goal in goals:
+        # the shortest walk inside the SCC whose last step meets the goal
+        walks, queue, walk = {at: []}, deque([at]), None
+        while walk is None:
+            i = queue.popleft()
+            for pid, j in succs[i]:
+                if j not in members:
+                    continue
+                if goal(pid, j):
+                    walk = walks[i] + [(pid, j)]
+                    break
+                if j not in walks:
+                    walks[j] = walks[i] + [(pid, j)]
+                    queue.append(j)
+        for pid, at in walk:
+            cex.actions.append(pid)
+            cex.states.append(states[at])
+    return cex
+
+
+def _sccs(succs: Graph) -> list[list[int]]:
+    """Tarjan's algorithm, iterative (state graphs exceed the recursion
+    limit by orders of magnitude).  A finished component's lowlink is
+    set past every index, so no on-stack flag is needed."""
+    n = len(succs)
+    index, low = [-1] * n, [0] * n
+    ticket = count()
+    stack: list[int] = []
+    result: list[list[int]] = []
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(ticket)
+        stack.append(root)
+        work = [(root, iter(succs[root]))]
+        while work:
+            node, it = work[-1]
+            for _pid, child in it:
+                if index[child] < 0:
+                    index[child] = low[child] = next(ticket)
+                    stack.append(child)
+                    work.append((child, iter(succs[child])))
+                    break
+                low[node] = min(low[node], low[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        low[component[-1]] = n
+                    result.append(component)
+    return result

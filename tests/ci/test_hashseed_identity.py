@@ -1,16 +1,17 @@
-"""``PYTHONHASHSEED`` invariance: figure outputs and schedcheck decision
-strings must not depend on the interpreter's hash seed.
+"""``PYTHONHASHSEED`` invariance: figure outputs, schedcheck decision
+strings and model-checker counterexamples must not depend on the
+interpreter's hash seed.
 
 Each probe runs in a fresh interpreter (the hash seed is fixed at
-start-up) and prints a digest blob; the blobs are compared as exact
-strings across two hash seeds.  These are subprocess smokes, so they
-lean on the "smoke" experiment scale.
+start-up) and prints a digest blob, compared as an exact string with a
+golden value.  The goldens are recorded at one hash seed (``python
+tests/ci/test_hashseed_identity.py`` prints the current values) and each
+test runs its probe once, at another — so one subprocess per probe
+checks both the invariance and "byte-identical with the parent commit".
+The probes lean on the "smoke" experiment scale.
 
-The same blobs are also compared with golden values, so "byte-identical
-with the parent commit" is asserted here rather than checked by hand.
 A change that moves the schedule on purpose (a model change, a
-versioned tie-break) re-records them — ``python
-tests/ci/test_hashseed_identity.py`` prints the current values — bumps
+versioned tie-break) re-records them, bumps
 ``repro.schedcheck.decisions.SCHEDULE_VERSION`` with ``GOLDEN_SCHED``
 and says so in CHANGES.md; any other engine or performance change must
 not.  docs/architecture.md, "Re-recording the schedule", lists every
@@ -50,6 +51,15 @@ r = run_schedule(sc, PctPolicy(7, change_points=3))
 print("pct7", r.digest, list(r.dense), list(r.fanouts))
 """
 
+VERIFY_PROBE = """\
+import hashlib
+from repro.verification import ALockSpec, check
+for n, budget, bug in ((3, 2, "skip_handoff_wait"), (2, 1, "no_victim_check")):
+    cex = check(ALockSpec(n, budget, bug=bug)).counterexample
+    print(bug, len(cex.states),
+          hashlib.blake2b(str(cex).encode(), digest_size=16).hexdigest())
+"""
+
 
 #: fig5/fig6 smoke digests under ``SCHEDULE_VERSION`` 2 (PR 20: the
 #: baselines' verbs tie in a new order; b75e4282…/be9424f7… under
@@ -69,6 +79,14 @@ GOLDEN_SCHED = {
     "rw42": "abb6f5a138aef046e637724fa857a70e",
     "pct7": "32558d597fd6826a2b4deb2fed9d2fae",
 }
+
+#: the model checker's two counterexamples, rendered: the mutual-exclusion
+#: trace of ``skip_handoff_wait`` and the starvation lasso of
+#: ``no_victim_check`` (states in the trace, digest of ``str()``)
+GOLDEN_VERIFY = """\
+skip_handoff_wait 25 5776674b1bf17757ca0757e8eb6d0040
+no_victim_check 31 cbc6fdbbf9749143da5d81f396f0320d
+"""
 
 
 def _sched_lines(blob: str) -> dict:
@@ -94,19 +112,24 @@ def _run_probe(probe: str, hashseed: str) -> str:
     return proc.stdout
 
 
+#: the hash seed every golden is recorded at, and the one it is checked at
+RECORD_SEED, CHECK_SEED = "1", "31337"
+
+
 def test_fig_digests_hashseed_invariant():
-    blob = _run_probe(FIG_PROBE, "1")
-    assert blob == _run_probe(FIG_PROBE, "31337")
-    assert blob == GOLDEN_FIG
+    assert _run_probe(FIG_PROBE, CHECK_SEED) == GOLDEN_FIG
 
 
 def test_decision_strings_hashseed_invariant():
-    blob = _run_probe(SCHED_PROBE, "2")
-    assert blob == _run_probe(SCHED_PROBE, "424242")
-    assert _sched_lines(blob) == GOLDEN_SCHED
+    assert _sched_lines(_run_probe(SCHED_PROBE, CHECK_SEED)) == GOLDEN_SCHED
+
+
+def test_verification_witnesses_hashseed_invariant():
+    assert _run_probe(VERIFY_PROBE, CHECK_SEED) == GOLDEN_VERIFY
 
 
 if __name__ == "__main__":  # re-record: print what the goldens should be
-    print(_run_probe(FIG_PROBE, "1"), end="")
-    for key, value in _sched_lines(_run_probe(SCHED_PROBE, "2")).items():
+    print(_run_probe(FIG_PROBE, RECORD_SEED), end="")
+    for key, value in _sched_lines(_run_probe(SCHED_PROBE, RECORD_SEED)).items():
         print(f"{key!r}: {value!r},")
+    print(_run_probe(VERIFY_PROBE, RECORD_SEED), end="")

@@ -216,8 +216,8 @@ def smoke_figure():
     experiment at seed 0, simulated once per session for every reader
     (the smoke classes, the serial leg of the parallel-parity test);
     ``smoke_figure.fanout["fig5"]`` is what :func:`recorded_fanout` saw
-    of that run.  Where the two-subprocess hash-seed test pins a golden
-    digest the run is held to it — this process's hash seed is a third."""
+    of that run.  Where the hash-seed test pins a golden digest the run
+    is held to it, at this process's own hash seed."""
     from repro.experiments import run_experiment
     from tests.ci.test_hashseed_identity import GOLDEN_FIG
 

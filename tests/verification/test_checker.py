@@ -1,75 +1,57 @@
 """Model-checking the appendix properties (and confirming the checker
-has teeth against injected bugs)."""
+has teeth against injected bugs).  Each configuration is explored once
+per module (``_check``), however many tests read its result."""
 
-import subprocess
-import sys
-from pathlib import Path
+import functools
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.verification import (
-    ALockSpec,
-    check_deadlock_freedom,
-    check_mutual_exclusion,
-    check_progress_possibility,
-    explore,
-)
+from repro.verification import PROPERTIES, ALockSpec, check
 
 
-class TestMutualExclusion:
-    def test_holds_two_processes(self):
-        result = check_mutual_exclusion(ALockSpec(2, 1))
-        assert result.holds
-        assert result.states_explored > 100
-
-    def test_holds_two_processes_budget_two(self):
-        assert check_mutual_exclusion(ALockSpec(2, 2)).holds
-
-    def test_holds_two_processes_budget_three(self):
-        assert check_mutual_exclusion(ALockSpec(2, 3)).holds
-
-    def test_holds_three_processes(self):
-        """NP=3 exercises intra-cohort passing (pids 1 and 3 share a
-        cohort) on top of the Peterson competition."""
-        result = check_mutual_exclusion(ALockSpec(3, 2))
-        assert result.holds
-        assert result.states_explored > 50_000
-
-    def test_single_process_trivially_holds(self):
-        assert check_mutual_exclusion(ALockSpec(1, 1)).holds
+@functools.cache
+def _check(n_processes, budget, bug):
+    return check(ALockSpec(n_processes, budget, bug=bug))
 
 
-class TestDeadlockFreedom:
-    def test_holds_two_processes(self):
-        assert check_deadlock_freedom(ALockSpec(2, 2)).holds
+#: EXPERIMENTS.md, Appendix A, one row per configuration: the violated
+#: property (None: all three hold), the states explored, and what the
+#: counterexample must show.
+APPENDIX_A = [
+    *[(1, b, None, None, 33, "") for b in (1, 2, 3)],
+    *[(2, b, None, None, 730, "") for b in (1, 2, 3)],
+    (3, 1, None, None, 68_361, ""),
+    (3, 2, None, None, 81_319, ""),
+    (3, 3, None, None, 97_937, ""),
+    (3, 2, "skip_handoff_wait", "MutualExclusion", 5_726, "trace length: 25"),
+    (2, 1, "no_victim_check", "StarvationFree", 730, "through 9 state(s)"),
+    (3, 1, "no_victim_check", "StarvationFree", 67_065, "through 9 state(s)"),
+]
 
-    def test_holds_three_processes_budget_one(self):
-        assert check_deadlock_freedom(ALockSpec(3, 1)).holds
 
-    def test_holds_three_processes_budget_two(self):
-        """EXPERIMENTS.md, Appendix A: NP=3 at both budgets."""
-        assert check_deadlock_freedom(ALockSpec(3, 2)).holds
-
-
-class TestProgressPossibility:
-    def test_holds_two_processes(self):
-        result = check_progress_possibility(ALockSpec(2, 2))
-        assert result.holds
-
-    def test_holds_three_processes_budget_one(self):
-        result = check_progress_possibility(ALockSpec(3, 1))
-        assert result.holds
+@pytest.mark.parametrize(
+    "n_processes,budget,bug,violated,states,shape", APPENDIX_A,
+    ids=[f"NP{n}-B{b}" + (f"-{bug}" if bug else "")
+         for n, b, bug, *_ in APPENDIX_A])
+def test_appendix_a_row(n_processes, budget, bug, violated, states, shape):
+    result = _check(n_processes, budget, bug)
+    assert result.holds == (violated is None)
+    assert result.property_name == (violated or PROPERTIES)
+    assert result.states_explored == states
+    assert (result.counterexample is None) == (violated is None)
+    if violated:
+        assert shape in str(result.counterexample)
 
 
 class TestCheckerHasTeeth:
     def test_skip_handoff_wait_breaks_mutual_exclusion(self):
         """Skipping the budget await lets a waiter enter alongside its
         predecessor — the checker must find it and produce a trace."""
-        result = check_mutual_exclusion(ALockSpec(3, 2, bug="skip_handoff_wait"))
+        result = _check(3, 2, "skip_handoff_wait")
         assert not result.holds
         cex = result.counterexample
-        assert cex is not None
+        assert cex is not None and cex.loop_start is None
         # trace ends in a state with two processes in cs
         final = cex.states[-1]
         assert len([l for l in final.pc if l == "cs"]) > 1
@@ -80,7 +62,7 @@ class TestCheckerHasTeeth:
     def test_counterexample_trace_is_executable(self):
         """Replaying the counterexample's actions reproduces its states."""
         spec = ALockSpec(3, 2, bug="skip_handoff_wait")
-        cex = check_mutual_exclusion(spec).counterexample
+        cex = _check(3, 2, "skip_handoff_wait").counterexample
         state = cex.states[0]
         for pid, expected in zip(cex.actions, cex.states[1:]):
             state = spec.step(state, pid)
@@ -88,19 +70,17 @@ class TestCheckerHasTeeth:
 
     def test_no_victim_check_livelocks(self):
         """Without the victim yield, two cohort leaders block each other
-        forever: still deadlock-'free' (they keep spinning) but progress
-        becomes impossible — exactly a livelock."""
-        spec = ALockSpec(2, 1, bug="no_victim_check")
-        assert check_deadlock_freedom(spec).holds  # spinning is 'enabled'
-        result = check_progress_possibility(spec)
-        assert not result.holds
+        forever: no deadlock (they keep spinning, so the safety pass
+        completes) but a fair cycle keeps one from cs — a livelock."""
+        result = _check(2, 1, "no_victim_check")
+        assert result.property_name == "StarvationFree"
+        assert result.states_explored == _check(2, 1, None).states_explored
 
     def test_buggy_spec_reaches_double_cs_states(self):
         """The buggy reachable space contains states the invariant
         forbids; the correct one does not."""
-        spec = ALockSpec(3, 2, bug="skip_handoff_wait")
-        assert not check_mutual_exclusion(spec).holds
-        assert check_mutual_exclusion(ALockSpec(3, 2)).holds
+        assert _check(3, 2, "skip_handoff_wait").property_name == "MutualExclusion"
+        assert _check(3, 2, None).holds
 
 
 class TestCounterexampleRendering:
@@ -109,8 +89,7 @@ class TestCounterexampleRendering:
 
     @pytest.fixture(scope="class")
     def cex(self):
-        spec = ALockSpec(3, 2, bug="skip_handoff_wait")
-        return check_mutual_exclusion(spec).counterexample
+        return _check(3, 2, "skip_handoff_wait").counterexample
 
     def test_header_lines(self, cex):
         text = str(cex)
@@ -135,44 +114,21 @@ class TestCounterexampleRendering:
             assert f"(pid {pid} moved)" in lines[2 + i]
 
     def test_progress_counterexample_renders(self):
-        """Livelock traces (progress violation) render the same way."""
-        result = check_progress_possibility(ALockSpec(2, 1, bug="no_victim_check"))
-        assert not result.holds
-        text = str(result.counterexample)
-        assert text.startswith("violation: ")
-        assert "step 0" in text
-
-
-class TestWitnessDeterminism:
-    def test_progress_witness_stable_across_hash_seeds(self):
-        """The livelock witness picked by check_progress_possibility must
-        not depend on PYTHONHASHSEED (BFS over insertion-ordered lists,
-        not set iteration)."""
-        script = (
-            "from repro.verification import ALockSpec, "
-            "check_progress_possibility\n"
-            "r = check_progress_possibility("
-            "ALockSpec(2, 1, bug='no_victim_check'))\n"
-            "print(str(r.counterexample))\n")
-        repo_root = Path(__file__).resolve().parents[2]
-        outs = []
-        for seed in ("0", "1", "31337"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True,
-                env={"PYTHONHASHSEED": seed,
-                     "PYTHONPATH": str(repo_root / "src")})
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1] == outs[2]
+        """A livelock lasso renders the same way, plus the line naming
+        the step its loop returns to."""
+        cex = _check(2, 1, "no_victim_check").counterexample
+        lines = str(cex).splitlines()
+        assert lines[0].startswith("violation: pid ")
+        assert lines[2] == f"loop: the last step returns to step {cex.loop_start}"
+        assert len(lines) == 3 + len(cex.states)
 
 
 class TestExploreBounds:
     def test_max_states_raises_not_truncates(self):
-        with pytest.raises(ConfigError):
-            explore(ALockSpec(3, 1), max_states=100)
+        with pytest.raises(ConfigError, match="max_states=100"):
+            check(ALockSpec(3, 1), max_states=100)
 
     def test_reachability_counts_deterministic(self):
-        a = explore(ALockSpec(2, 2)).states_explored
-        b = explore(ALockSpec(2, 2)).states_explored
+        a = check(ALockSpec(2, 2)).states_explored
+        b = check(ALockSpec(2, 2)).states_explored
         assert a == b == 730
