@@ -16,12 +16,8 @@ The tool also reads counterexample-corpus entries (schema
 ``alock-corpus/<n>``, see :mod:`repro.schedcheck.corpus`): it prints the
 entry header — scenario recipe, minimized decision string, replay
 command — and then renders the referenced post-mortem dump, resolved
-relative to the entry file.
-
-``--selftest`` runs a seeded exploration of the ``lost_wakeup`` seeded
-bug and prints the first failure's dump and report — the tier-1
-determinism gate runs it under different ``PYTHONHASHSEED`` values and
-asserts byte-identical output.
+relative to the entry file; ``--perfetto`` writes that dump's slice and
+is a usage error (exit 2) for an entry whose dump is not on disk.
 """
 
 from __future__ import annotations
@@ -202,20 +198,30 @@ def render_corpus_entry(payload: dict, base_dir: str = "",
                   if scenario.get(knob))
         + "".join(f" --lock-option {k}={v}"
                   for k, v in scenario.get("lock_options", [])))
-    dump_ref = payload.get("dump_ref")
-    if dump_ref:
-        dump_path = os.path.join(base_dir, dump_ref)
-        if os.path.exists(dump_path):
-            with open(dump_path, encoding="utf-8") as fh:
-                dump = json.load(fh)
-            add("")
-            add(render_report(dump, timeline=timeline))
-        else:
-            add(f"(referenced dump {dump_ref} not found under "
-                f"{base_dir or '.'})")
+    dump = referenced_dump(payload, base_dir)
+    if dump is not None:
+        add("")
+        add(render_report(dump, timeline=timeline))
+    elif payload.get("dump_ref"):
+        add(f"(referenced dump {payload['dump_ref']} not found under "
+            f"{base_dir or '.'})")
     else:
         add("(no post-mortem dump recorded for this entry)")
     return "\n".join(lines)
+
+
+def referenced_dump(payload: dict, base_dir: str = "") -> dict | None:
+    """The post-mortem a corpus entry's ``dump_ref`` names, resolved
+    relative to ``base_dir``; None when it names none or the file is not
+    on disk."""
+    dump_ref = payload.get("dump_ref")
+    if not dump_ref:
+        return None
+    dump_path = os.path.join(base_dir, dump_ref)
+    if not os.path.exists(dump_path):
+        return None
+    with open(dump_path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # -- Perfetto trace slice ------------------------------------------------
@@ -252,50 +258,19 @@ def perfetto_json(dump: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# -- selftest (determinism gate) -----------------------------------------
-
-def selftest_output() -> str:
-    """Deterministic canary: explore the seeded ``lost_wakeup`` bug,
-    print the first failure's dump JSON and its rendered report."""
-    from repro.schedcheck.explore import explore_random
-    from repro.schedcheck.scenario import LockScenario
-
-    scenario = LockScenario(
-        lock_kind="mcs", n_nodes=1, threads_per_node=3, ops_per_thread=3,
-        seed=0, lock_options=(("bug", "lost_wakeup"),
-                              ("poll_interval_ns", 200.0)))
-    report = explore_random(scenario, 50, seed=1, stop_on_failure=True)
-    failure = report.first_failure
-    if failure is None or failure.dump is None:  # pragma: no cover
-        return "selftest: no failure found"
-    dump = json.loads(failure.dump)
-    return "\n".join([
-        f"dump={failure.dump}",
-        f"perfetto={perfetto_json(dump)}",
-        render_report(dump),
-    ])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Render a post-mortem dump into a human-readable report.")
-    parser.add_argument("dump", nargs="?",
-                        help="path to a post-mortem JSON file ('-' = stdin)")
+    parser.add_argument("dump",
+                        help="path to a post-mortem JSON file or corpus "
+                             "entry ('-' = stdin)")
     parser.add_argument("--perfetto", metavar="PATH",
                         help="also write the event window as a Perfetto "
                              "trace slice")
     parser.add_argument("--timeline", type=int, default=TIMELINE_LIMIT,
                         help="timeline rows to show (default %(default)s)")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the seeded determinism canary and print "
-                             "its dump + report")
     args = parser.parse_args(argv)
-    if args.selftest:
-        print(selftest_output())
-        return 0
-    if not args.dump:
-        parser.error("a dump path is required (or --selftest)")
     if args.dump == "-":
         dump = json.load(sys.stdin)
         base_dir = ""
@@ -304,10 +279,14 @@ def main(argv=None) -> int:
             dump = json.load(fh)
         base_dir = os.path.dirname(os.path.abspath(args.dump))
     if str(dump.get("schema")).startswith(CORPUS_SCHEMA_PREFIX):
-        print(render_corpus_entry(dump, base_dir=base_dir,
+        entry, dump = dump, referenced_dump(dump, base_dir)
+        if args.perfetto and dump is None:
+            parser.error(f"--perfetto: corpus entry {args.dump} has no "
+                         f"post-mortem dump on disk")
+        print(render_corpus_entry(entry, base_dir=base_dir,
                                   timeline=args.timeline))
-        return 0
-    print(render_report(dump, timeline=args.timeline))
+    else:
+        print(render_report(dump, timeline=args.timeline))
     if args.perfetto:
         with open(args.perfetto, "w", encoding="utf-8") as fh:
             fh.write(perfetto_json(dump))

@@ -11,7 +11,7 @@ Public surface:
 
 * :class:`Environment` — the event loop / clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — awaitables.
-* :class:`AnyOf`, :class:`AllOf` — event combinators.
+* :class:`AnyOf` — the event combinator (first of several).
 * :class:`Resource` — evented FIFO server pool with utilization
   accounting (models the NIC RX pipeline and the RPC server CPU).
 * :class:`Pipeline` — the same FIFO for a stage whose service time is
@@ -21,7 +21,6 @@ Public surface:
 """
 
 from repro.sim.core import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -39,7 +38,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "PENDING",
     "Resource",

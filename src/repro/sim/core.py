@@ -42,8 +42,8 @@ owner directly when the entry is due: no event object, no callbacks
 list, no callback loop.  The entry occupies exactly the ``(time, seq)``
 slot the ``Timeout`` would have, so the schedule — and everything
 derived from it — is the same.
-:class:`Timeout` remains the composable form (``any_of``/``all_of``,
-callbacks, waiting from outside a process).
+:class:`Timeout` remains the composable form (``any_of``, callbacks,
+waiting from outside a process).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.common.errors import ConfigError, SimulationError
 
 __all__ = [
     "PENDING", "Interrupt", "EmitLike",
-    "Event", "Timeout", "Process", "AnyOf", "AllOf",
+    "Event", "Timeout", "Process", "AnyOf",
     "Environment", "core_info",
 ]
 
@@ -429,15 +429,19 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf combinators."""
+class AnyOf(Event):
+    """Triggers when the first constituent event triggers (at once, on
+    an empty list).
 
-    __slots__ = ("events", "_n_done")
+    Value: dict of the triggered events and their values at that moment.
+    A failed constituent fails the condition.
+    """
+
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._n_done = 0
         if not self.events:
             self.succeed({})
             return
@@ -447,44 +451,13 @@ class _Condition(Event):
             ev._add_callback(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev.triggered and ev._ok}
-
-
-class AnyOf(_Condition):
-    """Triggers when the first constituent event triggers.
-
-    Value: dict of the triggered events and their values at that moment.
-    A failed constituent fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
             self.fail(event._value)
         else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers when every constituent event has triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._n_done += 1
-        if self._n_done == len(self.events):
-            self.succeed(self._collect())
+            self.succeed({ev: ev._value for ev in self.events
+                          if ev.triggered and ev._ok})
 
 
 def _describe_wait(event: "Event | _Sleep | None") -> str:
@@ -598,9 +571,6 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- process registry ---------------------------------------------
     def _register_process(self, proc: Process) -> int:

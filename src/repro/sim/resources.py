@@ -328,36 +328,3 @@ class Store:
     @property
     def waiting_getters(self) -> int:
         return len(self._getters)
-
-
-class WaitQueue:
-    """A broadcast/wakeup primitive: processes park on :meth:`wait` and a
-    producer wakes one or all.  Used by the memory watcher layer."""
-
-    __slots__ = ("env", "name", "_waiters")
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self._waiters: deque[Event] = deque()
-
-    def wait(self) -> Event:
-        ev = self.env.event()
-        ev.info = ("waitqueue", self.name or "unnamed")
-        self._waiters.append(ev)
-        return ev
-
-    def wake_one(self, value: Any = None) -> bool:
-        if self._waiters:
-            self._waiters.popleft().succeed(value)
-            return True
-        return False
-
-    def wake_all(self, value: Any = None) -> int:
-        n = len(self._waiters)
-        while self._waiters:
-            self._waiters.popleft().succeed(value)
-        return n
-
-    def __len__(self) -> int:
-        return len(self._waiters)

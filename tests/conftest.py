@@ -19,20 +19,23 @@ leaves no cyclic garbage.
 Import directly (``from tests.conftest import run_lock_clients``) or via
 the back-compat re-exports in ``tests.locks.helpers``.
 
-One fixture lives here too: ``smoke_figure``, each experiment at smoke
-scale, simulated once per session for every test that reads it.
+Two fixtures live here too, each an expensive artefact computed once
+per session for every test that reads it: ``smoke_figure``, every
+experiment at smoke scale, and ``simlint_tree``, simlint's scan of the
+tree.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
-import hashlib
 import gc
 import json
+import subprocess
 import sys
+import time
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -211,30 +214,40 @@ def recorded_fanout():
 
 
 @pytest.fixture(scope="session")
-def smoke_figure():
+def smoke_figure(tmp_path_factory):
     """``smoke_figure("fig5")``: the serial smoke-scale run of one
-    experiment at seed 0, simulated once per session for every reader
-    (the smoke classes, the serial leg of the parallel-parity test);
+    experiment at seed 0.  All ten are simulated once per session, in
+    one interpreter at the hash-seed gate's ``CHECK_SEED``, for every
+    reader (the smoke classes, the serial leg of the parallel-parity
+    test, the fig rows of the hash-seed gate);
     ``smoke_figure.fanout["fig5"]`` is what :func:`recorded_fanout` saw
-    of that run.  Where the hash-seed test pins a golden digest the run
-    is held to it, at this process's own hash seed."""
-    from repro.experiments import run_experiment
-    from tests.ci.test_hashseed_identity import GOLDEN_FIG
+    of that run and ``smoke_figure.hashseed`` the hash seed the child
+    reports."""
+    from tests.ci.test_hashseed_identity import CHECK_SEED, smoke_experiments
 
-    golden = dict(line.split() for line in GOLDEN_FIG.splitlines())
+    hashseed, results, fanout = smoke_experiments(
+        CHECK_SEED, str(tmp_path_factory.mktemp("smoke") / "smoke.pickle"))
 
-    @functools.cache
     def run(experiment_id: str):
-        with recorded_fanout() as record:
-            result = run_experiment(experiment_id, scale="smoke", seed=0)
-        run.fanout[experiment_id] = record
-        if experiment_id in golden:
-            digest = hashlib.blake2b(
-                json.dumps(result.rows, sort_keys=True).encode(),
-                digest_size=16).hexdigest()
-            assert digest == golden[experiment_id], (
-                f"{experiment_id} smoke rows moved: {digest}")
-        return result
+        return results[experiment_id]
 
-    run.fanout = {}
+    run.fanout, run.hashseed = fanout, hashseed
     return run
+
+
+@pytest.fixture(scope="session")
+def simlint_tree():
+    """The tree's one simlint scan per session: the documented gate,
+    ``python -m repro.lint --json src tests benchmarks``, as CI runs it —
+    its exit status, its JSON report and its wall seconds."""
+    root = Path(__file__).resolve().parents[1]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.lint", "--json", "src", "tests",
+         "benchmarks"],
+        capture_output=True, text=True, cwd=root,
+        env={"PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "random"})
+    assert proc.stdout, proc.stderr  # a report, even when it has findings
+    return types.SimpleNamespace(
+        returncode=proc.returncode, stderr=proc.stderr,
+        report=json.loads(proc.stdout), elapsed=time.monotonic() - start)

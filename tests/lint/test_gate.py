@@ -3,15 +3,13 @@
 (docs/architecture.md, "Static analysis: simlint") must still see the
 defect that only it catches."""
 
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.lint import default_rules, run_lint
 from repro.lint.engine import lint_sources
+from repro.lint.findings import Finding
 from repro.lint.source import SourceFile
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -83,33 +81,21 @@ def rule_findings(rule_id: str, file: str, source: str) -> list:
     return [f for f in lint_sources([sf], rules).findings if f.rule == rule_id]
 
 
-@pytest.fixture(scope="module")
-def gate_run():
-    start = time.monotonic()
-    report = run_lint(["src", "tests", "benchmarks"], root=REPO_ROOT,
-                      exclude=["tests/lint/fixtures"])
-    return report, time.monotonic() - start
-
-
 @pytest.mark.lint
 class TestRepoIsClean:
-    def test_api_gate_zero_findings(self, gate_run):
+    def test_api_gate_zero_findings(self, simlint_tree):
         """src + tests + benchmarks lint clean, well inside CI's 30 s
         budget."""
-        report, elapsed = gate_run
-        rendered = "\n".join(f.render() for f in report.findings)
-        assert report.clean, f"simlint findings:\n{rendered}"
-        assert report.files_scanned > 100  # the walk really covered the tree
-        assert elapsed < 30, f"simlint took {elapsed:.1f}s (budget 30s)"
+        report = simlint_tree.report
+        rendered = "\n".join(Finding(**f).render() for f in report["findings"])
+        assert report["clean"], f"simlint findings:\n{rendered}"
+        assert report["files_scanned"] > 100  # the walk really covered the tree
+        assert simlint_tree.elapsed < 30, (
+            f"simlint took {simlint_tree.elapsed:.1f}s (budget 30s)")
 
-    def test_cli_gate_exits_zero(self):
+    def test_cli_gate_exits_zero(self, simlint_tree):
         """The exact command documented in README/tutorial passes."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src", "tests", "benchmarks"],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"),
-                 "PYTHONHASHSEED": "random"})
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert simlint_tree.returncode == 0, simlint_tree.stderr
 
     def test_region_bypass_sees_the_seeded_park(self):
         """Zero findings is also what a rule reports once it no longer

@@ -1,62 +1,48 @@
 """Tier-1 observability gates.
 
-1. **Byte determinism across hash seeds** — the full exported output
-   (trace JSON + metrics JSON + phase summary) of an instrumented run
-   must be byte-identical under different ``PYTHONHASHSEED`` values.
-   Any set/dict-ordering leak in the obs layer fails this immediately.
+1. **Byte determinism** — the full exported output (trace JSON +
+   metrics JSON + phase summary) of an instrumented run is the obs row
+   of ``tests/ci/test_hashseed_identity.py``: its child at
+   ``CHECK_SEED`` must print the golden recorded at ``RECORD_SEED``,
+   and the same probe run twice in this process must too.
 2. **Non-perturbation** — the recording level must not change what
    the simulation *measures*: same ops, same latency samples, same
    final sim time, at every level.
 """
 
-import hashlib
-import os
-import subprocess
-import sys
+import contextlib
+import io
 
 import numpy as np
 
 from repro.obs import INTERVALS, PROTOCOL, RING
-from repro.obs.selftest import selftest_output
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
-
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-
-#: sha256 of the selftest's stdout (Perfetto JSON + metrics JSON + phase
-#: summary), recorded while spans were still recorded eagerly: the span
-#: view's replay must rebuild the same ids, parents, attrs and outcomes.
-#: Re-recorded under ``SCHEDULE_VERSION`` 3: the same end-to-end
-#: latencies; ALock's swap opens the wait it decides, so a leader's
-#: private budget store falls inside its ``peterson.compete`` span and
-#: a follower's link write inside its ``mcs.queue_wait``.
-SELFTEST_SHA256 = \
-    "382dc32313118273c8e366eed70e9a4ce7a97006fc80bf0e7ba1c46e9867d710"
+from tests.ci.test_hashseed_identity import (
+    CHECK_SEED, GOLDEN_OBS, OBS_PROBE, RECORD_SEED, at_check_seed, sha256)
 
 
-def run_selftest(hashseed: str) -> bytes:
-    env = dict(os.environ, PYTHONHASHSEED=hashseed,
-               PYTHONPATH=os.path.abspath(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.obs.selftest"],
-        capture_output=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout
+def obs_export_in_process() -> str:
+    """What the obs probe prints, run in this interpreter."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(OBS_PROBE, {})
+    return out.getvalue()
 
 
 class TestHashSeedDeterminism:
     def test_selftest_byte_identical_across_hash_seeds(self):
-        out0 = run_selftest("0")
-        out1 = run_selftest("12345")
-        h0 = hashlib.sha256(out0).hexdigest()
-        h1 = hashlib.sha256(out1).hexdigest()
-        assert h0 == h1, "obs output depends on PYTHONHASHSEED"
-        assert h0 == SELFTEST_SHA256, "exported spans/metrics changed"
+        # the gate's own child at CHECK_SEED (one per session, cached)
+        out = at_check_seed(OBS_PROBE)
+        assert CHECK_SEED != RECORD_SEED
+        assert sha256(out) == GOLDEN_OBS, "exported spans/metrics changed"
         # Sanity: the output is substantive, not an empty trace.
-        assert b'"ph":"X"' in out0 and b"phase_summary" in out0
+        assert '"ph":"X"' in out and "phase_summary" in out
 
     def test_selftest_stable_in_process(self):
-        assert selftest_output(seed=3) == selftest_output(seed=3)
+        first = obs_export_in_process()
+        assert first == obs_export_in_process()
+        assert sha256(first) == GOLDEN_OBS
 
 
 class TestNonPerturbation:

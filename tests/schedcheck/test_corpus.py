@@ -297,3 +297,39 @@ class TestReplayLine:
             if row.startswith("replay:")]
         for flag in ("--cs-ns 100.0", "--think-ns 50.0", "--stagger-ns 25.0"):
             assert flag in line, line
+
+
+class TestReportPerfetto:
+    """``python -m repro.obs.report <entry> --perfetto PATH`` writes the
+    referenced dump's slice — once it rendered the entry, exited 0 and
+    wrote nothing."""
+
+    ENTRY = os.path.join(os.path.dirname(__file__), "corpus",
+                         "lost_wakeup-deadlock-15547406c69f825f.json")
+
+    def test_writes_the_referenced_dumps_slice(self, tmp_path, capsys):
+        from repro.obs.report import main, perfetto_json
+
+        out = tmp_path / "slice.json"
+        assert main([self.ENTRY, "--perfetto", str(out)]) == 0
+        with open(self.ENTRY, encoding="utf-8") as fh:
+            dump_ref = json.load(fh)["dump_ref"]
+        with open(os.path.join(os.path.dirname(self.ENTRY), dump_ref),
+                  encoding="utf-8") as fh:
+            assert out.read_text() == perfetto_json(json.load(fh))
+        assert "== corpus entry: lost_wakeup" in capsys.readouterr().out
+
+    def test_an_entry_without_a_dump_is_a_usage_error(self, tmp_path, capsys):
+        from repro.obs.report import main
+
+        with open(self.ENTRY, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        del payload["dump_ref"]
+        entry = tmp_path / "entry.json"
+        entry.write_text(json.dumps(payload))
+        out = tmp_path / "slice.json"
+        with pytest.raises(SystemExit) as exc:
+            main([str(entry), "--perfetto", str(out)])
+        assert exc.value.code == 2
+        assert "no post-mortem dump" in capsys.readouterr().err
+        assert not out.exists()

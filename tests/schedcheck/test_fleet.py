@@ -3,9 +3,9 @@
 The canonical fleet report (and every corpus entry frozen from it) is a
 pure function of the :class:`FleetConfig` — sharding cells over 1, 2 or
 4 processes, chunk completion order, and crashed cells must all wash
-out.  ``PYTHONHASHSEED`` immunity rides on the selftest transcript gate
-(``test_replay.py``), which now includes a fleet run and its report
-digest.
+out.  ``PYTHONHASHSEED`` immunity rides on the exploration-transcript
+row of ``tests/ci/test_hashseed_identity.py``, which includes a fleet
+run and its report digest.
 """
 
 import os

@@ -1,10 +1,9 @@
-"""Unit tests for Resource, Store and WaitQueue."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim import Environment, Resource, Store
-from repro.sim.resources import WaitQueue
 
 
 @pytest.fixture()
@@ -179,39 +178,3 @@ class TestStore:
         env.process(consumer())
         env.run()
         assert store.waiting_getters == 1
-
-
-class TestWaitQueue:
-    def test_wake_one(self, env):
-        wq = WaitQueue(env)
-        woken = []
-
-        def sleeper(i):
-            v = yield wq.wait()
-            woken.append((i, v))
-
-        for i in range(3):
-            env.process(sleeper(i))
-        env.run(until=0)
-        assert len(wq) == 3
-        assert wq.wake_one("go")
-        env.run()
-        assert woken == [(0, "go")]
-
-    def test_wake_all(self, env):
-        wq = WaitQueue(env)
-        woken = []
-
-        def sleeper(i):
-            yield wq.wait()
-            woken.append(i)
-
-        for i in range(4):
-            env.process(sleeper(i))
-        env.run(until=0)
-        assert wq.wake_all() == 4
-        env.run()
-        assert woken == [0, 1, 2, 3]
-
-    def test_wake_one_empty_returns_false(self, env):
-        assert not WaitQueue(env).wake_one()
