@@ -4,7 +4,7 @@
 
     alock-experiments list
     alock-experiments run fig1 fig4 --scale small --out results.md
-    alock-experiments run all --scale smoke --parallel
+    alock-experiments run all --scale smoke --workers 2
     alock-experiments run fig5 --scale paper --workers 8
     alock-experiments sweep --lock alock mcs --locality 85 95 \\
         --seeds 0 1 2 --workers 4 --json sweep.json --csv sweep.csv
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 
@@ -38,14 +37,10 @@ from repro.obs.export import write_metrics, write_trace
 
 
 def _resolve_workers(args) -> int:
-    """``--workers N`` wins; ``--parallel`` means one worker per CPU."""
-    if args.workers is not None:
-        if args.workers < 0:
-            raise ConfigError(f"--workers must be >= 0, got {args.workers}")
-        return args.workers
-    if args.parallel:
-        return os.cpu_count() or 1
-    return 0
+    """``--workers N``, checked (0, the default, is serial)."""
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
+    return args.workers
 
 
 def _sweep(args) -> int:
@@ -252,12 +247,10 @@ def _main(argv: list[str] | None) -> int:
     run_p.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the per-run metrics-registry snapshots "
                             "as flat JSON")
-    run_p.add_argument("--workers", type=int, default=None, metavar="N",
+    run_p.add_argument("--workers", type=int, default=0, metavar="N",
                        help="shard experiment cells over N worker processes "
                             "(results are identical to a serial run; 0/1 = "
                             "serial)")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="shorthand for --workers <cpu count>")
     sweep_p = sub.add_parser(
         "sweep",
         help="grid sweep over workload axes with the parallel engine; "
@@ -283,10 +276,8 @@ def _main(argv: list[str] | None) -> int:
     sweep_p.add_argument("--measure-ns", type=float, default=1_000_000.0)
     sweep_p.add_argument("--think-ns", type=float, default=0.0)
     sweep_p.add_argument("--cs-ns", type=float, default=0.0)
-    sweep_p.add_argument("--workers", type=int, default=None, metavar="N",
+    sweep_p.add_argument("--workers", type=int, default=0, metavar="N",
                          help="worker processes (0/1 = serial)")
-    sweep_p.add_argument("--parallel", action="store_true",
-                         help="shorthand for --workers <cpu count>")
     sweep_p.add_argument("--json", default=None, dest="json_out",
                          metavar="FILE", help="write canonical JSON here")
     sweep_p.add_argument("--csv", default=None, dest="csv_out",
@@ -360,10 +351,8 @@ def _main(argv: list[str] | None) -> int:
                          help="walk policy")
     fleet_p.add_argument("--no-shrink", action="store_true",
                          help="skip ddmin of each scenario's first failure")
-    fleet_p.add_argument("--workers", type=int, default=None, metavar="N",
+    fleet_p.add_argument("--workers", type=int, default=0, metavar="N",
                          help="worker processes (0/1 = serial)")
-    fleet_p.add_argument("--parallel", action="store_true",
-                         help="shorthand for --workers <cpu count>")
     fleet_p.add_argument("--corpus-dir", default=".alock-corpus",
                          metavar="DIR",
                          help="where --write-corpus puts entries "

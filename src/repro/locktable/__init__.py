@@ -8,6 +8,7 @@ machine-checked mutual-exclusion witness on every run (a lost update
 means two threads overlapped in a critical section).
 """
 
-from repro.locktable.table import DistributedLockTable, LockEntry
+from repro.locktable.table import (DistributedLockTable, LockEntry,
+                                   count_deadline_ns)
 
-__all__ = ["DistributedLockTable", "LockEntry"]
+__all__ = ["DistributedLockTable", "LockEntry", "count_deadline_ns"]

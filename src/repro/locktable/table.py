@@ -13,6 +13,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster, ThreadContext
 
 
+def count_deadline_ns(n_ops: int, n_clients: int, cs_ns: float,
+                      think_ns: float, stagger_ns: float = 0.0) -> float:
+    """Simulated-time bound of a closed-loop run of ``n_ops`` operations
+    by ``n_clients`` clients (client ``k`` starting ``k * stagger_ns``
+    late): a generous 60 µs per operation plus ten times its dwell, and
+    1 ms of slack.  Clients still alive past it are a stall — livelock
+    or starvation — not a slow run."""
+    per_op = 60_000.0 + 10.0 * (cs_ns + think_ns)
+    return n_ops * per_op + n_clients * stagger_ns + 1_000_000.0
+
+
 @dataclass
 class LockEntry:
     """One table slot: the lock plus the 8-byte counter it guards (both
@@ -58,7 +69,6 @@ class DistributedLockTable:
         self.cluster = cluster
         self.lock_kind = lock_kind
         self.lease_ns = lease_ns
-        self._history = None
         # recovery / degraded-mode metrics
         self.lease_expirations = 0
         self.degraded_entries: set[int] = set()
@@ -154,29 +164,18 @@ class DistributedLockTable:
         :meth:`acquire` returns it."""
         return self.entries[index].lock.unlock(ctx)
 
-    def attach_history(self, recorder) -> None:
-        """Record guarded-counter operations into a
-        :class:`repro.schedcheck.history.HistoryRecorder` — each
-        increment becomes an ``inc`` op returning the pre-increment
-        value, the input of the linearizability checker."""
-        self._history = recorder
-
     def guarded_increment(self, ctx: "ThreadContext", index: int):
         """Critical-section body: a deliberately non-atomic read-modify-
         write of the guarded counter, using the thread's natural API
         family.  Safe iff the lock provides mutual exclusion — lost
         updates surface in :meth:`check_counters`."""
         entry = self.entries[index]
-        opid = (self._history.invoke(ctx.actor, f"counter[{index}]", "inc")
-                if self._history is not None else None)
         if ctx.is_local(entry.counter_ptr):
             value = yield from ctx.read(entry.counter_ptr)
             yield from ctx.write(entry.counter_ptr, value + 1)
         else:
             value = yield from ctx.r_read(entry.counter_ptr)
             yield from ctx.r_write(entry.counter_ptr, value + 1)
-        if opid is not None:
-            self._history.respond(opid, value)
 
     # -- verification ---------------------------------------------------
     def counter_value(self, index: int) -> int:

@@ -1,9 +1,9 @@
 """The protocol trace view: the log as a list of readable steps.
 
 The quickstart replays the paper's Figure 2 from it, the schedcheck
-checkers (:mod:`repro.schedcheck.checkers`) evaluate mutual exclusion
-and the budget bound over it, and ``execution_digest`` hashes every
-line of it.  It shows something only for a cluster recording at the
+verdict (:func:`repro.schedcheck.scenario.check_budget_bounds`)
+evaluates ALock's budget bound over it, and ``execution_digest`` hashes
+every line of it.  It shows something only for a cluster recording at the
 ``PROTOCOL`` level or above (``Cluster(obs=PROTOCOL)``).
 
 The lock code reports raw fields; the one-line ``detail`` strings are

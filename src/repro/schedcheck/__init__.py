@@ -3,8 +3,10 @@
 The engine dispatches same-time events in insertion order; this package
 systematically *permutes* those tie-breaks — the one degree of freedom a
 real machine has that a deterministic simulator normally erases — and
-checks every resulting execution against mutual-exclusion, budget,
-lost-update, race-audit and linearizability oracles.
+checks every resulting execution: the locks' holder oracle fails a
+client on a mutual-exclusion violation during the run, and one post-run
+verdict (:meth:`~repro.schedcheck.scenario.BuiltRun.validate`) checks
+the budget bound, guarded-counter conservation and the race audit.
 
 Workflow: pick a :class:`~repro.schedcheck.scenario.LockScenario`,
 explore with :func:`~repro.schedcheck.explore.explore_random` (seeded
@@ -17,12 +19,6 @@ failure down to a readable decision string and
 byte-identical, across processes and hash seeds.
 """
 
-from repro.schedcheck.checkers import (
-    check_budget_bounds,
-    check_cs_overlap,
-    check_linearizability,
-    run_all_checkers,
-)
 from repro.schedcheck.corpus import (
     CorpusEntry,
     check_entry,
@@ -46,12 +42,6 @@ from repro.schedcheck.fleet import (
     run_fleet,
     write_fleet_corpus,
 )
-from repro.schedcheck.history import HistoryRecorder, Op
-from repro.schedcheck.linearize import (
-    CounterModel,
-    check_history,
-    check_linearizable,
-)
 from repro.schedcheck.policies import (
     FifoPolicy,
     PctPolicy,
@@ -60,18 +50,20 @@ from repro.schedcheck.policies import (
     SchedulePolicy,
     make_policy,
 )
-from repro.schedcheck.scenario import BuiltRun, LockScenario
+from repro.schedcheck.scenario import (
+    BuiltRun,
+    LockScenario,
+    check_budget_bounds,
+)
 from repro.schedcheck.shrink import ShrinkResult, shrink_failure
 
 __all__ = [
-    "BuiltRun", "CorpusEntry", "CounterModel", "Decisions",
-    "ExplorationReport", "FifoPolicy", "FleetConfig", "FleetReport",
-    "HistoryRecorder", "LockScenario", "Op", "PctPolicy",
-    "RandomWalkPolicy", "ReplayPolicy", "SchedulePolicy", "ScheduleResult",
-    "ShrinkResult", "check_budget_bounds", "check_cs_overlap",
-    "check_entry", "check_history", "check_linearizability",
-    "check_linearizable", "enumerate_schedules", "execution_digest",
+    "BuiltRun", "CorpusEntry", "Decisions", "ExplorationReport",
+    "FifoPolicy", "FleetConfig", "FleetReport", "LockScenario",
+    "PctPolicy", "RandomWalkPolicy", "ReplayPolicy", "SchedulePolicy",
+    "ScheduleResult", "ShrinkResult", "check_budget_bounds",
+    "check_entry", "enumerate_schedules", "execution_digest",
     "explore_random", "load_corpus", "make_policy", "replay",
-    "run_all_checkers", "run_fleet", "run_schedule", "shrink_failure",
-    "walk", "write_entry", "write_fleet_corpus",
+    "run_fleet", "run_schedule", "shrink_failure", "walk",
+    "write_entry", "write_fleet_corpus",
 ]

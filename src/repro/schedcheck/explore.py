@@ -18,9 +18,9 @@ Failure taxonomy (``ScheduleResult.failure_kind``):
   process via :meth:`Environment.describe_alive`.
 * ``"stall"``     — the deadline passed with clients alive but events
   still flowing: livelock or starvation.
-* ``"checker"``   — the run completed but a post-hoc checker rejected
-  it (CS overlap, budget bound, lost updates, race audit,
-  linearizability).
+* ``"checker"``   — the run completed but its post-run verdict
+  (:meth:`~repro.schedcheck.scenario.BuiltRun.validate`) rejected it:
+  budget bound, lost updates (counter conservation) or race audit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
 from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
-from repro.schedcheck.checkers import run_all_checkers
 from repro.schedcheck.policies import ReplayPolicy, SchedulePolicy, make_policy
 
 #: trace lines kept on each result for failure reports
@@ -92,7 +91,7 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
                  policy_seed: Optional[int] = None) -> ScheduleResult:
     """Build the scenario fresh and run it to completion under ``policy``
     (``None`` = the engine's un-policied fast path).  The cluster is
-    closed once the digest, the checkers and the dump are taken."""
+    closed once the digest, the verdict and the dump are taken."""
     run = scenario.build()
     env = run.cluster.env
     env.set_schedule_policy(policy)
@@ -130,9 +129,7 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
                else f"still running at the {run.deadline_ns:.0f} ns deadline: ")
             + env.describe_alive())
     else:
-        problems = run_all_checkers(run.cluster.tracer, run.budgets,
-                                    run.history)
-        problems.extend(run.validate())
+        problems = run.validate()
         if problems:
             result.ok = False
             result.failure_kind = "checker"

@@ -15,15 +15,15 @@ tests can hand the explorer bespoke process soups too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.locktable import DistributedLockTable
+from repro.locktable import DistributedLockTable, count_deadline_ns
 from repro.obs import PROTOCOL
+from repro.obs.trace import TraceEvent
 from repro.rdma.config import CostModel, FabricConfig, NicConfig, RdmaConfig
-from repro.schedcheck.history import HistoryRecorder
 from repro.sim.core import Process
 
 
@@ -55,6 +55,68 @@ def coarse_config() -> RdmaConfig:
     return _COARSE
 
 
+def _lock_of(detail: str) -> str:
+    """Lock name from a cs.*/peterson.* detail string (the name is
+    always the first whitespace-separated token)."""
+    return detail.split(" ", 1)[0]
+
+
+def _actor_node(actor: str) -> int:
+    """Node id from a ``t{j}@n{i}`` actor string (-1 if unparseable)."""
+    _, sep, node = actor.rpartition("@n")
+    if not sep:
+        return -1
+    try:
+        return int(node)
+    except ValueError:
+        return -1
+
+
+def check_budget_bounds(trace: Iterable[TraceEvent],
+                        budgets: dict[str, tuple[int, int, int]]) -> list[str]:
+    """Violations of ALock's cohort-budget bound: a cohort may take at
+    most ``budget`` consecutive critical sections between two
+    ``peterson.acquired`` events of its own (§5/Fig. 4 of the paper).
+    More means a budget handoff skipped the decrement or a leader
+    skipped the global competition.
+
+    Args:
+        trace: the run's protocol trace.
+        budgets: lock name -> (home_node, local_budget, remote_budget);
+            locks absent from the map are ignored (non-budgeted kinds).
+    """
+    violations = []
+    # (lock, cohort) -> consecutive CS entries since that cohort's last
+    # peterson.acquired (i.e. since it last won the global competition).
+    streak: dict[tuple[str, str], int] = {}
+    for ev in trace:
+        if ev.kind == "peterson.acquired":
+            lock = _lock_of(ev.detail)
+            if lock not in budgets:
+                continue
+            cohort = "local" if "cohort=LOCAL" in ev.detail else "remote"
+            streak[(lock, cohort)] = 0
+        elif ev.kind == "cs.enter":
+            lock = _lock_of(ev.detail)
+            info = budgets.get(lock)
+            if info is None:
+                continue
+            home, local_budget, remote_budget = info
+            local = _actor_node(ev.actor) == home
+            cohort = "local" if local else "remote"
+            budget = local_budget if local else remote_budget
+            key = (lock, cohort)
+            streak[key] = streak.get(key, 0) + 1
+            if streak[key] > budget:
+                violations.append(
+                    f"[{ev.time:.1f} ns] {cohort} cohort of {lock} took "
+                    f"{streak[key]} consecutive critical sections "
+                    f"(budget {budget}) without re-winning the global "
+                    f"competition — budget handoff discipline violated "
+                    f"(entered by {ev.actor})")
+    return violations
+
+
 @dataclass
 class BuiltRun:
     """One freshly-built execution, ready to run under a policy."""
@@ -62,17 +124,21 @@ class BuiltRun:
     cluster: Cluster
     processes: list[Process]
     table: Optional[DistributedLockTable] = None
-    history: Optional[HistoryRecorder] = None
     expected_ops: int = 0
     deadline_ns: float = 0.0
     #: lock name -> (home_node, local_budget, remote_budget) for the
-    #: budget-bound checker (only budgeted locks appear).
+    #: budget-bound check (only budgeted locks appear).
     budgets: dict = field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        """Post-run invariant checks (beyond the trace checkers):
-        guarded-counter conservation and the Table-1 race audit."""
-        problems = []
+        """The post-run verdict of a run whose clients all finished, in
+        this order: ALock's budget bound over the protocol trace,
+        guarded-counter conservation (which also makes every counter's
+        increment history linearizable, see DESIGN.md) and the Table-1
+        race audit.  Mutual exclusion itself is the holder oracle's
+        (:meth:`repro.locks.base.DistributedLock._note_acquired`), which
+        fails the acquiring client during the run."""
+        problems = check_budget_bounds(self.cluster.tracer, self.budgets)
         if self.table is not None and self.expected_ops:
             try:
                 self.table.check_counters(self.expected_ops)
@@ -132,11 +198,10 @@ class LockScenario:
         lock_options: extra lock-factory options as a ``(("k", v), ...)``
             tuple (hashable; e.g. ``(("bug", "lost_wakeup"),)``).
         seed / audit: forwarded to the cluster.
-        record_history: attach a :class:`HistoryRecorder` to the table
-            (feeds the linearizability checker).
         deadline_ns: sim-time budget; 0 derives a generous bound from
-            the shape.  A run with live clients at the deadline is
-            reported as a stall (livelock or starvation).
+            the shape (:func:`repro.locktable.count_deadline_ns`).
+            A run with live clients at the deadline is reported as a
+            stall (livelock or starvation).
     """
 
     lock_kind: str = "alock"
@@ -151,7 +216,6 @@ class LockScenario:
     lock_options: tuple = ()
     seed: int = 0
     audit: str = "record"
-    record_history: bool = True
     deadline_ns: float = 0.0
     #: quantized cost model (see :func:`coarse_config`); False runs the
     #: calibrated CX-3 model, where same-time ties are rare.
@@ -178,11 +242,6 @@ class LockScenario:
     def expected_ops(self) -> int:
         return self.n_clients * self.ops_per_thread
 
-    def _auto_deadline(self) -> float:
-        per_op = 60_000.0 + 10.0 * (self.cs_ns + self.think_ns)
-        return (self.expected_ops * per_op
-                + self.n_clients * self.stagger_ns + 1_000_000.0)
-
     def build(self) -> BuiltRun:
         n_locks = max(self.n_locks, self.n_nodes)
         cluster = Cluster(self.n_nodes, seed=self.seed, audit=self.audit,
@@ -190,10 +249,6 @@ class LockScenario:
                           config=coarse_config() if self.coarse_time else None)
         table = DistributedLockTable(cluster, n_locks, self.lock_kind,
                                      lock_options=dict(self.lock_options))
-        history = None
-        if self.record_history:
-            history = HistoryRecorder(cluster.env)
-            table.attach_history(history)
         picker = PICKERS[self.pick]
         env = cluster.env
         # floats: a process sleeps by yielding a float delay
@@ -235,9 +290,11 @@ class LockScenario:
                                       lock.remote_budget)
         return BuiltRun(
             cluster=cluster, processes=processes, table=table,
-            history=history, expected_ops=self.expected_ops,
-            deadline_ns=self.deadline_ns or self._auto_deadline(),
+            expected_ops=self.expected_ops,
+            deadline_ns=self.deadline_ns or count_deadline_ns(
+                self.expected_ops, self.n_clients, self.cs_ns,
+                self.think_ns, self.stagger_ns),
             budgets=budgets)
 
 
-__all__ = ["BuiltRun", "LockScenario", "PICKERS"]
+__all__ = ["BuiltRun", "LockScenario", "PICKERS", "check_budget_bounds"]

@@ -761,6 +761,14 @@ class Environment:
             self._now = deadline
         return None
 
+    def drain(self, deadline: float) -> None:
+        """Run every event at or before ``deadline``, like
+        ``run(until=deadline)``, but leave the clock at the last event
+        run instead of moving it to the deadline."""
+        if self._closed:
+            raise SimulationError("drain() on a closed environment")
+        self._run_drain(float(deadline))
+
     def _run_drain(self, deadline: float) -> None:
         """The dispatch loop, with or without a schedule policy:
         :meth:`step` and :meth:`_dispatch` inlined.

@@ -4,10 +4,12 @@ Builds the cluster and lock table from a :class:`WorkloadSpec`, spawns
 one client process per (node, thread), runs the simulation, and collects
 the :class:`RunResult`.
 
-Count mode (``ops_per_thread > 0``) runs every client to completion and
-verifies the guarded counters when ``cs_counter`` is on.  Duration mode
-runs the clock to ``warmup_ns + measure_ns`` and counts the operations
-that completed inside the window — the paper's throughput methodology.
+Count mode (``ops_per_thread > 0``) runs every client to completion —
+within :func:`~repro.locktable.count_deadline_ns`, past which live
+clients are a stall — and verifies the guarded counters when
+``cs_counter`` is on.  Duration mode runs the clock to ``warmup_ns +
+measure_ns`` and counts the operations that completed inside the
+window — the paper's throughput methodology.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
-from repro.locktable import DistributedLockTable
+from repro.locktable import DistributedLockTable, count_deadline_ns
 from repro.obs import INTERVALS, RING, postmortem
 from repro.workload.generator import LockPicker
 from repro.workload.metrics import RunResult
@@ -153,18 +155,29 @@ def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
         measured = len(latencies)
         window = spec.measure_ns
     else:
-        env.run()
+        deadline = count_deadline_ns(
+            spec.ops_per_thread * spec.total_threads, spec.total_threads,
+            spec.cs_ns, spec.think_ns)
+        # drain, not run(until=): the clock stays at the last event, so
+        # a completed run reads as an unbounded one (window, NIC
+        # utilizations).
+        env.drain(deadline)
         stuck = [p for _n, _t, p in procs if p.is_alive]
         if stuck:
-            # The schedule drained with clients parked: simulated
-            # deadlock.  describe_alive names the watched word of each
+            # Clients parked with an empty schedule are a simulated
+            # deadlock; clients alive with events still flowing at the
+            # deadline (a poll for a hand-off that never comes) are a
+            # stall.  describe_alive names the watched word of each
             # parked client (via the region label registry).
+            drained = env.peek() == float("inf")
+            what = ("deadlocked" if drained else
+                    f"still running at the {deadline:.0f} ns deadline")
             raise postmortem.attach(
                 SimulationError(
-                    f"{len(stuck)}/{len(procs)} clients deadlocked: "
+                    f"{len(stuck)}/{len(procs)} clients {what}: "
                     + env.describe_alive()),
-                cluster, reason="deadlock", detail=env.describe_alive(),
-                table=table)
+                cluster, reason="deadlock" if drained else "stall",
+                detail=env.describe_alive(), table=table)
         for node, thread, p in procs:
             if not p.ok:
                 raise postmortem.attach(

@@ -46,6 +46,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 #: the hash seed every golden is recorded at, and the one it is checked at
 RECORD_SEED, CHECK_SEED = "1", "31337"
 
+#: wall-clock bound of one child: the longest, the smoke experiments,
+#: takes 12.5-16 s on a 2-vCPU box, every other child under 1 s
+CHILD_TIMEOUT_S = 120
+
 #: what every child prints first
 SEED_LINE = 'import os\nprint("PYTHONHASHSEED=" + os.environ["PYTHONHASHSEED"])\n'
 
@@ -214,10 +218,10 @@ GOLDEN_TRANSCRIPT = {
     "pct[1]": "9032cbad384a5004f41b09422f3a2263",
     "pct[2]": "d304f71e327492b749ee9a7ae926b739",
     "explore:": "explore: 6 schedules: 6 ok, 0 failed, 6 distinct executions",
-    "fleet:": "fleet: report_digest=f8f3404a464f6a05",
-    "fleet[no_victim_check]:": "e4c0d361fc894079d3f955db435bf1cf",
-    "fleet[skip_budget_wait]:": "bb5a92d395bfd32199f1d3065fd601af",
-    "fleet[lost_wakeup]:": "8b4f1a2817f59e36adac012e4969ec4b",
+    "fleet:": "fleet: report_digest=791c53c5043ca44a",
+    "fleet[no_victim_check]:": "ad9c2161c12506092c113f81b8979f8e",
+    "fleet[skip_budget_wait]:": "466077406bcb512c22d7bd5cbf4e7001",
+    "fleet[lost_wakeup]:": "e706bb12750b497483afdca6447d97f9",
 }
 
 #: the first ``lost_wakeup`` failure's post-mortem under
@@ -247,7 +251,8 @@ def run_probe(probe: str, hashseed: str, *args: str) -> tuple[str, str]:
                PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), REPO]))
     proc = subprocess.run(
         [sys.executable, "-c", SEED_LINE + probe, *args],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=600)
+        cwd=REPO, env=env, capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
     seed_line, _, blob = proc.stdout.partition("\n")
     return seed_line.removeprefix("PYTHONHASHSEED="), blob

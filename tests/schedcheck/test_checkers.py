@@ -1,56 +1,25 @@
-"""Checker tests: CS overlap, budget bounds, linearizability.
+"""The post-run verdict (``BuiltRun.validate``): budget bound, counter
+conservation, race audit.
 
-Unit cases drive the checkers with hand-built traces/histories (including
-the required non-linearizable rejection); the integration cases run real
-scenarios and cross-check the trace-level verdict against the memory-level
-RaceAuditor — independent observers that must agree.
+Unit cases drive the budget-bound check with hand-built traces; the
+integration cases run real scenarios, where the holder oracle, the
+verdict and the memory-level RaceAuditor must agree a schedule is clean,
+and walk ``mixedcas`` — the one registered lock without the strict
+holder oracle — to show its double grants reach the verdict.
 """
 
-import pytest
-
+from repro.common.rng import derive_seed
 from repro.obs.trace import TraceEvent
 from repro.schedcheck import (
-    CounterModel,
     LockScenario,
-    Op,
     check_budget_bounds,
-    check_cs_overlap,
+    make_policy,
     run_schedule,
 )
-from repro.schedcheck.linearize import check_linearizable
 
 
 def ev(time, actor, kind, detail=""):
     return TraceEvent(time, actor, kind, detail)
-
-
-class TestCsOverlap:
-    def test_clean_trace_accepted(self):
-        trace = [ev(0, "t0@n0", "cs.enter", "L"),
-                 ev(10, "t0@n0", "cs.exit", "L"),
-                 ev(20, "t1@n1", "cs.enter", "L"),
-                 ev(30, "t1@n1", "cs.exit", "L")]
-        assert check_cs_overlap(trace) == []
-
-    def test_two_holders_flagged(self):
-        trace = [ev(0, "t0@n0", "cs.enter", "L"),
-                 ev(5, "t1@n1", "cs.enter", "L"),
-                 ev(10, "t0@n0", "cs.exit", "L")]
-        violations = check_cs_overlap(trace)
-        assert len(violations) == 1
-        assert "t1@n1" in violations[0] and "t0@n0" in violations[0]
-
-    def test_disjoint_locks_may_interleave(self):
-        trace = [ev(0, "t0@n0", "cs.enter", "A"),
-                 ev(1, "t1@n1", "cs.enter", "B"),
-                 ev(2, "t0@n0", "cs.exit", "A"),
-                 ev(3, "t1@n1", "cs.exit", "B")]
-        assert check_cs_overlap(trace) == []
-
-    def test_exit_by_non_holder_flagged(self):
-        trace = [ev(0, "t0@n0", "cs.enter", "L"),
-                 ev(5, "t1@n1", "cs.exit", "L")]
-        assert len(check_cs_overlap(trace)) == 1
 
 
 class TestBudgetBounds:
@@ -92,75 +61,59 @@ class TestBudgetBounds:
         assert check_budget_bounds(trace, self.BUDGETS) == []
 
 
-def op(opid, action, result, invoke, response, obj="counter[0]"):
-    return Op(opid, f"t{opid}@n0", obj, action, result, invoke, response)
-
-
-class TestLinearizability:
-    def test_sequential_counter_history_accepted(self):
-        ops = [op(1, "inc", 0, 0, 10), op(2, "inc", 1, 20, 30)]
-        assert check_linearizable(ops, CounterModel()) is None
-
-    def test_concurrent_history_with_reordered_results_accepted(self):
-        # overlapping ops whose results only fit in the *other* order —
-        # exactly what linearizability permits
-        ops = [op(1, "inc", 1, 0, 50), op(2, "inc", 0, 5, 45)]
-        assert check_linearizable(ops, CounterModel()) is None
-
-    def test_hand_built_non_linearizable_history_rejected(self):
-        # two sequential incs both observing 0: the second op's interval
-        # starts after the first responded, so no order can explain it
-        ops = [op(1, "inc", 0, 0, 10), op(2, "inc", 0, 20, 30)]
-        msg = check_linearizable(ops, CounterModel())
-        assert msg is not None and "NOT linearizable" in msg
-
-    def test_lost_update_shape_rejected(self):
-        # three incs, results 0, 0, 1 with disjoint intervals — the
-        # classic lost-update signature a broken lock produces
-        ops = [op(1, "inc", 0, 0, 10), op(2, "inc", 0, 20, 30),
-               op(3, "inc", 1, 40, 50)]
-        assert check_linearizable(ops, CounterModel()) is not None
-
-    def test_refusal_names_the_op_where_the_search_got_stuck(self):
-        # six sequential incs; the fifth by invoke time reads 5 where the
-        # counter holds 4, so the search stops after four and that op is
-        # the first one left
-        results = [0, 1, 2, 3, 5, 5]
-        ops = [op(i + 1, "inc", r, 20 * i, 20 * i + 10)
-               for i, r in enumerate(results)]
-        msg = check_linearizable(ops, CounterModel())
-        assert "linearized at most 4 ops" in msg
-        assert str(ops[4]) in msg
-        assert str(ops[0]) not in msg
-
-    def test_empty_history_accepted(self):
-        assert check_linearizable([], CounterModel()) is None
-
-    def test_memoization_handles_wide_histories(self):
-        # 18 pairwise-overlapping ops with results 0..17: plain Wing-Gong
-        # would branch factorially; the memoized search must finish fast
-        ops = [op(i + 1, "inc", i, 0 + i * 0.001, 1000 + i) for i in range(18)]
-        assert check_linearizable(ops, CounterModel()) is None
-
-
 class TestCheckersAgreeOnRealRuns:
     def test_clean_run_passes_all_observers(self):
-        """Trace checker, race auditor, holder oracle, and the recorded
-        history all validate one real ALock run."""
+        """Holder oracle (no client died), race auditor and the verdict
+        all accept one real ALock run."""
         sc = LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=2,
                           ops_per_thread=2, seed=5)
         run = sc.build()
         run.cluster.env.run(until=run.deadline_ns)
-        assert check_cs_overlap(run.cluster.tracer) == []
+        assert all(p.ok for p in run.processes)
         assert run.cluster.auditor.violation_count == 0
         assert run.validate() == []
-        assert run.history is not None and run.history.ops
-        assert run.history.pending_count == 0
 
-    def test_run_schedule_validates_history_of_every_lock_kind(self):
+    def test_run_schedule_passes_each_lock_kind(self):
         for kind in ("alock", "mcs", "spinlock"):
             result = run_schedule(
                 LockScenario(lock_kind=kind, n_nodes=2, threads_per_node=2,
                              ops_per_thread=2, seed=3), None)
             assert result.ok, f"{kind}: {result.summary()}"
 
+
+class _KeepLast:
+    """A scenario that keeps the last run it built."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.last = None
+
+    def build(self):
+        self.last = self.inner.build()
+        return self.last
+
+
+class TestMixedCasDoubleGrantsReachTheVerdict:
+    """``mixedcas`` counts double grants in ``overlap_oracle`` instead of
+    raising, so the explorer sees them only through the post-run
+    verdict: every schedule with an overlap must be classified
+    ``checker`` by the race audit."""
+
+    SCENARIO = LockScenario(lock_kind="mixedcas", n_nodes=2,
+                            threads_per_node=3, ops_per_thread=3,
+                            pick="single")
+
+    def test_every_overlapping_schedule_is_a_race_audit_failure(self):
+        scenario = _KeepLast(self.SCENARIO)
+        overlapping = 0
+        for policy in ("random", "pct"):
+            for i in range(40):
+                pol = make_policy(
+                    policy, derive_seed(0, "schedcheck", "explore", i))
+                result = run_schedule(scenario, pol)
+                lock = scenario.last.table.entries[0].lock
+                if lock.overlap_oracle > 0:
+                    overlapping += 1
+                    assert result.failure_kind == "checker", result.summary()
+                    assert "race auditor recorded" in result.detail
+        assert overlapping > 0

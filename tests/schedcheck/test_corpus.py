@@ -305,7 +305,7 @@ class TestReportPerfetto:
     wrote nothing."""
 
     ENTRY = os.path.join(os.path.dirname(__file__), "corpus",
-                         "lost_wakeup-deadlock-15547406c69f825f.json")
+                         "lost_wakeup-deadlock-d60ce1da9c15185d.json")
 
     def test_writes_the_referenced_dumps_slice(self, tmp_path, capsys):
         from repro.obs.report import main, perfetto_json

@@ -204,7 +204,7 @@ class TestLockScenarioValidation:
     def test_stagger_delays_later_clients(self):
         sc = LockScenario(lock_kind="spinlock", n_nodes=1,
                           threads_per_node=2, ops_per_thread=1,
-                          stagger_ns=5_000.0, seed=0, record_history=False)
+                          stagger_ns=5_000.0, seed=0)
         base = LockScenario(**{**sc.__dict__, "stagger_ns": 0.0})
         assert run_schedule(sc, None).sim_time_ns > \
             run_schedule(base, None).sim_time_ns

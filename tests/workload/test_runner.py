@@ -1,11 +1,15 @@
 """Tests for the workload runner and metrics."""
 
+import json
+import time
+
 import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.faults import FaultPlan
-from repro.locks import LOCK_TYPES, register_lock_type
+from repro.locks import LOCK_TYPES, DistributedLock, register_lock_type
+from repro.locktable import count_deadline_ns
 from repro.workload import LatencySummary, WorkloadSpec, run_workload
 from tests.conftest import refcounted_runs, small_workload_spec as small_spec
 from tests.obs.test_postmortem import HangLock
@@ -57,6 +61,46 @@ class TestCountMode:
         thinky = run_workload(small_spec(threads_per_node=1, think_ns=10_000))
         assert thinky.latencies_ns.mean() == pytest.approx(
             base.latencies_ns.mean(), rel=0.01)
+
+    def test_a_poll_that_never_succeeds_is_a_stall_not_a_hang(self):
+        """A waiter polling for a hand-off that never comes keeps the
+        schedule busy forever; count mode stops it at the spec's
+        deadline and names the clients still running."""
+        register_lock_type("poll", PollLock)
+        spec = WorkloadSpec(n_nodes=1, threads_per_node=2, n_locks=1,
+                            ops_per_thread=1, lock_kind="poll", audit="off")
+        deadline = count_deadline_ns(2, 2, 0.0, 0.0)
+        started = time.perf_counter()
+        try:
+            with pytest.raises(SimulationError,
+                               match=f"2/2 clients still running at the "
+                                     f"{deadline:.0f} ns deadline") as err:
+                run_workload(spec)
+        finally:
+            del LOCK_TYPES["poll"]
+        assert time.perf_counter() - started < 10.0
+        assert "client-n0t0" in str(err.value)
+        assert "client-n0t1" in str(err.value)
+        assert json.loads(err.value._postmortem)["reason"] == "stall"
+
+
+class PollLock(DistributedLock):
+    """Polls a word nobody ever writes."""
+
+    kind = "poll"
+
+    def __init__(self, cluster, home_node, name=""):
+        super().__init__(cluster, home_node, name)
+        self._ptr = cluster.regions[home_node].alloc_ptr(8)
+
+    def lock(self, ctx):
+        while (yield from ctx.read(self._ptr)) != 1:
+            yield 100.0
+        self._note_acquired(ctx)  # pragma: no cover
+
+    def unlock(self, ctx):  # pragma: no cover - never reached
+        self._note_released(ctx)
+        yield ctx.fence()
 
 
 class TestDurationMode:
