@@ -2,20 +2,21 @@
 
 One *schedule* = one fresh build of a scenario run under one policy
 until every client finishes, the schedule drains (deadlock), or the
-scenario deadline passes (stall/livelock).  The run's tie-break choices
-are recorded as a sparse decision string; feeding that string back
-through :func:`replay` reproduces the execution byte for byte (same
-trace, same metrics, same digest) — the property the shrinker and the
-regression suite are built on.
+scenario deadline passes (stall/livelock); its ``sim_time_ns`` is the
+makespan.  The run's tie-break choices are recorded as a sparse
+decision string; feeding that string back through :func:`replay`
+reproduces the execution byte for byte (same trace, same metrics, same
+digest) — the property the shrinker and the regression suite are built
+on.
 
-Failure taxonomy (``ScheduleResult.failure_kind``):
+Failure taxonomy (``ScheduleResult.failure_kind``); the first three are
+:func:`repro.workload.runner.run_clients`' verdict, count mode's too:
 
 * ``"exception"`` — a client process died (e.g. the holder oracle's
   :class:`~repro.common.errors.ProtocolError` on a mutual-exclusion
   violation).
-* ``"deadlock"``  — the schedule drained with clients still alive (all
-  parked on events nobody will trigger); the detail names each stuck
-  process via :meth:`Environment.describe_alive`.
+* ``"deadlock"``  — the schedule drained with clients parked on events
+  nobody will trigger; the detail names each and what it waits on.
 * ``"stall"``     — the deadline passed with clients alive but events
   still flowing: livelock or starvation.
 * ``"checker"``   — the run completed but its post-run verdict
@@ -35,6 +36,7 @@ from repro.common.rng import derive_seed
 from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
 from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
 from repro.schedcheck.policies import ReplayPolicy, SchedulePolicy, make_policy
+from repro.workload.runner import run_clients
 
 #: trace lines kept on each result for failure reports
 TRACE_TAIL = 12
@@ -95,6 +97,11 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
     run = scenario.build()
     env = run.cluster.env
     env.set_schedule_policy(policy)
+    verdict = run_clients(env, run.processes, run.deadline_ns)
+    makespan = env.now
+    # The digest hashes NIC utilizations read at env.now and the dump
+    # records sim_now_ns, both taken at the deadline since recording
+    # began: move the clock there (nothing is left to dispatch by then).
     env.run(until=run.deadline_ns)
 
     dense = tuple(env.schedule_decisions)
@@ -103,45 +110,26 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
         ok=True,
         decisions=Decisions.from_dense(dense),
         dense=dense, fanouts=fanouts,
-        events=env.event_count, sim_time_ns=env.now,
+        events=env.event_count, sim_time_ns=makespan,
         digest=execution_digest(run.cluster),
         trace_tail=tuple(str(ev) for ev in list(run.cluster.tracer)[-TRACE_TAIL:]),
         schedule_index=schedule_index, policy_seed=policy_seed)
 
-    failed = [p for p in run.processes if p.triggered and not p.ok]
-    alive = [p for p in run.processes if p.is_alive]
-    error_repr = None
-    if failed:
-        p = failed[0]
+    error = None
+    if verdict is not None:
+        result.failure_kind, result.detail, error = verdict
+    elif problems := run.validate():
+        result.failure_kind = "checker"
+        result.detail = "; ".join(problems[:3]) + (
+            f" (+{len(problems) - 3} more)" if len(problems) > 3 else "")
+    if result.failure_kind is not None:
         result.ok = False
-        result.failure_kind = "exception"
-        result.detail = (f"{p.name} died: {type(p.value).__name__}: {p.value}"
-                         + (f" (+{len(failed) - 1} more)" if len(failed) > 1
-                            else ""))
-        error_repr = repr(p.value)
-    elif alive:
-        drained = env.peek() == float("inf")
-        result.ok = False
-        result.failure_kind = "deadlock" if drained else "stall"
-        result.detail = (
-            f"{len(alive)}/{len(run.processes)} clients "
-            + ("parked with an empty schedule: " if drained
-               else f"still running at the {run.deadline_ns:.0f} ns deadline: ")
-            + env.describe_alive())
-    else:
-        problems = run.validate()
-        if problems:
-            result.ok = False
-            result.failure_kind = "checker"
-            result.detail = "; ".join(problems[:3]) + (
-                f" (+{len(problems) - 3} more)" if len(problems) > 3 else "")
-    if not result.ok:
         # Freeze the post-mortem while the failed execution's state is
         # still live: flight window, lock words, wait-for graph.
         result.dump = dump_json(snapshot(
             run.cluster, reason=result.failure_kind, detail=result.detail,
             table=run.table, decisions=result.decisions.to_string(),
-            error=error_repr))
+            error=None if error is None else repr(error)))
         maybe_write_dump(result.dump, result.failure_kind)
     run.cluster.close()
     return result

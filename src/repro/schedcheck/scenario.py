@@ -3,10 +3,12 @@
 A *scenario* is a recipe that builds a fresh cluster + clients for every
 schedule: exploration mutates nothing between runs, it only installs a
 different tie-break policy on the new environment.  The standard
-:class:`LockScenario` mirrors the lock test-suite's stress harness
-(clients doing acquire → guarded increment → release against a lock
-table) with the knobs that matter for interleaving coverage: per-client
-start stagger, critical-section dwell, think time, and the lock picker.
+:class:`LockScenario` *is* the workload runner's count-mode client
+(:func:`repro.workload.runner.spawn_clients`: acquire → CS dwell →
+guarded increment → release against a lock table) on a coarse-timed,
+protocol-traced cluster, with the knobs that matter for interleaving
+coverage: per-client start stagger, critical-section dwell, think time,
+and a deterministic lock-choice pattern in place of the seeded picker.
 
 Anything with a ``build() -> BuiltRun`` method works as a scenario, so
 tests can hand the explorer bespoke process soups too.
@@ -25,6 +27,8 @@ from repro.obs import PROTOCOL
 from repro.obs.trace import TraceEvent
 from repro.rdma.config import CostModel, FabricConfig, NicConfig, RdmaConfig
 from repro.sim.core import Process
+from repro.workload.runner import spawn_clients, wire
+from repro.workload.spec import WorkloadSpec
 
 
 #: the coarse cost model (see :func:`coarse_config`); frozen, so shared
@@ -55,23 +59,6 @@ def coarse_config() -> RdmaConfig:
     return _COARSE
 
 
-def _lock_of(detail: str) -> str:
-    """Lock name from a cs.*/peterson.* detail string (the name is
-    always the first whitespace-separated token)."""
-    return detail.split(" ", 1)[0]
-
-
-def _actor_node(actor: str) -> int:
-    """Node id from a ``t{j}@n{i}`` actor string (-1 if unparseable)."""
-    _, sep, node = actor.rpartition("@n")
-    if not sep:
-        return -1
-    try:
-        return int(node)
-    except ValueError:
-        return -1
-
-
 def check_budget_bounds(trace: Iterable[TraceEvent],
                         budgets: dict[str, tuple[int, int, int]]) -> list[str]:
     """Violations of ALock's cohort-budget bound: a cohort may take at
@@ -90,30 +77,28 @@ def check_budget_bounds(trace: Iterable[TraceEvent],
     # peterson.acquired (i.e. since it last won the global competition).
     streak: dict[tuple[str, str], int] = {}
     for ev in trace:
+        if ev.kind != "peterson.acquired" and ev.kind != "cs.enter":
+            continue
+        lock = ev.detail.split(" ", 1)[0]  # the detail's first token
+        if lock not in budgets:
+            continue
         if ev.kind == "peterson.acquired":
-            lock = _lock_of(ev.detail)
-            if lock not in budgets:
-                continue
             cohort = "local" if "cohort=LOCAL" in ev.detail else "remote"
             streak[(lock, cohort)] = 0
-        elif ev.kind == "cs.enter":
-            lock = _lock_of(ev.detail)
-            info = budgets.get(lock)
-            if info is None:
-                continue
-            home, local_budget, remote_budget = info
-            local = _actor_node(ev.actor) == home
-            cohort = "local" if local else "remote"
-            budget = local_budget if local else remote_budget
-            key = (lock, cohort)
-            streak[key] = streak.get(key, 0) + 1
-            if streak[key] > budget:
-                violations.append(
-                    f"[{ev.time:.1f} ns] {cohort} cohort of {lock} took "
-                    f"{streak[key]} consecutive critical sections "
-                    f"(budget {budget}) without re-winning the global "
-                    f"competition — budget handoff discipline violated "
-                    f"(entered by {ev.actor})")
+            continue
+        home, local_budget, remote_budget = budgets[lock]
+        local = ev.actor.endswith(f"@n{home}")  # actors are t{j}@n{i}
+        cohort = "local" if local else "remote"
+        budget = local_budget if local else remote_budget
+        key = (lock, cohort)
+        streak[key] = streak.get(key, 0) + 1
+        if streak[key] > budget:
+            violations.append(
+                f"[{ev.time:.1f} ns] {cohort} cohort of {lock} took "
+                f"{streak[key]} consecutive critical sections "
+                f"(budget {budget}) without re-winning the global "
+                f"competition — budget handoff discipline violated "
+                f"(entered by {ev.actor})")
     return violations
 
 
@@ -150,6 +135,13 @@ class BuiltRun:
                 f"race auditor recorded {audit.violation_count} Table-1 "
                 f"violation(s): {audit.violations[0]}")
         return problems
+
+
+def lock_budgets(table: DistributedLockTable) -> dict:
+    """:attr:`BuiltRun.budgets` of ``table``'s budgeted locks."""
+    return {entry.lock.name: (entry.lock.home_node, entry.lock.local_budget,
+                              entry.lock.remote_budget)
+            for entry in table.entries if hasattr(entry.lock, "local_budget")}
 
 
 def _pick_single(node, thread, op, table):
@@ -235,66 +227,31 @@ class LockScenario:
             raise ConfigError("ops_per_thread must be >= 1")
 
     @property
-    def n_clients(self) -> int:
-        return self.n_nodes * self.threads_per_node
-
-    @property
     def expected_ops(self) -> int:
-        return self.n_clients * self.ops_per_thread
+        return self.n_nodes * self.threads_per_node * self.ops_per_thread
 
     def build(self) -> BuiltRun:
-        n_locks = max(self.n_locks, self.n_nodes)
-        cluster = Cluster(self.n_nodes, seed=self.seed, audit=self.audit,
-                          obs=PROTOCOL, faults=self.faults,
-                          config=coarse_config() if self.coarse_time else None)
-        table = DistributedLockTable(cluster, n_locks, self.lock_kind,
-                                     lock_options=dict(self.lock_options))
-        picker = PICKERS[self.pick]
-        env = cluster.env
-        # floats: a process sleeps by yielding a float delay
-        stagger_ns, cs_ns, think_ns = (
-            float(self.stagger_ns), float(self.cs_ns), float(self.think_ns))
-
-        def client(node: int, thread: int, order: int):
-            ctx = cluster.thread_ctx(node, thread)
-            if stagger_ns > 0 and order > 0:
-                yield order * stagger_ns
-            for op in range(self.ops_per_thread):
-                idx = picker(node, thread, op, table)
-                # No try/finally release: a client that dies mid-CS must
-                # LEAVE the lock held so the failure is observable (the
-                # explorer classifies the dead client and the checkers
-                # see the unreleased lock); cleanup would mask the bug.
-                yield from table.acquire(ctx, idx)
-                if cs_ns > 0:
-                    yield cs_ns
-                yield from table.guarded_increment(ctx, idx)
-                yield from table.release(ctx, idx)
-                if think_ns > 0:
-                    yield think_ns
-
-        processes = []
-        order = 0
-        for node in range(self.n_nodes):
-            for thread in range(self.threads_per_node):
-                processes.append(env.process(
-                    client(node, thread, order),
-                    name=f"client-n{node}t{thread}"))
-                order += 1
-
-        budgets = {}
-        for entry in table.entries:
-            lock = entry.lock
-            if hasattr(lock, "local_budget"):
-                budgets[lock.name] = (lock.home_node, lock.local_budget,
-                                      lock.remote_budget)
+        spec = WorkloadSpec(
+            n_nodes=self.n_nodes, threads_per_node=self.threads_per_node,
+            n_locks=max(self.n_locks, self.n_nodes),
+            lock_kind=self.lock_kind, lock_options=self.lock_options,
+            ops_per_thread=self.ops_per_thread, cs_ns=self.cs_ns,
+            think_ns=self.think_ns, cs_counter=True, seed=self.seed,
+            audit=self.audit, faults=self.faults)
+        cluster, table = wire(
+            spec, obs=PROTOCOL,
+            config=coarse_config() if self.coarse_time else None)
+        processes, _tally = spawn_clients(
+            spec, cluster, table, PICKERS[self.pick],
+            stagger_ns=self.stagger_ns, abort_on_timeout=False)
         return BuiltRun(
             cluster=cluster, processes=processes, table=table,
             expected_ops=self.expected_ops,
             deadline_ns=self.deadline_ns or count_deadline_ns(
-                self.expected_ops, self.n_clients, self.cs_ns,
+                self.expected_ops, spec.total_threads, self.cs_ns,
                 self.think_ns, self.stagger_ns),
-            budgets=budgets)
+            budgets=lock_budgets(table))
 
 
-__all__ = ["BuiltRun", "LockScenario", "PICKERS", "check_budget_bounds"]
+__all__ = ["BuiltRun", "LockScenario", "PICKERS", "check_budget_bounds",
+           "lock_budgets"]

@@ -62,25 +62,15 @@ class LockPicker:
         else:
             self._local_cdf = None
             self._remote_cdf = None
-        # statistics
-        self.local_picks = 0
-        self.remote_picks = 0
 
     def next_lock(self) -> int:
         """Lock index for the thread's next operation."""
         draws = self._draws
         if self._p_local >= 1.0 or draws.random() < self._p_local:
-            self.local_picks += 1
             indices, cdf = self._local, self._local_cdf
         else:
-            self.remote_picks += 1
             indices, cdf = self._remote, self._remote_cdf
         if cdf is None:
             return indices[draws.below(len(indices))]
         rank = int(np.searchsorted(cdf, draws.random(), side="right"))
         return indices[min(rank, len(indices) - 1)]
-
-    @property
-    def observed_locality_pct(self) -> float:
-        total = self.local_picks + self.remote_picks
-        return 100.0 * self.local_picks / total if total else 0.0

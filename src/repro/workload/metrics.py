@@ -99,10 +99,6 @@ class RunResult:
         return LatencySummary.from_samples(self.latencies_ns)
 
     @property
-    def local_latency(self) -> LatencySummary:
-        return LatencySummary.from_samples(self.latencies_ns[self.local_mask])
-
-    @property
     def remote_latency(self) -> LatencySummary:
         return LatencySummary.from_samples(self.latencies_ns[~self.local_mask])
 

@@ -2,7 +2,8 @@
 
 Builds the cluster and lock table from a :class:`WorkloadSpec`, spawns
 one client process per (node, thread), runs the simulation, and collects
-the :class:`RunResult`.
+the :class:`RunResult`.  Schedcheck shares its one lock client
+(:func:`spawn_clients`) and count-mode verdict (:func:`run_clients`).
 
 Count mode (``ops_per_thread > 0``) runs every client to completion —
 within :func:`~repro.locktable.count_deadline_ns`, past which live
@@ -13,6 +14,9 @@ window — the paper's throughput methodology.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from itertools import count, repeat
 
 import numpy as np
 
@@ -38,46 +42,45 @@ def build_cluster(spec: WorkloadSpec, **cluster_kwargs) -> tuple[Cluster, Distri
     return cluster, table
 
 
-def run_workload(spec: WorkloadSpec, *, obs: int = RING,
-                 **cluster_kwargs) -> RunResult:
-    """Execute one workload run; deterministic for a given spec.
-
-    Args:
-        obs: the cluster's recording level (:mod:`repro.obs.log`).  At
-            ``INTERVALS`` the result carries the run's spans, its
-            metrics tree and how many events the log's capacity
-            dropped; nothing the run measures depends on the level.
-
-    The cluster is closed once the result or the post-mortem is built.
-    """
-    cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
-    try:
-        return _run(spec, obs, cluster, table)
-    finally:
-        cluster.close()
+# A harness may rebind build_cluster (run_workload looks it up when it
+# runs) to observe each run's cluster; a scenario builds through this.
+wire = build_cluster
 
 
-def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
-         table: DistributedLockTable) -> RunResult:
-    """:func:`run_workload`'s run, on a built cluster."""
+def spawn_clients(spec: WorkloadSpec, cluster: Cluster,
+                  table: DistributedLockTable, pick=None, *,
+                  stagger_ns: float = 0.0, abort_on_timeout: bool = True):
+    """Start one closed-loop client per (node, thread), named
+    ``client-n{node}t{thread}`` and created node-major; return them and
+    the dict their counts and samples go to.  An operation: acquire, the
+    fault layer's holder stall, ``cs_ns`` dwell, guarded increment (with
+    ``cs_counter``), release, ``think_ns``.  ``pick(node, thread, op,
+    table)`` chooses each lock (default: the spec's seeded
+    :class:`LockPicker`); client ``k`` starts ``k * stagger_ns`` late;
+    ``abort_on_timeout=False`` lets a :class:`VerbTimeout` kill its
+    client instead of retiring it."""
     env = cluster.env
     duration_mode = spec.ops_per_thread == 0
-    window_start = spec.warmup_ns
-    window_end = spec.warmup_ns + spec.measure_ns
-
-    latencies: list[float] = []
-    local_flags: list[bool] = []
-    per_thread_ops: dict[tuple[int, int], int] = {}
-    completed = {"ops": 0, "cs_increments": 0, "aborted_clients": 0,
-                 "injected_cs_stalls": 0}
+    window_start, window_end = spec.warmup_ns, spec.warmup_ns + spec.measure_ns
+    tally = {"ops": 0, "cs_increments": 0, "aborted_clients": 0,
+             "injected_cs_stalls": 0, "latencies": [], "local_flags": [],
+             "per_thread_ops": {}}
+    latencies, local_flags = tally["latencies"], tally["local_flags"]
+    per_thread_ops = tally["per_thread_ops"]
     injector = cluster.fault_injector
 
-    def client(node: int, thread: int):
+    def client(node: int, thread: int, delay: float):
         ctx = cluster.thread_ctx(node, thread)
-        picker = LockPicker(
-            spec, node, thread,
-            table.local_indices(node), table.remote_indices(node),
-            cluster.rng.get("workload", node, thread))
+        if pick is None:
+            next_lock = LockPicker(
+                spec, node, thread,
+                table.local_indices(node), table.remote_indices(node),
+                cluster.rng.get("workload", node, thread)).next_lock
+        else:  # pick(node, thread, op, table) for op = 0, 1, 2, ...
+            next_lock = map(partial(pick, node, thread), count(),
+                            repeat(table)).__next__
+        if delay > 0:
+            yield delay
         # Hot-loop hoists: the table/spec fields are immutable for the
         # run, and the leaseless path drives the lock generator directly,
         # saving the call in which table.acquire/release would only hand
@@ -90,15 +93,15 @@ def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
         cs_ns, think_ns = float(spec.cs_ns), float(spec.think_ns)
         ops_done = 0
         while duration_mode or ops_done < ops_cap:
-            idx = picker.next_lock()
+            idx = next_lock()
             entry = entries[idx]
             is_local = entry.home_node == node
             start = env._now
             try:
-                # A VerbTimeout below aborts this client *without* a
-                # release: it models a crashed holder, which is exactly
-                # the stall the locktable's lease monitor must detect
-                # (degraded-entry reporting), so no cleanup by design.
+                # No try/finally release: a client that dies or aborts
+                # mid-CS LEAVES the lock held, as a crashed holder would
+                # (the stall the lease monitor must detect); cleanup
+                # would mask the failure.
                 if leased:
                     yield from table.acquire(ctx, idx)
                 else:
@@ -108,24 +111,26 @@ def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
                     # pause, preemption) — what the lease monitor catches.
                     stall_ns = injector.holder_stall(node, thread)
                     if stall_ns > 0:
-                        completed["injected_cs_stalls"] += 1
+                        tally["injected_cs_stalls"] += 1
                         yield float(stall_ns)
-                if cs_counter:
-                    yield from table.guarded_increment(ctx, idx)
-                    completed["cs_increments"] += 1
                 if cs_ns > 0:
                     yield cs_ns
+                if cs_counter:
+                    yield from table.guarded_increment(ctx, idx)
+                    tally["cs_increments"] += 1
                 yield from entry.lock.unlock(ctx)
             except VerbTimeout:
                 # The lock's home partition stayed unreachable past the
                 # retry budget (e.g. a long crash window): this client
                 # cannot safely continue against that queue.  Record the
                 # abort and retire; every other client keeps running.
-                completed["aborted_clients"] += 1
+                if not abort_on_timeout:
+                    raise
+                tally["aborted_clients"] += 1
                 break
             end = env._now
             ops_done += 1
-            completed["ops"] += 1
+            tally["ops"] += 1
             if duration_mode:
                 if window_start <= end < window_end:
                     latencies.append(end - start)
@@ -145,90 +150,114 @@ def _run(spec: WorkloadSpec, obs: int, cluster: Cluster,
     procs = []
     for node in range(spec.n_nodes):
         for thread in range(spec.threads_per_node):
-            procs.append((node, thread, env.process(
-                client(node, thread), name=f"client-n{node}t{thread}")))
+            procs.append(env.process(
+                client(node, thread, len(procs) * float(stagger_ns)),
+                name=f"client-n{node}t{thread}"))
+    return procs, tally
 
-    if duration_mode:
-        env.run(until=window_end)
-        # Clients that completed an op at/after window_end returned; any
-        # still blocked mid-operation are simply abandoned with the run.
-        measured = len(latencies)
-        window = spec.measure_ns
-    else:
-        deadline = count_deadline_ns(
-            spec.ops_per_thread * spec.total_threads, spec.total_threads,
-            spec.cs_ns, spec.think_ns)
-        # drain, not run(until=): the clock stays at the last event, so
-        # a completed run reads as an unbounded one (window, NIC
-        # utilizations).
-        env.drain(deadline)
-        stuck = [p for _n, _t, p in procs if p.is_alive]
-        if stuck:
-            # Clients parked with an empty schedule are a simulated
-            # deadlock; clients alive with events still flowing at the
-            # deadline (a poll for a hand-off that never comes) are a
-            # stall.  describe_alive names the watched word of each
-            # parked client (via the region label registry).
-            drained = env.peek() == float("inf")
-            what = ("deadlocked" if drained else
-                    f"still running at the {deadline:.0f} ns deadline")
-            raise postmortem.attach(
-                SimulationError(
-                    f"{len(stuck)}/{len(procs)} clients {what}: "
-                    + env.describe_alive()),
-                cluster, reason="deadlock" if drained else "stall",
-                detail=env.describe_alive(), table=table)
-        for node, thread, p in procs:
-            if not p.ok:
+
+def run_clients(env, processes, deadline_ns: float):
+    """Run count-mode clients within ``deadline_ns``, leaving the clock at
+    the makespan, and judge them: ``None`` if all finished, else ``(kind,
+    detail, error)`` — a dead client first (``"exception"``), then live
+    ones parked with an empty schedule (``"deadlock"``) or with events
+    still flowing (``"stall"``)."""
+    env.drain(deadline_ns)
+    failed = [p for p in processes if p.triggered and not p.ok]
+    if failed:
+        p, more = failed[0], len(failed) - 1
+        return ("exception", f"{p.name} died: {type(p.value).__name__}: "
+                f"{p.value}" + (f" (+{more} more)" if more else ""), p.value)
+    alive = [p for p in processes if p.is_alive]
+    if not alive:
+        return None
+    drained = env.peek() == float("inf")
+    what = ("parked with an empty schedule" if drained
+            else f"still running at the {deadline_ns:.0f} ns deadline")
+    return ("deadlock" if drained else "stall",
+            f"{len(alive)}/{len(processes)} clients {what}: "
+            + env.describe_alive(), None)
+
+
+def run_workload(spec: WorkloadSpec, *, obs: int = RING,
+                 **cluster_kwargs) -> RunResult:
+    """Execute one workload run; deterministic for a given spec.
+
+    Args:
+        obs: the cluster's recording level (:mod:`repro.obs.log`).  At
+            ``INTERVALS`` the result carries the run's spans, its
+            metrics tree and how many events the log's capacity
+            dropped; nothing the run measures depends on the level.
+
+    The cluster is closed once the result or the post-mortem is built.
+    """
+    cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
+    try:
+        env = cluster.env
+        procs, tally = spawn_clients(spec, cluster, table)
+        if spec.ops_per_thread == 0:
+            env.run(until=spec.warmup_ns + spec.measure_ns)
+            # Clients that completed an op at/after the window's end
+            # returned; any still blocked mid-operation are abandoned.
+            measured = len(tally["latencies"])
+            window = spec.measure_ns
+        else:
+            deadline = count_deadline_ns(
+                spec.ops_per_thread * spec.total_threads, spec.total_threads,
+                spec.cs_ns, spec.think_ns)
+            # The clock stays at the last event, so a completed run reads
+            # as an unbounded one (window, NIC utilizations).
+            verdict = run_clients(env, procs, deadline)
+            if verdict is not None:
+                kind, detail, error = verdict
                 raise postmortem.attach(
-                    SimulationError(
-                        f"client n{node}t{thread} failed: {p.value!r}"),
-                    cluster, reason="exception",
-                    detail=f"client n{node}t{thread}: {p.value!r}",
-                    table=table) from (
-                        p.value if isinstance(p.value, BaseException) else None)
-        measured = completed["ops"]
-        window = env.now
-        if spec.cs_counter:
-            try:
-                table.check_counters(completed["cs_increments"])
-            except AssertionError as exc:
-                raise postmortem.attach(exc, cluster, reason="checker",
-                                        detail=str(exc), table=table)
+                    SimulationError(detail), cluster, reason=kind,
+                    detail=detail, table=table) from error
+            measured = tally["ops"]
+            window = env.now
+            if spec.cs_counter:
+                try:
+                    table.check_counters(tally["cs_increments"])
+                except AssertionError as exc:
+                    raise postmortem.attach(exc, cluster, reason="checker",
+                                            detail=str(exc), table=table)
 
-    if spec.audit != "off":
-        cluster.auditor.assert_clean()
+        if spec.audit != "off":
+            cluster.auditor.assert_clean()
 
-    fault_stats: dict = {}
-    if injector is not None:
-        fault_stats = injector.stats()
-        fault_stats.update(table.recovery_stats())
-        fault_stats["aborted_clients"] = completed["aborted_clients"]
-        fault_stats["injected_cs_stalls"] = completed["injected_cs_stalls"]
+        fault_stats: dict = {}
+        injector = cluster.fault_injector
+        if injector is not None:
+            fault_stats = injector.stats()
+            fault_stats.update(table.recovery_stats())
+            fault_stats["aborted_clients"] = tally["aborted_clients"]
+            fault_stats["injected_cs_stalls"] = tally["injected_cs_stalls"]
 
-    spans: list = []
-    obs_metrics: dict = {}
-    dropped_events = 0
-    if obs == INTERVALS:
-        spans = cluster.obs.spans.spans()
-        obs_metrics = cluster.obs.metrics.collect()
-        dropped_events = cluster.log.dropped
+        spans: list = []
+        obs_metrics: dict = {}
+        dropped_events = 0
+        if obs == INTERVALS:
+            spans = cluster.obs.spans.spans()
+            obs_metrics = cluster.obs.metrics.collect()
+            dropped_events = cluster.log.dropped
 
-    net_stats = cluster.network.stats()
-    return RunResult(
-        spec=spec,
-        completed_ops=completed["ops"],
-        measured_ops=measured,
-        window_ns=window,
-        latencies_ns=np.asarray(latencies, dtype=np.float64),
-        local_mask=np.asarray(local_flags, dtype=bool),
-        per_thread_ops=dict(per_thread_ops),
-        atomicity_violations=cluster.auditor.violation_count,
-        nic_stats=net_stats["nics"],
-        verb_counts=net_stats["verbs"],
-        loopback_verbs=net_stats["loopback_verbs"],
-        fault_stats=fault_stats,
-        spans=spans,
-        obs_metrics=obs_metrics,
-        dropped_events=dropped_events,
-    )
+        net_stats = cluster.network.stats()
+        return RunResult(
+            spec=spec,
+            completed_ops=tally["ops"],
+            measured_ops=measured,
+            window_ns=window,
+            latencies_ns=np.asarray(tally["latencies"], dtype=np.float64),
+            local_mask=np.asarray(tally["local_flags"], dtype=bool),
+            per_thread_ops=dict(tally["per_thread_ops"]),
+            atomicity_violations=cluster.auditor.violation_count,
+            nic_stats=net_stats["nics"],
+            verb_counts=net_stats["verbs"],
+            loopback_verbs=net_stats["loopback_verbs"],
+            fault_stats=fault_stats,
+            spans=spans,
+            obs_metrics=obs_metrics,
+            dropped_events=dropped_events,
+        )
+    finally:
+        cluster.close()

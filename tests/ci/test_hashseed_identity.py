@@ -121,7 +121,8 @@ sc = LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=2,
                   ops_per_thread=2, seed=5)
 base = run_schedule(sc, None)
 fifo = run_schedule(sc, FifoPolicy())
-print(f"baseline digest={base.digest} events={base.events}")
+print(f"baseline digest={base.digest} events={base.events} "
+      f"sim_time_ns={base.sim_time_ns}")
 print(f"fifo     digest={fifo.digest} match={fifo.digest == base.digest}")
 for kind in ("random", "pct"):
     for i in range(3):
@@ -209,7 +210,8 @@ GOLDEN_OBS = "382dc32313118273c8e366eed70e9a4ce7a97006fc80bf0e7ba1c46e9867d710"
 #: the exploration and fleet transcript under ``SCHEDULE_VERSION`` 3,
 #: keyed by first word; the long lines by digest
 GOLDEN_TRANSCRIPT = {
-    "baseline": "baseline digest=94d4de36124f67cae6e44c35589b0f42 events=235",
+    "baseline": ("baseline digest=94d4de36124f67cae6e44c35589b0f42 events=235 "
+                 "sim_time_ns=43800.0"),
     "fifo": "fifo     digest=94d4de36124f67cae6e44c35589b0f42 match=True",
     "random[0]": "867bc26af03d3ff7eb3d5732f179a6c0",
     "random[1]": "4fd093881ae54cb5124698756a140e0d",

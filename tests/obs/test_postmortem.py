@@ -221,7 +221,7 @@ class TestRunnerDeadlockPostmortem:
         with pytest.raises(SimulationError) as err:
             run_workload(spec)
         # satellite 1: the error itself names the watched word per client
-        assert "deadlocked" in str(err.value)
+        assert "2/2 clients parked with an empty schedule" in str(err.value)
         assert "hang[0]@n0.never" in str(err.value)
         # the tentpole: the exception carries the full post-mortem
         dump = json.loads(err.value._postmortem)

@@ -35,7 +35,7 @@ def test_raising_cell_becomes_failed_record(hang):
     assert len(res.rows) == 3
     ((cell, failure),) = res.failures
     assert cell.coords == (("lock_kind", "hang"),)
-    assert "deadlocked" in failure.error
+    assert "parked with an empty schedule" in failure.error
 
 
 def test_raising_cell_serial_path_matches(hang):

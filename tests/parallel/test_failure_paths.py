@@ -90,7 +90,7 @@ class TestPmapFailures:
         assert serial == pooled
         assert serial.startswith("2 of 3 cell(s) failed:\n  [0] hang ")
         assert "\n  [2] hang n2x1 locks=20 loc=100% seed=1: " in serial
-        assert "deadlocked" in serial
+        assert "parked with an empty schedule" in serial
 
 
 class TestSeedAxisCollision:

@@ -15,7 +15,7 @@ def test_failed_cell_carries_dump(hang):
     good, bad = pmap_outcomes([ok_spec, ok_spec.with_(lock_kind=hang)],
                               workers=0)
     assert not isinstance(good, CellFailure)
-    assert isinstance(bad, CellFailure) and "deadlocked" in bad.error
+    assert isinstance(bad, CellFailure) and "parked with an empty schedule" in bad.error
     dump = json.loads(bad.dump)
     assert dump["schema"] == SCHEMA
     assert dump["reason"] == "deadlock"

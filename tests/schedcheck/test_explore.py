@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError
+from repro.faults import FaultPlan
+from repro.locktable import count_deadline_ns
 from repro.obs import PROTOCOL
 from repro.schedcheck import (
     BuiltRun,
@@ -16,6 +18,9 @@ from repro.schedcheck import (
 )
 from repro.schedcheck.fleet import SEEDED_BUGS
 from repro.schedcheck.policies import make_policy
+from repro.schedcheck.scenario import coarse_config, lock_budgets
+from repro.workload import WorkloadSpec
+from repro.workload.runner import build_cluster, spawn_clients
 from tests.conftest import refcounted_runs
 
 TINY = LockScenario(lock_kind="spinlock", n_nodes=1, threads_per_node=2,
@@ -134,6 +139,19 @@ class TestFailureTaxonomy:
         result = run_schedule(_CustomScenario("deadlock"), None)
         assert "(default)" in result.summary()
 
+    def test_verb_timeout_kills_a_scenario_client(self):
+        """A workload client retires on a VerbTimeout; a scenario's dies
+        of it, and the schedule reports the death."""
+        sc = LockScenario(lock_kind="spinlock", n_nodes=2, threads_per_node=1,
+                          ops_per_thread=1, pick="remote",
+                          faults=FaultPlan(verb_loss_rate=1.0,
+                                           retry_timeout_ns=5_000.0,
+                                           retry_backoff=1.0, retry_limit=2))
+        result = run_schedule(sc, None)
+        assert result.failure_kind == "exception"
+        assert result.detail.startswith("client-n0t0 died: VerbTimeout: ")
+        assert result.detail.endswith(" (+1 more)")
+
 
 class TestFinishedScheduleLeavesNoCyclicGarbage:
     """``run_schedule`` closes the scenario's cluster once the digest,
@@ -200,6 +218,31 @@ class TestLockScenarioValidation:
         assert run.budgets
         for home, local_b, remote_b in run.budgets.values():
             assert local_b >= 1 and remote_b >= 1
+
+    def test_a_shrunken_fig5_cell_walks_clean(self):
+        """A count-mode fig5 cell (seeded LockPicker, 90 % locality,
+        guarded counter) walks as a scenario through the same spawn
+        function, no hand-written picker needed.  At seed 4, three of its
+        eight operations go to remote locks."""
+        spec = WorkloadSpec(n_nodes=2, threads_per_node=2, n_locks=20,
+                            locality_pct=90.0, ops_per_thread=2,
+                            cs_counter=True, audit="record", seed=4)
+
+        class Fig5Cell:
+            def build(self):
+                cluster, table = build_cluster(spec, obs=PROTOCOL,
+                                               config=coarse_config())
+                processes, _tally = spawn_clients(spec, cluster, table)
+                return BuiltRun(
+                    cluster=cluster, processes=processes, table=table,
+                    expected_ops=8, deadline_ns=count_deadline_ns(8, 4, 0, 0),
+                    budgets=lock_budgets(table))
+
+        reports = [explore_random(Fig5Cell(), 20, seed=0, policy=policy)
+                   for policy in ("random", "pct")]
+        assert [(r.schedules_run, r.ok_count)
+                for r in reports] == [(20, 20)] * 2
+        assert all(r.distinct_executions > 1 for r in reports)
 
     def test_stagger_delays_later_clients(self):
         sc = LockScenario(lock_kind="spinlock", n_nodes=1,

@@ -33,16 +33,33 @@ SCENARIOS = [
 ]
 
 
+class _Kept:
+    """``scenario``, keeping the last run it built readable."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.run = None
+
+    def build(self):
+        self.run = self.scenario.build()
+        return self.run
+
+
 class TestFifoRegression:
     @pytest.mark.parametrize("scenario", SCENARIOS,
                              ids=lambda s: s.lock_kind)
     def test_fifo_policy_reproduces_default_schedule(self, scenario):
-        base = run_schedule(scenario, None)
+        kept = _Kept(scenario)
+        base = run_schedule(kept, None)
         fifo = run_schedule(scenario, FifoPolicy())
         assert base.ok and fifo.ok
         assert fifo.digest == base.digest
         assert fifo.events == base.events
         assert fifo.sim_time_ns == base.sim_time_ns
+        # the makespan: at or after the last trace line, short of the
+        # deadline the clock is moved to for the digest
+        last = list(kept.run.cluster.tracer)[-1].time
+        assert last <= base.sim_time_ns < kept.run.deadline_ns
         # every recorded decision is the default pick -> empty string
         assert not fifo.decisions
 

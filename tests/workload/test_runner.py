@@ -229,7 +229,7 @@ class TestFinishedRunLeavesNoCyclicGarbage:
                             ops_per_thread=1, lock_kind="hang", audit="off")
         try:
             with refcounted_runs() as closed:
-                with pytest.raises(SimulationError, match="deadlocked") as err:
+                with pytest.raises(SimulationError, match="parked with an empty schedule") as err:
                     run_workload(spec)
                 assert err.value._postmortem
                 del err

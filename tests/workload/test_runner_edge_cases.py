@@ -30,7 +30,8 @@ class TestErrorPropagation:
                 "exploding",
                 lambda cluster, home_node, **kw: ExplodingLock(cluster, home_node, **kw))
 
-        with pytest.raises(SimulationError, match="client .* failed"):
+        with pytest.raises(SimulationError, match=r"client-n0t0 died: "
+                           r"RuntimeError: boom \(\+1 more\)"):
             run_workload(WorkloadSpec(n_nodes=2, threads_per_node=1,
                                       n_locks=2, lock_kind="exploding",
                                       ops_per_thread=1, audit="off"))
