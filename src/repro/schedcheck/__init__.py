@@ -10,8 +10,9 @@ the budget bound, guarded-counter conservation and the race audit.
 
 Workflow: pick a :class:`~repro.schedcheck.scenario.LockScenario`,
 explore with :func:`~repro.schedcheck.explore.explore_random` (seeded
-random walk or PCT priorities; :func:`~repro.schedcheck.fleet.run_fleet`
-fans the same walk over worker processes) or
+random walk or PCT priorities; :mod:`repro.schedcheck.fleet` fans the
+same walk over worker processes and, as the one schedcheck module that
+loads the process pool, is not re-exported here) or
 :func:`~repro.schedcheck.explore.enumerate_schedules` (bounded
 exhaustive), then :func:`~repro.schedcheck.shrink.shrink_failure` any
 failure down to a readable decision string and
@@ -36,12 +37,6 @@ from repro.schedcheck.explore import (
     run_schedule,
     walk,
 )
-from repro.schedcheck.fleet import (
-    FleetConfig,
-    FleetReport,
-    run_fleet,
-    write_fleet_corpus,
-)
 from repro.schedcheck.policies import (
     FifoPolicy,
     PctPolicy,
@@ -59,11 +54,9 @@ from repro.schedcheck.shrink import ShrinkResult, shrink_failure
 
 __all__ = [
     "BuiltRun", "CorpusEntry", "Decisions", "ExplorationReport",
-    "FifoPolicy", "FleetConfig", "FleetReport", "LockScenario",
-    "PctPolicy", "RandomWalkPolicy", "ReplayPolicy", "SchedulePolicy",
-    "ScheduleResult", "ShrinkResult", "check_budget_bounds",
-    "check_entry", "enumerate_schedules", "execution_digest",
-    "explore_random", "load_corpus", "make_policy", "replay",
-    "run_fleet", "run_schedule", "shrink_failure", "walk",
-    "write_entry", "write_fleet_corpus",
+    "FifoPolicy", "LockScenario", "PctPolicy", "RandomWalkPolicy",
+    "ReplayPolicy", "SchedulePolicy", "ScheduleResult", "ShrinkResult",
+    "check_budget_bounds", "check_entry", "enumerate_schedules",
+    "execution_digest", "explore_random", "load_corpus", "make_policy",
+    "replay", "run_schedule", "shrink_failure", "walk", "write_entry",
 ]

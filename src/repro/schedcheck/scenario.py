@@ -225,6 +225,9 @@ class LockScenario:
                 f"unknown picker {self.pick!r}; known: {sorted(PICKERS)}")
         if self.ops_per_thread < 1:
             raise ConfigError("ops_per_thread must be >= 1")
+        if self.pick in ("remote", "mixed") and self.n_nodes < 2:
+            raise ConfigError(f"pick {self.pick!r} needs a remote lock, but "
+                              f"with n_nodes={self.n_nodes} every lock is local")
 
     @property
     def expected_ops(self) -> int:

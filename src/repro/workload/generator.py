@@ -36,7 +36,8 @@ class LockPicker:
     generator's bit generator, which reads ahead, so nothing else may
     draw from ``rng``.  The choices are exactly those of the generator's
     own scalar ``random()``/``integers()`` calls, in the same order —
-    including drawing nothing to pick from a single lock.
+    including drawing nothing to pick from a single lock.  The index
+    lists are the table's own, shared by the node's threads: read-only.
     """
 
     def __init__(self, spec: WorkloadSpec, node: int, thread: int,
@@ -52,8 +53,8 @@ class LockPicker:
         self.node = node
         self.thread = thread
         self._draws = Draws(rng.bit_generator)
-        self._local = [int(i) for i in local_indices]
-        self._remote = [int(i) for i in remote_indices]
+        self._local = local_indices
+        self._remote = remote_indices
         self._p_local = spec.locality_pct / 100.0
         if spec.distribution == "zipfian":
             self._local_cdf = _zipf_cdf(len(self._local), spec.zipf_theta)

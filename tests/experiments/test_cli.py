@@ -51,6 +51,8 @@ class TestRun:
         (["explore", "--schedules", "0"], "budget must be >= 1, got 0"),
         (["explore", "--policy", "dfs", "--max-choice-points", "-1"],
          "max_choice_points must be >= 0, got -1"),
+        (["explore", "--nodes", "1", "--pick", "remote"],
+         "pick 'remote' needs a remote lock, but with n_nodes=1"),
     ])
     def test_bad_option_values_are_reported_the_same(self, argv, message,
                                                      capsys):

@@ -202,6 +202,21 @@ class TestLockScenarioValidation:
         with pytest.raises(ConfigError):
             LockScenario(ops_per_thread=0)
 
+    @pytest.mark.parametrize("pick", ["remote", "mixed"])
+    def test_remote_picks_need_a_second_node(self, pick):
+        """With one node there is no remote lock: the pattern is refused
+        at construction instead of every client dying mid-run."""
+        with pytest.raises(ConfigError,
+                           match=rf"pick '{pick}' .*n_nodes=1"):
+            LockScenario(lock_kind="spinlock", n_nodes=1,
+                         threads_per_node=2, pick=pick)
+
+    @pytest.mark.parametrize("pick", ["single", "local"])
+    def test_local_picks_build_at_one_node(self, pick):
+        sc = LockScenario(lock_kind="spinlock", n_nodes=1,
+                          threads_per_node=2, ops_per_thread=2, pick=pick)
+        assert run_schedule(sc, None).ok
+
     def test_scenarios_are_hashable_recipes(self):
         a = LockScenario(seed=1, lock_options=(("bug", "lost_wakeup"),))
         b = LockScenario(seed=1, lock_options=(("bug", "lost_wakeup"),))

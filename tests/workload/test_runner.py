@@ -10,7 +10,7 @@ from repro.common.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.locks import LOCK_TYPES, DistributedLock, register_lock_type
 from repro.locktable import count_deadline_ns
-from repro.workload import LatencySummary, WorkloadSpec, run_workload
+from repro.workload import LatencySummary, WorkloadSpec, run_workload, runner
 from tests.conftest import refcounted_runs, small_workload_spec as small_spec
 from tests.obs.test_postmortem import HangLock
 
@@ -82,6 +82,40 @@ class TestCountMode:
         assert "client-n0t0" in str(err.value)
         assert "client-n0t1" in str(err.value)
         assert json.loads(err.value._postmortem)["reason"] == "stall"
+
+
+class TestPickersShareTheTablesLists:
+    """Each client's :class:`LockPicker` reads the table's own index
+    lists instead of a copy (240 copies of a 950-entry list in a paper
+    cell).  Sharing makes a mutating picker a bug that crosses clients,
+    so the lists must be the table's and unchanged by a run."""
+
+    def test_pickers_hold_the_table_lists_and_leave_them_unchanged(
+            self, monkeypatch):
+        pickers = []
+
+        class RecordingPicker(runner.LockPicker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pickers.append(self)
+
+        monkeypatch.setattr(runner, "LockPicker", RecordingPicker)
+        spec = small_spec(n_locks=8, locality_pct=50.0, cs_counter=True)
+        cluster, table = runner.build_cluster(spec)
+        before = {node: (list(table.local_indices(node)),
+                         list(table.remote_indices(node)))
+                  for node in range(spec.n_nodes)}
+        procs, tally = runner.spawn_clients(spec, cluster, table)
+        deadline = count_deadline_ns(40, spec.total_threads, 0.0, 0.0)
+        assert runner.run_clients(cluster.env, procs, deadline) is None
+        cluster.close()
+        assert tally["ops"] == 40 and not all(tally["local_flags"])
+        assert len(pickers) == spec.total_threads
+        for picker in pickers:
+            assert picker._local is table.local_indices(picker.node)
+            assert picker._remote is table.remote_indices(picker.node)
+        assert {node: (table.local_indices(node), table.remote_indices(node))
+                for node in range(spec.n_nodes)} == before
 
 
 class PollLock(DistributedLock):
