@@ -8,10 +8,6 @@
     alock-experiments run fig5 --scale paper --workers 8
     alock-experiments sweep --lock alock mcs --locality 85 95 \\
         --seeds 0 1 2 --workers 4 --json sweep.json --csv sweep.csv
-    alock-experiments sweep ... --cache .alock-cache   # memoize cells on
-                                                       # disk; a re-run
-                                                       # recomputes only what
-                                                       # the store is missing
     alock-experiments explore --lock alock --schedules 50 --shrink
     alock-experiments explore --lock mcs --lock-option bug=lost_wakeup \\
         --lock-option poll_interval_ns=200 --nodes 1 --threads 3 --ops 3
@@ -44,11 +40,10 @@ def _resolve_workers(args) -> int:
 
 
 def _sweep(args) -> int:
-    from repro.parallel import METRICS, CellFailure, ResultCache, run_sweep_parallel
+    from repro.parallel import METRICS, CellFailure, run_sweep_parallel
     from repro.workload.spec import WorkloadSpec
 
     workers = _resolve_workers(args)
-    cache = ResultCache(args.cache) if args.cache else None
     # Multi-valued arguments become sweep axes; single values pin the
     # base spec.  Declared order fixes the enumeration (= output) order.
     axis_args = (("lock_kind", args.lock_kind), ("n_nodes", args.nodes),
@@ -80,14 +75,10 @@ def _sweep(args) -> int:
 
     result = run_sweep_parallel(
         base, axes, seeds=args.seeds, workers=workers, metric=args.metric,
-        on_result=_progress if args.progress else None, cache=cache)
+        on_result=_progress if args.progress else None)
     print(f"swept {len(result.results)} cells "
           f"({len(result.failures)} failed) with "
           f"{result.workers} worker(s) in {result.elapsed_s:.1f}s")
-    if cache is not None:
-        print(f"cache: served {result.cache_hits} cell(s) from "
-              f"{args.cache}, computed {result.cache_misses} "
-              f"({cache.stats.writes} written back)")
     for cell, res in zip(result.cells, result.results):
         if not isinstance(res, CellFailure):
             print(f"  {_where(cell)}: {args.metric}={res['metric']:.0f}")
@@ -282,12 +273,6 @@ def _main(argv: list[str] | None) -> int:
                          metavar="FILE", help="write canonical JSON here")
     sweep_p.add_argument("--csv", default=None, dest="csv_out",
                          metavar="FILE", help="write canonical CSV here")
-    sweep_p.add_argument("--cache", default=None, metavar="DIR",
-                         help="content-addressed result cache in DIR: "
-                              "unchanged cells are served from it instead of "
-                              "recomputed, so re-running an interrupted sweep "
-                              "resumes it; output bytes are identical either "
-                              "way (default: no cache)")
     sweep_p.add_argument("--progress", action="store_true",
                          help="print each cell as it completes (stderr)")
     exp_p = sub.add_parser(

@@ -450,13 +450,13 @@ _POOL_IMPORTS = frozenset({"ProcessPoolExecutor", "multiprocessing"})
 
 #: blob (de)serializers: no module of the sensitive packages may import
 #: one.  Pickled bytes on disk are a process boundary stretched over
-#: time; the sweep cache's store writes canonical JSON rows instead.
+#: time; the corpus and the post-mortem dumps are canonical JSON instead.
 _SERIALIZATION_MODULES = frozenset({"pickle", "cPickle", "marshal", "shelve",
                                     "dill", "cloudpickle"})
 _SERIALIZER_FINDING = (
-    "blob (de)serialization in a sensitive package; cache entries are "
-    "canonical-JSON rows written by repro.parallel.store, and nothing here "
-    "may unpickle a file")
+    "blob (de)serialization in a sensitive package; corpus entries and "
+    "post-mortem dumps are canonical JSON, and nothing here may unpickle "
+    "a file")
 
 
 def _decorator_names(func: ast.AST) -> set[str]:
@@ -479,9 +479,9 @@ class ProcessBoundaryRule(Rule):
       submit loop (orphan-free shutdown, failed-chunk isolation);
     * blob (de)serializers (``pickle``/``marshal``/``shelve``/…) may
       not be imported at all — a serialized blob on disk is a process
-      boundary stretched over time, and the one thing the sweep cache
-      stores (``repro.parallel.store``) is a canonical-JSON row that is
-      re-audited after every load;
+      boundary stretched over time, and the files the package reads back
+      (``repro.schedcheck.corpus`` entries, post-mortem dumps) are
+      canonical JSON;
     * a ``@worker_entry`` function must be defined at module top level:
       nested or method defs are not picklable by reference and would
       fail only at runtime, on the first parallel run;

@@ -14,20 +14,16 @@ Quick start::
         seeds=range(3), workers=4)
     res.write(json_path="sweep.json", csv_path="sweep.csv")
 
-The output is byte-identical at any ``workers`` value, and again when
-``cache=ResultCache(".alock-cache")`` serves cells from its store.
+The output is byte-identical at any ``workers`` value.
 ``enumerate_grid`` is the one cartesian driver and ``pmap_outcomes`` the
 one fan-out: a sweep reduces each cell's ``RunResult`` to a row, an
 experiment (``repro.experiments.base.run_specs``) keeps it whole.
 """
 
-from repro.parallel.cache import (CacheStats, ResultCache, canonical_spec,
-                                  source_fingerprint)
 from repro.parallel.cells import (Cell, CellFailure, check_boundary_value,
                                   worker_entry)
 from repro.parallel.engine import (METRICS, default_chunk_size,
                                    pmap_outcomes, pmap_workloads)
-from repro.parallel.store import BlobStore
 from repro.parallel.sweep import (ParallelSweepResult, enumerate_grid,
                                   run_sweep_parallel)
 
@@ -35,6 +31,4 @@ __all__ = [
     "Cell", "CellFailure", "check_boundary_value", "worker_entry",
     "METRICS", "default_chunk_size", "pmap_outcomes", "pmap_workloads",
     "ParallelSweepResult", "enumerate_grid", "run_sweep_parallel",
-    "CacheStats", "ResultCache", "canonical_spec", "source_fingerprint",
-    "BlobStore",
 ]

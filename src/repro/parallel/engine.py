@@ -34,7 +34,7 @@ from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
 
 #: Named metrics a sweep row records under ``"metric"``.  Referenced by
-#: name so the choice is a plain string in every API and cache digest.
+#: name so the choice is a plain string in every API and output file.
 METRICS: dict[str, Callable[[RunResult], float]] = {
     "throughput": lambda r: r.throughput_ops_per_sec,
     "p50": lambda r: r.latency.p50,

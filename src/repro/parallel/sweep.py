@@ -7,7 +7,7 @@ serialize.  The JSON/CSV is **byte-identical at any worker count**
 (tests/parallel/test_determinism.py): enumeration order is output
 order, each cell is a sealed seeded run, and outcomes come back by
 input position, never completion order.  How the sweep ran (workers,
-elapsed time, cache counters) stays out of the serialized payload.
+elapsed time) stays out of the serialized payload.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
 from repro.locks.base import LOCK_TYPES, unknown_lock_type
-from repro.parallel.cache import ResultCache
 from repro.parallel.cells import Cell, CellFailure, check_boundary_value
 from repro.parallel.engine import METRICS, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
@@ -63,9 +62,8 @@ def enumerate_grid(base: WorkloadSpec, axes: "dict[str, Sequence]",
 class ParallelSweepResult:
     """Merged outcome of a (possibly parallel) sweep: ``results[i]`` is
     ``cells[i]``'s metric row or its :class:`CellFailure`, in
-    enumeration order.  ``workers``, ``elapsed_s`` and the cache
-    counters say how the sweep *ran* and are never serialized — a cached
-    row and a computed row are the same row."""
+    enumeration order.  ``workers`` and ``elapsed_s`` say how the sweep
+    *ran* and are never serialized."""
 
     axes: tuple[str, ...]
     cells: list[Cell] = field(default_factory=list)
@@ -73,8 +71,6 @@ class ParallelSweepResult:
     metric: str = "throughput"
     workers: int = 1
     elapsed_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def rows(self) -> list[dict]:
@@ -144,19 +140,14 @@ def run_sweep_parallel(base: WorkloadSpec, axes: "dict[str, Sequence]", *,
                        workers: int = 0, metric: str = "throughput",
                        chunk_size: Optional[int] = None,
                        on_result: Optional[Callable[[Cell, RowOrFailure], None]] = None,
-                       executor_factory=None,
-                       cache: Optional[ResultCache] = None) -> ParallelSweepResult:
+                       executor_factory=None) -> ParallelSweepResult:
     """Run a (seed × config) grid sweep on ``workers`` processes
     (``<= 1``: inline) and return the merged result, byte-identical at
     any worker count.  An unknown metric or lock kind is a
     :class:`ConfigError` before any cell runs.
 
     ``on_result(cell, row_or_failure)`` reports progress in completion
-    order (cache hits first).  A ``cache`` is looked up for every cell
-    before anything is submitted — an all-hit sweep builds no pool — and
-    a fresh row is written back before ``on_result`` sees it, so
-    re-running an interrupted sweep with the same cache recomputes only
-    the missing cells.  The serialized bytes are the same either way.
+    order.
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {sorted(METRICS)}")
@@ -167,35 +158,20 @@ def run_sweep_parallel(base: WorkloadSpec, axes: "dict[str, Sequence]", *,
     start = time.perf_counter()  # simlint: ignore[nondet-source]
     results: list = [None] * len(cells)
 
-    def record(i: int, result: RowOrFailure) -> None:
-        results[i] = result
-        if on_result is not None:
-            on_result(cells[i], result)
-
-    if cache is not None:
-        for i, cell in enumerate(cells):
-            row = cache.get(cell.spec, metric)
-            if row is not None:
-                record(i, row)
-    todo = [i for i, r in enumerate(results) if r is None]
-
-    def on_outcome(j: int, outcome) -> None:
-        i = todo[j]
+    def on_outcome(i: int, outcome) -> None:
         if not isinstance(outcome, CellFailure):
             row = outcome.summary_row()
             row["metric"] = float(METRICS[metric](outcome))
-            if cache is not None:
-                cache.put(cells[i].spec, metric, row)
             outcome = row
-        record(i, outcome)
+        results[i] = outcome
+        if on_result is not None:
+            on_result(cells[i], outcome)
 
-    pmap_outcomes([cells[i].spec for i in todo], workers=workers,
+    pmap_outcomes([cell.spec for cell in cells], workers=workers,
                   chunk_size=chunk_size, executor_factory=executor_factory,
                   on_result=on_outcome)
     elapsed = time.perf_counter() - start  # simlint: ignore[nondet-source]
     return ParallelSweepResult(
         axes=tuple(name for name, _ in cells[0].coords) if cells else (),
         cells=cells, results=results, metric=metric,
-        workers=max(1, workers), elapsed_s=elapsed,
-        cache_hits=len(cells) - len(todo) if cache is not None else 0,
-        cache_misses=len(todo) if cache is not None else 0)
+        workers=max(1, workers), elapsed_s=elapsed)

@@ -225,6 +225,15 @@ class LockScenario:
                 f"unknown picker {self.pick!r}; known: {sorted(PICKERS)}")
         if self.ops_per_thread < 1:
             raise ConfigError("ops_per_thread must be >= 1")
+        if self.cs_ns < 0:
+            raise ConfigError(f"cs_ns must be >= 0, got {self.cs_ns}")
+        if self.think_ns < 0:
+            raise ConfigError(f"think_ns must be >= 0, got {self.think_ns}")
+        if self.stagger_ns < 0:
+            raise ConfigError(f"stagger_ns must be >= 0, got {self.stagger_ns}")
+        if self.deadline_ns < 0:
+            raise ConfigError(
+                f"deadline_ns must be >= 0, got {self.deadline_ns}")
         if self.pick in ("remote", "mixed") and self.n_nodes < 2:
             raise ConfigError(f"pick {self.pick!r} needs a remote lock, but "
                               f"with n_nodes={self.n_nodes} every lock is local")

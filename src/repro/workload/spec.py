@@ -88,6 +88,12 @@ class WorkloadSpec:
             raise ConfigError("ops_per_thread must be >= 0")
         if self.ops_per_thread == 0 and self.measure_ns <= 0:
             raise ConfigError("duration mode needs measure_ns > 0")
+        if self.warmup_ns < 0:
+            raise ConfigError(f"warmup_ns must be >= 0, got {self.warmup_ns}")
+        if self.think_ns < 0:
+            raise ConfigError(f"think_ns must be >= 0, got {self.think_ns}")
+        if self.cs_ns < 0:
+            raise ConfigError(f"cs_ns must be >= 0, got {self.cs_ns}")
         if self.distribution not in ("uniform", "zipfian"):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
         if isinstance(self.lock_options, dict):

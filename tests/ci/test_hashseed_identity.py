@@ -240,7 +240,7 @@ suspected rule: lost wakeup: the schedule drained with waiters parked \
 #: simlint's findings over its fixtures, linted as simulator modules
 #: (count, digest of the rendered list in order)
 GOLDEN_LINT = """\
-findings 36 e27d6d7ffe1c8321512ce34c4ed24db1
+findings 36 edaf8cc8ea66bc9d9f1bc862d4fc1fa2
 """
 
 

@@ -53,6 +53,9 @@ class TestRun:
          "max_choice_points must be >= 0, got -1"),
         (["explore", "--nodes", "1", "--pick", "remote"],
          "pick 'remote' needs a remote lock, but with n_nodes=1"),
+        (["sweep", "--think-ns", "-1"], "think_ns must be >= 0, got -1.0"),
+        (["explore", "--cs-ns", "-100000"],
+         "cs_ns must be >= 0, got -100000.0"),
     ])
     def test_bad_option_values_are_reported_the_same(self, argv, message,
                                                      capsys):
@@ -75,6 +78,31 @@ class TestRun:
 
     def test_seed_changes_are_accepted(self, capsys):
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0
+
+
+class TestSweep:
+    def test_same_bytes_at_any_worker_count(self, tmp_path, capsys):
+        """``sweep`` end to end: the grid's JSON and CSV are the same
+        bytes serial and on a pool, and the option list is closed."""
+        written = []
+        for workers in (0, 2):
+            json_out = tmp_path / f"w{workers}.json"
+            csv_out = tmp_path / f"w{workers}.csv"
+            assert main(["sweep", "--lock", "alock", "mcs", "--seeds", "0", "1",
+                         "--workers", str(workers), "--json", str(json_out),
+                         "--csv", str(csv_out)]) == 0
+            written.append((json_out.read_bytes(), csv_out.read_bytes()))
+        assert written[0] == written[1]
+        cells = json.loads(written[0][0])["cells"]
+        assert [c["key"] for c in cells] == [
+            [["seed", s], ["lock_kind", k]]
+            for s in (0, 1) for k in ("alock", "mcs")]
+        assert all(c["ok"] for c in cells)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--cache", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
 #: sha256 of the smoke-scale ``--trace-out``/``--metrics-out`` files at

@@ -24,13 +24,10 @@ M = "src/repro/locks/baselines/mcs.py"
 #: (``None``: the first new line) and a fragment of its message.
 KILLS = {
     "N1": (
-        "nondet-source", "src/repro/parallel/cache.py",
-        [("        return hashlib.sha256(json.dumps(",
-          '        return "%064x" % (hash(json.dumps(payload, sort_keys=True, '
-          'separators=(",", ":"))) & (2**256 - 1))'),
-         ('            payload, sort_keys=True, separators=(",", ":")).encode("utf-8")',
-          ""),
-         ("        ).hexdigest()", "")],
+        "nondet-source", "src/repro/obs/postmortem.py",
+        [('    digest = hashlib.blake2b(dump_str.encode("utf-8"), '
+          'digest_size=8).hexdigest()',
+          '    digest = "%016x" % (hash(dump_str) & (2**64 - 1))')],
         None, "'hash()' depends on"),
     "U2": (
         "unordered-iter", "src/repro/parallel/sweep.py",
@@ -50,11 +47,11 @@ KILLS = {
           ".watch(ptr_addr(ptr))")],
         None, "raw check-then-park"),
     "PB1": (
-        "process-boundary", "src/repro/parallel/store.py",
+        "process-boundary", "src/repro/schedcheck/corpus.py",
         [("import json", "import json, pickle"),
-         ('                payload = json.loads(fh.read().decode("utf-8"))',
-          "                data = fh.read(); payload = pickle.loads(data) "
-          "if data[:1] == b'\\x80' else json.loads(data.decode('utf-8'))")],
+         ("        return entry_from_payload(json.load(fh))",
+          "        data = fh.buffer.read(); return entry_from_payload("
+          "pickle.loads(data) if data[:1] == b'\\x80' else json.loads(data))")],
         None, "blob (de)serialization"),
     "E1": (
         "engine-chokepoint", "src/repro/sim/resources.py",

@@ -140,9 +140,9 @@ class TestProcessBoundaryRule:
         assert "blob (de)serialization" in messages
 
     def test_store_may_neither_serialize_nor_spawn(self):
-        """The cache store writes JSON rows: no module is a blob
-        (de)serialization chokepoint any more."""
-        assert len(self.findings(module="repro.parallel.store")) == 6
+        """The corpus store reads and writes JSON entries: no module
+        is a blob (de)serialization chokepoint."""
+        assert len(self.findings(module="repro.schedcheck.corpus")) == 6
 
     def test_silent_outside_sensitive_packages(self):
         assert not self.findings(module="benchmarks.fixture")

@@ -211,6 +211,12 @@ class TestLockScenarioValidation:
             LockScenario(lock_kind="spinlock", n_nodes=1,
                          threads_per_node=2, pick=pick)
 
+    @pytest.mark.parametrize("field", ["cs_ns", "think_ns", "stagger_ns",
+                                       "deadline_ns"])
+    def test_negative_times_rejected(self, field):
+        with pytest.raises(ConfigError, match=rf"{field} must be >= 0"):
+            LockScenario(**{field: -5.0})
+
     @pytest.mark.parametrize("pick", ["single", "local"])
     def test_local_picks_build_at_one_node(self, pick):
         sc = LockScenario(lock_kind="spinlock", n_nodes=1,

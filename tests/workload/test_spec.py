@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             WorkloadSpec(distribution="pareto")
 
+    @pytest.mark.parametrize("field", ["warmup_ns", "think_ns", "cs_ns"])
+    def test_negative_times_rejected(self, field):
+        """A negative time is bad config, not a run that stalls at a
+        negative deadline or divides by a stretched window."""
+        with pytest.raises(ConfigError, match=rf"{field} must be >= 0"):
+            WorkloadSpec(ops_per_thread=2, **{field: -1.0})
+
 
 class TestHelpers:
     def test_lock_options_dict_normalized(self):
