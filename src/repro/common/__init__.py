@@ -1,7 +1,7 @@
 """Shared utilities: errors, identifiers, RNG streams.
 
 Everything in :mod:`repro` builds on these small pieces.  They are kept
-dependency-free (stdlib + numpy only) so every subsystem can import them
+dependency-free (stdlib only) so every subsystem can import them
 without cycles.
 """
 

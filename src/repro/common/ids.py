@@ -1,7 +1,7 @@
 """Identifier types for nodes and threads.
 
 The paper writes ``t_i^j`` for thread *j* on node *i*.  We keep plain
-integers at runtime (they index numpy arrays and dict keys in hot paths)
+integers at runtime (they index lists and dict keys in hot paths)
 but give them distinct aliases so signatures document which id a function
 expects, and provide a packed *global* thread id used as the owner tag in
 lock words.

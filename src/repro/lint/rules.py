@@ -229,8 +229,8 @@ class NondetSourceRule(Rule):
               and parts[2] not in ("Generator", "SeedSequence")):
             yield self.finding(
                 sf, node,
-                f"'{name}()' uses numpy's global RNG state; use a "
-                f"Generator from RngStreams")
+                f"'{name}()' uses numpy's global RNG state; draw from "
+                f"an RngStreams stream instead")
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """RDMA-accessible memory substrate.
 
-Each node owns one :class:`MemoryRegion` — a numpy-backed array of 8-byte
-words addressable from every node.  Pointers into this address space are
+Each node owns one :class:`MemoryRegion` — 8-byte words held as plain
+ints, addressable from every node.  Pointers into this address space are
 packed integers (node id in the high bits, byte address below — the
 paper's ``rdma_ptr``).  Regions support:
 

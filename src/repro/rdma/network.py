@@ -49,9 +49,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.common.errors import MemoryError_, VerbTimeout
+from repro.common.rng import Draws
 from repro.faults.injector import FaultInjector
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion, from_signed, to_signed
@@ -68,7 +67,7 @@ class RdmaNetwork:
     def __init__(self, env: Environment, config: RdmaConfig,
                  regions: list[MemoryRegion],
                  auditor: Optional[RaceAuditor] = None,
-                 jitter_rng: Optional[np.random.Generator] = None,
+                 jitter_rng: Optional[Draws] = None,
                  injector: Optional[FaultInjector] = None,
                  obs: Optional[Observability] = None):
         self.env = env
@@ -104,8 +103,8 @@ class RdmaNetwork:
     # -- the NIC pipeline ----------------------------------------------------
     def _fabric_delay(self) -> float:
         """One fabric hop with its jitter draw (jittered networks only)."""
-        return self._one_way_latency_ns + float(
-            self._jitter_rng.uniform(0.0, self._jitter_ns))
+        return self._one_way_latency_ns + self._jitter_rng.uniform(
+            0.0, self._jitter_ns)
 
     def _round_trip(self, op: Optional[str], qp: tuple, src_nic: Rnic,
                     dst_nic: Rnic, loopback: bool,

@@ -18,9 +18,9 @@ so :class:`FifoPolicy` reproduces un-policied runs bit for bit.
 All randomness is drawn from seeded streams via
 :func:`repro.common.rng.derive_seed` — a policy seed fully determines
 the schedule, across processes and ``PYTHONHASHSEED`` values.  Draws go
-through :class:`repro.common.rng.Draws`, which returns exactly what the
-numpy ``Generator`` over the same seed would, at a fraction of the cost
-of a numpy scalar call per choice point.
+through :class:`repro.common.rng.Draws`, a pure-Python copy of numpy's
+``default_rng`` stream: it returns exactly what a numpy ``Generator``
+over the same seed would, so every recorded schedule still replays.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ fairness directly so tests and ablations can assert it:
 * a per-class split (local vs remote threads' service) used by the
   budget ablation to show what a huge local budget does to the remote
   cohort.
+
+numpy is imported by the functions that use it: ``repro.workload``
+loads this module on every schedule walk's path, and a walk needs none.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 
 def jain_index(counts: Sequence[float]) -> float:
     """Jain's fairness index: ``(Σx)² / (n · Σx²)``; in [1/n, 1]."""
+    import numpy as np
+
     x = np.asarray(list(counts), dtype=np.float64)
     if len(x) == 0:
         return float("nan")
@@ -33,6 +36,8 @@ def jain_index(counts: Sequence[float]) -> float:
 
 def min_max_share(counts: Sequence[float]) -> float:
     """min(count)/max(count); 0 signals starvation, 1 perfect equality."""
+    import numpy as np
+
     x = np.asarray(list(counts), dtype=np.float64)
     if len(x) == 0:
         return float("nan")

@@ -14,35 +14,58 @@ benchmarks) skews popularity to stress passing behaviour further.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 from repro.common.errors import ConfigError
 from repro.common.rng import Draws
 from repro.workload.spec import WorkloadSpec
 
 
-def _zipf_cdf(n: int, theta: float) -> np.ndarray:
-    """CDF of a Zipfian distribution over ranks 1..n with skew theta."""
-    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return cdf
+def _zipf_weight(rank: int, theta: float) -> float:
+    try:
+        return 1.0 / float(rank) ** theta
+    except OverflowError:   # numpy's power is inf there, its inverse 0
+        return 0.0
+
+
+def _zipf_cdf(n: int, theta: float) -> list[float]:
+    """CDF of a Zipfian distribution over ranks 1..n with skew theta.
+
+    Float for float what ``np.cumsum(1.0 / np.power(np.arange(1, n + 1,
+    dtype=np.float64), theta))`` divided by its last element gives: a
+    running sum in rank order, then one division per rank."""
+    cdf = list(accumulate(_zipf_weight(rank, theta)
+                          for rank in range(1, n + 1)))
+    total = cdf[-1]
+    return [c / total for c in cdf]
+
+
+def _zipf_rank(cdf: list[float], u: float) -> int:
+    """How many CDF values are ``<= u``: ``np.searchsorted(cdf, u,
+    side="right")``, the binary search of ``bisect.bisect_right`` (which
+    simlint's engine-chokepoint rule keeps to the event core)."""
+    lo, hi = 0, len(cdf)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if u < cdf[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class LockPicker:
     """Chooses the target lock index for each of one thread's operations.
 
-    The picker owns ``rng``: its draws go through :class:`Draws` over the
-    generator's bit generator, which reads ahead, so nothing else may
-    draw from ``rng``.  The choices are exactly those of the generator's
-    own scalar ``random()``/``integers()`` calls, in the same order —
-    including drawing nothing to pick from a single lock.  The index
-    lists are the table's own, shared by the node's threads: read-only.
+    Each choice draws from ``draws``, the thread's stream: ``random()``
+    for the locality coin and the Zipfian rank, ``below()`` for a
+    uniform pick — nothing to pick from a single lock.  The index lists
+    are the table's own, shared by the node's threads: read-only.
     """
 
     def __init__(self, spec: WorkloadSpec, node: int, thread: int,
                  local_indices: list[int], remote_indices: list[int],
-                 rng: np.random.Generator):
+                 draws: Draws):
         if not local_indices:
             raise ConfigError(
                 f"node {node} holds no locks — increase n_locks so every "
@@ -52,7 +75,7 @@ class LockPicker:
         self.spec = spec
         self.node = node
         self.thread = thread
-        self._draws = Draws(rng.bit_generator)
+        self._draws = draws
         self._local = local_indices
         self._remote = remote_indices
         self._p_local = spec.locality_pct / 100.0
@@ -73,5 +96,5 @@ class LockPicker:
             indices, cdf = self._remote, self._remote_cdf
         if cdf is None:
             return indices[draws.below(len(indices))]
-        rank = int(np.searchsorted(cdf, draws.random(), side="right"))
+        rank = _zipf_rank(cdf, draws.random())
         return indices[min(rank, len(indices) - 1)]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.workload.spec import WorkloadSpec
+
+# numpy is imported where a result is read, not here: repro.workload
+# loads this module on every schedule walk's path, and a walk needs none
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,8 @@ class LatencySummary:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "LatencySummary":
+        import numpy as np
+
         if len(samples) == 0:
             return cls(0, float("nan"), float("nan"), float("nan"),
                        float("nan"), float("nan"), float("nan"))
@@ -110,6 +115,8 @@ class RunResult:
             subset: None for all ops, "local"/"remote" to segment.
             points: downsample to at most this many curve points.
         """
+        import numpy as np
+
         if subset == "local":
             samples = self.latencies_ns[self.local_mask]
         elif subset == "remote":

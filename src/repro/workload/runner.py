@@ -18,8 +18,6 @@ from __future__ import annotations
 from functools import partial
 from itertools import count, repeat
 
-import numpy as np
-
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
 from repro.locktable import DistributedLockTable, count_deadline_ns
@@ -240,6 +238,10 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             spans = cluster.obs.spans.spans()
             obs_metrics = cluster.obs.metrics.collect()
             dropped_events = cluster.log.dropped
+
+        # numpy is the analysis layer's: imported when a result is built,
+        # so a schedule walk, which builds none, never loads it
+        import numpy as np
 
         net_stats = cluster.network.stats()
         return RunResult(

@@ -96,6 +96,9 @@ class WorkloadSpec:
             raise ConfigError(f"cs_ns must be >= 0, got {self.cs_ns}")
         if self.distribution not in ("uniform", "zipfian"):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
+        if not 0 <= self.zipf_theta < float("inf"):  # NaN fails too
+            raise ConfigError(f"zipf_theta must be finite and >= 0, "
+                              f"got {self.zipf_theta}")
         if isinstance(self.lock_options, dict):
             # Accept dicts for convenience; store hashable form.
             object.__setattr__(self, "lock_options",

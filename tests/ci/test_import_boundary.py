@@ -1,14 +1,18 @@
 """What a single-process run loads: the schedule walk and the workload
-runner must not import the process-pool stack.
+runner must import neither the process-pool stack nor numpy.
 
 The fleet (:mod:`repro.schedcheck.fleet`) fans walks over worker
 processes through :mod:`repro.parallel`, which brings in
 :mod:`multiprocessing`, :mod:`concurrent.futures` and some forty more
 modules (≈ 2 MiB of peak RSS).  Nothing a walk or a workload run does
-uses them, so ``repro.schedcheck`` does not re-export the fleet; this
-test keeps a re-export (or any other import of the pool) from coming
-back unnoticed.  Each module is imported in a fresh interpreter, since
-the test session itself has long loaded everything.
+uses them, so ``repro.schedcheck`` does not re-export the fleet.  numpy
+is the analysis layer's (result arrays, latency summaries, fairness,
+experiments): the simulator's streams are pure Python
+(:class:`repro.common.rng.Draws`), so a walk, and a cluster built for a
+workload cell, never load it.  This test keeps an import of either from
+coming back unnoticed.  Each probe runs in a fresh interpreter, since
+the test session itself has long loaded everything; the probe does the
+work, not just the import, so a lazy import on the run's path counts.
 """
 
 import os
@@ -19,22 +23,48 @@ import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-#: modules only the process pool needs
-POOL_MODULES = ("repro.parallel", "repro.schedcheck.fleet",
-                "multiprocessing", "concurrent.futures")
+#: modules a walk or a cluster build must not load: the process pool's
+#: and numpy
+ABSENT = ("repro.parallel", "repro.schedcheck.fleet",
+          "multiprocessing", "concurrent.futures", "numpy")
 
-PROBE = """\
-import importlib, sys
-importlib.import_module(sys.argv[1])
-print(" ".join(m for m in sys.argv[2:] if m in sys.modules))
+#: a 2 x 2 ALock walk, a few random and PCT schedules, every one ok
+WALK = """\
+from repro.schedcheck import LockScenario, explore_random
+scenario = LockScenario(lock_kind="alock", n_nodes=2, threads_per_node=2,
+                        ops_per_thread=2)
+for policy in ("random", "pct"):
+    report = explore_random(scenario, 3, seed=1, policy=policy)
+    assert report.ok_count == report.schedules_run == 3, report
 """
+
+#: the cluster and lock table of a 20 x 12 paper cell (1000 locks, 95 %)
+CELL = """\
+from repro.workload import WorkloadSpec
+from repro.workload.runner import build_cluster
+spec = WorkloadSpec(n_nodes=20, threads_per_node=12, n_locks=1000,
+                    locality_pct=95.0, measure_ns=1e6)
+cluster, table = build_cluster(spec)
+assert len(table.entries) == 1000
+"""
+
+
+def _loaded(code):
+    """The modules of :data:`ABSENT` that running ``code`` loaded."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(' '.join(m for m in {ABSENT!r} if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.mark.parametrize("module", ["repro.schedcheck", "repro.workload.runner"])
 def test_single_process_run_does_not_load_the_pool(module):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run([sys.executable, "-c", PROBE, module, *POOL_MODULES],
-                          cwd=REPO, env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert _loaded(f"import {module}") == []
+
+
+@pytest.mark.parametrize("work", [WALK, CELL], ids=["walk", "cell"])
+def test_walk_and_cell_build_load_neither_pool_nor_numpy(work):
+    assert _loaded(work) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.rng import Draws
 from repro.workload import LockPicker, WorkloadSpec
 
 
@@ -13,7 +14,7 @@ def make_picker(locality=90.0, local=(0, 2), remote=(1, 3, 5),
                         distribution=distribution, zipf_theta=theta)
     return LockPicker(spec, node=0, thread=0,
                       local_indices=list(local), remote_indices=list(remote),
-                      rng=np.random.default_rng(seed))
+                      draws=Draws.seeded(seed))
 
 
 class TestLocality:
@@ -35,12 +36,12 @@ class TestLocality:
     def test_empty_local_partition_rejected(self):
         spec = WorkloadSpec(n_nodes=2, n_locks=4)
         with pytest.raises(ConfigError):
-            LockPicker(spec, 0, 0, [], [1, 2], np.random.default_rng(0))
+            LockPicker(spec, 0, 0, [], [1, 2], Draws.seeded(0))
 
     def test_remote_needed_but_missing_rejected(self):
         spec = WorkloadSpec(n_nodes=2, n_locks=4, locality_pct=50)
         with pytest.raises(ConfigError):
-            LockPicker(spec, 0, 0, [0, 1], [], np.random.default_rng(0))
+            LockPicker(spec, 0, 0, [0, 1], [], Draws.seeded(0))
 
 
 class TestDistributions:
@@ -96,8 +97,9 @@ class NumpyPicker:
 
 
 class TestExactness:
-    """The picker draws through ``Draws`` and must choose exactly what
-    the numpy reference chooses, at every locality — including a
+    """The picker draws from a ``Draws`` stream and must choose exactly
+    what the numpy reference over the same seed chooses, at every
+    locality — including a
     one-lock partition, which must draw nothing (20 locks on 20 nodes
     leave each node one local lock)."""
 

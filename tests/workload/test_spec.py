@@ -50,6 +50,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"{field} must be >= 0"):
             WorkloadSpec(ops_per_thread=2, **{field: -1.0})
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"),
+                                       float("-inf"), -0.5])
+    def test_bad_zipf_theta_rejected(self, theta):
+        """A NaN skew made an all-NaN CDF whose every pick was the first
+        lock; an infinite or negative one ran as silently."""
+        with pytest.raises(ConfigError, match="zipf_theta must be finite"):
+            WorkloadSpec(distribution="zipfian", zipf_theta=theta)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.99, 300.0])
+    def test_finite_zipf_theta_accepted(self, theta):
+        assert WorkloadSpec(distribution="zipfian",
+                            zipf_theta=theta).zipf_theta == theta
+
 
 class TestHelpers:
     def test_lock_options_dict_normalized(self):
