@@ -32,16 +32,29 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.workload` — workload specs, runner, metrics
 * :mod:`repro.verification` — explicit-state checker for the TLA+ spec
 * :mod:`repro.experiments` — one module per paper figure/table
+
+The names below are re-exported lazily (:mod:`repro.common.lazy`):
+importing this package loads none of those subpackages, and each name
+imports its own module when it is first used.
 """
 
-from repro.cluster import Cluster, ThreadContext
-from repro.faults import CrashWindow, FaultPlan
-from repro.locks import ALock, RdmaMcsLock, RdmaSpinlock, make_lock
-from repro.locktable import DistributedLockTable
-from repro.rdma import CostModel, FabricConfig, NicConfig, RdmaConfig
-from repro.workload import RunResult, WorkloadSpec, run_workload
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster": ("Cluster", "ThreadContext"),
+    "repro.faults.plan": ("CrashWindow", "FaultPlan"),
+    "repro.locks.alock": ("ALock",),
+    "repro.locks.baselines.mcs": ("RdmaMcsLock",),
+    "repro.locks.baselines.spinlock": ("RdmaSpinlock",),
+    "repro.locks.base": ("make_lock",),
+    "repro.locktable": ("DistributedLockTable",),
+    "repro.rdma.config": ("CostModel", "FabricConfig", "NicConfig", "RdmaConfig"),
+    "repro.workload.metrics": ("RunResult",),
+    "repro.workload.spec": ("WorkloadSpec",),
+    "repro.workload.runner": ("run_workload",),
+})
 
 __all__ = [
     "Cluster",

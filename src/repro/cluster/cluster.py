@@ -9,11 +9,10 @@ fabric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
-from repro.faults import FaultInjector, FaultPlan
 from repro.memory.pointer import MAX_NODES
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion
@@ -22,6 +21,9 @@ from repro.obs.log import LEVELS
 from repro.rdma.config import RdmaConfig
 from repro.rdma.network import RdmaNetwork
 from repro.sim.core import Environment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
 
 #: Default per-node slab: enough for thousands of locks + descriptors.
 DEFAULT_REGION_BYTES = 4 << 20
@@ -73,8 +75,12 @@ class Cluster:
                  obs: int = RING):
         if not 1 <= n_nodes <= MAX_NODES:
             raise ConfigError(f"n_nodes must be in [1, {MAX_NODES}], got {n_nodes}")
-        if faults is not None and not isinstance(faults, FaultPlan):
-            raise ConfigError(f"faults must be a FaultPlan, got {faults!r}")
+        if faults is not None:
+            # the fault layer loads only for a cluster that carries a plan
+            from repro.faults import FaultInjector, FaultPlan
+
+            if not isinstance(faults, FaultPlan):
+                raise ConfigError(f"faults must be a FaultPlan, got {faults!r}")
         if obs not in LEVELS or isinstance(obs, bool):
             raise ConfigError(f"obs must be a recording level {LEVELS} "
                               f"(RING, PROTOCOL, INTERVALS), got {obs!r}")

@@ -40,12 +40,7 @@ from repro.locks.alock.descriptors import (
     WAITING,
     descriptor_pair,
 )
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.locks.layout import ALOCK_LAYOUT
 from repro.memory.pointer import ptr_addr
 from repro.obs.log import PETERSON_WAIT
@@ -276,6 +271,3 @@ class ALock(DistributedLock):
         region = self.cluster.regions[self.home_node]
         return (region.peek(ptr_addr(self.tail_r_ptr)) != 0
                 or region.peek(ptr_addr(self.tail_l_ptr)) != 0)
-
-
-register_lock_type("alock", ALock)

@@ -11,6 +11,7 @@ of the paper's artifact would assert.
 from __future__ import annotations
 
 import functools
+import importlib
 from abc import ABC, abstractmethod
 from typing import Callable, TYPE_CHECKING
 
@@ -132,8 +133,19 @@ class DistributedLock(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
-#: name -> factory(cluster, home_node, **options) registry.
-LOCK_TYPES: dict[str, Callable[..., DistributedLock]] = {}
+#: name -> factory(cluster, home_node, **options) registry.  A built-in
+#: kind is listed by its ``"module:class"`` path and imported by the
+#: first :func:`make_lock` of that kind, so a run loads only the kinds it
+#: uses; a registered factory is stored as given.
+LOCK_TYPES: dict[str, Callable[..., DistributedLock] | str] = {
+    "alock": "repro.locks.alock.alock:ALock",
+    "spinlock": "repro.locks.baselines.spinlock:RdmaSpinlock",
+    "mcs": "repro.locks.baselines.mcs:RdmaMcsLock",
+    "filter": "repro.locks.extensions.filter:FilterLock",
+    "bakery": "repro.locks.extensions.bakery:BakeryLock",
+    "rpc": "repro.locks.extensions.rpc_lock:RpcLock",
+    "mixedcas": "repro.locks.extensions.coherent:MixedAtomicLock",
+}
 
 
 def register_lock_type(kind: str, factory: Callable[..., DistributedLock]) -> None:
@@ -157,4 +169,7 @@ def make_lock(kind: str, cluster: "Cluster", home_node: int,
         factory = LOCK_TYPES[kind]
     except KeyError:
         raise unknown_lock_type(kind) from None
+    if isinstance(factory, str):
+        module, _, name = factory.partition(":")
+        factory = LOCK_TYPES[kind] = getattr(importlib.import_module(module), name)
     return factory(cluster, home_node, **options)

@@ -12,7 +12,12 @@ exactly how RDMA systems without ALock keep local/remote atomicity.
   via loopback reads and pass the lock with one rWrite.
 """
 
-from repro.locks.baselines.spinlock import RdmaSpinlock
-from repro.locks.baselines.mcs import RdmaMcsLock
+from repro.common.lazy import lazy_exports
+
+# lazy, so making one kind loads neither the other nor its module
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.locks.baselines.spinlock": ("RdmaSpinlock",),
+    "repro.locks.baselines.mcs": ("RdmaMcsLock",),
+})
 
 __all__ = ["RdmaSpinlock", "RdmaMcsLock"]

@@ -21,12 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError, ProtocolError
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.locks.layout import MCS_DESCRIPTOR_LAYOUT, MCS_LAYOUT
 from repro.memory.pointer import ptr_addr
 
@@ -193,6 +188,3 @@ class RdmaMcsLock(DistributedLock):
             nxt = yield from self._poll(ctx, desc.next_ptr, lambda v: v != 0)
             yield from ctx.r_write(nxt + OFF_LOCKED, 0)
         desc.in_use = False
-
-
-register_lock_type("mcs", RdmaMcsLock)

@@ -18,12 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError, ProtocolError
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.locks.layout import SPINLOCK_LAYOUT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,6 +73,3 @@ class RdmaSpinlock(DistributedLock):
         # Oracle updated before the release op is issued (see base.py).
         self._note_released(ctx)
         yield from ctx.r_write(self.word_ptr, 0)
-
-
-register_lock_type("spinlock", RdmaSpinlock)

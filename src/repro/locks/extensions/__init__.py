@@ -18,10 +18,15 @@ this package implements them so the claims are *measured*, not cited:
   with :func:`repro.rdma.config.cxl_config`.
 """
 
-from repro.locks.extensions.filter import FilterLock
-from repro.locks.extensions.bakery import BakeryLock
-from repro.locks.extensions.rpc_lock import RpcLock, RpcLockService
-from repro.locks.extensions.coherent import MixedAtomicLock
+from repro.common.lazy import lazy_exports
+
+# lazy, so making one kind loads none of the others' modules
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.locks.extensions.filter": ("FilterLock",),
+    "repro.locks.extensions.bakery": ("BakeryLock",),
+    "repro.locks.extensions.rpc_lock": ("RpcLock", "RpcLockService"),
+    "repro.locks.extensions.coherent": ("MixedAtomicLock",),
+})
 
 __all__ = ["FilterLock", "BakeryLock", "RpcLock", "RpcLockService",
            "MixedAtomicLock"]

@@ -23,12 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ProtocolError
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.locks.layout import SPINLOCK_LAYOUT
 from repro.rdma.config import RdmaConfig
 
@@ -98,6 +93,3 @@ class MixedAtomicLock(DistributedLock):
             yield from ctx.write(self.word_ptr, 0)
         else:
             yield from ctx.r_write(self.word_ptr, 0)
-
-
-register_lock_type("mixedcas", MixedAtomicLock)

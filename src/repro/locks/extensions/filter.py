@@ -22,12 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError, ProtocolError
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.memory.pointer import CACHE_LINE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +97,3 @@ class FilterLock(DistributedLock):
         yield ctx.fence()
         self._note_released(ctx)
         yield from ctx.r_write(self._level_ptrs[slot], 0)
-
-
-register_lock_type("filter", FilterLock)

@@ -19,12 +19,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ProtocolError
-from repro.locks.base import (
-    DistributedLock,
-    observed_acquire,
-    observed_release,
-    register_lock_type,
-)
+from repro.locks.base import DistributedLock, observed_acquire, observed_release
 from repro.rdma.rpc import RpcRequest, RpcTransport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,6 +117,3 @@ class RpcLock(DistributedLock):
             ("unlock", self.lock_id, ctx.gid))
         if reply != "released":  # pragma: no cover - defensive
             raise ProtocolError(f"{self.name}: unexpected reply {reply!r}")
-
-
-register_lock_type("rpc", RpcLock)

@@ -47,11 +47,10 @@ round trip.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.rng import Draws
-from repro.faults.injector import FaultInjector
 from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion, from_signed, to_signed
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK
@@ -59,6 +58,9 @@ from repro.obs import FAULT_RETRY, INTERVALS, VERB_RTT, Observability
 from repro.rdma.config import RdmaConfig
 from repro.rdma.nic import Rnic
 from repro.sim.core import Environment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
 
 
 class RdmaNetwork:

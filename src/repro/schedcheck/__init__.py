@@ -18,39 +18,27 @@ exhaustive), then :func:`~repro.schedcheck.shrink.shrink_failure` any
 failure down to a readable decision string and
 :func:`~repro.schedcheck.explore.replay` it at will — replays are
 byte-identical, across processes and hash seeds.
+
+The names below are re-exported lazily (:mod:`repro.common.lazy`), so
+a walk loads neither the corpus nor the shrinker until it uses one.
 """
 
-from repro.schedcheck.corpus import (
-    CorpusEntry,
-    check_entry,
-    load_corpus,
-    write_entry,
-)
-from repro.schedcheck.decisions import Decisions
-from repro.schedcheck.explore import (
-    ExplorationReport,
-    ScheduleResult,
-    enumerate_schedules,
-    execution_digest,
-    explore_random,
-    replay,
-    run_schedule,
-    walk,
-)
-from repro.schedcheck.policies import (
-    FifoPolicy,
-    PctPolicy,
-    RandomWalkPolicy,
-    ReplayPolicy,
-    SchedulePolicy,
-    make_policy,
-)
-from repro.schedcheck.scenario import (
-    BuiltRun,
-    LockScenario,
-    check_budget_bounds,
-)
-from repro.schedcheck.shrink import ShrinkResult, shrink_failure
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.schedcheck.corpus": ("CorpusEntry", "check_entry", "load_corpus",
+                                "write_entry"),
+    "repro.schedcheck.decisions": ("Decisions",),
+    "repro.schedcheck.explore": ("ExplorationReport", "ScheduleResult",
+                                 "enumerate_schedules", "execution_digest",
+                                 "explore_random", "replay", "run_schedule",
+                                 "walk"),
+    "repro.schedcheck.policies": ("FifoPolicy", "PctPolicy", "RandomWalkPolicy",
+                                  "ReplayPolicy", "SchedulePolicy", "make_policy"),
+    "repro.schedcheck.scenario": ("BuiltRun", "LockScenario",
+                                  "check_budget_bounds"),
+    "repro.schedcheck.shrink": ("ShrinkResult", "shrink_failure"),
+})
 
 __all__ = [
     "BuiltRun", "CorpusEntry", "Decisions", "ExplorationReport",

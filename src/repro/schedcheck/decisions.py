@@ -51,10 +51,14 @@ class Decisions:
             k, v = int(k), int(v)
             if k < 0 or v < 0:
                 raise ConfigError(f"decision entries must be >= 0, got {k}:{v}")
-            if v != 0:
-                m[k] = v
-        # insertion order = sorted order, kept for stable iteration/repr
-        self._map = dict(sorted(m.items()))
+            # a repeated index would silently keep its last option
+            if k in m:
+                raise ConfigError(f"choice index {k} appears twice in the "
+                                  f"decisions")
+            m[k] = v
+        # insertion order = sorted order, kept for stable iteration/repr;
+        # default picks (0) carry no information and are dropped
+        self._map = {k: v for k, v in sorted(m.items()) if v != 0}
 
     # -- constructors ---------------------------------------------------
     @classmethod

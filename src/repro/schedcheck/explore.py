@@ -33,7 +33,6 @@ from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
-from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
 from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
 from repro.schedcheck.policies import ReplayPolicy, SchedulePolicy, make_policy
 from repro.workload.runner import run_clients
@@ -124,6 +123,8 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
             f" (+{len(problems) - 3} more)" if len(problems) > 3 else "")
     if result.failure_kind is not None:
         result.ok = False
+        from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
+
         # Freeze the post-mortem while the failed execution's state is
         # still live: flight window, lock words, wait-for graph.
         result.dump = dump_json(snapshot(

@@ -17,11 +17,10 @@ tests can hand the explorer bespoke process soups too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError
-from repro.faults import FaultPlan
 from repro.locktable import DistributedLockTable, count_deadline_ns
 from repro.obs import PROTOCOL
 from repro.obs.trace import TraceEvent
@@ -29,6 +28,9 @@ from repro.rdma.config import CostModel, FabricConfig, NicConfig, RdmaConfig
 from repro.sim.core import Process
 from repro.workload.runner import spawn_clients, wire
 from repro.workload.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
 
 
 #: the coarse cost model (see :func:`coarse_config`); frozen, so shared
@@ -179,6 +181,8 @@ class LockScenario:
     Args:
         lock_kind: registered lock type ("alock", "mcs", "spinlock", ...).
         n_nodes / threads_per_node / n_locks / ops_per_thread: shape.
+            ``n_locks`` must be >= 1; one below ``n_nodes`` is raised to
+            ``n_nodes``, so every node homes a lock.
         pick: lock-choice pattern, one of ``single | local | remote |
             mixed`` (``single`` = everyone on lock 0: maximal logical
             contention and the densest tie-break choice points).
@@ -225,6 +229,8 @@ class LockScenario:
                 f"unknown picker {self.pick!r}; known: {sorted(PICKERS)}")
         if self.ops_per_thread < 1:
             raise ConfigError("ops_per_thread must be >= 1")
+        if self.n_locks < 1:
+            raise ConfigError(f"n_locks must be >= 1, got {self.n_locks}")
         if self.cs_ns < 0:
             raise ConfigError(f"cs_ns must be >= 0, got {self.cs_ns}")
         if self.think_ns < 0:

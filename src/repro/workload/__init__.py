@@ -12,13 +12,21 @@ Two termination modes:
 * ``measure_ns`` (duration mode) — clients run forever; operations that
   *complete* inside the measurement window (after warmup) are counted
   and timed; used for throughput/latency experiments like the paper's.
+
+The names below are re-exported lazily (:mod:`repro.common.lazy`): a
+schedule walk, which builds no :class:`RunResult`, loads neither the
+metrics nor the fairness module.
 """
 
-from repro.workload.spec import WorkloadSpec
-from repro.workload.generator import LockPicker
-from repro.workload.fairness import FairnessReport, jain_index, min_max_share
-from repro.workload.metrics import LatencySummary, RunResult
-from repro.workload.runner import run_workload
+from repro.common.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workload.spec": ("WorkloadSpec",),
+    "repro.workload.generator": ("LockPicker",),
+    "repro.workload.fairness": ("FairnessReport", "jain_index", "min_max_share"),
+    "repro.workload.metrics": ("LatencySummary", "RunResult"),
+    "repro.workload.runner": ("run_workload",),
+})
 
 __all__ = [
     "WorkloadSpec",

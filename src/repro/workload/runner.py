@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import count, repeat
+from typing import TYPE_CHECKING
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
 from repro.locktable import DistributedLockTable, count_deadline_ns
-from repro.obs import INTERVALS, RING, postmortem
+from repro.obs import INTERVALS, RING
 from repro.workload.generator import LockPicker
-from repro.workload.metrics import RunResult
 from repro.workload.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workload.metrics import RunResult
 
 
 def build_cluster(spec: WorkloadSpec, **cluster_kwargs) -> tuple[Cluster, DistributedLockTable]:
@@ -207,6 +210,8 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             # as an unbounded one (window, NIC utilizations).
             verdict = run_clients(env, procs, deadline)
             if verdict is not None:
+                from repro.obs import postmortem
+
                 kind, detail, error = verdict
                 raise postmortem.attach(
                     SimulationError(detail), cluster, reason=kind,
@@ -217,6 +222,8 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
                 try:
                     table.check_counters(tally["cs_increments"])
                 except AssertionError as exc:
+                    from repro.obs import postmortem
+
                     raise postmortem.attach(exc, cluster, reason="checker",
                                             detail=str(exc), table=table)
 
@@ -239,9 +246,12 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             obs_metrics = cluster.obs.metrics.collect()
             dropped_events = cluster.log.dropped
 
-        # numpy is the analysis layer's: imported when a result is built,
-        # so a schedule walk, which builds none, never loads it
+        # numpy and the result types are the analysis layer's: imported
+        # when a result is built, so a schedule walk, which builds none,
+        # never loads them
         import numpy as np
+
+        from repro.workload.metrics import RunResult
 
         net_stats = cluster.network.stats()
         return RunResult(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigError
-from repro.faults import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,13 @@ class WorkloadSpec:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise ConfigError(
-                f"faults must be a FaultPlan or None, got {self.faults!r}")
+        if self.faults is not None:
+            # the fault layer loads only for a run that carries a plan
+            from repro.faults import FaultPlan
+
+            if not isinstance(self.faults, FaultPlan):
+                raise ConfigError(
+                    f"faults must be a FaultPlan or None, got {self.faults!r}")
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if self.threads_per_node < 1:

@@ -1,5 +1,6 @@
 """What a single-process run loads: the schedule walk and the workload
-runner must import neither the process-pool stack nor numpy.
+runner must import neither the process-pool stack nor numpy, and a run
+loads only the modules on its own path.
 
 The fleet (:mod:`repro.schedcheck.fleet`) fans walks over worker
 processes through :mod:`repro.parallel`, which brings in
@@ -10,9 +11,19 @@ is the analysis layer's (result arrays, latency summaries, fairness,
 experiments): the simulator's streams are pure Python
 (:class:`repro.common.rng.Draws`), so a walk, and a cluster built for a
 workload cell, never load it.  This test keeps an import of either from
-coming back unnoticed.  Each probe runs in a fresh interpreter, since
-the test session itself has long loaded everything; the probe does the
-work, not just the import, so a lazy import on the run's path counts.
+coming back unnoticed.
+
+The packages re-export lazily and the lock registry imports a kind on
+its first ``make_lock`` (DESIGN.md decision 26), so a run pays for the
+modules it uses: one lock kind, not seven; the corpus, the shrinker,
+the post-mortem, the result and fairness modules and the fault layer
+only when a run uses them.  A passing fault-free walk uses none of
+them, an ALock cell loads no baseline or extension lock, and an MCS +
+spinlock cell no ALock.
+
+Each probe runs in a fresh interpreter, since the test session itself
+has long loaded everything; the probe does the work, not just the
+import, so a lazy import on the run's path counts.
 """
 
 import os
@@ -48,11 +59,33 @@ cluster, table = build_cluster(spec)
 assert len(table.entries) == 1000
 """
 
+#: the same cell built for each baseline, as the baseline ledger runs it
+BASELINE_CELLS = """\
+from repro.workload import WorkloadSpec
+from repro.workload.runner import build_cluster
+for kind in ("mcs", "spinlock"):
+    spec = WorkloadSpec(n_nodes=20, threads_per_node=12, n_locks=1000,
+                        locality_pct=95.0, measure_ns=1e6, lock_kind=kind)
+    cluster, table = build_cluster(spec)
+    assert {entry.lock.kind for entry in table.entries} == {kind}
+"""
 
-def _loaded(code):
-    """The modules of :data:`ABSENT` that running ``code`` loaded."""
+#: the lock kinds an ALock run does not make
+OTHER_LOCKS = ("repro.locks.baselines", "repro.locks.extensions", "repro.rdma.rpc")
+
+#: what a passing fault-free walk never uses: the other lock kinds, the
+#: corpus and the shrinker, the post-mortem, the result and fairness
+#: modules, and the fault layer
+WALK_ABSENT = ABSENT + OTHER_LOCKS + (
+    "repro.schedcheck.corpus", "repro.schedcheck.shrink",
+    "repro.obs.postmortem", "repro.workload.metrics",
+    "repro.workload.fairness", "repro.faults")
+
+
+def _loaded(code, modules=ABSENT):
+    """The modules of ``modules`` that running ``code`` loaded."""
     probe = (f"{code}\nimport sys\n"
-             f"print(' '.join(m for m in {ABSENT!r} if m in sys.modules))\n")
+             f"print(' '.join(m for m in {modules!r} if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     proc = subprocess.run([sys.executable, "-c", probe], cwd=REPO, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -68,3 +101,12 @@ def test_single_process_run_does_not_load_the_pool(module):
 @pytest.mark.parametrize("work", [WALK, CELL], ids=["walk", "cell"])
 def test_walk_and_cell_build_load_neither_pool_nor_numpy(work):
     assert _loaded(work) == []
+
+
+@pytest.mark.parametrize("work, absent", [
+    (WALK, WALK_ABSENT),
+    (CELL, ABSENT + OTHER_LOCKS),
+    (BASELINE_CELLS, ABSENT + ("repro.locks.alock",)),
+], ids=["walk", "alock-cell", "mcs-spinlock-cell"])
+def test_a_run_loads_only_the_modules_on_its_path(work, absent):
+    assert _loaded(work, absent) == []

@@ -38,6 +38,18 @@ class TestConstruction:
     def test_entries_sorted_regardless_of_input_order(self):
         assert Decisions([(9, 1), (2, 3)]).to_string() == "2:3,9:1"
 
+    @pytest.mark.parametrize("text", ["3:1,3:2", "3:2,3:2", "3:0,3:2",
+                                      "3:2,3:0", "3:0,3:0", "1:1,3:1,7:2,3:1"])
+    def test_repeated_choice_index_rejected(self, text):
+        """A repeated index, a default ``k:0`` one included, is an
+        error: last-wins would replay a schedule nobody wrote."""
+        with pytest.raises(ConfigError, match="choice index 3 appears twice"):
+            Decisions.parse(text)
+
+    def test_repeated_choice_index_rejected_from_entries(self):
+        with pytest.raises(ConfigError, match="choice index 4 appears twice"):
+            Decisions([(4, 1), (9, 2), (4, 1)])
+
 
 class TestEditing:
     def test_without(self):

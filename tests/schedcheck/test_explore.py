@@ -202,6 +202,19 @@ class TestLockScenarioValidation:
         with pytest.raises(ConfigError):
             LockScenario(ops_per_thread=0)
 
+    @pytest.mark.parametrize("n_locks", [0, -3])
+    def test_fewer_than_one_lock_rejected(self, n_locks):
+        with pytest.raises(ConfigError, match=rf"n_locks must be >= 1, got {n_locks}"):
+            LockScenario(n_nodes=2, n_locks=n_locks)
+
+    def test_fewer_locks_than_nodes_are_raised_to_one_per_node(self):
+        run = LockScenario(lock_kind="spinlock", n_nodes=3, threads_per_node=1,
+                           n_locks=1, ops_per_thread=1).build()
+        try:
+            assert len(run.table.entries) == 3
+        finally:
+            run.cluster.close()
+
     @pytest.mark.parametrize("pick", ["remote", "mixed"])
     def test_remote_picks_need_a_second_node(self, pick):
         """With one node there is no remote lock: the pattern is refused
