@@ -6,8 +6,7 @@
     alock-experiments run fig1 fig4 --scale small --out results.md
     alock-experiments run all --scale smoke --workers 2
     alock-experiments run fig5 --scale paper --workers 8
-    alock-experiments sweep --lock alock mcs --locality 85 95 \\
-        --seeds 0 1 2 --workers 4 --json sweep.json --csv sweep.csv
+    alock-experiments run all --scale smoke --seed 0 1 2 --workers 2
     alock-experiments explore --lock alock --schedules 50 --shrink
     alock-experiments explore --lock mcs --lock-option bug=lost_wakeup \\
         --lock-option poll_interval_ns=200 --nodes 1 --threads 3 --ops 3
@@ -37,60 +36,6 @@ def _resolve_workers(args) -> int:
     if args.workers < 0:
         raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     return args.workers
-
-
-def _sweep(args) -> int:
-    from repro.parallel import METRICS, CellFailure, run_sweep_parallel
-    from repro.workload.spec import WorkloadSpec
-
-    workers = _resolve_workers(args)
-    # Multi-valued arguments become sweep axes; single values pin the
-    # base spec.  Declared order fixes the enumeration (= output) order.
-    axis_args = (("lock_kind", args.lock_kind), ("n_nodes", args.nodes),
-                 ("threads_per_node", args.threads), ("n_locks", args.locks),
-                 ("locality_pct", args.locality))
-    base_kwargs = dict(warmup_ns=args.warmup_ns, measure_ns=args.measure_ns,
-                       think_ns=args.think_ns, cs_ns=args.cs_ns,
-                       ops_per_thread=args.ops, audit="off")
-    axes: dict[str, list] = {}
-    for field_name, values in axis_args:
-        if len(values) == 1:
-            base_kwargs[field_name] = values[0]
-        else:
-            axes[field_name] = list(values)
-    base = WorkloadSpec(seed=args.seeds[0], **base_kwargs)
-    if args.metric not in METRICS:
-        raise ConfigError(f"unknown --metric {args.metric!r}; "
-                          f"choose from {sorted(METRICS)}")
-
-    done = {"n": 0}
-
-    def _where(cell) -> str:
-        return " ".join(f"{k}={v}" for k, v in cell.coords)
-
-    def _progress(cell, res) -> None:
-        done["n"] += 1
-        status = "FAILED" if isinstance(res, CellFailure) else "ok"
-        print(f"  [{done['n']}] cell {_where(cell)} {status}", file=sys.stderr)
-
-    result = run_sweep_parallel(
-        base, axes, seeds=args.seeds, workers=workers, metric=args.metric,
-        on_result=_progress if args.progress else None)
-    print(f"swept {len(result.results)} cells "
-          f"({len(result.failures)} failed) with "
-          f"{result.workers} worker(s) in {result.elapsed_s:.1f}s")
-    for cell, res in zip(result.cells, result.results):
-        if not isinstance(res, CellFailure):
-            print(f"  {_where(cell)}: {args.metric}={res['metric']:.0f}")
-    for cell, failure in result.failures:
-        first_line = failure.error.splitlines()[0]
-        print(f"  FAILED {_where(cell)}: {first_line}", file=sys.stderr)
-    result.write(json_path=args.json_out, csv_path=args.csv_out)
-    if args.json_out:
-        print(f"json: {args.json_out}")
-    if args.csv_out:
-        print(f"csv: {args.csv_out}")
-    return 1 if result.failures else 0
 
 
 def _parse_lock_options(pairs: list[str]) -> tuple:
@@ -227,7 +172,11 @@ def _main(argv: list[str] | None) -> int:
                        help="experiment ids (or 'all')")
     run_p.add_argument("--scale", default="small",
                        choices=("smoke", "small", "paper"))
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int, nargs="+", default=[0],
+                       metavar="SEED",
+                       help="root seeds: every experiment runs once per "
+                            "seed, each report under a line naming its seed "
+                            "when there are several")
     run_p.add_argument("--out", default=None,
                        help="also append markdown reports to this file")
     run_p.add_argument("--trace-out", default=None, metavar="FILE",
@@ -242,39 +191,6 @@ def _main(argv: list[str] | None) -> int:
                        help="shard experiment cells over N worker processes "
                             "(results are identical to a serial run; 0/1 = "
                             "serial)")
-    sweep_p = sub.add_parser(
-        "sweep",
-        help="grid sweep over workload axes with the parallel engine; "
-             "multi-valued options become axes, JSON/CSV output is "
-             "byte-identical at any worker count")
-    sweep_p.add_argument("--lock", nargs="+", default=["alock"],
-                         dest="lock_kind", metavar="KIND")
-    sweep_p.add_argument("--nodes", nargs="+", type=int, default=[2])
-    sweep_p.add_argument("--threads", nargs="+", type=int, default=[2],
-                         help="threads per node")
-    sweep_p.add_argument("--locks", nargs="+", type=int, default=[100])
-    sweep_p.add_argument("--locality", nargs="+", type=float, default=[90.0],
-                         help="locality percentages")
-    sweep_p.add_argument("--seeds", nargs="+", type=int, default=[0],
-                         help="root seeds (outermost axis when several)")
-    sweep_p.add_argument("--metric", default="throughput",
-                         help="row metric: throughput, p50, p99, p999, "
-                              "mean_latency")
-    sweep_p.add_argument("--ops", type=int, default=0,
-                         help="count mode: exact ops per thread "
-                              "(0 = duration mode)")
-    sweep_p.add_argument("--warmup-ns", type=float, default=200_000.0)
-    sweep_p.add_argument("--measure-ns", type=float, default=1_000_000.0)
-    sweep_p.add_argument("--think-ns", type=float, default=0.0)
-    sweep_p.add_argument("--cs-ns", type=float, default=0.0)
-    sweep_p.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="worker processes (0/1 = serial)")
-    sweep_p.add_argument("--json", default=None, dest="json_out",
-                         metavar="FILE", help="write canonical JSON here")
-    sweep_p.add_argument("--csv", default=None, dest="csv_out",
-                         metavar="FILE", help="write canonical CSV here")
-    sweep_p.add_argument("--progress", action="store_true",
-                         help="print each cell as it completes (stderr)")
     exp_p = sub.add_parser(
         "explore",
         help="schedule exploration: hunt interleaving bugs in the real "
@@ -364,9 +280,6 @@ def _main(argv: list[str] | None) -> int:
     if args.command == "explore":
         return _explore(args)
 
-    if args.command == "sweep":
-        return _sweep(args)
-
     if args.command == "list":
         for exp_id in EXPERIMENTS:
             print(exp_id)
@@ -375,24 +288,32 @@ def _main(argv: list[str] | None) -> int:
     ids = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     for exp_id in ids:
         get_experiment(exp_id)      # a typo must not cost the ids before it
+    seeds = args.seed
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seed names a seed twice: {seeds}")
     workers = _resolve_workers(args)
     export = bool(args.trace_out or args.metrics_out)
     failed = []
     reports = []
     with recording() if export else contextlib.nullcontext() as runs:
         for exp_id in ids:
-            # Wall-clock here times the *host* run for the operator's
-            # progress line; it never feeds simulation state or results.
-            start = time.perf_counter()  # simlint: ignore[nondet-source]
-            result = run_experiment(exp_id, scale=args.scale, seed=args.seed,
-                                    workers=workers)
-            elapsed = time.perf_counter() - start  # simlint: ignore[nondet-source]
-            report = result.to_markdown()
-            reports.append(report)
-            print(report)
-            print(f"\n({exp_id} finished in {elapsed:.1f}s)\n")
-            if not result.all_shapes_hold:
-                failed.append(exp_id)
+            for seed in seeds:
+                # Wall-clock here times the *host* run for the operator's
+                # progress line; it never feeds simulation state or results.
+                start = time.perf_counter()  # simlint: ignore[nondet-source]
+                result = run_experiment(exp_id, scale=args.scale, seed=seed,
+                                        workers=workers)
+                elapsed = time.perf_counter() - start  # simlint: ignore[nondet-source]
+                report = result.to_markdown()
+                name = exp_id
+                if len(seeds) > 1:
+                    report = f"# seed {seed}\n\n{report}"
+                    name = f"{exp_id}@seed{seed}"
+                reports.append(report)
+                print(report)
+                print(f"\n({name} finished in {elapsed:.1f}s)\n")
+                if not result.all_shapes_hold:
+                    failed.append(name)
     if export:
         for run in runs:
             if run.dropped:

@@ -474,8 +474,8 @@ class ProcessBoundaryRule(Rule):
     Four module-local checks inside the sensitive packages:
 
     * process pools (``ProcessPoolExecutor`` / ``multiprocessing``) may
-      only be touched by the engine chokepoint module — sweep shards and
-      experiment fan-outs all funnel through its single, audited
+      only be touched by the engine chokepoint module — experiment
+      fan-outs and fleet walks all funnel through its single, audited
       submit loop (orphan-free shutdown, failed-chunk isolation);
     * blob (de)serializers (``pickle``/``marshal``/``shelve``/…) may
       not be imported at all — a serialized blob on disk is a process

@@ -4,7 +4,7 @@ At the default level the cluster's event log (:mod:`repro.obs.log`) *is*
 a 1024-entry ring of protocol chokepoints — verb issue/timeout, lock
 transitions, cohort queue swaps, fault injections, lease expiry,
 schedule tie-breaks — and when anything fails (sim deadlock, schedcheck
-stall, crashed sweep cell, lease expiry) the post-mortem engine
+stall, crashed experiment cell, lease expiry) the post-mortem engine
 (:mod:`repro.obs.postmortem`) freezes its last-N window into the dump.
 At a higher level the log keeps more; this view still shows the same
 thing — the last :data:`~repro.obs.log.RING_CAPACITY` ring-level events

@@ -5,7 +5,7 @@ simulation already tracks — the ring view of the event log
 (:mod:`repro.obs.flight`), the process registry's parked-on
 descriptions, the lock oracle state, and the labeled protocol words —
 taken when a failure is detected: sim deadlock, schedcheck
-stall/checker violation, uncaught exception in a sweep cell, or a
+stall/checker violation, uncaught exception in an experiment cell, or a
 lease expiry in the lock table.
 
 The centerpiece is the **wait-for graph**: edges from waiting actors to
@@ -272,7 +272,7 @@ def maybe_write_dump(dump_str: str, tag: str) -> Optional[str]:
 
     Returns the written path, or None when the env var is unset.  The
     filename is content-addressed so identical failures collapse and
-    concurrent writers (sweep workers) never collide.
+    concurrent writers (pool workers) never collide.
     """
     out_dir = os.environ.get(DUMP_DIR_ENV)
     if not out_dir:

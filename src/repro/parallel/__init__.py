@@ -4,31 +4,26 @@ experiments).
 
 Quick start::
 
-    from repro.parallel import run_sweep_parallel
+    from repro.parallel import pmap_outcomes
     from repro.workload import WorkloadSpec
 
-    res = run_sweep_parallel(
-        WorkloadSpec(n_nodes=5, threads_per_node=4, n_locks=100),
-        axes={"lock_kind": ["alock", "mcs", "spinlock"],
-              "locality_pct": [85.0, 95.0]},
-        seeds=range(3), workers=4)
-    res.write(json_path="sweep.json", csv_path="sweep.csv")
+    base = WorkloadSpec(n_nodes=5, threads_per_node=4, n_locks=100)
+    specs = [base.with_(lock_kind=kind, seed=seed)
+             for kind in ("alock", "mcs", "spinlock") for seed in range(3)]
+    outcomes = pmap_outcomes(specs, workers=4)
 
-The output is byte-identical at any ``workers`` value.
-``enumerate_grid`` is the one cartesian driver and ``pmap_outcomes`` the
-one fan-out: a sweep reduces each cell's ``RunResult`` to a row, an
-experiment (``repro.experiments.base.run_specs``) keeps it whole.
+``outcomes[i]`` is ``specs[i]``'s ``RunResult`` (or the ``CellFailure``
+it ended in), the same at any ``workers`` value.  ``pmap_outcomes`` is
+the one fan-out: an experiment reaches it through
+``repro.experiments.base.run_specs``, which keeps each result whole.
 """
 
 from repro.parallel.cells import (Cell, CellFailure, check_boundary_value,
                                   worker_entry)
-from repro.parallel.engine import (METRICS, default_chunk_size,
-                                   pmap_outcomes, pmap_workloads)
-from repro.parallel.sweep import (ParallelSweepResult, enumerate_grid,
-                                  run_sweep_parallel)
+from repro.parallel.engine import (default_chunk_size, pmap_outcomes,
+                                   pmap_workloads)
 
 __all__ = [
     "Cell", "CellFailure", "check_boundary_value", "worker_entry",
-    "METRICS", "default_chunk_size", "pmap_outcomes", "pmap_workloads",
-    "ParallelSweepResult", "enumerate_grid", "run_sweep_parallel",
+    "default_chunk_size", "pmap_outcomes", "pmap_workloads",
 ]

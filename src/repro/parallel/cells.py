@@ -45,32 +45,37 @@ def check_boundary_value(value, path: str = "cell") -> None:
     """Raise :class:`ConfigError` if ``value`` contains anything beyond
     primitives, tuples/lists/dicts of primitives, or frozen dataclasses
     thereof.  This is the runtime side of the process-boundary
-    contract; the sweep grid audits every cell as it enumerates it."""
-    if isinstance(value, _PRIMITIVES):
-        return
-    if isinstance(value, (tuple, list)):
-        for i, item in enumerate(value):
-            check_boundary_value(item, f"{path}[{i}]")
-        return
-    if isinstance(value, dict):
-        for k, v in value.items():
-            check_boundary_value(k, f"{path} key {k!r}")
-            check_boundary_value(v, f"{path}[{k!r}]")
-        return
-    if is_dataclass(value) and not isinstance(value, type):
-        for f in fields(value):
-            check_boundary_value(getattr(value, f.name), f"{path}.{f.name}")
-        return
-    raise ConfigError(
-        f"{path}: {type(value).__name__!r} may not cross the process "
-        f"boundary — cells must be primitive-keyed specs (no live "
-        f"Environment/Cluster/lock objects)")
+    contract; :func:`~repro.parallel.engine.pmap_outcomes` audits every
+    spec before any runs.  The walk is depth-first in field order on an
+    explicit stack, so auditing a whole grid is one call."""
+    stack = [(value, path)]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, _PRIMITIVES):
+            continue
+        items = []
+        if isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                items.append((item, f"{path}[{i}]"))
+        elif isinstance(value, dict):
+            for k, v in value.items():
+                items.append((k, f"{path} key {k!r}"))
+                items.append((v, f"{path}[{k!r}]"))
+        elif is_dataclass(value) and not isinstance(value, type):
+            for f in fields(value):
+                items.append((getattr(value, f.name), f"{path}.{f.name}"))
+        else:
+            raise ConfigError(
+                f"{path}: {type(value).__name__!r} may not cross the process "
+                f"boundary — cells must be primitive-keyed specs (no live "
+                f"Environment/Cluster/lock objects)")
+        stack.extend(reversed(items))
 
 
 class Cell(NamedTuple):
     """One sealed run of a grid: where its numbers go (the row's
-    coordinates, in the shape the grid's reader wants — a sweep's are
-    its ``(axis, value)`` pairs) and the spec that produces them."""
+    coordinates, in the shape the grid's reader wants) and the spec
+    that produces them."""
 
     coords: Any
     spec: WorkloadSpec

@@ -2,10 +2,10 @@
 
 Every run is a *sealed seeded cell* — ``run_workload(spec)`` is a pure
 function of the spec — so sharding cells across processes can change
-the wall clock, never a result.  Every :class:`WorkloadSpec` cell, an
-experiment's or a sweep's, runs through one worker entry
-(:func:`run_spec_chunk`) and one parent loop (:func:`pmap_outcomes`).
-A raising cell comes home as a
+the wall clock, never a result.  Every experiment's
+:class:`WorkloadSpec` cell runs through one worker entry
+(:func:`run_spec_chunk`) and one parent loop (:func:`pmap_outcomes`),
+which audits every spec before any runs.  A raising cell comes home as a
 :class:`~repro.parallel.cells.CellFailure`, and a chunk lost to a
 worker crash fails each of its cells the same way, so serial and
 pooled runs fail alike.
@@ -27,21 +27,12 @@ from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, w
 from typing import Callable, Optional, Sequence, Union
 
 from repro.common.errors import SimulationError
+from repro.locks.base import LOCK_TYPES, unknown_lock_type
 from repro.obs import RING
-from repro.parallel.cells import CellFailure, worker_entry
+from repro.parallel.cells import CellFailure, check_boundary_value, worker_entry
 from repro.workload.metrics import RunResult
 from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
-
-#: Named metrics a sweep row records under ``"metric"``.  Referenced by
-#: name so the choice is a plain string in every API and output file.
-METRICS: dict[str, Callable[[RunResult], float]] = {
-    "throughput": lambda r: r.throughput_ops_per_sec,
-    "p50": lambda r: r.latency.p50,
-    "p99": lambda r: r.latency.p99,
-    "p999": lambda r: r.latency.p999,
-    "mean_latency": lambda r: r.latency.mean,
-}
 
 #: What one cell produced.
 Outcome = Union[RunResult, CellFailure]
@@ -128,8 +119,17 @@ def pmap_outcomes(specs: Sequence[WorkloadSpec], *, workers: int = 0,
     **in input order**, whatever the worker count (``<= 1``: inline) or
     completion order.  ``on_result(index, outcome)`` sees each outcome
     in completion order; ``chunk_size`` defaults to
-    :func:`default_chunk_size`."""
+    :func:`default_chunk_size`.
+
+    Every spec is audited before any runs: one that could not cross the
+    process boundary (:func:`check_boundary_value`) or names an
+    unregistered lock kind is a :class:`ConfigError`, inline and pooled
+    alike."""
     specs = list(specs)
+    check_boundary_value(specs, "specs")
+    for spec in specs:
+        if spec.lock_kind not in LOCK_TYPES:
+            raise unknown_lock_type(spec.lock_kind)
     size = chunk_size or default_chunk_size(len(specs), workers)
     chunks = [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
     outcomes: list = [None] * len(specs)
@@ -165,10 +165,14 @@ def pmap_workloads(specs: Sequence[WorkloadSpec], *, workers: int = 0,
     specs = list(specs)
     outcomes = pmap_outcomes(specs, workers=workers, chunk_size=chunk_size,
                              executor_factory=executor_factory, obs=obs)
-    failed = [f"  [{i}] {spec.label()} seed={spec.seed}: "
-              f"{out.error.splitlines()[0]}"
-              for i, (spec, out) in enumerate(zip(specs, outcomes))
-              if isinstance(out, CellFailure)]
+    # A loop, not a comprehension: the one Python call this saves pays
+    # for pmap_outcomes' audit, so a fan-out costs the engine layer the
+    # calls per pass the exact ledger recorded before the audit moved here.
+    failed = []
+    for i, (spec, out) in enumerate(zip(specs, outcomes)):
+        if isinstance(out, CellFailure):
+            failed.append(f"  [{i}] {spec.label()} seed={spec.seed}: "
+                          f"{out.error.splitlines()[0]}")
     if failed:
         raise SimulationError(f"{len(failed)} of {len(specs)} cell(s) "
                               f"failed:\n" + "\n".join(failed))

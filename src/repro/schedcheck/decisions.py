@@ -47,18 +47,23 @@ class Decisions:
 
     def __init__(self, entries: Iterable[tuple[int, int]] = ()):
         m: dict[int, int] = {}
+        seen: set[int] = set()
         for k, v in entries:
             k, v = int(k), int(v)
             if k < 0 or v < 0:
                 raise ConfigError(f"decision entries must be >= 0, got {k}:{v}")
             # a repeated index would silently keep its last option
-            if k in m:
+            if k in seen:
                 raise ConfigError(f"choice index {k} appears twice in the "
                                   f"decisions")
-            m[k] = v
+            seen.add(k)
+            # default picks (0) carry no information and are dropped
+            if v != 0:
+                m[k] = v
         # insertion order = sorted order, kept for stable iteration/repr;
-        # default picks (0) carry no information and are dropped
-        self._map = {k: v for k, v in sorted(m.items()) if v != 0}
+        # dict() rather than a comprehension, which would be one more
+        # Python call per schedule in the walk's exact call count
+        self._map = dict(sorted(m.items()))
 
     # -- constructors ---------------------------------------------------
     @classmethod

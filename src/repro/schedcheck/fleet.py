@@ -4,8 +4,8 @@ Exploration is embarrassingly parallel — every schedule is a sealed
 build of a frozen :class:`~repro.schedcheck.scenario.LockScenario` plus
 one derived policy seed — so the fleet fans
 :func:`~repro.schedcheck.explore.walk` through
-:func:`repro.parallel.engine.run_chunks`, the loop every sweep and
-experiment cell runs on: primitive :class:`ExploreCell` units out (a
+:func:`repro.parallel.engine.run_chunks`, the loop every experiment
+cell runs on: primitive :class:`ExploreCell` units out (a
 scenario and a slice ``start .. start + count - 1`` of its walk),
 primitive :class:`CellOut` records back, crash isolation per cell,
 byte-identical merge in cell order.  A fleet therefore runs exactly
@@ -181,7 +181,7 @@ class WalkRecord:
 @dataclass(frozen=True)
 class CellOut:
     """What one cell sent home; a crashed cell carries the error text
-    instead of records (per-cell isolation, same as sweep cells)."""
+    instead of records (per-cell isolation, same as experiment cells)."""
 
     index: int
     ok: bool

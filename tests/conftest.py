@@ -22,7 +22,7 @@ the back-compat re-exports in ``tests.locks.helpers``.
 Two fixtures live here too, each an expensive artefact computed once
 per session for every test that reads it: ``smoke_figure``, every
 experiment at smoke scale, and ``simlint_tree``, simlint's scan of the
-tree.
+tree.  One more, ``no_leaked_lock_kinds``, guards every test.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import Cluster
+from repro.locks.base import LOCK_TYPES
 from repro.locktable import DistributedLockTable
 
 
@@ -182,6 +183,21 @@ def refcounted_runs():
         Cluster.close = close
         if gc_was_enabled:
             gc.enable()
+
+
+# ------------------------------------------------------ registry guard
+
+@pytest.fixture(autouse=True)
+def no_leaked_lock_kinds():
+    """Fail a test that leaves a lock kind registered.  ``LOCK_TYPES``
+    is process-global: a leaked kind changes the unknown-kind message
+    and ``sorted(LOCK_TYPES)`` for every later test.  A test registers
+    its kind through a fixture that deletes it on teardown (the
+    ``hang`` fixtures do)."""
+    before = set(LOCK_TYPES)
+    yield
+    leaked = sorted(set(LOCK_TYPES) - before)
+    assert not leaked, f"the test left lock kind(s) registered: {leaked}"
 
 
 # ------------------------------------------------------- shared figures

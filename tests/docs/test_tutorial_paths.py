@@ -34,11 +34,14 @@ class TutorialTasLock(DistributedLock):
         yield from ctx.r_write(self.word, 0)
 
 
-def _ensure_registered():
-    if "tutorial-tas" not in LOCK_TYPES:
-        register_lock_type(
-            "tutorial-tas",
-            lambda cluster, home_node, **kw: TutorialTasLock(cluster, home_node, **kw))
+@pytest.fixture
+def tutorial_tas():
+    """The tutorial's lock, registered for the test and removed after."""
+    register_lock_type(
+        "tutorial-tas",
+        lambda cluster, home_node, **kw: TutorialTasLock(cluster, home_node, **kw))
+    yield "tutorial-tas"
+    del LOCK_TYPES["tutorial-tas"]
 
 
 class TestTutorialCustomLock:
@@ -57,11 +60,10 @@ class TestTutorialCustomLock:
         assert lock.acquisitions == 1
         cluster.auditor.assert_clean()
 
-    def test_first_class_in_workload_runner(self):
-        _ensure_registered()
+    def test_first_class_in_workload_runner(self, tutorial_tas):
         result = run_workload(WorkloadSpec(
             n_nodes=2, threads_per_node=2, n_locks=6, locality_pct=90.0,
-            lock_kind="tutorial-tas", ops_per_thread=8, cs_counter=True,
+            lock_kind=tutorial_tas, ops_per_thread=8, cs_counter=True,
             audit="record"))
         assert result.completed_ops == 32
         assert result.atomicity_violations == 0

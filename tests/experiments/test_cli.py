@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.cli import main
 from repro.obs import log as event_log
 from tests.conftest import recorded_fanout
@@ -44,16 +46,17 @@ class TestRun:
 
     @pytest.mark.parametrize("argv,message", [
         (["run", "table1", "--workers", "-1"], "--workers must be >= 0, got -1"),
-        (["sweep", "--metric", "nope"], "unknown --metric 'nope'"),
+        (["run", "table1", "--seed", "1", "1"],
+         "--seed names a seed twice: [1, 1]"),
         (["explore", "--lock-option", "novalue"],
          "--lock-option wants KEY=VALUE, got 'novalue'"),
-        (["sweep", "--lock", "alock", "nosuch"], "unknown lock type 'nosuch'"),
+        (["explore", "--lock", "nosuch"], "unknown lock type 'nosuch'"),
         (["explore", "--schedules", "0"], "budget must be >= 1, got 0"),
         (["explore", "--policy", "dfs", "--max-choice-points", "-1"],
          "max_choice_points must be >= 0, got -1"),
         (["explore", "--nodes", "1", "--pick", "remote"],
          "pick 'remote' needs a remote lock, but with n_nodes=1"),
-        (["sweep", "--think-ns", "-1"], "think_ns must be >= 0, got -1.0"),
+        (["explore", "--think-ns", "-1"], "think_ns must be >= 0, got -1.0"),
         (["explore", "--cs-ns", "-100000"],
          "cs_ns must be >= 0, got -100000.0"),
     ])
@@ -80,29 +83,63 @@ class TestRun:
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0
 
 
-class TestSweep:
-    def test_same_bytes_at_any_worker_count(self, tmp_path, capsys):
-        """``sweep`` end to end: the grid's JSON and CSV are the same
-        bytes serial and on a pool, and the option list is closed."""
-        written = []
-        for workers in (0, 2):
-            json_out = tmp_path / f"w{workers}.json"
-            csv_out = tmp_path / f"w{workers}.csv"
-            assert main(["sweep", "--lock", "alock", "mcs", "--seeds", "0", "1",
-                         "--workers", str(workers), "--json", str(json_out),
-                         "--csv", str(csv_out)]) == 0
-            written.append((json_out.read_bytes(), csv_out.read_bytes()))
-        assert written[0] == written[1]
-        cells = json.loads(written[0][0])["cells"]
-        assert [c["key"] for c in cells] == [
-            [["seed", s], ["lock_kind", k]]
-            for s in (0, 1) for k in ("alock", "mcs")]
-        assert all(c["ok"] for c in cells)
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--cache", "x"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+#: the host-time progress line each run prints after its report
+TIMING = re.compile(r"^\(\S+ finished in \d+\.\ds\)$")
+
+
+def untimed(text: str) -> str:
+    return "\n".join(line for line in text.split("\n")
+                     if not TIMING.match(line))
+
+
+class TestSeedList:
+    def test_one_report_per_seed_under_its_seed_line(self, tmp_path, capsys):
+        """Two seeds print the two single-seed reports, each under one
+        line naming its seed, and ``--out`` holds both."""
+        out_md = tmp_path / "out.md"
+        assert main(["run", "table1", "--scale", "smoke", "--seed", "0", "1",
+                     "--out", str(out_md)]) == 0
+        both = capsys.readouterr().out
+        singles = []
+        for seed in ("0", "1"):
+            assert main(["run", "table1", "--scale", "smoke",
+                         "--seed", seed]) == 0
+            singles.append(capsys.readouterr().out)
+        assert "# seed" not in singles[0]
+        assert untimed(both) == untimed("".join(
+            f"# seed {seed}\n\n{single}" for seed, single in enumerate(singles)))
+        text = out_md.read_text()
+        assert text.count("## table1:") == 2
+        assert text.index("# seed 0\n\n## table1:") < \
+            text.index("# seed 1\n\n## table1:")
+
+    def test_same_output_at_any_worker_count(self, capsys):
+        outputs = []
+        for workers in ("0", "2"):
+            with recorded_fanout() as record:
+                assert main(["run", "fig1", "--scale", "smoke", "--seed", "0",
+                             "1", "--workers", workers]) == 0
+            assert record.calls and \
+                {w for _specs, w in record.calls} == {int(workers)}
+            outputs.append(untimed(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("## fig1:") == 2
+
+    def test_a_check_failing_at_one_seed_names_it(self, capsys, monkeypatch):
+        table1 = registry.EXPERIMENTS["table1"]
+
+        def failing_at_seed_1(*, scale, seed, workers):
+            result = table1(scale=scale, seed=seed, workers=workers)
+            result.check("planted failure", seed != 1)
+            return result
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "table1", failing_at_seed_1)
+        assert main(["run", "table1", "--scale", "smoke", "--seed", "0",
+                     "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "shape checks FAILED for: table1@seed1\n"
+        assert captured.out.count("- [x] planted failure") == 1
+        assert captured.out.count("- [ ] planted failure") == 1
 
 
 #: sha256 of the smoke-scale ``--trace-out``/``--metrics-out`` files at

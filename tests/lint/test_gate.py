@@ -30,9 +30,9 @@ KILLS = {
           '    digest = "%016x" % (hash(dump_str) & (2**64 - 1))')],
         None, "'hash()' depends on"),
     "U2": (
-        "unordered-iter", "src/repro/parallel/sweep.py",
-        [("        extra = sorted(row_keys - set(self.axes))",
-          "        extra = [k for k in row_keys if k not in self.axes]")],
+        "unordered-iter", "src/repro/obs/export.py",
+        [("        actors = sorted({s.actor for s in run.spans})",
+          "        actors = list({s.actor for s in run.spans})")],
         None, "set order"),
     "G2": (
         "region-bypass", "src/repro/cluster/context.py",

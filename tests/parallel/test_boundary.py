@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.parallel import check_boundary_value, enumerate_grid, worker_entry
+from repro.parallel import Cell, check_boundary_value, worker_entry
 from repro.parallel.engine import run_spec_chunk
 from repro.workload.spec import WorkloadSpec
 
@@ -45,6 +45,9 @@ def test_boundary_rejects_live_objects():
         check_boundary_value({"env": Environment()})
     with pytest.raises(ConfigError, match=r"cell\[1\]"):
         check_boundary_value((1, object()))
+    # depth-first in field order: the first offender is the one named
+    with pytest.raises(ConfigError, match=r"^cell\[0\]\[1\]: 'object'"):
+        check_boundary_value(([None, object()], object()))
 
 
 def test_cells_pickle_round_trip_unchanged():
@@ -52,18 +55,13 @@ def test_cells_pickle_round_trip_unchanged():
     pickle bit-for-bit (frozen dataclasses of primitives do)."""
     base = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
                         ops_per_thread=5)
-    cells = enumerate_grid(base, {"lock_kind": ["alock", "mcs"],
-                                  "locality_pct": [90.0, 100.0]}, seeds=[0, 7])
+    cells = [Cell((seed, kind, locality),
+                  base.with_(seed=seed, lock_kind=kind, locality_pct=locality))
+             for seed in (0, 7) for kind in ("alock", "mcs")
+             for locality in (90.0, 100.0)]
+    check_boundary_value(cells)
     blob = pickle.dumps(tuple(cells))
     restored = pickle.loads(blob)
     assert tuple(cells) == restored
     for cell in restored:
         check_boundary_value(cell)
-
-
-def test_cell_key_stable():
-    """A sweep cell's coordinates are its ``(axis, value)`` pairs, seed
-    first, then the axes in declared order — the JSON ``key``."""
-    (cell,) = enumerate_grid(WorkloadSpec(ops_per_thread=1),
-                             {"lock_kind": ["alock"]}, seeds=[1])
-    assert cell.coords == (("seed", 1), ("lock_kind", "alock"))

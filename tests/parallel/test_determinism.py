@@ -1,63 +1,47 @@
-"""Deterministic-merge guarantees: the serialized sweep output is
-byte-identical at any worker count, and the experiment modules produce
-identical results serial vs parallel."""
+"""Deterministic-merge guarantees: ``pmap_outcomes`` returns the same
+outcomes, byte for byte, at any worker count and chunk size, and the
+experiment modules produce identical results serial vs parallel."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.parallel import enumerate_grid, pmap_outcomes, run_sweep_parallel
+from repro.parallel import CellFailure, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import recorded_fanout
+from tests.parallel.conftest import outcome_bytes
 
 #: Small, count-mode base so each cell is a few milliseconds.
 BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
                     ops_per_thread=20, audit="off")
 
-#: Fig5/fig6-style axes: the three lock types × contention × locality.
-AXES = {"lock_kind": ["alock", "spinlock", "mcs"],
-        "n_locks": [20, 100],
-        "locality_pct": [90.0, 100.0]}
-
-
-def test_enumerate_grid_order_and_keys():
-    cells = enumerate_grid(BASE, AXES, seeds=[0, 1])
-    assert len(cells) == 2 * 3 * 2 * 2
-    # Coordinates carry the axis assignments; the list order is the
-    # output order.
-    assert dict(cells[0].coords) == {"seed": 0, "lock_kind": "alock",
-                                     "n_locks": 20, "locality_pct": 90.0}
-    assert [c.spec for c in cells] == [BASE.with_(**dict(c.coords))
-                                       for c in cells]
-    # Seeds are the outermost axis: the second half repeats the grid.
-    half = len(cells) // 2
-    assert all(dict(c.coords)["seed"] == 0 for c in cells[:half])
-    assert all(dict(c.coords)["seed"] == 1 for c in cells[half:])
+#: A fig5/fig6-style grid: the three lock types × contention × locality.
+SPECS = [BASE.with_(lock_kind=kind, n_locks=n_locks, locality_pct=locality)
+         for kind in ("alock", "spinlock", "mcs") for n_locks in (20, 100)
+         for locality in (90.0, 100.0)]
 
 
 def test_single_worker_matches_serial_byte_identical():
-    serial = run_sweep_parallel(BASE, AXES, workers=0)
-    one = run_sweep_parallel(BASE, AXES, workers=1)
-    assert serial.to_json_bytes() == one.to_json_bytes()
-    assert serial.to_csv_bytes() == one.to_csv_bytes()
+    serial = pmap_outcomes(SPECS, workers=0)
+    one = pmap_outcomes(SPECS, workers=1)
+    assert outcome_bytes(serial) == outcome_bytes(one)
 
 
 def test_workers4_byte_identical_to_serial():
-    """The acceptance gate: fig5/fig6-style config axes, 4 workers,
-    byte-identical JSON and CSV."""
-    serial = run_sweep_parallel(BASE, AXES, seeds=[0], workers=0)
-    par = run_sweep_parallel(BASE, AXES, seeds=[0], workers=4)
-    assert serial.to_json_bytes() == par.to_json_bytes()
-    assert serial.to_csv_bytes() == par.to_csv_bytes()
-    assert not serial.failures
+    """The acceptance gate: a fig5/fig6-style grid on 4 workers, byte
+    for byte the serial outcomes."""
+    serial = pmap_outcomes(SPECS, workers=0)
+    par = pmap_outcomes(SPECS, workers=4)
+    assert outcome_bytes(serial) == outcome_bytes(par)
+    assert not any(isinstance(out, CellFailure) for out in serial)
 
 
 def test_chunk_size_does_not_change_output():
-    serial = run_sweep_parallel(BASE, AXES, workers=0)
+    serial = outcome_bytes(pmap_outcomes(SPECS, workers=0))
     for chunk_size in (1, 3, 100):
-        par = run_sweep_parallel(BASE, AXES, workers=2, chunk_size=chunk_size)
-        assert serial.to_json_bytes() == par.to_json_bytes()
+        par = pmap_outcomes(SPECS, workers=2, chunk_size=chunk_size)
+        assert serial == outcome_bytes(par)
 
 
 def test_pmap_outcomes_in_input_order():

@@ -1,19 +1,18 @@
 """Edge cases of the parallel engine: more workers than cells, failing
-cells, unknown lock kinds, and interrupt handling (no orphan
-processes)."""
+cells, specs refused before any cell runs, and interrupt handling (no
+orphan processes)."""
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.parallel import (CellFailure, enumerate_grid, pmap_outcomes,
-                            run_sweep_parallel)
+from repro.parallel import CellFailure, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
+from tests.parallel.conftest import outcome_bytes
 
 BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
                     ops_per_thread=10, audit="off")
@@ -26,15 +25,14 @@ def test_more_workers_than_cells():
 
 
 def test_raising_cell_becomes_failed_record(hang):
-    """A diverging cell is recorded as failed; the sweep completes and
-    every other cell still produces its row."""
-    res = run_sweep_parallel(
-        BASE, {"lock_kind": ["alock", "mcs", "spinlock", hang]},
-        workers=2, chunk_size=1)
-    assert len(res.results) == 4
-    assert len(res.rows) == 3
-    ((cell, failure),) = res.failures
-    assert cell.coords == (("lock_kind", "hang"),)
+    """A diverging cell comes home as its failure; the run completes
+    and every other cell still produces its result."""
+    specs = [BASE.with_(lock_kind=kind)
+             for kind in ("alock", "mcs", "spinlock", hang)]
+    outcomes = pmap_outcomes(specs, workers=2, chunk_size=1)
+    assert [r.spec for r in outcomes[:3]] == specs[:3]
+    failure = outcomes[3]
+    assert isinstance(failure, CellFailure)
     assert "parked with an empty schedule" in failure.error
 
 
@@ -48,44 +46,39 @@ def test_raising_cell_serial_path_matches(hang):
 
 
 def test_failed_cells_survive_serialization(hang):
-    axes = {"lock_kind": ["alock", hang]}
-    serial = run_sweep_parallel(BASE, axes, workers=0)
-    par = run_sweep_parallel(BASE, axes, workers=2)
-    assert len(serial.failures) == len(par.failures) == 1
-    assert len(serial.rows) == 1
-    # Byte identity must hold for the *rows*; error text includes
-    # process-specific traceback paths, so compare the JSON payloads
-    # minus the error field.
-    s = json.loads(serial.to_json_bytes())
-    p = json.loads(par.to_json_bytes())
-    for cs, cp in zip(s["cells"], p["cells"]):
-        assert cs["key"] == cp["key"]
-        assert cs["ok"] == cp["ok"]
-        assert cs["row"] == cp["row"]
+    """A failure crosses the process boundary beside a result: the
+    pooled outcomes are the inline ones (error text up to the
+    process-specific traceback)."""
+    specs = [BASE, BASE.with_(lock_kind=hang)]
+    serial = pmap_outcomes(specs, workers=0)
+    par = pmap_outcomes(specs, workers=2)
+    assert [isinstance(out, CellFailure) for out in par] == [False, True]
+    assert outcome_bytes(serial) == outcome_bytes(par)
 
 
 def test_unknown_lock_kind_fails_before_any_cell_runs():
     seen = []
-    with pytest.raises(ConfigError, match="unknown lock type 'nosuch'"):
-        run_sweep_parallel(BASE, {"lock_kind": ["alock", "nosuch"]},
-                           on_result=lambda cell, res: seen.append(cell))
+    for workers in (0, 2):
+        with pytest.raises(ConfigError, match="unknown lock type 'nosuch'"):
+            pmap_outcomes([BASE, BASE.with_(lock_kind="nosuch")],
+                          workers=workers,
+                          on_result=lambda i, out: seen.append(i))
     assert seen == []
 
 
 def test_keyboard_interrupt_leaves_no_orphans():
-    """An interrupt mid-sweep propagates out of the sweep and the pool
-    is fully shut down — no orphan worker processes remain."""
+    """An interrupt mid-run propagates out of ``pmap_outcomes`` and the
+    pool is fully shut down — no orphan worker processes remain."""
     hits = {"n": 0}
 
-    def boom(cell, result):
+    def boom(index, outcome):
         hits["n"] += 1
         if hits["n"] == 2:
             raise KeyboardInterrupt
 
+    specs = [BASE.with_(ops_per_thread=200, seed=s) for s in range(16)]
     with pytest.raises(KeyboardInterrupt):
-        run_sweep_parallel(BASE.with_(ops_per_thread=200), {},
-                           seeds=range(16), workers=2, chunk_size=1,
-                           on_result=boom)
+        pmap_outcomes(specs, workers=2, chunk_size=1, on_result=boom)
     # shutdown(wait=True) joins the pool before re-raising; give the
     # reaper a beat, then require every child to be gone.
     deadline = time.monotonic() + 5.0
@@ -94,27 +87,21 @@ def test_keyboard_interrupt_leaves_no_orphans():
     assert multiprocessing.active_children() == []
 
 
-def test_unknown_metric_rejected():
-    with pytest.raises(ConfigError, match="unknown metric"):
-        run_sweep_parallel(BASE, {}, metric="nope")
-
-
-def test_empty_grid():
-    res = run_sweep_parallel(BASE, {"lock_kind": []}, workers=2)
-    assert res.results == []
-    assert res.to_csv_bytes().startswith(b"index,")
-
-
 def test_workers_beyond_cells_sweep_byte_identity():
-    axes = {"lock_kind": ["alock"]}
-    serial = run_sweep_parallel(BASE, axes, workers=0)
-    par = run_sweep_parallel(BASE, axes, workers=8)
-    assert serial.to_json_bytes() == par.to_json_bytes()
+    """Eight workers for one cell: the outcome is the inline one."""
+    specs = [BASE]
+    serial = pmap_outcomes(specs, workers=0)
+    par = pmap_outcomes(specs, workers=8)
+    assert outcome_bytes(serial) == outcome_bytes(par)
 
 
-def test_enumerate_grid_rejects_unpicklable_axis():
+def test_unpicklable_spec_fails_before_any_cell_runs():
     class Weird:
         pass
 
-    with pytest.raises(ConfigError, match="process boundary"):
-        enumerate_grid(BASE, {"lock_options": [((("x", Weird()),))]})
+    seen = []
+    bad = BASE.with_(lock_options=(("x", Weird()),))
+    with pytest.raises(ConfigError, match=r"specs\[1\]\.lock_options\[0\]\[1\]: "
+                                          r"'Weird' may not cross the process boundary"):
+        pmap_outcomes([BASE, bad], on_result=lambda i, out: seen.append(i))
+    assert seen == []

@@ -3,12 +3,10 @@
 Bug classes that each used to lose information:
 
 * a chunk lost to a worker crash must fail exactly its own cells, never
-  the sweep;
+  the whole run;
 * ``pmap_workloads`` must name *every* failed spec, not just the first
   failure it happened to see, and an inline run must fail the way a
-  pooled one does instead of stopping at its first failing cell;
-* ``enumerate_grid`` silently let an explicit ``"seed"`` axis collide
-  with the ``seeds=`` parameter (the axis overwrote the seeds).
+  pooled one does instead of stopping at its first failing cell.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ from concurrent.futures import Executor, Future
 
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.parallel import (CellFailure, enumerate_grid, pmap_workloads,
-                            run_sweep_parallel)
+from repro.common.errors import SimulationError
+from repro.parallel import CellFailure, pmap_outcomes, pmap_workloads
 from repro.workload.spec import WorkloadSpec
 
 BASE = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=20,
@@ -53,14 +50,12 @@ def _crashing(*chunks):
 
 class TestCrashedChunks:
     def test_crashed_chunk_fails_only_its_cells(self):
-        res = run_sweep_parallel(BASE, {}, seeds=range(4), workers=2,
-                                 chunk_size=2, executor_factory=_crashing(1))
-        assert [isinstance(r, CellFailure) for r in res.results] == \
-            [False, False, True, True]
-        assert [c.coords for c, _ in res.failures] == \
-            [(("seed", 2),), (("seed", 3),)]
-        assert all(f.error == "chunk failure: RuntimeError('chunk 1 exploded')"
-                   for _, f in res.failures)
+        specs = [BASE.with_(seed=s) for s in range(4)]
+        outcomes = pmap_outcomes(specs, workers=2, chunk_size=2,
+                                 executor_factory=_crashing(1))
+        assert [r.spec for r in outcomes[:2]] == specs[:2]
+        assert outcomes[2:] == [CellFailure(
+            "chunk failure: RuntimeError('chunk 1 exploded')")] * 2
 
 
 class TestPmapFailures:
@@ -92,17 +87,3 @@ class TestPmapFailures:
         assert "\n  [2] hang n2x1 locks=20 loc=100% seed=1: " in serial
         assert "parked with an empty schedule" in serial
 
-
-class TestSeedAxisCollision:
-    def test_explicit_seed_axis_with_seeds_param_raises(self):
-        with pytest.raises(ConfigError, match="'seed' axis is reserved"):
-            enumerate_grid(BASE, {"seed": [1, 2]}, seeds=[0, 1])
-
-    def test_seed_axis_alone_is_allowed(self):
-        cells = enumerate_grid(BASE, {"seed": [3, 4]})
-        assert [dict(c.coords)["seed"] for c in cells] == [3, 4]
-        assert [c.spec.seed for c in cells] == [3, 4]
-
-    def test_seeds_param_alone_is_allowed(self):
-        cells = enumerate_grid(BASE, {"lock_kind": ["alock"]}, seeds=[5])
-        assert [c.spec.seed for c in cells] == [5]

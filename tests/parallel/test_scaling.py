@@ -1,10 +1,10 @@
-"""Scaling of the parallel sweep engine.
+"""Scaling of the parallel engine.
 
 The four-worker speedup needs real cores: on a 1-core container four
 workers time-slice a single CPU and no speedup is physically possible,
 so that test skips itself below 4 cores and CI's multi-core runners
 execute the wall-clock assertion.  The two-worker check is exact: the
-pool spreads the chunks over both workers and the merged result is
+pool spreads the chunks over both workers and the merged outcomes are
 byte-identical to the inline run's.
 """
 
@@ -16,23 +16,27 @@ from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
-from repro.parallel import run_sweep_parallel
+from repro.parallel import CellFailure, pmap_outcomes
 from repro.workload.spec import WorkloadSpec
+from tests.parallel.conftest import outcome_bytes
 
 #: Enough simulated work per cell (~100ms+) that pool spawn overhead is
 #: amortized and the speedup measures computation, not IPC.
 BASE = WorkloadSpec(n_nodes=4, threads_per_node=3, n_locks=50,
                     ops_per_thread=150, audit="off")
-AXES = {"lock_kind": ["alock", "spinlock", "mcs"],
-        "locality_pct": [0.0, 50.0, 100.0]}
-SEEDS = [1, 2]
+
+#: Two seeds × three lock types × three localities.
+GRID = [{"seed": seed, "lock_kind": kind, "locality_pct": locality}
+        for seed in (1, 2) for kind in ("alock", "spinlock", "mcs")
+        for locality in (0.0, 50.0, 100.0)]
 
 
 def _wall(workers: int) -> float:
     t0 = time.perf_counter()
-    result = run_sweep_parallel(BASE, AXES, seeds=SEEDS, workers=workers)
+    outcomes = pmap_outcomes([BASE.with_(**cell) for cell in GRID],
+                             workers=workers)
     elapsed = time.perf_counter() - t0
-    assert not result.failures
+    assert not any(isinstance(out, CellFailure) for out in outcomes)
     return elapsed
 
 
@@ -83,7 +87,7 @@ def test_four_worker_sweep_scales():
     serial = _wall(1)
     quad = _wall(4)
     speedup = serial / quad
-    assert speedup >= 1.8, f"4-worker sweep speedup {speedup:.2f}x < 1.8x"
+    assert speedup >= 1.8, f"4-worker speedup {speedup:.2f}x < 1.8x"
     if speedup < 2.5:  # pragma: no cover - host-dependent
         import warnings
 
@@ -92,16 +96,16 @@ def test_four_worker_sweep_scales():
 
 
 def test_two_worker_sweep_spreads_chunks_byte_identical():
-    """Two workers both run chunks, and the merged sweep is the inline
-    run's, byte for byte.  Exact, not timed: the wall clock does not
-    gate (DESIGN.md decision 11)."""
-    base = BASE.with_(ops_per_thread=40)
-    serial = run_sweep_parallel(base, AXES, seeds=SEEDS, workers=0)
+    """Two workers both run chunks, and the merged outcomes are the
+    inline run's, byte for byte.  Exact, not timed: the wall clock does
+    not gate (DESIGN.md decision 11)."""
+    specs = [BASE.with_(ops_per_thread=40, **cell) for cell in GRID]
+    serial = pmap_outcomes(specs, workers=0)
     pids: list = []
-    dual = run_sweep_parallel(
-        base, AXES, seeds=SEEDS, workers=2, chunk_size=1,
+    dual = pmap_outcomes(
+        specs, workers=2, chunk_size=1,
         executor_factory=lambda workers: _PidRecordingPool(workers, pids))
-    assert not serial.failures
-    assert dual.to_json_bytes() == serial.to_json_bytes()
-    assert len(pids) == len(serial.rows) == 18
+    assert not any(isinstance(out, CellFailure) for out in serial)
+    assert outcome_bytes(dual) == outcome_bytes(serial)
+    assert len(pids) == len(specs) == 18
     assert len(set(pids)) == 2 and os.getpid() not in pids

@@ -4,36 +4,39 @@ accounting, and the build_cluster escape hatch."""
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.locks.base import LOCK_TYPES, DistributedLock, register_lock_type
 from repro.rdma.config import RdmaConfig
 from repro.workload import WorkloadSpec, run_workload
 from repro.workload.runner import build_cluster
 
 
+class ExplodingLock(DistributedLock):
+    kind = "exploding"
+
+    def lock(self, ctx):
+        yield ctx.env.timeout(10)
+        raise RuntimeError("boom")
+
+    def unlock(self, ctx):  # pragma: no cover - never reached
+        yield ctx.env.timeout(10)
+
+
+@pytest.fixture
+def exploding():
+    """A registered lock kind that raises mid-protocol."""
+    register_lock_type("exploding", ExplodingLock)
+    yield "exploding"
+    del LOCK_TYPES["exploding"]
+
+
 class TestErrorPropagation:
-    def test_failing_lock_surfaces_in_count_mode(self):
+    def test_failing_lock_surfaces_in_count_mode(self, exploding):
         """A lock that raises mid-protocol must fail the run loudly, not
         silently produce partial numbers."""
-        from repro.locks.base import LOCK_TYPES, DistributedLock, register_lock_type
-
-        class ExplodingLock(DistributedLock):
-            kind = "exploding"
-
-            def lock(self, ctx):
-                yield ctx.env.timeout(10)
-                raise RuntimeError("boom")
-
-            def unlock(self, ctx):  # pragma: no cover - never reached
-                yield ctx.env.timeout(10)
-
-        if "exploding" not in LOCK_TYPES:
-            register_lock_type(
-                "exploding",
-                lambda cluster, home_node, **kw: ExplodingLock(cluster, home_node, **kw))
-
         with pytest.raises(SimulationError, match=r"client-n0t0 died: "
                            r"RuntimeError: boom \(\+1 more\)"):
             run_workload(WorkloadSpec(n_nodes=2, threads_per_node=1,
-                                      n_locks=2, lock_kind="exploding",
+                                      n_locks=2, lock_kind=exploding,
                                       ops_per_thread=1, audit="off"))
 
 
