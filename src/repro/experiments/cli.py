@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 
@@ -150,14 +151,25 @@ def _fleet(args) -> int:
     return 1 if report.found else 0
 
 
+#: exit status of every subcommand whose reader closed stdout early
+#: (``| head``): 128 + SIGPIPE, as a shell reports a writer it killed
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _main(argv)
+        status = _main(argv)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
     except ConfigError as exc:
         # Bad config is the user's to fix: one precise line and the
         # usage-error status, not a traceback into the simulator.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Stop quietly; the flush at exit must not hit the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def _main(argv: list[str] | None) -> int:

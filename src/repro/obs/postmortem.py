@@ -4,9 +4,8 @@ A *post-mortem dump* is a plain-JSON snapshot assembled from things the
 simulation already tracks — the ring view of the event log
 (:mod:`repro.obs.flight`), the process registry's parked-on
 descriptions, the lock oracle state, and the labeled protocol words —
-taken when a failure is detected: sim deadlock, schedcheck
-stall/checker violation, uncaught exception in an experiment cell, or a
-lease expiry in the lock table.
+taken when a failure is detected: a schedule or workload run that failed
+its verdict (:func:`failure_dump`), or a lease expiry in the lock table.
 
 The centerpiece is the **wait-for graph**: edges from waiting actors to
 the lock word they are parked on (from ``lock.wait`` flight events not
@@ -38,7 +37,7 @@ SCHEMA = "alock-postmortem/1"
 DEFAULT_WINDOW = 128
 
 #: environment variable naming a directory for dump files; when set,
-#: failure sites persist their post-mortems there (CI uploads the
+#: :func:`failure_dump` persists each post-mortem there (CI uploads the
 #: directory as an artifact when a gate fails).
 DUMP_DIR_ENV = "ALOCK_POSTMORTEM_DIR"
 
@@ -162,7 +161,7 @@ def snapshot(cluster, *, reason: str, detail: str = "", table=None,
         decisions: schedcheck sparse decision string, when the failure
             came from an explored schedule — stored verbatim so the dump
             is replayable (``explore --replay``).
-        error: ``repr`` of the raised exception, if any.
+        error: ``repr`` of the client's exception, if any.
         window: trailing flight events to freeze.
     """
     env = cluster.env
@@ -250,38 +249,28 @@ def dump_json(dump: dict) -> str:
     return json.dumps(dump, sort_keys=True, separators=(",", ":"))
 
 
-def attach(exc: BaseException, cluster, *, reason: str, detail: str = "",
-           table=None) -> BaseException:
-    """Hang a post-mortem dump on ``exc`` (as ``exc._postmortem``) and
-    persist it if ``$ALOCK_POSTMORTEM_DIR`` is set.
-
-    Returns ``exc`` so call sites can ``raise attach(exc, ...)``.  The
-    dump rides the exception across layers — the parallel engine's
-    worker pulls it off a failed cell's error and sends it home on the
-    :class:`~repro.parallel.cells.CellFailure`.
-    """
-    dump = dump_json(snapshot(cluster, reason=reason, detail=detail,
-                              table=table, error=repr(exc)))
-    exc._postmortem = dump
-    maybe_write_dump(dump, reason)
-    return exc
-
-
-def maybe_write_dump(dump_str: str, tag: str) -> Optional[str]:
-    """Persist ``dump_str`` under ``$ALOCK_POSTMORTEM_DIR`` if set.
-
-    Returns the written path, or None when the env var is unset.  The
-    filename is content-addressed so identical failures collapse and
-    concurrent writers (pool workers) never collide.
-    """
+def failure_dump(cluster, *, reason: str, detail: str, table=None,
+                 decisions: Optional[str] = None,
+                 error: Optional[BaseException] = None) -> str:
+    """The one place a failed run's post-mortem is built: snapshot,
+    serialize, persist under ``$ALOCK_POSTMORTEM_DIR`` if set, return the
+    string.  ``error`` is the client's exception (``None`` for a
+    ``checker`` verdict).  The string rides the failure home: on a
+    ``ScheduleResult``, or as a raised error's ``_postmortem``, which the
+    parallel engine puts on the failed cell's ``CellFailure``."""
+    dump_str = dump_json(snapshot(cluster, reason=reason, detail=detail,
+                                  table=table, decisions=decisions,
+                                  error=None if error is None else repr(error)))
     out_dir = os.environ.get(DUMP_DIR_ENV)
     if not out_dir:
-        return None
+        return dump_str
+    # Content-addressed, so identical failures collapse and concurrent
+    # writers (pool workers) never collide.
     digest = hashlib.blake2b(dump_str.encode("utf-8"), digest_size=8).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"postmortem-{tag}-{digest}.json")
+    path = os.path.join(out_dir, f"postmortem-{reason}-{digest}.json")
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(dump_str)
     os.replace(tmp, path)
-    return path
+    return dump_str

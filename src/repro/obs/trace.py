@@ -1,9 +1,8 @@
 """The protocol trace view: the log as a list of readable steps.
 
-The quickstart replays the paper's Figure 2 from it, the schedcheck
-verdict (:func:`repro.schedcheck.scenario.check_budget_bounds`)
-evaluates ALock's budget bound over it, and ``execution_digest`` hashes
-every line of it.  It shows something only for a cluster recording at the
+The quickstart replays the paper's Figure 2 from it, the post-run
+verdict (:func:`repro.workload.runner.judge`) evaluates ALock's budget
+bound over it, and ``execution_digest`` hashes every line of it.  It shows something only for a cluster recording at the
 ``PROTOCOL`` level or above (``Cluster(obs=PROTOCOL)``).
 
 The lock code reports raw fields; the one-line ``detail`` strings are

@@ -52,9 +52,8 @@ def run_spec_chunk(chunk: "tuple[WorkloadSpec, ...]",
         try:
             out.append(run_workload(spec, obs=obs))
         except Exception as exc:
-            # A failure site (runner, sim core, locktable) may have hung
-            # a post-mortem dump on the exception; it travels home as a
-            # plain string.
+            # A failed verdict carries run_workload's post-mortem; the
+            # dump travels home as a plain string.
             out.append(CellFailure(f"{exc!r}\n{traceback.format_exc()}",
                                    getattr(exc, "_postmortem", None)))
     return out

@@ -5,7 +5,7 @@ systematically *permutes* those tie-breaks — the one degree of freedom a
 real machine has that a deterministic simulator normally erases — and
 checks every resulting execution: the locks' holder oracle fails a
 client on a mutual-exclusion violation during the run, and one post-run
-verdict (:meth:`~repro.schedcheck.scenario.BuiltRun.validate`) checks
+verdict (:func:`repro.workload.runner.judge`, count mode's too) checks
 the budget bound, guarded-counter conservation and the race audit.
 
 Workflow: pick a :class:`~repro.schedcheck.scenario.LockScenario`,
@@ -35,9 +35,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                                  "walk"),
     "repro.schedcheck.policies": ("FifoPolicy", "PctPolicy", "RandomWalkPolicy",
                                   "ReplayPolicy", "SchedulePolicy", "make_policy"),
-    "repro.schedcheck.scenario": ("BuiltRun", "LockScenario",
-                                  "check_budget_bounds"),
+    "repro.schedcheck.scenario": ("BuiltRun", "LockScenario"),
     "repro.schedcheck.shrink": ("ShrinkResult", "shrink_failure"),
+    "repro.workload.runner": ("check_budget_bounds",),
 })
 
 __all__ = [

@@ -20,7 +20,7 @@ Failure taxonomy (``ScheduleResult.failure_kind``); the first three are
 * ``"stall"``     — the deadline passed with clients alive but events
   still flowing: livelock or starvation.
 * ``"checker"``   — the run completed but its post-run verdict
-  (:meth:`~repro.schedcheck.scenario.BuiltRun.validate`) rejected it:
+  (:func:`repro.workload.runner.judge`, count mode's too) rejected it:
   budget bound, lost updates (counter conservation) or race audit.
 """
 
@@ -35,7 +35,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import derive_seed
 from repro.schedcheck.decisions import SCHEDULE_VERSION, Decisions
 from repro.schedcheck.policies import ReplayPolicy, SchedulePolicy, make_policy
-from repro.workload.runner import run_clients
+from repro.workload.runner import checker_detail, judge, run_clients
 
 #: trace lines kept on each result for failure reports
 TRACE_TAIL = 12
@@ -114,24 +114,20 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
         trace_tail=tuple(str(ev) for ev in list(run.cluster.tracer)[-TRACE_TAIL:]),
         schedule_index=schedule_index, policy_seed=policy_seed)
 
-    error = None
+    if verdict is None and (problems := judge(run.cluster, run.table,
+                                              run.expected_ops)):
+        verdict = ("checker", checker_detail(problems), None)
     if verdict is not None:
-        result.failure_kind, result.detail, error = verdict
-    elif problems := run.validate():
-        result.failure_kind = "checker"
-        result.detail = "; ".join(problems[:3]) + (
-            f" (+{len(problems) - 3} more)" if len(problems) > 3 else "")
-    if result.failure_kind is not None:
         result.ok = False
-        from repro.obs.postmortem import dump_json, maybe_write_dump, snapshot
+        result.failure_kind, result.detail, error = verdict
+        from repro.obs.postmortem import failure_dump
 
         # Freeze the post-mortem while the failed execution's state is
         # still live: flight window, lock words, wait-for graph.
-        result.dump = dump_json(snapshot(
+        result.dump = failure_dump(
             run.cluster, reason=result.failure_kind, detail=result.detail,
             table=run.table, decisions=result.decisions.to_string(),
-            error=None if error is None else repr(error)))
-        maybe_write_dump(result.dump, result.failure_kind)
+            error=error)
     run.cluster.close()
     return result
 

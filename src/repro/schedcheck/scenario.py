@@ -16,14 +16,13 @@ tests can hand the explorer bespoke process soups too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster import Cluster
 from repro.common.errors import ConfigError
 from repro.locktable import DistributedLockTable, count_deadline_ns
 from repro.obs import PROTOCOL
-from repro.obs.trace import TraceEvent
 from repro.rdma.config import CostModel, FabricConfig, NicConfig, RdmaConfig
 from repro.sim.core import Process
 from repro.workload.runner import spawn_clients, wire
@@ -61,89 +60,17 @@ def coarse_config() -> RdmaConfig:
     return _COARSE
 
 
-def check_budget_bounds(trace: Iterable[TraceEvent],
-                        budgets: dict[str, tuple[int, int, int]]) -> list[str]:
-    """Violations of ALock's cohort-budget bound: a cohort may take at
-    most ``budget`` consecutive critical sections between two
-    ``peterson.acquired`` events of its own (§5/Fig. 4 of the paper).
-    More means a budget handoff skipped the decrement or a leader
-    skipped the global competition.
-
-    Args:
-        trace: the run's protocol trace.
-        budgets: lock name -> (home_node, local_budget, remote_budget);
-            locks absent from the map are ignored (non-budgeted kinds).
-    """
-    violations = []
-    # (lock, cohort) -> consecutive CS entries since that cohort's last
-    # peterson.acquired (i.e. since it last won the global competition).
-    streak: dict[tuple[str, str], int] = {}
-    for ev in trace:
-        if ev.kind != "peterson.acquired" and ev.kind != "cs.enter":
-            continue
-        lock = ev.detail.split(" ", 1)[0]  # the detail's first token
-        if lock not in budgets:
-            continue
-        if ev.kind == "peterson.acquired":
-            cohort = "local" if "cohort=LOCAL" in ev.detail else "remote"
-            streak[(lock, cohort)] = 0
-            continue
-        home, local_budget, remote_budget = budgets[lock]
-        local = ev.actor.endswith(f"@n{home}")  # actors are t{j}@n{i}
-        cohort = "local" if local else "remote"
-        budget = local_budget if local else remote_budget
-        key = (lock, cohort)
-        streak[key] = streak.get(key, 0) + 1
-        if streak[key] > budget:
-            violations.append(
-                f"[{ev.time:.1f} ns] {cohort} cohort of {lock} took "
-                f"{streak[key]} consecutive critical sections "
-                f"(budget {budget}) without re-winning the global "
-                f"competition — budget handoff discipline violated "
-                f"(entered by {ev.actor})")
-    return violations
-
-
 @dataclass
 class BuiltRun:
-    """One freshly-built execution, ready to run under a policy."""
+    """One freshly-built execution, ready to run under a policy; the
+    verdict (:func:`repro.workload.runner.judge`) reads ``table`` and
+    ``expected_ops``, the guarded increments its clients make."""
 
     cluster: Cluster
     processes: list[Process]
     table: Optional[DistributedLockTable] = None
     expected_ops: int = 0
     deadline_ns: float = 0.0
-    #: lock name -> (home_node, local_budget, remote_budget) for the
-    #: budget-bound check (only budgeted locks appear).
-    budgets: dict = field(default_factory=dict)
-
-    def validate(self) -> list[str]:
-        """The post-run verdict of a run whose clients all finished, in
-        this order: ALock's budget bound over the protocol trace,
-        guarded-counter conservation (which also makes every counter's
-        increment history linearizable, see DESIGN.md) and the Table-1
-        race audit.  Mutual exclusion itself is the holder oracle's
-        (:meth:`repro.locks.base.DistributedLock._note_acquired`), which
-        fails the acquiring client during the run."""
-        problems = check_budget_bounds(self.cluster.tracer, self.budgets)
-        if self.table is not None and self.expected_ops:
-            try:
-                self.table.check_counters(self.expected_ops)
-            except AssertionError as exc:
-                problems.append(str(exc))
-        audit = self.cluster.auditor
-        if audit.mode != "off" and audit.violation_count:
-            problems.append(
-                f"race auditor recorded {audit.violation_count} Table-1 "
-                f"violation(s): {audit.violations[0]}")
-        return problems
-
-
-def lock_budgets(table: DistributedLockTable) -> dict:
-    """:attr:`BuiltRun.budgets` of ``table``'s budgeted locks."""
-    return {entry.lock.name: (entry.lock.home_node, entry.lock.local_budget,
-                              entry.lock.remote_budget)
-            for entry in table.entries if hasattr(entry.lock, "local_budget")}
 
 
 def _pick_single(node, thread, op, table):
@@ -267,9 +194,7 @@ class LockScenario:
             expected_ops=self.expected_ops,
             deadline_ns=self.deadline_ns or count_deadline_ns(
                 self.expected_ops, spec.total_threads, self.cs_ns,
-                self.think_ns, self.stagger_ns),
-            budgets=lock_budgets(table))
+                self.think_ns, self.stagger_ns))
 
 
-__all__ = ["BuiltRun", "LockScenario", "PICKERS", "check_budget_bounds",
-           "lock_budgets"]
+__all__ = ["BuiltRun", "LockScenario", "PICKERS"]

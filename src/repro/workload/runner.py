@@ -3,30 +3,32 @@
 Builds the cluster and lock table from a :class:`WorkloadSpec`, spawns
 one client process per (node, thread), runs the simulation, and collects
 the :class:`RunResult`.  Schedcheck shares its one lock client
-(:func:`spawn_clients`) and count-mode verdict (:func:`run_clients`).
+(:func:`spawn_clients`), its count-mode run (:func:`run_clients`) and
+its post-run verdict (:func:`judge`).
 
 Count mode (``ops_per_thread > 0``) runs every client to completion —
 within :func:`~repro.locktable.count_deadline_ns`, past which live
-clients are a stall — and verifies the guarded counters when
-``cs_counter`` is on.  Duration mode runs the clock to ``warmup_ns +
+clients are a stall — and judges the run: budget bound, guarded
+counters, race audit.  Duration mode runs the clock to ``warmup_ns +
 measure_ns`` and counts the operations that completed inside the
-window — the paper's throughput methodology.
+window — the paper's throughput methodology — and only audits races.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import count, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
 from repro.locktable import DistributedLockTable, count_deadline_ns
-from repro.obs import INTERVALS, RING
+from repro.obs import INTERVALS, PROTOCOL, RING
 from repro.workload.generator import LockPicker
 from repro.workload.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.trace import TraceEvent
     from repro.workload.metrics import RunResult
 
 
@@ -180,6 +182,86 @@ def run_clients(env, processes, deadline_ns: float):
             + env.describe_alive(), None)
 
 
+def check_budget_bounds(trace: Iterable[TraceEvent],
+                        budgets: dict[str, tuple[int, int, int]]) -> list[str]:
+    """Violations of ALock's cohort-budget bound: a cohort may take at
+    most ``budget`` consecutive critical sections between two
+    ``peterson.acquired`` events of its own (§5/Fig. 4 of the paper).
+    More means a budget handoff skipped the decrement or a leader
+    skipped the global competition.  ``budgets`` maps a lock's name to
+    ``(home_node, local_budget, remote_budget)``; other locks are ignored.
+    """
+    violations = []
+    # (lock, cohort) -> CS entries since the cohort last won Peterson
+    streak: dict[tuple[str, str], int] = {}
+    for ev in trace:
+        if ev.kind != "peterson.acquired" and ev.kind != "cs.enter":
+            continue
+        lock = ev.detail.split(" ", 1)[0]  # the detail's first token
+        if lock not in budgets:
+            continue
+        if ev.kind == "peterson.acquired":
+            streak[lock, "local" if "cohort=LOCAL" in ev.detail else "remote"] = 0
+            continue
+        home, local_budget, remote_budget = budgets[lock]
+        local = ev.actor.endswith(f"@n{home}")  # actors are t{j}@n{i}
+        cohort, budget = ("local", local_budget) if local else ("remote", remote_budget)
+        n = streak[lock, cohort] = streak.get((lock, cohort), 0) + 1
+        if n > budget:
+            violations.append(
+                f"[{ev.time:.1f} ns] {cohort} cohort of {lock} took {n} "
+                f"consecutive critical sections (budget {budget}) without "
+                f"re-winning the global competition — budget handoff "
+                f"discipline violated (entered by {ev.actor})")
+    return violations
+
+
+def judge(cluster: Cluster, table: Optional[DistributedLockTable] = None,
+          increments: int = 0) -> list[str]:
+    """The post-run verdict of a run whose clients all finished: ALock's
+    budget bound, conservation of the ``increments`` the clients made
+    (DESIGN.md decision 22), then the Table-1 race audit; without a
+    ``table``, the audit alone.  Mutual exclusion is the holder oracle's,
+    checked during the run."""
+    problems = []
+    # Below PROTOCOL the log drops peterson.acquired but keeps cs.enter,
+    # so every cohort's streak would look unbounded.
+    if table is not None and cluster.log.level >= PROTOCOL:
+        budgets = {e.lock.name: (e.lock.home_node, e.lock.local_budget, e.lock.remote_budget)
+                   for e in table.entries if hasattr(e.lock, "local_budget")}
+        if budgets:
+            problems += check_budget_bounds(cluster.tracer, budgets)
+    if table is not None and increments:
+        try:
+            table.check_counters(increments)
+        except AssertionError as exc:
+            problems.append(str(exc))
+    audit = cluster.auditor
+    if audit.mode != "off" and audit.violation_count:
+        problems.append(
+            f"race auditor recorded {audit.violation_count} Table-1 "
+            f"violation(s): {audit.violations[0]}")
+    return problems
+
+
+def checker_detail(problems: list[str]) -> str:
+    """A failed verdict's one-line detail: its first three problems."""
+    more = len(problems) - 3
+    return "; ".join(problems[:3]) + (f" (+{more} more)" if more > 0 else "")
+
+
+def _failure(cluster: Cluster, table: DistributedLockTable, kind: str,
+             detail: str, error: Optional[BaseException]) -> SimulationError:
+    """``detail`` as an error carrying the run's post-mortem (built here:
+    bound in the raising frame, it would hold that frame in a cycle)."""
+    from repro.obs.postmortem import failure_dump
+
+    exc = SimulationError(detail)
+    exc._postmortem = failure_dump(cluster, reason=kind, detail=detail,
+                                   table=table, error=error)
+    return exc
+
+
 def run_workload(spec: WorkloadSpec, *, obs: int = RING,
                  **cluster_kwargs) -> RunResult:
     """Execute one workload run; deterministic for a given spec.
@@ -190,7 +272,11 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             metrics tree and how many events the log's capacity
             dropped; nothing the run measures depends on the level.
 
-    The cluster is closed once the result or the post-mortem is built.
+    Every failure — a dead, deadlocked or stalled client (count mode) or
+    a :func:`judge` verdict — raises :class:`SimulationError`, chained
+    from the client's error and carrying the post-mortem as
+    ``_postmortem``.  The cluster is closed once the result or the
+    post-mortem is built.
     """
     cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
     try:
@@ -199,9 +285,13 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
         if spec.ops_per_thread == 0:
             env.run(until=spec.warmup_ns + spec.measure_ns)
             # Clients that completed an op at/after the window's end
-            # returned; any still blocked mid-operation are abandoned.
+            # returned; any still blocked mid-operation (a counter's
+            # read-modify-write among them) are abandoned, so the verdict
+            # reads no table: the race audit alone judges the run.
             measured = len(tally["latencies"])
             window = spec.measure_ns
+            verdict = None
+            problems = judge(cluster) if spec.audit != "off" else []
         else:
             deadline = count_deadline_ns(
                 spec.ops_per_thread * spec.total_threads, spec.total_threads,
@@ -209,26 +299,13 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             # The clock stays at the last event, so a completed run reads
             # as an unbounded one (window, NIC utilizations).
             verdict = run_clients(env, procs, deadline)
-            if verdict is not None:
-                from repro.obs import postmortem
-
-                kind, detail, error = verdict
-                raise postmortem.attach(
-                    SimulationError(detail), cluster, reason=kind,
-                    detail=detail, table=table) from error
             measured = tally["ops"]
             window = env.now
-            if spec.cs_counter:
-                try:
-                    table.check_counters(tally["cs_increments"])
-                except AssertionError as exc:
-                    from repro.obs import postmortem
-
-                    raise postmortem.attach(exc, cluster, reason="checker",
-                                            detail=str(exc), table=table)
-
-        if spec.audit != "off":
-            cluster.auditor.assert_clean()
+            problems = [] if verdict else judge(cluster, table, tally["cs_increments"])
+        if problems:
+            verdict = ("checker", checker_detail(problems), None)
+        if verdict is not None:
+            raise _failure(cluster, table, *verdict) from verdict[2]
 
         fault_stats: dict = {}
         injector = cluster.fault_injector

@@ -19,7 +19,9 @@ modules it uses: one lock kind, not seven; the corpus, the shrinker,
 the post-mortem, the result and fairness modules and the fault layer
 only when a run uses them.  A passing fault-free walk uses none of
 them, an ALock cell loads no baseline or extension lock, and an MCS +
-spinlock cell no ALock.
+spinlock cell no ALock.  The post-mortem is built only for a failed run
+(:func:`repro.obs.postmortem.failure_dump`), so a passing count-mode
+run, judged by the same verdict as a walk, never loads it either.
 
 Each probe runs in a fresh interpreter, since the test session itself
 has long loaded everything; the probe does the work, not just the
@@ -57,6 +59,15 @@ spec = WorkloadSpec(n_nodes=20, threads_per_node=12, n_locks=1000,
                     locality_pct=95.0, measure_ns=1e6)
 cluster, table = build_cluster(spec)
 assert len(table.entries) == 1000
+"""
+
+#: a passing count-mode run, judged by the full verdict (counters, audit)
+COUNT_RUN = """\
+from repro.workload import WorkloadSpec, run_workload
+spec = WorkloadSpec(n_nodes=2, threads_per_node=2, n_locks=4,
+                    locality_pct=50.0, ops_per_thread=5, cs_counter=True,
+                    audit="record")
+assert run_workload(spec).completed_ops == 20
 """
 
 #: the same cell built for each baseline, as the baseline ledger runs it
@@ -107,6 +118,7 @@ def test_walk_and_cell_build_load_neither_pool_nor_numpy(work):
     (WALK, WALK_ABSENT),
     (CELL, ABSENT + OTHER_LOCKS),
     (BASELINE_CELLS, ABSENT + ("repro.locks.alock",)),
-], ids=["walk", "alock-cell", "mcs-spinlock-cell"])
+    (COUNT_RUN, ("repro.obs.postmortem",)),
+], ids=["walk", "alock-cell", "mcs-spinlock-cell", "count-run"])
 def test_a_run_loads_only_the_modules_on_its_path(work, absent):
     assert _loaded(work, absent) == []

@@ -211,6 +211,38 @@ QUICKSTART_TRACE = """\
   [     20090.0 ns] t0@n0      mcs.release        l2 cohort=REMOTE tail cleared"""
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (``alock-experiments ... | head``)
+    ends the run quietly with ``EXIT_BROKEN_PIPE``, on every subcommand:
+    ``main`` handles it once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["run", "table1", "--scale", "smoke", "--seed", "0", "1"],
+    ], ids=["list", "run"])
+    def test_no_traceback_when_the_reader_goes_away(self, argv):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.experiments.cli import EXIT_BROKEN_PIPE
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.experiments.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_BROKEN_PIPE
+
+
 class TestExamplesRun:
     """The examples are part of the public deliverable: each fast one
     must execute cleanly end to end.  ``budget_tuning.py`` is left out:

@@ -14,8 +14,8 @@ from repro.lint import default_rules
 from repro.locks import LOCK_TYPES, register_lock_type
 from repro.locks.base import DistributedLock
 from repro.memory.pointer import ptr_addr
-from repro.obs.postmortem import (SCHEMA, attach, dump_json, maybe_write_dump,
-                                  render_cycle, snapshot, wait_for_graph)
+from repro.obs.postmortem import (SCHEMA, dump_json, failure_dump,
+                                  render_cycle, wait_for_graph)
 from repro.obs.report import render_report, suspect_rule
 from repro.schedcheck.explore import explore_random
 from repro.schedcheck.scenario import LockScenario
@@ -156,30 +156,41 @@ class TestSnapshotDeterminism:
 
 
 class TestDumpPersistence:
-    def test_disabled_without_env(self, monkeypatch):
+    def test_disabled_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ALOCK_POSTMORTEM_DIR", raising=False)
-        assert maybe_write_dump('{"x":1}', "deadlock") is None
+        monkeypatch.chdir(tmp_path)
+        assert failure_dump(Cluster(1, audit="off"), reason="deadlock",
+                            detail="d")
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_content_addressed_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ALOCK_POSTMORTEM_DIR", str(tmp_path))
-        path = maybe_write_dump('{"x":1}', "deadlock")
-        assert path is not None
+        blob = failure_dump(Cluster(1, audit="off"), reason="deadlock",
+                            detail="d")
         (written,) = tmp_path.iterdir()
         assert written.name.startswith("postmortem-deadlock-")
-        assert written.read_text() == '{"x":1}'
+        assert written.read_text() == blob
         # same dump twice: same name, still exactly one file
-        maybe_write_dump('{"x":1}', "deadlock")
+        failure_dump(Cluster(1, audit="off"), reason="deadlock", detail="d")
         assert len(list(tmp_path.iterdir())) == 1
 
 
-class TestAttach:
-    def test_attach_hangs_dump_on_exception(self):
-        cluster = Cluster(1, audit="off")
-        exc = attach(SimulationError("boom"), cluster,
-                     reason="deadlock", detail="d")
-        assert exc._postmortem is not None
-        dump = json.loads(exc._postmortem)
-        assert (dump["reason"], dump["detail"]) == ("deadlock", "d")
+class TestFailureDump:
+    """The one function that builds a failed run's dump: its ``error``
+    is the client's exception, and a ``checker`` verdict has none."""
+
+    def test_failure_dump_records_the_failure_and_the_clients_error(self):
+        dump = json.loads(failure_dump(
+            Cluster(1, audit="off"), reason="deadlock", detail="d",
+            decisions="3:1", error=RuntimeError("boom")))
+        assert (dump["reason"], dump["detail"], dump["error"],
+                dump["sched"]["decisions"]) == \
+            ("deadlock", "d", "RuntimeError('boom')", "3:1")
+
+    def test_a_checker_verdict_records_no_error(self):
+        dump = json.loads(failure_dump(Cluster(1, audit="off"),
+                                       reason="checker", detail="d"))
+        assert "error" not in dump
 
 
 # -- runner integration: a deterministically deadlocking lock ------------

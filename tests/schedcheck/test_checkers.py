@@ -1,5 +1,6 @@
-"""The post-run verdict (``BuiltRun.validate``): budget bound, counter
-conservation, race audit.
+"""The post-run verdict (:func:`repro.workload.runner.judge`), which
+explored schedules and count-mode workload runs share: budget bound,
+counter conservation, race audit.
 
 Unit cases drive the budget-bound check with hand-built traces; the
 integration cases run real scenarios, where the holder oracle, the
@@ -16,6 +17,7 @@ from repro.schedcheck import (
     make_policy,
     run_schedule,
 )
+from repro.workload.runner import judge
 
 
 def ev(time, actor, kind, detail=""):
@@ -71,7 +73,7 @@ class TestCheckersAgreeOnRealRuns:
         run.cluster.env.run(until=run.deadline_ns)
         assert all(p.ok for p in run.processes)
         assert run.cluster.auditor.violation_count == 0
-        assert run.validate() == []
+        assert judge(run.cluster, run.table, run.expected_ops) == []
 
     def test_run_schedule_passes_each_lock_kind(self):
         for kind in ("alock", "mcs", "spinlock"):

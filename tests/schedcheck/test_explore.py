@@ -18,9 +18,9 @@ from repro.schedcheck import (
 )
 from repro.schedcheck.fleet import SEEDED_BUGS
 from repro.schedcheck.policies import make_policy
-from repro.schedcheck.scenario import coarse_config, lock_budgets
+from repro.schedcheck.scenario import coarse_config
 from repro.workload import WorkloadSpec
-from repro.workload.runner import build_cluster, spawn_clients
+from repro.workload.runner import build_cluster, judge, run_clients, spawn_clients
 from tests.conftest import refcounted_runs
 
 TINY = LockScenario(lock_kind="spinlock", n_nodes=1, threads_per_node=2,
@@ -248,10 +248,22 @@ class TestLockScenarioValidation:
         assert run_schedule(sc, None).ok
 
     def test_budgets_extracted_for_alock(self):
-        run = LockScenario(lock_kind="alock", n_locks=2).build()
-        assert run.budgets
-        for home, local_b, remote_b in run.budgets.values():
-            assert local_b >= 1 and remote_b >= 1
+        """The verdict takes each lock's budgets from the table itself:
+        a clean run, judged as if its locks had budgets of 1, shows both
+        cohorts of lock 0 overrunning them."""
+        run = ALOCK_2X2.build()
+        assert run_clients(run.cluster.env, run.processes,
+                           run.deadline_ns) is None
+        assert judge(run.cluster, run.table, run.expected_ops) == []
+        for entry in run.table.entries:
+            entry.lock.local_budget = entry.lock.remote_budget = 1
+        problems = judge(run.cluster, run.table, run.expected_ops)
+        run.cluster.close()
+        assert len(problems) == 6
+        assert {p.split(" cohort")[0].split("] ")[1] for p in problems} == \
+            {"local", "remote"}
+        assert all("of alock[0]@n0 took" in p and "(budget 1)" in p
+                   for p in problems)
 
     def test_a_shrunken_fig5_cell_walks_clean(self):
         """A count-mode fig5 cell (seeded LockPicker, 90 % locality,
@@ -269,8 +281,7 @@ class TestLockScenarioValidation:
                 processes, _tally = spawn_clients(spec, cluster, table)
                 return BuiltRun(
                     cluster=cluster, processes=processes, table=table,
-                    expected_ops=8, deadline_ns=count_deadline_ns(8, 4, 0, 0),
-                    budgets=lock_budgets(table))
+                    expected_ops=8, deadline_ns=count_deadline_ns(8, 4, 0, 0))
 
         reports = [explore_random(Fig5Cell(), 20, seed=0, policy=policy)
                    for policy in ("random", "pct")]

@@ -10,9 +10,16 @@ from repro.common.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.locks import LOCK_TYPES, DistributedLock, register_lock_type
 from repro.locktable import count_deadline_ns
+from repro.obs import INTERVALS, PROTOCOL, RING
+from repro.schedcheck.scenario import coarse_config
 from repro.workload import LatencySummary, WorkloadSpec, run_workload, runner
 from tests.conftest import refcounted_runs, small_workload_spec as small_spec
 from tests.obs.test_postmortem import HangLock
+
+#: ``mixedcas`` counts its double grants instead of failing the client,
+#: so only the post-run verdict sees them (mixed locality, Table-1 races)
+MIXEDCAS = small_spec(n_locks=2, locality_pct=50.0, lock_kind="mixedcas",
+                      ops_per_thread=5, cs_counter=True, seed=0)
 
 
 class TestCountMode:
@@ -82,6 +89,38 @@ class TestCountMode:
         assert "client-n0t0" in str(err.value)
         assert "client-n0t1" in str(err.value)
         assert json.loads(err.value._postmortem)["reason"] == "stall"
+
+    def test_a_table1_race_fails_the_verdict_with_its_postmortem(self):
+        with pytest.raises(SimulationError,
+                           match="race auditor recorded 7 Table-1 "
+                                 "violation") as err:
+            run_workload(MIXEDCAS, config=coarse_config())
+        dump = json.loads(err.value._postmortem)
+        assert (dump["reason"], dump["detail"]) == ("checker", str(err.value))
+        assert "error" not in dump and err.value.__cause__ is None
+
+    def test_a_lost_update_is_a_simulation_error(self):
+        with pytest.raises(SimulationError,
+                           match="lost updates detected: guarded counters "
+                                 "sum to 19, expected 20") as err:
+            run_workload(MIXEDCAS.with_(audit="off", seed=3))
+        assert json.loads(err.value._postmortem)["reason"] == "checker"
+
+    def test_alock_passes_the_budget_bound_from_protocol_up(self, monkeypatch):
+        """The verdict checks ALock's budget bound whenever the log keeps
+        ``peterson.acquired``; at ``RING`` it keeps only ``cs.enter`` and
+        the check is skipped, not failed."""
+        judged, check = [], runner.check_budget_bounds
+
+        def spy(trace, budgets):
+            judged.append((sorted(budgets), check(trace, budgets)))
+            return judged[-1][1]
+
+        monkeypatch.setattr(runner, "check_budget_bounds", spy)
+        spec = small_spec(locality_pct=50.0, cs_counter=True)
+        for obs in (RING, PROTOCOL, INTERVALS):
+            run_workload(spec, obs=obs)
+        assert judged == [([f"alock[{i}]@n{i % 2}" for i in range(4)], [])] * 2
 
 
 class TestPickersShareTheTablesLists:
@@ -155,6 +194,15 @@ class TestDurationMode:
         """4 threads of ~600ns local ALock ops -> order 10^6..10^7 op/s."""
         result = run_workload(small_spec(ops_per_thread=0, measure_ns=1_000_000))
         assert 1e5 < result.throughput_ops_per_sec < 1e8
+
+    def test_a_table1_race_fails_the_verdict_with_its_postmortem(self):
+        spec = MIXEDCAS.with_(ops_per_thread=0, warmup_ns=0,
+                              measure_ns=200_000)
+        with pytest.raises(SimulationError,
+                           match="race auditor recorded 64 Table-1 "
+                                 "violation") as err:
+            run_workload(spec, config=coarse_config())
+        assert json.loads(err.value._postmortem)["reason"] == "checker"
 
 
 class TestDeterminism:
