@@ -25,7 +25,7 @@ from repro.sim.core import Environment
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
 
-#: Default per-node slab: enough for thousands of locks + descriptors.
+#: Every node's RDMA slab: enough for thousands of locks + descriptors.
 DEFAULT_REGION_BYTES = 4 << 20
 
 
@@ -46,7 +46,6 @@ class Cluster:
     Args:
         n_nodes: number of machines (1..32 with the default pointer width).
         config: cost-model bundle; defaults to the CX-3 calibration.
-        region_bytes: RDMA slab size per node.
         seed: root seed for all derived RNG streams.
         audit: Table-1 race auditing mode (``"off"``/``"record"``/``"strict"``).
         faults: optional :class:`~repro.faults.FaultPlan`; an *active*
@@ -70,9 +69,8 @@ class Cluster:
     """
 
     def __init__(self, n_nodes: int, *, config: Optional[RdmaConfig] = None,
-                 region_bytes: int = DEFAULT_REGION_BYTES, seed: int = 0,
-                 audit: str = "record", faults: Optional[FaultPlan] = None,
-                 obs: int = RING):
+                 seed: int = 0, audit: str = "record",
+                 faults: Optional[FaultPlan] = None, obs: int = RING):
         if not 1 <= n_nodes <= MAX_NODES:
             raise ConfigError(f"n_nodes must be in [1, {MAX_NODES}], got {n_nodes}")
         if faults is not None:
@@ -104,7 +102,7 @@ class Cluster:
             FaultInjector(faults, self.rng.fork("faults"), emit=self.log.emit)
             if faults is not None and faults.active else None)
         self.regions = [
-            MemoryRegion(self.env, i, region_bytes, auditor=live_auditor)
+            MemoryRegion(self.env, i, DEFAULT_REGION_BYTES, auditor=live_auditor)
             for i in range(n_nodes)
         ]
         # Streams are keyed, so asking for the jitter stream only when a

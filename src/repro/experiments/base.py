@@ -13,7 +13,7 @@ from repro.common.errors import ConfigError
 from repro.obs import INTERVALS, RING
 from repro.obs.export import CapturedRun
 from repro.parallel.engine import pmap_workloads
-from repro.workload import RunResult, WorkloadSpec, run_workload
+from repro.workload import RunResult, WorkloadSpec
 
 #: Scale presets.  Extent knobs consumed by the experiment modules:
 #: ``nodes`` — cluster sizes to sweep; ``threads`` — threads/node sweep;
@@ -121,16 +121,6 @@ def run_specs(specs, workers: int,
                              obs=obs if _recorded is None else INTERVALS)
     _record(results)
     return dict(zip(unique, results, strict=True))
-
-
-def run_direct(spec: WorkloadSpec, **cluster_kwargs) -> RunResult:
-    """One run no spec can state — a cluster option such as a NIC
-    config — simulated in this process and recorded like a cell of
-    :func:`run_specs`."""
-    result = run_workload(spec, obs=RING if _recorded is None else INTERVALS,
-                          **cluster_kwargs)
-    _record([result])
-    return result
 
 
 @dataclass

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.experiments.base import (ExperimentResult, run_direct, run_specs,
-                                    scale_params)
+from repro.experiments.base import ExperimentResult, run_specs, scale_params
 from repro.parallel import Cell
 from repro.rdma.config import RdmaConfig
 from repro.workload import WorkloadSpec
 
-#: The NIC model is not a ``WorkloadSpec`` axis: the two model-off runs
-#: are direct runs (``run_direct``) of the ``congestion`` cells' specs.
+#: The cost model with RX congestion off: each ``congestion`` cell's
+#: "model off" twin is its spec on this ``config``.
 FLAT_NIC = RdmaConfig().with_nic(rx_congestion_factor=0.0)
 BUDGETS = {"tiny": (1, 1), "paper": (20, 5), "huge": (10_000, 10_000)}
 
@@ -43,8 +42,10 @@ def _cells(params: dict, seed: int) -> Iterator[Cell]:
                         audit="off")
     fig1 = base.with_(n_nodes=1, n_locks=1000, lock_kind="spinlock")
     for threads in (8, 16):
-        yield Cell(("congestion", f"{threads} threads"),
-                   fig1.with_(threads_per_node=threads))
+        spec = fig1.with_(threads_per_node=threads)
+        yield Cell(("congestion", f"{threads} threads"), spec)
+        yield Cell(("congestion", f"{threads} threads, model off"),
+                   spec.with_(config=FLAT_NIC))
     cohorts = base.with_(n_nodes=3, threads_per_node=8, n_locks=6,
                          locality_pct=50.0)
     for variant, strict in (("strict", True), ("relaxed", False)):
@@ -76,12 +77,7 @@ def run(scale: str = "small", seed: int = 0,
     result = ExperimentResult(
         "ext-ablations", "Ablations: one modelled mechanism altered at a time",
         scale)
-    runs = {}
-    for (ablation, variant), spec in cells:
-        runs[ablation, variant] = results[spec]
-        if ablation == "congestion":
-            runs[ablation, f"{variant}, model off"] = run_direct(
-                spec, config=FLAT_NIC)
+    runs = {coords: results[spec] for coords, spec in cells}
     for (ablation, variant), res in runs.items():
         remote = res.remote_latency
         result.rows.append({

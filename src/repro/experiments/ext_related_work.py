@@ -35,6 +35,8 @@ def _cells(params: dict, seed: int) -> Iterator[Cell]:
         locality_pct=95.0, warmup_ns=params["warmup_ns"],
         measure_ns=params["measure_ns"], seed=seed, audit="off")
     for kind, options in CONTENDERS:
+        if "max_slots" in options:  # any of the table's threads may come
+            options = {**options, "max_slots": base.total_threads}
         yield Cell(kind, base.with_(lock_kind=kind, lock_options=options))
     if top > 4:     # thread scaling; smoke's grid *is* at 4
         for kind in ("alock", "rpc"):

@@ -182,10 +182,9 @@ class LockScenario:
             lock_kind=self.lock_kind, lock_options=self.lock_options,
             ops_per_thread=self.ops_per_thread, cs_ns=self.cs_ns,
             think_ns=self.think_ns, cs_counter=True, seed=self.seed,
-            audit=self.audit, faults=self.faults)
-        cluster, table = wire(
-            spec, obs=PROTOCOL,
-            config=coarse_config() if self.coarse_time else None)
+            audit=self.audit, faults=self.faults,
+            config=_COARSE if self.coarse_time else RdmaConfig())
+        cluster, table = wire(spec, obs=PROTOCOL)
         processes, _tally = spawn_clients(
             spec, cluster, table, PICKERS[self.pick],
             stagger_ns=self.stagger_ns, abort_on_timeout=False)

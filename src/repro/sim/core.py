@@ -469,7 +469,7 @@ def _describe_wait(event: "Event | _Sleep | None") -> str:
         return "Timeout"  # a sleep is a timeout to everyone but the scheduler
     if event.info is not None:
         kind, *detail = event.info
-        return f"{kind}({', '.join(str(d) for d in detail)})"
+        return f"{kind}({', '.join(map(str, detail))})"
     return type(event).__name__
 
 

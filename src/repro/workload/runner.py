@@ -11,7 +11,9 @@ within :func:`~repro.locktable.count_deadline_ns`, past which live
 clients are a stall — and judges the run: budget bound, guarded
 counters, race audit.  Duration mode runs the clock to ``warmup_ns +
 measure_ns`` and counts the operations that completed inside the
-window — the paper's throughput methodology — and only audits races.
+window — the paper's throughput methodology — judging its clients by
+the same :func:`run_clients` (but not as a stall, and not as a deadlock
+behind a retired client) and only auditing races.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.metrics import RunResult
 
 
-def build_cluster(spec: WorkloadSpec, **cluster_kwargs) -> tuple[Cluster, DistributedLockTable]:
-    """Construct the cluster + lock table for a spec (exposed for tests
-    and custom harnesses)."""
-    cluster_kwargs.setdefault("faults", spec.faults)
-    cluster = Cluster(spec.n_nodes, seed=spec.seed, audit=spec.audit,
-                      **cluster_kwargs)
+def build_cluster(spec: WorkloadSpec, *, obs: int = RING
+                  ) -> tuple[Cluster, DistributedLockTable]:
+    """Construct the cluster + lock table for a spec, recording at level
+    ``obs`` (exposed for tests and custom harnesses)."""
+    cluster = Cluster(spec.n_nodes, config=spec.config, seed=spec.seed,
+                      audit=spec.audit, faults=spec.faults, obs=obs)
     lease_ns = spec.faults.lease_ns if spec.faults is not None else 0.0
     table = DistributedLockTable(cluster, spec.n_locks, spec.lock_kind,
                                  lock_options=spec.options_dict,
@@ -160,8 +162,8 @@ def spawn_clients(spec: WorkloadSpec, cluster: Cluster,
 
 
 def run_clients(env, processes, deadline_ns: float):
-    """Run count-mode clients within ``deadline_ns``, leaving the clock at
-    the makespan, and judge them: ``None`` if all finished, else ``(kind,
+    """Run clients within ``deadline_ns``, leaving the clock at the last
+    event, and judge them: ``None`` if all finished, else ``(kind,
     detail, error)`` — a dead client first (``"exception"``), then live
     ones parked with an empty schedule (``"deadlock"``) or with events
     still flowing (``"stall"``)."""
@@ -262,8 +264,7 @@ def _failure(cluster: Cluster, table: DistributedLockTable, kind: str,
     return exc
 
 
-def run_workload(spec: WorkloadSpec, *, obs: int = RING,
-                 **cluster_kwargs) -> RunResult:
+def run_workload(spec: WorkloadSpec, *, obs: int = RING) -> RunResult:
     """Execute one workload run; deterministic for a given spec.
 
     Args:
@@ -272,26 +273,32 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING,
             metrics tree and how many events the log's capacity
             dropped; nothing the run measures depends on the level.
 
-    Every failure — a dead, deadlocked or stalled client (count mode) or
-    a :func:`judge` verdict — raises :class:`SimulationError`, chained
+    Every failure — a dead, deadlocked or (count mode) stalled client,
+    or a :func:`judge` verdict — raises :class:`SimulationError`, chained
     from the client's error and carrying the post-mortem as
     ``_postmortem``.  The cluster is closed once the result or the
     post-mortem is built.
     """
-    cluster, table = build_cluster(spec, obs=obs, **cluster_kwargs)
+    cluster, table = build_cluster(spec, obs=obs)
     try:
         env = cluster.env
         procs, tally = spawn_clients(spec, cluster, table)
         if spec.ops_per_thread == 0:
-            env.run(until=spec.warmup_ns + spec.measure_ns)
-            # Clients that completed an op at/after the window's end
-            # returned; any still blocked mid-operation (a counter's
+            end = spec.warmup_ns + spec.measure_ns
+            verdict = run_clients(env, procs, end)
+            if verdict and (verdict[0] == "stall" or verdict[0] == "deadlock"
+                            and tally["aborted_clients"]):
+                # The window's end leaves clients mid-operation, and a
+                # client retired on a VerbTimeout holds its lock: its
+                # waiters park, the measured cost of an unleased crash.
+                verdict = None
+            env.run(until=end)  # drain ran the window: this moves the clock
+            # Clients still blocked mid-operation (a counter's
             # read-modify-write among them) are abandoned, so the verdict
             # reads no table: the race audit alone judges the run.
             measured = len(tally["latencies"])
             window = spec.measure_ns
-            verdict = None
-            problems = judge(cluster) if spec.audit != "off" else []
+            problems = judge(cluster) if not verdict and spec.audit != "off" else []
         else:
             deadline = count_deadline_ns(
                 spec.ops_per_thread * spec.total_threads, spec.total_threads,

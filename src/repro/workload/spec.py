@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigError
+from repro.rdma.config import RdmaConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
@@ -43,7 +44,7 @@ class WorkloadSpec:
         audit: Table-1 auditing mode; "off" removes the bookkeeping cost
             from big benchmark runs.
 
-    Fault injection:
+    Fault injection and cost model:
 
     Attributes:
         faults: optional :class:`~repro.faults.FaultPlan`.  An active
@@ -52,6 +53,8 @@ class WorkloadSpec:
             (via ``faults.lease_ns``) lease-based stall detection in the
             lock table.  ``None`` — and any plan with every knob at
             zero — runs the exact fault-free code path.
+        config: the cluster's :class:`~repro.rdma.config.RdmaConfig`
+            cost model (default: the CX-3 calibration).
     """
 
     n_nodes: int = 2
@@ -71,6 +74,7 @@ class WorkloadSpec:
     seed: int = 0
     audit: str = "off"
     faults: Optional[FaultPlan] = None
+    config: RdmaConfig = RdmaConfig()
 
     def __post_init__(self) -> None:
         if self.faults is not None:
@@ -80,6 +84,9 @@ class WorkloadSpec:
             if not isinstance(self.faults, FaultPlan):
                 raise ConfigError(
                     f"faults must be a FaultPlan or None, got {self.faults!r}")
+        if not isinstance(self.config, RdmaConfig):
+            raise ConfigError(
+                f"config must be an RdmaConfig, got {self.config!r}")
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if self.threads_per_node < 1:
@@ -119,7 +126,7 @@ class WorkloadSpec:
         return dict(self.lock_options)
 
     def with_(self, **overrides) -> "WorkloadSpec":
-        """A modified copy (sweep helper)."""
+        """A modified copy."""
         return replace(self, **overrides)
 
     def label(self) -> str:

@@ -219,9 +219,9 @@ def recorded_fanout():
         record.calls.append((list(specs), workers))
         return pmap_workloads(specs, workers=workers, **kwargs)
 
-    def counting_build(spec, **cluster_kwargs):
+    def counting_build(spec, *, obs):
         record.runs += 1
-        return build_cluster(spec, **cluster_kwargs)
+        return build_cluster(spec, obs=obs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(base, "pmap_workloads", recording_pmap)

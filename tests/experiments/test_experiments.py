@@ -38,10 +38,7 @@ class TestRegistry:
 #: cells each spec-driven experiment hands its one fan-out at smoke
 FANOUT_CELLS = {"fig1": 4, "fig4": 8, "fig5": 26, "fig6": 36,
                 "ext-related": 4, "ext-skew": 9, "ext-faults": 11,
-                "ext-phases": 3, "ext-ablations": 13}
-#: workloads run outside a fan-out: ext-ablations' two model-off runs
-#: take a NIC config, which is no ``WorkloadSpec`` axis
-DIRECT_RUNS = {"ext-ablations": 2}
+                "ext-phases": 3, "ext-ablations": 15}
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
@@ -56,7 +53,7 @@ def test_one_fanout_per_experiment(experiment_id, smoke_figure):
         assert len(specs) == len(set(specs)) == cells
     else:
         assert record.calls == []
-    assert record.runs == cells + DIRECT_RUNS.get(experiment_id, 0)
+    assert record.runs == cells
 
 
 @pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))

@@ -30,7 +30,7 @@ class TestEmergentCongestion:
         beefy = RdmaConfig().with_nic(rx_service_ns=10.0, tx_service_ns=10.0,
                                       rx_congestion_factor=0.0,
                                       pcie_lanes=16, pcie_crossing_ns=10.0)
-        fast = run_workload(spec, config=beefy).throughput_ops_per_sec
+        fast = run_workload(spec.with_(config=beefy)).throughput_ops_per_sec
         assert fast > 2 * stock
 
     def test_qpc_thrashing_emerges_at_connection_scale(self):
@@ -40,10 +40,10 @@ class TestEmergentCongestion:
                             locality_pct=0.0, lock_kind="spinlock",
                             warmup_ns=100_000, measure_ns=400_000,
                             audit="off")
-        roomy = run_workload(
-            spec, config=RdmaConfig().with_nic(qpc_cache_entries=4096))
-        tiny = run_workload(
-            spec, config=RdmaConfig().with_nic(qpc_cache_entries=8))
+        roomy = run_workload(spec.with_(
+            config=RdmaConfig().with_nic(qpc_cache_entries=4096)))
+        tiny = run_workload(spec.with_(
+            config=RdmaConfig().with_nic(qpc_cache_entries=8)))
         assert tiny.throughput_ops_per_sec < 0.9 * roomy.throughput_ops_per_sec
 
     def test_qpc_pressure_is_real_at_twenty_nodes(self):
@@ -73,9 +73,9 @@ class TestEmergentCongestion:
                             warmup_ns=100_000, measure_ns=400_000,
                             audit="off")
         stock = run_workload(spec)
-        crippled = run_workload(
-            spec, config=RdmaConfig().with_nic(rx_service_ns=5000.0,
-                                               tx_service_ns=5000.0))
+        crippled = run_workload(spec.with_(
+            config=RdmaConfig().with_nic(rx_service_ns=5000.0,
+                                         tx_service_ns=5000.0)))
         assert stock.throughput_ops_per_sec == pytest.approx(
             crippled.throughput_ops_per_sec)
         assert stock.loopback_verbs == 0

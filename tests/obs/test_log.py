@@ -64,19 +64,19 @@ class TestLevels:
         assert discard("n0", "fault.drop", "rCAS", 1, "loss") is None
 
 
-def run_tapped(spec, **cluster_kwargs):
+def run_tapped(spec, obs=RING):
     """``run_workload`` plus the cluster it built."""
     seen = []
     original = runner.build_cluster
 
-    def build_cluster(spec, **kwargs):
-        cluster, table = original(spec, **kwargs)
+    def build_cluster(spec, *, obs):
+        cluster, table = original(spec, obs=obs)
         seen.append(cluster)
         return cluster, table
 
     runner.build_cluster = build_cluster
     try:
-        result = runner.run_workload(spec, **cluster_kwargs)
+        result = runner.run_workload(spec, obs=obs)
     finally:
         runner.build_cluster = original
     return result, seen[0]

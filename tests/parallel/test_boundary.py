@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.experiments.ext_ablations import FLAT_NIC
 from repro.faults import FaultPlan
 from repro.parallel import Cell, check_boundary_value, worker_entry
 from repro.parallel.engine import run_spec_chunk
@@ -34,6 +35,7 @@ def test_boundary_accepts_primitives_and_frozen_dataclasses():
     check_boundary_value((1, [2.0, "a"], {"k": b"v"}))
     check_boundary_value(WorkloadSpec(ops_per_thread=1))
     check_boundary_value(WorkloadSpec(ops_per_thread=1, faults=FaultPlan()))
+    check_boundary_value(WorkloadSpec(ops_per_thread=1, config=FLAT_NIC))
 
 
 def test_boundary_rejects_live_objects():

@@ -272,12 +272,12 @@ class TestLockScenarioValidation:
         eight operations go to remote locks."""
         spec = WorkloadSpec(n_nodes=2, threads_per_node=2, n_locks=20,
                             locality_pct=90.0, ops_per_thread=2,
-                            cs_counter=True, audit="record", seed=4)
+                            cs_counter=True, audit="record", seed=4,
+                            config=coarse_config())
 
         class Fig5Cell:
             def build(self):
-                cluster, table = build_cluster(spec, obs=PROTOCOL,
-                                               config=coarse_config())
+                cluster, table = build_cluster(spec, obs=PROTOCOL)
                 processes, _tally = spawn_clients(spec, cluster, table)
                 return BuiltRun(
                     cluster=cluster, processes=processes, table=table,

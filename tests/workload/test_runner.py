@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.faults import FaultPlan
+from repro.faults import CrashWindow, FaultPlan
 from repro.locks import LOCK_TYPES, DistributedLock, register_lock_type
 from repro.locktable import count_deadline_ns
 from repro.obs import INTERVALS, PROTOCOL, RING
@@ -15,6 +15,7 @@ from repro.schedcheck.scenario import coarse_config
 from repro.workload import LatencySummary, WorkloadSpec, run_workload, runner
 from tests.conftest import refcounted_runs, small_workload_spec as small_spec
 from tests.obs.test_postmortem import HangLock
+from tests.workload.test_runner_edge_cases import ExplodingLock
 
 #: ``mixedcas`` counts its double grants instead of failing the client,
 #: so only the post-run verdict sees them (mixed locality, Table-1 races)
@@ -94,7 +95,7 @@ class TestCountMode:
         with pytest.raises(SimulationError,
                            match="race auditor recorded 7 Table-1 "
                                  "violation") as err:
-            run_workload(MIXEDCAS, config=coarse_config())
+            run_workload(MIXEDCAS.with_(config=coarse_config()))
         dump = json.loads(err.value._postmortem)
         assert (dump["reason"], dump["detail"]) == ("checker", str(err.value))
         assert "error" not in dump and err.value.__cause__ is None
@@ -197,12 +198,60 @@ class TestDurationMode:
 
     def test_a_table1_race_fails_the_verdict_with_its_postmortem(self):
         spec = MIXEDCAS.with_(ops_per_thread=0, warmup_ns=0,
-                              measure_ns=200_000)
+                              measure_ns=200_000, config=coarse_config())
         with pytest.raises(SimulationError,
                            match="race auditor recorded 64 Table-1 "
                                  "violation") as err:
-            run_workload(spec, config=coarse_config())
+            run_workload(spec)
         assert json.loads(err.value._postmortem)["reason"] == "checker"
+
+    def test_a_dead_client_fails_the_run(self):
+        """Judged like count mode: the window's end does not hide a
+        client that died."""
+        register_lock_type("exploding", ExplodingLock)
+        spec = WorkloadSpec(n_nodes=1, threads_per_node=2, n_locks=1,
+                            lock_kind="exploding", measure_ns=10_000)
+        try:
+            with pytest.raises(SimulationError, match=r"client-n0t0 died: "
+                               r"RuntimeError: boom \(\+1 more\)") as err:
+                run_workload(spec)
+        finally:
+            del LOCK_TYPES["exploding"]
+        dump = json.loads(err.value._postmortem)
+        assert dump["reason"] == "exception"
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+    def test_clients_parked_on_an_empty_schedule_are_a_deadlock(self):
+        """A budget hand-off that never wakes the waiter leaves all four
+        clients parked inside the window; count mode calls the same spec
+        a deadlock, and so does duration mode."""
+        spec = WorkloadSpec(n_nodes=2, threads_per_node=2, n_locks=2,
+                            locality_pct=50.0,
+                            lock_options={"bug": "skip_budget_wait"},
+                            warmup_ns=0, measure_ns=200_000)
+        for mode in (spec, spec.with_(ops_per_thread=40)):
+            with pytest.raises(SimulationError,
+                               match="4/4 clients parked with an empty "
+                                     "schedule") as err:
+                run_workload(mode)
+            assert json.loads(err.value._postmortem)["reason"] == "deadlock"
+
+    def test_waiters_stranded_behind_a_retired_client_are_measured(self):
+        """An unleased crash window: clients whose verbs exhaust their
+        retries retire holding their locks, and those locks' waiters
+        park with nothing left to run.  That is the cost the run
+        measures, not a deadlock (count mode, which must finish every
+        operation, calls it one)."""
+        plan = FaultPlan(crash_windows=(CrashWindow(1, 30_000.0, 400_000.0),),
+                         retry_timeout_ns=3_000.0, retry_limit=3)
+        spec = WorkloadSpec(n_nodes=3, threads_per_node=3, n_locks=6,
+                            locality_pct=60.0, warmup_ns=20_000.0,
+                            measure_ns=300_000.0, faults=plan)
+        with refcounted_runs() as closed:
+            result = run_workload(spec)
+        assert result.fault_stats["aborted_clients"] == 4
+        assert len([name for name in closed[0].alive
+                    if name.startswith("client-")]) == 5
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
 """Runner edge cases: error propagation, degenerate windows, verb
-accounting, and the build_cluster escape hatch."""
+accounting, and what build_cluster builds from a spec."""
 
 import pytest
 
@@ -91,9 +91,10 @@ class TestBuildCluster:
         assert len(table) == 6
         assert table.lock_kind == "mcs"
 
-    def test_cluster_kwargs_forwarded(self):
-        spec = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=2,
-                            lock_kind="alock", ops_per_thread=1)
+    def test_the_specs_cost_model_reaches_the_cluster(self):
         cfg = RdmaConfig().with_fabric(one_way_latency_ns=123.0)
-        cluster, _ = build_cluster(spec, config=cfg)
-        assert cluster.config.fabric.one_way_latency_ns == 123.0
+        spec = WorkloadSpec(n_nodes=2, threads_per_node=1, n_locks=2,
+                            lock_kind="alock", ops_per_thread=1, config=cfg)
+        cluster, _ = build_cluster(spec)
+        assert cluster.config is cfg
+        assert cluster.network.config.fabric.one_way_latency_ns == 123.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.rdma.config import NicConfig
 from repro.workload import WorkloadSpec
 
 
@@ -62,6 +63,13 @@ class TestValidation:
     def test_finite_zipf_theta_accepted(self, theta):
         assert WorkloadSpec(distribution="zipfian",
                             zipf_theta=theta).zipf_theta == theta
+
+    @pytest.mark.parametrize("config", [None, NicConfig(), {}],
+                             ids=["none", "nic-only", "dict"])
+    def test_a_config_that_is_no_rdma_config_is_rejected(self, config):
+        """Caught at the spec, not late inside a pool worker's cluster."""
+        with pytest.raises(ConfigError, match="config must be an RdmaConfig"):
+            WorkloadSpec(config=config)
 
 
 class TestHelpers:
