@@ -7,10 +7,9 @@ from typing import Sequence
 
 
 def ratio(a: float, b: float) -> float:
-    """``a / b`` guarded against zero denominators (returns inf)."""
-    if b == 0:
-        return float("inf") if a > 0 else 0.0
-    return a / b
+    """``a / b``; ``nan`` over a zero denominator, which measured
+    nothing, so every comparison with the ratio fails."""
+    return a / b if b else float("nan")
 
 
 def relative_speedup(value: float, baseline: float) -> float:

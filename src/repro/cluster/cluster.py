@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
 from repro.memory.pointer import MAX_NODES
-from repro.memory.races import RaceAuditor
 from repro.memory.region import MemoryRegion
 from repro.obs import RING, Observability
 from repro.obs.log import LEVELS
@@ -47,7 +46,8 @@ class Cluster:
         n_nodes: number of machines (1..32 with the default pointer width).
         config: cost-model bundle; defaults to the CX-3 calibration.
         seed: root seed for all derived RNG streams.
-        audit: Table-1 race auditing mode (``"off"``/``"record"``/``"strict"``).
+        audit: Table-1 race auditing mode (``"off"``/``"record"``/``"strict"``);
+            ``"off"`` builds no auditor and hands the regions no sink.
         faults: optional :class:`~repro.faults.FaultPlan`; an *active*
             plan arms the verb-path retransmission harness and the fault
             injector (seeded from this cluster's RNG registry, so fault
@@ -85,12 +85,14 @@ class Cluster:
         self.env = Environment()
         self.config = config or RdmaConfig()
         self.rng = RngStreams(seed)
-        self.auditor = RaceAuditor(mode=audit)
-        # With auditing off the word and RMW paths are handed no auditor
-        # at all, so they skip the call instead of making it to have it
-        # return at once; the cluster keeps the (idle) object for
-        # reporting — violation_count stays 0.
-        live_auditor = self.auditor if audit != "off" else None
+        self.auditor = None
+        sink = None
+        if audit != "off":
+            # the auditor loads only for a cluster that audits
+            from repro.memory.races import RaceAuditor
+
+            self.auditor = RaceAuditor(audit, self.config.nic.atomic_window_ns)
+            sink = self.auditor.access
         self.obs = Observability(self.env, obs)
         self.log = self.obs.log
         self.flight = self.obs.flight
@@ -102,13 +104,13 @@ class Cluster:
             FaultInjector(faults, self.rng.fork("faults"), emit=self.log.emit)
             if faults is not None and faults.active else None)
         self.regions = [
-            MemoryRegion(self.env, i, DEFAULT_REGION_BYTES, auditor=live_auditor)
+            MemoryRegion(self.env, i, DEFAULT_REGION_BYTES, sink)
             for i in range(n_nodes)
         ]
         # Streams are keyed, so asking for the jitter stream only when a
         # config reads it moves no other stream.
         self.network = RdmaNetwork(
-            self.env, self.config, self.regions, auditor=live_auditor,
+            self.env, self.config, self.regions,
             jitter_rng=(self.rng.get("fabric-jitter")
                         if self.config.fabric.jitter_ns > 0 else None),
             injector=self.fault_injector, obs=self.obs)
@@ -169,8 +171,8 @@ class Cluster:
             }
             for r in regions
         ])
-        reg.add_collector("atomicity_violations",
-                          lambda: auditor.violation_count)
+        reg.add_collector("atomicity_violations", lambda: (
+            0 if auditor is None else auditor.violation_count))
         reg.add_collector("threads", lambda: [
             {
                 "node": node_id,

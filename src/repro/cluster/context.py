@@ -25,7 +25,7 @@ from typing import Callable, Sequence, TYPE_CHECKING
 from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.ids import make_global_thread_id
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK, ptr_node
-from repro.memory.region import _MASK64, to_signed
+from repro.memory.region import _MASK64, PRIVATE_WRITE, to_signed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -137,11 +137,12 @@ class ThreadContext:
         is applied now and *returns* its cost, which the caller carries
         into that next step (``carry=``), so the step lands when it
         would have after a sleep of its own.  Privacy is the caller's
-        claim; ``tests/locks/test_private_steps.py`` checks ALock's."""
+        claim, reported to the access sink as ``PRIVATE_WRITE``, by which
+        ``tests/locks/test_private_steps.py`` checks ALock's."""
         if ptr >> ADDR_BITS != self.node_id:
             self._local_addr(ptr)
         self.local_op_count += 1
-        self._region.write(ptr & _ADDR_MASK, value, self.actor)
+        self._region.write(ptr & _ADDR_MASK, value, self.actor, PRIVATE_WRITE)
         return self._write_ns
 
     def fence(self) -> float:
@@ -173,7 +174,7 @@ class ThreadContext:
             value = to_signed(raw) if signed else raw
             if predicate(value):
                 return value
-            yield region.watch(addr)
+            yield region.watch(addr, self.actor)
             yield self._recheck_ns
 
     def wait_local_cond(self, ptrs: Sequence[int],
@@ -207,10 +208,10 @@ class ThreadContext:
                 delay = self._read_ns
                 if predicate(region.read(ptr & _ADDR_MASK, self.actor)):
                     if ev is not None:
-                        region.unwatch(ev, addrs)
+                        region.unwatch(ev, addrs, self.actor)
                     return why
                 if ev is None:
-                    ev = region.watch_any(addrs)
+                    ev = region.watch_any(addrs, self.actor)
             yield ev
             yield self._recheck_ns
 
@@ -252,7 +253,7 @@ class ThreadContext:
         """
         self.remote_op_count += 1
         trip = self._net._verb("rRead", self.node_id, self.thread_id, ptr,
-                               0, 0, signed, "?")
+                               0, 0, signed, self.actor)
         return self._attributed(trip) if self._faults_on else trip
 
     def r_write(self, ptr: int, value: int, *, carry: float = 0.0):
@@ -261,7 +262,7 @@ class ThreadContext:
             return self._after(carry, self.r_write, ptr, value)
         self.remote_op_count += 1
         trip = self._net._verb("rWrite", self.node_id, self.thread_id, ptr,
-                               value, 0, False, "?")
+                               value, 0, False, self.actor)
         return self._attributed(trip) if self._faults_on else trip
 
     def r_cas(self, ptr: int, expected: int, desired: int, *, signed: bool = False,

@@ -1,9 +1,13 @@
 """Experiment ``ext-related`` — the §1/§7 alternatives, measured.
 
 Not a figure in the paper: the authors dismiss the filter lock, bakery
-and RPC designs analytically.  This experiment runs them against ALock
-on the same lock-table workload so the dismissals become data, plus the
-CXL outlook (naive mixed-CAS lock on a coherent fabric).
+and RPC designs analytically.  This experiment measures them against
+ALock so the dismissals become data: the uncontended cost of each, and
+the RPC service on the same lock-table workload, plus the CXL outlook
+(naive mixed-CAS lock on a coherent fabric).  The filter lock and bakery
+get no throughput cell: with a slot per thread of the table they pay
+O(n) verbs per operation, and at ``small``'s 3 x 12 the filter lock
+completes none inside the window.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ def _cells(params: dict, seed: int) -> Iterator[Cell]:
         n_nodes=3, threads_per_node=top, n_locks=12,
         locality_pct=95.0, warmup_ns=params["warmup_ns"],
         measure_ns=params["measure_ns"], seed=seed, audit="off")
-    for kind, options in CONTENDERS:
-        if "max_slots" in options:  # any of the table's threads may come
-            options = {**options, "max_slots": base.total_threads}
-        yield Cell(kind, base.with_(lock_kind=kind, lock_options=options))
+    for kind in ("alock", "rpc"):
+        yield Cell(kind, base.with_(lock_kind=kind))
     if top > 4:     # thread scaling; smoke's grid *is* at 4
         for kind in ("alock", "rpc"):
             yield Cell(f"{kind}@4", base.with_(lock_kind=kind,
@@ -107,9 +109,6 @@ def run(scale: str = "small", seed: int = 0,
                  "fabric, where ALock itself is cheaper than on RDMA",
                  costs["mixedcas@cxl"] < 3 * costs["alock@cxl"]
                  and costs["alock@cxl"] < costs["alock"])
-    result.check("ALock beats filter and bakery by >= 10x",
-                 tputs["alock"] >= 10 * tputs["filter"]
-                 and tputs["alock"] >= 10 * tputs["bakery"])
     if is_strict(scale):
         result.check("ALock beats the RPC service at scale by > 2x "
                      "(server CPU bound)",

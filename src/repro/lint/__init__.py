@@ -5,8 +5,8 @@ timeline, to the bit — rests on conventions that are invisible at
 runtime until they break: all randomness through
 :class:`repro.common.rng.RngStreams`, no set-order-dependent event
 scheduling, paired admission/release on :class:`repro.sim.resources.
-Resource`, and memory traffic through the Table-1
-:class:`repro.memory.races.RaceAuditor`.  simlint enforces those
+Resource`, and memory traffic through the region accessors that report
+to the run's access sink (:mod:`repro.memory.region`).  simlint enforces those
 conventions statically, before a nondeterministic run ever happens.
 
 Usage::

@@ -16,7 +16,7 @@ Each rule encodes one invariant the reproduction's validity rests on
 
 ``region-bypass``
     Writes to :class:`repro.memory.region.MemoryRegion` storage must go
-    through the audited accessors; ``_store``/``_words`` and the NIC
+    through the accessors that report to the access sink; ``_store``/``_words`` and the NIC
     landing API are off-limits outside the memory/verbs layers, and a
     park on a region watcher (``.watch``/``.watch_any``) is off-limits
     outside the cluster/memory layers, whose ``wait_local*`` arms the
@@ -375,7 +375,7 @@ class UnorderedIterRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# rule 3: region access that bypasses the race auditor or the wait
+# rule 3: region access that bypasses the access sink or the wait
 # --------------------------------------------------------------------------
 
 class RegionBypassRule(Rule):
@@ -384,7 +384,7 @@ class RegionBypassRule(Rule):
 
     rule_id = "region-bypass"
     description = ("MemoryRegion storage may only be written through the "
-                   "audited accessors; _store/_words are region-internal, "
+                   "reported accessors; _store/_words are region-internal, "
                    "the remote_* landing API belongs to the verbs layer and "
                    "a watcher park to ctx.wait_local*")
 
@@ -412,17 +412,17 @@ class RegionBypassRule(Rule):
                     and not in_region:
                 yield self.finding(
                     sf, node,
-                    "direct '._words' buffer access bypasses the "
-                    "RaceAuditor; use read/write/cas/faa (or peek for "
-                    "oracle reads)")
+                    "direct '._words' buffer access bypasses the access "
+                    "sink; use read/write/cas/faa (or peek for oracle "
+                    "reads)")
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute):
                 attr = node.func.attr
                 if attr == "_store" and not in_region:
                     yield self.finding(
                         sf, node,
-                        "'._store()' bypasses the RaceAuditor; use the "
-                        "audited write/cas/faa accessors")
+                        "'._store()' bypasses the access sink; use the "
+                        "reported write/cas/faa accessors")
                 elif attr in self._REMOTE_API and not in_verbs:
                     yield self.finding(
                         sf, node,

@@ -11,8 +11,10 @@ paper's ``rdma_ptr``).  Regions support:
 * a two-phase remote-RMW hook so a remote CAS is *visibly* a read
   followed by a write at the target, reproducing the paper's Table 1
   atomicity gap;
-* a :class:`RaceAuditor` that records (or raises on) local/remote RMW
-  overlaps — the 'No' cells of Table 1.
+* an access sink that sees every word access; the race auditor
+  (:mod:`repro.memory.races`, loaded only by a cluster that audits)
+  consumes it to record (or raise on) local/remote RMW overlaps — the
+  'No' cells of Table 1.
 """
 
 from repro.memory.pointer import (
@@ -27,7 +29,6 @@ from repro.memory.pointer import (
 )
 from repro.memory.layout import StructLayout, WordField
 from repro.memory.region import MemoryRegion
-from repro.memory.races import RaceAuditor, RaceRecord
 
 __all__ = [
     "NODE_BITS",
@@ -41,6 +42,4 @@ __all__ = [
     "MemoryRegion",
     "StructLayout",
     "WordField",
-    "RaceAuditor",
-    "RaceRecord",
 ]

@@ -9,33 +9,39 @@ between.  The 'No' cells of Table 1 are therefore:
 * local ``Write``  overlapping a remote ``CAS`` window
 * local ``RMW``    overlapping a remote ``CAS`` window
 
-The auditor watches every memory operation the simulation performs and
-records (mode ``"record"``) or raises on (mode ``"strict"``) any such
-overlap.  A correct RDMA lock — ALock included — must drive the auditor
-to zero violations; the deliberately broken lock in
+The auditor is a consumer of the run's access sink
+(:mod:`repro.memory.region`): :meth:`RaceAuditor.access` sees every word
+access the simulation performs and records (mode ``"record"``) or raises
+on (mode ``"strict"``) any such overlap.  A run without auditing has no
+auditor at all.  A correct RDMA lock — ALock included — must drive the
+auditor to zero violations; the deliberately broken lock in
 ``examples/atomicity_pitfalls.py`` shows what the violations look like
 and how they translate into lost updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from repro.common.errors import AtomicityViolation, SimulationError
+from repro.memory.region import (LOCAL_RMW, LOCAL_WRITE, PRIVATE_WRITE,
+                                 REMOTE_CAS, REMOTE_FAA, RMW_END)
 
-Mode = Literal["off", "record", "strict"]
-
-#: Local operation kinds reported to the auditor.
-LOCAL_READ = "Read"
-LOCAL_WRITE = "Write"
-LOCAL_RMW = "RMW"
+Mode = Literal["record", "strict"]
 
 #: Cells of Table 1 that RDMA does *not* make atomic: (local op, remote op).
 UNSAFE_PAIRS: frozenset[tuple[str, str]] = frozenset({
-    (LOCAL_WRITE, "rCAS"),
-    (LOCAL_RMW, "rCAS"),
+    (LOCAL_WRITE, REMOTE_CAS),
+    (LOCAL_RMW, REMOTE_CAS),
 })
+
+#: The access kinds judged against open windows, as the local op they
+#: are: a private store is a local write.  A local read races nothing.
+_JUDGED = {LOCAL_WRITE: LOCAL_WRITE, PRIVATE_WRITE: LOCAL_WRITE,
+           LOCAL_RMW: LOCAL_RMW}
+#: The landings that open an atomic window.
+_OPENS = (REMOTE_CAS, REMOTE_FAA)
 
 
 @dataclass(frozen=True)
@@ -56,88 +62,63 @@ class RaceRecord:
                 f"remote {self.remote_op} by {self.remote_actor}")
 
 
-@dataclass
-class _RmwWindow:
-    """An in-flight remote RMW at a target word: [start, end) in sim time."""
-
-    addr: int
-    op: str
-    actor: str
-    start: float
-    end: float
-
-
-@dataclass
 class RaceAuditor:
-    """Tracks in-flight remote RMW windows per node and checks local ops
-    against them.
+    """The cluster's access sink when it audits: tracks in-flight remote
+    RMW windows per word, each ``[read, read + atomic_window_ns)``, and
+    checks local writes and RMWs against them."""
 
-    One auditor serves the whole cluster; regions report with their node
-    id.  ``mode="off"`` short-circuits all bookkeeping for benchmark runs.
-    """
+    def __init__(self, mode: Mode, atomic_window_ns: float):
+        self._strict = mode == "strict"
+        self._window_ns = float(atomic_window_ns)
+        self.violations: list[RaceRecord] = []
+        #: open windows per word: ``(op, actor, start)``
+        self._windows: dict[tuple[int, int], list[tuple[str, str, float]]] = {}
+        #: retire reports for windows the auditor never saw (double
+        #: retire or a begin/end pairing bug in the verbs layer) — an
+        #: internal-consistency error of the *simulator*, distinct from a
+        #: Table-1 violation.
+        self.consistency_errors = 0
 
-    mode: Mode = "record"
-    violations: list[RaceRecord] = field(default_factory=list)
-    _windows: dict[tuple[int, int], list[_RmwWindow]] = field(default_factory=dict)
-    checked_ops: int = 0
-    #: retire calls for windows the auditor never saw (double-retire or a
-    #: begin/end pairing bug in the verbs layer) — an internal-consistency
-    #: error of the *simulator*, distinct from a Table-1 violation.
-    consistency_errors: int = 0
+    def access(self, node: int, addr: int, kind: str, actor: str,
+               time: float) -> None:
+        """The sink: judge a local write/RMW against the word's open
+        windows, open a window on an RMW's read, retire one on its end;
+        every other kind races nothing."""
+        if kind in _JUDGED:
+            op = _JUDGED[kind]
+            for win_op, win_actor, start in self._windows.get((node, addr), ()):
+                if start <= time < start + self._window_ns \
+                        and (op, win_op) in UNSAFE_PAIRS:
+                    rec = RaceRecord(time, node, addr, op, win_op, actor, win_actor)
+                    self.violations.append(rec)
+                    if self._strict:
+                        raise AtomicityViolation(
+                            str(rec), address=addr, local_op=op, remote_op=win_op)
+        elif kind in _OPENS:
+            self._windows.setdefault((node, addr), []).append((kind, actor, time))
+        elif kind == RMW_END:
+            self._retire(node, addr, actor)
 
-    # -- remote RMW windows ------------------------------------------------
-    def remote_rmw_begin(self, node: int, addr: int, op: str, actor: str,
-                         start: float, end: float) -> _RmwWindow:
-        """Register the read→write window of a remote RMW at its target."""
-        if self.mode == "off":
-            return _RmwWindow(addr, op, actor, start, end)
-        win = _RmwWindow(addr, op, actor, start, end)
-        self._windows.setdefault((node, addr), []).append(win)
-        return win
-
-    def remote_rmw_end(self, node: int, window: _RmwWindow) -> None:
-        """Retire a window once its write has landed.
-
-        Retiring a window that was never registered (or already retired)
-        means the verbs layer's begin/end pairing is broken — the audit's
-        own bookkeeping can no longer be trusted.  It is counted in
-        :attr:`consistency_errors` and, in ``strict`` mode, raised
-        immediately rather than silently swallowed.
-        """
-        if self.mode == "off":
-            return
-        key = (node, window.addr)
-        wins = self._windows.get(key)
-        if not wins or window not in wins:
-            self.consistency_errors += 1
-            if self.mode == "strict":
-                raise SimulationError(
-                    f"RaceAuditor.remote_rmw_end: retiring unknown RMW "
-                    f"window (node {node}, addr {window.addr:#x}, op "
-                    f"{window.op}, actor {window.actor}): double retire or "
-                    f"unmatched begin/end in the verbs layer")
-            return
-        wins.remove(window)
-        if not wins:
-            del self._windows[key]
-
-    # -- local operations ----------------------------------------------------
-    def local_op(self, node: int, addr: int, op: str, actor: str, time: float) -> None:
-        """Check a local ``Read``/``Write``/``RMW`` at ``time`` against
-        in-flight remote RMW windows on the same word."""
-        if self.mode == "off":
-            return
-        self.checked_ops += 1
-        wins = self._windows.get((node, addr))
-        if not wins:
-            return
+    def _retire(self, node: int, addr: int, actor: str) -> None:
+        """Retire ``actor``'s window on the word once its write-back has
+        landed (or its op died).  A window that is not open means the
+        verbs layer's begin/end pairing is broken — the audit's own
+        bookkeeping can no longer be trusted: counted in
+        :attr:`consistency_errors` and, in ``strict`` mode, raised."""
+        key = (node, addr)
+        wins = self._windows.get(key, ())
         for win in wins:
-            if win.start <= time < win.end and (op, win.op) in UNSAFE_PAIRS:
-                rec = RaceRecord(time, node, addr, op, win.op, actor, win.actor)
-                self.violations.append(rec)
-                if self.mode == "strict":
-                    raise AtomicityViolation(
-                        str(rec), address=addr, local_op=op, remote_op=win.op)
+            if win[1] == actor:
+                wins.remove(win)
+                if not wins:
+                    del self._windows[key]
+                return
+        self.consistency_errors += 1
+        if self._strict:
+            raise SimulationError(
+                f"RaceAuditor: retiring unknown RMW window (node {node}, "
+                f"addr {addr:#x}, actor {actor}): double retire or "
+                f"unmatched begin/end in the verbs layer")
 
     # -- reporting -----------------------------------------------------------
     @property
@@ -151,9 +132,3 @@ class RaceAuditor:
             raise AtomicityViolation(
                 f"{len(self.violations)} Table-1 violations; first: {first}",
                 address=first.addr, local_op=first.local_op, remote_op=first.remote_op)
-
-    def reset(self) -> None:
-        self.violations.clear()
-        self._windows.clear()
-        self.checked_ops = 0
-        self.consistency_errors = 0

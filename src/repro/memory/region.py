@@ -17,6 +17,12 @@ RNIC.  It provides 8-byte word operations at three call sites:
   variable" is modeled without polling: the spinner parks on a watcher
   and the predecessor's (possibly remote) write wakes it.
 
+Each access is handed to the run's **access sink**, if it has one:
+``sink(node, addr, kind, actor, time)``, one callable the cluster gives
+every region (kinds below).  The verbs layer reports through the target
+region's sink what only it sees: a verb's issue and the RMW window's
+write-back and end.  Without a sink an accessor pays one ``is None``.
+
 All stored values are raw 64-bit patterns (unsigned ints, masked on
 store); helpers convert to/from two's-complement for signed fields such
 as budgets.
@@ -24,12 +30,31 @@ as budgets.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.common.errors import MemoryError_
 from repro.memory.pointer import CACHE_LINE, WORD_SIZE, pack_ptr
-from repro.memory.races import LOCAL_READ, LOCAL_RMW, LOCAL_WRITE, RaceAuditor
 from repro.sim.core import PENDING, Environment, Event
+
+#: Access kinds.  Local ops of the owning node's threads; a *private*
+#: store (``ThreadContext.private_write``) is a local write no other
+#: thread may observe before its owner's next step.
+LOCAL_READ = "Read"
+LOCAL_WRITE = "Write"
+LOCAL_RMW = "RMW"
+PRIVATE_WRITE = "PrivateWrite"
+#: Remote landings.  An RMW's read lands as its verb and opens the atomic
+#: window, closed by ``RMW_END`` after its write-back (or when it dies).
+REMOTE_READ = "rRead"
+REMOTE_WRITE = "rWrite"
+REMOTE_CAS = "rCAS"
+REMOTE_FAA = "rFAA"
+RMW_COMMIT = "rmw.commit"
+RMW_END = "rmw.end"
+#: A watcher armed or withdrawn; a verb issued by ``actor``.
+WATCH = "watch"
+UNWATCH = "unwatch"
+VERB_ISSUE = "verb"
 
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
@@ -54,19 +79,20 @@ class MemoryRegion:
     """One node's RDMA-registered memory slab.
 
     Args:
-        env: simulation environment (for watcher events and audit times).
+        env: simulation environment (for watcher events and access times).
         node_id: owning node.
         size_bytes: slab size; must be a multiple of the 64B cache line.
-        auditor: shared :class:`RaceAuditor`; ``None`` disables auditing.
+        sink: the run's access sink, shared by every region; ``None``
+            reports nothing.
     """
 
-    __slots__ = ("env", "node_id", "size", "_last_addr", "auditor", "_words",
+    __slots__ = ("env", "node_id", "size", "_last_addr", "sink", "_words",
                  "_alloc_cursor", "_watchers", "_node_label", "_labels",
                  "local_reads", "local_writes", "local_rmws",
                  "remote_ops_landed")
 
     def __init__(self, env: Environment, node_id: int, size_bytes: int,
-                 auditor: Optional[RaceAuditor] = None):
+                 sink: Optional[Callable[[int, int, str, str, float], None]] = None):
         if size_bytes <= 0 or size_bytes % CACHE_LINE != 0:
             raise MemoryError_(
                 f"region size {size_bytes} must be a positive multiple of {CACHE_LINE}")
@@ -74,7 +100,7 @@ class MemoryRegion:
         self.node_id = node_id
         self.size = size_bytes
         self._last_addr = size_bytes - WORD_SIZE
-        self.auditor = auditor
+        self.sink = sink
         # Raw 64-bit patterns as plain ints: the word store is touched on
         # every lock/memory op, and per-access numpy-scalar conversion
         # costs more than the denser array buys at these region sizes.
@@ -131,7 +157,7 @@ class MemoryRegion:
     def bytes_allocated(self) -> int:
         return self._alloc_cursor
 
-    # -- raw access (no auditing; internal + tests) -----------------------
+    # -- raw access (unreported; internal + tests) -----------------------
     def peek(self, addr: int) -> int:
         # _word_index's test, inline: these two run on every word op
         if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
@@ -159,14 +185,14 @@ class MemoryRegion:
                     ev.succeed((addr, raw))
 
     # -- local API (shared-memory operations) ------------------------------
-    # One flat call per word op: count, audit, the bounds test of peek()
+    # One flat call per word op: count, report, the bounds test of peek()
     # and the word list indexed in place.  _store() masks to 64 bits, so
     # signed operands need no conversion on the way in.
     def read(self, addr: int, actor: str = "?") -> int:
         """Local 8-byte atomic load (raw pattern)."""
         self.local_reads += 1
-        if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_READ, actor, self.env._now)
+        if self.sink is not None:
+            self.sink(self.node_id, addr, LOCAL_READ, actor, self.env._now)
         if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
             self._word_index(addr)  # raises, naming the fault
         idx = addr >> _WORD_SHIFT
@@ -176,19 +202,21 @@ class MemoryRegion:
     def read_signed(self, addr: int, actor: str = "?") -> int:
         return to_signed(self.read(addr, actor))
 
-    def write(self, addr: int, value: int, actor: str = "?") -> None:
-        """Local 8-byte atomic store."""
+    def write(self, addr: int, value: int, actor: str = "?",
+              kind: str = LOCAL_WRITE) -> None:
+        """Local 8-byte atomic store; a private one
+        (``ThreadContext.private_write``) is reported as ``PRIVATE_WRITE``."""
         self.local_writes += 1
-        if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_WRITE, actor, self.env._now)
+        if self.sink is not None:
+            self.sink(self.node_id, addr, kind, actor, self.env._now)
         self._store(addr, value)
 
     def cas(self, addr: int, expected: int, desired: int, actor: str = "?") -> int:
         """Local compare-and-swap; returns the *previous* raw value (the
         CAS succeeded iff the return equals ``expected``)."""
         self.local_rmws += 1
-        if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
+        if self.sink is not None:
+            self.sink(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
         if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
             self._word_index(addr)  # raises, naming the fault
         idx = addr >> _WORD_SHIFT
@@ -201,8 +229,8 @@ class MemoryRegion:
     def faa(self, addr: int, delta: int, actor: str = "?") -> int:
         """Local fetch-and-add (two's-complement); returns previous value."""
         self.local_rmws += 1
-        if self.auditor is not None:
-            self.auditor.local_op(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
+        if self.sink is not None:
+            self.sink(self.node_id, addr, LOCAL_RMW, actor, self.env._now)
         if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
             self._word_index(addr)  # raises, naming the fault
         idx = addr >> _WORD_SHIFT
@@ -213,23 +241,31 @@ class MemoryRegion:
 
     # -- remote landing (called by the verbs layer at the target) ----------
     # One flat call per landing, as the local API: the bounds test of
-    # peek() and the word list indexed in place.
-    def remote_read(self, addr: int) -> int:
+    # peek() and the word list indexed in place.  ``actor`` is the thread
+    # that issued the verb.
+    def remote_read(self, addr: int, actor: str = "?",
+                    kind: str = REMOTE_READ) -> int:
         self.remote_ops_landed += 1
+        if self.sink is not None:
+            self.sink(self.node_id, addr, kind, actor, self.env._now)
         if addr & _WORD_LOW_BITS or not 0 <= addr <= self._last_addr:
             self._word_index(addr)  # raises, naming the fault
         idx = addr >> _WORD_SHIFT
         words = self._words
         return words[idx] if idx < len(words) else 0
 
-    def remote_write(self, addr: int, value: int) -> None:
+    def remote_write(self, addr: int, value: int, actor: str = "?") -> None:
         self.remote_ops_landed += 1
+        if self.sink is not None:
+            self.sink(self.node_id, addr, REMOTE_WRITE, actor, self.env._now)
         self._store(addr, value)
 
-    #: Phase 1 of a remote RMW: the NIC's read of the target word.
+    #: Phase 1 of a remote RMW: the NIC's read of the target word,
+    #: reported as the verb (``kind`` ``REMOTE_CAS``/``REMOTE_FAA``).
     remote_rmw_read = remote_read
     #: Phase 2: the NIC's write-back.  Unconditional — if a local write
-    #: landed inside the window, it is lost (the Table 1 hazard).
+    #: landed inside the window, it is lost (the Table 1 hazard).  The
+    #: verbs layer reports it, with the window's end.
     remote_rmw_commit = _store
 
     # -- word labels ---------------------------------------------------
@@ -245,18 +281,24 @@ class MemoryRegion:
         return self._labels.get(addr, addr)
 
     # -- watchers ------------------------------------------------------
-    def watch(self, addr: int) -> Event:
+    def watch(self, addr: int, actor: str = "?") -> Event:
         """One-shot event fired by the next write to ``addr`` (local or
         remote).  Value: ``(addr, raw_value)``."""
         idx = self._word_index(addr)
+        if self.sink is not None:
+            self.sink(self.node_id, addr, WATCH, actor, self.env._now)
         ev = Event(self.env)
         # one dict probe: labeled words describe themselves in diagnostics
         ev.info = ("watch", self._node_label, self._labels.get(addr, addr))
         self._register_watcher(idx, ev)
         return ev
 
-    def watch_any(self, addrs: Sequence[int]) -> Event:
-        """One-shot event fired by the next write to *any* of ``addrs``."""
+    def watch_any(self, addrs: Sequence[int], actor: str = "?") -> Event:
+        """One-shot event fired by the next write to *any* of ``addrs``
+        (reported as one ``WATCH`` per word)."""
+        if self.sink is not None:
+            for addr in addrs:
+                self.sink(self.node_id, addr, WATCH, actor, self.env._now)
         ev = Event(self.env)
         labels = self._labels
         ev.info = ("watch", self._node_label, *[labels.get(a, a) for a in addrs])
@@ -290,12 +332,15 @@ class MemoryRegion:
         if n >= _WATCHER_SWEEP_MIN and not n & (n - 1):
             watchers[:] = [w for w in watchers if w._value is PENDING]
 
-    def unwatch(self, ev: Event, addrs: Iterable[int]) -> None:
+    def unwatch(self, ev: Event, addrs: Sequence[int], actor: str = "?") -> None:
         """Withdraw ``ev`` from the ``addrs`` it was registered under
         (by :meth:`watch` or :meth:`watch_any`): its owner found what it
         was waiting for without parking.  Left registered it would be
         triggered by the next write to one of the words and dispatched
-        with nobody listening."""
+        with nobody listening.  Reported as one ``UNWATCH`` per word."""
+        if self.sink is not None:
+            for addr in addrs:
+                self.sink(self.node_id, addr, UNWATCH, actor, self.env._now)
         by_word = self._watchers
         for addr in addrs:
             idx = addr >> _WORD_SHIFT
@@ -308,6 +353,12 @@ class MemoryRegion:
                 continue  # a write got there first: fired through this word
             if not watchers:
                 del by_word[idx]
+
+    def watched(self, addr: int) -> bool:
+        """Whether a watcher armed on ``addr`` is still pending (a
+        sink consumer's aid: the sink reports arming, not firing)."""
+        return any(ev._value is PENDING
+                   for ev in self._watchers.get(addr >> _WORD_SHIFT, ()))
 
     def watcher_count(self) -> int:
         """Watcher registrations currently held (test/debug aid)."""

@@ -22,11 +22,12 @@ competitors rely on for local accesses and the source of the Fig. 1
 saturation.
 
 A remote RMW's read and write-back are separated by the NIC's
-``atomic_window_ns`` while the target RX pipeline is held; the shared
-:class:`~repro.memory.races.RaceAuditor` is told about the window so
-Table-1 violations by concurrent local code are detected, and a local
+``atomic_window_ns`` while the target RX pipeline is held, and a local
 write landing inside the window is genuinely lost (overwritten by the
-RMW's write-back).
+RMW's write-back).  A landing reports to the target region's access
+sink (:mod:`repro.memory.region`); the network reports there what only
+it sees — a verb's issue and the RMW window's write-back and end (also
+when the op dies inside it), so the race auditor sees each window.
 
 Fault injection (:mod:`repro.faults`): when the network is built with a
 :class:`~repro.faults.FaultInjector`, each verb passes through a
@@ -51,8 +52,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import MemoryError_, VerbTimeout
 from repro.common.rng import Draws
-from repro.memory.races import RaceAuditor
-from repro.memory.region import MemoryRegion, from_signed, to_signed
+from repro.memory.region import (RMW_COMMIT, RMW_END, VERB_ISSUE,
+                                 MemoryRegion, from_signed, to_signed)
 from repro.memory.pointer import ADDR_BITS, _ADDR_MASK
 from repro.obs import FAULT_RETRY, INTERVALS, VERB_RTT, Observability
 from repro.rdma.config import RdmaConfig
@@ -68,14 +69,12 @@ class RdmaNetwork:
 
     def __init__(self, env: Environment, config: RdmaConfig,
                  regions: list[MemoryRegion],
-                 auditor: Optional[RaceAuditor] = None,
                  jitter_rng: Optional[Draws] = None,
                  injector: Optional[FaultInjector] = None,
                  obs: Optional[Observability] = None):
         self.env = env
         self.config = config
         self.regions = regions
-        self.auditor = auditor
         self.nics = [Rnic(env, i, config.nic) for i in range(len(regions))]
         # without a jitter stream a fabric hop is the plain latency
         self._jitter_rng = jitter_rng if config.fabric.jitter_ns > 0 else None
@@ -173,35 +172,32 @@ class RdmaNetwork:
             yield service + penalty
             # the op lands: its linearization point
             if op == "rRead":
-                result = region.remote_read(addr)
+                result = region.remote_read(addr, actor)
             elif op == "rWrite":
-                region.remote_write(addr, a)
+                region.remote_write(addr, a, actor)
             elif op is not None:
                 # A remote RMW is a read, then a write-back one atomic
                 # window later, with the RX pipeline held throughout so
                 # remote atomics serialize at the target.
-                result = region.remote_rmw_read(addr)
+                result = region.remote_rmw_read(addr, actor, op)
                 if op == "rFAA":
                     new = result + a  # the store keeps it mod 2**64
                 else:
                     new = b if result == a else None
-                window_ns = dst_nic._atomic_window_ns
-                auditor = self.auditor
-                window = None
-                if auditor is not None:
-                    now = self.env.now
-                    window = auditor.remote_rmw_begin(
-                        dst_nic.node_id, addr, op, actor, now,
-                        now + window_ns)
+                sink = region.sink
                 try:
-                    yield window_ns
+                    yield dst_nic._atomic_window_ns
                     if new is not None:
+                        if sink is not None:
+                            sink(dst_nic.node_id, addr, RMW_COMMIT, actor,
+                                 self.env._now)
                         region.remote_rmw_commit(addr, new)
                 finally:
                     # also when killed inside the window: a dead RMW
                     # must not leave a Table-1 window open on the word
-                    if window is not None:
-                        auditor.remote_rmw_end(dst_nic.node_id, window)
+                    if sink is not None:
+                        sink(dst_nic.node_id, addr, RMW_END, actor,
+                             self.env._now)
         except BaseException:
             rx.cancel(grant)
             raise
@@ -278,10 +274,11 @@ class RdmaNetwork:
     # -- verbs -----------------------------------------------------------
     def _verb(self, verb: str, src_node: int, src_thread: int, ptr: int,
               a: int, b: int, signed: bool, actor: str):
-        """Count and route one verb; return the generator that performs
-        it — the bare round trip, or the cold wrapper this network was
-        built to need around it.  ``a``/``b`` are raw (a CAS's are
-        64-bit patterns); a thread context calls this directly."""
+        """Count, report and route one verb; return the generator that
+        performs it — the bare round trip, or the cold wrapper this
+        network was built to need around it.  ``a``/``b`` are raw (a
+        CAS's are 64-bit patterns); ``actor`` is the issuing thread; a
+        thread context calls this directly."""
         self.verb_counts[verb] += 1
         dst = ptr >> ADDR_BITS
         if not 0 <= dst < self._n_nodes:
@@ -291,9 +288,12 @@ class RdmaNetwork:
             self.loopback_verbs += 1
         qp = (src_node, src_thread, dst)  # qp_id(), inlined
         nics = self.nics
+        region = self.regions[dst]
+        addr = ptr & _ADDR_MASK
+        if region.sink is not None:
+            region.sink(dst, addr, VERB_ISSUE, actor, self.env._now)
         trip = self._round_trip(verb, qp, nics[src_node], nics[dst], loopback,
-                                self.regions[dst], ptr & _ADDR_MASK, a, b,
-                                signed, actor)
+                                region, addr, a, b, signed, actor)
         if self._obs_on:
             return self._observed(verb, src_node, src_thread, dst, qp,
                                   loopback, trip)

@@ -119,7 +119,8 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
         verdict = ("checker", checker_detail(problems), None)
     if verdict is not None:
         result.ok = False
-        result.failure_kind, result.detail, error = verdict
+        result.failure_kind, detail, error = verdict
+        result.detail = detail() if callable(detail) else detail
         from repro.obs.postmortem import failure_dump
 
         # Freeze the post-mortem while the failed execution's state is

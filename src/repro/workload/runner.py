@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import count, repeat
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError, VerbTimeout
@@ -166,7 +166,9 @@ def run_clients(env, processes, deadline_ns: float):
     event, and judge them: ``None`` if all finished, else ``(kind,
     detail, error)`` — a dead client first (``"exception"``), then live
     ones parked with an empty schedule (``"deadlock"``) or with events
-    still flowing (``"stall"``)."""
+    still flowing (``"stall"``).  A live verdict's detail describes every
+    live client, so it is a callable, called where the verdict is
+    reported: a duration run drops its window-end stall unbuilt."""
     env.drain(deadline_ns)
     failed = [p for p in processes if p.triggered and not p.ok]
     if failed:
@@ -180,7 +182,7 @@ def run_clients(env, processes, deadline_ns: float):
     what = ("parked with an empty schedule" if drained
             else f"still running at the {deadline_ns:.0f} ns deadline")
     return ("deadlock" if drained else "stall",
-            f"{len(alive)}/{len(processes)} clients {what}: "
+            lambda: f"{len(alive)}/{len(processes)} clients {what}: "
             + env.describe_alive(), None)
 
 
@@ -239,7 +241,7 @@ def judge(cluster: Cluster, table: Optional[DistributedLockTable] = None,
         except AssertionError as exc:
             problems.append(str(exc))
     audit = cluster.auditor
-    if audit.mode != "off" and audit.violation_count:
+    if audit is not None and audit.violation_count:
         problems.append(
             f"race auditor recorded {audit.violation_count} Table-1 "
             f"violation(s): {audit.violations[0]}")
@@ -253,11 +255,13 @@ def checker_detail(problems: list[str]) -> str:
 
 
 def _failure(cluster: Cluster, table: DistributedLockTable, kind: str,
-             detail: str, error: Optional[BaseException]) -> SimulationError:
+             detail: str | Callable[[], str],
+             error: Optional[BaseException]) -> SimulationError:
     """``detail`` as an error carrying the run's post-mortem (built here:
     bound in the raising frame, it would hold that frame in a cycle)."""
     from repro.obs.postmortem import failure_dump
 
+    detail = detail() if callable(detail) else detail
     exc = SimulationError(detail)
     exc._postmortem = failure_dump(cluster, reason=kind, detail=detail,
                                    table=table, error=error)
@@ -346,7 +350,8 @@ def run_workload(spec: WorkloadSpec, *, obs: int = RING) -> RunResult:
             latencies_ns=np.asarray(tally["latencies"], dtype=np.float64),
             local_mask=np.asarray(tally["local_flags"], dtype=bool),
             per_thread_ops=dict(tally["per_thread_ops"]),
-            atomicity_violations=cluster.auditor.violation_count,
+            atomicity_violations=(0 if cluster.auditor is None
+                                  else cluster.auditor.violation_count),
             nic_stats=net_stats["nics"],
             verb_counts=net_stats["verbs"],
             loopback_verbs=net_stats["loopback_verbs"],

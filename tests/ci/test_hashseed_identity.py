@@ -240,7 +240,7 @@ suspected rule: lost wakeup: the schedule drained with waiters parked \
 #: simlint's findings over its fixtures, linted as simulator modules
 #: (count, digest of the rendered list in order)
 GOLDEN_LINT = """\
-findings 36 64e817fa2426eee9dbf993870fe91d07
+findings 36 312bb6175431e98c94bb5c9e0b320137
 """
 
 

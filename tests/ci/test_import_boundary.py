@@ -83,7 +83,6 @@ for kind in ("mcs", "spinlock"):
 
 #: the lock kinds an ALock run does not make
 OTHER_LOCKS = ("repro.locks.baselines", "repro.locks.extensions", "repro.rdma.rpc")
-
 #: what a passing fault-free walk never uses: the other lock kinds, the
 #: corpus and the shrinker, the post-mortem, the result and fairness
 #: modules, and the fault layer
@@ -116,8 +115,9 @@ def test_walk_and_cell_build_load_neither_pool_nor_numpy(work):
 
 @pytest.mark.parametrize("work, absent", [
     (WALK, WALK_ABSENT),
-    (CELL, ABSENT + OTHER_LOCKS),
-    (BASELINE_CELLS, ABSENT + ("repro.locks.alock",)),
+    # an audit="off" cell has no access sink and no race auditor
+    (CELL, ABSENT + OTHER_LOCKS + ("repro.memory.races",)),
+    (BASELINE_CELLS, ABSENT + ("repro.locks.alock", "repro.memory.races")),
     (COUNT_RUN, ("repro.obs.postmortem",)),
 ], ids=["walk", "alock-cell", "mcs-spinlock-cell", "count-run"])
 def test_a_run_loads_only_the_modules_on_its_path(work, absent):

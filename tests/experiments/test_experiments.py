@@ -37,7 +37,7 @@ class TestRegistry:
 
 #: cells each spec-driven experiment hands its one fan-out at smoke
 FANOUT_CELLS = {"fig1": 4, "fig4": 8, "fig5": 26, "fig6": 36,
-                "ext-related": 4, "ext-skew": 9, "ext-faults": 11,
+                "ext-related": 2, "ext-skew": 9, "ext-faults": 11,
                 "ext-phases": 3, "ext-ablations": 15}
 
 

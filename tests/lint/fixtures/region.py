@@ -1,4 +1,4 @@
-"""Fixture: region access that bypasses the RaceAuditor or the wait."""
+"""Fixture: region access that bypasses the access sink or the wait."""
 
 
 def poke(region, addr, value):

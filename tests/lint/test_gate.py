@@ -39,7 +39,7 @@ KILLS = {
         [("        old = self._region.faa(ptr & _ADDR_MASK, delta, self.actor)",
           "        old = self._region.peek(ptr & _ADDR_MASK); "
           "self._region._store(ptr & _ADDR_MASK, old + delta)")],
-        None, "'._store()' bypasses the RaceAuditor"),
+        None, "'._store()' bypasses the access sink"),
     "B1a": (
         "region-bypass", M,
         [("                yield self.poll_interval_ns",

@@ -6,146 +6,103 @@ is issued and its cost rides with its owner's next visible step.  That
 moves only the store's own instant, earlier into a stretch in which its
 owner sleeps, so it can change nothing another thread sees as long as
 no other thread reads, writes or watches the word between the store and
-the owner's next step.  This module observes every word access through
-the region's public accessors and checks exactly that, over a walk of
-the 2 × 2 exploration scenario and a two-node contended cell; a store
-made private that is not (the lock's own local stores to shared words)
-must be caught.
+the owner's next step.  This module consumes the run's access sink
+(:mod:`repro.memory.region`), beside the race auditor, and checks
+exactly that, over a walk of the 2 × 2 exploration scenario and a
+two-node contended cell; a store made private that is not (the lock's
+own local stores to shared words) must be caught.
 """
 
-from repro.cluster import ThreadContext
-from repro.memory.region import MemoryRegion
+import repro.cluster.context as context
+import repro.locks.alock.alock as alock
+import repro.schedcheck.scenario as scenario
+from repro.memory.region import (LOCAL_READ, LOCAL_RMW, LOCAL_WRITE,
+                                 PRIVATE_WRITE, RMW_END, UNWATCH, VERB_ISSUE)
 from repro.schedcheck import explore_random
-from tests.locks.helpers import single_lock, stress
+from tests.conftest import make_cluster_and_table, run_lock_clients
+from tests.locks.helpers import single_lock
 from tests.schedcheck.test_explore import ALOCK_2X2
 
-LOCAL_ACCESSORS = ("read", "write", "cas", "faa")
-REMOTE_ACCESSORS = ("remote_read", "remote_write", "remote_rmw_read",
-                    "remote_rmw_commit")
-VERBS = ("r_read", "r_write", "r_cas", "r_faa")
+STEPS = {LOCAL_READ, LOCAL_WRITE, LOCAL_RMW, VERB_ISSUE}  # the owner's visible steps
+UNTOUCHED = {RMW_END, UNWATCH, VERB_ISSUE}  # touch no word's value or watchers
 
 
 class Licence:
-    """Open windows ``(region, addr) -> owner``, from a private store to
-    the owner's next visible step, and what broke them."""
+    """A consumer of the access sink: open windows ``(node, addr) ->
+    owner``, from a private store to the owner's next visible step, and
+    what broke them."""
 
     def __init__(self):
         self.windows: dict = {}
-        self.watchers: dict = {}   # (region, addr) -> watch events
-        self.private_by = None     # the actor inside private_write
         self.private_stores = 0
         self.violations: list[str] = []
 
-    def touch(self, region, addr, actor, what):
-        owner = self.windows.get((region, addr))
-        if owner is not None and actor != owner:
-            self.violations.append(f"{what} by {actor} of {region.describe_word(addr)} "
+    def attach(self, cluster):
+        """Consume ``cluster``'s accesses through one forwarding sink,
+        after the race auditor if the cluster audits."""
+        self.regions, audit, licence = cluster.regions, cluster.regions[0].sink, self.access
+        self.windows.clear()
+
+        def both(*access):
+            audit(*access)
+            licence(*access)
+        for region in cluster.regions:
+            region.sink = licence if audit is None else both
+
+    def access(self, node, addr, kind, actor, time):
+        region = self.regions[node]
+        if kind == PRIVATE_WRITE:
+            if region.watched(addr):
+                self.violations.append(f"private store by {actor} to watched "
+                                       f"{region.describe_word(addr)}")
+            self.private_stores += 1
+            self.windows[(node, addr)] = actor
+            return
+        owner = self.windows.get((node, addr))
+        if owner is not None and actor != owner and kind not in UNTOUCHED:
+            self.violations.append(f"{kind} by {actor} of {region.describe_word(addr)} "
                                    f"inside {owner}'s private window")
-
-    def acts(self, actor):
-        """``actor`` takes a visible step: its windows close."""
-        for key in [k for k, owner in self.windows.items() if owner == actor]:
-            del self.windows[key]
-
-    def install(self, monkeypatch):
-        def local(name, original):
-            def accessor(region, addr, *args):
-                actor = args[-1]
-                if name == "write" and actor == self.private_by:
-                    watched = [ev for ev in self.watchers.get((region, addr), ())
-                               if not ev.triggered]
-                    if watched:
-                        self.violations.append(
-                            f"private store by {actor} to watched "
-                            f"{region.describe_word(addr)}")
-                    self.private_stores += 1
-                    self.windows[(region, addr)] = actor
-                else:
-                    self.touch(region, addr, actor, name)
-                    self.acts(actor)
-                return original(region, addr, *args)
-            return accessor
-
-        def remote(name, original):
-            def accessor(region, addr, *args):
-                self.touch(region, addr, "a verb", name)
-                return original(region, addr, *args)
-            return accessor
-
-        def watch(original):
-            def accessor(region, addr):
-                ev = original(region, addr)
-                self.register(region, (addr,), ev)
-                return ev
-            return accessor
-
-        def watch_any(original):
-            def accessor(region, addrs):
-                ev = original(region, addrs)
-                self.register(region, addrs, ev)
-                return ev
-            return accessor
-
-        def unwatch(original):
-            def accessor(region, ev, addrs):
-                for addr in addrs:
-                    listed = self.watchers.get((region, addr), [])
-                    if ev in listed:
-                        listed.remove(ev)
-                return original(region, ev, addrs)
-            return accessor
-
-        def private_write(original):
-            def op(ctx, ptr, value):
-                self.private_by = ctx.actor
-                try:
-                    return original(ctx, ptr, value)
-                finally:
-                    self.private_by = None
-            return op
-
-        def verb(original):
-            def op(ctx, *args, **kwargs):
-                if not kwargs.get("carry"):  # issued now; a carried verb
-                    self.acts(ctx.actor)     # re-enters after its sleep
-                return original(ctx, *args, **kwargs)
-            return op
-
-        for name in LOCAL_ACCESSORS:
-            monkeypatch.setattr(MemoryRegion, name, local(name, getattr(MemoryRegion, name)))
-        for name in REMOTE_ACCESSORS:
-            monkeypatch.setattr(MemoryRegion, name, remote(name, getattr(MemoryRegion, name)))
-        monkeypatch.setattr(MemoryRegion, "watch", watch(MemoryRegion.watch))
-        monkeypatch.setattr(MemoryRegion, "watch_any", watch_any(MemoryRegion.watch_any))
-        monkeypatch.setattr(MemoryRegion, "unwatch", unwatch(MemoryRegion.unwatch))
-        monkeypatch.setattr(ThreadContext, "private_write",
-                            private_write(ThreadContext.private_write))
-        for name in VERBS:
-            monkeypatch.setattr(ThreadContext, name, verb(getattr(ThreadContext, name)))
-
-    def register(self, region, addrs, ev):
-        for addr in addrs:
-            # the owner sleeps through its window: a registration is another's
-            self.touch(region, addr, "a waiter", "watch")
-            self.watchers.setdefault((region, addr), []).append(ev)
+        if kind in STEPS:  # ``actor`` takes a visible step: its windows close
+            for key in [k for k, o in self.windows.items() if o == actor]:
+                del self.windows[key]
 
 
-def _write_early(ctx, ptr, value, *, carry=0.0):
-    """``ThreadContext.write`` applied where it is issued, its cost slept
-    after: every local store of the lock made "private" — the victim
-    store, a follower's link into its predecessor's ``next`` and the
-    pass into a successor's ``budget``."""
-    yield carry + ctx.private_write(ptr, value)
+class EarlyWriter(context.ThreadContext):
+    """Every local store of the lock made "private": applied where it is
+    issued, its cost slept after — the victim store, a follower's link
+    into its predecessor's ``next`` and the pass into a successor's
+    ``budget``."""
+
+    __slots__ = ()
+
+    def write(self, ptr, value, *, carry=0.0):
+        yield carry + self.private_write(ptr, value)
 
 
 def observe(monkeypatch, *, public_stores_private=False):
     licence = Licence()
-    licence.install(monkeypatch)
     if public_stores_private:
-        monkeypatch.setattr(ThreadContext, "write", _write_early)
+        # the contexts the runs build, and the local cohort's neighbour
+        # store, which ALock binds from the class when it is built
+        for module in (context, alock):
+            monkeypatch.setattr(module, "ThreadContext", EarlyWriter)
+    build = scenario.wire
+
+    def wire(spec, *, obs):
+        cluster, table = build(spec, obs=obs)
+        licence.attach(cluster)
+        return cluster, table
+
+    monkeypatch.setattr(scenario, "wire", wire)
     walk = explore_random(ALOCK_2X2, 300, seed=3)
-    stress("alock", n_nodes=2, threads_per_node=3, n_locks=2, ops_per_thread=20,
-           pick_lock=single_lock, lock_options={"local_budget": 2, "remote_budget": 2})
+    cluster, table = make_cluster_and_table(
+        "alock", n_nodes=2, n_locks=2,
+        lock_options={"local_budget": 2, "remote_budget": 2})
+    licence.attach(cluster)
+    assert run_lock_clients(cluster, table, threads_per_node=3, ops_per_thread=20,
+                            pick_lock=single_lock) == 120
+    table.check_counters(120)
+    cluster.auditor.assert_clean()
     return licence, walk
 
 

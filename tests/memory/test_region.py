@@ -1,13 +1,19 @@
 """Tests for MemoryRegion: word ops, allocation, watchers, signedness."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import MemoryError_
 from repro.memory import MemoryRegion
 from repro.memory.pointer import CACHE_LINE, ptr_addr, ptr_node
-from repro.memory.region import from_signed, to_signed
+from repro.memory.region import (LOCAL_READ, LOCAL_RMW, LOCAL_WRITE,
+                                 PRIVATE_WRITE, REMOTE_FAA, REMOTE_READ,
+                                 REMOTE_WRITE, UNWATCH, WATCH, from_signed,
+                                 to_signed)
 from repro.sim import Environment
+from repro.sim.core import Event
 
 
 @pytest.fixture()
@@ -314,3 +320,60 @@ class TestWatcherBoundOnLocalRun:
         # 4 locks x (victim, tail_r) lists, each under twice its few
         # pending entries — and no larger for a 4x longer run
         assert max(held) < 40
+
+
+#: region methods that take a word address but access no word for the
+#: program; and the RMW write-back, which the verbs layer reports
+#: (tests/rdma/test_network.py)
+UNREPORTED = {"peek", "peek_signed", "label_word", "describe_word", "watched",
+              "remote_rmw_commit"}
+#: each reporting accessor, driven once by actor "t" at word 64 (and 72)
+DRIVE = {
+    "read": (lambda r: r.read(64, "t"), [LOCAL_READ]),
+    "read_signed": (lambda r: r.read_signed(64, "t"), [LOCAL_READ]),
+    "write": (lambda r: r.write(64, 1, "t"), [LOCAL_WRITE]),
+    "cas": (lambda r: r.cas(64, 0, 1, "t"), [LOCAL_RMW]),
+    "faa": (lambda r: r.faa(64, 1, "t"), [LOCAL_RMW]),
+    "remote_read": (lambda r: r.remote_read(64, "t"), [REMOTE_READ]),
+    "remote_write": (lambda r: r.remote_write(64, 1, "t"), [REMOTE_WRITE]),
+    "remote_rmw_read": (lambda r: r.remote_rmw_read(64, "t", REMOTE_FAA), [REMOTE_FAA]),
+    "watch": (lambda r: r.watch(64, "t"), [WATCH]),
+    "watch_any": (lambda r: r.watch_any((64, 72), "t"), [WATCH, WATCH]),
+    "unwatch": (lambda r: r.unwatch(Event(r.env), (64, 72), "t"), [UNWATCH, UNWATCH]),
+}
+
+
+@pytest.fixture()
+def recorded(env):
+    seen = []
+    return MemoryRegion(env, 1, 4096, lambda *access: seen.append(access)), seen
+
+
+class TestAccessSink:
+    """Each word access reaches the run's sink exactly once, as its kind."""
+
+    def test_every_word_accessor_is_driven_or_declared_unreported(self):
+        takes_a_word = {
+            name for name, fn in inspect.getmembers(MemoryRegion, inspect.isfunction)
+            if not name.startswith("_")
+            and {"addr", "addrs"} & set(inspect.signature(fn).parameters)}
+        assert takes_a_word == DRIVE.keys() | UNREPORTED
+
+    @pytest.mark.parametrize("name", sorted(DRIVE))
+    def test_accessor_reports_one_access_of_its_kind(self, env, recorded, name):
+        region, seen = recorded
+        drive, kinds = DRIVE[name]
+        drive(region)
+        assert seen == [(1, addr, kind, "t", env.now)
+                        for addr, kind in zip((64, 72), kinds)]
+
+    @pytest.mark.parametrize("name", sorted(UNREPORTED))
+    def test_unreported_methods_report_nothing(self, recorded, name):
+        region, seen = recorded
+        getattr(region, name)(64, *{"label_word": ["l"], "remote_rmw_commit": [1]}.get(name, []))
+        assert seen == []
+
+    def test_a_private_store_is_reported_as_its_own_kind(self, env, recorded):
+        region, seen = recorded
+        region.write(64, 1, "t", PRIVATE_WRITE)
+        assert seen == [(1, 64, PRIVATE_WRITE, "t", env.now)]

@@ -4,18 +4,18 @@ congestion, QPC thrashing, and Table-1 non-atomicity."""
 import pytest
 
 from repro.common.errors import MemoryError_
-from repro.memory import MemoryRegion, RaceAuditor, pack_ptr
+from repro.memory import MemoryRegion, pack_ptr
+from repro.memory.races import RaceAuditor
 from repro.rdma import RdmaConfig, RdmaNetwork
 from repro.rdma.config import unloaded_remote_read_ns
 from repro.sim import Environment
 
 
-def make_net(n_nodes=2, auditor=None, config=None, region_size=1 << 16):
+def make_net(n_nodes=2, sink=None, config=None, region_size=1 << 16):
     env = Environment()
     cfg = config or RdmaConfig()
-    regions = [MemoryRegion(env, i, region_size, auditor=auditor)
-               for i in range(n_nodes)]
-    net = RdmaNetwork(env, cfg, regions, auditor=auditor)
+    regions = [MemoryRegion(env, i, region_size, sink) for i in range(n_nodes)]
+    net = RdmaNetwork(env, cfg, regions)
     return env, net, regions
 
 
@@ -277,8 +277,8 @@ class TestTable1NonAtomicity:
     def test_local_write_lost_inside_rcas_window(self):
         """A local write racing the rCAS window is overwritten and the
         auditor records the violation — Table 1 reproduced end to end."""
-        auditor = RaceAuditor(mode="record")
-        env, net, regions = make_net(n_nodes=2, auditor=auditor)
+        auditor = RaceAuditor("record", RdmaConfig().nic.atomic_window_ns)
+        env, net, regions = make_net(n_nodes=2, sink=auditor.access)
         ptr = pack_ptr(1, 64)
         target = regions[1]
 
@@ -304,8 +304,8 @@ class TestTable1NonAtomicity:
         assert auditor.violations[0].local_op == "Write"
 
     def test_no_violation_when_local_read_races(self):
-        auditor = RaceAuditor(mode="record")
-        env, net, regions = make_net(n_nodes=2, auditor=auditor)
+        auditor = RaceAuditor("record", RdmaConfig().nic.atomic_window_ns)
+        env, net, regions = make_net(n_nodes=2, sink=auditor.access)
         ptr = pack_ptr(1, 64)
         target = regions[1]
 
@@ -326,25 +326,28 @@ class TestTable1NonAtomicity:
 class TestAuditAttribution:
     def test_rmw_verbs_report_their_own_label(self):
         """Regression: rFAA atomic windows were registered with the
-        auditor as "rCAS", mislabelling Table-1 violation reports."""
+        auditor as "rCAS", mislabelling Table-1 violation reports.  Each
+        verb reports its issue, then its landing; an RMW's window closes
+        with ``rmw.end``, after a write-back only if the CAS swapped."""
         seen = []
-
-        class SpyAuditor(RaceAuditor):
-            def remote_rmw_begin(self, node, addr, op, actor, start, end):
-                seen.append(op)
-                return super().remote_rmw_begin(
-                    node, addr, op, actor, start, end)
-
-        auditor = SpyAuditor(mode="record")
-        env, net, _ = make_net(n_nodes=2, auditor=auditor)
+        env, net, _ = make_net(n_nodes=2, sink=lambda node, addr, kind, actor,
+                               time: seen.append((node, addr, kind, actor)))
         ptr = pack_ptr(1, 64)
 
         def proc():
-            yield from net.r_cas(0, 0, ptr, 0, 1)
-            yield from net.r_faa(0, 0, ptr, 1)
+            yield from net.r_write(0, 0, ptr, 5)
+            yield from net.r_read(0, 0, ptr)
+            yield from net.r_cas(0, 0, ptr, 0, 1, actor="t")  # fails
+            yield from net.r_cas(0, 0, ptr, 5, 1, actor="t")
+            yield from net.r_faa(0, 0, ptr, 1, actor="t")
 
         run_verb(env, proc())
-        assert seen == ["rCAS", "rFAA"]
+        assert {(node, addr) for node, addr, _k, _a in seen} == {(1, 64)}
+        assert [(kind, actor) for _n, _a, kind, actor in seen] == [
+            ("verb", "?"), ("rWrite", "?"), ("verb", "?"), ("rRead", "?"),
+            ("verb", "t"), ("rCAS", "t"), ("rmw.end", "t"),
+            ("verb", "t"), ("rCAS", "t"), ("rmw.commit", "t"), ("rmw.end", "t"),
+            ("verb", "t"), ("rFAA", "t"), ("rmw.commit", "t"), ("rmw.end", "t")]
 
 
 class TestDeterminism:
