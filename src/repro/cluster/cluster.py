@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.common.errors import ConfigError
 from repro.common.rng import RngStreams
 from repro.memory.pointer import MAX_NODES
-from repro.memory.region import MemoryRegion
+from repro.memory.region import AUDIT_MODES, MemoryRegion
 from repro.obs import RING, Observability
 from repro.obs.log import LEVELS
 from repro.rdma.config import RdmaConfig
@@ -79,6 +79,8 @@ class Cluster:
 
             if not isinstance(faults, FaultPlan):
                 raise ConfigError(f"faults must be a FaultPlan, got {faults!r}")
+        if audit not in AUDIT_MODES:
+            raise ConfigError(f"audit must be one of {AUDIT_MODES}, got {audit!r}")
         if obs not in LEVELS or isinstance(obs, bool):
             raise ConfigError(f"obs must be a recording level {LEVELS} "
                               f"(RING, PROTOCOL, INTERVALS), got {obs!r}")

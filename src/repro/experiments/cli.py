@@ -7,14 +7,14 @@
     alock-experiments run all --scale smoke --workers 2
     alock-experiments run fig5 --scale paper --workers 8
     alock-experiments run all --scale smoke --seed 0 1 2 --workers 2
-    alock-experiments explore --lock alock --schedules 50 --shrink
+    alock-experiments explore --lock alock --budget 50
     alock-experiments explore --lock mcs --lock-option bug=lost_wakeup \\
-        --lock-option poll_interval_ns=200 --nodes 1 --threads 3 --ops 3
-    alock-experiments explore --replay "9:1" --lock alock ...
-    alock-experiments fleet --workers 4 --budget 2000 --expect-find \\
-        --write-corpus --corpus-dir tests/schedcheck/corpus
-    alock-experiments fleet --preset faults --budget 500 --workers 4
-    alock-experiments fleet --policy pct --report fleet.json
+        --lock-option poll_interval_ns=200 --nodes 1 --threads 2 --ops 3 \\
+        --cs-ns 100 --write-corpus --corpus-dir /tmp/corpus
+    alock-experiments explore --preset bugs --workers 4 --budget 2000 \\
+        --expect-find --write-corpus --corpus-dir tests/schedcheck/corpus
+    alock-experiments explore --preset faults --policy pct --report fleet.json
+    alock-experiments replay tests/schedcheck/corpus/ENTRY.json
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from repro.experiments.base import recording
 from repro.experiments.registry import (EXPERIMENTS, get_experiment,
                                         run_experiment)
 from repro.obs.export import write_metrics, write_trace
+
+
+#: schedule budget of a flag-built scenario
+DEFAULT_BUDGET = 50
 
 
 def _resolve_workers(args) -> int:
@@ -60,70 +64,44 @@ def _parse_lock_options(pairs: list[str]) -> tuple:
 
 
 def _explore(args) -> int:
-    from repro.schedcheck import (
-        LockScenario,
-        enumerate_schedules,
-        explore_random,
-        replay,
-        shrink_failure,
-    )
+    from dataclasses import fields
 
-    scenario = LockScenario(
-        lock_kind=args.lock_kind, n_nodes=args.nodes,
-        threads_per_node=args.threads, n_locks=args.locks,
-        ops_per_thread=args.ops, pick=args.pick, cs_ns=args.cs_ns,
-        think_ns=args.think_ns, stagger_ns=args.stagger_ns,
-        lock_options=_parse_lock_options(args.lock_option),
-        seed=args.scenario_seed)
-
-    if args.replay is not None:
-        decisions = "" if args.replay == "-" else args.replay
-        result = replay(scenario, decisions)
-        print(result.summary())
-        return 0 if result.ok else 1
-
-    if args.policy == "dfs":
-        report = enumerate_schedules(
-            scenario, max_schedules=args.schedules,
-            max_choice_points=args.max_choice_points,
-            stop_on_failure=not args.keep_going)
-    else:
-        report = explore_random(
-            scenario, args.schedules, seed=args.seed, policy=args.policy,
-            change_points=args.change_points,
-            stop_on_failure=not args.keep_going)
-    print(report.summary())
-    failure = report.first_failure
-    if failure is None:
-        return 0
-    print(f"\nfirst failure (schedule {failure.schedule_index}):")
-    print(f"  {failure.summary()}")
-    if args.shrink:
-        shrunk = shrink_failure(scenario, failure)
-        print(f"  {shrunk.summary()}")
-        print(f"  replay with: --replay "
-              f"{shrunk.decisions.to_string() or '-'!r}")
-    return 1
-
-
-def _fleet(args) -> int:
+    from repro.schedcheck.corpus import scenario_digest
     from repro.schedcheck.fleet import (
         PRESETS,
         FleetConfig,
         run_fleet,
         write_fleet_corpus,
     )
+    from repro.schedcheck.scenario import LockScenario
 
-    preset = PRESETS[args.preset]
-    # The preset's per-bug budgets are the documented *serial* repro
-    # constants; a fleet run explores all scenarios at one shared budget.
-    budget = args.budget
-    if budget is None:
-        budget = max(b for _name, _sc, b in preset)
+    # A scenario flag is on the namespace only when named, under its
+    # LockScenario field: the scenario's own defaults fill the rest, and
+    # naming one beside --preset can be refused.
+    named = {f.name: getattr(args, f.name) for f in fields(LockScenario)
+             if hasattr(args, f.name)}
+    if args.preset is not None:
+        if named:
+            raise ConfigError("--preset explores its own scenarios; drop "
+                              "the scenario flags or the preset")
+        preset = PRESETS[args.preset]
+        # The preset's per-bug budgets are the documented *serial* repro
+        # constants; a fleet run explores all scenarios at one budget.
+        scenarios = tuple((name, sc) for name, sc, _b in preset)
+        default_budget = max(b for _name, _sc, b in preset)
+    else:
+        if "lock_options" in named:
+            named["lock_options"] = _parse_lock_options(named["lock_options"])
+        scenario = LockScenario(**named)
+        # a bad lock kind or option is a ConfigError, not crashed cells
+        scenario.build().cluster.close()
+        scenarios = ((f"{scenario.lock_kind}-{scenario_digest(scenario)}",
+                      scenario),)
+        default_budget = DEFAULT_BUDGET
     config = FleetConfig(
-        scenarios=tuple((name, sc) for name, sc, _b in preset),
-        budget=budget, seed=args.seed, policy=args.policy,
-        shrink=not args.no_shrink)
+        scenarios=scenarios,
+        budget=default_budget if args.budget is None else args.budget,
+        seed=args.walk_seed, policy=args.policy, shrink=not args.no_shrink)
     workers = _resolve_workers(args)
 
     def _progress(report) -> None:
@@ -134,13 +112,17 @@ def _fleet(args) -> int:
     report = run_fleet(config, workers=workers,
                        on_round=_progress if args.progress else None)
     print(report.summary())
-    if args.report_out:
-        with open(args.report_out, "wb") as fh:
+    if args.report:
+        with open(args.report, "wb") as fh:
             fh.write(report.to_json_bytes())
-        print(f"report: {args.report_out}")
+        print(f"report: {args.report}")
     if args.write_corpus:
         for path in write_fleet_corpus(report, args.corpus_dir):
             print(f"corpus: {path}")
+    crashed = [s.name for s in report.scenarios if s.crashed_cells]
+    if crashed:
+        print(f"cells crashed in: {', '.join(crashed)}", file=sys.stderr)
+        return 1
     if args.expect_find:
         missing = [s.name for s in report.scenarios if s.first_find is None]
         if missing:
@@ -149,6 +131,18 @@ def _fleet(args) -> int:
             return 1
         return 0
     return 1 if report.found else 0
+
+
+def _replay(args) -> int:
+    from repro.schedcheck.corpus import check_entry, load_entry
+
+    try:
+        entry = load_entry(args.entry)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load corpus entry {args.entry}: {exc!r}")
+    status, result = check_entry(entry)
+    print(f"{status}: {result.summary()}")
+    return 0 if status == "reproduced" else 1
 
 
 #: exit status of every subcommand whose reader closed stdout early
@@ -172,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
 
 
-def _main(argv: list[str] | None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, every subcommand and flag."""
     parser = argparse.ArgumentParser(
         prog="alock-experiments",
         description="Regenerate the ALock paper's tables and figures on "
@@ -206,91 +201,84 @@ def _main(argv: list[str] | None) -> int:
     exp_p = sub.add_parser(
         "explore",
         help="schedule exploration: hunt interleaving bugs in the real "
-             "lock implementations")
-    exp_p.add_argument("--lock", default="alock", dest="lock_kind",
-                       help="registered lock kind (alock, mcs, spinlock, ...)")
-    exp_p.add_argument("--nodes", type=int, default=2)
-    exp_p.add_argument("--threads", type=int, default=2,
-                       help="threads per node")
-    exp_p.add_argument("--ops", type=int, default=4, help="ops per thread")
-    exp_p.add_argument("--locks", type=int, default=1)
-    exp_p.add_argument("--pick", default="single",
-                       choices=("single", "local", "remote", "mixed"))
-    exp_p.add_argument("--cs-ns", type=float, default=0.0)
-    exp_p.add_argument("--think-ns", type=float, default=0.0)
-    exp_p.add_argument("--stagger-ns", type=float, default=0.0)
-    exp_p.add_argument("--scenario-seed", type=int, default=0,
-                       help="cluster/workload seed (fixed across schedules)")
-    exp_p.add_argument("--lock-option", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="extra lock-factory option; repeatable "
-                            "(e.g. bug=no_victim_check)")
-    exp_p.add_argument("--policy", default="random",
-                       choices=("random", "pct", "dfs"),
-                       help="random walk, PCT priorities, or bounded "
-                            "exhaustive enumeration")
-    exp_p.add_argument("--schedules", type=int, default=50,
-                       help="schedule budget")
-    exp_p.add_argument("--seed", type=int, default=1,
-                       help="exploration seed (random/pct)")
-    exp_p.add_argument("--change-points", type=int, default=3,
-                       help="PCT priority change points")
-    exp_p.add_argument("--max-choice-points", type=int, default=None,
-                       help="dfs: only permute the first K choice points")
-    exp_p.add_argument("--keep-going", action="store_true",
-                       help="do not stop at the first failing schedule")
-    exp_p.add_argument("--shrink", action="store_true",
-                       help="delta-debug the first failure down to a "
-                            "minimal decision string")
-    exp_p.add_argument("--replay", default=None, metavar="DECISIONS",
-                       help="skip exploration; replay this decision string "
-                            "('-' for the default schedule)")
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="the seeded schedule walk of a scenario preset, fanned over "
-             "worker processes; report and corpus bytes are identical at "
-             "any worker count")
-    fleet_p.add_argument("--preset", default="bugs",
-                         choices=("bugs", "faults"),
-                         help="scenario set: the seeded lock defects or "
-                              "correct locks under fault injection")
-    fleet_p.add_argument("--budget", type=int, default=None, metavar="N",
-                         help="schedule budget per scenario (default: the "
-                              "preset's largest documented repro budget)")
-    fleet_p.add_argument("--seed", type=int, default=0,
-                         help="master fleet seed")
-    fleet_p.add_argument("--policy", default="random",
-                         choices=("random", "pct"),
-                         help="walk policy")
-    fleet_p.add_argument("--no-shrink", action="store_true",
-                         help="skip ddmin of each scenario's first failure")
-    fleet_p.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="worker processes (0/1 = serial)")
-    fleet_p.add_argument("--corpus-dir", default=".alock-corpus",
-                         metavar="DIR",
-                         help="where --write-corpus puts entries "
-                              "(default .alock-corpus)")
-    fleet_p.add_argument("--write-corpus", action="store_true",
-                         help="freeze each scenario's shrunk first failure "
-                              "as a content-addressed corpus entry (plus "
-                              "its post-mortem dump)")
-    fleet_p.add_argument("--report", default=None, dest="report_out",
-                         metavar="FILE",
-                         help="write the canonical fleet report JSON here")
-    fleet_p.add_argument("--expect-find", action="store_true",
-                         help="exit 0 only if *every* scenario produced a "
-                              "failure (bug-hunt/CI-gate mode; default "
-                              "exit semantics match 'explore': finding a "
-                              "failure exits 1)")
-    fleet_p.add_argument("--progress", action="store_true",
-                         help="print a line per round (stderr)")
-    args = parser.parse_args(argv)
+             "lock implementations, fanned over worker processes; report "
+             "and corpus bytes are identical at any worker count")
+    exp_p.add_argument("--preset", choices=("bugs", "faults"),
+                       help="explore a scenario set instead of one "
+                            "scenario: the seeded lock defects, or correct "
+                            "locks under fault injection")
+    # An unnamed scenario flag stays off the namespace (SUPPRESS); each
+    # dest is a LockScenario field, and no other flag's dest is one.
+    scen = exp_p.add_argument_group(
+        "scenario", "one scenario, built from these flags (LockScenario's "
+                    "defaults for those not named); not with --preset",
+        argument_default=argparse.SUPPRESS)
+    scen.add_argument("--lock", dest="lock_kind", metavar="KIND",
+                      help="registered lock kind (alock, mcs, spinlock, "
+                           "...; default alock)")
+    scen.add_argument("--nodes", dest="n_nodes", type=int, metavar="N")
+    scen.add_argument("--threads", dest="threads_per_node", type=int,
+                      metavar="N", help="threads per node")
+    scen.add_argument("--ops", dest="ops_per_thread", type=int, metavar="N",
+                      help="ops per thread")
+    scen.add_argument("--pick", choices=("single", "local", "remote",
+                                         "mixed"))
+    scen.add_argument("--cs-ns", type=float, metavar="NS")
+    scen.add_argument("--think-ns", type=float, metavar="NS")
+    scen.add_argument("--stagger-ns", type=float, metavar="NS")
+    scen.add_argument("--scenario-seed", dest="seed", type=int,
+                      metavar="SEED",
+                      help="cluster/workload seed (fixed across schedules)")
+    scen.add_argument("--lock-option", dest="lock_options", action="append",
+                      metavar="KEY=VALUE",
+                      help="extra lock-factory option; repeatable "
+                           "(e.g. bug=no_victim_check)")
+    exp_p.add_argument("--budget", type=int, metavar="N",
+                       help="schedule budget per scenario (default: the "
+                            "preset's largest documented repro budget, "
+                            f"or {DEFAULT_BUDGET})")
+    exp_p.add_argument("--seed", dest="walk_seed", type=int, default=0,
+                       metavar="SEED", help="the walk's seed: every "
+                       "schedule's policy seed derives from it")
+    exp_p.add_argument("--policy", default="random", choices=("random", "pct"),
+                       help="random walk or PCT priorities")
+    exp_p.add_argument("--no-shrink", action="store_true",
+                       help="skip ddmin of each scenario's first failure")
+    exp_p.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="worker processes (0/1 = serial)")
+    exp_p.add_argument("--corpus-dir", default=".alock-corpus", metavar="DIR",
+                       help="where --write-corpus puts entries "
+                            "(default .alock-corpus)")
+    exp_p.add_argument("--write-corpus", action="store_true",
+                       help="freeze each scenario's shrunk first failure "
+                            "as a content-addressed corpus entry (plus "
+                            "its post-mortem dump)")
+    exp_p.add_argument("--report", metavar="FILE",
+                       help="write the canonical exploration report JSON here")
+    exp_p.add_argument("--expect-find", action="store_true",
+                       help="exit 0 only if *every* scenario produced a "
+                            "failure (bug-hunt/CI-gate mode; by default "
+                            "finding a failure exits 1)")
+    exp_p.add_argument("--progress", action="store_true",
+                       help="print a line per round (stderr)")
+    replay_p = sub.add_parser(
+        "replay",
+        help="strict-replay a corpus entry: exit 0 only if it reproduces "
+             "its recorded failure, byte for byte")
+    replay_p.add_argument("entry", metavar="ENTRY.json",
+                          help="a corpus entry file (explore "
+                               "--write-corpus writes them)")
+    return parser
 
-    if args.command == "fleet":
-        return _fleet(args)
+
+def _main(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.command == "explore":
         return _explore(args)
+
+    if args.command == "replay":
+        return _replay(args)
 
     if args.command == "list":
         for exp_id in EXPERIMENTS:

@@ -54,7 +54,9 @@ class _Cohort(NamedTuple):
     """What tells one cohort's queue from the other's.  The paper states
     Algorithm 3 once and gets the local cohort by "replacing each remote
     access with a local one"; so the accesses are data.  The callables
-    take the context first: ``cohort.tail_cas(ctx, ptr, expected, new)``."""
+    take the context first: ``cohort.tail_cas(ctx, ptr, expected, new)``,
+    and call its method on the instance, as ``peterson.py`` and the lock
+    table do, so a :class:`ThreadContext` subclass changes every access."""
 
     name: str                 #: "local" | "remote" — event field, stats key
     tail_ptr: int             #: the cohort's MCS tail == its Peterson flag
@@ -62,6 +64,12 @@ class _Cohort(NamedTuple):
     tail_cas: Callable        #: the one RMW family allowed on ``tail_ptr``
     neighbor_write: Callable  #: store into a queue neighbor's descriptor
     acquire_global: Callable  #: this cohort leader's side of Algorithm 4
+
+
+_CAS, _R_CAS = (lambda ctx, ptr, old, new, *, carry=0.0: ctx.cas(ptr, old, new, carry=carry),
+                lambda ctx, ptr, old, new, *, carry=0.0: ctx.r_cas(ptr, old, new, carry=carry))
+_WRITE, _R_WRITE = (lambda ctx, ptr, value: ctx.write(ptr, value),
+                    lambda ctx, ptr, value: ctx.r_write(ptr, value))
 
 
 def _shortcut_write(ctx: ThreadContext, ptr: int, value: int):
@@ -129,10 +137,10 @@ class ALock(DistributedLock):
         # verbatim) uses ``rWrite`` unconditionally unless the ablation
         # short-circuits same-node targets.
         self._cohorts = (
-            _Cohort("local", self.tail_l_ptr, local_budget, ThreadContext.cas,
-                    ThreadContext.write, peterson.acquire_local),
-            _Cohort("remote", self.tail_r_ptr, remote_budget, ThreadContext.r_cas,
-                    ThreadContext.r_write if strict_remote_rdma else _shortcut_write,
+            _Cohort("local", self.tail_l_ptr, local_budget, _CAS, _WRITE,
+                    peterson.acquire_local),
+            _Cohort("remote", self.tail_r_ptr, remote_budget, _R_CAS,
+                    _R_WRITE if strict_remote_rdma else _shortcut_write,
                     peterson.acquire_remote),
         )
         self._sessions: dict[int, tuple[int, Descriptor]] = {}

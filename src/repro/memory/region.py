@@ -55,6 +55,9 @@ RMW_END = "rmw.end"
 WATCH = "watch"
 UNWATCH = "unwatch"
 VERB_ISSUE = "verb"
+#: A cluster's ``audit`` modes: no sink, or the race auditor
+#: (:mod:`repro.memory.races`) recording or raising on Table 1's 'No' cells.
+AUDIT_MODES = ("off", "record", "strict")
 
 _MASK64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63

@@ -160,7 +160,7 @@ def snapshot(cluster, *, reason: str, detail: str = "", table=None,
             and the wait-for graph's holder edges.
         decisions: schedcheck sparse decision string, when the failure
             came from an explored schedule — stored verbatim so the dump
-            is replayable (``explore --replay``).
+            is replayable (:func:`repro.schedcheck.replay`).
         error: ``repr`` of the client's exception, if any.
         window: trailing flight events to freeze.
     """

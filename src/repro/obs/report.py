@@ -159,10 +159,13 @@ def render_report(dump: dict, timeline: int = TIMELINE_LIMIT) -> str:
 CORPUS_SCHEMA_PREFIX = "alock-corpus/"
 
 
-def render_corpus_entry(payload: dict, base_dir: str = "",
+def render_corpus_entry(payload: dict, path: str = "",
                         timeline: int = TIMELINE_LIMIT) -> str:
     """A corpus entry's header plus — when its ``dump_ref`` resolves on
-    disk relative to ``base_dir`` — the referenced post-mortem report."""
+    disk relative to the entry file ``path`` — the referenced post-mortem
+    report.  The replay line names the file: the entry carries the
+    whole scenario, which no flag list rebuilds."""
+    base_dir = os.path.dirname(path)
     lines: list[str] = []
     add = lines.append
     add(f"== corpus entry: {payload.get('name', '?')} "
@@ -186,18 +189,7 @@ def render_corpus_entry(payload: dict, base_dir: str = "",
     if prov:
         prov_s = " ".join(f"{k}={v}" for k, v in sorted(prov.items()))
         add(f"provenance: {prov_s}")
-    add("replay: alock-experiments explore --replay "
-        f"\"{payload.get('decisions', '') or '-'}\" "
-        f"--lock {scenario.get('lock_kind', '?')}"
-        f" --nodes {scenario.get('n_nodes', '?')}"
-        f" --threads {scenario.get('threads_per_node', '?')}"
-        f" --ops {scenario.get('ops_per_thread', '?')}"
-        f" --scenario-seed {scenario.get('seed', '?')}"
-        + "".join(f" --{knob.replace('_', '-')} {scenario[knob]}"
-                  for knob in ("cs_ns", "think_ns", "stagger_ns")
-                  if scenario.get(knob))
-        + "".join(f" --lock-option {k}={v}"
-                  for k, v in scenario.get("lock_options", [])))
+    add(f"replay: alock-experiments replay {path or '<entry file>'}")
     dump = referenced_dump(payload, base_dir)
     if dump is not None:
         add("")
@@ -273,18 +265,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.dump == "-":
         dump = json.load(sys.stdin)
-        base_dir = ""
+        path = ""
     else:
         with open(args.dump, encoding="utf-8") as fh:
             dump = json.load(fh)
-        base_dir = os.path.dirname(os.path.abspath(args.dump))
+        path = args.dump
     if str(dump.get("schema")).startswith(CORPUS_SCHEMA_PREFIX):
-        entry, dump = dump, referenced_dump(dump, base_dir)
+        entry, dump = dump, referenced_dump(dump, os.path.dirname(path))
         if args.perfetto and dump is None:
             parser.error(f"--perfetto: corpus entry {args.dump} has no "
                          f"post-mortem dump on disk")
-        print(render_corpus_entry(entry, base_dir=base_dir,
-                                  timeline=args.timeline))
+        print(render_corpus_entry(entry, path, timeline=args.timeline))
     else:
         print(render_report(dump, timeline=args.timeline))
     if args.perfetto:

@@ -133,7 +133,7 @@ def run_schedule(scenario, policy: Optional[SchedulePolicy],
     return result
 
 
-_RESHRINK_HINT = ("re-find and re-shrink it, e.g. alock-experiments fleet "
+_RESHRINK_HINT = ("re-find and re-shrink it, e.g. alock-experiments explore "
                   "--write-corpus against the current code")
 
 
@@ -254,8 +254,8 @@ def explore_random(scenario, n_schedules: int, seed: int = 0,
 
 
 def enumerate_schedules(scenario, max_schedules: int = 256,
-                        max_choice_points: Optional[int] = None,
-                        stop_on_failure: bool = False) -> ExplorationReport:
+                        max_choice_points: Optional[int] = None
+                        ) -> ExplorationReport:
     """Bounded exhaustive enumeration (CHESS-style iterative DFS).
 
     Schedules are visited in lexicographic order of their dense decision
@@ -286,8 +286,6 @@ def enumerate_schedules(scenario, max_schedules: int = 256,
                               schedule_index=report.schedules_run)
         digests.add(result.digest)
         report.record(result)
-        if stop_on_failure and not result.ok:
-            break
         dense, fanouts = list(result.dense), result.fanouts
         limit = len(dense)
         if max_choice_points is not None:

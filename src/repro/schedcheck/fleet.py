@@ -366,7 +366,8 @@ class FleetReport:
                          f"{s.first_find}")
                 if s.shrink is not None:
                     line += (f", shrunk {s.shrink['start_size']} -> "
-                             f"{s.shrink['size']} decisions")
+                             f"{s.shrink['size']} decisions: "
+                             f"{s.shrink['decisions'] or '(default)'}")
             if s.crashed_cells:
                 line += f", {s.crashed_cells} crashed cell(s)"
             lines.append(line)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigError
+from repro.memory.region import AUDIT_MODES
 from repro.rdma.config import RdmaConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,6 +88,8 @@ class WorkloadSpec:
         if not isinstance(self.config, RdmaConfig):
             raise ConfigError(
                 f"config must be an RdmaConfig, got {self.config!r}")
+        if self.audit not in AUDIT_MODES:
+            raise ConfigError(f"audit must be one of {AUDIT_MODES}, got {self.audit!r}")
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if self.threads_per_node < 1:

@@ -34,6 +34,13 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Cluster(MAX_NODES + 1)
 
+    @pytest.mark.parametrize("audit", ["bogus", "strcit", "", None, True])
+    def test_an_unknown_audit_mode_is_refused(self, audit):
+        """A typo once built a record-mode auditor: a strict run
+        silently downgraded to record."""
+        with pytest.raises(ConfigError, match="audit must be one of"):
+            Cluster(1, audit=audit)
+
     def test_max_nodes_constructible(self):
         assert Cluster(MAX_NODES).n_nodes == MAX_NODES
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import pathlib
 import re
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.experiments import registry
 from repro.experiments.cli import main
 from repro.obs import log as event_log
@@ -51,9 +53,9 @@ class TestRun:
         (["explore", "--lock-option", "novalue"],
          "--lock-option wants KEY=VALUE, got 'novalue'"),
         (["explore", "--lock", "nosuch"], "unknown lock type 'nosuch'"),
-        (["explore", "--schedules", "0"], "budget must be >= 1, got 0"),
-        (["explore", "--policy", "dfs", "--max-choice-points", "-1"],
-         "max_choice_points must be >= 0, got -1"),
+        (["explore", "--budget", "0"], "budget must be >= 1, got 0"),
+        (["explore", "--preset", "bugs", "--lock", "mcs"],
+         "--preset explores its own scenarios"),
         (["explore", "--nodes", "1", "--pick", "remote"],
          "pick 'remote' needs a remote lock, but with n_nodes=1"),
         (["explore", "--think-ns", "-1"], "think_ns must be >= 0, got -1.0"),
@@ -74,13 +76,125 @@ class TestRun:
         assert not captured.out         # table1's report was never produced
 
     def test_config_errors_of_other_commands_are_reported_the_same(self, capsys):
-        assert main(["explore", "--lock", "nosuch", "--schedules", "1"]) == 2
+        assert main(["explore", "--lock", "nosuch", "--budget", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: unknown lock type 'nosuch'")
         assert captured.err.count("\n") == 1 and not captured.out
 
     def test_seed_changes_are_accepted(self, capsys):
         assert main(["run", "table1", "--scale", "smoke", "--seed", "5"]) == 0
+
+
+#: the committed corpus: one frozen find per seeded bug
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "schedcheck" / "corpus"
+#: explore's flag-built scenario: the seeded MCS lost wakeup (§10 of the
+#: tutorial), which the walk at seed 1 finds at schedule 7
+LOST_WAKEUP = ["--lock", "mcs", "--nodes", "1", "--threads", "2", "--ops",
+               "3", "--cs-ns", "100", "--lock-option", "bug=lost_wakeup",
+               "--lock-option", "poll_interval_ns=200", "--seed", "1"]
+
+
+class TestExplore:
+    """``explore`` is the one exploration command: one scenario from
+    flags, or a preset, always through ``run_fleet``; ``replay`` runs a
+    frozen find from its corpus entry."""
+
+    def test_a_flag_built_find_is_frozen_and_replays(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["explore", *LOST_WAKEUP, "--write-corpus",
+                     "--corpus-dir", str(corpus)]) == 1
+        out = capsys.readouterr().out
+        assert "first deadlock at schedule 7, shrunk 6 -> 1 decisions: 6:1" \
+            in out, out
+        entry, = corpus.glob("*.json")
+        assert entry.name.startswith("mcs-") and f"corpus: {entry}" in out
+        assert main(["replay", str(entry)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "reproduced: deadlock: 2/2 clients parked")
+
+    def test_the_flag_built_scenario_has_a_name_derived_from_its_flags(
+            self, monkeypatch, capsys):
+        from repro.schedcheck import fleet
+
+        names = []
+
+        def spy(config, **kwargs):
+            names.append(config.scenarios[0][0])
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(fleet, "run_fleet", spy)
+        for argv in (LOST_WAKEUP, LOST_WAKEUP, LOST_WAKEUP[:-2]):
+            assert main(["explore", *argv]) == 2
+        assert names[0] == names[1] == names[2]      # --seed is the walk's
+        assert main(["explore", *LOST_WAKEUP, "--scenario-seed", "1"]) == 2
+        assert names[3] != names[0]
+        capsys.readouterr()
+
+    def test_crashed_cells_are_no_pass(self, monkeypatch, capsys):
+        """The walk never ran: exploring nothing must not exit 0."""
+        from repro.schedcheck import fleet
+
+        def crash(*args):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(fleet, "walk", crash)
+        assert main(["explore", "--budget", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "1 crashed cell(s)" in captured.out
+        assert captured.err.startswith("cells crashed in: alock-")
+
+    @pytest.fixture(scope="class")
+    def bugs_report(self):
+        from repro.schedcheck.fleet import SEEDED_BUGS, FleetConfig, run_fleet
+
+        return run_fleet(FleetConfig(
+            scenarios=tuple((name, sc) for name, sc, _b in SEEDED_BUGS),
+            budget=48, seed=1)).to_json_bytes()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_preset_report_is_run_fleets(self, bugs_report, workers,
+                                           tmp_path, monkeypatch, capsys):
+        from repro.schedcheck import fleet
+
+        run_fleet, fanned = fleet.run_fleet, []
+
+        def recording(config, *, workers, **kwargs):
+            fanned.append(workers)
+            return run_fleet(config, workers=workers, **kwargs)
+
+        monkeypatch.setattr(fleet, "run_fleet", recording)
+        report = tmp_path / "report.json"
+        assert main(["explore", "--preset", "bugs", "--budget", "48",
+                     "--seed", "1", "--workers", str(workers),
+                     "--report", str(report)]) == 1
+        assert fanned == [workers]
+        assert report.read_bytes() == bugs_report
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("entry", sorted(p.name for p in CORPUS.glob("*.json")))
+    def test_every_committed_entry_replays(self, entry, capsys):
+        assert main(["replay", str(CORPUS / entry)]) == 0
+        assert capsys.readouterr().out.startswith("reproduced: ")
+
+    def test_an_unreadable_entry_is_bad_config(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path / "nosuch.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load corpus entry")
+        assert captured.err.count("\n") == 1 and not captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet"], ["fleet", "--preset", "bugs"],
+        ["explore", "--schedules", "5"], ["explore", "--shrink"],
+        ["explore", "--keep-going"], ["explore", "--change-points", "3"],
+        ["explore", "--max-choice-points", "3"],
+        ["explore", "--policy", "dfs"], ["explore", "--replay", "6:1"],
+        ["explore", "--locks", "2"], ["replay"],
+    ])
+    def test_deleted_commands_and_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 #: the host-time progress line each run prints after its report

@@ -14,7 +14,6 @@ own local stores to shared words) must be caught.
 """
 
 import repro.cluster.context as context
-import repro.locks.alock.alock as alock
 import repro.schedcheck.scenario as scenario
 from repro.memory.region import (LOCAL_READ, LOCAL_RMW, LOCAL_WRITE,
                                  PRIVATE_WRITE, RMW_END, UNWATCH, VERB_ISSUE)
@@ -82,10 +81,9 @@ class EarlyWriter(context.ThreadContext):
 def observe(monkeypatch, *, public_stores_private=False):
     licence = Licence()
     if public_stores_private:
-        # the contexts the runs build, and the local cohort's neighbour
-        # store, which ALock binds from the class when it is built
-        for module in (context, alock):
-            monkeypatch.setattr(module, "ThreadContext", EarlyWriter)
+        # the contexts the runs build: every store of the lock is called
+        # on its context, so the local cohort's neighbour store is too
+        monkeypatch.setattr(context, "ThreadContext", EarlyWriter)
     build = scenario.wire
 
     def wire(spec, *, obs):

@@ -281,22 +281,46 @@ class TestCheckEntry:
 
 
 class TestReplayLine:
-    def test_the_replay_line_carries_every_timing_knob(self):
+    def test_the_replay_line_replays_the_whole_scenario(self, tmp_path,
+                                                         monkeypatch, capsys):
         """The replay command a corpus entry renders must rebuild its
-        scenario: a knob the line drops — ``--cs-ns`` once was — replays
-        a different schedule from the one recorded."""
+        scenario.  A line of ``explore`` flags once dropped six of its
+        fields — lock count, picker, faults, cost model, audit mode and
+        deadline — and replayed a fault-free single-lock scenario; the
+        line names the entry file instead."""
+        import shlex
+
+        import repro.schedcheck.explore as explore
+        from repro.experiments.cli import main
         from repro.obs.report import render_corpus_entry
 
-        scenario = LockScenario(lock_kind="mcs", n_nodes=2,
-                                threads_per_node=2, ops_per_thread=2,
-                                cs_ns=100.0, think_ns=50.0, stagger_ns=25.0)
-        entry = CorpusEntry(name="probe", failure_kind="deadlock",
-                            scenario=scenario, decisions="3:1", digest="0")
-        line, = [row for row in render_corpus_entry(
-            json.loads(entry_json(entry))).splitlines()
-            if row.startswith("replay:")]
-        for flag in ("--cs-ns 100.0", "--think-ns 50.0", "--stagger-ns 25.0"):
-            assert flag in line, line
+        scenario = LockScenario(
+            lock_kind="alock", n_nodes=2, threads_per_node=2, n_locks=3,
+            ops_per_thread=2, pick="mixed", cs_ns=100.0, think_ns=50.0,
+            stagger_ns=25.0, seed=4, audit="strict", deadline_ns=5e6,
+            coarse_time=False, lock_options=(("local_budget", 2),),
+            faults=FaultPlan(spike_rate=0.1, spike_ns=500.0))
+        path = write_entry(CorpusEntry(
+            name="probe", failure_kind="deadlock", scenario=scenario,
+            decisions="3:1", digest="0"), str(tmp_path))
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        line, = [row for row in render_corpus_entry(payload, path).splitlines()
+                 if row.startswith("replay:")]
+        program, *argv = shlex.split(line.removeprefix("replay:"))
+        assert program == "alock-experiments"
+
+        replayed = []
+
+        def recording(scenario, policy, *args, **kwargs):
+            replayed.append(scenario)
+            return run_schedule(scenario, policy, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "run_schedule", recording)
+        main(argv)
+        capsys.readouterr()
+        assert [scenario_digest(sc) for sc in replayed] == \
+            [payload["scenario_digest"]]
 
 
 class TestReportPerfetto:

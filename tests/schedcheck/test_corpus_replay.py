@@ -13,8 +13,8 @@ timeline of what the entry *used to* catch.  A ``"stale"`` status means
 the scenario drifted under the recording (different choice-point
 count): re-find and re-shrink the entry, e.g. ::
 
-    alock-experiments fleet --budget 200 --seed 1 --expect-find \\
-        --write-corpus --corpus-dir tests/schedcheck/corpus
+    alock-experiments explore --preset bugs --budget 200 --seed 1 \\
+        --expect-find --write-corpus --corpus-dir tests/schedcheck/corpus
 """
 
 import json

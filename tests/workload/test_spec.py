@@ -64,6 +64,19 @@ class TestValidation:
         assert WorkloadSpec(distribution="zipfian",
                             zipf_theta=theta).zipf_theta == theta
 
+    @pytest.mark.parametrize("audit", ["strcit", "bogus", None])
+    def test_an_unknown_audit_mode_is_refused(self, audit):
+        """Caught at the spec, before any cell runs, instead of a strict
+        run built as a record-mode one."""
+        with pytest.raises(ConfigError, match="audit must be one of"):
+            WorkloadSpec(audit=audit)
+
+    def test_a_scenario_gets_the_check_through_its_spec(self):
+        from repro.schedcheck import LockScenario
+
+        with pytest.raises(ConfigError, match="audit must be one of"):
+            LockScenario(audit="strcit").build()
+
     @pytest.mark.parametrize("config", [None, NicConfig(), {}],
                              ids=["none", "nic-only", "dict"])
     def test_a_config_that_is_no_rdma_config_is_rejected(self, config):
